@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .grid import (
     Grid,
     RealVectorField,
-    SpectralVectorField,
     heat_derivative_kernel,
     heat_semigroup,
     leray_project,
@@ -56,7 +55,6 @@ from .solver import (
 __all__ = [
     "Grid",
     "RealVectorField",
-    "SpectralVectorField",
     "leray_project",
     "heat_semigroup",
     "heat_derivative_kernel",

@@ -72,6 +72,12 @@ GENERATOR_KEYS = {
     "random_divfree": {"type", "seed", "k_lo", "k_hi", "amplitude"},
 }
 RANDOM_GENERATORS = {"band_noise", "random_divfree"}
+GENERATOR_PARAM_KINDS = {"amplitude": float, "sigma": float, "k_lo": float, "k_hi": float,
+                         "seed": int, "ncomp": int, "divergence_free": bool}
+GENERATOR_VECTORS = {"center", "mode_center"}
+SOLVER_KINDS = {"dt": float, "T": float, "dealias_fraction": float,
+                "blowup_sup_threshold": float, "spectral_tail_threshold": float,
+                "snapshot_stride": int, "tail_octave_shift": int, "linear_only": bool}
 
 
 def _check_keys(doc: dict, allowed: set, where: str) -> None:
@@ -86,10 +92,25 @@ def _require(doc: dict, keys, where: str) -> None:
         raise ConfigValidationError(f"{where}: missing keys {missing}")
 
 
+def _scalar(value, kind, where: str):
+    """A JSON boolean for kind bool, a JSON number otherwise, converted to kind."""
+    is_bool = isinstance(value, bool)
+    if is_bool != (kind is bool) or not isinstance(value, (int, float)):
+        raise ConfigValidationError(f"{where}: expected {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _vector(value, d: int, where: str) -> tuple:
+    if not isinstance(value, list) or len(value) != d:
+        raise ConfigValidationError(f"{where}: expected a list of {d} numbers, got {value!r}")
+    return tuple(_scalar(x, float, where) for x in value)
+
+
 def parse_grid(doc: dict) -> Grid:
     _check_keys(doc, {"d", "N", "L"}, "grid")
     _require(doc, ["d", "N"], "grid")
-    return Grid(d=int(doc["d"]), N=int(doc["N"]), L=float(doc.get("L", 2.0 * np.pi)))
+    return Grid(d=_scalar(doc["d"], int, "grid: d"), N=_scalar(doc["N"], int, "grid: N"),
+                L=_scalar(doc.get("L", 2.0 * np.pi), float, "grid: L"))
 
 
 def build_field(source: dict, grid: Grid) -> RealVectorField:
@@ -110,33 +131,37 @@ def build_field(source: dict, grid: Grid) -> RealVectorField:
     _check_keys(gen, GENERATOR_KEYS[gtype], f"generator {gtype}")
     if gtype in RANDOM_GENERATORS and "seed" not in gen:
         raise ConfigValidationError(f"generator {gtype} requires an explicit seed")
+    for key in set(gen) - {"type"}:
+        where = f"generator {gtype}: {key}"
+        if key in GENERATOR_VECTORS:
+            gen[key] = _vector(gen[key], grid.d, where)
+        else:
+            gen[key] = _scalar(gen[key], GENERATOR_PARAM_KINDS[key], where)
     if gtype == "taylor_green":
         return field_gen.taylor_green(grid, amplitude=gen.get("amplitude", 1.0))
     if gtype == "gaussian":
         return field_gen.gaussian_bump(
             grid, sigma=gen["sigma"], center=gen.get("center"),
-            ncomp=int(gen.get("ncomp", 1)), amplitude=gen.get("amplitude", 1.0))
+            ncomp=gen.get("ncomp", 1), amplitude=gen.get("amplitude", 1.0))
     if gtype == "gabor":
         return field_gen.gabor_bump(
             grid, sigma=gen["sigma"], mode_center=gen["mode_center"],
-            center=gen.get("center"), ncomp=int(gen.get("ncomp", 1)),
+            center=gen.get("center"), ncomp=gen.get("ncomp", 1),
             amplitude=gen.get("amplitude", 1.0))
     if gtype == "band_noise":
         return field_gen.band_noise(
-            grid, k_lo=gen["k_lo"], k_hi=gen["k_hi"], seed=int(gen["seed"]),
+            grid, k_lo=gen["k_lo"], k_hi=gen["k_hi"], seed=gen["seed"],
             ncomp=gen.get("ncomp"), amplitude=gen.get("amplitude", 1.0),
-            divergence_free=bool(gen.get("divergence_free", False)))
+            divergence_free=gen.get("divergence_free", False))
     return field_gen.random_divfree_field(
-        grid, seed=int(gen["seed"]), k_lo=gen.get("k_lo", 1.0),
+        grid, seed=gen["seed"], k_lo=gen.get("k_lo", 1.0),
         k_hi=gen.get("k_hi"), amplitude=gen.get("amplitude", 1.0))
 
 
 def parse_solver(doc: dict) -> SolverConfig:
-    allowed = {"dt", "T", "dealias_fraction", "blowup_sup_threshold",
-               "spectral_tail_threshold", "snapshot_stride", "linear_only"}
-    _check_keys(doc, allowed, "solver")
+    _check_keys(doc, set(SOLVER_KINDS), "solver")
     _require(doc, ["dt", "T"], "solver")
-    return SolverConfig(**{k: doc[k] for k in doc})
+    return SolverConfig(**{k: _scalar(v, SOLVER_KINDS[k], f"solver: {k}") for k, v in doc.items()})
 
 
 def parse_sequence(items) -> ScaleCoreSequence:
@@ -200,7 +225,7 @@ def cmd_lp(config: dict, out: Path) -> dict:
 
 
 def cmd_evolve(config: dict, out: Path) -> dict:
-    _check_keys(config, {"grid", "u0", "solver", "record_norms"}, "evolve config")
+    _check_keys(config, {"grid", "u0", "solver"}, "evolve config")
     _require(config, ["grid", "u0", "solver"], "evolve config")
     grid = parse_grid(config["grid"])
     u0 = build_field(config["u0"], grid)
@@ -383,7 +408,7 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1, help="FFT worker threads")
     args = parser.parse_args(argv)
 
-    set_fft_workers(args.threads)
+    threads = set_fft_workers(args.threads)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -402,7 +427,7 @@ def main(argv=None) -> int:
         "command": args.command,
         "config": config,
         "versions": package_versions(),
-        "threads": args.threads,
+        "threads": threads,
         "artifacts": result.get("artifacts", []),
         "wall_clock_s": time.perf_counter() - started,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
 from .grid import (
     Grid,
     RealVectorField,
@@ -30,7 +31,7 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> RealVectorField:
     amplitude decay exp(-2t) with pressure -A^2 (cos 2x + cos 2y)/4.
     """
     if grid.d != 2:
-        raise ValueError("taylor_green is a 2D field")
+        raise DomainError("taylor_green is a 2D field")
     x, y = grid.coordinate_mesh()
     u = np.cos(x) * np.sin(y)
     v = -np.sin(x) * np.cos(y)

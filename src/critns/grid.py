@@ -1,4 +1,4 @@
-"""Periodic grids, real/spectral vector fields and Fourier-multiplier operators.
+"""Periodic grids, real vector fields and Fourier-multiplier operators.
 
 The box is [-L/2, L/2)^d sampled with N points per axis (N a power of two).
 Wavenumbers are k = 2*pi*m/L with m in {-N/2, ..., N/2-1} per axis, stored in
@@ -9,6 +9,7 @@ suite pins this convention.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,12 +22,10 @@ from .errors import DomainError, GridMismatchError, InvalidFieldError
 _FFT_WORKERS = 1
 
 
-def set_fft_workers(n: int) -> None:
+def set_fft_workers(n: int) -> int:
+    """Set the FFT worker count, clamped to [1, cpu count]; returns the count set."""
     global _FFT_WORKERS
-    _FFT_WORKERS = max(1, int(n))
-
-
-def get_fft_workers() -> int:
+    _FFT_WORKERS = max(1, min(int(n), os.cpu_count() or 1))
     return _FFT_WORKERS
 
 
@@ -115,6 +114,15 @@ class Grid:
         return k2
 
     @cached_property
+    def inv_deriv_k_squared(self) -> np.ndarray:
+        """1/|k|^2 on the derivative mesh, 0 where |k| vanishes (Leray, pressure)."""
+        k2 = self.deriv_k_squared
+        inv = np.zeros_like(k2)
+        nz = k2 > 0
+        inv[nz] = 1.0 / k2[nz]
+        return inv
+
+    @cached_property
     def k_squared(self) -> np.ndarray:
         k2 = np.zeros(self.shape)
         for ka in self.wavenumber_mesh:
@@ -194,37 +202,8 @@ class RealVectorField:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.data))) if self.data.size else 0.0
 
-    def to_spectral(self) -> "SpectralVectorField":
-        return SpectralVectorField(self.grid, forward_transform(self.data, self.grid))
-
     def divergence_free(self, tol: float = DIVERGENCE_TOL) -> bool:
         return spectral_divergence_ratio(self) <= tol
-
-
-@dataclass(frozen=True)
-class SpectralVectorField:
-    """Fourier coefficients of a real field (Hermitian-symmetric)."""
-
-    grid: Grid
-    coefficients: np.ndarray
-
-    @property
-    def ncomp(self) -> int:
-        return self.coefficients.shape[0]
-
-    def to_real(self) -> RealVectorField:
-        return RealVectorField(self.grid, inverse_transform(self.coefficients, self.grid))
-
-    def hermitian_defect(self) -> float:
-        """Max deviation from conj-symmetry, relative to the largest coefficient."""
-        c = self.coefficients
-        flipped = c
-        for axis in range(1, c.ndim):
-            flipped = np.flip(np.roll(flipped, -1, axis=axis), axis=axis)
-        top = np.max(np.abs(c))
-        if top == 0.0:
-            return 0.0
-        return float(np.max(np.abs(c - np.conj(flipped))) / top)
 
 
 def forward_transform(data: np.ndarray, grid: Grid) -> np.ndarray:
@@ -260,14 +239,10 @@ def spectral_divergence_ratio(f: RealVectorField) -> float:
 
 def _leray_coefficients(coeff: np.ndarray, grid: Grid) -> np.ndarray:
     """In-place Leray projection of a (d, ...) coefficient array."""
-    k2 = grid.deriv_k_squared
-    inv_k2 = np.zeros_like(k2)
-    nz = k2 > 0
-    inv_k2[nz] = 1.0 / k2[nz]
     kdotu = np.zeros(grid.shape, dtype=np.complex128)
     for c, ka in enumerate(grid.deriv_wavenumber_mesh):
         kdotu += ka * coeff[c]
-    kdotu *= inv_k2
+    kdotu *= grid.inv_deriv_k_squared
     for c, ka in enumerate(grid.deriv_wavenumber_mesh):
         coeff[c] -= ka * kdotu
     return coeff
@@ -302,8 +277,13 @@ def heat_derivative_kernel(f: RealVectorField, tau: float) -> RealVectorField:
     if tau <= 0:
         raise DomainError(f"heat derivative kernel needs tau > 0, got {tau}")
     f.require_finite()
-    k2 = f.grid.k_squared
-    return apply_multiplier(f, -tau * k2 * np.exp(-tau * k2))
+    return apply_multiplier(f, heat_derivative_multiplier(f.grid, tau))
+
+
+def heat_derivative_multiplier(grid: Grid, tau: float) -> np.ndarray:
+    """Symbol -tau|k|^2 exp(-tau|k|^2) of K(tau) = tau * d/dtau exp(tau*Laplacian)."""
+    k2 = grid.k_squared
+    return -tau * k2 * np.exp(-tau * k2)
 
 
 def laplacian(f: RealVectorField) -> RealVectorField:

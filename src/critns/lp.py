@@ -48,9 +48,17 @@ def band_range(grid: Grid) -> tuple[int, int]:
     return j_min, j_max
 
 
-def _band_multiplier(grid: Grid, j: int) -> np.ndarray:
+def dyadic_multipliers(grid: Grid, j_min: int, j_max: int):
+    """Yield the low-pass multiplier chi(|k|/2^j_min), then the Delta_j
+    multiplier for each j in [j_min, j_max]; each chi(|k|/2^j) is evaluated once."""
     kmag = np.sqrt(grid.k_squared)
-    return chi(kmag / 2.0 ** (j + 1)) - chi(kmag / 2.0**j)
+    low = chi(kmag / 2.0**j_min)
+    yield low
+    for j in range(j_min, j_max + 1):
+        high = chi(kmag / 2.0 ** (j + 1))
+        band = high - low
+        low = high
+        yield band
 
 
 def band_is_resolvable(grid: Grid, j: int) -> bool:
@@ -72,7 +80,8 @@ def band_project(f: RealVectorField, j: int) -> RealVectorField:
             stacklevel=2,
         )
         return RealVectorField(f.grid, np.zeros_like(f.data))
-    return apply_multiplier(f, _band_multiplier(f.grid, j))
+    _, mult = dyadic_multipliers(f.grid, j, j)
+    return apply_multiplier(f, mult)
 
 
 @dataclass
@@ -99,14 +108,9 @@ def decompose(f: RealVectorField, j_min: int | None = None,
     j_min = lo if j_min is None else j_min
     j_max = hi if j_max is None else j_max
     coeff = forward_transform(f.data, f.grid)
-    kmag = np.sqrt(f.grid.k_squared)
-    low = inverse_transform(coeff * chi(kmag / 2.0**j_min), f.grid)
-    bands = []
-    for j in range(j_min, j_max + 1):
-        mult = chi(kmag / 2.0 ** (j + 1)) - chi(kmag / 2.0**j)
-        bands.append(RealVectorField(f.grid, inverse_transform(coeff * mult, f.grid)))
-    return LPBandSet(source=f, j_min=j_min, j_max=j_max, bands=bands,
-                     low=RealVectorField(f.grid, low))
+    low, *bands = (RealVectorField(f.grid, inverse_transform(coeff * mult, f.grid))
+                   for mult in dyadic_multipliers(f.grid, j_min, j_max))
+    return LPBandSet(source=f, j_min=j_min, j_max=j_max, bands=bands, low=low)
 
 
 def paraproduct(grid: Grid, f: np.ndarray, g: np.ndarray):
@@ -119,15 +123,10 @@ def paraproduct(grid: Grid, f: np.ndarray, g: np.ndarray):
     """
     if f.shape != grid.shape or g.shape != grid.shape:
         raise GridMismatchError("paraproduct factors must live on the given grid")
-    j_min, j_max = band_range(grid)
-    kmag = np.sqrt(grid.k_squared)
     cf = forward_transform(f, grid)
     cg = forward_transform(g, grid)
-    low_mult = chi(kmag / 2.0**j_min)
-    blocks_f = [inverse_transform(cf * low_mult, grid)]
-    blocks_g = [inverse_transform(cg * low_mult, grid)]
-    for j in range(j_min, j_max + 1):
-        mult = chi(kmag / 2.0 ** (j + 1)) - chi(kmag / 2.0**j)
+    blocks_f, blocks_g = [], []
+    for mult in dyadic_multipliers(grid, *band_range(grid)):
         blocks_f.append(inverse_transform(cf * mult, grid))
         blocks_g.append(inverse_transform(cg * mult, grid))
 

@@ -14,8 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError
-from .grid import Grid, RealVectorField, forward_transform, inverse_transform
-from .lp import band_range, chi
+from .grid import (
+    Grid,
+    RealVectorField,
+    forward_transform,
+    heat_derivative_multiplier,
+    inverse_transform,
+)
+from .lp import band_range, dyadic_multipliers
 
 INF = float("inf")
 
@@ -74,11 +80,11 @@ def band_profile(f: RealVectorField, p: float) -> tuple[np.ndarray, np.ndarray]:
     """(levels, ||Delta_j f||_{L^p}) over the resolvable range; one forward FFT."""
     lo, hi = band_range(f.grid)
     coeff = forward_transform(f.data, f.grid)
-    kmag = np.sqrt(f.grid.k_squared)
     levels = np.arange(lo, hi + 1)
     vals = np.empty(levels.size)
-    for i, j in enumerate(levels):
-        mult = chi(kmag / 2.0 ** (j + 1)) - chi(kmag / 2.0**j)
+    mults = dyadic_multipliers(f.grid, lo, hi)
+    next(mults)  # the low-pass block is not a band
+    for i, mult in enumerate(mults):
         band = RealVectorField(f.grid, inverse_transform(coeff * mult, f.grid))
         vals[i] = lebesgue_norm(band, p)
     return levels, vals
@@ -193,10 +199,9 @@ def _heat_kernel_lp_curve(f: RealVectorField, taus: np.ndarray, p: float) -> np.
     """||K(tau) f||_{L^p} sampled over taus, K(tau) = tau d/dtau exp(tau Lap)."""
     grid = f.grid
     coeff = forward_transform(f.data, grid)
-    k2 = grid.k_squared
     out = np.empty(taus.size)
     for i, tau in enumerate(taus):
-        mult = -tau * k2 * np.exp(-tau * k2)
+        mult = heat_derivative_multiplier(grid, tau)
         g = RealVectorField(grid, inverse_transform(coeff * mult, grid))
         out[i] = lebesgue_norm(g, p)
     return out
@@ -236,10 +241,9 @@ def heat_besov_spacetime_norm(traj, r: float, p: float,
         raise DomainError("space-time norms need at least 2 snapshots")
     times = np.asarray(times)
     coeffs = [forward_transform(s.data, grid) for s in snaps]
-    k2 = grid.k_squared
     vals = np.empty(taus.size)
     for i, tau in enumerate(taus):
-        mult = -tau * k2 * np.exp(-tau * k2)
+        mult = heat_derivative_multiplier(grid, tau)
         spatial = np.array(
             [lebesgue_norm(RealVectorField(grid, inverse_transform(c * mult, grid)), p)
              for c in coeffs]

@@ -30,6 +30,7 @@ from .grid import (
 from .lp import low_pass, paraproduct
 from .norms import (
     BesovIndex,
+    _trapezoid_weights,
     band_profile,
     besov_norm,
     chemin_lerner_norm,
@@ -40,7 +41,9 @@ from .scaling import ScaleCore, ScaleCoreSequence, apply_lambda, orthogonality_c
 from .solver import (
     SolverConfig,
     Trajectory,
-    _div_pair_flux_hat,
+    _div_flux_hat,
+    _pair_product,
+    _self_product,
     dealias_mask,
     evolve,
     q_bilinear,
@@ -292,32 +295,23 @@ def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float,
     for p_ in parts[1:]:
         u_sum = u_sum + p_
 
-    d = grid.d
-    mask = dealias_mask(grid, dealias_fraction)
-    kmesh = grid.deriv_wavenumber_mesh
-    acc_para = np.zeros((d,) + grid.shape, dtype=np.complex128)
-    acc_zeta = np.zeros((d,) + grid.shape, dtype=np.complex128)
-    for i in range(d):
-        for j in range(i, d):
+    # the symmetric para and zeta tensors of u (x) w + w (x) u, upper triangle
+    para, zeta = {}, {}
+    for i in range(grid.d):
+        for j in range(i, grid.d):
             t_ij, t_ji, pi_ij = paraproduct(grid, u_sum.data[i], w.data[j])
-            para = t_ij
-            zeta = t_ji + pi_ij
+            para[i, j] = t_ij
+            zeta[i, j] = t_ji + pi_ij
             if j != i:
                 t2_ij, t2_ji, pi2 = paraproduct(grid, u_sum.data[j], w.data[i])
-                para = para + t2_ij
-                zeta = zeta + t2_ji + pi2
+                para[i, j] = para[i, j] + t2_ij
+                zeta[i, j] = zeta[i, j] + t2_ji + pi2
             else:
-                para = 2.0 * para
-                zeta = 2.0 * zeta
-            para_hat = forward_transform(para, grid) * mask
-            zeta_hat = forward_transform(zeta, grid) * mask
-            acc_para[i] += 1j * kmesh[j] * para_hat
-            acc_zeta[i] += 1j * kmesh[j] * zeta_hat
-            if j != i:
-                acc_para[j] += 1j * kmesh[i] * para_hat
-                acc_zeta[j] += 1j * kmesh[i] * zeta_hat
-    _leray_coefficients(acc_para, grid)
-    _leray_coefficients(acc_zeta, grid)
+                para[i, j] = 2.0 * para[i, j]
+                zeta[i, j] = 2.0 * zeta[i, j]
+    mask = dealias_mask(grid, dealias_fraction)
+    acc_para = _leray_coefficients(_div_flux_hat(lambda i, j: para[i, j], grid, mask), grid)
+    acc_zeta = _leray_coefficients(_div_flux_hat(lambda i, j: zeta[i, j], grid, mask), grid)
     part1 = RealVectorField(grid, -inverse_transform(acc_para, grid))
     part2 = RealVectorField(grid, -inverse_transform(acc_zeta, grid)) + g_ww
     if g_profiles is not None:
@@ -452,14 +446,6 @@ def extract_concentration(fields: list, p: float | None = None):
     return results
 
 
-def _nl_term_hat(u: RealVectorField, mask) -> np.ndarray:
-    from .solver import _div_flux_hat
-
-    acc = _div_flux_hat(u.data, u.grid, mask)
-    _leray_coefficients(acc, u.grid)
-    return acc
-
-
 def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
                          drift=None, source=None) -> float:
     """L^2-in-time L^2-in-space residual of du/dt + P div(u x u) - Lap u
@@ -469,11 +455,8 @@ def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
     them it is the plain equation residual, which serves as the discrete floor
     (the time-differencing error dominates both).
     """
-    from .norms import _trapezoid_weights
-    from .solver import dealias_mask as _dmask
-
     grid = traj.grid
-    mask = _dmask(grid, dealias_fraction)
+    mask = dealias_mask(grid, dealias_fraction)
     if len(traj.snapshots) < 3:
         raise DomainError("residual check needs at least 3 snapshots")
     k2 = grid.k_squared
@@ -486,10 +469,12 @@ def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
         dudt = (traj.snapshots[i + 1].data - traj.snapshots[i - 1].data) / dt2
         u = traj.snapshots[i]
         uh = forward_transform(u.data, grid)
-        resid_hat = forward_transform(dudt, grid) + _nl_term_hat(u, mask) + k2 * uh
+        nl_hat = _leray_coefficients(_div_flux_hat(_self_product(u.data), grid, mask), grid)
+        resid_hat = forward_transform(dudt, grid) + nl_hat + k2 * uh
         if drift is not None:
             f = drift(float(times[i]))
-            resid_hat += _pair_q_hat(u, f, mask)
+            q_hat = _div_flux_hat(_pair_product(u.data, f.data), grid, mask)
+            resid_hat += _leray_coefficients(q_hat, grid)
         if source is not None:
             g = source(float(times[i]))
             gh = forward_transform(g.data, grid) * mask
@@ -501,12 +486,6 @@ def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
     res_l2 = np.asarray(res_l2)
     wts = _trapezoid_weights(np.asarray(mid_times))
     return float(np.sqrt(np.sum(wts * res_l2**2)))
-
-
-def _pair_q_hat(a: RealVectorField, b: RealVectorField, mask) -> np.ndarray:
-    acc = _div_pair_flux_hat(a.data, b.data, a.grid, mask)
-    _leray_coefficients(acc, a.grid)
-    return acc
 
 
 def remainder_equation_residual(r_traj: Trajectory, ev: EvolvedSystem,

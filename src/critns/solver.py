@@ -30,7 +30,14 @@ from .grid import (
     inverse_transform,
     _leray_coefficients,
 )
-from .norms import BesovIndex, chemin_lerner_norm, critical_exponent, e_norm, lebesgue_norm
+from .norms import (
+    BesovIndex,
+    _trapezoid_weights,
+    chemin_lerner_norm,
+    critical_exponent,
+    e_norm,
+    lebesgue_norm,
+)
 
 COMPLETED = "Completed"
 RESOLUTION_LIMIT = "ResolutionLimit"
@@ -140,16 +147,6 @@ class Trajectory:
             config_echo=dict(self.config_echo),
         )
 
-    def map(self, fn) -> "Trajectory":
-        return Trajectory(
-            grid=self.grid,
-            times=self.times.copy(),
-            snapshots=[fn(s) for s in self.snapshots],
-            records={},
-            status=self.status,
-            config_echo=dict(self.config_echo),
-        )
-
 
 @dataclass
 class PerturbationProblem:
@@ -190,39 +187,36 @@ def convective_divergence(u: RealVectorField, dealias_fraction: float | None = N
     u.require_finite()
     grid = u.grid
     mask = None if dealias_fraction is None else dealias_mask(grid, dealias_fraction)
-    acc = _div_flux_hat(u.data, grid, mask)
+    acc = _div_flux_hat(_self_product(u.data), grid, mask)
     return RealVectorField(grid, inverse_transform(acc, grid))
 
 
-def _div_flux_hat(u_phys: np.ndarray, grid: Grid, mask) -> np.ndarray:
-    """Spectral coefficients of div(u (x) u) from physical samples."""
-    d = grid.d
-    kmesh = grid.deriv_wavenumber_mesh
-    acc = np.zeros((d,) + grid.shape, dtype=np.complex128)
-    for a in range(d):
-        for b in range(a, d):
-            tab = forward_transform(u_phys[a] * u_phys[b], grid)
-            if mask is not None:
-                tab *= mask
-            acc[a] += 1j * kmesh[b] * tab
-            if b != a:
-                acc[b] += 1j * kmesh[a] * tab
-    return acc
+def _self_product(u: np.ndarray):
+    """Entries of u (x) u, for _div_flux_hat."""
+    return lambda i, j: u[i] * u[j]
 
 
-def _div_pair_flux_hat(a_phys: np.ndarray, b_phys: np.ndarray, grid: Grid, mask) -> np.ndarray:
-    """Spectral coefficients of div(a (x) b + b (x) a)."""
+def _pair_product(a: np.ndarray, b: np.ndarray):
+    """Entries of the symmetric a (x) b + b (x) a, for _div_flux_hat."""
+    return lambda i, j: a[i] * b[j] + b[i] * a[j]
+
+
+def _div_flux_hat(entry, grid: Grid, mask, symmetric: bool = True) -> np.ndarray:
+    """Spectral coefficients of (div S)_i = sum_j d_j S_ij, dealiased by mask.
+
+    entry(i, j) returns the physical samples of S_ij.  A symmetric tensor is
+    read from its upper triangle only (d(d+1)/2 transforms instead of d^2).
+    """
     d = grid.d
     kmesh = grid.deriv_wavenumber_mesh
     acc = np.zeros((d,) + grid.shape, dtype=np.complex128)
     for i in range(d):
-        for j in range(i, d):
-            sij = a_phys[i] * b_phys[j] + b_phys[i] * a_phys[j]
-            tij = forward_transform(sij, grid)
+        for j in range(i if symmetric else 0, d):
+            tij = forward_transform(entry(i, j), grid)
             if mask is not None:
                 tij *= mask
             acc[i] += 1j * kmesh[j] * tij
-            if j != i:
+            if symmetric and j != i:
                 acc[j] += 1j * kmesh[i] * tij
     return acc
 
@@ -231,7 +225,7 @@ def nonlinear_term(u: RealVectorField, dealias_fraction: float = 2.0 / 3.0) -> R
     """P div(u (x) u), the projected convection term."""
     u.require_finite()
     grid = u.grid
-    acc = _div_flux_hat(u.data, grid, dealias_mask(grid, dealias_fraction))
+    acc = _div_flux_hat(_self_product(u.data), grid, dealias_mask(grid, dealias_fraction))
     _leray_coefficients(acc, grid)
     return RealVectorField(grid, inverse_transform(acc, grid))
 
@@ -242,7 +236,7 @@ def q_bilinear(a: RealVectorField, b: RealVectorField,
     a.require_finite()
     b.require_finite()
     grid = a.grid
-    acc = _div_pair_flux_hat(a.data, b.data, grid, dealias_mask(grid, dealias_fraction))
+    acc = _div_flux_hat(_pair_product(a.data, b.data), grid, dealias_mask(grid, dealias_fraction))
     _leray_coefficients(acc, grid)
     return RealVectorField(grid, inverse_transform(acc, grid))
 
@@ -252,15 +246,12 @@ def recover_pressure(u: RealVectorField, dealias_fraction: float | None = None) 
     u.require_finite()
     grid = u.grid
     mask = None if dealias_fraction is None else dealias_mask(grid, dealias_fraction)
-    div_hat = _div_flux_hat(u.data, grid, mask)
+    div_hat = _div_flux_hat(_self_product(u.data), grid, mask)
     kmesh = grid.deriv_wavenumber_mesh
     divdiv = np.zeros(grid.shape, dtype=np.complex128)
     for a in range(grid.d):
         divdiv += 1j * kmesh[a] * div_hat[a]
-    k2 = grid.deriv_k_squared
-    pi_hat = np.zeros_like(divdiv)
-    nz = k2 > 0
-    pi_hat[nz] = divdiv[nz] / k2[nz]
+    pi_hat = divdiv * grid.inv_deriv_k_squared
     return RealVectorField(grid, inverse_transform(pi_hat[None, ...], grid))
 
 
@@ -288,10 +279,9 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     def rhs_hat(state_hat: np.ndarray, phys: np.ndarray, t: float) -> np.ndarray:
         acc = np.zeros_like(state_hat)
         if not cfg.linear_only:
-            acc -= _div_flux_hat(phys, grid, mask)
+            acc -= _div_flux_hat(_self_product(phys), grid, mask)
         if drift is not None:
-            fphys = drift.at(t).data
-            acc -= _div_pair_flux_hat(phys, fphys, grid, mask)
+            acc -= _div_flux_hat(_pair_product(phys, drift.at(t).data), grid, mask)
         if source is not None:
             g = source(t)
             if g is not None:
@@ -414,23 +404,12 @@ def bilinear_duhamel(f_traj: Trajectory, g_traj: Trajectory, t: float,
         taus.append(t)
     taus = np.asarray(taus)
     mask = None if dealias_fraction is None else dealias_mask(grid, dealias_fraction)
-    kmesh = grid.deriv_wavenumber_mesh
     k2 = grid.k_squared
-    w = np.zeros_like(taus)
-    dtau = np.diff(taus)
-    w[:-1] += dtau / 2.0
-    w[1:] += dtau / 2.0
     acc = np.zeros((grid.d,) + grid.shape, dtype=np.complex128)
-    for tau, weight in zip(taus, w):
+    for tau, weight in zip(taus, _trapezoid_weights(taus)):
         fa = f_traj.at(tau).data
         gb = g_traj.at(tau).data
-        s = np.zeros_like(acc)
-        for i in range(grid.d):
-            for j in range(grid.d):
-                tij = forward_transform(fa[i] * gb[j], grid)
-                if mask is not None:
-                    tij *= mask
-                s[i] += 1j * kmesh[j] * tij
+        s = _div_flux_hat(lambda i, j: fa[i] * gb[j], grid, mask, symmetric=False)
         _leray_coefficients(s, grid)
         acc += weight * np.exp(-(t - tau) * k2) * s
     return RealVectorField(grid, inverse_transform(acc, grid))

@@ -1,6 +1,7 @@
 """CFD1 field files, trajectory directories and the CLI surface."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from critns import Grid
+from critns.cli import parse_solver
 from critns.errors import InvalidFieldError
 from critns.fields import random_divfree_field, taylor_green
 from critns.io import load_trajectory, read_field, save_trajectory, write_field
@@ -253,6 +255,45 @@ class TestCLI:
         })
         res = run_cli(["norm", "--config", cfg, "--out", str(workdir / "out")])
         assert res.returncode == 1
+
+    @pytest.mark.parametrize("command, doc", [
+        ("evolve", {"grid": {"d": 2, "N": 16},
+                    "u0": {"generator": {"type": "taylor_green"}},
+                    "solver": {"dt": "x", "T": 0.1}}),
+        ("norm", {"grid": {"d": 2, "N": "x"},
+                  "field": {"generator": {"type": "taylor_green"}},
+                  "norm": {"kind": "lebesgue", "p": 2}}),
+        ("norm", {"grid": {"d": 3, "N": 16},
+                  "field": {"generator": {"type": "taylor_green"}},
+                  "norm": {"kind": "lebesgue", "p": 2}}),
+        ("evolve", {"grid": {"d": 2, "N": 16},
+                    "u0": {"generator": {"type": "taylor_green"}},
+                    "solver": {"dt": 0.01, "T": 0.02}, "record_norms": True}),
+    ], ids=["solver-dt-string", "grid-N-string", "taylor-green-3d", "record-norms"])
+    def test_invalid_document_json_error(self, workdir, command, doc):
+        cfg = self._write(workdir / "c.json", doc)
+        res = run_cli([command, "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 1
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] in ("ConfigValidationError", "DomainError")
+
+    def test_solver_accepts_tail_octave_shift(self):
+        cfg = parse_solver({"dt": 0.01, "T": 0.1, "tail_octave_shift": 1})
+        assert cfg.tail_octave_shift == 1
+
+    def test_threads_clamped_to_cpu_count(self, workdir):
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16},
+            "field": {"generator": {"type": "taylor_green"}},
+            "norm": {"kind": "lebesgue", "p": 2},
+        })
+        n_cpu = os.cpu_count()
+        res = run_cli(["norm", "--config", cfg, "--out", str(workdir / "out"),
+                       "--threads", str(n_cpu + 1)])
+        assert res.returncode == 0, res.stderr
+        manifest = json.loads((workdir / "out" / "manifest.json").read_text())
+        assert manifest["threads"] == n_cpu
 
     def test_missing_file_exit_1(self, workdir):
         res = run_cli(["norm", "--config", str(workdir / "nope.json"),

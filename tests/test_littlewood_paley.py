@@ -9,7 +9,7 @@ from critns.errors import EmptyBandWarning, GridMismatchError
 from critns.fields import band_noise, random_smooth_field, single_mode
 from critns.grid import RealVectorField, forward_transform
 from critns.lp import band_project, band_range, chi, decompose, low_pass, paraproduct
-from critns.norms import lebesgue_norm
+from critns.norms import band_profile, lebesgue_norm
 
 from conftest import rel_err
 
@@ -60,6 +60,14 @@ class TestBands:
         f = random_smooth_field(grid3, seed=1, ncomp=3)
         bands = decompose(f)
         assert rel_err(bands.reconstruct().data, f.data) < 1e-10
+
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_band_profile_matches_decompose(self, grid3, p):
+        f = random_smooth_field(grid3, seed=2, ncomp=3)
+        bands = decompose(f)
+        levels, vals = band_profile(f, p)
+        assert list(levels) == list(range(bands.j_min, bands.j_max + 1))
+        assert list(vals) == [lebesgue_norm(b, p) for b in bands.bands]
 
     def test_low_pass_telescoping(self, grid2):
         f = random_smooth_field(grid2, seed=2, ncomp=2)
