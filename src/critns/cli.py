@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy.fft
 
 from . import fields as field_gen
 from .criticality import (
@@ -26,7 +28,7 @@ from .criticality import (
     weak_convergence_probe,
 )
 from .errors import ConfigValidationError, CritNSError
-from .grid import Grid, RealVectorField, set_fft_workers
+from .grid import Grid, RealVectorField
 from .io import (
     dump_json,
     load_json,
@@ -81,6 +83,8 @@ SOLVER_KINDS = {"dt": float, "T": float, "dealias_fraction": float,
 
 
 def _check_keys(doc: dict, allowed: set, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigValidationError(f"{where}: expected a JSON object, got {doc!r}")
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigValidationError(f"{where}: unknown keys {sorted(unknown)}")
@@ -100,10 +104,12 @@ def _scalar(value, kind, where: str):
     return kind(value)
 
 
-def _vector(value, d: int, where: str) -> tuple:
-    if not isinstance(value, list) or len(value) != d:
-        raise ConfigValidationError(f"{where}: expected a list of {d} numbers, got {value!r}")
-    return tuple(_scalar(x, float, where) for x in value)
+def _vector(value, d: int | None, where: str, kind=float) -> tuple:
+    """A JSON list of numbers converted to kind; exactly d of them unless d is None."""
+    if not isinstance(value, list) or d not in (None, len(value)):
+        size = "" if d is None else f"{d} "
+        raise ConfigValidationError(f"{where}: expected a list of {size}numbers, got {value!r}")
+    return tuple(_scalar(x, kind, where) for x in value)
 
 
 def parse_grid(doc: dict) -> Grid:
@@ -124,6 +130,7 @@ def build_field(source: dict, grid: Grid) -> RealVectorField:
         return f
     if "generator" not in source:
         raise ConfigValidationError("field source needs 'file' or 'generator'")
+    _check_keys(source["generator"], set().union(*GENERATOR_KEYS.values()), "generator")
     gen = dict(source["generator"])
     gtype = gen.get("type")
     if gtype not in GENERATOR_KEYS:
@@ -164,11 +171,12 @@ def parse_solver(doc: dict) -> SolverConfig:
     return SolverConfig(**{k: _scalar(v, SOLVER_KINDS[k], f"solver: {k}") for k, v in doc.items()})
 
 
-def parse_sequence(items) -> ScaleCoreSequence:
+def parse_sequence(items, d: int) -> ScaleCoreSequence:
     entries = []
     for item in items:
         _check_keys(item, {"lambda", "x0"}, "scale core")
-        entries.append(ScaleCore(float(item["lambda"]), tuple(item["x0"])))
+        entries.append(ScaleCore(_scalar(item["lambda"], float, "scale core: lambda"),
+                                 _vector(item["x0"], d, "scale core: x0")))
     return ScaleCoreSequence(entries)
 
 
@@ -177,23 +185,24 @@ def cmd_norm(config: dict, out: Path) -> dict:
     _require(config, ["grid", "field", "norm"], "norm config")
     grid = parse_grid(config["grid"])
     f = build_field(config["field"], grid)
-    spec = dict(config["norm"])
+    spec = config["norm"]
     _check_keys(spec, {"kind", "p", "s", "q"}, "norm spec")
     kind = spec.get("kind")
+    if kind not in ("lebesgue", "besov", "heat_besov"):
+        raise ConfigValidationError(f"unknown norm kind {kind!r}")
+    p = _scalar(spec["p"], float, "norm spec: p")
     warns: list = []
     if kind == "lebesgue":
-        value = lebesgue_norm(f, float(spec["p"]))
-        params = {"p": spec["p"]}
-    elif kind == "besov":
-        idx = BesovIndex(float(spec["s"]), float(spec["p"]), float(spec.get("q", spec["p"])))
-        value, _, _, warns = besov_norm_detailed(f, idx)
-        params = {"s": idx.s, "p": idx.p, "q": idx.q}
-    elif kind == "heat_besov":
-        idx = BesovIndex(float(spec["s"]), float(spec["p"]), float(spec.get("q", spec["p"])))
-        value = heat_besov_norm(f, idx)
-        params = {"s": idx.s, "p": idx.p, "q": idx.q}
+        value = lebesgue_norm(f, p)
+        params = {"p": p}
     else:
-        raise ConfigValidationError(f"unknown norm kind {kind!r}")
+        idx = BesovIndex(_scalar(spec["s"], float, "norm spec: s"), p,
+                         _scalar(spec.get("q", p), float, "norm spec: q"))
+        params = {"s": idx.s, "p": idx.p, "q": idx.q}
+        if kind == "besov":
+            value, _, _, warns = besov_norm_detailed(f, idx)
+        else:
+            value = heat_besov_norm(f, idx)
     report = norm_report(kind, params, value, warns)
     dump_json(out / "norm.json", report)
     print(json.dumps(report, sort_keys=True))
@@ -205,8 +214,10 @@ def cmd_lp(config: dict, out: Path) -> dict:
     _require(config, ["grid", "field"], "lp config")
     grid = parse_grid(config["grid"])
     f = build_field(config["field"], grid)
-    bands = decompose(f, config.get("j_min"), config.get("j_max"))
-    p = float(config.get("p", 2))
+    lo, hi = band_range(grid)
+    bands = decompose(f, _scalar(config.get("j_min", lo), int, "lp config: j_min"),
+                      _scalar(config.get("j_max", hi), int, "lp config: j_max"))
+    p = _scalar(config.get("p", 2.0), float, "lp config: p")
     written = []
     table = []
     write_field(out / "low.cfd", bands.low)
@@ -257,25 +268,26 @@ def cmd_superpose(config: dict, out: Path) -> dict:
     for item in config["profiles"]:
         _check_keys(item, {"field", "scale_cores"}, "profile")
         phi = _field_source(item["field"], grid)
-        profiles.append((phi, parse_sequence(item["scale_cores"])))
+        profiles.append((phi, parse_sequence(item["scale_cores"], grid.d)))
     rem = None
     if "remainder" in config:
-        rdoc = dict(config["remainder"])
+        rdoc = config["remainder"]
         _check_keys(rdoc, {"field", "decay", "seed", "amplitude"}, "remainder")
+        decay = _scalar(rdoc.get("decay", 0.5), float, "remainder: decay")
         if "field" in rdoc:
-            rem = RemainderRule(base=_field_source(rdoc["field"], grid),
-                                decay=float(rdoc.get("decay", 0.5)))
+            rem = RemainderRule(base=_field_source(rdoc["field"], grid), decay=decay)
         else:
-            rem = default_remainder(grid, seed=int(rdoc.get("seed", 0)),
-                                    amplitude=float(rdoc.get("amplitude", 1e-2)),
-                                    decay=float(rdoc.get("decay", 0.5)))
+            rem = default_remainder(
+                grid, seed=_scalar(rdoc.get("seed", 0), int, "remainder: seed"),
+                amplitude=_scalar(rdoc.get("amplitude", 1e-2), float, "remainder: amplitude"),
+                decay=decay)
     sys_ = ProfileSystem(profiles=profiles, remainder=rem)
     if "J" in config:
-        sys_ = sys_.truncate(int(config["J"]))
+        sys_ = sys_.truncate(_scalar(config["J"], int, "superpose config: J"))
     sys_.validate()
     cfg = parse_solver(config["solver"])
-    p = float(config["p"])
-    n_values = [int(n) for n in config["n_values"]]
+    p = _scalar(config["p"], float, "superpose config: p")
+    n_values = _vector(config["n_values"], None, "superpose config: n_values", int)
     ev = evolve_system(sys_, cfg, n_values)
     rows = []
     status = "Completed"
@@ -301,13 +313,12 @@ def cmd_ortho(config: dict, out: Path) -> dict:
     grid = parse_grid(config["grid"])
     f = build_field(config["f"], grid)
     g = build_field(config["g"], grid)
-    sa = parse_sequence(config["seq_a"])
-    sb = parse_sequence(config["seq_b"])
-    p = float(config["p"])
-    verdict = orthogonality_check(sa, sb, int(config.get("K", 3)))
+    sa = parse_sequence(config["seq_a"], grid.d)
+    sb = parse_sequence(config["seq_b"], grid.d)
+    p = _scalar(config["p"], float, "ortho config: p")
+    verdict = orthogonality_check(sa, sb, _scalar(config.get("K", 3), int, "ortho config: K"))
     rows = []
-    for n in config["n_values"]:
-        n = int(n)
+    for n in _vector(config["n_values"], None, "ortho config: n_values", int):
         rows.append({
             "n": n,
             "cross_term": cross_term(f, g, sa[n], sb[n], p),
@@ -338,7 +349,7 @@ def cmd_perturb(config: dict, out: Path) -> dict:
             parts.append(None)
     prob = PerturbationProblem(w0=w0, drift=drift, force_parts=tuple(parts))
     cfg = parse_solver(config["solver"])
-    report = verify_perturbation_bound(prob, cfg, float(config["p"]))
+    report = verify_perturbation_bound(prob, cfg, _scalar(config["p"], float, "perturb config: p"))
     dump_json(out / "perturb.json", report.to_dict())
     return {"artifacts": ["perturb.json"]}
 
@@ -350,11 +361,14 @@ def cmd_threshold(config: dict, out: Path) -> dict:
              "threshold config")
     grid = parse_grid(config["grid"])
     base = build_field(config["base"], grid)
-    fam = DatumFamily(base=base, alpha_lo=float(config["alpha_lo"]),
-                      alpha_hi=float(config["alpha_hi"]))
+    fam = DatumFamily(base=base,
+                      alpha_lo=_scalar(config["alpha_lo"], float, "threshold config: alpha_lo"),
+                      alpha_hi=_scalar(config["alpha_hi"], float, "threshold config: alpha_hi"))
     cfg = parse_solver(config["solver"])
-    report = threshold_bisection(fam, cfg, float(config["tol"]),
-                                 besov_p=config.get("besov_p"))
+    besov_p = config.get("besov_p")
+    report = threshold_bisection(
+        fam, cfg, _scalar(config["tol"], float, "threshold config: tol"),
+        besov_p=None if besov_p is None else _scalar(besov_p, float, "threshold config: besov_p"))
     dump_json(out / "threshold.json", report.to_dict())
     return {"artifacts": ["threshold.json"]}
 
@@ -362,9 +376,10 @@ def cmd_threshold(config: dict, out: Path) -> dict:
 def cmd_serrin(config: dict, out: Path) -> dict:
     _check_keys(config, {"trajectory", "p_t", "q_x"}, "serrin config")
     _require(config, ["trajectory", "p_t", "q_x"], "serrin config")
-    traj = load_trajectory(config["trajectory"])
-    p_t = float("inf") if config["p_t"] in ("inf", None) else float(config["p_t"])
-    value = serrin_norm(traj, p_t, float(config["q_x"]))
+    p_t = config["p_t"]
+    p_t = float("inf") if p_t in ("inf", None) else _scalar(p_t, float, "serrin config: p_t")
+    q_x = _scalar(config["q_x"], float, "serrin config: q_x")
+    value = serrin_norm(load_trajectory(config["trajectory"]), p_t, q_x)
     doc = norm_report("serrin", {"p_t": config["p_t"], "q_x": config["q_x"]}, value)
     dump_json(out / "serrin.json", doc)
     print(json.dumps(doc, sort_keys=True))
@@ -374,11 +389,12 @@ def cmd_serrin(config: dict, out: Path) -> dict:
 def cmd_probe(config: dict, out: Path) -> dict:
     _check_keys(config, {"trajectory", "battery"}, "probe config")
     _require(config, ["trajectory"], "probe config")
-    traj = load_trajectory(config["trajectory"])
-    bat = dict(config.get("battery", {}))
+    bat = config.get("battery", {})
     _check_keys(bat, {"count", "seed"}, "battery")
-    tests = make_test_battery(traj.grid, count=int(bat.get("count", 8)),
-                              seed=int(bat.get("seed", 7)))
+    count = _scalar(bat.get("count", 8), int, "battery: count")
+    seed = _scalar(bat.get("seed", 7), int, "battery: seed")
+    traj = load_trajectory(config["trajectory"])
+    tests = make_test_battery(traj.grid, count=count, seed=seed)
     report = weak_convergence_probe(traj, tests)
     dump_json(out / "probe.json", report.to_dict())
     return {"artifacts": ["probe.json"]}
@@ -408,7 +424,7 @@ def main(argv=None) -> int:
     parser.add_argument("--threads", type=int, default=1, help="FFT worker threads")
     args = parser.parse_args(argv)
 
-    threads = set_fft_workers(args.threads)
+    threads = max(1, min(args.threads, os.cpu_count() or 1))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
@@ -416,7 +432,8 @@ def main(argv=None) -> int:
         config = load_json(args.config)
         if not isinstance(config, dict):
             raise ConfigValidationError("config document must be a JSON object")
-        result = COMMANDS[args.command](config, out)
+        with scipy.fft.set_workers(threads):
+            result = COMMANDS[args.command](config, out)
     except (CritNSError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         sys.stderr.write(json.dumps({
             "error": type(exc).__name__,

@@ -1,15 +1,16 @@
 """Periodic grids, real vector fields and Fourier-multiplier operators.
 
-The box is [-L/2, L/2)^d sampled with N points per axis (N a power of two).
-Wavenumbers are k = 2*pi*m/L with m in {-N/2, ..., N/2-1} per axis, stored in
-standard FFT layout.  The forward transform carries the 1/N^d factor, so the
-mode-m coefficient of exp(i k.x) has modulus 1; the Plancherel test in the
-suite pins this convention.
+The box is [-L/2, L/2)^d sampled with N points per axis, N an even 2,3-smooth
+number.  Wavenumbers are k = 2*pi*m/L.  The transform pair is real-to-complex
+(rfftn/irfftn with norm="forward", so the mode-m coefficient of exp(i k.x) has
+modulus 1) and stores the half spectrum: m in FFT order on the leading axes,
+m = 0..N/2 on the last.  A full-spectrum sum counts each interior column of the
+last axis twice (`Grid.multiplicity`).  Odd-order derivatives zero the unpaired
+Nyquist mode |m| = N/2 on every axis.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,17 +18,6 @@ import numpy as np
 import scipy.fft
 
 from .errors import DomainError, GridMismatchError, InvalidFieldError
-
-# scipy.fft worker count; the CLI sets this from --threads.
-_FFT_WORKERS = 1
-
-
-def set_fft_workers(n: int) -> int:
-    """Set the FFT worker count, clamped to [1, cpu count]; returns the count set."""
-    global _FFT_WORKERS
-    _FFT_WORKERS = max(1, min(int(n), os.cpu_count() or 1))
-    return _FFT_WORKERS
-
 
 DIVERGENCE_TOL = 1e-10
 
@@ -78,45 +68,45 @@ class Grid:
         axes = [self.axis_coords] * self.d
         return list(np.meshgrid(*axes, indexing="ij"))
 
+    @property
+    def spectral_shape(self) -> tuple:
+        """Shape of the stored half spectrum: the last axis keeps m = 0..N/2."""
+        return self.shape[:-1] + (self.N // 2 + 1,)
+
     @cached_property
-    def axis_wavenumbers(self) -> np.ndarray:
-        """1D wavenumbers in FFT layout, k = 2*pi*m/L."""
-        return 2.0 * np.pi * scipy.fft.fftfreq(self.N, d=1.0 / self.N) / self.L
+    def multiplicity(self) -> np.ndarray:
+        """Full-spectrum count of each stored coefficient along the last axis:
+        1 for the m = 0 and m = N/2 columns, 2 for the interior ones."""
+        w = np.full(self.N // 2 + 1, 2.0)
+        w[0] = w[-1] = 1.0
+        return w
+
+    def _mesh(self, zero_nyquist: bool) -> list:
+        """Per-axis wavenumbers, each shaped to broadcast over the half spectrum."""
+        out = []
+        for axis in range(self.d):
+            freq = scipy.fft.rfftfreq if axis == self.d - 1 else scipy.fft.fftfreq
+            m = freq(self.N, d=1.0 / self.N)
+            if zero_nyquist:
+                m[self.N // 2] = 0.0
+            shape = [m.size if a == axis else 1 for a in range(self.d)]
+            out.append((2.0 * np.pi * m / self.L).reshape(shape))
+        return out
 
     @cached_property
     def wavenumber_mesh(self) -> list:
-        k = self.axis_wavenumbers
-        out = []
-        for axis in range(self.d):
-            shape = [1] * self.d
-            shape[axis] = self.N
-            out.append(k.reshape(shape))
-        return out
+        return self._mesh(zero_nyquist=False)
 
     @cached_property
     def deriv_wavenumber_mesh(self) -> list:
         """Wavenumbers for odd-order derivatives: the unpaired Nyquist mode is
         zeroed so first derivatives of real fields stay Hermitian-consistent."""
-        k = self.axis_wavenumbers.copy()
-        k[self.N // 2] = 0.0
-        out = []
-        for axis in range(self.d):
-            shape = [1] * self.d
-            shape[axis] = self.N
-            out.append(k.reshape(shape))
-        return out
-
-    @cached_property
-    def deriv_k_squared(self) -> np.ndarray:
-        k2 = np.zeros(self.shape)
-        for ka in self.deriv_wavenumber_mesh:
-            k2 = k2 + ka**2
-        return k2
+        return self._mesh(zero_nyquist=True)
 
     @cached_property
     def inv_deriv_k_squared(self) -> np.ndarray:
         """1/|k|^2 on the derivative mesh, 0 where |k| vanishes (Leray, pressure)."""
-        k2 = self.deriv_k_squared
+        k2 = sum(ka**2 for ka in self.deriv_wavenumber_mesh)
         inv = np.zeros_like(k2)
         nz = k2 > 0
         inv[nz] = 1.0 / k2[nz]
@@ -124,10 +114,7 @@ class Grid:
 
     @cached_property
     def k_squared(self) -> np.ndarray:
-        k2 = np.zeros(self.shape)
-        for ka in self.wavenumber_mesh:
-            k2 = k2 + ka**2
-        return k2
+        return sum(ka**2 for ka in self.wavenumber_mesh)
 
     @property
     def k_min(self) -> float:
@@ -207,14 +194,16 @@ class RealVectorField:
 
 
 def forward_transform(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """FFT over the spatial axes with the 1/N^d normalization."""
+    """Real-to-complex FFT over the spatial axes with the 1/N^d normalization;
+    the result has the half-spectrum shape grid.spectral_shape."""
     axes = tuple(range(data.ndim - grid.d, data.ndim))
-    return scipy.fft.fftn(data, axes=axes, workers=_FFT_WORKERS) / grid.N**grid.d
+    return scipy.fft.rfftn(data, axes=axes, norm="forward")
 
 
 def inverse_transform(coeff: np.ndarray, grid: Grid) -> np.ndarray:
+    """Inverse of forward_transform: real samples of shape grid.shape."""
     axes = tuple(range(coeff.ndim - grid.d, coeff.ndim))
-    return np.real(scipy.fft.ifftn(coeff * grid.N**grid.d, axes=axes, workers=_FFT_WORKERS))
+    return scipy.fft.irfftn(coeff, s=grid.shape, axes=axes, norm="forward")
 
 
 def apply_multiplier(f: RealVectorField, multiplier: np.ndarray) -> RealVectorField:
@@ -228,9 +217,7 @@ def spectral_divergence_ratio(f: RealVectorField) -> float:
     """max_k |k.u_hat(k)| / max_k |u_hat(k)| over components."""
     grid = f.grid
     coeff = forward_transform(f.data, grid)
-    div = np.zeros(grid.shape, dtype=np.complex128)
-    for c, ka in enumerate(grid.deriv_wavenumber_mesh[: f.ncomp]):
-        div += 1j * ka * coeff[c]
+    div = sum(1j * ka * coeff[c] for c, ka in enumerate(grid.deriv_wavenumber_mesh[: f.ncomp]))
     top = np.max(np.abs(coeff))
     if top == 0.0:
         return 0.0
@@ -239,9 +226,7 @@ def spectral_divergence_ratio(f: RealVectorField) -> float:
 
 def _leray_coefficients(coeff: np.ndarray, grid: Grid) -> np.ndarray:
     """In-place Leray projection of a (d, ...) coefficient array."""
-    kdotu = np.zeros(grid.shape, dtype=np.complex128)
-    for c, ka in enumerate(grid.deriv_wavenumber_mesh):
-        kdotu += ka * coeff[c]
+    kdotu = sum(ka * coeff[c] for c, ka in enumerate(grid.deriv_wavenumber_mesh))
     kdotu *= grid.inv_deriv_k_squared
     for c, ka in enumerate(grid.deriv_wavenumber_mesh):
         coeff[c] -= ka * kdotu

@@ -10,6 +10,7 @@ the periodic images are discarded rather than wrapped).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -146,11 +147,7 @@ def _gather_contraction(f: RealVectorField, sc: ScaleCore, m: int) -> RealVector
         mask_axes.append(ok)
     mesh = np.meshgrid(*idx_axes, indexing="ij")
     gathered = f.data[(slice(None),) + tuple(mesh)]
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis, ok in enumerate(mask_axes):
-        shape = [1] * grid.d
-        shape[axis] = grid.N
-        mask &= ok.reshape(shape)
+    mask = functools.reduce(np.logical_and.outer, mask_axes)
     return RealVectorField(grid, float(factor) * gathered * mask)
 
 
@@ -163,28 +160,24 @@ def _roll_translation(f: RealVectorField, sc: ScaleCore) -> RealVectorField:
 def _spectral_resample(f: RealVectorField, sc: ScaleCore) -> RealVectorField:
     """Evaluate the trigonometric interpolant at (x - x0)/lam; exact for band-limited f."""
     grid = f.grid
-    coeff = forward_transform(f.data, grid)
+    # weighting by multiplicity makes the real part of the half-spectrum sum
+    # the full one
+    out = forward_transform(f.data, grid) * grid.multiplicity
     coords = grid.axis_coords
-    m = np.rint(grid.axis_wavenumbers * grid.L / (2.0 * np.pi)).astype(int)
     half = grid.L / 2.0
-    out = coeff
     masks = []
-    for axis in range(grid.d):
+    for axis, k in enumerate(grid.wavenumber_mesh):
+        m = np.rint(k.ravel() * grid.L / (2.0 * np.pi))
         y = (coords - sc.x0[axis]) / sc.lam
         masks.append((y >= -half - 1e-12) & (y < half - 1e-12))
         phase = 2.0 * np.pi * np.outer(m, (y + half) / grid.L)
         emat = np.exp(1j * phase)
-        nyq = np.nonzero(m == -grid.N // 2)[0]
+        nyq = np.abs(m) == grid.N // 2
         emat[nyq, :] = np.cos(phase[nyq, :])
         # contract the current leading spatial axis against the evaluation matrix
         out = np.tensordot(out, emat, axes=([1], [0]))
     result = np.real(out) / sc.lam
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis, ok in enumerate(masks):
-        shape = [1] * grid.d
-        shape[axis] = grid.N
-        mask &= ok.reshape(shape)
-    return RealVectorField(grid, result * mask)
+    return RealVectorField(grid, result * functools.reduce(np.logical_and.outer, masks))
 
 
 def apply_lambda(f: RealVectorField, sc: ScaleCore, off_grid_core: bool = False,

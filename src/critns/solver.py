@@ -177,9 +177,8 @@ def dealias_mask(grid: Grid, fraction: float) -> np.ndarray:
 def _tail_octave_mask(grid: Grid, fraction: float, octave_shift: int = 0) -> np.ndarray:
     """Octave [K/2, K) with K the dealias radius; a shift of s monitors the
     octave s steps lower (used for parabolically matched rescaled runs)."""
-    radius = fraction * grid.N / 2.0 / 2.0**octave_shift
-    m2 = grid.k_squared * (grid.L / (2.0 * np.pi)) ** 2
-    return (m2 >= (radius / 2.0) ** 2) & (m2 < radius**2)
+    top = fraction / 2.0**octave_shift
+    return dealias_mask(grid, top) & ~dealias_mask(grid, top / 2.0)
 
 
 def convective_divergence(u: RealVectorField, dealias_fraction: float | None = None) -> RealVectorField:
@@ -209,7 +208,7 @@ def _div_flux_hat(entry, grid: Grid, mask, symmetric: bool = True) -> np.ndarray
     """
     d = grid.d
     kmesh = grid.deriv_wavenumber_mesh
-    acc = np.zeros((d,) + grid.shape, dtype=np.complex128)
+    acc = np.zeros((d,) + grid.spectral_shape, dtype=np.complex128)
     for i in range(d):
         for j in range(i if symmetric else 0, d):
             tij = forward_transform(entry(i, j), grid)
@@ -247,16 +246,9 @@ def recover_pressure(u: RealVectorField, dealias_fraction: float | None = None) 
     grid = u.grid
     mask = None if dealias_fraction is None else dealias_mask(grid, dealias_fraction)
     div_hat = _div_flux_hat(_self_product(u.data), grid, mask)
-    kmesh = grid.deriv_wavenumber_mesh
-    divdiv = np.zeros(grid.shape, dtype=np.complex128)
-    for a in range(grid.d):
-        divdiv += 1j * kmesh[a] * div_hat[a]
+    divdiv = sum(1j * ka * div_hat[a] for a, ka in enumerate(grid.deriv_wavenumber_mesh))
     pi_hat = divdiv * grid.inv_deriv_k_squared
     return RealVectorField(grid, inverse_transform(pi_hat[None, ...], grid))
-
-
-def _spectral_l2(coeff: np.ndarray, grid: Grid) -> float:
-    return float(np.sqrt(grid.L**grid.d * np.sum(np.abs(coeff) ** 2)))
 
 
 def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
@@ -297,10 +289,11 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
             status = NON_FINITE
             break
         linf = float(np.max(np.abs(phys)))
-        energy = float(np.sum(np.abs(uh) ** 2))
-        tail = float(np.sum(np.abs(uh[:, tail_mask]) ** 2) / energy) if energy > 0 else 0.0
+        power = grid.multiplicity * np.abs(uh) ** 2
+        energy = float(np.sum(power))
+        tail = float(np.sum(power[:, tail_mask]) / energy) if energy > 0 else 0.0
         rec_t.append(t)
-        rec_l2.append(_spectral_l2(uh, grid))
+        rec_l2.append(float(np.sqrt(grid.L**grid.d * energy)))
         rec_linf.append(linf)
         rec_tail.append(tail)
         tripped = linf > cfg.blowup_sup_threshold or tail > cfg.spectral_tail_threshold
@@ -405,7 +398,7 @@ def bilinear_duhamel(f_traj: Trajectory, g_traj: Trajectory, t: float,
     taus = np.asarray(taus)
     mask = None if dealias_fraction is None else dealias_mask(grid, dealias_fraction)
     k2 = grid.k_squared
-    acc = np.zeros((grid.d,) + grid.shape, dtype=np.complex128)
+    acc = np.zeros((grid.d,) + grid.spectral_shape, dtype=np.complex128)
     for tau, weight in zip(taus, _trapezoid_weights(taus)):
         fa = f_traj.at(tau).data
         gb = g_traj.at(tau).data

@@ -88,7 +88,7 @@ def test_criterion_01_spectral_core_exactness():
         h2 = heat_semigroup(f, 0.12)
         worst_heat = max(worst_heat, np.max(np.abs(h1.data - h2.data)) / h2.max_abs())
         coeff = forward_transform(f.data, grid)
-        spec = np.sqrt(grid.L**3 * np.sum(np.abs(coeff) ** 2))
+        spec = np.sqrt(grid.L**3 * np.sum(grid.multiplicity * np.abs(coeff) ** 2))
         worst_planch = max(worst_planch, abs(lebesgue_norm(f, 2) - spec) / spec)
     ok = worst_idem <= 1e-10 and worst_heat <= 1e-10 and worst_planch <= 1e-10
     assert report(1, "spectral core exactness",
@@ -214,8 +214,10 @@ def _dilate_periodic(f, m=1):
     newfreq = freq * 2**m
     keep = np.abs(newfreq) < N // 2
     src_i, tgt_i = idx[keep], ((newfreq[keep]) % N)
-    sel = [range(c.shape[0])] + [src_i] * grid.d
-    tgt = [range(c.shape[0])] + [tgt_i] * grid.d
+    # the last axis stores m >= 0 only
+    last = keep & (freq >= 0)
+    sel = [range(c.shape[0])] + [src_i] * (grid.d - 1) + [idx[last]]
+    tgt = [range(c.shape[0])] + [tgt_i] * (grid.d - 1) + [newfreq[last]]
     out[np.ix_(*tgt)] = c[np.ix_(*sel)] * 2.0**m
     return RealVectorField(grid, inverse_transform(out, grid))
 

@@ -37,10 +37,12 @@ class TestGrid:
             Grid(2, n)
 
     def test_wavenumbers(self, grid2):
-        k = grid2.axis_wavenumbers * grid2.L / (2 * np.pi)
-        assert k[0] == 0
-        assert k[1] == 1
-        assert k[grid2.N // 2] == -grid2.N // 2
+        # leading axes in FFT order, the last axis holds m = 0..N/2 only
+        first, last = (k.ravel() * grid2.L / (2 * np.pi) for k in grid2.wavenumber_mesh)
+        assert first[0] == 0 and last[0] == 0
+        assert first[1] == 1 and last[1] == 1
+        assert first[grid2.N // 2] == -grid2.N // 2
+        assert last[-1] == grid2.N // 2 and last.size == grid2.N // 2 + 1
         assert np.isclose(grid2.k_min, 2 * np.pi / grid2.L)
 
     def test_coordinates_centered(self, grid2):
@@ -59,16 +61,17 @@ class TestTransforms:
         # forward transform carries 1/N^d, so L^2 quadrature matches L^{d/2} l^2
         f = random_smooth_field(grid3, seed=1, ncomp=3)
         coeff = forward_transform(f.data, grid3)
-        l2_spec = np.sqrt(grid3.L**grid3.d * np.sum(np.abs(coeff) ** 2))
+        l2_spec = np.sqrt(grid3.L**grid3.d * np.sum(grid3.multiplicity * np.abs(coeff) ** 2))
         assert abs(lebesgue_norm(f, 2) - l2_spec) / l2_spec < 1e-10
 
-    def test_hermitian_symmetry(self, grid2):
-        # coefficients of real data are conj-symmetric, so the plain inverse
-        # FFT (without the real-part projection) comes back real
+    def test_half_spectrum_layout(self, grid2):
+        # the stored coefficients are the m_last >= 0 half of the full FFT
+        # with the 1/N^d normalization
         f = random_smooth_field(grid2, seed=2, ncomp=2)
         coeff = forward_transform(f.data, grid2)
-        back = np.fft.ifftn(coeff * grid2.N**grid2.d, axes=(1, 2))
-        assert np.max(np.abs(back.imag)) < 1e-12 * np.max(np.abs(back.real))
+        full = np.fft.fftn(f.data, axes=(1, 2)) / grid2.N**grid2.d
+        assert coeff.shape[1:] == grid2.spectral_shape
+        assert rel_err(coeff, full[..., : grid2.N // 2 + 1]) < 1e-12
 
 
 class TestLeray:

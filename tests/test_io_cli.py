@@ -7,8 +7,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.fft
 
-from critns import Grid
+from critns import Grid, cli
 from critns.cli import parse_solver
 from critns.errors import InvalidFieldError
 from critns.fields import random_divfree_field, taylor_green
@@ -75,6 +76,9 @@ def run_cli(args):
         [sys.executable, "-m", "critns.cli", *args],
         capture_output=True, text=True,
     )
+
+
+TG = {"generator": {"type": "taylor_green"}}
 
 
 @pytest.fixture
@@ -269,7 +273,34 @@ class TestCLI:
         ("evolve", {"grid": {"d": 2, "N": 16},
                     "u0": {"generator": {"type": "taylor_green"}},
                     "solver": {"dt": 0.01, "T": 0.02}, "record_norms": True}),
-    ], ids=["solver-dt-string", "grid-N-string", "taylor-green-3d", "record-norms"])
+        ("norm", {"grid": {"d": 2, "N": 16}, "field": TG,
+                  "norm": {"kind": "lebesgue", "p": "x"}}),
+        ("norm", {"grid": {"d": 2, "N": 16}, "field": TG,
+                  "norm": {"kind": "besov", "p": 3, "s": 0.0, "q": [3]}}),
+        ("lp", {"grid": {"d": 2, "N": 16}, "field": TG, "j_min": "x"}),
+        ("superpose", {"grid": {"d": 2, "N": 16}, "profiles": [], "n_values": [1],
+                       "solver": {"dt": 0.01, "T": 0.02}, "p": 3,
+                       "remainder": {"decay": "x"}}),
+        ("ortho", {"grid": {"d": 2, "N": 16}, "f": TG, "g": TG,
+                   "seq_a": [{"lambda": "x", "x0": [0, 0]}],
+                   "seq_b": [{"lambda": 1, "x0": [0, 0]}], "p": 3, "n_values": [0]}),
+        ("ortho", {"grid": {"d": 2, "N": 16}, "f": TG, "g": TG,
+                   "seq_a": [{"lambda": 1, "x0": [0, 0]}] * 3,
+                   "seq_b": [{"lambda": 1, "x0": [0, 0]}] * 3, "p": 3, "n_values": "x"}),
+        ("perturb", {"grid": {"d": 2, "N": 16}, "w0": TG,
+                     "solver": {"dt": 0.01, "T": 0.02}, "p": "x"}),
+        ("threshold", {"grid": {"d": 2, "N": 16}, "base": TG, "alpha_lo": "a",
+                       "alpha_hi": 2, "tol": 0.1, "solver": {"dt": 0.01, "T": 0.02}}),
+        ("serrin", {"trajectory": "missing", "p_t": "x", "q_x": 3}),
+        ("probe", {"trajectory": "missing", "battery": {"count": "x"}}),
+        ("norm", {"grid": {"d": 2, "N": 16}, "field": {"generator": 5},
+                  "norm": {"kind": "lebesgue", "p": 2}}),
+        ("probe", {"trajectory": "missing", "battery": 5}),
+    ], ids=["solver-dt-string", "grid-N-string", "taylor-green-3d", "record-norms",
+            "norm-p-string", "norm-q-list", "lp-j_min-string", "remainder-decay-string",
+            "scale-core-lambda-string", "ortho-n_values-string", "perturb-p-string",
+            "threshold-alpha_lo-string", "serrin-p_t-string", "battery-count-string",
+            "generator-not-object", "battery-not-object"])
     def test_invalid_document_json_error(self, workdir, command, doc):
         cfg = self._write(workdir / "c.json", doc)
         res = run_cli([command, "--config", cfg, "--out", str(workdir / "out")])
@@ -294,6 +325,26 @@ class TestCLI:
         assert res.returncode == 0, res.stderr
         manifest = json.loads((workdir / "out" / "manifest.json").read_text())
         assert manifest["threads"] == n_cpu
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs 2 CPUs")
+    def test_threads_scoped_to_command(self, workdir, monkeypatch):
+        n = min(2, os.cpu_count())
+        seen = []
+
+        def spy(f, p):
+            seen.append(scipy.fft.get_workers())
+            return 0.0
+
+        monkeypatch.setattr(cli, "lebesgue_norm", spy)
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16},
+            "field": {"generator": {"type": "taylor_green"}},
+            "norm": {"kind": "lebesgue", "p": 2},
+        })
+        assert cli.main(["norm", "--config", cfg, "--out", str(workdir / "out"),
+                         "--threads", str(n)]) == 0
+        assert seen == [n]
+        assert scipy.fft.get_workers() == 1
 
     def test_missing_file_exit_1(self, workdir):
         res = run_cli(["norm", "--config", str(workdir / "nope.json"),

@@ -327,11 +327,11 @@ class TestUtilities:
         from critns.grid import forward_transform, inverse_transform
 
         c = forward_transform(f_c.data, coarse)
-        cf = np.zeros((2,) + fine.shape, dtype=complex)
+        cf = np.zeros((2,) + fine.spectral_shape, dtype=complex)
         n = coarse.N
         half = n // 2
         sl = np.r_[0:half, fine.N - half : fine.N]
-        cf[np.ix_(range(2), sl, sl)] = c
+        cf[np.ix_(range(2), sl, range(half))] = c[..., :half]
         f_f = RealVectorField(fine, inverse_transform(cf, fine))
         idx = BesovIndex(0.3, 3.0, 3.0)
         for norm in (lambda g: lebesgue_norm(g, 3), lambda g: besov_norm(g, idx)):

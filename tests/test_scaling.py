@@ -5,7 +5,7 @@ import pytest
 
 from critns import Grid
 from critns.errors import DomainError, SupportOverflowError, UndersampledScaleError
-from critns.fields import band_noise, gabor_bump, gaussian_bump, localized_divfree_bump
+from critns.fields import band_noise, gabor_bump, gaussian_bump, localized_divfree_bump, single_mode
 from critns.grid import RealVectorField
 from critns.norms import BesovIndex, besov_norm, lebesgue_norm
 from critns.scaling import (
@@ -67,6 +67,23 @@ class TestApplyLambda:
         out = apply_lambda(f, ScaleCore(1.3, (0.05 * grid.L, 0.0)), off_grid_core=True)
         n0, n1 = lebesgue_norm(f, 2), lebesgue_norm(out, 2)
         assert abs(n1 - n0) / n0 < 5e-3
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_off_grid_translation_exact(self, d):
+        # a band-limited mode with no Nyquist content is its own trigonometric
+        # interpolant, so a half-cell translate is exact on the in-box points
+        grid = Grid(d, 16)
+        mode, phase = (3, -2, 5)[:d], 0.4
+        h = grid.spacing
+        x0 = (h / 2, -h / 2, h / 2)[:d]
+        out = apply_lambda(single_mode(grid, mode, phase=phase), ScaleCore(1.0, x0),
+                           off_grid_core=True, check_support=False)
+        shifted = [x - c for x, c in zip(grid.coordinate_mesh(), x0)]
+        exact = np.cos(phase + sum(2 * np.pi * m / grid.L * y for m, y in zip(mode, shifted)))
+        inside = np.all([y >= -grid.L / 2 for y in shifted], axis=0)
+        assert not inside.all()
+        assert np.max(np.abs(out.data[0] - exact)[inside]) < 1e-12
+        assert np.all(out.data[0][~inside] == 0.0)
 
     def test_dyadic_roundtrip_exact(self):
         grid = Grid(2, 128)

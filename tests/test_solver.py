@@ -154,12 +154,12 @@ class TestEvolve:
 
         def embed(field):
             cc = forward_transform(field.data, coarse)
-            ce = np.zeros((2,) + fine.shape, dtype=complex)
-            ce[np.ix_(range(2), sl, sl)] = cc
+            ce = np.zeros((2,) + fine.spectral_shape, dtype=complex)
+            ce[np.ix_(range(2), sl, range(half))] = cc[..., :half]
             return RealVectorField(fine, inverse_transform(ce, fine))
 
-        cf = np.zeros((2,) + fine.shape, dtype=complex)
-        cf[np.ix_(range(2), sl, sl)] = c
+        cf = np.zeros((2,) + fine.spectral_shape, dtype=complex)
+        cf[np.ix_(range(2), sl, range(half))] = c[..., :half]
         f_f = RealVectorField(fine, inverse_transform(cf, fine))
         cfg = SolverConfig(dt=4e-3, T=0.2, snapshot_stride=1000)
         uc = evolve(f_c, cfg).snapshots[-1]
