@@ -97,11 +97,38 @@ def _require(doc: dict, keys, where: str) -> None:
 
 
 def _scalar(value, kind, where: str):
-    """A JSON boolean for kind bool, a JSON number otherwise, converted to kind."""
+    """A JSON boolean for kind bool, a JSON number otherwise, converted to kind;
+    kind int takes only integral numbers (16 or 16.0, not 16.7)."""
     is_bool = isinstance(value, bool)
-    if is_bool != (kind is bool) or not isinstance(value, (int, float)):
+    if (is_bool != (kind is bool) or not isinstance(value, (int, float))
+            or (kind is int and isinstance(value, float) and not value.is_integer())):
         raise ConfigValidationError(f"{where}: expected {kind.__name__}, got {value!r}")
     return kind(value)
+
+
+def _list(value, where: str) -> list:
+    """A non-empty JSON list."""
+    if not isinstance(value, list) or not value:
+        raise ConfigValidationError(f"{where}: expected a non-empty list, got {value!r}")
+    return value
+
+
+def _path(value, where: str) -> str:
+    """A file or directory path: a JSON string of printable characters (no NUL,
+    control or lone surrogate characters, which the file system cannot take)."""
+    if not isinstance(value, str) or not value.isprintable():
+        raise ConfigValidationError(f"{where}: expected a path string, got {value!r}")
+    return value
+
+
+def _indices(value, sequences, where: str) -> tuple:
+    """A list of integers n with 0 <= n < len(s) for every sequence s."""
+    n_values = _vector(value, None, where, int)
+    size = min(len(s) for s in sequences)
+    bad = [n for n in n_values if not 0 <= n < size]
+    if bad:
+        raise ConfigValidationError(f"{where}: {bad} outside the sequence range [0, {size})")
+    return n_values
 
 
 def _vector(value, d: int | None, where: str, kind=float) -> tuple:
@@ -122,7 +149,7 @@ def parse_grid(doc: dict) -> Grid:
 def build_field(source: dict, grid: Grid) -> RealVectorField:
     _check_keys(source, {"file", "generator"}, "field source")
     if "file" in source:
-        f = read_field(source["file"])
+        f = read_field(_path(source["file"], "field source: file"))
         if not f.grid.compatible(grid):
             raise ConfigValidationError(
                 f"field file {source['file']} grid does not match the config grid"
@@ -133,7 +160,7 @@ def build_field(source: dict, grid: Grid) -> RealVectorField:
     _check_keys(source["generator"], set().union(*GENERATOR_KEYS.values()), "generator")
     gen = dict(source["generator"])
     gtype = gen.get("type")
-    if gtype not in GENERATOR_KEYS:
+    if not isinstance(gtype, str) or gtype not in GENERATOR_KEYS:
         raise ConfigValidationError(f"unknown generator type {gtype!r}")
     _check_keys(gen, GENERATOR_KEYS[gtype], f"generator {gtype}")
     if gtype in RANDOM_GENERATORS and "seed" not in gen:
@@ -171,9 +198,9 @@ def parse_solver(doc: dict) -> SolverConfig:
     return SolverConfig(**{k: _scalar(v, SOLVER_KINDS[k], f"solver: {k}") for k, v in doc.items()})
 
 
-def parse_sequence(items, d: int) -> ScaleCoreSequence:
+def parse_sequence(items, d: int, where: str) -> ScaleCoreSequence:
     entries = []
-    for item in items:
+    for item in _list(items, where):
         _check_keys(item, {"lambda", "x0"}, "scale core")
         entries.append(ScaleCore(_scalar(item["lambda"], float, "scale core: lambda"),
                                  _vector(item["x0"], d, "scale core: x0")))
@@ -215,8 +242,13 @@ def cmd_lp(config: dict, out: Path) -> dict:
     grid = parse_grid(config["grid"])
     f = build_field(config["field"], grid)
     lo, hi = band_range(grid)
-    bands = decompose(f, _scalar(config.get("j_min", lo), int, "lp config: j_min"),
-                      _scalar(config.get("j_max", hi), int, "lp config: j_max"))
+    j_min = _scalar(config.get("j_min", lo), int, "lp config: j_min")
+    j_max = _scalar(config.get("j_max", hi), int, "lp config: j_max")
+    if not lo <= j_min <= j_max <= hi:
+        raise ConfigValidationError(
+            f"lp config: need {lo} <= j_min <= j_max <= {hi} (the grid's band range), "
+            f"got j_min={j_min}, j_max={j_max}")
+    bands = decompose(f, j_min, j_max)
     p = _scalar(config.get("p", 2.0), float, "lp config: p")
     written = []
     table = []
@@ -265,10 +297,10 @@ def cmd_superpose(config: dict, out: Path) -> dict:
     _require(config, ["grid", "profiles", "n_values", "solver", "p"], "superpose config")
     grid = parse_grid(config["grid"])
     profiles = []
-    for item in config["profiles"]:
+    for item in _list(config["profiles"], "superpose config: profiles"):
         _check_keys(item, {"field", "scale_cores"}, "profile")
         phi = _field_source(item["field"], grid)
-        profiles.append((phi, parse_sequence(item["scale_cores"], grid.d)))
+        profiles.append((phi, parse_sequence(item["scale_cores"], grid.d, "profile: scale_cores")))
     rem = None
     if "remainder" in config:
         rdoc = config["remainder"]
@@ -283,11 +315,15 @@ def cmd_superpose(config: dict, out: Path) -> dict:
                 decay=decay)
     sys_ = ProfileSystem(profiles=profiles, remainder=rem)
     if "J" in config:
-        sys_ = sys_.truncate(_scalar(config["J"], int, "superpose config: J"))
+        J = _scalar(config["J"], int, "superpose config: J")
+        if J < 0:
+            raise ConfigValidationError(f"superpose config: J must be >= 0, got {J}")
+        sys_ = sys_.truncate(J)
     sys_.validate()
     cfg = parse_solver(config["solver"])
     p = _scalar(config["p"], float, "superpose config: p")
-    n_values = _vector(config["n_values"], None, "superpose config: n_values", int)
+    n_values = _indices(config["n_values"], [seq for _, seq in sys_.profiles],
+                        "superpose config: n_values")
     ev = evolve_system(sys_, cfg, n_values)
     rows = []
     status = "Completed"
@@ -313,12 +349,13 @@ def cmd_ortho(config: dict, out: Path) -> dict:
     grid = parse_grid(config["grid"])
     f = build_field(config["f"], grid)
     g = build_field(config["g"], grid)
-    sa = parse_sequence(config["seq_a"], grid.d)
-    sb = parse_sequence(config["seq_b"], grid.d)
+    sa = parse_sequence(config["seq_a"], grid.d, "ortho config: seq_a")
+    sb = parse_sequence(config["seq_b"], grid.d, "ortho config: seq_b")
     p = _scalar(config["p"], float, "ortho config: p")
+    n_values = _indices(config["n_values"], [sa, sb], "ortho config: n_values")
     verdict = orthogonality_check(sa, sb, _scalar(config.get("K", 3), int, "ortho config: K"))
     rows = []
-    for n in _vector(config["n_values"], None, "ortho config: n_values", int):
+    for n in n_values:
         rows.append({
             "n": n,
             "cross_term": cross_term(f, g, sa[n], sb[n], p),
@@ -339,7 +376,7 @@ def cmd_perturb(config: dict, out: Path) -> dict:
     w0 = build_field(config["w0"], grid)
     drift = None
     if config.get("drift_trajectory"):
-        drift = load_trajectory(config["drift_trajectory"])
+        drift = load_trajectory(_path(config["drift_trajectory"], "perturb config: drift_trajectory"))
     parts = []
     for key in ("force_part1", "force_part2"):
         if config.get(key):
@@ -379,7 +416,8 @@ def cmd_serrin(config: dict, out: Path) -> dict:
     p_t = config["p_t"]
     p_t = float("inf") if p_t in ("inf", None) else _scalar(p_t, float, "serrin config: p_t")
     q_x = _scalar(config["q_x"], float, "serrin config: q_x")
-    value = serrin_norm(load_trajectory(config["trajectory"]), p_t, q_x)
+    value = serrin_norm(load_trajectory(_path(config["trajectory"], "serrin config: trajectory")),
+                        p_t, q_x)
     doc = norm_report("serrin", {"p_t": config["p_t"], "q_x": config["q_x"]}, value)
     dump_json(out / "serrin.json", doc)
     print(json.dumps(doc, sort_keys=True))
@@ -393,7 +431,7 @@ def cmd_probe(config: dict, out: Path) -> dict:
     _check_keys(bat, {"count", "seed"}, "battery")
     count = _scalar(bat.get("count", 8), int, "battery: count")
     seed = _scalar(bat.get("seed", 7), int, "battery: seed")
-    traj = load_trajectory(config["trajectory"])
+    traj = load_trajectory(_path(config["trajectory"], "probe config: trajectory"))
     tests = make_test_battery(traj.grid, count=count, seed=seed)
     report = weak_convergence_probe(traj, tests)
     dump_json(out / "probe.json", report.to_dict())
@@ -434,7 +472,7 @@ def main(argv=None) -> int:
             raise ConfigValidationError("config document must be a JSON object")
         with scipy.fft.set_workers(threads):
             result = COMMANDS[args.command](config, out)
-    except (CritNSError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (CritNSError, OSError, json.JSONDecodeError, KeyError) as exc:
         sys.stderr.write(json.dumps({
             "error": type(exc).__name__,
             "message": str(exc),

@@ -116,6 +116,11 @@ class Grid:
     def k_squared(self) -> np.ndarray:
         return sum(ka**2 for ka in self.wavenumber_mesh)
 
+    @cached_property
+    def low_pass_symbols(self) -> dict:
+        """Level j -> read-only chi(|k|/2^j), filled by `lp.low_pass_symbol`."""
+        return {}
+
     @property
     def k_min(self) -> float:
         """Smallest nonzero wavenumber magnitude."""

@@ -92,6 +92,11 @@ def load_trajectory(dirpath):
         raise ConfigValidationError(f"{dirpath}: not a trajectory directory")
     snaps = [read_field(dirpath / name) for name in manifest["snapshots"]]
     grid = snaps[0].grid if snaps else Grid(**manifest["grid"])
+    # one Grid for all snapshots, so the symbols cached on it are computed once
+    for i, snap in enumerate(snaps):
+        if not grid.compatible(snap.grid):
+            raise InvalidFieldError(f"{dirpath}: {manifest['snapshots'][i]} is on another grid")
+        snaps[i] = RealVectorField(grid, snap.data)
     return Trajectory(
         grid=grid,
         times=np.asarray(manifest["times"], dtype=float),

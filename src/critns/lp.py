@@ -48,17 +48,32 @@ def band_range(grid: Grid) -> tuple[int, int]:
     return j_min, j_max
 
 
+def low_pass_symbol(grid: Grid, j: int) -> np.ndarray:
+    """The S_j symbol chi(|k|/2^j), cached read-only on the grid.
+
+    Below band_range's low end it is 1 on the mean mode and 0 elsewhere, above
+    its high end it is 1 everywhere, so levels are clamped to [lo, hi + 1]
+    without changing a bit and a grid holds at most hi - lo + 2 symbols.
+    """
+    lo, hi = band_range(grid)
+    j = min(max(j, lo), hi + 1)
+    symbol = grid.low_pass_symbols.get(j)
+    if symbol is None:
+        symbol = chi(np.sqrt(grid.k_squared) / 2.0**j)
+        symbol.flags.writeable = False
+        grid.low_pass_symbols[j] = symbol
+    return symbol
+
+
 def dyadic_multipliers(grid: Grid, j_min: int, j_max: int):
-    """Yield the low-pass multiplier chi(|k|/2^j_min), then the Delta_j
-    multiplier for each j in [j_min, j_max]; each chi(|k|/2^j) is evaluated once."""
-    kmag = np.sqrt(grid.k_squared)
-    low = chi(kmag / 2.0**j_min)
+    """Yield the low-pass multiplier S_{j_min}, then the Delta_j multiplier
+    S_{j+1} - S_j for each j in [j_min, j_max]."""
+    low = low_pass_symbol(grid, j_min)
     yield low
     for j in range(j_min, j_max + 1):
-        high = chi(kmag / 2.0 ** (j + 1))
-        band = high - low
+        high = low_pass_symbol(grid, j + 1)
+        yield high - low
         low = high
-        yield band
 
 
 def band_is_resolvable(grid: Grid, j: int) -> bool:
@@ -67,8 +82,7 @@ def band_is_resolvable(grid: Grid, j: int) -> bool:
 
 def low_pass(f: RealVectorField, j: int) -> RealVectorField:
     """S_j: multiplier chi(|k|/2^j).  Above the range it is the identity."""
-    kmag = np.sqrt(f.grid.k_squared)
-    return apply_multiplier(f, chi(kmag / 2.0**j))
+    return apply_multiplier(f, low_pass_symbol(f.grid, j))
 
 
 def band_project(f: RealVectorField, j: int) -> RealVectorField:

@@ -36,6 +36,7 @@ from .norms import (
     chemin_lerner_norm,
     critical_exponent,
     lebesgue_norm,
+    power_sums,
 )
 from .scaling import ScaleCore, ScaleCoreSequence, apply_lambda, orthogonality_check
 from .solver import (
@@ -367,11 +368,8 @@ def norm_splitting_check(ev: EvolvedSystem, sys: ProfileSystem, n: int, t_n: flo
         total = fields[0]
         for f in fields[1:]:
             total = total + f
-        defect = 0.0
-        for c in range(grid.d):
-            s_norm = np.sum(np.abs(total.data[c]) ** 3) * w
-            parts = sum(np.sum(np.abs(f.data[c]) ** 3) * w for f in fields)
-            defect += s_norm - parts
+        parts = sum(power_sums(f.data, 3) * w for f in fields)
+        defect = np.sum(power_sums(total.data, 3) * w - parts)
         combined = lebesgue_norm(total, 3)
         individual = [lebesgue_norm(f, 3) for f in fields]
     elif norm_kind == "besov":

@@ -10,7 +10,7 @@ import pytest
 import scipy.fft
 
 from critns import Grid, cli
-from critns.cli import parse_solver
+from critns.cli import parse_grid, parse_solver
 from critns.errors import InvalidFieldError
 from critns.fields import random_divfree_field, taylor_green
 from critns.io import load_trajectory, read_field, save_trajectory, write_field
@@ -60,6 +60,14 @@ class TestTrajectoryPersistence:
         assert np.allclose(back.times, traj.times)
         for a, b in zip(back.snapshots, traj.snapshots):
             assert np.array_equal(a.data, b.data)
+            assert a.grid is back.grid
+
+    def test_rejects_mixed_grids(self, tmp_path, grid3):
+        f = random_divfree_field(grid3, seed=3, k_hi=3.0)
+        save_trajectory(tmp_path / "traj", make_heat_trajectory(f, [0.0, 0.05]))
+        write_field(tmp_path / "traj" / "snap_1.cfd", taylor_green(Grid(2, 16)))
+        with pytest.raises(InvalidFieldError):
+            load_trajectory(tmp_path / "traj")
 
     def test_manifest_contents(self, tmp_path, grid3):
         u0 = random_divfree_field(grid3, seed=4, k_hi=3.0, amplitude=0.1)
@@ -79,6 +87,22 @@ def run_cli(args):
 
 
 TG = {"generator": {"type": "taylor_green"}}
+SEQ3 = [{"lambda": 1, "x0": [0, 0]}] * 3
+SOLVER = {"dt": 0.01, "T": 0.02}
+
+
+def superpose_doc(**changes):
+    doc = {"grid": {"d": 2, "N": 16}, "profiles": [{"field": TG, "scale_cores": SEQ3}],
+           "n_values": [0], "solver": SOLVER, "p": 3}
+    doc.update(changes)
+    return doc
+
+
+def ortho_doc(**changes):
+    doc = {"grid": {"d": 2, "N": 16}, "f": TG, "g": TG, "seq_a": SEQ3, "seq_b": SEQ3,
+           "p": 3, "n_values": [0]}
+    doc.update(changes)
+    return doc
 
 
 @pytest.fixture
@@ -278,9 +302,7 @@ class TestCLI:
         ("norm", {"grid": {"d": 2, "N": 16}, "field": TG,
                   "norm": {"kind": "besov", "p": 3, "s": 0.0, "q": [3]}}),
         ("lp", {"grid": {"d": 2, "N": 16}, "field": TG, "j_min": "x"}),
-        ("superpose", {"grid": {"d": 2, "N": 16}, "profiles": [], "n_values": [1],
-                       "solver": {"dt": 0.01, "T": 0.02}, "p": 3,
-                       "remainder": {"decay": "x"}}),
+        ("superpose", superpose_doc(remainder={"decay": "x"})),
         ("ortho", {"grid": {"d": 2, "N": 16}, "f": TG, "g": TG,
                    "seq_a": [{"lambda": "x", "x0": [0, 0]}],
                    "seq_b": [{"lambda": 1, "x0": [0, 0]}], "p": 3, "n_values": [0]}),
@@ -296,11 +318,46 @@ class TestCLI:
         ("norm", {"grid": {"d": 2, "N": 16}, "field": {"generator": 5},
                   "norm": {"kind": "lebesgue", "p": 2}}),
         ("probe", {"trajectory": "missing", "battery": 5}),
+        ("norm", {"grid": {"d": 2, "N": 16.7}, "field": TG,
+                  "norm": {"kind": "lebesgue", "p": 2}}),
+        ("norm", {"grid": {"d": 2, "N": 16},
+                  "field": {"generator": {"type": "band_noise", "k_lo": 1, "k_hi": 3,
+                                          "seed": 5.5}},
+                  "norm": {"kind": "lebesgue", "p": 2}}),
+        ("evolve", {"grid": {"d": 2, "N": 16}, "u0": TG,
+                    "solver": {"dt": 0.01, "T": 0.02, "snapshot_stride": 1.5}}),
+        ("lp", {"grid": {"d": 2, "N": 16}, "field": TG, "j_min": 0.5}),
+        ("superpose", superpose_doc(J=0.5)),
+        ("probe", {"trajectory": "missing", "battery": {"count": 4.5}}),
+        ("superpose", superpose_doc(profiles=5)),
+        ("superpose", superpose_doc(profiles=[])),
+        ("superpose", superpose_doc(profiles=[{"field": TG, "scale_cores": 5}])),
+        ("ortho", ortho_doc(seq_a=5)),
+        ("ortho", ortho_doc(n_values=[7])),
+        ("ortho", ortho_doc(n_values=[-1])),
+        ("superpose", superpose_doc(n_values=[3])),
+        ("superpose", superpose_doc(n_values=[-1])),
+        ("superpose", superpose_doc(J=-1)),
+        ("lp", {"grid": {"d": 2, "N": 16}, "field": TG, "j_min": 2, "j_max": 1}),
+        ("lp", {"grid": {"d": 2, "N": 16}, "field": TG, "j_max": 40}),
+        ("lp", {"grid": {"d": 2, "N": 16}, "field": TG, "j_min": -5}),
+        ("serrin", {"trajectory": 5, "p_t": "inf", "q_x": 3}),
+        ("norm", {"grid": {"d": 2, "N": 16}, "field": {"file": True},
+                  "norm": {"kind": "lebesgue", "p": 2}}),
+        ("norm", {"grid": {"d": 2, "N": 16}, "field": {"generator": {"type": ["gaussian"]}},
+                  "norm": {"kind": "lebesgue", "p": 2}}),
     ], ids=["solver-dt-string", "grid-N-string", "taylor-green-3d", "record-norms",
             "norm-p-string", "norm-q-list", "lp-j_min-string", "remainder-decay-string",
             "scale-core-lambda-string", "ortho-n_values-string", "perturb-p-string",
             "threshold-alpha_lo-string", "serrin-p_t-string", "battery-count-string",
-            "generator-not-object", "battery-not-object"])
+            "generator-not-object", "battery-not-object", "grid-N-fraction",
+            "generator-seed-fraction", "solver-stride-fraction", "lp-j_min-fraction",
+            "superpose-J-fraction", "battery-count-fraction", "profiles-not-list",
+            "profiles-empty", "scale-cores-not-list", "seq_a-not-list",
+            "ortho-n-too-large", "ortho-n-negative", "superpose-n-too-large",
+            "superpose-n-negative", "superpose-J-negative", "lp-j_min-above-j_max",
+            "lp-j_max-above-range", "lp-j_min-below-range", "trajectory-not-string",
+            "file-not-string", "generator-type-list"])
     def test_invalid_document_json_error(self, workdir, command, doc):
         cfg = self._write(workdir / "c.json", doc)
         res = run_cli([command, "--config", cfg, "--out", str(workdir / "out")])
@@ -308,6 +365,10 @@ class TestCLI:
         lines = res.stderr.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] in ("ConfigValidationError", "DomainError")
+
+    def test_integral_float_accepted_as_int(self):
+        grid = parse_grid({"d": 2.0, "N": 16.0})
+        assert (grid.d, grid.N) == (2, 16) and type(grid.N) is int
 
     def test_solver_accepts_tail_octave_shift(self):
         cfg = parse_solver({"dt": 0.01, "T": 0.1, "tail_octave_shift": 1})

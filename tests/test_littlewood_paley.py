@@ -8,7 +8,15 @@ from critns import Grid
 from critns.errors import EmptyBandWarning, GridMismatchError
 from critns.fields import band_noise, random_smooth_field, single_mode
 from critns.grid import RealVectorField, forward_transform
-from critns.lp import band_project, band_range, chi, decompose, low_pass, paraproduct
+from critns.lp import (
+    band_project,
+    band_range,
+    chi,
+    decompose,
+    low_pass,
+    low_pass_symbol,
+    paraproduct,
+)
 from critns.norms import band_profile, lebesgue_norm
 
 from conftest import rel_err
@@ -61,7 +69,19 @@ class TestBands:
         bands = decompose(f)
         assert rel_err(bands.reconstruct().data, f.data) < 1e-10
 
-    @pytest.mark.parametrize("p", [2.0, 3.0])
+    @pytest.mark.parametrize("grid", [Grid(2, 24), Grid(3, 16)], ids=["2d", "3d"])
+    def test_cached_symbols_match_chi(self, grid):
+        lo, hi = band_range(grid)
+        kmag = np.sqrt(grid.k_squared)
+        for j in range(lo - 3, hi + 4):
+            symbol = low_pass_symbol(grid, j)
+            assert np.array_equal(symbol, chi(kmag / 2.0**j))
+            assert not symbol.flags.writeable
+            endpoint = min(max(j, lo), hi + 1)
+            assert symbol is low_pass_symbol(grid, endpoint)
+        assert len(grid.low_pass_symbols) == hi - lo + 2
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
     def test_band_profile_matches_decompose(self, grid3, p):
         f = random_smooth_field(grid3, seed=2, ncomp=3)
         bands = decompose(f)

@@ -30,6 +30,7 @@ from critns.norms import (
     heat_besov_spacetime_norm,
     lebesgue_norm,
     norm_report,
+    power_sums,
     serrin_norm,
     stride_halving_error,
     time_lebesgue_besov_norm,
@@ -61,6 +62,19 @@ class TestLebesgue:
         f = gaussian_bump(grid, sigma=sigma, ncomp=1)
         exact = (2 * np.pi * sigma**2 / p) ** (grid.d / 2)
         assert abs(lebesgue_norm(f, p) ** p - exact) / exact < 1e-3
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d", "3d"])
+    def test_integer_powers_match_pow(self, grid, p):
+        f = random_smooth_field(grid, seed=5, ncomp=grid.d)
+        assert np.min(f.data) < 0 < np.max(f.data)
+        sums = power_sums(f.data, p)
+        for c in range(grid.d):
+            ref = np.sum(np.abs(f.data[c]) ** p)
+            assert abs(sums[c] - ref) <= 1e-14 * ref
+        ref = np.sum(np.sum(np.abs(f.data) ** p, axis=tuple(range(1, grid.d + 1)))
+                     * grid.cell_volume) ** (1.0 / p)
+        assert abs(lebesgue_norm(f, p) - ref) <= 1e-14 * ref
 
     def test_sup_norm(self, grid2):
         f = random_smooth_field(grid2, seed=0, ncomp=2)
