@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 import time
@@ -96,12 +97,15 @@ def _require(doc: dict, keys, where: str) -> None:
         raise ConfigValidationError(f"{where}: missing keys {missing}")
 
 
-def _scalar(value, kind, where: str):
+def _scalar(value, kind, where: str, infinite: bool = False):
     """A JSON boolean for kind bool, a JSON number otherwise, converted to kind;
-    kind int takes only integral numbers (16 or 16.0, not 16.7)."""
+    kind int takes only integral numbers (16 or 16.0, not 16.7).  NaN and
+    numbers beyond the float range are rejected; Infinity too unless infinite
+    is set, for an exponent whose mathematics admits it (L^p, Besov, Serrin)."""
     is_bool = isinstance(value, bool)
     if (is_bool != (kind is bool) or not isinstance(value, (int, float))
-            or (kind is int and isinstance(value, float) and not value.is_integer())):
+            or (kind is int and isinstance(value, float) and not value.is_integer())
+            or not (abs(value) <= sys.float_info.max or (infinite and value == math.inf))):
         raise ConfigValidationError(f"{where}: expected {kind.__name__}, got {value!r}")
     return kind(value)
 
@@ -217,14 +221,14 @@ def cmd_norm(config: dict, out: Path) -> dict:
     kind = spec.get("kind")
     if kind not in ("lebesgue", "besov", "heat_besov"):
         raise ConfigValidationError(f"unknown norm kind {kind!r}")
-    p = _scalar(spec["p"], float, "norm spec: p")
+    p = _scalar(spec["p"], float, "norm spec: p", infinite=True)
     warns: list = []
     if kind == "lebesgue":
         value = lebesgue_norm(f, p)
         params = {"p": p}
     else:
         idx = BesovIndex(_scalar(spec["s"], float, "norm spec: s"), p,
-                         _scalar(spec.get("q", p), float, "norm spec: q"))
+                         _scalar(spec.get("q", p), float, "norm spec: q", infinite=True))
         params = {"s": idx.s, "p": idx.p, "q": idx.q}
         if kind == "besov":
             value, _, _, warns = besov_norm_detailed(f, idx)
@@ -249,7 +253,7 @@ def cmd_lp(config: dict, out: Path) -> dict:
             f"lp config: need {lo} <= j_min <= j_max <= {hi} (the grid's band range), "
             f"got j_min={j_min}, j_max={j_max}")
     bands = decompose(f, j_min, j_max)
-    p = _scalar(config.get("p", 2.0), float, "lp config: p")
+    p = _scalar(config.get("p", 2.0), float, "lp config: p", infinite=True)
     written = []
     table = []
     write_field(out / "low.cfd", bands.low)
@@ -414,8 +418,9 @@ def cmd_serrin(config: dict, out: Path) -> dict:
     _check_keys(config, {"trajectory", "p_t", "q_x"}, "serrin config")
     _require(config, ["trajectory", "p_t", "q_x"], "serrin config")
     p_t = config["p_t"]
-    p_t = float("inf") if p_t in ("inf", None) else _scalar(p_t, float, "serrin config: p_t")
-    q_x = _scalar(config["q_x"], float, "serrin config: q_x")
+    p_t = (math.inf if p_t in ("inf", None)
+           else _scalar(p_t, float, "serrin config: p_t", infinite=True))
+    q_x = _scalar(config["q_x"], float, "serrin config: q_x", infinite=True)
     value = serrin_norm(load_trajectory(_path(config["trajectory"], "serrin config: trajectory")),
                         p_t, q_x)
     doc = norm_report("serrin", {"p_t": config["p_t"], "q_x": config["q_x"]}, value)

@@ -11,6 +11,7 @@ component-major overall.  Readers reject any other magic.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -83,25 +84,39 @@ def save_trajectory(dirpath, traj, extra_manifest: dict | None = None) -> None:
     dump_json(dirpath / "manifest.json", manifest)
 
 
+def _numbers(value) -> bool:
+    """A JSON list of numbers (not booleans) that convert to float."""
+    return isinstance(value, list) and all(
+        isinstance(x, float) or (type(x) is int and abs(x) <= sys.float_info.max) for x in value)
+
+
 def load_trajectory(dirpath):
     from .solver import Trajectory  # local import to avoid a cycle
 
     dirpath = Path(dirpath)
     manifest = load_json(dirpath / "manifest.json")
-    if manifest.get("format") != "critns-trajectory":
+    if not isinstance(manifest, dict) or manifest.get("format") != "critns-trajectory":
         raise ConfigValidationError(f"{dirpath}: not a trajectory directory")
-    snaps = [read_field(dirpath / name) for name in manifest["snapshots"]]
-    grid = snaps[0].grid if snaps else Grid(**manifest["grid"])
+    times, names = manifest.get("times"), manifest.get("snapshots")
+    records = manifest.get("records", {})
+    if (not _numbers(times) or not isinstance(records, dict)
+            or not all(map(_numbers, records.values()))
+            or not isinstance(names, list) or not names
+            or not all(isinstance(name, str) and name.isprintable() for name in names)):
+        raise ConfigValidationError(f"{dirpath}: malformed manifest (times and records must be "
+                                    "number lists, snapshots a non-empty list of file names)")
+    snaps = [read_field(dirpath / name) for name in names]
+    grid = snaps[0].grid
     # one Grid for all snapshots, so the symbols cached on it are computed once
     for i, snap in enumerate(snaps):
         if not grid.compatible(snap.grid):
-            raise InvalidFieldError(f"{dirpath}: {manifest['snapshots'][i]} is on another grid")
+            raise InvalidFieldError(f"{dirpath}: {names[i]} is on another grid")
         snaps[i] = RealVectorField(grid, snap.data)
     return Trajectory(
         grid=grid,
-        times=np.asarray(manifest["times"], dtype=float),
+        times=np.asarray(times, dtype=float),
         snapshots=snaps,
-        records={k: np.asarray(v, dtype=float) for k, v in manifest.get("records", {}).items()},
+        records={k: np.asarray(v, dtype=float) for k, v in records.items()},
         status=manifest["status"],
         config_echo=manifest.get("config", {}),
     )

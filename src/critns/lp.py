@@ -4,12 +4,16 @@ The radial cutoff chi equals 1 below r=1, 0 above r=2, with a smooth
 exponential bridge in between.  Low-pass at level j multiplies by
 chi(|k|/2^j); the band at level j is the difference of consecutive low-pass
 operators and is supported on the annulus 2^j <= |k| <= 2^{j+2}.
+
+dyadic_blocks transforms once and yields the low block, then each band; it
+feeds decompose, paraproduct and the low-high sum T_f g, which needs each
+factor's blocks only once (Bahouri, Chemin & Danchin, ch. 2).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,17 +106,21 @@ def band_project(f: RealVectorField, j: int) -> RealVectorField:
 class LPBandSet:
     """All resolvable bands of a field plus the below-range low-pass."""
 
-    source: RealVectorField
     j_min: int
     j_max: int
-    bands: list = field(default_factory=list)
-    low: RealVectorField | None = None
+    bands: list
+    low: RealVectorField
 
     def reconstruct(self) -> RealVectorField:
-        total = self.low.copy()
-        for b in self.bands:
-            total = total + b
-        return total
+        return sum(self.bands, self.low.copy())
+
+
+def dyadic_blocks(grid: Grid, data: np.ndarray, j_min: int, j_max: int):
+    """Yield S_{j_min} data, then Delta_j data for j in [j_min, j_max], over the last
+    grid.d axes: one forward transform, then one inverse transform per block."""
+    coeff = forward_transform(data, grid)
+    for mult in dyadic_multipliers(grid, j_min, j_max):
+        yield inverse_transform(coeff * mult, grid)
 
 
 def decompose(f: RealVectorField, j_min: int | None = None,
@@ -121,10 +129,30 @@ def decompose(f: RealVectorField, j_min: int | None = None,
     lo, hi = band_range(f.grid)
     j_min = lo if j_min is None else j_min
     j_max = hi if j_max is None else j_max
-    coeff = forward_transform(f.data, f.grid)
-    low, *bands = (RealVectorField(f.grid, inverse_transform(coeff * mult, f.grid))
-                   for mult in dyadic_multipliers(f.grid, j_min, j_max))
-    return LPBandSet(source=f, j_min=j_min, j_max=j_max, bands=bands, low=low)
+    low, *bands = (RealVectorField(f.grid, block)
+                   for block in dyadic_blocks(f.grid, f.data, j_min, j_max))
+    return LPBandSet(j_min=j_min, j_max=j_max, bands=bands, low=low)
+
+
+def _low_high_sum(blocks_f, blocks_g):
+    """sum_b (sum_{a <= b - 2} f_a) * g_b over aligned block sequences led by the
+    low block, streamed: only two f blocks wait to join the low-pass sum.  The
+    first += on the float zeros makes new arrays, so no block is written to."""
+    total = low = 0.0
+    pending = []
+    for f_b, g_b in zip(blocks_f, blocks_g):
+        if len(pending) == 2:
+            low += pending.pop(0)
+            total += low * g_b
+        pending.append(f_b)
+    return total
+
+
+def low_high(grid: Grid, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """T_f g = sum_j S_{j-1} f * Delta_j g over the last grid.d axes; leading axes
+    broadcast, so f[:, None] and g[None] give T_{f_i} g_j for every pair (i, j)."""
+    levels = band_range(grid)
+    return _low_high_sum(dyadic_blocks(grid, f, *levels), dyadic_blocks(grid, g, *levels))
 
 
 def paraproduct(grid: Grid, f: np.ndarray, g: np.ndarray):
@@ -137,30 +165,12 @@ def paraproduct(grid: Grid, f: np.ndarray, g: np.ndarray):
     """
     if f.shape != grid.shape or g.shape != grid.shape:
         raise GridMismatchError("paraproduct factors must live on the given grid")
-    cf = forward_transform(f, grid)
-    cg = forward_transform(g, grid)
-    blocks_f, blocks_g = [], []
-    for mult in dyadic_multipliers(grid, *band_range(grid)):
-        blocks_f.append(inverse_transform(cf * mult, grid))
-        blocks_g.append(inverse_transform(cg * mult, grid))
-
-    # block index 0 is the low block, acting as level j_min - 1 in the gap rule
-    nb = len(blocks_f)
-    tfg = np.zeros(grid.shape)
-    tgf = np.zeros(grid.shape)
+    levels = band_range(grid)
+    blocks_f = list(dyadic_blocks(grid, f, *levels))
+    blocks_g = list(dyadic_blocks(grid, g, *levels))
     pi = np.zeros(grid.shape)
-    cum_f = np.zeros(grid.shape)
-    cum_g = np.zeros(grid.shape)
-    for b in range(nb):
-        if b >= 2:
-            cum_f += blocks_f[b - 2]
-            cum_g += blocks_g[b - 2]
-        tfg += cum_f * blocks_g[b]
-        tgf += cum_g * blocks_f[b]
-        for a in (b - 1, b, b + 1):
-            if 0 <= a < nb and a <= b:
-                term = blocks_f[a] * blocks_g[b]
-                if a != b:
-                    term = term + blocks_f[b] * blocks_g[a]
-                pi += term
-    return tfg, tgf, pi
+    for b, (f_b, g_b) in enumerate(zip(blocks_f, blocks_g)):
+        if b:
+            pi += blocks_f[b - 1] * g_b + f_b * blocks_g[b - 1]
+        pi += f_b * g_b
+    return _low_high_sum(blocks_f, blocks_g), _low_high_sum(blocks_g, blocks_f), pi

@@ -6,6 +6,9 @@ slot), plus a remainder rule producing the small high-frequency tail per
 sequence index.  Synthesized data evolve under the full dynamics; the
 superposition of individually evolved profiles plus the heat flow of the tail
 approximates that evolution, and the difference is the tracked remainder.
+
+The remainder equation's source G is assembled whole; its paraproduct piece
+is split off with one broadcast low-high sum and the rest is G minus it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .grid import (
     spectral_divergence_ratio,
     zero_field,
 )
-from .lp import low_pass, paraproduct
+from .lp import low_high, low_pass
 from .norms import (
     BesovIndex,
     _trapezoid_weights,
@@ -38,7 +41,8 @@ from .norms import (
     lebesgue_norm,
     power_sums,
 )
-from .scaling import ScaleCore, ScaleCoreSequence, apply_lambda, orthogonality_check
+from .scaling import (ScaleCore, ScaleCoreSequence, apply_lambda, apply_lambda_spacetime,
+                      orthogonality_check)
 from .solver import (
     SolverConfig,
     Trajectory,
@@ -255,10 +259,7 @@ def drift_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float) -> RealV
     """The rescaled-frame drift: sum of frame-transported profile evolutions
     plus the transported remainder heat flow."""
     parts, w = _frame_components(ev, sys, n, t)
-    total = w
-    for p in parts:
-        total = total + p
-    return total
+    return sum(parts, w)
 
 
 def drift_norm(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: float,
@@ -271,53 +272,34 @@ def drift_norm(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: floa
     return chemin_lerner_norm(traj, p, BesovIndex(sp + 2.0 / p, p, p))
 
 
-def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float,
-                dealias_fraction: float = 2.0 / 3.0):
-    """The two-part source of the remainder equation at time t.
-
-    part1 collects the paraproduct piece of the profile/remainder coupling
-    (low-frequency profiles carried against the high-frequency remainder);
-    part2 collects the remainder self-interaction, the zeta pieces and the
-    profile-profile cross terms.  part1 + part2 is the full source.
-    """
-    grid = sys.grid
+def _source(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float,
+            dealias_fraction: float):
+    """Frame profile sum u = sum_a U_a, remainder heat flow w and the full
+    remainder-equation source G = -Q(u, w) - Q(w, w)/2 - sum_{a<b} Q(U_a, U_b)."""
     parts, w = _frame_components(ev, sys, n, t)
-
-    pair_sum = None
+    u = sum(parts[1:], parts[0])
+    g = -1.0 * q_bilinear(u, w, dealias_fraction) - 0.5 * q_bilinear(w, w, dealias_fraction)
     for a in range(len(parts)):
         for b in range(a + 1, len(parts)):
-            q = q_bilinear(parts[a], parts[b], dealias_fraction)
-            pair_sum = q if pair_sum is None else pair_sum + q
-    g_profiles = -1.0 * pair_sum if pair_sum is not None else None
+            g = g - q_bilinear(parts[a], parts[b], dealias_fraction)
+    return u, w, g
 
-    g_ww = -0.5 * q_bilinear(w, w, dealias_fraction)
 
-    u_sum = parts[0]
-    for p_ in parts[1:]:
-        u_sum = u_sum + p_
+def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float,
+                dealias_fraction: float = 2.0 / 3.0):
+    """The split (part1, part2) of the remainder equation's source G at time t.
 
-    # the symmetric para and zeta tensors of u (x) w + w (x) u, upper triangle
-    para, zeta = {}, {}
-    for i in range(grid.d):
-        for j in range(i, grid.d):
-            t_ij, t_ji, pi_ij = paraproduct(grid, u_sum.data[i], w.data[j])
-            para[i, j] = t_ij
-            zeta[i, j] = t_ji + pi_ij
-            if j != i:
-                t2_ij, t2_ji, pi2 = paraproduct(grid, u_sum.data[j], w.data[i])
-                para[i, j] = para[i, j] + t2_ij
-                zeta[i, j] = zeta[i, j] + t2_ji + pi2
-            else:
-                para[i, j] = 2.0 * para[i, j]
-                zeta[i, j] = 2.0 * zeta[i, j]
-    mask = dealias_mask(grid, dealias_fraction)
-    acc_para = _leray_coefficients(_div_flux_hat(lambda i, j: para[i, j], grid, mask), grid)
-    acc_zeta = _leray_coefficients(_div_flux_hat(lambda i, j: zeta[i, j], grid, mask), grid)
-    part1 = RealVectorField(grid, -inverse_transform(acc_para, grid))
-    part2 = RealVectorField(grid, -inverse_transform(acc_zeta, grid)) + g_ww
-    if g_profiles is not None:
-        part2 = part2 + g_profiles
-    return part1, part2
+    part1 = -P div(T_u w + (T_u w)^T) carries the low-frequency profiles u
+    against the high-frequency remainder w; part2 = G - part1 holds the other
+    Bony pieces, the remainder self-interaction and the profile cross terms.
+    """
+    grid = sys.grid
+    u, w, g = _source(ev, sys, n, t, dealias_fraction)
+    tuw = low_high(grid, u.data[:, None], w.data[None])
+    flux = _div_flux_hat(lambda i, j: tuw[i, j] + tuw[j, i], grid,
+                         dealias_mask(grid, dealias_fraction))
+    part1 = RealVectorField(grid, -inverse_transform(_leray_coefficients(flux, grid), grid))
+    return part1, g - part1
 
 
 def source_norms(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: float,
@@ -362,12 +344,10 @@ def norm_splitting_check(ev: EvolvedSystem, sys: ProfileSystem, n: int, t_n: flo
                                 name=f"profile {j}"))
     grid = sys.grid
     w = grid.cell_volume
+    total = sum(fields[1:], fields[0])
     if norm_kind == "L3":
         if grid.d != 3:
             raise DomainError("the L3 splitting form needs d = 3")
-        total = fields[0]
-        for f in fields[1:]:
-            total = total + f
         parts = sum(power_sums(f.data, 3) * w for f in fields)
         defect = np.sum(power_sums(total.data, 3) * w - parts)
         combined = lebesgue_norm(total, 3)
@@ -376,9 +356,6 @@ def norm_splitting_check(ev: EvolvedSystem, sys: ProfileSystem, n: int, t_n: flo
         if p is None:
             raise DomainError("the Besov splitting form needs p")
         idx = BesovIndex.critical(p, grid.d)
-        total = fields[0]
-        for f in fields[1:]:
-            total = total + f
         combined = besov_norm(total, idx)
         individual = [besov_norm(f, idx) for f in fields]
         defect = combined**p - sum(v**p for v in individual)
@@ -491,21 +468,14 @@ def remainder_equation_residual(r_traj: Trajectory, ev: EvolvedSystem,
                                 dealias_fraction: float = 2.0 / 3.0) -> float:
     """Residual of the rescaled-frame remainder equation with the assembled
     drift and source; ties the profile bookkeeping to the perturbed solver."""
-    from .scaling import apply_lambda_spacetime
-
     frame = ev.frame(n)
     r0 = apply_lambda_spacetime(r_traj, frame.inverse(), check_support=False)
     return ns_equation_residual(
         r0,
         dealias_fraction,
         drift=lambda s: drift_term(ev, sys, n, s),
-        source=lambda s: _total_source(ev, sys, n, s, dealias_fraction),
+        source=lambda s: _source(ev, sys, n, s, dealias_fraction)[2],
     )
-
-
-def _total_source(ev, sys, n, s, dealias_fraction):
-    p1, p2 = source_term(ev, sys, n, s, dealias_fraction)
-    return p1 + p2
 
 
 def pairing_table(traj: Trajectory, tests: list) -> np.ndarray:

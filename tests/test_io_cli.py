@@ -1,9 +1,14 @@
 """CFD1 field files, trajectory directories and the CLI surface."""
 
+import contextlib
+import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -346,6 +351,19 @@ class TestCLI:
                   "norm": {"kind": "lebesgue", "p": 2}}),
         ("norm", {"grid": {"d": 2, "N": 16}, "field": {"generator": {"type": ["gaussian"]}},
                   "norm": {"kind": "lebesgue", "p": 2}}),
+        ("evolve", {"grid": {"d": 2, "N": 16}, "u0": TG,
+                    "solver": {"dt": 0.01, "T": float("inf")}}),
+        ("evolve", {"grid": {"d": 2, "N": 16, "L": float("inf")}, "u0": TG,
+                    "solver": {"dt": 0.01, "T": 0.02}}),
+        ("evolve", {"grid": {"d": 2, "N": 16}, "u0": TG,
+                    "solver": {"dt": float("inf"), "T": 0.02}}),
+        ("evolve", {"grid": {"d": 2, "N": 16}, "u0": TG,
+                    "solver": {"dt": 10**400, "T": 0.02}}),
+        ("norm", {"grid": {"d": 2, "N": 16}, "field": TG,
+                  "norm": {"kind": "lebesgue", "p": float("nan")}}),
+        ("norm", {"grid": {"d": 2, "N": 16}, "field": TG,
+                  "norm": {"kind": "besov", "p": 3, "s": 0.0, "q": float("-inf")}}),
+        ("superpose", superpose_doc(p=float("inf"))),
     ], ids=["solver-dt-string", "grid-N-string", "taylor-green-3d", "record-norms",
             "norm-p-string", "norm-q-list", "lp-j_min-string", "remainder-decay-string",
             "scale-core-lambda-string", "ortho-n_values-string", "perturb-p-string",
@@ -357,7 +375,9 @@ class TestCLI:
             "ortho-n-too-large", "ortho-n-negative", "superpose-n-too-large",
             "superpose-n-negative", "superpose-J-negative", "lp-j_min-above-j_max",
             "lp-j_max-above-range", "lp-j_min-below-range", "trajectory-not-string",
-            "file-not-string", "generator-type-list"])
+            "file-not-string", "generator-type-list", "solver-T-infinity",
+            "grid-L-infinity", "solver-dt-infinity", "solver-dt-overflow", "norm-p-nan",
+            "norm-q-minus-infinity", "superpose-p-infinity"])
     def test_invalid_document_json_error(self, workdir, command, doc):
         cfg = self._write(workdir / "c.json", doc)
         res = run_cli([command, "--config", cfg, "--out", str(workdir / "out")])
@@ -365,6 +385,59 @@ class TestCLI:
         lines = res.stderr.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] in ("ConfigValidationError", "DomainError")
+
+    def test_infinite_besov_q_accepted(self, workdir):
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16}, "field": TG,
+            "norm": {"kind": "besov", "p": 3, "s": 0.0, "q": float("inf")},
+        })
+        res = run_cli(["norm", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 0, res.stderr
+        report = json.loads((workdir / "out" / "norm.json").read_text())
+        assert report["parameters"]["q"] == float("inf") and np.isfinite(report["value"])
+
+    @pytest.mark.parametrize("command", ["serrin", "probe"])
+    @pytest.mark.parametrize("change", [
+        lambda m: [],
+        lambda m: dict(m, times="abc"),
+        lambda m: dict(m, times=[0.0, True]),
+        lambda m: dict(m, snapshots=[]),
+        lambda m: dict(m, snapshots=[5, 6]),
+        lambda m: dict(m, records=[1]),
+    ], ids=["not-object", "times-string", "times-boolean", "snapshots-empty",
+            "snapshots-not-names", "records-list"])
+    def test_malformed_manifest_json_error(self, workdir, command, change):
+        traj_dir = workdir / "traj"
+        save_trajectory(traj_dir, make_heat_trajectory(taylor_green(Grid(2, 16)), [0.0, 0.01]))
+        manifest = json.loads((traj_dir / "manifest.json").read_text())
+        (traj_dir / "manifest.json").write_text(json.dumps(change(manifest)))
+        doc = {"trajectory": str(traj_dir)}
+        if command == "serrin":
+            doc.update(p_t="inf", q_x=2)
+        cfg = self._write(workdir / "c.json", doc)
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main([command, "--config", cfg, "--out", str(workdir / "out")])
+        assert code == 1
+        assert json.loads(stderr.getvalue())["error"] == "ConfigValidationError"
+
+    def test_readme_examples(self, tmp_path, monkeypatch):
+        # the README's evolve config and its two commands, run as written
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        config = re.search(r"```json\n(.*?)```", readme, re.S).group(1)
+        commands = re.search(r"```bash\n(critns evolve.*?)```", readme, re.S).group(1)
+        monkeypatch.chdir(tmp_path)
+        Path("evolve.json").write_text(config)
+        for line in commands.strip().splitlines():
+            words = shlex.split(line)
+            if words[0] == "echo":
+                _, text, redirect, target = words
+                assert redirect == ">"
+                Path(target).write_text(text + "\n")
+            else:
+                assert words[0] == "critns" and cli.main(words[1:]) == 0
+        serrin = json.loads(Path("out/serrin1/serrin.json").read_text())
+        assert np.isfinite(serrin["value"])
 
     def test_integral_float_accepted_as_int(self):
         grid = parse_grid({"d": 2.0, "N": 16.0})

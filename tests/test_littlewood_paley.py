@@ -13,6 +13,7 @@ from critns.lp import (
     band_range,
     chi,
     decompose,
+    low_high,
     low_pass,
     low_pass_symbol,
     paraproduct,
@@ -184,6 +185,19 @@ class TestParaproduct:
         assert rel_err(pi, f * f) < 1e-10
         assert np.max(np.abs(tfg)) < 1e-10
         assert np.max(np.abs(tgf)) < 1e-10
+
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)], ids=["2d", "3d"])
+    def test_low_high_matches_scalar_paraproduct(self, d, N):
+        # the broadcast low-high sum gives T_{f_i} g_j for every component
+        # pair, bit for bit as the scalar paraproduct does
+        grid = Grid(d, N)
+        f = random_smooth_field(grid, seed=12, ncomp=d).data
+        g = random_smooth_field(grid, seed=13, ncomp=d).data
+        pairs = low_high(grid, f[:, None], g[None])
+        assert pairs.shape == (d, d) + grid.shape
+        for i in range(d):
+            for j in range(d):
+                assert np.array_equal(pairs[i, j], paraproduct(grid, f[i], g[j])[0])
 
     @settings(max_examples=8, deadline=None)
     @given(s1=st.integers(0, 1000), s2=st.integers(0, 1000))

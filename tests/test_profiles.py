@@ -306,6 +306,38 @@ class TestDriftAndSource:
         expected = -1.0 * q_bilinear(parts[0], parts[1])
         assert rel_err((p1 + p2).data, expected.data) < 1e-8
 
+    def test_source_split_matches_per_pair_bony_split(self, grid3m):
+        # reference: the split assembled from one scalar paraproduct per
+        # component pair; part1 takes the T_{u_i} w_j pieces, part2 the rest of
+        # u (x) w + w (x) u (the zeta tensor) plus -Q(w, w)/2 - Q(U_1, U_2)
+        from critns.grid import _leray_coefficients, inverse_transform
+        from critns.lp import paraproduct
+        from critns.profiles import _frame_components
+        from critns.solver import _div_flux_hat, dealias_mask, q_bilinear
+
+        sys_ = _two_profile_system(grid3m)
+        cfg = SolverConfig(dt=4e-3, T=0.04, snapshot_stride=2)
+        ev = evolve_system(sys_, cfg, [0])
+        t = 0.02
+        p1, p2 = source_term(ev, sys_, 0, t)
+        parts, w = _frame_components(ev, sys_, 0, t)
+        u = parts[0] + parts[1]
+        para, zeta = {}, {}
+        for i in range(3):
+            for j in range(3):
+                t_ij, t_ji, pi_ij = paraproduct(grid3m, u.data[i], w.data[j])
+                para[i, j], zeta[i, j] = t_ij, t_ji + pi_ij
+        mask = dealias_mask(grid3m, 2.0 / 3.0)
+
+        def minus_p_div_sym(tensor):
+            flux = _div_flux_hat(lambda i, j: tensor[i, j] + tensor[j, i], grid3m, mask)
+            return -inverse_transform(_leray_coefficients(flux, grid3m), grid3m)
+
+        assert np.array_equal(p1.data, minus_p_div_sym(para))
+        expected2 = (minus_p_div_sym(zeta) - 0.5 * q_bilinear(w, w).data
+                     - q_bilinear(parts[0], parts[1]).data)
+        assert rel_err(p2.data, expected2) < 1e-12
+
     def test_drift_norm_stable_across_J(self):
         grid = Grid(3, 32)
         L = grid.L
