@@ -110,6 +110,16 @@ def _scalar(value, kind, where: str, infinite: bool = False):
     return kind(value)
 
 
+def _inf_as_string(node):
+    """node with every admitted infinite exponent written as the string "inf",
+    which strict JSON can carry and which the serrin p_t already accepts."""
+    if isinstance(node, dict):
+        return {k: _inf_as_string(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_inf_as_string(v) for v in node]
+    return "inf" if isinstance(node, float) and node == math.inf else node
+
+
 def _list(value, where: str) -> list:
     """A non-empty JSON list."""
     if not isinstance(value, list) or not value:
@@ -225,18 +235,18 @@ def cmd_norm(config: dict, out: Path) -> dict:
     warns: list = []
     if kind == "lebesgue":
         value = lebesgue_norm(f, p)
-        params = {"p": p}
+        params = {"p": _inf_as_string(p)}
     else:
         idx = BesovIndex(_scalar(spec["s"], float, "norm spec: s"), p,
                          _scalar(spec.get("q", p), float, "norm spec: q", infinite=True))
-        params = {"s": idx.s, "p": idx.p, "q": idx.q}
+        params = _inf_as_string({"s": idx.s, "p": idx.p, "q": idx.q})
         if kind == "besov":
             value, _, _, warns = besov_norm_detailed(f, idx)
         else:
             value = heat_besov_norm(f, idx)
     report = norm_report(kind, params, value, warns)
     dump_json(out / "norm.json", report)
-    print(json.dumps(report, sort_keys=True))
+    print(json.dumps(report, sort_keys=True, allow_nan=False))
     return {"artifacts": ["norm.json"]}
 
 
@@ -264,7 +274,7 @@ def cmd_lp(config: dict, out: Path) -> dict:
         written.append(name)
         table.append({"j": j, "lp_norm": lebesgue_norm(band, p)})
     dump_json(out / "bands.json", {
-        "j_min": bands.j_min, "j_max": bands.j_max, "p": p,
+        "j_min": bands.j_min, "j_max": bands.j_max, "p": _inf_as_string(p),
         "resolvable_range": list(band_range(grid)), "bands": table,
     })
     written.append("bands.json")
@@ -423,9 +433,10 @@ def cmd_serrin(config: dict, out: Path) -> dict:
     q_x = _scalar(config["q_x"], float, "serrin config: q_x", infinite=True)
     value = serrin_norm(load_trajectory(_path(config["trajectory"], "serrin config: trajectory")),
                         p_t, q_x)
-    doc = norm_report("serrin", {"p_t": config["p_t"], "q_x": config["q_x"]}, value)
+    doc = norm_report("serrin", _inf_as_string({"p_t": config["p_t"], "q_x": config["q_x"]}),
+                      value)
     dump_json(out / "serrin.json", doc)
-    print(json.dumps(doc, sort_keys=True))
+    print(json.dumps(doc, sort_keys=True, allow_nan=False))
     return {"artifacts": ["serrin.json"]}
 
 
@@ -485,7 +496,7 @@ def main(argv=None) -> int:
         return 1
     manifest = {
         "command": args.command,
-        "config": config,
+        "config": _inf_as_string(config),
         "versions": package_versions(),
         "threads": threads,
         "artifacts": result.get("artifacts", []),

@@ -1,13 +1,15 @@
 """Resolution-limited blow-up monitors: sup-in-time critical norms, amplitude
-threshold search by bisection, and weak-convergence probes.
+threshold search by a safeguarded secant on the trip margin (falling back to
+geometric bisection), and weak-convergence probes.
 
-Every threshold report carries a mandatory disclaimer flag: the bisection
+Every threshold report carries a mandatory disclaimer flag: the search
 locates a numerical-continuation threshold at fixed resolution, not a maximal
 existence time or a true minimal-norm datum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,7 +92,9 @@ class ThresholdReport:
             "datum_besov_norm": self.datum_besov_norm,
             "sup_critical_norm": self.sup_critical_norm,
             "sup_critical_time": self.sup_critical_time,
-            "probes": self.probes,
+            # a non-finite margin (a NonFinite trip) has no JSON number
+            "probes": [dict(p, margin=p["margin"] if math.isfinite(p["margin"]) else None)
+                       for p in self.probes],
             "config": self.config_echo,
             "proxy_disclaimer": self.proxy_disclaimer,
             "disclaimer_text": self.disclaimer_text,
@@ -101,9 +105,71 @@ def _trips(traj: Trajectory) -> bool:
     return traj.status in (RESOLUTION_LIMIT, NON_FINITE)
 
 
+def _margin(traj: Trajectory, cfg: SolverConfig) -> float:
+    """Largest trip ratio over the recorded steps, max(linf / sup threshold,
+    tail fraction / tail threshold): a run trips once it passes 1.  A
+    non-finite run has margin infinity."""
+    if traj.status == NON_FINITE:
+        return math.inf
+    rec = traj.records
+    return float(max(np.max(rec["linf"], initial=0.0) / cfg.blowup_sup_threshold,
+                     np.max(rec["tail_fraction"], initial=0.0) / cfg.spectral_tail_threshold))
+
+
+def _trip_reason(traj: Trajectory, cfg: SolverConfig) -> str | None:
+    """Which monitor stopped the run, read from its last record; None if it completed."""
+    if traj.status == NON_FINITE:
+        return "non_finite"
+    if traj.status != RESOLUTION_LIMIT:
+        return None
+    return "sup" if traj.records["linf"][-1] > cfg.blowup_sup_threshold else "tail"
+
+
+def _log_margin(m: float) -> float:
+    return math.log(m) if 0.0 < m < math.inf else math.nan
+
+
+def _secant_root(x1: float, y1: float, x2: float, y2: float) -> float:
+    """Root of the line through (x1, y1) and (x2, y2); nan unless y1 < y2,
+    which also rules out a non-finite or non-positive margin."""
+    return x1 - y1 * (x2 - x1) / (y2 - y1) if y1 < y2 else math.nan
+
+
+def _secant_probe(lo: float, hi: float, roots: list, tol: float) -> float | None:
+    """Next amplitude from the lowest candidate root r (in log alpha) inside the
+    bracket, or None when no candidate is usable.
+
+    Within log(1 + tol) of an end, probe 0.98 of that width in from it, so one
+    correct guess closes the bracket; otherwise probe just below r.
+    """
+    x_lo, x_hi = math.log(lo), math.log(hi)
+    inside = [r for r in roots if x_lo <= r <= x_hi]
+    if not inside:
+        return None
+    r = min(inside)
+    width = math.log1p(tol)
+    if min(r - x_lo, x_hi - r) <= width:
+        return lo * (1.0 + tol) ** 0.98 if r - x_lo <= x_hi - r else hi / (1.0 + tol) ** 0.98
+    return math.exp(r) / (1.0 + tol) ** 0.49
+
+
 def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
                         besov_p: float | None = None) -> ThresholdReport:
-    """Geometric bisection between a completing and a resolution-tripping amplitude.
+    """Bracket the amplitude between a completing and a resolution-tripping
+    member until hi / lo - 1 <= tol.
+
+    Each probe records its margin (see _margin).  The next amplitude comes from
+    a safeguarded secant on log margin against log alpha (Dekker, Brent): the
+    lower of two roots, that of the secant through the bracket ends, whose
+    retained end's log margin is halved when the same end is replaced twice in
+    a row (Illinois), and that of the secant through the two highest
+    completing probes.  A completing run's margin is its maximum over the whole
+    horizon, while a tripped run stops at its first crossing, so its margin
+    sits just above 1 and pulls the end-to-end root toward hi; the completing
+    pair has no such bias.  The search falls back to the geometric midpoint
+    when neither root is usable (a non-finite or non-positive margin, a root
+    outside the bracket) or when the last two probes did not halve
+    log(hi / lo).  Every probe lies strictly inside the current bracket.
 
     Monotonicity of the outcome in amplitude is book-kept on every probe; a
     contradictory pair aborts, since nothing guarantees the true boundary is
@@ -124,7 +190,8 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
         traj = evolve(fam.member(alpha), cfg)
         tripped = _trips(traj)
         probes.append({"alpha": alpha, "status": traj.status,
-                       "final_time": traj.final_time})
+                       "final_time": traj.final_time, "margin": _margin(traj, cfg),
+                       "trip_reason": _trip_reason(traj, cfg)})
         if tripped:
             if alpha < max_completing:
                 raise NonMonotoneFamilyError(
@@ -152,12 +219,33 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
             "no resolution limit inside the amplitude range"
         )
     lo, hi = fam.alpha_lo, fam.alpha_hi
+    y_lo, y_hi = (_log_margin(p["margin"]) for p in probes)
+    completing = [(math.log(lo), y_lo)]
+    widths = [math.log(hi / lo)]
+    last_tripped = None
     while hi / lo - 1.0 > tol:
-        mid = float(np.sqrt(lo * hi))
-        if probe(mid):
-            hi = mid
+        alpha = None
+        if len(widths) < 3 or widths[-1] <= 0.5 * widths[-3]:
+            roots = [_secant_root(math.log(lo), y_lo, math.log(hi), y_hi)]
+            if len(completing) > 1:
+                roots.append(_secant_root(*completing[-2], *completing[-1]))
+            alpha = _secant_probe(lo, hi, roots, tol)
+        if alpha is None or not lo < alpha < hi:
+            alpha = float(np.sqrt(lo * hi))
+        tripped = probe(alpha)
+        y = _log_margin(probes[-1]["margin"])
+        if tripped:
+            hi, y_hi = alpha, y
         else:
-            lo = mid
+            lo, y_lo = alpha, y
+            completing.append((math.log(lo), y))
+        if tripped == last_tripped:  # Illinois: halve the retained end's log margin
+            if tripped:
+                y_lo *= 0.5
+            else:
+                y_hi *= 0.5
+        last_tripped = tripped
+        widths.append(math.log(hi / lo))
 
     datum = fam.member(lo)
     l3 = lebesgue_norm(datum, 3) if grid.d == 3 else None

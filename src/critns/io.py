@@ -53,10 +53,11 @@ def read_field(path) -> RealVectorField:
 
 
 def dump_json(path, obj) -> None:
-    """Deterministic JSON: sorted keys, no trailing whitespace drift."""
+    """Deterministic strict JSON (RFC 8259: no Infinity or NaN): sorted keys,
+    no trailing whitespace drift."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_json(path):

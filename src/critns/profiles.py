@@ -272,17 +272,15 @@ def drift_norm(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: floa
     return chemin_lerner_norm(traj, p, BesovIndex(sp + 2.0 / p, p, p))
 
 
-def _source(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float,
-            dealias_fraction: float):
-    """Frame profile sum u = sum_a U_a, remainder heat flow w and the full
-    remainder-equation source G = -Q(u, w) - Q(w, w)/2 - sum_{a<b} Q(U_a, U_b)."""
-    parts, w = _frame_components(ev, sys, n, t)
+def _source(parts: list, w: RealVectorField, dealias_fraction: float):
+    """Frame profile sum u = sum_a U_a and the full remainder-equation source
+    G = -Q(u, w) - Q(w, w)/2 - sum_{a<b} Q(U_a, U_b) from the frame parts."""
     u = sum(parts[1:], parts[0])
     g = -1.0 * q_bilinear(u, w, dealias_fraction) - 0.5 * q_bilinear(w, w, dealias_fraction)
     for a in range(len(parts)):
         for b in range(a + 1, len(parts)):
             g = g - q_bilinear(parts[a], parts[b], dealias_fraction)
-    return u, w, g
+    return u, g
 
 
 def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float,
@@ -294,7 +292,9 @@ def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float,
     Bony pieces, the remainder self-interaction and the profile cross terms.
     """
     grid = sys.grid
-    u, w, g = _source(ev, sys, n, t, dealias_fraction)
+    parts, w = _frame_components(ev, sys, n, t)
+    u, g = _source(parts, w, dealias_fraction)
+    del parts  # only u and w enter the Bony split; free the profile fields first
     tuw = low_high(grid, u.data[:, None], w.data[None])
     flux = _div_flux_hat(lambda i, j: tuw[i, j] + tuw[j, i], grid,
                          dealias_mask(grid, dealias_fraction))
@@ -422,13 +422,14 @@ def extract_concentration(fields: list, p: float | None = None):
 
 
 def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
-                         drift=None, source=None) -> float:
+                         forcing=None) -> float:
     """L^2-in-time L^2-in-space residual of du/dt + P div(u x u) - Lap u
     + Q(u, F) - G on the snapshot grid, with centered time differences.
 
-    With drift/source callables this is the perturbed-system residual; without
-    them it is the plain equation residual, which serves as the discrete floor
-    (the time-differencing error dominates both).
+    With a forcing callable t -> (drift F, source G) this is the
+    perturbed-system residual; without it it is the plain equation residual,
+    which serves as the discrete floor (the time-differencing error dominates
+    both).
     """
     grid = traj.grid
     mask = dealias_mask(grid, dealias_fraction)
@@ -446,15 +447,14 @@ def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
         uh = forward_transform(u.data, grid)
         nl_hat = _leray_coefficients(_div_flux_hat(_self_product(u.data), grid, mask), grid)
         resid_hat = forward_transform(dudt, grid) + nl_hat + k2 * uh
-        if drift is not None:
-            f = drift(float(times[i]))
+        if forcing is not None:
+            f, g = forcing(float(times[i]))
             q_hat = _div_flux_hat(_pair_product(u.data, f.data), grid, mask)
             resid_hat += _leray_coefficients(q_hat, grid)
-        if source is not None:
-            g = source(float(times[i]))
             gh = forward_transform(g.data, grid) * mask
             _leray_coefficients(gh, grid)
             resid_hat -= gh
+            del f, g  # so the next forcing call does not hold two frames
         resid = RealVectorField(grid, inverse_transform(resid_hat, grid))
         res_l2.append(lebesgue_norm(resid, 2))
         mid_times.append(float(times[i]))
@@ -470,12 +470,13 @@ def remainder_equation_residual(r_traj: Trajectory, ev: EvolvedSystem,
     drift and source; ties the profile bookkeeping to the perturbed solver."""
     frame = ev.frame(n)
     r0 = apply_lambda_spacetime(r_traj, frame.inverse(), check_support=False)
-    return ns_equation_residual(
-        r0,
-        dealias_fraction,
-        drift=lambda s: drift_term(ev, sys, n, s),
-        source=lambda s: _source(ev, sys, n, s, dealias_fraction)[2],
-    )
+
+    def forcing(s: float):
+        # one set of frame parts per time serves both the drift and the source
+        parts, w = _frame_components(ev, sys, n, s)
+        return sum(parts, w), _source(parts, w, dealias_fraction)[1]
+
+    return ns_equation_residual(r0, dealias_fraction, forcing=forcing)
 
 
 def pairing_table(traj: Trajectory, tests: list) -> np.ndarray:

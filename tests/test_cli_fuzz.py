@@ -133,3 +133,44 @@ def test_fuzzed_config_contract(trajectory_dir, data):
     if code == 1:
         lines = stderr.strip().splitlines()
         assert lines and "error" in json.loads(lines[-1])
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+STRICT_CASES = dict(BASE, **{
+    "norm-p-infinity": dict(BASE["norm"], norm={"kind": "lebesgue", "p": float("inf")}),
+    "serrin-p_t-infinity": dict(BASE["serrin"], p_t=float("inf")),
+})
+
+
+@pytest.mark.parametrize("case", sorted(STRICT_CASES))
+def test_artifacts_are_strict_json(tmp_path, trajectory_dir, case):
+    """Every JSON artifact and stdout echo parses without Infinity or NaN
+    (RFC 8259); an admitted infinite exponent is echoed as "inf"."""
+    command = case.split("-")[0]
+    doc = json.loads(json.dumps(STRICT_CASES[case]).replace(TRAJECTORY, trajectory_dir))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+    artifacts = sorted(out.rglob("*.json"))
+    assert out / "manifest.json" in artifacts
+    parsed = {str(path.relative_to(out)): json.loads(path.read_text(),
+                                                     parse_constant=_reject_constant)
+              for path in artifacts}
+    for line in stdout.getvalue().splitlines():
+        json.loads(line, parse_constant=_reject_constant)
+    if case == "norm-p-infinity":
+        assert parsed["norm.json"]["parameters"]["p"] == "inf"
+        assert parsed["manifest.json"]["config"]["norm"]["p"] == "inf"
+    if case == "threshold":
+        probes = parsed["threshold.json"]["probes"]
+        assert all(p["trip_reason"] == (None if p["status"] == "Completed" else "sup")
+                   and p["margin"] > 0 for p in probes)
+    if case == "serrin-p_t-infinity":
+        assert parsed["serrin.json"]["parameters"]["p_t"] == "inf"
+        assert parsed["manifest.json"]["config"]["p_t"] == "inf"

@@ -1,9 +1,12 @@
-"""Sup-in-time critical norms, threshold bisection and weak-convergence probes."""
+"""Sup-in-time critical norms, threshold search and weak-convergence probes."""
+
+import json
+import math
 
 import numpy as np
 import pytest
 
-from critns import Grid
+from critns import Grid, criticality
 from critns.criticality import (
     PROXY_DISCLAIMER,
     DatumFamily,
@@ -17,7 +20,15 @@ from critns.fields import localized_divfree_bump, random_divfree_field
 from critns.grid import zero_field
 from critns.norms import BesovIndex, besov_norm, lebesgue_norm
 from critns.scaling import ScaleCore, apply_lambda
-from critns.solver import SolverConfig, Trajectory, evolve, make_heat_trajectory
+from critns.solver import (
+    COMPLETED,
+    NON_FINITE,
+    RESOLUTION_LIMIT,
+    SolverConfig,
+    Trajectory,
+    evolve,
+    make_heat_trajectory,
+)
 
 
 class TestSupCriticalNorm:
@@ -95,6 +106,97 @@ class TestThresholdBisection:
         doc = rep.to_dict()
         assert doc["proxy_disclaimer"] is True
         assert "disclaimer_text" in doc and doc["relative_width"] <= 0.1
+
+
+class SyntheticFamily:
+    """Stands in for the solver in a threshold search, so the search logic runs
+    without it.  The run of amplitude alpha records the trip ratio
+    margin(alpha) * k / STEPS on one monitor at steps k = 0..STEPS; it trips iff
+    margin(alpha) >= 1 and then stops at its first crossing, as the solver
+    does.  At alpha >= non_finite_above the run goes non-finite after step 0."""
+
+    STEPS = 16
+
+    def __init__(self, base, margin, non_finite_above=math.inf, monitor="tail_fraction"):
+        self.base, self.margin = base, margin
+        self.non_finite_above, self.monitor = non_finite_above, monitor
+        self.peak = float(np.max(np.abs(base.data)))
+
+    def __call__(self, u0, cfg):
+        alpha = float(np.max(np.abs(u0.data))) / self.peak
+        m = self.margin(alpha)
+        ratios = m * np.arange(self.STEPS + 1) / self.STEPS
+        status = COMPLETED
+        if alpha >= self.non_finite_above:
+            ratios, status = ratios[:1], NON_FINITE
+        elif m >= 1.0:
+            ratios = ratios[:int(np.argmax(ratios >= 1.0)) + 1]
+            status = RESOLUTION_LIMIT
+        scale = {"linf": cfg.blowup_sup_threshold, "tail_fraction": cfg.spectral_tail_threshold}
+        records = {key: (ratios if key == self.monitor else 0.0 * ratios) * thr
+                   for key, thr in scale.items()}
+        records["t"] = cfg.dt * np.arange(len(ratios))
+        return Trajectory(grid=u0.grid, times=np.array([0.0]), snapshots=[u0],
+                          records=records, status=status)
+
+
+class TestThresholdSearchLogic:
+    ALPHA_STAR = 37.0
+    TOL = 0.01
+    CFG = SolverConfig(dt=1e-2, T=0.16, spectral_tail_threshold=0.1)
+
+    def _search(self, monkeypatch, margin, **kwargs):
+        base = random_divfree_field(Grid(2, 32), seed=0, k_lo=2.0, k_hi=6.0)
+        monkeypatch.setattr(criticality, "evolve", SyntheticFamily(base, margin, **kwargs))
+        fam = DatumFamily(base=base, alpha_lo=4.0, alpha_hi=128.0)
+        rep = threshold_bisection(fam, self.CFG, tol=self.TOL)
+        lo, hi = rep.bracket
+        assert hi / lo - 1.0 <= self.TOL
+        self._check_probes_inside_brackets(rep.probes)
+        return rep
+
+    @staticmethod
+    def _check_probes_inside_brackets(probes):
+        lo, hi = probes[0]["alpha"], probes[1]["alpha"]
+        for p in probes[2:]:
+            assert lo < p["alpha"] < hi
+            if p["status"] == COMPLETED:
+                lo = p["alpha"]
+            else:
+                hi = p["alpha"]
+
+    def test_smooth_margin(self, monkeypatch):
+        rep = self._search(monkeypatch, lambda a: (a / self.ALPHA_STAR) ** 2)
+        lo, hi = rep.bracket
+        assert lo < self.ALPHA_STAR <= hi
+        assert len(rep.probes) <= 7
+        for p in rep.probes:
+            tripped = p["status"] != COMPLETED
+            assert (p["margin"] >= 1.0) == tripped
+            assert p["trip_reason"] == ("tail" if tripped else None)
+
+    def test_flat_floor_margin(self, monkeypatch):
+        rep = self._search(monkeypatch, lambda a: max(0.42, (a / self.ALPHA_STAR) ** 2))
+        lo, hi = rep.bracket
+        assert lo < self.ALPHA_STAR <= hi
+        assert len(rep.probes) <= 12
+
+    def test_sup_trip_reason(self, monkeypatch):
+        rep = self._search(monkeypatch, lambda a: (a / self.ALPHA_STAR) ** 2, monitor="linf")
+        assert {p["trip_reason"] for p in rep.probes} == {None, "sup"}
+
+    def test_non_finite_trip_falls_back_to_midpoint(self, monkeypatch):
+        rep = self._search(monkeypatch, lambda a: (a / self.ALPHA_STAR) ** 2,
+                           non_finite_above=2.0 * self.ALPHA_STAR)
+        lo, hi = rep.bracket
+        assert lo < self.ALPHA_STAR <= hi
+        top = rep.probes[1]
+        assert top["status"] == NON_FINITE and top["trip_reason"] == "non_finite"
+        assert top["margin"] == math.inf
+        assert rep.probes[2]["alpha"] == float(np.sqrt(4.0 * 128.0))
+        doc = rep.to_dict()
+        assert doc["probes"][1]["margin"] is None
+        json.dumps(doc, allow_nan=False)
 
 
 class TestWeakConvergenceProbe:

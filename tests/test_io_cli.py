@@ -394,7 +394,7 @@ class TestCLI:
         res = run_cli(["norm", "--config", cfg, "--out", str(workdir / "out")])
         assert res.returncode == 0, res.stderr
         report = json.loads((workdir / "out" / "norm.json").read_text())
-        assert report["parameters"]["q"] == float("inf") and np.isfinite(report["value"])
+        assert report["parameters"]["q"] == "inf" and np.isfinite(report["value"])
 
     @pytest.mark.parametrize("command", ["serrin", "probe"])
     @pytest.mark.parametrize("change", [
