@@ -136,8 +136,10 @@ def _path(value, where: str) -> str:
 
 
 def _indices(value, sequences, where: str) -> tuple:
-    """A list of integers n with 0 <= n < len(s) for every sequence s."""
+    """A non-empty list of integers n with 0 <= n < len(s) for every sequence s."""
     n_values = _vector(value, None, where, int)
+    if not n_values:
+        raise ConfigValidationError(f"{where}: expected at least one index")
     size = min(len(s) for s in sequences)
     bad = [n for n in n_values if not 0 <= n < size]
     if bad:

@@ -10,14 +10,15 @@ existence time or a true minimal-norm datum.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, NonMonotoneFamilyError
+from .errors import AccuracyWarning, DomainError
 from .fields import gaussian_bump
 from .grid import Grid, RealVectorField
-from .norms import BesovIndex, besov_norm, lebesgue_norm
+from .norms import BesovIndex, band_table, besov_from_profile, besov_norm, lebesgue_norm
 from .profiles import pairing_table
 from .solver import COMPLETED, NON_FINITE, RESOLUTION_LIMIT, SolverConfig, Trajectory, evolve
 
@@ -64,7 +65,13 @@ def sup_critical_norm(traj: Trajectory, norm_kind: str = "L3",
         if p is None:
             p = float(traj.grid.d)
         idx = BesovIndex.critical(p, traj.grid.d)
-        vals = [besov_norm(s, idx) for s in traj.snapshots]
+        levels, eps = band_table(traj, p)
+        vals = []
+        for col in eps.T:  # besov_norm of each snapshot, with its warnings
+            value, _, warns = besov_from_profile(levels, col, idx)
+            for w in warns:
+                warnings.warn(w, AccuracyWarning, stacklevel=2)
+            vals.append(value)
     else:
         raise DomainError(f"unknown critical norm kind {norm_kind!r}")
     i = int(np.argmax(vals))
@@ -171,9 +178,10 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
     outside the bracket) or when the last two probes did not halve
     log(hi / lo).  Every probe lies strictly inside the current bracket.
 
-    Monotonicity of the outcome in amplitude is book-kept on every probe; a
-    contradictory pair aborts, since nothing guarantees the true boundary is
-    monotone in amplitude.
+    The outcome is assumed monotone in amplitude, not detected: lo is always
+    the largest completing and hi the smallest tripping amplitude, and no probe
+    leaves (lo, hi), so a family that trips only on a window inside the bracket
+    goes unnoticed.
     """
     if not (tol > 0):
         raise DomainError("bracket tolerance must be positive")
@@ -181,31 +189,16 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
     if besov_p is None:
         besov_p = float(grid.d) + 1.0
     probes = []
-    max_completing = 0.0
-    min_tripping = float("inf")
     last_completing_traj = None
 
     def probe(alpha: float) -> bool:
-        nonlocal max_completing, min_tripping, last_completing_traj
+        nonlocal last_completing_traj
         traj = evolve(fam.member(alpha), cfg)
         tripped = _trips(traj)
         probes.append({"alpha": alpha, "status": traj.status,
                        "final_time": traj.final_time, "margin": _margin(traj, cfg),
                        "trip_reason": _trip_reason(traj, cfg)})
-        if tripped:
-            if alpha < max_completing:
-                raise NonMonotoneFamilyError(
-                    f"amplitude {alpha} tripped below a completing amplitude "
-                    f"{max_completing}; family outcome is not monotone"
-                )
-            min_tripping = min(min_tripping, alpha)
-        else:
-            if alpha > min_tripping:
-                raise NonMonotoneFamilyError(
-                    f"amplitude {alpha} completed above a tripping amplitude "
-                    f"{min_tripping}; family outcome is not monotone"
-                )
-            max_completing = max(max_completing, alpha)
+        if not tripped:
             last_completing_traj = traj
         return tripped
 

@@ -29,10 +29,6 @@ class TrajectoryCoverageError(CritNSError):
     """A trajectory does not cover a requested time."""
 
 
-class NonMonotoneFamilyError(CritNSError):
-    """Amplitude family produced contradictory completion outcomes."""
-
-
 class ConfigValidationError(CritNSError):
     """A run configuration document failed validation."""
 

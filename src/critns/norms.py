@@ -4,6 +4,13 @@ Vector fields use the component convention ||(f^c)|| = ||(||f^c||_{L^p})||_{l^p}
 Besov norms sum over the grid's resolvable dyadic range; space-time norms use
 trapezoid quadrature on the snapshot times (per band first, then the l^q sum,
 which is the stronger ordering of the two).
+
+Every block norm ||F^{-1}(m * coeff)||_{L^p} (dyadic bands, heat-kernel
+curves) goes through one loop, `_multiplier_norms`, that reuses its work
+arrays across the multipliers of one coefficient array.  The space-time norms
+and the sup-in-time Besov norm read one band table eps[j, i] =
+||Delta_j u(t_i)||_{L^p}, built once per (read-only trajectory, p) by
+`band_table` and kept on the trajectory.
 """
 
 from __future__ import annotations
@@ -59,38 +66,77 @@ class TimeNorm:
             raise DomainError("empty time interval")
 
 
+def _power_sums_in_place(x: np.ndarray, p: float, square: np.ndarray | None = None):
+    """power_sums that overwrites x with |x|^p; square is one component's worth
+    of scratch for p = 3, allocated here if not given.
+
+    The operations and their order are those of the product forms x*x,
+    (x*x)*|x| and (x*x)^2, so the sums are the same bit for bit.
+    """
+    if p == 2:
+        x *= x
+    elif p == 3:
+        if square is None:
+            square = np.empty(x.shape[1:])
+        for comp in x:
+            np.multiply(comp, comp, out=square)
+            np.abs(comp, out=comp)
+            comp *= square
+    elif p == 4:
+        x *= x
+        x *= x
+    else:
+        np.abs(x, out=x)
+        x **= p
+    return np.sum(x, axis=tuple(range(1, x.ndim)))
+
+
 def power_sums(data: np.ndarray, p: float) -> np.ndarray:
     """Per-component sums of |x|^p over the sample axes of a (C, N, ..., N) array.
 
     p = 2, 3 and 4 are products (x*x, x*x*|x|, (x*x)^2), several times faster
     than the generic pow() that every other p takes.
     """
-    if p == 2:
-        powers = data * data
-    elif p == 3:
-        powers = data * data
-        powers *= np.abs(data)
-    elif p == 4:
-        powers = data * data
-        powers *= powers
-    else:
-        powers = np.abs(data) ** p
-    return np.sum(powers, axis=tuple(range(1, data.ndim)))
+    return _power_sums_in_place(data.copy(order="K"), p)
+
+
+def _lp_from_sums(sums: np.ndarray, grid: Grid, p: float) -> float:
+    comp = (sums * grid.cell_volume) ** (1.0 / p)
+    return float(np.sum(comp**p) ** (1.0 / p))
+
+
+def _check_exponent(p: float) -> None:
+    if p < 1:
+        raise DomainError(f"Lebesgue exponent must be >= 1, got {p}")
 
 
 def lebesgue_norm(f: RealVectorField, p: float) -> float:
     """Riemann-sum L^p norm with cell weight (L/N)^d; p = inf is the sample max."""
-    if p < 1:
-        raise DomainError(f"Lebesgue exponent must be >= 1, got {p}")
+    _check_exponent(p)
     if p == INF:
         return f.max_abs()
-    comp = (power_sums(f.data, p) * f.grid.cell_volume) ** (1.0 / p)
-    return float(np.sum(comp**p) ** (1.0 / p))
+    return _lp_from_sums(power_sums(f.data, p), f.grid, p)
 
 
-def _block_norm(coeff: np.ndarray, mult: np.ndarray, grid: Grid, p: float) -> float:
-    """||F^{-1}(mult * coeff)||_{L^p}: the norm of one multiplier block of a field."""
-    return lebesgue_norm(RealVectorField(grid, inverse_transform(coeff * mult, grid)), p)
+def _multiplier_norms(coeff: np.ndarray, mults, grid: Grid, p: float) -> np.ndarray:
+    """||F^{-1}(m * coeff)||_{L^p} for each multiplier m in turn, as lebesgue_norm
+    would give it, bit for bit.
+
+    m * coeff goes into one work array reused across the multipliers, and the
+    powers are formed in place in the inverse transform's output, so a block
+    allocates nothing but that output.
+    """
+    _check_exponent(p)
+    work = np.empty_like(coeff)
+    square = np.empty(grid.shape) if p == 3 else None
+    norms = []
+    for m in mults:
+        x = inverse_transform(np.multiply(coeff, m, out=work), grid)
+        if p == INF:
+            norms.append(float(np.max(np.abs(x, out=x))))
+        else:
+            norms.append(_lp_from_sums(_power_sums_in_place(x, p, square), grid, p))
+    return np.array(norms)
 
 
 def _lq_sum(values: np.ndarray, q: float) -> float:
@@ -105,31 +151,41 @@ def band_profile(f: RealVectorField, p: float) -> tuple[np.ndarray, np.ndarray]:
     coeff = forward_transform(f.data, f.grid)
     mults = dyadic_multipliers(f.grid, lo, hi)
     next(mults)  # the low-pass block is not a band
-    return np.arange(lo, hi + 1), np.array([_block_norm(coeff, m, f.grid, p) for m in mults])
+    return np.arange(lo, hi + 1), _multiplier_norms(coeff, mults, f.grid, p)
 
 
-def _edge_warning(levels: np.ndarray, eps: np.ndarray) -> list[str]:
-    warns = []
-    if eps.size >= 3 and np.max(eps) > 0:
-        peak = int(np.argmax(eps))
-        if peak >= eps.size - 2 or peak == 0:
-            warns.append(
-                "spectral content concentrated at the band-range edge; "
-                "truncated dyadic sum may be inaccurate"
-            )
-    return warns
+def _edge_warning(levels: np.ndarray, eps: np.ndarray, q: float) -> list[str]:
+    """A warning naming the edge when the largest weighted band sits at either
+    end of the range: the low edge (e.g. heat-flow decay leaving only the lowest
+    band) or the top two bands (under-resolution)."""
+    if eps.size < 3 or not np.max(eps) > 0:
+        return []
+    peak = int(np.argmax(eps))
+    if 0 < peak < eps.size - 2:
+        return []
+    share = 1.0 if q == INF else float(eps[peak] ** q / np.sum(eps**q))
+    return [
+        f"spectral content concentrated at the {'low' if peak == 0 else 'high'} "
+        f"band-range edge (level {levels[peak]} holds {share:.1%} of the l^q sum); "
+        "truncated dyadic sum may be inaccurate"
+    ]
+
+
+def besov_from_profile(levels: np.ndarray, vals: np.ndarray, idx: BesovIndex):
+    """(value, weighted bands 2^{js} ||Delta_j f||_{L^p}, edge warnings) of the
+    Besov norm from a band profile."""
+    eps = 2.0 ** (levels * idx.s) * vals
+    return _lq_sum(eps, idx.q), eps, _edge_warning(levels, eps, idx.q)
 
 
 def besov_norm_detailed(f: RealVectorField, idx: BesovIndex):
     levels, vals = band_profile(f, idx.p)
-    eps = 2.0 ** (levels * idx.s) * vals
-    value = _lq_sum(eps, idx.q)
-    warns = _edge_warning(levels, eps)
+    value, eps, warns = besov_from_profile(levels, vals, idx)
     return value, levels, eps, warns
 
 
 def besov_norm(f: RealVectorField, idx: BesovIndex) -> float:
-    value, _, eps, warns = besov_norm_detailed(f, idx)
+    value, _, _, warns = besov_norm_detailed(f, idx)
     for w in warns:
         warnings.warn(w, AccuracyWarning, stacklevel=2)
     return value
@@ -151,18 +207,32 @@ def _time_lp(values: np.ndarray, times: np.ndarray, rho: float) -> float:
     return float(np.sum(w * values**rho) ** (1.0 / rho))
 
 
+def band_table(traj, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, eps) with eps[j, i] = ||Delta_j u(t_i)||_{L^p} for every band j
+    and every snapshot i.
+
+    Built once per (trajectory, p) and kept read-only on the trajectory, which
+    is itself read-only, so every norm of the trajectory at this p reads the
+    same table.
+    """
+    table = traj.band_tables.get(p)
+    if table is None:
+        profiles = [band_profile(snap, p) for snap in traj.snapshots]
+        table = (profiles[0][0], np.array([vals for _, vals in profiles]).T)
+        for array in table:
+            array.flags.writeable = False
+        traj.band_tables[p] = table
+    return table
+
+
 def band_lp_matrix(traj, p: float, interval=None):
-    """eps[j, i] = ||Delta_j u(t_i)||_{L^p} for every band j and snapshot i."""
-    times, snaps = traj.window(interval)
-    if len(snaps) < 2:
+    """(times, levels, eps) for the snapshots in a closed time interval: the
+    window's columns of band_table."""
+    keep = traj.window_indices(interval)
+    if keep.size < 2:
         raise DomainError("space-time norms need at least 2 snapshots")
-    levels = None
-    rows = []
-    for snap in snaps:
-        lv, vals = band_profile(snap, p)
-        levels = lv
-        rows.append(vals)
-    return np.asarray(times), levels, np.asarray(rows).T
+    levels, eps = band_table(traj, p)
+    return traj.times[keep], levels, eps[:, keep]
 
 
 def _cl_from_matrix(times, levels, eps, rho: float, idx: BesovIndex) -> float:
@@ -179,9 +249,7 @@ def chemin_lerner_norm(traj, rho: float, idx: BesovIndex, interval=None) -> floa
 def time_lebesgue_besov_norm(traj, rho: float, idx: BesovIndex, interval=None) -> float:
     """Plain L^rho-in-time of the Besov norm (the weaker ordering)."""
     times, levels, eps = band_lp_matrix(traj, idx.p, interval)
-    per_time = np.array(
-        [_lq_sum(2.0 ** (levels * idx.s) * eps[:, i], idx.q) for i in range(times.size)]
-    )
+    per_time = np.array([besov_from_profile(levels, col, idx)[0] for col in eps.T])
     return _time_lp(per_time, times, rho)
 
 
@@ -216,9 +284,8 @@ def default_tau_grid(grid: Grid, points_per_decade: int = 16) -> np.ndarray:
 def _heat_kernel_lp_curve(f: RealVectorField, taus: np.ndarray, p: float) -> np.ndarray:
     """||K(tau) f||_{L^p} sampled over taus, K(tau) = tau d/dtau exp(tau Lap)."""
     grid = f.grid
-    coeff = forward_transform(f.data, grid)
-    return np.array([_block_norm(coeff, heat_derivative_multiplier(grid, tau), grid, p)
-                     for tau in taus])
+    mults = (heat_derivative_multiplier(grid, tau) for tau in taus)
+    return _multiplier_norms(forward_transform(f.data, grid), mults, grid, p)
 
 
 def heat_besov_norm(f: RealVectorField, idx: BesovIndex,
@@ -253,13 +320,10 @@ def heat_besov_spacetime_norm(traj, r: float, p: float,
     times, snaps = traj.window(interval)
     if len(snaps) < 2:
         raise DomainError("space-time norms need at least 2 snapshots")
+    # spatial[i, k] = ||K(tau_k) u(t_i)||_{L^p}, one snapshot's coefficients at a time
+    spatial = np.array([_heat_kernel_lp_curve(snap, taus, p) for snap in snaps])
     times = np.asarray(times)
-    coeffs = [forward_transform(s.data, grid) for s in snaps]
-    vals = np.empty(taus.size)
-    for i, tau in enumerate(taus):
-        mult = heat_derivative_multiplier(grid, tau)
-        spatial = np.array([_block_norm(c, mult, grid, p) for c in coeffs])
-        vals[i] = _time_lp(spatial, times, r) ** p
+    vals = np.array([_time_lp(col, times, r) ** p for col in spatial.T])
     # tau^gamma dtau = tau^{gamma+1} dln(tau) on the log grid
     dln = _trapezoid_weights(np.log(taus))
     return float(np.sum(dln * taus ** (gamma + 1.0) * vals) ** (1.0 / p))

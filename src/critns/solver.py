@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -80,23 +81,36 @@ class SolverConfig:
         }
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Time-indexed snapshots with per-step norm records."""
+    """Time-indexed snapshots with per-step norm records.
+
+    Read-only: the fields cannot be reassigned, snapshots is a tuple and every
+    snapshot array is made non-writeable, so quantities derived from the
+    snapshots (the band tables of `norms.band_table`) can be kept on it.
+    """
 
     grid: Grid
     times: np.ndarray
-    snapshots: list
+    snapshots: tuple
     records: dict = field(default_factory=dict)
     status: str = COMPLETED
     config_echo: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
+        object.__setattr__(self, "snapshots", tuple(self.snapshots))
         if self.times.size != len(self.snapshots):
             raise DomainError("one snapshot per time required")
         if self.times.size >= 2 and not np.all(np.diff(self.times) > 0):
             raise DomainError("snapshot times must be strictly increasing")
+        for snap in self.snapshots:
+            snap.data.flags.writeable = False
+
+    @cached_property
+    def band_tables(self) -> dict:
+        """p -> read-only (levels, eps) band table, filled by `norms.band_table`."""
+        return {}
 
     @property
     def final_time(self) -> float:
@@ -125,14 +139,18 @@ class Trajectory:
             return self.snapshots[i + 1]
         return self.snapshots[i] * (1.0 - theta) + self.snapshots[i + 1] * theta
 
-    def window(self, interval=None):
-        """(times, snapshots) restricted to a closed interval."""
+    def window_indices(self, interval=None) -> np.ndarray:
+        """Indices of the snapshots whose times lie in a closed interval."""
         if interval is None:
-            return list(self.times), list(self.snapshots)
+            return np.arange(self.times.size)
         a, b = interval
         eps = 1e-9 * max(1.0, abs(b))
-        keep = [(t, s) for t, s in zip(self.times, self.snapshots) if a - eps <= t <= b + eps]
-        return [t for t, _ in keep], [s for _, s in keep]
+        return np.flatnonzero((a - eps <= self.times) & (self.times <= b + eps))
+
+    def window(self, interval=None):
+        """(times, snapshots) restricted to a closed interval."""
+        keep = self.window_indices(interval)
+        return list(self.times[keep]), [self.snapshots[i] for i in keep]
 
     def thin(self, stride: int) -> "Trajectory":
         idx = list(range(0, len(self.snapshots), stride))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,23 @@ class TestSupCriticalNorm:
         assert rep.time_of_max == 0.0 and rep.completed
         idx = BesovIndex.critical(4.0, 3)
         assert besov_norm(traj.snapshots[-1], idx) < 0.5 * rep.value
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 5.0])
+    def test_besov_sup_matches_per_snapshot_norms(self, grid3, p):
+        # read from the band table, bit for bit the max of besov_norm over the
+        # snapshots, with the same warnings (the late ones peak at the low edge)
+        f = random_divfree_field(grid3, seed=3, k_lo=1.0, k_hi=6.0)
+        traj = make_heat_trajectory(f, np.linspace(0.0, 1.0, 5))
+        idx = BesovIndex.critical(p, 3)
+        with warnings.catch_warnings(record=True) as direct:
+            warnings.simplefilter("always")
+            ref = max(besov_norm(s, idx) for s in traj.snapshots)
+        with warnings.catch_warnings(record=True) as table:
+            warnings.simplefilter("always")
+            rep = sup_critical_norm(traj, "besov", p=p)
+        assert rep.value == ref
+        assert direct and [(w.category, str(w.message)) for w in table] == [
+            (w.category, str(w.message)) for w in direct]
 
 
 class TestThresholdBisection:

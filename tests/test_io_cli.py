@@ -342,6 +342,7 @@ class TestCLI:
         ("ortho", ortho_doc(n_values=[-1])),
         ("superpose", superpose_doc(n_values=[3])),
         ("superpose", superpose_doc(n_values=[-1])),
+        ("superpose", superpose_doc(n_values=[])),
         ("superpose", superpose_doc(J=-1)),
         ("lp", {"grid": {"d": 2, "N": 16}, "field": TG, "j_min": 2, "j_max": 1}),
         ("lp", {"grid": {"d": 2, "N": 16}, "field": TG, "j_max": 40}),
@@ -373,8 +374,9 @@ class TestCLI:
             "superpose-J-fraction", "battery-count-fraction", "profiles-not-list",
             "profiles-empty", "scale-cores-not-list", "seq_a-not-list",
             "ortho-n-too-large", "ortho-n-negative", "superpose-n-too-large",
-            "superpose-n-negative", "superpose-J-negative", "lp-j_min-above-j_max",
-            "lp-j_max-above-range", "lp-j_min-below-range", "trajectory-not-string",
+            "superpose-n-negative", "superpose-n-empty", "superpose-J-negative",
+            "lp-j_min-above-j_max", "lp-j_max-above-range", "lp-j_min-below-range",
+            "trajectory-not-string",
             "file-not-string", "generator-type-list", "solver-T-infinity",
             "grid-L-infinity", "solver-dt-infinity", "solver-dt-overflow", "norm-p-nan",
             "norm-q-minus-infinity", "superpose-p-infinity"])

@@ -1,5 +1,7 @@
 """Lebesgue/Besov/space-time norms against closed forms and scalar quadrature."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -15,11 +17,22 @@ from critns.fields import (
     random_smooth_field,
     single_mode,
 )
-from critns.grid import RealVectorField, zero_field
+from critns.criticality import sup_critical_norm
+from critns.grid import (
+    RealVectorField,
+    forward_transform,
+    heat_derivative_multiplier,
+    inverse_transform,
+    zero_field,
+)
+from critns.lp import band_range, dyadic_multipliers
 from critns.norms import (
     INF,
     BesovIndex,
     TimeNorm,
+    _multiplier_norms,
+    band_lp_matrix,
+    band_profile,
     besov_norm,
     besov_norm_detailed,
     chemin_lerner_norm,
@@ -134,9 +147,83 @@ class TestBesov:
             assert abs(besov_norm(fl, idx) - b0) / b0 < 0.02
 
     def test_edge_concentration_warning(self, grid2):
-        hi = band_noise(grid2, 0.85 * grid2.k_max_axis, grid2.k_max, seed=1, ncomp=1)
-        with pytest.warns(AccuracyWarning):
-            besov_norm(hi, BesovIndex(0.0, 2.0, 2.0))
+        # heat-flow decay leaves only the lowest band (criterion 7); an
+        # under-resolved field peaks in the top bands
+        low = single_mode(grid2, (1, 0))
+        high = band_noise(grid2, 0.85 * grid2.k_max_axis, grid2.k_max, seed=1, ncomp=1)
+        for f, edge, share in ((low, "low", r"level -1 holds 100\.0%"),
+                               (high, "high", r"level [34] holds \d+\.\d%")):
+            with pytest.warns(AccuracyWarning, match=f"at the {edge} band-range edge "
+                              f"\\({share} of the l\\^q sum\\)") as direct:
+                besov_norm(f, BesovIndex(0.0, 2.0, 2.0))
+            # the band-table path of the sup norm gives the same text per snapshot
+            traj = sample_trajectory(grid2, [0.0, 0.1], lambda t: f)
+            with pytest.warns(AccuracyWarning) as table:
+                sup_critical_norm(traj, "besov", p=2.0)
+            assert [str(w.message) for w in table] == 2 * [str(w.message) for w in direct]
+
+
+class TestBlockEngine:
+    @pytest.mark.parametrize("p", [1.5, 2, 3, 4, 5, INF])
+    @pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d", "3d"])
+    def test_matches_lebesgue_norm_of_each_block(self, grid, p):
+        # reused work arrays and in-place powers change no bit of the norm
+        f = random_smooth_field(grid, seed=6, ncomp=grid.d)
+        coeff = forward_transform(f.data, grid)
+        lo, hi = band_range(grid)
+        mults = list(dyadic_multipliers(grid, lo, hi)) + [heat_derivative_multiplier(grid, 0.05)]
+        ref = [lebesgue_norm(RealVectorField(grid, inverse_transform(coeff * m, grid)), p)
+               for m in mults]
+        assert list(_multiplier_norms(coeff, mults, grid, p)) == ref
+
+
+class TestBandTable:
+    @staticmethod
+    def _traj(grid, n):
+        f = random_divfree_field(grid, seed=12, k_lo=1.0, k_hi=6.0)
+        return make_heat_trajectory(f, np.linspace(0.0, 0.2, n))
+
+    def test_trajectory_is_read_only(self, grid2):
+        traj = self._traj(grid2, 3)
+        with pytest.raises(ValueError):
+            traj.snapshots[0].data[0, 0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            traj.snapshots = ()
+
+    def test_window_matches_recomputation(self, grid2):
+        traj = self._traj(grid2, 9)
+        band_lp_matrix(traj, 3.0)  # the full table exists before the window is cut
+        times, levels, eps = band_lp_matrix(traj, 3.0, (0.04, 0.16))
+        w_times, w_snaps = traj.window((0.04, 0.16))
+        assert len(w_snaps) == 5 and np.array_equal(times, w_times)
+        ref = [band_profile(s, 3.0) for s in w_snaps]
+        assert np.array_equal(levels, ref[0][0])
+        assert np.array_equal(eps, np.array([vals for _, vals in ref]).T)
+
+    def test_one_table_per_trajectory_and_p(self, grid3, monkeypatch):
+        # e_norm, chemin_lerner_norm and the sup Besov norm at one p share one
+        # band table: one forward transform per snapshot, one inverse per band
+        import critns.norms
+
+        traj = self._traj(grid3, 9)
+        counts = {"forward": 0, "inverse": 0}
+
+        def counting(name, transform):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return transform(*args, **kwargs)
+            return wrapped
+
+        for name in counts:
+            attr = f"{name}_transform"
+            monkeypatch.setattr(critns.norms, attr, counting(name, getattr(critns.norms, attr)))
+        p = 3.0
+        idx = BesovIndex.critical(p, 3)
+        e_norm(traj, p, p, 0.2)
+        chemin_lerner_norm(traj, 2.0, idx)
+        sup_critical_norm(traj, "besov", p=p)
+        lo, hi = band_range(grid3)
+        assert counts == {"forward": 9, "inverse": 9 * (hi - lo + 1)}
 
 
 class TestCheminLerner:
