@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigValidationError, InvalidFieldError
 from .grid import Grid, RealVectorField
+from .solver import Trajectory
 
 CFD1_MAGIC = "CFD1"
 
@@ -92,8 +93,6 @@ def _numbers(value) -> bool:
 
 
 def load_trajectory(dirpath):
-    from .solver import Trajectory  # local import to avoid a cycle
-
     dirpath = Path(dirpath)
     manifest = load_json(dirpath / "manifest.json")
     if not isinstance(manifest, dict) or manifest.get("format") != "critns-trajectory":

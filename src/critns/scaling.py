@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DomainError, SupportOverflowError, UndersampledScaleError
 from .grid import RealVectorField, forward_transform
 from .norms import lebesgue_norm
+from .solver import Trajectory
 
 SUPPORT_AMPLITUDE_THRESHOLD = 1e-6
 
@@ -214,8 +215,6 @@ def apply_lambda_inverse(f: RealVectorField, sc: ScaleCore, **kw) -> RealVectorF
 
 def apply_lambda_spacetime(traj, sc: ScaleCore, **kw):
     """Parabolic rescaling: (1/lam) U((x - x0)/lam, t/lam^2) as a new trajectory."""
-    from .solver import Trajectory
-
     snaps = [apply_lambda(s, sc, **kw) for s in traj.snapshots]
     return Trajectory(
         grid=traj.grid,

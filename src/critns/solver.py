@@ -28,12 +28,14 @@ from .grid import (
     Grid,
     RealVectorField,
     forward_transform,
+    heat_semigroup,
     inverse_transform,
     _leray_coefficients,
 )
 from .norms import (
     BesovIndex,
     _trapezoid_weights,
+    besov_norm,
     chemin_lerner_norm,
     critical_exponent,
     e_norm,
@@ -126,11 +128,11 @@ class Trajectory:
             raise TrajectoryCoverageError(
                 f"time {t} outside recorded range [{self.times[0]}, {self.final_time}]"
             )
-        t = min(max(t, self.times[0]), self.final_time)
-        i = int(np.searchsorted(self.times, t, side="right") - 1)
-        i = min(max(i, 0), len(self.snapshots) - 2) if len(self.snapshots) > 1 else 0
         if len(self.snapshots) == 1:
             return self.snapshots[0]
+        t = min(max(t, self.times[0]), self.final_time)
+        i = int(np.searchsorted(self.times, t, side="right") - 1)
+        i = min(max(i, 0), len(self.snapshots) - 2)
         t0, t1 = self.times[i], self.times[i + 1]
         theta = (t - t0) / (t1 - t0)
         if theta <= 1e-12:
@@ -175,14 +177,8 @@ class PerturbationProblem:
     force_parts: tuple = (None, None)
 
     def source_at(self, t: float):
-        g1, g2 = self.force_parts
-        if g1 is None and g2 is None:
-            return None
-        parts = [g(t) for g in (g1, g2) if g is not None]
-        total = parts[0]
-        for p in parts[1:]:
-            total = total + p
-        return total
+        parts = [g(t) for g in self.force_parts if g is not None]
+        return sum(parts[1:], parts[0]) if parts else None
 
 
 def dealias_mask(grid: Grid, fraction: float) -> np.ndarray:
@@ -378,15 +374,11 @@ def evolve_perturbed(prob: PerturbationProblem, cfg: SolverConfig) -> Trajectory
             f"drift trajectory must cover the rounded horizon {horizon} "
             "(the corrector stage samples the drift at full steps)"
         )
-    g1, g2 = prob.force_parts
-    source = None if (g1 is None and g2 is None) else prob.source_at
-    return _integrate(prob.w0, cfg, drift=prob.drift, source=source)
+    return _integrate(prob.w0, cfg, drift=prob.drift, source=prob.source_at)
 
 
 def make_heat_trajectory(u0: RealVectorField, times) -> Trajectory:
     """Pure heat flow of a datum recorded at the given times (linear oracle)."""
-    from .grid import heat_semigroup
-
     times = np.asarray(sorted(float(t) for t in times))
     snaps = [heat_semigroup(u0, t) for t in times]
     return Trajectory(grid=u0.grid, times=times, snapshots=snaps)
@@ -475,8 +467,6 @@ def verify_perturbation_bound(prob: PerturbationProblem, cfg: SolverConfig,
     sp = critical_exponent(p, d)
     traj = evolve_perturbed(prob, cfg)
     lhs = e_norm(traj, p, p, cfg.T)
-
-    from .norms import besov_norm
 
     w0_norm = besov_norm(prob.w0, BesovIndex(sp, p, p))
 

@@ -27,7 +27,7 @@ SEQ = [{"lambda": 2.0**-n, "x0": [0.0, 0.0]} for n in range(3)]
 TRAJECTORY = "<trajectory>"  # replaced by the path of a stored 2D trajectory
 
 BASE = {
-    "norm": {"grid": GRID, "seed": 1,
+    "norm": {"grid": GRID,
              "field": {"generator": {"type": "gaussian", "sigma": 0.6, "center": [0.0, 0.0],
                                      "ncomp": 1, "amplitude": 1.0}},
              "norm": {"kind": "besov", "p": 3, "s": 0.0, "q": 3}},
@@ -121,7 +121,8 @@ def test_base_configs_run(trajectory_dir, command):
     assert _run(command, _base(command, trajectory_dir)) == (0, "")
 
 
-@settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
 def test_fuzzed_config_contract(trajectory_dir, data):
     command = data.draw(st.sampled_from(sorted(BASE)))

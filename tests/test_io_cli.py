@@ -365,6 +365,18 @@ class TestCLI:
         ("norm", {"grid": {"d": 2, "N": 16}, "field": TG,
                   "norm": {"kind": "besov", "p": 3, "s": 0.0, "q": float("-inf")}}),
         ("superpose", superpose_doc(p=float("inf"))),
+        ("norm", {"grid": {"d": 2, "N": 16}, "field": TG, "seed": "x",
+                  "norm": {"kind": "lebesgue", "p": 2}}),
+        ("norm", {"grid": {"d": 2, "N": 16}, "field": TG,
+                  "norm": {"kind": "lebesgue", "p": 2, "s": "x", "q": []}}),
+        ("perturb", {"grid": {"d": 2, "N": 16}, "w0": TG, "solver": SOLVER, "p": 4,
+                     "force_part1": 0}),
+        ("perturb", {"grid": {"d": 2, "N": 16}, "w0": TG, "solver": SOLVER, "p": 4,
+                     "force_part2": {}}),
+        ("perturb", {"grid": {"d": 2, "N": 16}, "w0": TG, "solver": SOLVER, "p": 4,
+                     "drift_trajectory": ""}),
+        ("norm", {"grid": {"d": 2, "N": 16}, "field": TG, "norm": {"kind": "lebesgue"}}),
+        ("norm", {"grid": {"d": 2, "N": 16}, "field": TG, "norm": {"kind": "besov", "p": 3}}),
     ], ids=["solver-dt-string", "grid-N-string", "taylor-green-3d", "record-norms",
             "norm-p-string", "norm-q-list", "lp-j_min-string", "remainder-decay-string",
             "scale-core-lambda-string", "ortho-n_values-string", "perturb-p-string",
@@ -379,7 +391,9 @@ class TestCLI:
             "trajectory-not-string",
             "file-not-string", "generator-type-list", "solver-T-infinity",
             "grid-L-infinity", "solver-dt-infinity", "solver-dt-overflow", "norm-p-nan",
-            "norm-q-minus-infinity", "superpose-p-infinity"])
+            "norm-q-minus-infinity", "superpose-p-infinity", "norm-seed-unused",
+            "lebesgue-s-string", "perturb-force-zero", "perturb-force-empty-object",
+            "perturb-drift-empty-string", "norm-p-missing", "besov-s-missing"])
     def test_invalid_document_json_error(self, workdir, command, doc):
         cfg = self._write(workdir / "c.json", doc)
         res = run_cli([command, "--config", cfg, "--out", str(workdir / "out")])
