@@ -21,7 +21,15 @@ from .grid import (
 def _rng(seed) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
+    if seed is not None and seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(seed)
+
+
+def _components(ncomp: int) -> int:
+    if ncomp < 1:
+        raise DomainError(f"a field needs at least one component, got ncomp={ncomp}")
+    return ncomp
 
 
 def taylor_green(grid: Grid, amplitude: float = 1.0) -> RealVectorField:
@@ -45,6 +53,7 @@ def taylor_green_pressure(grid: Grid, amplitude: float = 1.0, t: float = 0.0) ->
 
 def single_mode(grid: Grid, mode, ncomp: int = 1, phase: float = 0.0) -> RealVectorField:
     """cos(k.x + phase) replicated over ncomp components, k = 2*pi*mode/L."""
+    _components(ncomp)
     mesh = grid.coordinate_mesh()
     arg = phase * np.ones(grid.shape)
     for m, x in zip(mode, mesh):
@@ -56,6 +65,9 @@ def single_mode(grid: Grid, mode, ncomp: int = 1, phase: float = 0.0) -> RealVec
 def gaussian_bump(grid: Grid, sigma: float, center=None, ncomp: int = 1,
                   amplitude: float = 1.0) -> RealVectorField:
     """Isotropic Gaussian exp(-|x-c|^2 / (2 sigma^2)) per component."""
+    _components(ncomp)
+    if not sigma > 0:
+        raise DomainError(f"bump width sigma must be positive, got {sigma}")
     mesh = grid.coordinate_mesh()
     c = np.zeros(grid.d) if center is None else np.asarray(center, dtype=float)
     r2 = np.zeros(grid.shape)
@@ -76,6 +88,7 @@ def gabor_bump(grid: Grid, sigma: float, mode_center, center=None, ncomp: int = 
     envelope, so the far field decays to zero rather than to a mean-correction
     floor (which would defeat support detection).
     """
+    _components(ncomp)
     env = gaussian_bump(grid, sigma, center=center, ncomp=1, amplitude=amplitude)
     mesh = grid.coordinate_mesh()
     c = np.zeros(grid.d) if center is None else np.asarray(center, dtype=float)
@@ -90,8 +103,8 @@ def gabor_bump(grid: Grid, sigma: float, mode_center, center=None, ncomp: int = 
 def band_noise(grid: Grid, k_lo: float, k_hi: float, seed, ncomp: int | None = None,
                amplitude: float = 1.0, divergence_free: bool = False) -> RealVectorField:
     """Random field with spectrum supported on the shell k_lo <= |k| < k_hi."""
+    nc = grid.d if ncomp is None else _components(ncomp)
     rng = _rng(seed)
-    nc = ncomp or grid.d
     raw = rng.standard_normal((nc,) + grid.shape)
     coeff = forward_transform(raw, grid)
     kmag = np.sqrt(grid.k_squared)

@@ -7,10 +7,17 @@ modulus 1) and stores the half spectrum: m in FFT order on the leading axes,
 m = 0..N/2 on the last.  A full-spectrum sum counts each interior column of the
 last axis twice (`Grid.multiplicity`).  Odd-order derivatives zero the unpaired
 Nyquist mode |m| = N/2 on every axis.
+
+A `RetainedBox` is the index box |m| <= M of the half spectrum that holds
+every mode a truncation mask keeps, stored as a dense array of its own; it
+carries the Grid's spectral attributes restricted to the box, so spectral
+arithmetic (`_leray_coefficients`) reads either one, and gathers and scatters
+half spectra by slab copies.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -121,6 +128,11 @@ class Grid:
         """Level j -> read-only chi(|k|/2^j), filled by `lp.low_pass_symbol`."""
         return {}
 
+    @cached_property
+    def dealias_boxes(self) -> dict:
+        """Dealias fraction -> read-only RetainedBox, filled by `solver.dealias_box`."""
+        return {}
+
     @property
     def k_min(self) -> float:
         """Smallest nonzero wavenumber magnitude."""
@@ -138,6 +150,78 @@ class Grid:
 
     def compatible(self, other: "Grid") -> bool:
         return self.d == other.d and self.N == other.N and np.isclose(self.L, other.L)
+
+
+class RetainedBox:
+    """The index box |m| <= M on every axis of the half spectrum, M the
+    largest |m| of any mode a truncation mask keeps.
+
+    Box coefficients are stored densely with shape (2M+1,)*(d-1) + (M+1,):
+    the leading axes hold m = 0..M then -M..-1 (FFT order, the two contiguous
+    slabs 0..M and N-M..N-1 of the full axis), the last axis m = 0..M.  M < N/2,
+    so no Nyquist mode is in the box.  The box is a tensor product of per-axis
+    index sets, so its wavenumber meshes stay 1D broadcasts, and it carries
+    the attributes `_leray_coefficients` and the solver read from a Grid (d,
+    spectral_shape, deriv_wavenumber_mesh, inv_deriv_k_squared, k_squared,
+    multiplicity), each restricted to the box, plus `mask`, the truncation mask
+    inside the box.  Every array is read-only; scratch buffers belong to the
+    caller.
+    """
+
+    def __init__(self, grid: Grid, mask: np.ndarray):
+        d, N = grid.d, grid.N
+        M = 0
+        for axis in range(d):
+            # index i holds |m| = min(i, N - i), on the last axis too (i <= N/2)
+            hit = np.flatnonzero(mask.any(axis=tuple(a for a in range(d) if a != axis)))
+            M = max(M, int(np.minimum(hit, N - hit).max(initial=0)))
+        self.grid, self.d, self.extent = grid, d, M
+        self.spectral_shape = (2 * M + 1,) * (d - 1) + (M + 1,)
+        lead = [(slice(0, M + 1), slice(0, M + 1))]
+        if M > 0:
+            lead.append((slice(M + 1, 2 * M + 1), slice(N - M, N)))
+        last = [(slice(0, M + 1), slice(0, M + 1))]
+        # (box slices, half-spectrum slices) of each slab, one per choice of
+        # the 0..M or -M..-1 range on every leading axis
+        self._slabs = [tuple(zip(*combo))
+                       for combo in itertools.product(*([lead] * (d - 1) + [last]))]
+        index = [np.r_[0:M + 1, N - M:N]] * (d - 1) + [np.arange(M + 1)]
+        self.deriv_wavenumber_mesh = [np.take(ka, index[a], axis=a)
+                                      for a, ka in enumerate(grid.deriv_wavenumber_mesh)]
+        self.k_squared = self.gather(grid.k_squared)
+        self.inv_deriv_k_squared = self.gather(grid.inv_deriv_k_squared)
+        self.multiplicity = grid.multiplicity[: M + 1]
+        self.mask = self.gather(mask)
+        for arr in (*self.deriv_wavenumber_mesh, self.k_squared, self.inv_deriv_k_squared,
+                    self.multiplicity, self.mask):
+            arr.flags.writeable = False
+
+    def _empty(self, coeff: np.ndarray) -> np.ndarray:
+        return np.empty(coeff.shape[: coeff.ndim - self.d] + self.spectral_shape, coeff.dtype)
+
+    def gather(self, coeff: np.ndarray) -> np.ndarray:
+        """The box entries of half-spectrum coefficients (trailing d axes)."""
+        out = self._empty(coeff)
+        for box, half in self._slabs:
+            out[(..., *box)] = coeff[(..., *half)]
+        return out
+
+    def truncate(self, coeff: np.ndarray) -> np.ndarray:
+        """gather(coeff) * mask, formed slab by slab in one pass."""
+        out = self._empty(coeff)
+        for box, half in self._slabs:
+            np.multiply(coeff[(..., *half)], self.mask[box], out=out[(..., *box)])
+        return out
+
+    def scatter(self, coeff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Half-spectrum coefficients that hold coeff on the box.  Only the box
+        of out is written, so a reused out must be zero outside it."""
+        if out is None:
+            out = np.zeros(coeff.shape[: coeff.ndim - self.d] + self.grid.spectral_shape,
+                           coeff.dtype)
+        for box, half in self._slabs:
+            out[(..., *half)] = coeff[(..., *box)]
+        return out
 
 
 def _require_same_grid(*fields) -> Grid:

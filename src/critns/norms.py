@@ -35,6 +35,8 @@ INF = float("inf")
 
 def critical_exponent(p: float, d: int) -> float:
     """s_p = -1 + d/p, the regularity making the Besov norm scale-invariant."""
+    if not p > 0:
+        raise DomainError(f"critical exponent needs p > 0, got {p}")
     return -1.0 + d / p
 
 
@@ -331,6 +333,8 @@ def heat_besov_spacetime_norm(traj, r: float, p: float,
 
 def serrin_norm(traj, p_t: float, q_x: float, interval=None) -> float:
     """L^{p_t} in time of L^{q_x} in space; warns off the scaling-critical line."""
+    _check_exponent(p_t)
+    _check_exponent(q_x)
     d = traj.grid.d
     if p_t != INF and abs(2.0 / p_t + d / q_x - 1.0) > 1e-12:
         warnings.warn(

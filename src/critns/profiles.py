@@ -49,7 +49,7 @@ from .solver import (
     _div_flux_hat,
     _pair_product,
     _self_product,
-    dealias_mask,
+    dealias_box,
     evolve,
     q_bilinear,
     sample_trajectory,
@@ -296,9 +296,9 @@ def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float,
     u, g = _source(parts, w, dealias_fraction)
     del parts  # only u and w enter the Bony split; free the profile fields first
     tuw = low_high(grid, u.data[:, None], w.data[None])
-    flux = _div_flux_hat(lambda i, j: tuw[i, j] + tuw[j, i], grid,
-                         dealias_mask(grid, dealias_fraction))
-    part1 = RealVectorField(grid, -inverse_transform(_leray_coefficients(flux, grid), grid))
+    box = dealias_box(grid, dealias_fraction)
+    flux = _leray_coefficients(_div_flux_hat(lambda i, j: tuw[i, j] + tuw[j, i], grid, box), box)
+    part1 = RealVectorField(grid, -inverse_transform(box.scatter(flux), grid))
     return part1, g - part1
 
 
@@ -432,7 +432,7 @@ def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
     both).
     """
     grid = traj.grid
-    mask = dealias_mask(grid, dealias_fraction)
+    box = dealias_box(grid, dealias_fraction)
     if len(traj.snapshots) < 3:
         raise DomainError("residual check needs at least 3 snapshots")
     k2 = grid.k_squared
@@ -445,15 +445,14 @@ def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
         dudt = (traj.snapshots[i + 1].data - traj.snapshots[i - 1].data) / dt2
         u = traj.snapshots[i]
         uh = forward_transform(u.data, grid)
-        nl_hat = _leray_coefficients(_div_flux_hat(_self_product(u.data), grid, mask), grid)
-        resid_hat = forward_transform(dudt, grid) + nl_hat + k2 * uh
+        nl_hat = _leray_coefficients(_div_flux_hat(_self_product(u.data), grid, box), box)
+        resid_hat = forward_transform(dudt, grid) + box.scatter(nl_hat) + k2 * uh
         if forcing is not None:
             f, g = forcing(float(times[i]))
-            q_hat = _div_flux_hat(_pair_product(u.data, f.data), grid, mask)
-            resid_hat += _leray_coefficients(q_hat, grid)
-            gh = forward_transform(g.data, grid) * mask
-            _leray_coefficients(gh, grid)
-            resid_hat -= gh
+            q_hat = _div_flux_hat(_pair_product(u.data, f.data), grid, box)
+            resid_hat += box.scatter(_leray_coefficients(q_hat, box))
+            gh = box.truncate(forward_transform(g.data, grid))
+            resid_hat -= box.scatter(_leray_coefficients(gh, box))
             del f, g  # so the next forcing call does not hold two frames
         resid = RealVectorField(grid, inverse_transform(resid_hat, grid))
         res_l2.append(lebesgue_norm(resid, 2))

@@ -3,7 +3,12 @@
 Time stepping is integrating-factor Heun: the heat factor exp(dt*Laplacian) is
 applied exactly in spectral space and the projected convection term gets a
 second-order explicit treatment.  Quadratic products are formed in physical
-space and truncated by a sharp radial cutoff (2/3 rule by default).
+space and truncated by a sharp radial cutoff (2/3 rule by default).  Every
+coefficient the cutoff can leave nonzero has |m| < R = fraction * N/2 on each
+axis, so the step keeps its spectral state on the retained box |m| <= ceil(R)-1
+(`dealias_box`, 30% of the half spectrum at 2/3) and scatters it into a
+zero-padded half spectrum only for the inverse transforms.  The truncated
+coefficients outside the box are exactly zero, so this changes no snapshot bit.
 
 A run aborts with status "ResolutionLimit" when the sup-norm or the
 top-octave spectral energy fraction crosses its configured threshold; that
@@ -27,6 +32,7 @@ from .errors import (
 from .grid import (
     Grid,
     RealVectorField,
+    RetainedBox,
     forward_transform,
     heat_semigroup,
     inverse_transform,
@@ -69,6 +75,8 @@ class SolverConfig:
             raise DomainError("sup-norm abort level must be positive")
         if self.snapshot_stride < 1:
             raise DomainError("snapshot stride must be >= 1")
+        if self.tail_octave_shift < 0:
+            raise DomainError("tail octave shift must be >= 0")
 
     def echo(self) -> dict:
         return {
@@ -183,25 +191,52 @@ class PerturbationProblem:
 
 def dealias_mask(grid: Grid, fraction: float) -> np.ndarray:
     """Sharp radial truncation at fraction * Nyquist (index units)."""
+    return _inside_radius(grid.k_squared, grid, fraction)
+
+
+def _inside_radius(k_squared: np.ndarray, grid: Grid, fraction: float) -> np.ndarray:
+    """|m| < fraction * N/2 in index units, on a Grid's or a box's k_squared."""
     radius = fraction * grid.N / 2.0
-    m2 = grid.k_squared * (grid.L / (2.0 * np.pi)) ** 2
+    m2 = k_squared * (grid.L / (2.0 * np.pi)) ** 2
     return m2 < radius**2
 
 
-def _tail_octave_mask(grid: Grid, fraction: float, octave_shift: int = 0) -> np.ndarray:
-    """Octave [K/2, K) with K the dealias radius; a shift of s monitors the
-    octave s steps lower (used for parabolically matched rescaled runs)."""
-    top = fraction / 2.0**octave_shift
-    return dealias_mask(grid, top) & ~dealias_mask(grid, top / 2.0)
+def dealias_box(grid: Grid, fraction: float) -> RetainedBox:
+    """The retained box of the dealias sphere: every mode of dealias_mask lies
+    in it, and the sphere inside it is the box's mask.  Built once per (grid,
+    fraction) and kept read-only on the grid."""
+    box = grid.dealias_boxes.get(fraction)
+    if box is None:
+        box = grid.dealias_boxes[fraction] = RetainedBox(grid, dealias_mask(grid, fraction))
+    return box
+
+
+def _tail_octave_mask(box: RetainedBox, fraction: float, octave_shift: int = 0) -> np.ndarray:
+    """Octave [K/2, K) on the box, K = fraction * Nyquist / 2^octave_shift; a
+    shift of s monitors the octave s steps below the dealias radius (used for
+    parabolically matched rescaled runs).  Raises DomainError when the octave
+    holds no mode of the grid."""
+    top = math.ldexp(fraction, -octave_shift)  # fraction / 2^s, and 0.0 for a huge s
+    k2, grid = box.k_squared, box.grid
+    tail = _inside_radius(k2, grid, top) & ~_inside_radius(k2, grid, top / 2.0)
+    if not tail.any():
+        raise DomainError(f"tail octave shift {octave_shift} leaves no mode of the "
+                          f"{grid.N}-point grid in the monitored octave")
+    return tail
+
+
+def _half_spectrum(coeff: np.ndarray, box: RetainedBox | None) -> np.ndarray:
+    """Coefficients laid out by _div_flux_hat on box, as a half spectrum."""
+    return coeff if box is None else box.scatter(coeff)
 
 
 def convective_divergence(u: RealVectorField, dealias_fraction: float | None = None) -> RealVectorField:
     """div(u (x) u): products in physical space, derivatives in spectral space."""
     u.require_finite()
     grid = u.grid
-    mask = None if dealias_fraction is None else dealias_mask(grid, dealias_fraction)
-    acc = _div_flux_hat(_self_product(u.data), grid, mask)
-    return RealVectorField(grid, inverse_transform(acc, grid))
+    box = None if dealias_fraction is None else dealias_box(grid, dealias_fraction)
+    acc = _div_flux_hat(_self_product(u.data), grid, box)
+    return RealVectorField(grid, inverse_transform(_half_spectrum(acc, box), grid))
 
 
 def _self_product(u: np.ndarray):
@@ -214,33 +249,41 @@ def _pair_product(a: np.ndarray, b: np.ndarray):
     return lambda i, j: a[i] * b[j] + b[i] * a[j]
 
 
-def _div_flux_hat(entry, grid: Grid, mask, symmetric: bool = True) -> np.ndarray:
-    """Spectral coefficients of (div S)_i = sum_j d_j S_ij, dealiased by mask.
+def _div_flux_hat(entry, grid: Grid, box: RetainedBox | None,
+                  symmetric: bool = True) -> np.ndarray:
+    """Spectral coefficients of (div S)_i = sum_j d_j S_ij, dealiased by box.
 
-    entry(i, j) returns the physical samples of S_ij.  A symmetric tensor is
+    entry(i, j) returns the physical samples of S_ij.  With a box, each
+    transform is truncated to the box's mask and the result is laid out on the
+    box; with None it is the untruncated half spectrum.  A symmetric tensor is
     read from its upper triangle only (d(d+1)/2 transforms instead of d^2).
     """
     d = grid.d
-    kmesh = grid.deriv_wavenumber_mesh
-    acc = np.zeros((d,) + grid.spectral_shape, dtype=np.complex128)
+    layout = grid if box is None else box
+    kmesh = layout.deriv_wavenumber_mesh
+    acc = np.zeros((d,) + layout.spectral_shape, dtype=np.complex128)
     for i in range(d):
         for j in range(i if symmetric else 0, d):
             tij = forward_transform(entry(i, j), grid)
-            if mask is not None:
-                tij *= mask
+            if box is not None:
+                tij = box.truncate(tij)
             acc[i] += 1j * kmesh[j] * tij
             if symmetric and j != i:
                 acc[j] += 1j * kmesh[i] * tij
     return acc
 
 
+def _projected_flux(entry, grid: Grid, fraction: float) -> RealVectorField:
+    """P div S, dealiased at fraction."""
+    box = dealias_box(grid, fraction)
+    acc = _leray_coefficients(_div_flux_hat(entry, grid, box), box)
+    return RealVectorField(grid, inverse_transform(box.scatter(acc), grid))
+
+
 def nonlinear_term(u: RealVectorField, dealias_fraction: float = 2.0 / 3.0) -> RealVectorField:
     """P div(u (x) u), the projected convection term."""
     u.require_finite()
-    grid = u.grid
-    acc = _div_flux_hat(_self_product(u.data), grid, dealias_mask(grid, dealias_fraction))
-    _leray_coefficients(acc, grid)
-    return RealVectorField(grid, inverse_transform(acc, grid))
+    return _projected_flux(_self_product(u.data), u.grid, dealias_fraction)
 
 
 def q_bilinear(a: RealVectorField, b: RealVectorField,
@@ -248,64 +291,69 @@ def q_bilinear(a: RealVectorField, b: RealVectorField,
     """Q(a, b) = P(a.grad b + b.grad a); symmetric, and Q(u, u) = 2 P div(u (x) u)."""
     a.require_finite()
     b.require_finite()
-    grid = a.grid
-    acc = _div_flux_hat(_pair_product(a.data, b.data), grid, dealias_mask(grid, dealias_fraction))
-    _leray_coefficients(acc, grid)
-    return RealVectorField(grid, inverse_transform(acc, grid))
+    return _projected_flux(_pair_product(a.data, b.data), a.grid, dealias_fraction)
 
 
 def recover_pressure(u: RealVectorField, dealias_fraction: float | None = None) -> RealVectorField:
     """pi = -inv(Laplacian) div div (u (x) u), zero-mean, as a one-component field."""
     u.require_finite()
     grid = u.grid
-    mask = None if dealias_fraction is None else dealias_mask(grid, dealias_fraction)
-    div_hat = _div_flux_hat(_self_product(u.data), grid, mask)
-    divdiv = sum(1j * ka * div_hat[a] for a, ka in enumerate(grid.deriv_wavenumber_mesh))
-    pi_hat = divdiv * grid.inv_deriv_k_squared
-    return RealVectorField(grid, inverse_transform(pi_hat[None, ...], grid))
+    box = None if dealias_fraction is None else dealias_box(grid, dealias_fraction)
+    layout = grid if box is None else box
+    div_hat = _div_flux_hat(_self_product(u.data), grid, box)
+    divdiv = sum(1j * ka * div_hat[a] for a, ka in enumerate(layout.deriv_wavenumber_mesh))
+    pi_hat = divdiv * layout.inv_deriv_k_squared
+    return RealVectorField(grid, inverse_transform(_half_spectrum(pi_hat[None, ...], box), grid))
 
 
 def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
                source, status_on_trip: str = RESOLUTION_LIMIT) -> Trajectory:
+    """Integrating-factor Heun steps on the retained box of the dealias sphere.
+
+    The spectral state (uh, the two stage right-hand sides, the predictor,
+    the heat factor and the tail-octave mask) lives on the box; the inverse
+    transforms read a run-owned half spectrum that stays zero outside it.
+    """
     grid = u0.grid
     u0.require_finite()
-    mask = dealias_mask(grid, cfg.dealias_fraction)
-    tail_mask = _tail_octave_mask(grid, cfg.dealias_fraction, cfg.tail_octave_shift)
-    k2 = grid.k_squared
-    heat = np.exp(-cfg.dt * k2)
+    box = dealias_box(grid, cfg.dealias_fraction)
+    tail_mask = _tail_octave_mask(box, cfg.dealias_fraction, cfg.tail_octave_shift)
+    heat = np.exp(-cfg.dt * box.k_squared)
+    half = np.zeros((grid.d,) + grid.spectral_shape, dtype=np.complex128)
 
-    uh = forward_transform(u0.data, grid) * mask
-    _leray_coefficients(uh, grid)
+    uh = box.truncate(forward_transform(u0.data, grid))
+    _leray_coefficients(uh, box)
+    pred = np.empty_like(uh)
 
     n_steps = max(1, round(cfg.T / cfg.dt))
     times, snaps = [], []
     rec_t, rec_l2, rec_linf, rec_tail = [], [], [], []
     status = COMPLETED
 
-    def rhs_hat(state_hat: np.ndarray, phys: np.ndarray, t: float) -> np.ndarray:
-        acc = np.zeros_like(state_hat)
+    def rhs_hat(phys: np.ndarray, t: float) -> np.ndarray:
+        acc = np.zeros_like(uh)
         if not cfg.linear_only:
-            acc -= _div_flux_hat(_self_product(phys), grid, mask)
+            acc -= _div_flux_hat(_self_product(phys), grid, box)
         if drift is not None:
-            acc -= _div_flux_hat(_pair_product(phys, drift.at(t).data), grid, mask)
+            acc -= _div_flux_hat(_pair_product(phys, drift.at(t).data), grid, box)
         if source is not None:
             g = source(t)
             if g is not None:
-                acc += forward_transform(g.data, grid) * mask
-        _leray_coefficients(acc, grid)
+                acc += box.truncate(forward_transform(g.data, grid))
+        _leray_coefficients(acc, box)
         return acc
 
     step_of_last_snap = -1
     for step in range(n_steps + 1):
         t = step * cfg.dt
-        phys = inverse_transform(uh, grid)
-        if not np.all(np.isfinite(phys)):
+        phys = inverse_transform(box.scatter(uh, half), grid)
+        linf = float(max(phys.max(), -phys.min()))
+        if not math.isfinite(linf):
             status = NON_FINITE
             break
-        linf = float(np.max(np.abs(phys)))
-        power = grid.multiplicity * np.abs(uh) ** 2
+        power = box.multiplicity * (uh.real**2 + uh.imag**2)
         energy = float(np.sum(power))
-        tail = float(np.sum(power[:, tail_mask]) / energy) if energy > 0 else 0.0
+        tail = float(np.sum(power, where=tail_mask) / energy) if energy > 0 else 0.0
         rec_t.append(t)
         rec_l2.append(float(np.sqrt(grid.L**grid.d * energy)))
         rec_linf.append(linf)
@@ -323,11 +371,19 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
             break
         if step == n_steps:
             break
-        n1 = rhs_hat(uh, phys, t)
-        pred = heat * (uh + cfg.dt * n1)
-        pred_phys = inverse_transform(pred, grid)
-        n2 = rhs_hat(pred, pred_phys, t + cfg.dt)
-        uh = heat * uh + 0.5 * cfg.dt * (heat * n1 + n2)
+        # pred = heat * (uh + dt * n1), then
+        # uh = heat * uh + (dt / 2) * (heat * n1 + n2), in place with the
+        # operands in that order
+        n1 = rhs_hat(phys, t)
+        np.multiply(cfg.dt, n1, out=pred)
+        np.add(uh, pred, out=pred)
+        np.multiply(heat, pred, out=pred)
+        n2 = rhs_hat(inverse_transform(box.scatter(pred, half), grid), t + cfg.dt)
+        np.multiply(heat, n1, out=n1)
+        np.add(n1, n2, out=n1)
+        np.multiply(0.5 * cfg.dt, n1, out=n1)
+        np.multiply(heat, uh, out=uh)
+        np.add(uh, n1, out=uh)
 
     records = {
         "t": np.asarray(rec_t),
@@ -352,9 +408,9 @@ def condition_datum(f: RealVectorField, dealias_fraction: float = 2.0 / 3.0) -> 
     solver's own conditioning is a no-op and decompositions close at roundoff.
     """
     grid = f.grid
-    coeff = forward_transform(f.data, grid) * dealias_mask(grid, dealias_fraction)
-    _leray_coefficients(coeff, grid)
-    return RealVectorField(grid, inverse_transform(coeff, grid))
+    box = dealias_box(grid, dealias_fraction)
+    coeff = _leray_coefficients(box.truncate(forward_transform(f.data, grid)), box)
+    return RealVectorField(grid, inverse_transform(box.scatter(coeff), grid))
 
 
 def evolve(u0: RealVectorField, cfg: SolverConfig) -> Trajectory:
@@ -406,16 +462,17 @@ def bilinear_duhamel(f_traj: Trajectory, g_traj: Trajectory, t: float,
     if abs(taus[-1] - t) > 1e-12:
         taus.append(t)
     taus = np.asarray(taus)
-    mask = None if dealias_fraction is None else dealias_mask(grid, dealias_fraction)
-    k2 = grid.k_squared
-    acc = np.zeros((grid.d,) + grid.spectral_shape, dtype=np.complex128)
+    box = None if dealias_fraction is None else dealias_box(grid, dealias_fraction)
+    layout = grid if box is None else box
+    k2 = layout.k_squared
+    acc = np.zeros((grid.d,) + layout.spectral_shape, dtype=np.complex128)
     for tau, weight in zip(taus, _trapezoid_weights(taus)):
         fa = f_traj.at(tau).data
         gb = g_traj.at(tau).data
-        s = _div_flux_hat(lambda i, j: fa[i] * gb[j], grid, mask, symmetric=False)
-        _leray_coefficients(s, grid)
+        s = _div_flux_hat(lambda i, j: fa[i] * gb[j], grid, box, symmetric=False)
+        _leray_coefficients(s, layout)
         acc += weight * np.exp(-(t - tau) * k2) * s
-    return RealVectorField(grid, inverse_transform(acc, grid))
+    return RealVectorField(grid, inverse_transform(_half_spectrum(acc, box), grid))
 
 
 @dataclass

@@ -94,6 +94,7 @@ def run_cli(args):
 TG = {"generator": {"type": "taylor_green"}}
 SEQ3 = [{"lambda": 1, "x0": [0, 0]}] * 3
 SOLVER = {"dt": 0.01, "T": 0.02}
+HEAT_FLOW = "<a stored heat-flow trajectory>"  # written by the test that reads it
 
 
 def superpose_doc(**changes):
@@ -377,6 +378,28 @@ class TestCLI:
                      "drift_trajectory": ""}),
         ("norm", {"grid": {"d": 2, "N": 16}, "field": TG, "norm": {"kind": "lebesgue"}}),
         ("norm", {"grid": {"d": 2, "N": 16}, "field": TG, "norm": {"kind": "besov", "p": 3}}),
+        ("evolve", {"grid": {"d": 2, "N": 16}, "u0": TG,
+                    "solver": dict(SOLVER, tail_octave_shift=2000)}),
+        ("evolve", {"grid": {"d": 2, "N": 16}, "u0": TG,
+                    "solver": dict(SOLVER, tail_octave_shift=-1)}),
+        ("norm", {"grid": {"d": 2, "N": 16},
+                  "field": {"generator": {"type": "gaussian", "sigma": 0.5, "ncomp": 0}},
+                  "norm": {"kind": "lebesgue", "p": 2}}),
+        ("norm", {"grid": {"d": 2, "N": 16},
+                  "field": {"generator": {"type": "gaussian", "sigma": 0}},
+                  "norm": {"kind": "lebesgue", "p": 2}}),
+        ("norm", {"grid": {"d": 2, "N": 16},
+                  "field": {"generator": {"type": "band_noise", "k_lo": 1, "k_hi": 3,
+                                          "seed": -1}},
+                  "norm": {"kind": "lebesgue", "p": 2}}),
+        ("norm", {"grid": {"d": 2, "N": 16},
+                  "field": {"generator": {"type": "band_noise", "k_lo": 1, "k_hi": 3,
+                                          "seed": 5, "ncomp": -2}},
+                  "norm": {"kind": "lebesgue", "p": 2}}),
+        ("superpose", superpose_doc(remainder={"seed": -4})),
+        ("perturb", {"grid": {"d": 2, "N": 16}, "w0": TG, "solver": SOLVER, "p": 0}),
+        ("superpose", superpose_doc(p=0)),
+        ("serrin", {"trajectory": HEAT_FLOW, "p_t": 4, "q_x": 0}),
     ], ids=["solver-dt-string", "grid-N-string", "taylor-green-3d", "record-norms",
             "norm-p-string", "norm-q-list", "lp-j_min-string", "remainder-decay-string",
             "scale-core-lambda-string", "ortho-n_values-string", "perturb-p-string",
@@ -393,8 +416,17 @@ class TestCLI:
             "grid-L-infinity", "solver-dt-infinity", "solver-dt-overflow", "norm-p-nan",
             "norm-q-minus-infinity", "superpose-p-infinity", "norm-seed-unused",
             "lebesgue-s-string", "perturb-force-zero", "perturb-force-empty-object",
-            "perturb-drift-empty-string", "norm-p-missing", "besov-s-missing"])
+            "perturb-drift-empty-string", "norm-p-missing", "besov-s-missing",
+            "solver-tail-shift-huge", "solver-tail-shift-negative", "gaussian-ncomp-zero",
+            "gaussian-sigma-zero", "band-noise-seed-negative", "band-noise-ncomp-negative",
+            "remainder-seed-negative", "perturb-p-zero", "superpose-p-zero",
+            "serrin-qx-zero"])
     def test_invalid_document_json_error(self, workdir, command, doc):
+        if doc.get("trajectory") == HEAT_FLOW:
+            traj_dir = workdir / "traj"
+            save_trajectory(traj_dir, make_heat_trajectory(taylor_green(Grid(2, 16)),
+                                                           [0.0, 0.01]))
+            doc = dict(doc, trajectory=str(traj_dir))
         cfg = self._write(workdir / "c.json", doc)
         res = run_cli([command, "--config", cfg, "--out", str(workdir / "out")])
         assert res.returncode == 1

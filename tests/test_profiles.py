@@ -313,7 +313,7 @@ class TestDriftAndSource:
         from critns.grid import _leray_coefficients, inverse_transform
         from critns.lp import paraproduct
         from critns.profiles import _frame_components
-        from critns.solver import _div_flux_hat, dealias_mask, q_bilinear
+        from critns.solver import _div_flux_hat, dealias_box, q_bilinear
 
         sys_ = _two_profile_system(grid3m)
         cfg = SolverConfig(dt=4e-3, T=0.04, snapshot_stride=2)
@@ -327,11 +327,11 @@ class TestDriftAndSource:
             for j in range(3):
                 t_ij, t_ji, pi_ij = paraproduct(grid3m, u.data[i], w.data[j])
                 para[i, j], zeta[i, j] = t_ij, t_ji + pi_ij
-        mask = dealias_mask(grid3m, 2.0 / 3.0)
+        box = dealias_box(grid3m, 2.0 / 3.0)
 
         def minus_p_div_sym(tensor):
-            flux = _div_flux_hat(lambda i, j: tensor[i, j] + tensor[j, i], grid3m, mask)
-            return -inverse_transform(_leray_coefficients(flux, grid3m), grid3m)
+            flux = _div_flux_hat(lambda i, j: tensor[i, j] + tensor[j, i], grid3m, box)
+            return -inverse_transform(box.scatter(_leray_coefficients(flux, box)), grid3m)
 
         assert np.array_equal(p1.data, minus_p_div_sym(para))
         expected2 = (minus_p_div_sym(zeta) - 0.5 * q_bilinear(w, w).data

@@ -1,5 +1,7 @@
 """Mild NS evolution, bilinear operators, pressure, perturbed system."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,9 @@ from critns.fields import (
 )
 from critns.grid import (
     RealVectorField,
+    forward_transform,
     gradient,
+    inverse_transform,
     heat_semigroup,
     laplacian,
     leray_project,
@@ -30,6 +34,7 @@ from critns.solver import (
     _pair_product,
     bilinear_duhamel,
     convective_divergence,
+    dealias_box,
     dealias_mask,
     evolve,
     evolve_perturbed,
@@ -94,10 +99,10 @@ class TestQBilinear:
         # upper-triangle path on the symmetric f (x) g + g (x) f
         f = random_divfree_field(grid3, seed=4, k_hi=3.0).data
         g = random_divfree_field(grid3, seed=5, k_hi=3.0).data
-        mask = dealias_mask(grid3, 2.0 / 3.0)
-        general = (_div_flux_hat(lambda i, j: f[i] * g[j], grid3, mask, symmetric=False)
-                   + _div_flux_hat(lambda i, j: g[i] * f[j], grid3, mask, symmetric=False))
-        pair = _div_flux_hat(_pair_product(f, g), grid3, mask)
+        box = dealias_box(grid3, 2.0 / 3.0)
+        general = (_div_flux_hat(lambda i, j: f[i] * g[j], grid3, box, symmetric=False)
+                   + _div_flux_hat(lambda i, j: g[i] * f[j], grid3, box, symmetric=False))
+        pair = _div_flux_hat(_pair_product(f, g), grid3, box)
         assert rel_err(general, pair) < 1e-13
 
 
@@ -180,6 +185,155 @@ class TestEvolve:
             SolverConfig(dt=-1.0, T=1.0)
         with pytest.raises(DomainError):
             SolverConfig(dt=0.1, T=1.0, dealias_fraction=1.5)
+
+
+def _reference_heun(u0, cfg, drift=None, source=None):
+    """Integrating-factor Heun on the full half spectrum with full masks: the
+    step the box step must reproduce bit for bit.  Returns the physical
+    samples of every step and the l2, linf and tail-fraction records."""
+    grid, d = u0.grid, u0.grid.d
+    kmesh = grid.deriv_wavenumber_mesh
+    mask = dealias_mask(grid, cfg.dealias_fraction)
+    top = cfg.dealias_fraction / 2.0**cfg.tail_octave_shift
+    tail_mask = dealias_mask(grid, top) & ~dealias_mask(grid, top / 2.0)
+    heat = np.exp(-cfg.dt * grid.k_squared)
+
+    def leray(coeff):
+        kdotu = sum(ka * coeff[c] for c, ka in enumerate(kmesh))
+        kdotu *= grid.inv_deriv_k_squared
+        for c, ka in enumerate(kmesh):
+            coeff[c] -= ka * kdotu
+        return coeff
+
+    def flux(entry):
+        acc = np.zeros((d,) + grid.spectral_shape, dtype=np.complex128)
+        for i in range(d):
+            for j in range(i, d):
+                tij = forward_transform(entry(i, j), grid)
+                tij *= mask
+                acc[i] += 1j * kmesh[j] * tij
+                if j != i:
+                    acc[j] += 1j * kmesh[i] * tij
+        return acc
+
+    def rhs(uh, phys, t):
+        acc = np.zeros_like(uh)
+        if not cfg.linear_only:
+            acc -= flux(lambda i, j: phys[i] * phys[j])
+        if drift is not None:
+            f = drift.at(t).data
+            acc -= flux(lambda i, j: phys[i] * f[j] + f[i] * phys[j])
+        if source is not None:
+            acc += forward_transform(source(t).data, grid) * mask
+        return leray(acc)
+
+    uh = leray(forward_transform(u0.data, grid) * mask)
+    snaps, l2, linf, tail = [], [], [], []
+    n_steps = max(1, round(cfg.T / cfg.dt))
+    for step in range(n_steps + 1):
+        phys = inverse_transform(uh, grid)
+        power = grid.multiplicity * np.abs(uh) ** 2
+        energy = np.sum(power)
+        snaps.append(phys)
+        l2.append(np.sqrt(grid.L**d * energy))
+        linf.append(np.max(np.abs(phys)))
+        tail.append(np.sum(power[:, tail_mask]) / energy)
+        if step == n_steps:
+            break
+        t = step * cfg.dt
+        n1 = rhs(uh, phys, t)
+        pred = heat * (uh + cfg.dt * n1)
+        n2 = rhs(pred, inverse_transform(pred, grid), t + cfg.dt)
+        uh = heat * uh + 0.5 * cfg.dt * (heat * n1 + n2)
+    return snaps, {"l2": l2, "linf": linf, "tail_fraction": tail}
+
+
+def _assert_matches_reference(traj, snaps, records):
+    assert traj.status == COMPLETED and len(traj.snapshots) == len(snaps)
+    for got, want in zip(traj.snapshots, snaps):
+        assert got.data.tobytes() == want.tobytes()
+    assert np.array_equal(traj.records["linf"], records["linf"])
+    for key in ("l2", "tail_fraction"):
+        assert np.allclose(traj.records[key], records[key], rtol=1e-14, atol=0.0)
+
+
+class TestBoxStep:
+    @pytest.mark.parametrize("d, N, fraction, linear_only, shift", [
+        (2, 32, 2.0 / 3.0, False, 0),
+        (2, 32, 1.0, False, 0),
+        (3, 16, 2.0 / 3.0, False, 0),
+        (3, 16, 1.0, False, 0),
+        (3, 24, 2.0 / 3.0, False, 0),
+        (2, 24, 2.0 / 3.0, False, 1),
+        (3, 16, 2.0 / 3.0, True, 0),
+    ], ids=["2d-32-two-thirds", "2d-32-full", "3d-16-two-thirds", "3d-16-full",
+            "3d-24-two-thirds", "2d-24-two-thirds-shift", "3d-16-linear"])
+    def test_evolve_matches_full_spectrum_reference(self, d, N, fraction, linear_only, shift):
+        # N = 24 at 2/3 puts the dealias radius R = 8 on a lattice point, so the
+        # strict |m| < R decides the box's edge
+        grid = Grid(d, N)
+        u0 = random_divfree_field(grid, seed=30 + N, k_hi=N / 4.0, amplitude=0.8)
+        cfg = SolverConfig(dt=5e-3, T=0.04, dealias_fraction=fraction,
+                           linear_only=linear_only, tail_octave_shift=shift)
+        _assert_matches_reference(evolve(u0, cfg), *_reference_heun(u0, cfg))
+
+    def test_perturbed_matches_full_spectrum_reference(self, grid3):
+        w0 = random_divfree_field(grid3, seed=31, k_hi=4.0, amplitude=0.5)
+        drift = make_heat_trajectory(random_divfree_field(grid3, seed=32, k_hi=3.0),
+                                     np.linspace(0.0, 0.05, 6))
+        g = random_divfree_field(grid3, seed=33, k_hi=5.0, amplitude=0.2)
+
+        def source(t):
+            return g * np.cos(3.0 * t)
+
+        cfg = SolverConfig(dt=5e-3, T=0.04)
+        prob = PerturbationProblem(w0=w0, drift=drift, force_parts=(source, None))
+        _assert_matches_reference(evolve_perturbed(prob, cfg),
+                                  *_reference_heun(w0, cfg, drift, source))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("N", [8, 12, 16, 18, 24, 32, 48])
+    @pytest.mark.parametrize("fraction", [0.1, 0.25, 0.5, 2.0 / 3.0, 0.7, 1.0])
+    def test_box_holds_the_dealias_sphere(self, d, N, fraction):
+        for L in (2.0 * np.pi, 1.0, 3.7):
+            grid = Grid(d, N, L)
+            box = dealias_box(grid, fraction)
+            mask = dealias_mask(grid, fraction)
+            # the box's mask, scattered back, is the whole sphere
+            assert np.array_equal(box.scatter(box.mask), mask)
+            assert np.array_equal(box.gather(mask), box.mask)
+            assert box.extent == math.ceil(fraction * N / 2.0) - 1
+            assert box.extent < N // 2
+            assert dealias_box(grid, fraction) is box
+
+    def test_box_gather_scatter_roundtrip(self, grid3):
+        box = dealias_box(grid3, 2.0 / 3.0)
+        coeff = forward_transform(random_divfree_field(grid3, seed=34).data, grid3)
+        kept = box.scatter(box.gather(coeff))
+        inside = box.scatter(np.ones((3,) + box.spectral_shape, dtype=bool))
+        assert np.array_equal(kept[inside], coeff[inside])
+        assert not kept[~inside].any()
+        assert np.array_equal(box.truncate(coeff), box.gather(coeff) * box.mask)
+
+
+class TestTailOctave:
+    def test_negative_shift_rejected(self):
+        with pytest.raises(DomainError):
+            SolverConfig(dt=0.01, T=0.1, tail_octave_shift=-1)
+
+    @pytest.mark.parametrize("shift", [3, 2000])
+    def test_empty_octave_rejected(self, shift):
+        # at N = 16 the dealias radius is 16/3, so a shift of 3 leaves the
+        # octave [1/3, 2/3) with no lattice point; 2000 would overflow 2^shift
+        grid = Grid(2, 16)
+        with pytest.raises(DomainError):
+            evolve(taylor_green(grid), SolverConfig(dt=0.01, T=0.02, tail_octave_shift=shift))
+
+    def test_deepest_populated_octave_accepted(self):
+        # a shift of 2 monitors [4/3, 8/3), which holds |m| = 2
+        grid = Grid(2, 16)
+        traj = evolve(taylor_green(grid), SolverConfig(dt=0.01, T=0.02, tail_octave_shift=2))
+        assert traj.status == COMPLETED
 
 
 class TestTrajectory:
