@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError
-from .fields import gaussian_bump
+from .fields import _rng, gaussian_bump
 from .grid import Grid, RealVectorField
 from .norms import BesovIndex, band_table, besov_from_profile, besov_norm, lebesgue_norm
 from .profiles import pairing_table
@@ -259,7 +259,7 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
 
 def make_test_battery(grid: Grid, count: int = 8, seed: int = 7) -> list:
     """Battery of smooth localized vector test functions for weak-convergence probes."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     tests = []
     for i in range(count):
         sigma = grid.L * (0.04 + 0.05 * rng.random())

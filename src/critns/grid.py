@@ -8,6 +8,12 @@ m = 0..N/2 on the last.  A full-spectrum sum counts each interior column of the
 last axis twice (`Grid.multiplicity`).  Odd-order derivatives zero the unpaired
 Nyquist mode |m| = N/2 on every axis.
 
+`inverse_transform` takes an optional extent M: when every coefficient with
+|m| > M on some axis is zero, it runs irfftn's 1-D stages in place in the
+donated coefficients, each complex stage only over the lines the box |m| <= M
+reaches, bitwise equal to irfftn.  `support_extent` finds the smallest such M
+of a mask or a multiplier.
+
 A `RetainedBox` is the index box |m| <= M of the half spectrum that holds
 every mode a truncation mask keeps, stored as a dense array of its own; it
 carries the Grid's spectral attributes restricted to the box, so spectral
@@ -125,7 +131,8 @@ class Grid:
 
     @cached_property
     def low_pass_symbols(self) -> dict:
-        """Level j -> read-only chi(|k|/2^j), filled by `lp.low_pass_symbol`."""
+        """Level j -> (read-only chi(|k|/2^j), its support extent), filled by
+        `lp.low_pass_symbol`."""
         return {}
 
     @cached_property
@@ -152,6 +159,19 @@ class Grid:
         return self.d == other.d and self.N == other.N and np.isclose(self.L, other.L)
 
 
+def support_extent(grid: Grid, symbol: np.ndarray) -> int:
+    """The smallest M such that every nonzero entry of a half-spectrum array
+    (a mask or a multiplier, d axes) has |m| <= M on every axis."""
+    d, N = grid.d, grid.N
+    nonzero = symbol != 0
+    M = 0
+    for axis in range(d):
+        # index i holds |m| = min(i, N - i), on the last axis too (i <= N/2)
+        hit = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(d) if a != axis)))
+        M = max(M, int(np.minimum(hit, N - hit).max(initial=0)))
+    return M
+
+
 class RetainedBox:
     """The index box |m| <= M on every axis of the half spectrum, M the
     largest |m| of any mode a truncation mask keeps.
@@ -170,11 +190,7 @@ class RetainedBox:
 
     def __init__(self, grid: Grid, mask: np.ndarray):
         d, N = grid.d, grid.N
-        M = 0
-        for axis in range(d):
-            # index i holds |m| = min(i, N - i), on the last axis too (i <= N/2)
-            hit = np.flatnonzero(mask.any(axis=tuple(a for a in range(d) if a != axis)))
-            M = max(M, int(np.minimum(hit, N - hit).max(initial=0)))
+        M = support_extent(grid, mask)
         self.grid, self.d, self.extent = grid, d, M
         self.spectral_shape = (2 * M + 1,) * (d - 1) + (M + 1,)
         lead = [(slice(0, M + 1), slice(0, M + 1))]
@@ -213,12 +229,11 @@ class RetainedBox:
             np.multiply(coeff[(..., *half)], self.mask[box], out=out[(..., *box)])
         return out
 
-    def scatter(self, coeff: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Half-spectrum coefficients that hold coeff on the box.  Only the box
-        of out is written, so a reused out must be zero outside it."""
-        if out is None:
-            out = np.zeros(coeff.shape[: coeff.ndim - self.d] + self.grid.spectral_shape,
-                           coeff.dtype)
+    def scatter(self, coeff: np.ndarray) -> np.ndarray:
+        """Half-spectrum coefficients that hold coeff on the box and zero
+        outside it, so inverse_transform(..., extent=self.extent) applies."""
+        out = np.zeros(coeff.shape[: coeff.ndim - self.d] + self.grid.spectral_shape,
+                       coeff.dtype)
         for box, half in self._slabs:
             out[(..., *half)] = coeff[(..., *box)]
         return out
@@ -289,10 +304,34 @@ def forward_transform(data: np.ndarray, grid: Grid) -> np.ndarray:
     return scipy.fft.rfftn(data, axes=axes, norm="forward")
 
 
-def inverse_transform(coeff: np.ndarray, grid: Grid) -> np.ndarray:
-    """Inverse of forward_transform: real samples of shape grid.shape."""
+def inverse_transform(coeff: np.ndarray, grid: Grid, extent: int | None = None) -> np.ndarray:
+    """Inverse of forward_transform: real samples of shape grid.shape.
+
+    With an extent M the caller promises that every coefficient with |m| > M
+    on some axis is zero, and donates coeff: the transform runs in place in it
+    as irfftn's stages (a complex ifft along each leading axis in turn, then an
+    irfft along the last), each complex stage only over the lines the box
+    |m| <= M reaches.  The 1-D transforms are irfftn's, so the samples are the
+    same bit for bit; coeff is left holding the partial transform.
+    """
     axes = tuple(range(coeff.ndim - grid.d, coeff.ndim))
-    return scipy.fft.irfftn(coeff, s=grid.shape, axes=axes, norm="forward")
+    if extent is None:
+        return scipy.fft.irfftn(coeff, s=grid.shape, axes=axes, norm="forward")
+    N, M = grid.N, extent
+    # the |m| <= M indices of a leading axis: 0..M and N-M..N-1, or all of it
+    if 2 * M + 1 >= N:
+        lead = [slice(None)]
+    else:
+        lead = [slice(0, M + 1), slice(N - M, N)] if M > 0 else [slice(0, 1)]
+    for axis in axes[:-1]:
+        # lines along axis whose later leading indices and last index are in the box
+        for later in itertools.product(lead, repeat=axes[-1] - axis - 1):
+            lines = coeff[(slice(None),) * (axis + 1) + later + (slice(0, M + 1),)]
+            done = scipy.fft.ifft(lines, axis=axis, norm="forward", overwrite_x=True)
+            # overwrite_x permits writing into lines but does not promise it
+            if not np.may_share_memory(done, lines):
+                lines[...] = done
+    return scipy.fft.irfft(coeff, n=N, axis=-1, norm="forward")
 
 
 def apply_multiplier(f: RealVectorField, multiplier: np.ndarray) -> RealVectorField:

@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBandWarning, GridMismatchError
-from .grid import Grid, RealVectorField, apply_multiplier, forward_transform, inverse_transform
+from .grid import (
+    Grid,
+    RealVectorField,
+    apply_multiplier,
+    forward_transform,
+    inverse_transform,
+    support_extent,
+)
 
 
 def _psi(s: np.ndarray) -> np.ndarray:
@@ -52,6 +59,18 @@ def band_range(grid: Grid) -> tuple[int, int]:
     return j_min, j_max
 
 
+def _low_pass(grid: Grid, j: int) -> tuple[np.ndarray, int]:
+    """(symbol, support extent) of S_j, cached on the grid; see low_pass_symbol."""
+    lo, hi = band_range(grid)
+    j = min(max(j, lo), hi + 1)
+    entry = grid.low_pass_symbols.get(j)
+    if entry is None:
+        symbol = chi(np.sqrt(grid.k_squared) / 2.0**j)
+        symbol.flags.writeable = False
+        entry = grid.low_pass_symbols[j] = (symbol, support_extent(grid, symbol))
+    return entry
+
+
 def low_pass_symbol(grid: Grid, j: int) -> np.ndarray:
     """The S_j symbol chi(|k|/2^j), cached read-only on the grid.
 
@@ -59,25 +78,18 @@ def low_pass_symbol(grid: Grid, j: int) -> np.ndarray:
     its high end it is 1 everywhere, so levels are clamped to [lo, hi + 1]
     without changing a bit and a grid holds at most hi - lo + 2 symbols.
     """
-    lo, hi = band_range(grid)
-    j = min(max(j, lo), hi + 1)
-    symbol = grid.low_pass_symbols.get(j)
-    if symbol is None:
-        symbol = chi(np.sqrt(grid.k_squared) / 2.0**j)
-        symbol.flags.writeable = False
-        grid.low_pass_symbols[j] = symbol
-    return symbol
+    return _low_pass(grid, j)[0]
 
 
 def dyadic_multipliers(grid: Grid, j_min: int, j_max: int):
-    """Yield the low-pass multiplier S_{j_min}, then the Delta_j multiplier
-    S_{j+1} - S_j for each j in [j_min, j_max]."""
-    low = low_pass_symbol(grid, j_min)
-    yield low
+    """Yield (multiplier, support extent) for the low-pass S_{j_min}, then for
+    the Delta_j multiplier S_{j+1} - S_j for each j in [j_min, j_max]."""
+    low, low_extent = _low_pass(grid, j_min)
+    yield low, low_extent
     for j in range(j_min, j_max + 1):
-        high = low_pass_symbol(grid, j + 1)
-        yield high - low
-        low = high
+        high, high_extent = _low_pass(grid, j + 1)
+        yield high - low, max(low_extent, high_extent)
+        low, low_extent = high, high_extent
 
 
 def band_is_resolvable(grid: Grid, j: int) -> bool:
@@ -98,7 +110,7 @@ def band_project(f: RealVectorField, j: int) -> RealVectorField:
             stacklevel=2,
         )
         return RealVectorField(f.grid, np.zeros_like(f.data))
-    _, mult = dyadic_multipliers(f.grid, j, j)
+    _, (mult, _) = dyadic_multipliers(f.grid, j, j)
     return apply_multiplier(f, mult)
 
 
@@ -117,10 +129,11 @@ class LPBandSet:
 
 def dyadic_blocks(grid: Grid, data: np.ndarray, j_min: int, j_max: int):
     """Yield S_{j_min} data, then Delta_j data for j in [j_min, j_max], over the last
-    grid.d axes: one forward transform, then one inverse transform per block."""
+    grid.d axes: one forward transform, then one inverse transform per block,
+    pruned to the block's support."""
     coeff = forward_transform(data, grid)
-    for mult in dyadic_multipliers(grid, j_min, j_max):
-        yield inverse_transform(coeff * mult, grid)
+    for mult, extent in dyadic_multipliers(grid, j_min, j_max):
+        yield inverse_transform(coeff * mult, grid, extent)
 
 
 def decompose(f: RealVectorField, j_min: int | None = None,

@@ -7,7 +7,8 @@ which is the stronger ordering of the two).
 
 Every block norm ||F^{-1}(m * coeff)||_{L^p} (dyadic bands, heat-kernel
 curves) goes through one loop, `_multiplier_norms`, that reuses its work
-arrays across the multipliers of one coefficient array.  The space-time norms
+arrays across the multipliers of one coefficient array and prunes each inverse
+transform to the multiplier's support.  The space-time norms
 and the sup-in-time Besov norm read one band table eps[j, i] =
 ||Delta_j u(t_i)||_{L^p}, built once per (read-only trajectory, p) by
 `band_table` and kept on the trajectory.
@@ -27,6 +28,7 @@ from .grid import (
     forward_transform,
     heat_derivative_multiplier,
     inverse_transform,
+    support_extent,
 )
 from .lp import band_range, dyadic_multipliers
 
@@ -121,19 +123,20 @@ def lebesgue_norm(f: RealVectorField, p: float) -> float:
 
 
 def _multiplier_norms(coeff: np.ndarray, mults, grid: Grid, p: float) -> np.ndarray:
-    """||F^{-1}(m * coeff)||_{L^p} for each multiplier m in turn, as lebesgue_norm
-    would give it, bit for bit.
+    """||F^{-1}(m * coeff)||_{L^p} for each (multiplier m, support extent) pair
+    in turn, as lebesgue_norm would give it, bit for bit.
 
-    m * coeff goes into one work array reused across the multipliers, and the
-    powers are formed in place in the inverse transform's output, so a block
-    allocates nothing but that output.
+    m * coeff goes into one work array reused across the multipliers (the
+    inverse transform, pruned to m's support, runs in place in it), and the
+    powers are formed in place in the transform's output, so a block allocates
+    nothing but that output.
     """
     _check_exponent(p)
     work = np.empty_like(coeff)
     square = np.empty(grid.shape) if p == 3 else None
     norms = []
-    for m in mults:
-        x = inverse_transform(np.multiply(coeff, m, out=work), grid)
+    for m, extent in mults:
+        x = inverse_transform(np.multiply(coeff, m, out=work), grid, extent)
         if p == INF:
             norms.append(float(np.max(np.abs(x, out=x))))
         else:
@@ -287,7 +290,9 @@ def _heat_kernel_lp_curve(f: RealVectorField, taus: np.ndarray, p: float) -> np.
     """||K(tau) f||_{L^p} sampled over taus, K(tau) = tau d/dtau exp(tau Lap)."""
     grid = f.grid
     mults = (heat_derivative_multiplier(grid, tau) for tau in taus)
-    return _multiplier_norms(forward_transform(f.data, grid), mults, grid, p)
+    # exp(-tau|k|^2) underflows to 0 at large tau|k|^2, which prunes the inverse
+    pairs = ((m, support_extent(grid, m)) for m in mults)
+    return _multiplier_norms(forward_transform(f.data, grid), pairs, grid, p)
 
 
 def heat_besov_norm(f: RealVectorField, idx: BesovIndex,

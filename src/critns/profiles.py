@@ -46,6 +46,7 @@ from .scaling import (ScaleCore, ScaleCoreSequence, apply_lambda, apply_lambda_s
 from .solver import (
     SolverConfig,
     Trajectory,
+    _box_inverse,
     _div_flux_hat,
     _pair_product,
     _self_product,
@@ -297,8 +298,9 @@ def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float,
     del parts  # only u and w enter the Bony split; free the profile fields first
     tuw = low_high(grid, u.data[:, None], w.data[None])
     box = dealias_box(grid, dealias_fraction)
-    flux = _leray_coefficients(_div_flux_hat(lambda i, j: tuw[i, j] + tuw[j, i], grid, box), box)
-    part1 = RealVectorField(grid, -inverse_transform(box.scatter(flux), grid))
+    flux = _div_flux_hat(lambda i, j: tuw[i, j] + tuw[j, i], grid, box, trace_free=True)
+    _leray_coefficients(flux, box)
+    part1 = RealVectorField(grid, -_box_inverse(flux, grid, box))
     return part1, g - part1
 
 
@@ -445,11 +447,12 @@ def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
         dudt = (traj.snapshots[i + 1].data - traj.snapshots[i - 1].data) / dt2
         u = traj.snapshots[i]
         uh = forward_transform(u.data, grid)
-        nl_hat = _leray_coefficients(_div_flux_hat(_self_product(u.data), grid, box), box)
+        nl_hat = _div_flux_hat(_self_product(u.data), grid, box, trace_free=True)
+        _leray_coefficients(nl_hat, box)
         resid_hat = forward_transform(dudt, grid) + box.scatter(nl_hat) + k2 * uh
         if forcing is not None:
             f, g = forcing(float(times[i]))
-            q_hat = _div_flux_hat(_pair_product(u.data, f.data), grid, box)
+            q_hat = _div_flux_hat(_pair_product(u.data, f.data), grid, box, trace_free=True)
             resid_hat += box.scatter(_leray_coefficients(q_hat, box))
             gh = box.truncate(forward_transform(g.data, grid))
             resid_hat -= box.scatter(_leray_coefficients(gh, box))

@@ -7,8 +7,11 @@ space and truncated by a sharp radial cutoff (2/3 rule by default).  Every
 coefficient the cutoff can leave nonzero has |m| < R = fraction * N/2 on each
 axis, so the step keeps its spectral state on the retained box |m| <= ceil(R)-1
 (`dealias_box`, 30% of the half spectrum at 2/3) and scatters it into a
-zero-padded half spectrum only for the inverse transforms.  The truncated
-coefficients outside the box are exactly zero, so this changes no snapshot bit.
+zero-padded half spectrum only for the inverse transforms, which are pruned to
+the box.  The truncated coefficients outside the box are exactly zero, so this
+changes no snapshot bit.  Every flux whose divergence is Leray-projected is
+formed trace-free (S - S_{d-1,d-1} I, see `_div_flux_hat`), one forward
+transform fewer than the full tensor for a change at roundoff.
 
 A run aborts with status "ResolutionLimit" when the sup-norm or the
 top-octave spectral energy fraction crosses its configured threshold; that
@@ -225,9 +228,12 @@ def _tail_octave_mask(box: RetainedBox, fraction: float, octave_shift: int = 0) 
     return tail
 
 
-def _half_spectrum(coeff: np.ndarray, box: RetainedBox | None) -> np.ndarray:
-    """Coefficients laid out by _div_flux_hat on box, as a half spectrum."""
-    return coeff if box is None else box.scatter(coeff)
+def _box_inverse(coeff: np.ndarray, grid: Grid, box: RetainedBox | None) -> np.ndarray:
+    """Real samples of coefficients laid out by _div_flux_hat on box (or on the
+    half spectrum when box is None)."""
+    if box is None:
+        return inverse_transform(coeff, grid)
+    return inverse_transform(box.scatter(coeff), grid, box.extent)
 
 
 def convective_divergence(u: RealVectorField, dealias_fraction: float | None = None) -> RealVectorField:
@@ -236,7 +242,7 @@ def convective_divergence(u: RealVectorField, dealias_fraction: float | None = N
     grid = u.grid
     box = None if dealias_fraction is None else dealias_box(grid, dealias_fraction)
     acc = _div_flux_hat(_self_product(u.data), grid, box)
-    return RealVectorField(grid, inverse_transform(_half_spectrum(acc, box), grid))
+    return RealVectorField(grid, _box_inverse(acc, grid, box))
 
 
 def _self_product(u: np.ndarray):
@@ -250,21 +256,34 @@ def _pair_product(a: np.ndarray, b: np.ndarray):
 
 
 def _div_flux_hat(entry, grid: Grid, box: RetainedBox | None,
-                  symmetric: bool = True) -> np.ndarray:
+                  symmetric: bool = True, trace_free: bool = False) -> np.ndarray:
     """Spectral coefficients of (div S)_i = sum_j d_j S_ij, dealiased by box.
 
-    entry(i, j) returns the physical samples of S_ij.  With a box, each
-    transform is truncated to the box's mask and the result is laid out on the
-    box; with None it is the untruncated half spectrum.  A symmetric tensor is
-    read from its upper triangle only (d(d+1)/2 transforms instead of d^2).
+    entry(i, j) returns a new array of the physical samples of S_ij.  With a
+    box, each transform is truncated to the box's mask and the result is laid
+    out on the box; with None it is the untruncated half spectrum.  A
+    symmetric tensor is read from its upper triangle only (d(d+1)/2
+    transforms instead of d^2).
+
+    trace_free takes S - S_{d-1,d-1} I instead: each diagonal entry less the
+    last one, which is then skipped, so one transform fewer.  That changes
+    div S by the gradient of S_{d-1,d-1}, which Leray projection removes, so
+    only callers that project the result pass it (Basdevant, J. Comput. Phys.
+    50, 1983).
     """
     d = grid.d
     layout = grid if box is None else box
     kmesh = layout.deriv_wavenumber_mesh
     acc = np.zeros((d,) + layout.spectral_shape, dtype=np.complex128)
+    trace = entry(d - 1, d - 1) if trace_free else None
     for i in range(d):
         for j in range(i if symmetric else 0, d):
-            tij = forward_transform(entry(i, j), grid)
+            if trace is not None and i == j == d - 1:
+                continue
+            sij = entry(i, j)
+            if trace is not None and i == j:
+                sij -= trace
+            tij = forward_transform(sij, grid)
             if box is not None:
                 tij = box.truncate(tij)
             acc[i] += 1j * kmesh[j] * tij
@@ -276,8 +295,8 @@ def _div_flux_hat(entry, grid: Grid, box: RetainedBox | None,
 def _projected_flux(entry, grid: Grid, fraction: float) -> RealVectorField:
     """P div S, dealiased at fraction."""
     box = dealias_box(grid, fraction)
-    acc = _leray_coefficients(_div_flux_hat(entry, grid, box), box)
-    return RealVectorField(grid, inverse_transform(box.scatter(acc), grid))
+    acc = _leray_coefficients(_div_flux_hat(entry, grid, box, trace_free=True), box)
+    return RealVectorField(grid, _box_inverse(acc, grid, box))
 
 
 def nonlinear_term(u: RealVectorField, dealias_fraction: float = 2.0 / 3.0) -> RealVectorField:
@@ -303,7 +322,7 @@ def recover_pressure(u: RealVectorField, dealias_fraction: float | None = None) 
     div_hat = _div_flux_hat(_self_product(u.data), grid, box)
     divdiv = sum(1j * ka * div_hat[a] for a, ka in enumerate(layout.deriv_wavenumber_mesh))
     pi_hat = divdiv * layout.inv_deriv_k_squared
-    return RealVectorField(grid, inverse_transform(_half_spectrum(pi_hat[None, ...], box), grid))
+    return RealVectorField(grid, _box_inverse(pi_hat[None, ...], grid, box))
 
 
 def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
@@ -311,15 +330,14 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     """Integrating-factor Heun steps on the retained box of the dealias sphere.
 
     The spectral state (uh, the two stage right-hand sides, the predictor,
-    the heat factor and the tail-octave mask) lives on the box; the inverse
-    transforms read a run-owned half spectrum that stays zero outside it.
+    the heat factor and the tail-octave mask) lives on the box; each inverse
+    transform scatters it into a fresh half spectrum, pruned to the box.
     """
     grid = u0.grid
     u0.require_finite()
     box = dealias_box(grid, cfg.dealias_fraction)
     tail_mask = _tail_octave_mask(box, cfg.dealias_fraction, cfg.tail_octave_shift)
     heat = np.exp(-cfg.dt * box.k_squared)
-    half = np.zeros((grid.d,) + grid.spectral_shape, dtype=np.complex128)
 
     uh = box.truncate(forward_transform(u0.data, grid))
     _leray_coefficients(uh, box)
@@ -333,9 +351,10 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     def rhs_hat(phys: np.ndarray, t: float) -> np.ndarray:
         acc = np.zeros_like(uh)
         if not cfg.linear_only:
-            acc -= _div_flux_hat(_self_product(phys), grid, box)
+            acc -= _div_flux_hat(_self_product(phys), grid, box, trace_free=True)
         if drift is not None:
-            acc -= _div_flux_hat(_pair_product(phys, drift.at(t).data), grid, box)
+            acc -= _div_flux_hat(_pair_product(phys, drift.at(t).data), grid, box,
+                                 trace_free=True)
         if source is not None:
             g = source(t)
             if g is not None:
@@ -346,7 +365,7 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     step_of_last_snap = -1
     for step in range(n_steps + 1):
         t = step * cfg.dt
-        phys = inverse_transform(box.scatter(uh, half), grid)
+        phys = _box_inverse(uh, grid, box)
         linf = float(max(phys.max(), -phys.min()))
         if not math.isfinite(linf):
             status = NON_FINITE
@@ -378,7 +397,7 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
         np.multiply(cfg.dt, n1, out=pred)
         np.add(uh, pred, out=pred)
         np.multiply(heat, pred, out=pred)
-        n2 = rhs_hat(inverse_transform(box.scatter(pred, half), grid), t + cfg.dt)
+        n2 = rhs_hat(_box_inverse(pred, grid, box), t + cfg.dt)
         np.multiply(heat, n1, out=n1)
         np.add(n1, n2, out=n1)
         np.multiply(0.5 * cfg.dt, n1, out=n1)
@@ -410,7 +429,7 @@ def condition_datum(f: RealVectorField, dealias_fraction: float = 2.0 / 3.0) -> 
     grid = f.grid
     box = dealias_box(grid, dealias_fraction)
     coeff = _leray_coefficients(box.truncate(forward_transform(f.data, grid)), box)
-    return RealVectorField(grid, inverse_transform(box.scatter(coeff), grid))
+    return RealVectorField(grid, _box_inverse(coeff, grid, box))
 
 
 def evolve(u0: RealVectorField, cfg: SolverConfig) -> Trajectory:
@@ -469,10 +488,11 @@ def bilinear_duhamel(f_traj: Trajectory, g_traj: Trajectory, t: float,
     for tau, weight in zip(taus, _trapezoid_weights(taus)):
         fa = f_traj.at(tau).data
         gb = g_traj.at(tau).data
-        s = _div_flux_hat(lambda i, j: fa[i] * gb[j], grid, box, symmetric=False)
+        s = _div_flux_hat(lambda i, j: fa[i] * gb[j], grid, box, symmetric=False,
+                          trace_free=True)
         _leray_coefficients(s, layout)
         acc += weight * np.exp(-(t - tau) * k2) * s
-    return RealVectorField(grid, inverse_transform(_half_spectrum(acc, box), grid))
+    return RealVectorField(grid, _box_inverse(acc, grid, box))
 
 
 @dataclass

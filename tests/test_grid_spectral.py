@@ -14,6 +14,7 @@ from critns.grid import (
     laplacian,
     mean_mode,
     spectral_divergence_ratio,
+    support_extent,
     zero_field,
 )
 from critns.norms import lebesgue_norm
@@ -72,6 +73,48 @@ class TestTransforms:
         full = np.fft.fftn(f.data, axes=(1, 2)) / grid2.N**grid2.d
         assert coeff.shape[1:] == grid2.spectral_shape
         assert rel_err(coeff, full[..., : grid2.N // 2 + 1]) < 1e-12
+
+
+def _box_supported(rng, shape, grid, M):
+    """Random half-spectrum coefficients, zero wherever |m| > M on some axis."""
+    coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for axis in range(grid.d):
+        i = np.arange(grid.spectral_shape[axis])
+        outside = np.minimum(i, grid.N - i) > M
+        coeff[(..., outside) + (slice(None),) * (grid.d - 1 - axis)] = 0.0
+    return coeff
+
+
+class TestPrunedInverse:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("N", [8, 12, 18, 24, 32, 48])
+    def test_bitwise_equal_to_irfftn(self, d, N):
+        # every extent from the origin alone to the whole half spectrum, with
+        # 0, 1 or 2 leading axes
+        grid = Grid(d, N)
+        rng = np.random.default_rng(N + d)
+        for lead in ((), (2,), (2, 3)):
+            for M in range(N // 2 + 1):
+                coeff = _box_supported(rng, lead + grid.spectral_shape, grid, M)
+                want = inverse_transform(coeff, grid)
+                got = inverse_transform(coeff.copy(), grid, M)
+                assert got.shape == lead + grid.shape
+                assert got.tobytes() == want.tobytes(), (lead, M)
+
+    def test_consumes_its_input(self, grid3):
+        # the staged transform runs in the donated coefficients
+        coeff = _box_supported(np.random.default_rng(0), (3,) + grid3.spectral_shape, grid3, 2)
+        donated = coeff.copy()
+        inverse_transform(donated, grid3, 2)
+        assert not np.array_equal(donated, coeff)
+
+    def test_support_extent(self, grid3):
+        symbol = np.zeros(grid3.spectral_shape)
+        assert support_extent(grid3, symbol) == 0
+        symbol[0, grid3.N - 3, 1] = 0.5  # m = (0, -3, 1)
+        assert support_extent(grid3, symbol) == 3
+        symbol[0, 0, grid3.N // 2] = 1.0  # the last axis' Nyquist column
+        assert support_extent(grid3, symbol) == grid3.N // 2
 
 
 class TestLeray:

@@ -400,6 +400,7 @@ class TestCLI:
         ("perturb", {"grid": {"d": 2, "N": 16}, "w0": TG, "solver": SOLVER, "p": 0}),
         ("superpose", superpose_doc(p=0)),
         ("serrin", {"trajectory": HEAT_FLOW, "p_t": 4, "q_x": 0}),
+        ("probe", {"trajectory": HEAT_FLOW, "battery": {"seed": -1}}),
     ], ids=["solver-dt-string", "grid-N-string", "taylor-green-3d", "record-norms",
             "norm-p-string", "norm-q-list", "lp-j_min-string", "remainder-decay-string",
             "scale-core-lambda-string", "ortho-n_values-string", "perturb-p-string",
@@ -420,7 +421,7 @@ class TestCLI:
             "solver-tail-shift-huge", "solver-tail-shift-negative", "gaussian-ncomp-zero",
             "gaussian-sigma-zero", "band-noise-seed-negative", "band-noise-ncomp-negative",
             "remainder-seed-negative", "perturb-p-zero", "superpose-p-zero",
-            "serrin-qx-zero"])
+            "serrin-qx-zero", "probe-battery-seed-negative"])
     def test_invalid_document_json_error(self, workdir, command, doc):
         if doc.get("trajectory") == HEAT_FLOW:
             traj_dir = workdir / "traj"

@@ -8,11 +8,13 @@ from critns import Grid
 from critns.errors import EmptyBandWarning, GridMismatchError
 from critns.fields import band_noise, random_smooth_field, single_mode
 from critns.grid import RealVectorField, forward_transform
+from critns import lp
 from critns.lp import (
     band_project,
     band_range,
     chi,
     decompose,
+    dyadic_multipliers,
     low_high,
     low_pass,
     low_pass_symbol,
@@ -207,3 +209,28 @@ class TestParaproduct:
         g = random_smooth_field(grid, seed=s2, ncomp=1).data[0]
         tfg, tgf, pi = paraproduct(grid, f, g)
         assert rel_err(tfg + tgf + pi, f * g) < 1e-8
+
+
+class TestPrunedBlocks:
+    @pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d", "3d"])
+    def test_bitwise_equal_to_full_transform(self, grid, monkeypatch):
+        # each block's inverse transform is pruned to its multiplier's
+        # support, which changes no bit of decompose or paraproduct
+        extents = [extent for _, extent in dyadic_multipliers(grid, *band_range(grid))]
+        assert min(extents) < grid.N // 2
+        f = random_smooth_field(grid, seed=11, ncomp=grid.d)
+        g = random_smooth_field(grid, seed=12, ncomp=1).data[0]
+
+        def blocks():
+            bands = decompose(f)
+            return [bands.low, *bands.bands], paraproduct(grid, f.data[0], g)
+
+        pruned_bands, pruned_parts = blocks()
+        full_inverse = lp.inverse_transform
+        monkeypatch.setattr(lp, "inverse_transform",
+                            lambda coeff, grid, extent=None: full_inverse(coeff, grid))
+        full_bands, full_parts = blocks()
+        for got, want in zip(pruned_bands, full_bands):
+            assert got.data.tobytes() == want.data.tobytes()
+        for got, want in zip(pruned_parts, full_parts):
+            assert got.tobytes() == want.tobytes()

@@ -17,12 +17,14 @@ from critns.fields import (
     random_smooth_field,
     single_mode,
 )
+from critns import norms
 from critns.criticality import sup_critical_norm
 from critns.grid import (
     RealVectorField,
     forward_transform,
     heat_derivative_multiplier,
     inverse_transform,
+    support_extent,
     zero_field,
 )
 from critns.lp import band_range, dyadic_multipliers
@@ -167,14 +169,38 @@ class TestBlockEngine:
     @pytest.mark.parametrize("p", [1.5, 2, 3, 4, 5, INF])
     @pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d", "3d"])
     def test_matches_lebesgue_norm_of_each_block(self, grid, p):
-        # reused work arrays and in-place powers change no bit of the norm
+        # reused work arrays, in-place powers and inverse transforms pruned to
+        # each multiplier's support change no bit of the norm; at tau = 20 the
+        # heat symbol underflows to 0 beyond |k| ~ 6, so its inverse is pruned
         f = random_smooth_field(grid, seed=6, ncomp=grid.d)
         coeff = forward_transform(f.data, grid)
         lo, hi = band_range(grid)
-        mults = list(dyadic_multipliers(grid, lo, hi)) + [heat_derivative_multiplier(grid, 0.05)]
+        heat = [heat_derivative_multiplier(grid, tau) for tau in (0.05, 20.0)]
+        mults = list(dyadic_multipliers(grid, lo, hi)) + [(m, support_extent(grid, m))
+                                                          for m in heat]
+        assert mults[-1][1] < grid.N // 2
         ref = [lebesgue_norm(RealVectorField(grid, inverse_transform(coeff * m, grid)), p)
-               for m in mults]
+               for m, _ in mults]
         assert list(_multiplier_norms(coeff, mults, grid, p)) == ref
+
+
+    @pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d", "3d"])
+    def test_pruned_norms_bitwise_equal_to_full_transform(self, grid, monkeypatch):
+        # Besov, heat-Besov and e-norms read block norms whose inverse
+        # transforms are pruned to each multiplier's support
+        u0 = random_divfree_field(grid, seed=7, k_hi=grid.N / 4.0)
+        idx = BesovIndex.critical(3.0, grid.d)
+
+        def values():
+            traj = make_heat_trajectory(u0, np.linspace(0.0, 0.2, 5))
+            return (besov_norm(u0, idx), heat_besov_norm(u0, idx), e_norm(traj, 4, 4, 0.2),
+                    heat_besov_spacetime_norm(traj, 4.0, 3.0))
+
+        pruned = values()
+        full_inverse = norms.inverse_transform
+        monkeypatch.setattr(norms, "inverse_transform",
+                            lambda coeff, grid, extent=None: full_inverse(coeff, grid))
+        assert values() == pruned
 
 
 class TestBandTable:

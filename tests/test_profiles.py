@@ -330,7 +330,8 @@ class TestDriftAndSource:
         box = dealias_box(grid3m, 2.0 / 3.0)
 
         def minus_p_div_sym(tensor):
-            flux = _div_flux_hat(lambda i, j: tensor[i, j] + tensor[j, i], grid3m, box)
+            flux = _div_flux_hat(lambda i, j: tensor[i, j] + tensor[j, i], grid3m, box,
+                                 trace_free=True)
             return -inverse_transform(box.scatter(_leray_coefficients(flux, box)), grid3m)
 
         assert np.array_equal(p1.data, minus_p_div_sym(para))

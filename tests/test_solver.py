@@ -22,7 +22,9 @@ from critns.grid import (
     leray_project,
     spectral_divergence_ratio,
     zero_field,
+    _leray_coefficients,
 )
+from critns import solver
 from critns.norms import lebesgue_norm
 from critns.solver import (
     COMPLETED,
@@ -32,6 +34,7 @@ from critns.solver import (
     Trajectory,
     _div_flux_hat,
     _pair_product,
+    _self_product,
     bilinear_duhamel,
     convective_divergence,
     dealias_box,
@@ -187,10 +190,14 @@ class TestEvolve:
             SolverConfig(dt=0.1, T=1.0, dealias_fraction=1.5)
 
 
-def _reference_heun(u0, cfg, drift=None, source=None):
+def _reference_heun(u0, cfg, drift=None, source=None, trace_free=True):
     """Integrating-factor Heun on the full half spectrum with full masks: the
     step the box step must reproduce bit for bit.  Returns the physical
-    samples of every step and the l2, linf and tail-fraction records."""
+    samples of every step and the l2, linf and tail-fraction records.
+
+    The fluxes are trace-free (S - S_{d-1,d-1} I, one transform fewer), as in
+    the solver; trace_free=False transforms every entry of S, which changes
+    the projected flux by roundoff only."""
     grid, d = u0.grid, u0.grid.d
     kmesh = grid.deriv_wavenumber_mesh
     mask = dealias_mask(grid, cfg.dealias_fraction)
@@ -207,9 +214,13 @@ def _reference_heun(u0, cfg, drift=None, source=None):
 
     def flux(entry):
         acc = np.zeros((d,) + grid.spectral_shape, dtype=np.complex128)
+        last = entry(d - 1, d - 1)
         for i in range(d):
             for j in range(i, d):
-                tij = forward_transform(entry(i, j), grid)
+                if trace_free and i == j == d - 1:
+                    continue
+                sij = entry(i, j) - last if trace_free and i == j else entry(i, j)
+                tij = forward_transform(sij, grid)
                 tij *= mask
                 acc[i] += 1j * kmesh[j] * tij
                 if j != i:
@@ -314,6 +325,72 @@ class TestBoxStep:
         assert np.array_equal(kept[inside], coeff[inside])
         assert not kept[~inside].any()
         assert np.array_equal(box.truncate(coeff), box.gather(coeff) * box.mask)
+
+
+class TestTraceFreeFlux:
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, None])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_projection_removes_the_trace(self, d, fraction, symmetric):
+        # S - S_{d-1,d-1} I differs from S by a multiple of the identity, whose
+        # divergence is a gradient: the projected fluxes agree to roundoff,
+        # the unprojected ones do not
+        grid = Grid(d, 16)
+        f = random_divfree_field(grid, seed=40, k_hi=4.0).data
+        g = random_divfree_field(grid, seed=41, k_hi=4.0).data
+        box = None if fraction is None else dealias_box(grid, fraction)
+        layout = grid if box is None else box
+        entry = _pair_product(f, g) if symmetric else (lambda i, j: f[i] * g[j])
+        full = _div_flux_hat(entry, grid, box, symmetric)
+        free = _div_flux_hat(entry, grid, box, symmetric, trace_free=True)
+        assert rel_err(free, full) > 1e-3
+        assert rel_err(_leray_coefficients(free, layout),
+                       _leray_coefficients(full, layout)) < 1e-14
+
+    @pytest.mark.parametrize("d, symmetric, transforms", [
+        (2, True, 2), (3, True, 5), (2, False, 3), (3, False, 8)])
+    def test_one_transform_fewer(self, d, symmetric, transforms, monkeypatch):
+        grid = Grid(d, 8)
+        u = random_divfree_field(grid, seed=42, k_hi=2.0).data
+        calls = []
+
+        def counted(data, grid):
+            calls.append(data.shape)
+            return forward_transform(data, grid)
+
+        monkeypatch.setattr(solver, "forward_transform", counted)
+        _div_flux_hat(_self_product(u), grid, None, symmetric, trace_free=True)
+        assert len(calls) == transforms
+
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16), (3, 24)])
+    def test_evolve_matches_full_tensor_reference(self, d, N):
+        # the trace-free step stays at roundoff of the step that transforms
+        # all d(d+1)/2 entries (measured <= 3e-16 relative)
+        grid = Grid(d, N)
+        u0 = random_divfree_field(grid, seed=30 + N, k_hi=N / 4.0, amplitude=0.8)
+        cfg = SolverConfig(dt=5e-3, T=0.04)
+        traj = evolve(u0, cfg)
+        snaps, records = _reference_heun(u0, cfg, trace_free=False)
+        for got, want in zip(traj.snapshots, snaps):
+            assert rel_err(got.data, want) < 1e-14
+        for key in ("l2", "linf"):
+            assert np.allclose(traj.records[key], records[key], rtol=1e-14, atol=0.0)
+
+    def test_perturbed_matches_full_tensor_reference(self, grid3):
+        w0 = random_divfree_field(grid3, seed=31, k_hi=4.0, amplitude=0.5)
+        drift = make_heat_trajectory(random_divfree_field(grid3, seed=32, k_hi=3.0),
+                                     np.linspace(0.0, 0.05, 6))
+        g = random_divfree_field(grid3, seed=33, k_hi=5.0, amplitude=0.2)
+
+        def source(t):
+            return g * np.cos(3.0 * t)
+
+        cfg = SolverConfig(dt=5e-3, T=0.04)
+        prob = PerturbationProblem(w0=w0, drift=drift, force_parts=(source, None))
+        traj = evolve_perturbed(prob, cfg)
+        snaps, _ = _reference_heun(w0, cfg, drift, source, trace_free=False)
+        for got, want in zip(traj.snapshots, snaps):
+            assert rel_err(got.data, want) < 1e-14
 
 
 class TestTailOctave:
