@@ -51,7 +51,8 @@ from .norms import (
     BesovIndex,
     besov_norm_detailed,
     e_norm,
-    heat_besov_norm,
+    edge_share,
+    heat_besov_norm_detailed,
     lebesgue_norm,
     norm_report,
     serrin_norm,
@@ -262,6 +263,7 @@ def cmd_norm(config: dict, out: Path) -> dict:
     spec = _read(spec, f"norm spec {kind}", {"p": _exponent, **required}, optional)
     p = spec["p"]
     warns: list = []
+    estimate = None
     if kind == "lebesgue":
         value = lebesgue_norm(f, p)
         params = {"p": _inf_as_string(p)}
@@ -269,10 +271,12 @@ def cmd_norm(config: dict, out: Path) -> dict:
         idx = BesovIndex(spec["s"], p, spec.get("q", p))
         params = _inf_as_string({"s": idx.s, "p": idx.p, "q": idx.q})
         if kind == "besov":
-            value, _, _, warns = besov_norm_detailed(f, idx)
+            value, _, eps, warns = besov_norm_detailed(f, idx)
+            estimate = {"band_edge": edge_share(eps, idx.q)}
         else:
-            value = heat_besov_norm(f, idx)
-    report = norm_report(kind, params, value, warns)
+            value, tau_error = heat_besov_norm_detailed(f, idx)
+            estimate = {"tau": tau_error}
+    report = norm_report(kind, params, value, warns, estimate)
     dump_json(out / "norm.json", report)
     print(json.dumps(report, sort_keys=True, allow_nan=False))
     return {"artifacts": ["norm.json"]}

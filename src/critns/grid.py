@@ -12,7 +12,8 @@ Nyquist mode |m| = N/2 on every axis.
 |m| > M on some axis is zero, it runs irfftn's 1-D stages in place in the
 donated coefficients, each complex stage only over the lines the box |m| <= M
 reaches, bitwise equal to irfftn.  `support_extent` finds the smallest such M
-of a mask or a multiplier.
+of a mask or a multiplier.  A radial symbol can instead be evaluated once per
+distinct |k|^2 and gathered, its extent read off the grid's `RadialTable`.
 
 A `RetainedBox` is the index box |m| <= M of the half spectrum that holds
 every mode a truncation mask keeps, stored as a dense array of its own; it
@@ -26,6 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -130,6 +132,24 @@ class Grid:
         return sum(ka**2 for ka in self.wavenumber_mesh)
 
     @cached_property
+    def radial_table(self) -> "RadialTable":
+        """The distinct |k|^2 of the half spectrum, read-only; see RadialTable."""
+        k2, inverse = np.unique(self.k_squared, return_inverse=True)
+        inverse = inverse.reshape(self.spectral_shape)
+        # the largest |m| on any axis of each entry, index i holding min(i, N - i)
+        box = np.zeros(self.spectral_shape, dtype=np.intp)
+        for axis, n in enumerate(self.spectral_shape):
+            i = np.arange(n)
+            shape = [n if a == axis else 1 for a in range(self.d)]
+            np.maximum(box, np.minimum(i, self.N - i).reshape(shape), out=box)
+        extent = np.zeros(k2.size, dtype=np.intp)
+        np.maximum.at(extent, inverse.ravel(), box.ravel())
+        table = RadialTable(k2, inverse, np.maximum.accumulate(extent))
+        for arr in table:
+            arr.flags.writeable = False
+        return table
+
+    @cached_property
     def low_pass_symbols(self) -> dict:
         """Level j -> (read-only chi(|k|/2^j), its support extent), filled by
         `lp.low_pass_symbol`."""
@@ -157,6 +177,21 @@ class Grid:
 
     def compatible(self, other: "Grid") -> bool:
         return self.d == other.d and self.N == other.N and np.isclose(self.L, other.L)
+
+
+class RadialTable(NamedTuple):
+    """A radial symbol m(|k|^2) of a grid, evaluated once per distinct value.
+
+    `k_squared` holds the distinct |k|^2 of the half spectrum in ascending
+    order, `inverse` (half-spectrum shaped) the position of each entry's |k|^2
+    in it, so values[inverse] is the symbol, and `extent[i]` the largest |m| on
+    any axis over the entries with |k|^2 <= k_squared[i]: the support extent of
+    a symbol that is nonzero at every |k|^2 in (0, k_squared[i]] and zero above.
+    """
+
+    k_squared: np.ndarray
+    inverse: np.ndarray
+    extent: np.ndarray
 
 
 def support_extent(grid: Grid, symbol: np.ndarray) -> int:
@@ -393,10 +428,28 @@ def heat_derivative_kernel(f: RealVectorField, tau: float) -> RealVectorField:
     return apply_multiplier(f, heat_derivative_multiplier(f.grid, tau))
 
 
+def _heat_derivative_symbol(k2: np.ndarray, tau: float) -> np.ndarray:
+    return -tau * k2 * np.exp(-tau * k2)
+
+
 def heat_derivative_multiplier(grid: Grid, tau: float) -> np.ndarray:
     """Symbol -tau|k|^2 exp(-tau|k|^2) of K(tau) = tau * d/dtau exp(tau*Laplacian)."""
-    k2 = grid.k_squared
-    return -tau * k2 * np.exp(-tau * k2)
+    return _heat_derivative_symbol(grid.k_squared, tau)
+
+
+def heat_derivative_pair(grid: Grid, tau: float) -> tuple[np.ndarray, int]:
+    """(heat_derivative_multiplier(grid, tau), its support_extent), the same bit
+    for bit, from the symbol evaluated once per distinct |k|^2 and gathered.
+
+    The symbol vanishes at k = 0 and, where exp(-tau|k|^2) underflows, above
+    some |k|^2, so its extent is the radial table's at the largest |k|^2 where
+    it is nonzero.
+    """
+    table = grid.radial_table
+    values = _heat_derivative_symbol(table.k_squared, tau)
+    nonzero = np.flatnonzero(values)
+    extent = int(table.extent[nonzero[-1]]) if nonzero.size else 0
+    return np.take(values, table.inverse), extent
 
 
 def laplacian(f: RealVectorField) -> RealVectorField:

@@ -12,6 +12,14 @@ transform to the multiplier's support.  The space-time norms
 and the sup-in-time Besov norm read one band table eps[j, i] =
 ||Delta_j u(t_i)||_{L^p}, built once per (read-only trajectory, p) by
 `band_table` and kept on the trajectory.
+
+Heat-characterized norms integrate over smoothing times tau by the trapezoid
+rule in log tau, on `default_tau_grid`: 8 points per decade, an odd count, so
+that every other tau keeps both end points.  Each reports, from the same
+curve, the relative change of the trapezoid sum on every other tau: the error
+of the 4-per-decade sum, a conservative estimate of the error of the 8.  The
+heat symbols are evaluated once per distinct |k|^2 and gathered
+(`grid.heat_derivative_pair`).
 """
 
 from __future__ import annotations
@@ -26,9 +34,8 @@ from .grid import (
     Grid,
     RealVectorField,
     forward_transform,
-    heat_derivative_multiplier,
+    heat_derivative_pair,
     inverse_transform,
-    support_extent,
 )
 from .lp import band_range, dyadic_multipliers
 
@@ -159,16 +166,26 @@ def band_profile(f: RealVectorField, p: float) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(lo, hi + 1), _multiplier_norms(coeff, mults, f.grid, p)
 
 
-def _edge_warning(levels: np.ndarray, eps: np.ndarray, q: float) -> list[str]:
-    """A warning naming the edge when the largest weighted band sits at either
-    end of the range: the low edge (e.g. heat-flow decay leaving only the lowest
-    band) or the top two bands (under-resolution)."""
+def edge_share(eps: np.ndarray, q: float) -> float:
+    """The share of the l^q sum held by the largest weighted band when it sits
+    at either end of the range, the low edge (e.g. heat-flow decay leaving only
+    the lowest band) or the top two bands (under-resolution); 0 when it does
+    not, or when every band is 0."""
     if eps.size < 3 or not np.max(eps) > 0:
-        return []
+        return 0.0
     peak = int(np.argmax(eps))
     if 0 < peak < eps.size - 2:
+        return 0.0
+    # relative to the peak, so that no power underflows
+    return 1.0 if q == INF else 1.0 / float(np.sum((eps / eps[peak]) ** q))
+
+
+def _edge_warning(levels: np.ndarray, eps: np.ndarray, q: float) -> list[str]:
+    """A warning naming the edge band and its edge_share, if that is nonzero."""
+    share = edge_share(eps, q)
+    if share == 0.0:
         return []
-    share = 1.0 if q == INF else float(eps[peak] ** q / np.sum(eps**q))
+    peak = int(np.argmax(eps))
     return [
         f"spectral content concentrated at the {'low' if peak == 0 else 'high'} "
         f"band-range edge (level {levels[peak]} holds {share:.1%} of the l^q sum); "
@@ -230,14 +247,31 @@ def band_table(traj, p: float) -> tuple[np.ndarray, np.ndarray]:
     return table
 
 
-def band_lp_matrix(traj, p: float, interval=None):
-    """(times, levels, eps) for the snapshots in a closed time interval: the
-    window's columns of band_table."""
-    keep = traj.window_indices(interval)
+def _thinned_indices(n: int, stride: int) -> np.ndarray:
+    """Indices 0, stride, 2*stride, ... of n samples, plus the last one; at
+    stride 2 and odd n, the samples of the trapezoid rule at twice the
+    spacing."""
+    keep = list(range(0, n, stride))
+    if keep and keep[-1] != n - 1:
+        keep.append(n - 1)
+    return np.array(keep, dtype=int)
+
+
+def _relative_change(full: float, coarse: float) -> float:
+    return abs(full - coarse) / full if full > 0 else 0.0
+
+
+def _band_columns(traj, p: float, keep: np.ndarray):
     if keep.size < 2:
         raise DomainError("space-time norms need at least 2 snapshots")
     levels, eps = band_table(traj, p)
     return traj.times[keep], levels, eps[:, keep]
+
+
+def band_lp_matrix(traj, p: float, interval=None):
+    """(times, levels, eps) for the snapshots in a closed time interval: the
+    window's columns of band_table."""
+    return _band_columns(traj, p, traj.window_indices(interval))
 
 
 def _cl_from_matrix(times, levels, eps, rho: float, idx: BesovIndex) -> float:
@@ -259,11 +293,14 @@ def time_lebesgue_besov_norm(traj, rho: float, idx: BesovIndex, interval=None) -
 
 
 def stride_halving_error(traj, rho: float, idx: BesovIndex, interval=None) -> float:
-    """Relative change of the Chemin-Lerner norm when every other snapshot is dropped."""
+    """Relative change of the Chemin-Lerner norm when every other snapshot is
+    dropped (those of traj.thin(2), then the window), read from the columns of
+    the trajectory's band table."""
     full = chemin_lerner_norm(traj, rho, idx, interval)
-    thinned = traj.thin(2)
-    half = chemin_lerner_norm(thinned, rho, idx, interval)
-    return abs(full - half) / full if full > 0 else 0.0
+    thin = _thinned_indices(traj.times.size, 2)
+    keep = thin[np.isin(thin, traj.window_indices(interval))]
+    half = _cl_from_matrix(*_band_columns(traj, idx.p, keep), rho, idx)
+    return _relative_change(full, half)
 
 
 def e_norm(traj, p: float, q: float, T: float) -> float:
@@ -278,21 +315,50 @@ def e_norm(traj, p: float, q: float, T: float) -> float:
     return max(n_low, n_high)
 
 
-def default_tau_grid(grid: Grid, points_per_decade: int = 16) -> np.ndarray:
-    """Log-spaced smoothing times covering the resolvable scale range."""
+def default_tau_grid(grid: Grid, points_per_decade: int = 8) -> np.ndarray:
+    """Log-spaced smoothing times covering the resolvable scale range, an odd
+    number of them, so that every other tau keeps both end points."""
     tau_min = 0.02 / grid.k_max**2
     tau_max = 50.0 / grid.k_min**2
     n = int(np.ceil(points_per_decade * np.log10(tau_max / tau_min)))
-    return np.geomspace(tau_min, tau_max, n)
+    return np.geomspace(tau_min, tau_max, n + 1 - n % 2)
 
 
 def _heat_kernel_lp_curve(f: RealVectorField, taus: np.ndarray, p: float) -> np.ndarray:
     """||K(tau) f||_{L^p} sampled over taus, K(tau) = tau d/dtau exp(tau Lap)."""
     grid = f.grid
-    mults = (heat_derivative_multiplier(grid, tau) for tau in taus)
     # exp(-tau|k|^2) underflows to 0 at large tau|k|^2, which prunes the inverse
-    pairs = ((m, support_extent(grid, m)) for m in mults)
+    pairs = (heat_derivative_pair(grid, tau) for tau in taus)
     return _multiplier_norms(forward_transform(f.data, grid), pairs, grid, p)
+
+
+def _log_tau_integral(taus: np.ndarray, values: np.ndarray, power: float):
+    """((integral of values dln(tau))^{1/power} by the trapezoid rule on taus,
+    its relative change when only every other tau is kept).
+
+    The change is the error of the coarser sum, a conservative estimate of the
+    error of the full one.
+    """
+    def trapezoid(keep):
+        dln = _trapezoid_weights(np.log(taus[keep]))
+        return float(np.sum(dln * values[keep]) ** (1.0 / power))
+
+    full = trapezoid(slice(None))
+    return full, _relative_change(full, trapezoid(_thinned_indices(taus.size, 2)))
+
+
+def heat_besov_norm_detailed(f: RealVectorField, idx: BesovIndex,
+                             taus: np.ndarray | None = None) -> tuple[float, float]:
+    """(heat_besov_norm, its relative tau-quadrature error estimate)."""
+    if taus is None:
+        taus = default_tau_grid(f.grid)
+    curve = _heat_kernel_lp_curve(f, taus, idx.p)
+    integrand = taus ** (-idx.s / 2.0) * curve
+    if idx.q == INF:
+        value = float(np.max(integrand))
+        coarse = float(np.max(integrand[_thinned_indices(taus.size, 2)]))
+        return value, _relative_change(value, coarse)
+    return _log_tau_integral(taus, integrand**idx.q, idx.q)
 
 
 def heat_besov_norm(f: RealVectorField, idx: BesovIndex,
@@ -302,23 +368,12 @@ def heat_besov_norm(f: RealVectorField, idx: BesovIndex,
     Comparable to besov_norm with equivalence constants fixed empirically per
     (d, s, p, q); the suite pins the ratio window.
     """
-    if taus is None:
-        taus = default_tau_grid(f.grid)
-    curve = _heat_kernel_lp_curve(f, taus, idx.p)
-    integrand = taus ** (-idx.s / 2.0) * curve
-    if idx.q == INF:
-        return float(np.max(integrand))
-    dln = _trapezoid_weights(np.log(taus))
-    return float(np.sum(dln * integrand**idx.q) ** (1.0 / idx.q))
+    return heat_besov_norm_detailed(f, idx, taus)[0]
 
 
-def heat_besov_spacetime_norm(traj, r: float, p: float,
-                              taus: np.ndarray | None = None, interval=None) -> float:
-    """Space-time heat characterization of L^r_t B^{s_p + 2/r}_{p,p}.
-
-    Computes (integral of tau^gamma ||K(tau) u||_{L^r_t L^p_x}^p dtau)^{1/p}
-    with gamma = -1 - p*s_p/2 - p/r.
-    """
+def heat_besov_spacetime_norm_detailed(traj, r: float, p: float, taus: np.ndarray | None = None,
+                                       interval=None) -> tuple[float, float]:
+    """(heat_besov_spacetime_norm, its relative tau-quadrature error estimate)."""
     grid = traj.grid
     sp = critical_exponent(p, grid.d)
     gamma = -1.0 - p * sp / 2.0 - p / r
@@ -332,8 +387,17 @@ def heat_besov_spacetime_norm(traj, r: float, p: float,
     times = np.asarray(times)
     vals = np.array([_time_lp(col, times, r) ** p for col in spatial.T])
     # tau^gamma dtau = tau^{gamma+1} dln(tau) on the log grid
-    dln = _trapezoid_weights(np.log(taus))
-    return float(np.sum(dln * taus ** (gamma + 1.0) * vals) ** (1.0 / p))
+    return _log_tau_integral(taus, taus ** (gamma + 1.0) * vals, p)
+
+
+def heat_besov_spacetime_norm(traj, r: float, p: float,
+                              taus: np.ndarray | None = None, interval=None) -> float:
+    """Space-time heat characterization of L^r_t B^{s_p + 2/r}_{p,p}.
+
+    Computes (integral of tau^gamma ||K(tau) u||_{L^r_t L^p_x}^p dtau)^{1/p}
+    with gamma = -1 - p*s_p/2 - p/r.
+    """
+    return heat_besov_spacetime_norm_detailed(traj, r, p, taus, interval)[0]
 
 
 def serrin_norm(traj, p_t: float, q_x: float, interval=None) -> float:
@@ -378,10 +442,14 @@ def elementary_expansion_defect(terms: list, p: float):
     return lhs, rhs
 
 
-def norm_report(norm_name: str, parameters: dict, value: float, warns: list | None = None) -> dict:
-    return {
+def norm_report(norm_name: str, parameters: dict, value: float, warns: list | None = None,
+                error_estimate: dict | None = None) -> dict:
+    report = {
         "norm_name": norm_name,
         "parameters": parameters,
         "value": float(value),
         "warnings": list(warns or []),
     }
+    if error_estimate is not None:
+        report["error_estimate"] = dict(error_estimate)
+    return report

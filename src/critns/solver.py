@@ -43,6 +43,7 @@ from .grid import (
 )
 from .norms import (
     BesovIndex,
+    _thinned_indices,
     _trapezoid_weights,
     besov_norm,
     chemin_lerner_norm,
@@ -166,9 +167,7 @@ class Trajectory:
         return list(self.times[keep]), [self.snapshots[i] for i in keep]
 
     def thin(self, stride: int) -> "Trajectory":
-        idx = list(range(0, len(self.snapshots), stride))
-        if idx[-1] != len(self.snapshots) - 1:
-            idx.append(len(self.snapshots) - 1)
+        idx = _thinned_indices(len(self.snapshots), stride)
         return Trajectory(
             grid=self.grid,
             times=self.times[idx],

@@ -151,6 +151,44 @@ class TestCLI:
         assert res.returncode == 0
         assert json.loads(res.stdout)["value"] == 0.0
 
+    @pytest.mark.parametrize("kind, field, key, positive", [
+        ("besov", TG, "band_edge", True),
+        ("besov", {"generator": {"type": "band_noise", "k_lo": 2.0, "k_hi": 5.0, "seed": 3}},
+         "band_edge", False),
+        ("besov", "zero", "band_edge", False),
+        ("heat_besov", TG, "tau", True),
+        ("heat_besov", "zero", "tau", False),
+    ], ids=["besov-edge", "besov-interior", "besov-zero", "heat-besov", "heat-besov-zero"])
+    def test_norm_error_estimate(self, workdir, kind, field, key, positive):
+        # besov reports the edge band's share of the l^q sum (0 without an
+        # edge warning), heat_besov the every-other-tau change; a zero field
+        # gives 0, not NaN
+        from critns.grid import zero_field
+        from critns.norms import BesovIndex, besov_norm_detailed, edge_share
+        from critns.norms import heat_besov_norm_detailed
+
+        grid = Grid(2, 32)
+        if field == "zero":
+            write_field(workdir / "z.cfd", zero_field(grid, 2))
+            field = str(workdir / "z.cfd")
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 32}, "field": field,
+            "norm": {"kind": kind, "p": 3, "s": 0.0},
+        })
+        res = run_cli(["norm", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 0, res.stderr
+        report = json.loads((workdir / "out" / "norm.json").read_text())
+        assert list(report["error_estimate"]) == [key]
+        estimate = report["error_estimate"][key]
+        assert (estimate > 0) == positive
+        f = cli.build_field(field, grid)
+        idx = BesovIndex(0.0, 3.0, 3.0)
+        if kind == "besov":
+            _, _, eps, warns = besov_norm_detailed(f, idx)
+            assert estimate == edge_share(eps, 3.0) and bool(warns) == positive
+        else:
+            assert estimate == heat_besov_norm_detailed(f, idx)[1]
+
     def test_lp_command(self, workdir):
         cfg = self._write(workdir / "c.json", {
             "grid": {"d": 2, "N": 16},

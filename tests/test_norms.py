@@ -13,6 +13,7 @@ from critns.fields import (
     band_noise,
     gabor_bump,
     gaussian_bump,
+    localized_divfree_bump,
     random_divfree_field,
     random_smooth_field,
     single_mode,
@@ -23,6 +24,7 @@ from critns.grid import (
     RealVectorField,
     forward_transform,
     heat_derivative_multiplier,
+    heat_derivative_pair,
     inverse_transform,
     support_extent,
     zero_field,
@@ -39,10 +41,14 @@ from critns.norms import (
     besov_norm_detailed,
     chemin_lerner_norm,
     critical_exponent,
+    default_tau_grid,
     e_norm,
+    edge_share,
     elementary_expansion_defect,
     heat_besov_norm,
+    heat_besov_norm_detailed,
     heat_besov_spacetime_norm,
+    heat_besov_spacetime_norm_detailed,
     lebesgue_norm,
     norm_report,
     power_sums,
@@ -287,6 +293,31 @@ class TestCheminLerner:
         traj = make_heat_trajectory(f, np.linspace(0, 0.25, 81))
         assert stride_halving_error(traj, 2.0, BesovIndex(0.0, 2.0, 2.0)) < 0.01
 
+    @pytest.mark.parametrize("interval", [None, (0.03, 0.16)])
+    def test_stride_halving_reads_the_band_table(self, grid3, monkeypatch, interval):
+        # the thinned norm is that of traj.thin(2), bit for bit, taken from
+        # columns of the band table the full norm built: no further transform
+        import critns.norms
+
+        f = random_divfree_field(grid3, seed=12, k_lo=1.0, k_hi=6.0)
+        traj = make_heat_trajectory(f, np.linspace(0.0, 0.2, 9))
+        rho, idx = 8.0 / 5.0, BesovIndex(critical_exponent(4.0, 3) + 1.25, 4.0, 4.0)
+        full = chemin_lerner_norm(traj, rho, idx, interval)
+        half = chemin_lerner_norm(traj.thin(2), rho, idx, interval)
+        counts = {"forward": 0, "inverse": 0}
+
+        def counting(name, transform):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return transform(*args, **kwargs)
+            return wrapped
+
+        for name in counts:
+            attr = f"{name}_transform"
+            monkeypatch.setattr(critns.norms, attr, counting(name, getattr(critns.norms, attr)))
+        assert stride_halving_error(traj, rho, idx, interval) == abs(full - half) / full
+        assert counts == {"forward": 0, "inverse": 0}
+
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 500))
     def test_minkowski_embedding(self, seed):
@@ -355,6 +386,70 @@ class TestHeatBesov:
             f = band_noise(grid3m, 3.0, 6.0, seed, ncomp=3)
             ratio = heat_besov_norm(f, idx) / besov_norm(f, idx)
             assert 0.1 <= ratio <= 10.0
+
+
+class TestTauQuadrature:
+    @pytest.mark.parametrize("N, count, fine_count", [(32, 51, 101), (64, 57, 111)])
+    def test_default_grid_odd_count_same_ends(self, N, count, fine_count):
+        grid = Grid(3, N)
+        taus, fine = default_tau_grid(grid), default_tau_grid(grid, 16)
+        assert (taus.size, fine.size) == (count, fine_count)
+        assert taus[0] == fine[0] == 0.02 / grid.k_max**2
+        assert taus[-1] == fine[-1] == 50.0 / grid.k_min**2
+
+    # criterion 5's inputs and the analyze64 datum at 32^3
+    CASES = ([(f"band-noise-{seed}", 3) for seed in range(90, 100)]
+             + [("bump", 3), ("bump", 4)])
+
+    @pytest.mark.parametrize("name, p", CASES, ids=[f"{n}-p{p}" for n, p in CASES])
+    def test_eight_per_decade_matches_sixteen(self, name, p):
+        # the trapezoid in log tau at 8 points per decade against 16; the
+        # every-other-tau estimate (the error of 4 per decade) bounds the change
+        grid = Grid(3, 32)
+        if name == "bump":
+            f = localized_divfree_bump(grid, sigma=grid.L / 10, mode_center=(2, 1, 1),
+                                       seed=42, amplitude=1.0)
+        else:
+            f = band_noise(grid, 3.0, 6.0, int(name.rsplit("-", 1)[1]), ncomp=3)
+        idx = BesovIndex.critical(p, 3)
+        value, estimate = heat_besov_norm_detailed(f, idx)
+        fine = heat_besov_norm(f, idx, default_tau_grid(grid, 16))
+        change = abs(value - fine) / fine
+        assert change <= 2e-8
+        assert estimate >= change
+
+    def test_spacetime_estimate_bounds_the_change(self, grid3):
+        f = random_divfree_field(grid3, seed=5, k_lo=1.0, k_hi=4.0)
+        traj = make_heat_trajectory(f, np.linspace(0, 0.4, 9))
+        value, estimate = heat_besov_spacetime_norm_detailed(traj, 2.0, 3.0)
+        fine = heat_besov_spacetime_norm(traj, 2.0, 3.0, default_tau_grid(grid3, 16))
+        assert value == heat_besov_spacetime_norm(traj, 2.0, 3.0)
+        assert 0.0 < abs(value - fine) / fine <= estimate < 1e-5
+
+
+class TestHeatSymbolTable:
+    @pytest.mark.parametrize("N", [24, 32, 64])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gathered_symbol_bitwise(self, d, N):
+        # once per distinct |k|^2, then gathered: the symbol and its extent as
+        # heat_derivative_multiplier and support_extent give them, including
+        # the large tau where every mode but the lowest underflows to 0
+        grid = Grid(d, N)
+        extents = []
+        for tau in np.geomspace(1e-5, 80.0, 37):
+            m, extent = heat_derivative_pair(grid, tau)
+            ref = heat_derivative_multiplier(grid, tau)
+            assert m.tobytes() == ref.tobytes()
+            assert extent == support_extent(grid, ref)
+            extents.append(extent)
+        assert extents[0] == N // 2 and extents[-1] <= 3
+
+    def test_table_is_read_only_and_cached(self, grid3):
+        table = grid3.radial_table
+        assert grid3.radial_table is table
+        assert np.array_equal(table.k_squared[table.inverse], grid3.k_squared)
+        for arr in table:
+            assert not arr.flags.writeable
 
 
 class TestHeatBesovSpacetime:
@@ -442,6 +537,24 @@ class TestUtilities:
             assert np.isfinite(c_fit)
             assert np.all(lhs[~mask] < 1e-9)
             assert c_fit < 50.0
+
+    def test_edge_share(self):
+        levels = np.arange(-1, 4)
+        low = np.array([2.0, 1.0, 0.5, 0.25, 0.0])
+        assert edge_share(low, 2.0) == 1.0 / (1.0 + 0.25 + 0.0625 + 0.015625)
+        assert edge_share(low, INF) == 1.0
+        assert edge_share(low[::-1], 2.0) == edge_share(low, 2.0)
+        assert edge_share(np.array([0.5, 2.0, 1.0, 0.5, 0.25]), 2.0) == 0.0
+        assert edge_share(np.zeros(5), 2.0) == 0.0
+        # powers of tiny bands underflow; the share does not
+        assert edge_share(low * 1e-120, 3.0) == pytest.approx(edge_share(low, 3.0), rel=1e-14)
+        assert norms._edge_warning(levels, low, 2.0)[0].startswith(
+            "spectral content concentrated at the low band-range edge (level -1 holds 75.3%")
+
+    def test_norm_report_error_estimate(self):
+        rep = norm_report("heat_besov", {}, 1.0, [], {"tau": np.float64(2e-7)})
+        assert rep["error_estimate"] == {"tau": 2e-7}
+        assert "error_estimate" not in norm_report("besov", {}, 1.0)
 
     def test_norm_report_shape(self):
         rep = norm_report("besov", {"s": 0.0, "p": 3.0, "q": 3.0}, 1.25, ["warn"])
