@@ -265,11 +265,8 @@ def make_test_battery(grid: Grid, count: int = 8, seed: int = 7) -> list:
         sigma = grid.L * (0.04 + 0.05 * rng.random())
         center = (rng.random(grid.d) - 0.5) * grid.L * 0.5
         weights = rng.standard_normal(grid.d)
-        bump = gaussian_bump(grid, sigma, center=center, ncomp=grid.d)
-        data = bump.data * weights[:, None, None] if grid.d == 2 else (
-            bump.data * weights[:, None, None, None]
-        )
-        tests.append(RealVectorField(grid, data))
+        bump = gaussian_bump(grid, sigma, center=center).data[0]
+        tests.append(RealVectorField(grid, bump * weights.reshape((grid.d,) + (1,) * grid.d)))
     return tests
 
 

@@ -68,14 +68,8 @@ def gaussian_bump(grid: Grid, sigma: float, center=None, ncomp: int = 1,
     _components(ncomp)
     if not sigma > 0:
         raise DomainError(f"bump width sigma must be positive, got {sigma}")
-    mesh = grid.coordinate_mesh()
-    c = np.zeros(grid.d) if center is None else np.asarray(center, dtype=float)
-    r2 = np.zeros(grid.shape)
-    for x, ci in zip(mesh, c):
-        dx = x - ci
-        # periodic distance keeps the bump single-valued across the seam
-        dx = (dx + grid.L / 2.0) % grid.L - grid.L / 2.0
-        r2 = r2 + dx**2
+    # periodic distance keeps the bump single-valued across the seam
+    r2 = sum(dx**2 for dx in grid.periodic_offsets(center))
     bump = amplitude * np.exp(-r2 / (2.0 * sigma**2))
     return RealVectorField(grid, np.stack([bump] * ncomp))
 
@@ -90,12 +84,8 @@ def gabor_bump(grid: Grid, sigma: float, mode_center, center=None, ncomp: int = 
     """
     _components(ncomp)
     env = gaussian_bump(grid, sigma, center=center, ncomp=1, amplitude=amplitude)
-    mesh = grid.coordinate_mesh()
-    c = np.zeros(grid.d) if center is None else np.asarray(center, dtype=float)
-    arg = np.zeros(grid.shape)
-    for m, x, ci in zip(mode_center, mesh, c):
-        dx = (x - ci + grid.L / 2.0) % grid.L - grid.L / 2.0
-        arg = arg + (2.0 * np.pi * m / grid.L) * dx
+    arg = sum((2.0 * np.pi * m / grid.L) * dx
+              for m, dx in zip(mode_center, grid.periodic_offsets(center)))
     comp = env.data[0] * np.sin(arg)
     return RealVectorField(grid, np.stack([comp] * ncomp))
 

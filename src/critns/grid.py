@@ -11,9 +11,12 @@ Nyquist mode |m| = N/2 on every axis.
 `inverse_transform` takes an optional extent M: when every coefficient with
 |m| > M on some axis is zero, it runs irfftn's 1-D stages in place in the
 donated coefficients, each complex stage only over the lines the box |m| <= M
-reaches, bitwise equal to irfftn.  `support_extent` finds the smallest such M
-of a mask or a multiplier.  A radial symbol can instead be evaluated once per
-distinct |k|^2 and gathered, its extent read off the grid's `RadialTable`.
+reaches, bitwise equal to irfftn; `inverse_components` runs the same complex
+stages and then the last irfft one component at a time.  `support_slabs` lists
+the slabs of the box |m| <= M, on which a product with a multiplier supported
+there is formed.  `support_extent` finds the smallest such M of a mask or a
+multiplier.  A radial symbol can instead be evaluated once per distinct |k|^2
+and gathered, its extent read off the grid's `RadialTable`.
 
 A `RetainedBox` is the index box |m| <= M of the half spectrum that holds
 every mode a truncation mask keeps, stored as a dense array of its own; it
@@ -82,6 +85,17 @@ class Grid:
     def coordinate_mesh(self) -> list:
         axes = [self.axis_coords] * self.d
         return list(np.meshgrid(*axes, indexing="ij"))
+
+    def periodic_offsets(self, center=None) -> list:
+        """Per-axis offsets x_a - c_a wrapped into [-L/2, L/2), the periodic
+        distance to a center (the origin if None), each a 1-D array shaped to
+        broadcast over the grid."""
+        c = np.zeros(self.d) if center is None else np.asarray(center, dtype=float)
+        out = []
+        for axis, ci in zip(range(self.d), c):
+            dx = (self.axis_coords - ci + self.L / 2.0) % self.L - self.L / 2.0
+            out.append(dx.reshape([self.N if a == axis else 1 for a in range(self.d)]))
+        return out
 
     @property
     def spectral_shape(self) -> tuple:
@@ -339,6 +353,38 @@ def forward_transform(data: np.ndarray, grid: Grid) -> np.ndarray:
     return scipy.fft.rfftn(data, axes=axes, norm="forward")
 
 
+def _lead_slices(N: int, M: int) -> list:
+    """The |m| <= M indices of a leading axis: 0..M and N-M..N-1, or all of it."""
+    if 2 * M + 1 >= N:
+        return [slice(None)]
+    return [slice(0, M + 1), slice(N - M, N)] if M > 0 else [slice(0, 1)]
+
+
+def support_slabs(grid: Grid, extent: int) -> list:
+    """Half-spectrum index tuples (trailing d axes) of the slabs that make up
+    the box |m| <= extent: one per choice of range on every leading axis, each
+    with the last-axis columns 0..extent."""
+    lead = _lead_slices(grid.N, extent)
+    return [(*combo, slice(0, extent + 1))
+            for combo in itertools.product(lead, repeat=grid.d - 1)]
+
+
+def _leading_stages(coeff: np.ndarray, grid: Grid, extent: int) -> None:
+    """irfftn's complex ifft along each leading axis in turn, in place in coeff
+    and only over the lines the box |m| <= extent reaches; every write lands in
+    the last-axis columns 0..extent."""
+    axes = tuple(range(coeff.ndim - grid.d, coeff.ndim))
+    lead = _lead_slices(grid.N, extent)
+    for axis in axes[:-1]:
+        # lines along axis whose later leading indices and last index are in the box
+        for later in itertools.product(lead, repeat=axes[-1] - axis - 1):
+            lines = coeff[(slice(None),) * (axis + 1) + later + (slice(0, extent + 1),)]
+            done = scipy.fft.ifft(lines, axis=axis, norm="forward", overwrite_x=True)
+            # overwrite_x permits writing into lines but does not promise it
+            if not np.may_share_memory(done, lines):
+                lines[...] = done
+
+
 def inverse_transform(coeff: np.ndarray, grid: Grid, extent: int | None = None) -> np.ndarray:
     """Inverse of forward_transform: real samples of shape grid.shape.
 
@@ -349,24 +395,24 @@ def inverse_transform(coeff: np.ndarray, grid: Grid, extent: int | None = None) 
     |m| <= M reaches.  The 1-D transforms are irfftn's, so the samples are the
     same bit for bit; coeff is left holding the partial transform.
     """
-    axes = tuple(range(coeff.ndim - grid.d, coeff.ndim))
     if extent is None:
+        axes = tuple(range(coeff.ndim - grid.d, coeff.ndim))
         return scipy.fft.irfftn(coeff, s=grid.shape, axes=axes, norm="forward")
-    N, M = grid.N, extent
-    # the |m| <= M indices of a leading axis: 0..M and N-M..N-1, or all of it
-    if 2 * M + 1 >= N:
-        lead = [slice(None)]
-    else:
-        lead = [slice(0, M + 1), slice(N - M, N)] if M > 0 else [slice(0, 1)]
-    for axis in axes[:-1]:
-        # lines along axis whose later leading indices and last index are in the box
-        for later in itertools.product(lead, repeat=axes[-1] - axis - 1):
-            lines = coeff[(slice(None),) * (axis + 1) + later + (slice(0, M + 1),)]
-            done = scipy.fft.ifft(lines, axis=axis, norm="forward", overwrite_x=True)
-            # overwrite_x permits writing into lines but does not promise it
-            if not np.may_share_memory(done, lines):
-                lines[...] = done
-    return scipy.fft.irfft(coeff, n=N, axis=-1, norm="forward")
+    _leading_stages(coeff, grid, extent)
+    return scipy.fft.irfft(coeff, n=grid.N, axis=-1, norm="forward")
+
+
+def inverse_components(coeff: np.ndarray, grid: Grid, extent: int):
+    """inverse_transform(coeff, grid, extent) of a (C, ...) array, yielded one
+    component at a time, each bitwise equal to its row of the whole.
+
+    The complex stages run on all components at once; each component's last
+    irfft runs only when the caller asks for the next component, so a caller
+    that reduces each in turn holds one component's samples at a time.
+    """
+    _leading_stages(coeff, grid, extent)
+    for comp in coeff:
+        yield scipy.fft.irfft(comp, n=grid.N, axis=-1, norm="forward")
 
 
 def apply_multiplier(f: RealVectorField, multiplier: np.ndarray) -> RealVectorField:

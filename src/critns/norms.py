@@ -7,11 +7,12 @@ which is the stronger ordering of the two).
 
 Every block norm ||F^{-1}(m * coeff)||_{L^p} (dyadic bands, heat-kernel
 curves) goes through one loop, `_multiplier_norms`, that reuses its work
-arrays across the multipliers of one coefficient array and prunes each inverse
-transform to the multiplier's support.  The space-time norms
-and the sup-in-time Besov norm read one band table eps[j, i] =
-||Delta_j u(t_i)||_{L^p}, built once per (read-only trajectory, p) by
-`band_table` and kept on the trajectory.
+arrays across the multipliers of one coefficient array, forms each product
+and prunes each inverse transform to the multiplier's support box, and runs
+the last inverse stage and the powers one component at a time.  The
+space-time norms and the sup-in-time Besov norm read one band table
+eps[j, i] = ||Delta_j u(t_i)||_{L^p}, built once per (read-only trajectory,
+p) by `band_table` and kept on the trajectory.
 
 Heat-characterized norms integrate over smoothing times tau by the trapezoid
 rule in log tau, on `default_tau_grid`: 8 points per decade, an odd count, so
@@ -35,7 +36,8 @@ from .grid import (
     RealVectorField,
     forward_transform,
     heat_derivative_pair,
-    inverse_transform,
+    inverse_components,
+    support_slabs,
 )
 from .lp import band_range, dyadic_multipliers
 
@@ -133,21 +135,32 @@ def _multiplier_norms(coeff: np.ndarray, mults, grid: Grid, p: float) -> np.ndar
     """||F^{-1}(m * coeff)||_{L^p} for each (multiplier m, support extent) pair
     in turn, as lebesgue_norm would give it, bit for bit.
 
-    m * coeff goes into one work array reused across the multipliers (the
-    inverse transform, pruned to m's support, runs in place in it), and the
-    powers are formed in place in the transform's output, so a block allocates
-    nothing but that output.
+    m * coeff is formed only on m's support box (`support_slabs`), in one work
+    array reused across the multipliers and zero outside the box: before each
+    block only the last-axis columns the previous block wrote are zeroed again,
+    less those the new product overwrites.  The pruned inverse transform runs
+    in place in it; its last stage and the powers run one component at a time
+    (`inverse_components`), so each component's samples are summed right after
+    they are made and only one component's samples exist at a time.
     """
     _check_exponent(p)
-    work = np.empty_like(coeff)
+    work = np.zeros(coeff.shape, coeff.dtype)
     square = np.empty(grid.shape) if p == 3 else None
+    dirty = 0  # work is zero from last-axis column `dirty` on
     norms = []
     for m, extent in mults:
-        x = inverse_transform(np.multiply(coeff, m, out=work), grid, extent)
+        # a box spanning every leading index overwrites its columns 0..extent
+        covered = extent + 1 if 2 * extent + 1 >= grid.N else 0
+        work[..., covered:dirty] = 0.0
+        for slab in support_slabs(grid, extent):
+            np.multiply(coeff[(..., *slab)], m[slab], out=work[(..., *slab)])
+        dirty = extent + 1
+        comps = inverse_components(work, grid, extent)
         if p == INF:
-            norms.append(float(np.max(np.abs(x, out=x))))
+            norms.append(float(np.max([np.max(np.abs(x, out=x)) for x in comps])))
         else:
-            norms.append(_lp_from_sums(_power_sums_in_place(x, p, square), grid, p))
+            sums = [_power_sums_in_place(x[np.newaxis], p, square)[0] for x in comps]
+            norms.append(_lp_from_sums(np.array(sums), grid, p))
     return np.array(norms)
 
 

@@ -397,7 +397,6 @@ def extract_cores(f: RealVectorField, count: int = 1, p: float | None = None):
     coords = grid.axis_coords
     out = []
     mag_work = mag.copy()
-    mesh = grid.coordinate_mesh()
     for _ in range(count):
         peak = np.max(mag_work)
         if peak <= 0:
@@ -406,10 +405,7 @@ def extract_cores(f: RealVectorField, count: int = 1, p: float | None = None):
         pts = sorted(tuple(coords[i] for i in idx) for idx in candidates)
         x_hat = pts[0]
         out.append(ScaleCore(lam_hat, x_hat))
-        r2 = np.zeros(grid.shape)
-        for x, c in zip(mesh, x_hat):
-            dx = (x - c + grid.L / 2.0) % grid.L - grid.L / 2.0
-            r2 = r2 + dx**2
+        r2 = sum(dx**2 for dx in grid.periodic_offsets(x_hat))
         mag_work[r2 <= (2.0 * lam_hat) ** 2] = 0.0
     return out
 
@@ -482,10 +478,14 @@ def remainder_equation_residual(r_traj: Trajectory, ev: EvolvedSystem,
 
 
 def pairing_table(traj: Trajectory, tests: list) -> np.ndarray:
-    """Grid-quadrature pairings <u(t_k), phi_i> for a battery of test fields."""
+    """Grid-quadrature pairings <u(t_k), phi_i> for a battery of test fields,
+    each with as many components as the trajectory."""
     w = traj.grid.cell_volume
     table = np.empty((len(traj.snapshots), len(tests)))
     for k, snap in enumerate(traj.snapshots):
         for i, phi in enumerate(tests):
+            if phi.ncomp != snap.ncomp:
+                raise DomainError(f"test field {i} has {phi.ncomp} components, "
+                                  f"the trajectory has {snap.ncomp}")
             table[k, i] = float(np.sum(snap.data * phi.data) * w)
     return table

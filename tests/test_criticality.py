@@ -17,9 +17,10 @@ from critns.criticality import (
     weak_convergence_probe,
 )
 from critns.errors import DomainError
-from critns.fields import localized_divfree_bump, random_divfree_field
+from critns.fields import gaussian_bump, localized_divfree_bump, random_divfree_field
 from critns.grid import zero_field
 from critns.norms import BesovIndex, besov_norm, lebesgue_norm
+from critns.profiles import pairing_table
 from critns.scaling import ScaleCore, apply_lambda
 from critns.solver import (
     COMPLETED,
@@ -222,6 +223,14 @@ class TestWeakConvergenceProbe:
         traj = make_heat_trajectory(zero_field(grid3), [0.0, 0.1])
         with pytest.raises(DomainError):
             weak_convergence_probe(traj, [])
+
+    def test_component_count_mismatch_rejected(self, grid3):
+        # a 1-component test field would broadcast over a 3-component snapshot
+        traj = make_heat_trajectory(random_divfree_field(grid3, seed=4), [0.0, 0.1])
+        phi = gaussian_bump(grid3, grid3.L / 8)
+        for pair in (weak_convergence_probe, pairing_table):
+            with pytest.raises(DomainError, match="1 components, the trajectory has 3"):
+                pair(traj, [phi])
 
     def test_zero_trajectory(self, grid3):
         traj = make_heat_trajectory(zero_field(grid3), [0.0, 0.1, 0.2])

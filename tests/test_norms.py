@@ -203,10 +203,70 @@ class TestBlockEngine:
                     heat_besov_spacetime_norm(traj, 4.0, 3.0))
 
         pruned = values()
-        full_inverse = norms.inverse_transform
-        monkeypatch.setattr(norms, "inverse_transform",
-                            lambda coeff, grid, extent=None: full_inverse(coeff, grid))
+        monkeypatch.setattr(norms, "inverse_components",
+                            lambda coeff, grid, extent: iter(inverse_transform(coeff, grid)))
         assert values() == pruned
+
+    @staticmethod
+    def _box_multiplier(grid, extent, rng):
+        """A random real multiplier that is nonzero exactly on the box |m| <= extent."""
+        inside = np.ones(grid.spectral_shape, dtype=bool)
+        for axis, n in enumerate(grid.spectral_shape):
+            i = np.arange(n)
+            shape = [n if a == axis else 1 for a in range(grid.d)]
+            inside &= (np.minimum(i, grid.N - i) <= extent).reshape(shape)
+        m = np.where(inside, 0.5 + rng.random(grid.spectral_shape), 0.0)
+        assert support_extent(grid, m) == extent
+        return m, inside
+
+    @pytest.mark.parametrize("p", [2, 2.5, 3, 4, INF])
+    @pytest.mark.parametrize("ncomp", [1, 2, 3])
+    @pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d", "3d"])
+    def test_support_box_products_in_any_extent_order(self, grid, ncomp, p):
+        # full -> pruned -> smaller -> larger -> full: each block re-zeroes
+        # only what the previous one wrote, and its product is formed on its
+        # own support box; every norm is lebesgue_norm's of the full product
+        rng = np.random.default_rng(11)
+        coeff = forward_transform(rng.standard_normal((ncomp,) + grid.shape), grid)
+        half = grid.N // 2
+        extents = [half, half // 2 + 1, 1, 0, half // 2, half]
+        mults = [(self._box_multiplier(grid, M, rng)[0], M) for M in extents]
+        ref = [lebesgue_norm(RealVectorField(grid, inverse_transform(coeff * m, grid)), p)
+               for m, _ in mults]
+        assert list(_multiplier_norms(coeff, mults, grid, p)) == ref
+
+    @pytest.mark.parametrize("p", [2, 3, INF])
+    @pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d", "3d"])
+    def test_products_read_only_the_support_box(self, grid, p):
+        # every coefficient outside the largest pruned box is NaN: a product
+        # or transform that read it would turn the norm into NaN
+        rng = np.random.default_rng(12)
+        coeff = forward_transform(rng.standard_normal((grid.d,) + grid.shape), grid)
+        extents = [grid.N // 4 + 1, 1, 0, grid.N // 4]
+        pairs = [self._box_multiplier(grid, M, rng) for M in extents]
+        mults = [(m, M) for (m, _), M in zip(pairs, extents)]
+        ref = [lebesgue_norm(RealVectorField(grid, inverse_transform(coeff * m, grid)), p)
+               for m, _ in mults]
+        poisoned = np.where(pairs[0][1], coeff, np.nan)
+        assert np.isnan(inverse_transform(poisoned * mults[0][0], grid)).all()
+        assert list(_multiplier_norms(poisoned, mults, grid, p)) == ref
+
+
+def _count_transforms(monkeypatch) -> dict:
+    """Counts of the forward transforms and block inverses (`inverse_components`)
+    that norms calls from here on."""
+    counts = {"forward": 0, "inverse": 0}
+    attrs = {"forward": "forward_transform", "inverse": "inverse_components"}
+
+    def counting(name, transform):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return transform(*args, **kwargs)
+        return wrapped
+
+    for name, attr in attrs.items():
+        monkeypatch.setattr(norms, attr, counting(name, getattr(norms, attr)))
+    return counts
 
 
 class TestBandTable:
@@ -234,21 +294,10 @@ class TestBandTable:
 
     def test_one_table_per_trajectory_and_p(self, grid3, monkeypatch):
         # e_norm, chemin_lerner_norm and the sup Besov norm at one p share one
-        # band table: one forward transform per snapshot, one inverse per band
-        import critns.norms
-
+        # band table: one forward transform per snapshot, one block inverse
+        # (inverse_components) per band
         traj = self._traj(grid3, 9)
-        counts = {"forward": 0, "inverse": 0}
-
-        def counting(name, transform):
-            def wrapped(*args, **kwargs):
-                counts[name] += 1
-                return transform(*args, **kwargs)
-            return wrapped
-
-        for name in counts:
-            attr = f"{name}_transform"
-            monkeypatch.setattr(critns.norms, attr, counting(name, getattr(critns.norms, attr)))
+        counts = _count_transforms(monkeypatch)
         p = 3.0
         idx = BesovIndex.critical(p, 3)
         e_norm(traj, p, p, 0.2)
@@ -297,24 +346,12 @@ class TestCheminLerner:
     def test_stride_halving_reads_the_band_table(self, grid3, monkeypatch, interval):
         # the thinned norm is that of traj.thin(2), bit for bit, taken from
         # columns of the band table the full norm built: no further transform
-        import critns.norms
-
         f = random_divfree_field(grid3, seed=12, k_lo=1.0, k_hi=6.0)
         traj = make_heat_trajectory(f, np.linspace(0.0, 0.2, 9))
         rho, idx = 8.0 / 5.0, BesovIndex(critical_exponent(4.0, 3) + 1.25, 4.0, 4.0)
         full = chemin_lerner_norm(traj, rho, idx, interval)
         half = chemin_lerner_norm(traj.thin(2), rho, idx, interval)
-        counts = {"forward": 0, "inverse": 0}
-
-        def counting(name, transform):
-            def wrapped(*args, **kwargs):
-                counts[name] += 1
-                return transform(*args, **kwargs)
-            return wrapped
-
-        for name in counts:
-            attr = f"{name}_transform"
-            monkeypatch.setattr(critns.norms, attr, counting(name, getattr(critns.norms, attr)))
+        counts = _count_transforms(monkeypatch)
         assert stride_halving_error(traj, rho, idx, interval) == abs(full - half) / full
         assert counts == {"forward": 0, "inverse": 0}
 

@@ -5,9 +5,10 @@ import pytest
 
 from critns import Grid
 from critns.errors import DomainError, SupportOverflowError
-from critns.fields import gaussian_bump, localized_divfree_bump
-from critns.grid import heat_semigroup, spectral_divergence_ratio, zero_field
-from critns.norms import e_norm, lebesgue_norm
+from critns.fields import curl_field, gabor_bump, gaussian_bump, localized_divfree_bump
+from critns.grid import RealVectorField, heat_semigroup, spectral_divergence_ratio, zero_field
+from critns.lp import low_pass
+from critns.norms import band_profile, critical_exponent, e_norm, lebesgue_norm
 from critns.profiles import (
     ProfileSystem,
     RemainderRule,
@@ -445,3 +446,87 @@ class TestExtraction:
         assert len(cores) == 2
         assert cores[0].x0[0] < 0  # larger-amplitude core first
         assert cores[1].x0[0] > 0
+
+
+def _mesh_offsets(grid, center):
+    """Periodic offsets x_a - c_a on full coordinate arrays (np.meshgrid)."""
+    c = np.zeros(grid.d) if center is None else np.asarray(center, dtype=float)
+    mesh = np.meshgrid(*([grid.axis_coords] * grid.d), indexing="ij")
+    return [(x - ci + grid.L / 2.0) % grid.L - grid.L / 2.0 for x, ci in zip(mesh, c)]
+
+
+def _mesh_r2(grid, center):
+    r2 = np.zeros(grid.shape)
+    for dx in _mesh_offsets(grid, center):
+        r2 = r2 + dx**2
+    return r2
+
+
+def _mesh_gabor(grid, sigma, mode_center, center):
+    arg = np.zeros(grid.shape)
+    for m, dx in zip(mode_center, _mesh_offsets(grid, center)):
+        arg = arg + (2.0 * np.pi * m / grid.L) * dx
+    return np.exp(-_mesh_r2(grid, center) / (2.0 * sigma**2)) * np.sin(arg)
+
+
+def _mesh_divfree_bump(grid, sigma, center, seed, mode_center):
+    rng = np.random.default_rng(seed)
+    pot = [_mesh_gabor(grid, sigma, rng.permutation(np.asarray(mode_center, dtype=float)),
+                       center) for _ in range(1 if grid.d == 2 else 3)]
+    f = curl_field(RealVectorField(grid, np.stack(pot)))
+    return f * (1.0 / f.max_abs())
+
+
+def _mesh_cores(f, count):
+    """extract_cores with the suppression disk built on full coordinate arrays."""
+    grid = f.grid
+    levels, vals = band_profile(f, float(grid.d))
+    weights = 2.0 ** (levels * critical_exponent(float(grid.d), grid.d)) * vals
+    j_star = int(levels[int(np.argmax(weights))])
+    lam_hat = 2.0**-j_star
+    mag = np.sqrt(np.sum(low_pass(f, j_star + 2).data ** 2, axis=0))
+    out = []
+    for _ in range(count):
+        peak = np.max(mag)
+        if peak <= 0:
+            break
+        candidates = np.argwhere(mag >= peak * (1.0 - 1e-9))
+        x_hat = sorted(tuple(grid.axis_coords[i] for i in idx) for idx in candidates)[0]
+        out.append(ScaleCore(lam_hat, x_hat))
+        mag[_mesh_r2(grid, x_hat) <= (2.0 * lam_hat) ** 2] = 0.0
+    return out
+
+
+class TestBroadcastCoordinates:
+    """Bumps and the core-suppression disk are built from per-axis offsets
+    broadcast over the grid, bitwise equal to full coordinate arrays."""
+
+    GRIDS = [Grid(2, 32), Grid(3, 16)]
+
+    @staticmethod
+    def _centers(grid):
+        # the origin, an interior point, and one whose bump crosses the seam
+        L = grid.L
+        return [None, (0.1 * L, -0.2 * L, 0.05 * L)[: grid.d],
+                (0.47 * L, -0.49 * L, 0.45 * L)[: grid.d]]
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["2d", "3d"])
+    def test_bumps_match_meshgrid(self, grid):
+        sigma, mode = grid.L / 10, (2.0, 1.0, 3.0)[: grid.d]
+        for center in self._centers(grid):
+            bump = gaussian_bump(grid, sigma, center=center, ncomp=2, amplitude=1.5)
+            ref = 1.5 * np.exp(-_mesh_r2(grid, center) / (2.0 * sigma**2))
+            assert np.array_equal(bump.data, np.stack([ref, ref]))
+            gabor = gabor_bump(grid, sigma, mode, center=center)
+            assert np.array_equal(gabor.data[0], _mesh_gabor(grid, sigma, mode, center))
+            div_free = localized_divfree_bump(grid, sigma, center=center, seed=5,
+                                              mode_center=mode)
+            ref = _mesh_divfree_bump(grid, sigma, center, 5, mode)
+            assert np.array_equal(div_free.data, ref.data)
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["2d", "3d"])
+    def test_cores_match_meshgrid(self, grid):
+        # the seam-crossing bump's suppression disk wraps around the box
+        for center in self._centers(grid)[1:]:
+            f = localized_divfree_bump(grid, grid.L / 10, center=center, seed=6)
+            assert extract_cores(f, count=3) == _mesh_cores(f, 3)
