@@ -46,11 +46,6 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> RealVectorField:
     return RealVectorField(grid, amplitude * np.stack([u, v]))
 
 
-def taylor_green_pressure(grid: Grid, amplitude: float = 1.0, t: float = 0.0) -> np.ndarray:
-    x, y = grid.coordinate_mesh()
-    return -(amplitude**2) * np.exp(-4.0 * t) * (np.cos(2 * x) + np.cos(2 * y)) / 4.0
-
-
 def single_mode(grid: Grid, mode, ncomp: int = 1, phase: float = 0.0) -> RealVectorField:
     """cos(k.x + phase) replicated over ncomp components, k = 2*pi*mode/L."""
     _components(ncomp)

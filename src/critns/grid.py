@@ -14,9 +14,9 @@ donated coefficients, each complex stage only over the lines the box |m| <= M
 reaches, bitwise equal to irfftn; `inverse_components` runs the same complex
 stages and then the last irfft one component at a time.  `support_slabs` lists
 the slabs of the box |m| <= M, on which a product with a multiplier supported
-there is formed.  `support_extent` finds the smallest such M of a mask or a
-multiplier.  A radial symbol can instead be evaluated once per distinct |k|^2
-and gathered, its extent read off the grid's `RadialTable`.
+there is formed.  Every radial symbol (the heat kernels, the low-pass cutoffs,
+the dealias mask) is evaluated once per distinct |k|^2 and gathered by
+`radial_symbol`, which reads its extent M off the grid's `RadialTable`.
 
 A `RetainedBox` is the index box |m| <= M of the half spectrum that holds
 every mode a truncation mask keeps, stored as a dense array of its own; it
@@ -208,17 +208,18 @@ class RadialTable(NamedTuple):
     extent: np.ndarray
 
 
-def support_extent(grid: Grid, symbol: np.ndarray) -> int:
-    """The smallest M such that every nonzero entry of a half-spectrum array
-    (a mask or a multiplier, d axes) has |m| <= M on every axis."""
-    d, N = grid.d, grid.N
-    nonzero = symbol != 0
-    M = 0
-    for axis in range(d):
-        # index i holds |m| = min(i, N - i), on the last axis too (i <= N/2)
-        hit = np.flatnonzero(nonzero.any(axis=tuple(a for a in range(d) if a != axis)))
-        M = max(M, int(np.minimum(hit, N - hit).max(initial=0)))
-    return M
+def radial_symbol(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(symbol, support extent) of a radial symbol from its values at the
+    distinct |k|^2 of grid.radial_table, gathered onto the half spectrum.
+
+    The symbol must be nonzero at every |k|^2 in (0, K] and zero above K, so
+    its extent (the smallest M with the symbol zero wherever |m| > M on some
+    axis) is the table's at the largest |k|^2 where it is nonzero.
+    """
+    table = grid.radial_table
+    nonzero = np.flatnonzero(values)
+    extent = int(table.extent[nonzero[-1]]) if nonzero.size else 0
+    return np.take(values, table.inverse), extent
 
 
 class RetainedBox:
@@ -233,13 +234,12 @@ class RetainedBox:
     the attributes `_leray_coefficients` and the solver read from a Grid (d,
     spectral_shape, deriv_wavenumber_mesh, inv_deriv_k_squared, k_squared,
     multiplicity), each restricted to the box, plus `mask`, the truncation mask
-    inside the box.  Every array is read-only; scratch buffers belong to the
-    caller.
+    inside the box.  The caller gives the mask's support extent M.  Every array
+    is read-only; scratch buffers belong to the caller.
     """
 
-    def __init__(self, grid: Grid, mask: np.ndarray):
+    def __init__(self, grid: Grid, mask: np.ndarray, M: int):
         d, N = grid.d, grid.N
-        M = support_extent(grid, mask)
         self.grid, self.d, self.extent = grid, d, M
         self.spectral_shape = (2 * M + 1,) * (d - 1) + (M + 1,)
         lead = [(slice(0, M + 1), slice(0, M + 1))]
@@ -471,31 +471,15 @@ def heat_derivative_kernel(f: RealVectorField, tau: float) -> RealVectorField:
     if tau <= 0:
         raise DomainError(f"heat derivative kernel needs tau > 0, got {tau}")
     f.require_finite()
-    return apply_multiplier(f, heat_derivative_multiplier(f.grid, tau))
-
-
-def _heat_derivative_symbol(k2: np.ndarray, tau: float) -> np.ndarray:
-    return -tau * k2 * np.exp(-tau * k2)
-
-
-def heat_derivative_multiplier(grid: Grid, tau: float) -> np.ndarray:
-    """Symbol -tau|k|^2 exp(-tau|k|^2) of K(tau) = tau * d/dtau exp(tau*Laplacian)."""
-    return _heat_derivative_symbol(grid.k_squared, tau)
+    return apply_multiplier(f, heat_derivative_pair(f.grid, tau)[0])
 
 
 def heat_derivative_pair(grid: Grid, tau: float) -> tuple[np.ndarray, int]:
-    """(heat_derivative_multiplier(grid, tau), its support_extent), the same bit
-    for bit, from the symbol evaluated once per distinct |k|^2 and gathered.
-
-    The symbol vanishes at k = 0 and, where exp(-tau|k|^2) underflows, above
-    some |k|^2, so its extent is the radial table's at the largest |k|^2 where
-    it is nonzero.
-    """
-    table = grid.radial_table
-    values = _heat_derivative_symbol(table.k_squared, tau)
-    nonzero = np.flatnonzero(values)
-    extent = int(table.extent[nonzero[-1]]) if nonzero.size else 0
-    return np.take(values, table.inverse), extent
+    """(symbol, support extent) of K(tau) = tau * d/dtau exp(tau*Laplacian),
+    -tau|k|^2 exp(-tau|k|^2); see radial_symbol.  The symbol vanishes at k = 0
+    and, where exp(-tau|k|^2) underflows, above some |k|^2."""
+    k2 = grid.radial_table.k_squared
+    return radial_symbol(grid, -tau * k2 * np.exp(-tau * k2))
 
 
 def laplacian(f: RealVectorField) -> RealVectorField:
@@ -507,10 +491,6 @@ def gradient(grid: Grid, scalar: np.ndarray) -> RealVectorField:
     coeff = forward_transform(scalar, grid)
     comps = [inverse_transform(1j * ka * coeff, grid) for ka in grid.deriv_wavenumber_mesh]
     return RealVectorField(grid, np.stack(comps))
-
-
-def mean_mode(f: RealVectorField) -> np.ndarray:
-    return f.data.reshape(f.ncomp, -1).mean(axis=1)
 
 
 def zero_field(grid: Grid, ncomp: int | None = None) -> RealVectorField:

@@ -11,6 +11,7 @@ component-major overall.  Readers reject any other magic.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -42,14 +43,15 @@ def read_field(path) -> RealVectorField:
             box = float(kv["L"])
         except (KeyError, ValueError) as exc:
             raise InvalidFieldError(f"{path}: malformed CFD1 header {header!r}") from exc
-        count = ncomp * n**d
-        payload = fh.read(count * 8)
-        if len(payload) != count * 8:
-            raise InvalidFieldError(
-                f"{path}: truncated payload ({len(payload)}/{count * 8} bytes)"
-            )
-        raw = np.frombuffer(payload, dtype="<f8")
-    grid = Grid(d=d, N=n, L=box)
+        grid = Grid(d=d, N=n, L=box)
+        # checked before reading, so a header that claims more than the file
+        # holds never asks for an impossible allocation
+        size = ncomp * n**d * 8
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if not 0 <= size <= left:
+            raise InvalidFieldError(f"{path}: header claims {size} payload bytes, "
+                                    f"the file holds {left}")
+        raw = np.frombuffer(fh.read(size), dtype="<f8")
     return RealVectorField(grid, raw.reshape((ncomp,) + grid.shape).copy())
 
 
@@ -98,13 +100,15 @@ def load_trajectory(dirpath):
     if not isinstance(manifest, dict) or manifest.get("format") != "critns-trajectory":
         raise ConfigValidationError(f"{dirpath}: not a trajectory directory")
     times, names = manifest.get("times"), manifest.get("snapshots")
-    records = manifest.get("records", {})
+    records, status = manifest.get("records", {}), manifest.get("status")
     if (not _numbers(times) or not isinstance(records, dict)
             or not all(map(_numbers, records.values()))
             or not isinstance(names, list) or not names
-            or not all(isinstance(name, str) and name.isprintable() for name in names)):
+            or not all(isinstance(name, str) and name.isprintable() for name in names)
+            or not isinstance(status, str)):
         raise ConfigValidationError(f"{dirpath}: malformed manifest (times and records must be "
-                                    "number lists, snapshots a non-empty list of file names)")
+                                    "number lists, snapshots a non-empty list of file names, "
+                                    "status a string)")
     snaps = [read_field(dirpath / name) for name in names]
     grid = snaps[0].grid
     # one Grid for all snapshots, so the symbols cached on it are computed once
@@ -117,7 +121,7 @@ def load_trajectory(dirpath):
         times=np.asarray(times, dtype=float),
         snapshots=snaps,
         records={k: np.asarray(v, dtype=float) for k, v in records.items()},
-        status=manifest["status"],
+        status=status,
         config_echo=manifest.get("config", {}),
     )
 

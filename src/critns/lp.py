@@ -24,7 +24,7 @@ from .grid import (
     apply_multiplier,
     forward_transform,
     inverse_transform,
-    support_extent,
+    radial_symbol,
 )
 
 
@@ -60,14 +60,15 @@ def band_range(grid: Grid) -> tuple[int, int]:
 
 
 def _low_pass(grid: Grid, j: int) -> tuple[np.ndarray, int]:
-    """(symbol, support extent) of S_j, cached on the grid; see low_pass_symbol."""
+    """(symbol, support extent) of S_j, cached on the grid; see low_pass_symbol.
+    chi is evaluated once per distinct |k|^2 (grid.radial_symbol)."""
     lo, hi = band_range(grid)
     j = min(max(j, lo), hi + 1)
     entry = grid.low_pass_symbols.get(j)
     if entry is None:
-        symbol = chi(np.sqrt(grid.k_squared) / 2.0**j)
-        symbol.flags.writeable = False
-        entry = grid.low_pass_symbols[j] = (symbol, support_extent(grid, symbol))
+        k2 = grid.radial_table.k_squared
+        entry = grid.low_pass_symbols[j] = radial_symbol(grid, chi(np.sqrt(k2) / 2.0**j))
+        entry[0].flags.writeable = False
     return entry
 
 

@@ -298,13 +298,6 @@ def chemin_lerner_norm(traj, rho: float, idx: BesovIndex, interval=None) -> floa
     return _cl_from_matrix(times, levels, eps, rho, idx)
 
 
-def time_lebesgue_besov_norm(traj, rho: float, idx: BesovIndex, interval=None) -> float:
-    """Plain L^rho-in-time of the Besov norm (the weaker ordering)."""
-    times, levels, eps = band_lp_matrix(traj, idx.p, interval)
-    per_time = np.array([besov_from_profile(levels, col, idx)[0] for col in eps.T])
-    return _time_lp(per_time, times, rho)
-
-
 def stride_halving_error(traj, rho: float, idx: BesovIndex, interval=None) -> float:
     """Relative change of the Chemin-Lerner norm when every other snapshot is
     dropped (those of traj.thin(2), then the window), read from the columns of
@@ -435,24 +428,6 @@ def serrin_norm(traj, p_t: float, q_x: float, interval=None) -> float:
         raise DomainError("space-time norms need at least 2 snapshots")
     spatial = np.array([lebesgue_norm(s, q_x) for s in snaps])
     return _time_lp(spatial, np.asarray(times), p_t)
-
-
-def elementary_expansion_defect(terms: list, p: float):
-    """Pointwise |(sum A)^p - sum |A|^p| and its pairwise cross-term bound.
-
-    Returns (lhs, rhs) sample arrays; a fitted C with lhs <= C * rhs everywhere
-    quantifies the elementary inequality on the given family.
-    """
-    total = np.zeros_like(terms[0])
-    for a in terms:
-        total = total + a
-    lhs = np.abs(np.abs(total) ** p - sum(np.abs(a) ** p for a in terms))
-    rhs = np.zeros_like(lhs)
-    for i, a in enumerate(terms):
-        for j, b in enumerate(terms):
-            if i != j:
-                rhs += np.abs(a) * np.abs(b) ** (p - 1.0)
-    return lhs, rhs
 
 
 def norm_report(norm_name: str, parameters: dict, value: float, warns: list | None = None,

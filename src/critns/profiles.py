@@ -46,9 +46,9 @@ from .scaling import (ScaleCore, ScaleCoreSequence, apply_lambda, apply_lambda_s
 from .solver import (
     SolverConfig,
     Trajectory,
-    _box_inverse,
     _div_flux_hat,
     _pair_product,
+    _projected_flux,
     _self_product,
     dealias_box,
     evolve,
@@ -297,10 +297,7 @@ def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float,
     u, g = _source(parts, w, dealias_fraction)
     del parts  # only u and w enter the Bony split; free the profile fields first
     tuw = low_high(grid, u.data[:, None], w.data[None])
-    box = dealias_box(grid, dealias_fraction)
-    flux = _div_flux_hat(lambda i, j: tuw[i, j] + tuw[j, i], grid, box, trace_free=True)
-    _leray_coefficients(flux, box)
-    part1 = RealVectorField(grid, -_box_inverse(flux, grid, box))
+    part1 = -_projected_flux(lambda i, j: tuw[i, j] + tuw[j, i], grid, dealias_fraction)
     return part1, g - part1
 
 
@@ -410,15 +407,6 @@ def extract_cores(f: RealVectorField, count: int = 1, p: float | None = None):
     return out
 
 
-def extract_concentration(fields: list, p: float | None = None):
-    """Dominant ScaleCore per field (None for zero fields)."""
-    results = []
-    for f in fields:
-        cores = extract_cores(f, count=1, p=p)
-        results.append(cores[0] if cores else None)
-    return results
-
-
 def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
                          forcing=None) -> float:
     """L^2-in-time L^2-in-space residual of du/dt + P div(u x u) - Lap u
@@ -443,12 +431,12 @@ def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
         dudt = (traj.snapshots[i + 1].data - traj.snapshots[i - 1].data) / dt2
         u = traj.snapshots[i]
         uh = forward_transform(u.data, grid)
-        nl_hat = _div_flux_hat(_self_product(u.data), grid, box, trace_free=True)
+        nl_hat = _div_flux_hat(_self_product(u.data), box, trace_free=True)
         _leray_coefficients(nl_hat, box)
         resid_hat = forward_transform(dudt, grid) + box.scatter(nl_hat) + k2 * uh
         if forcing is not None:
             f, g = forcing(float(times[i]))
-            q_hat = _div_flux_hat(_pair_product(u.data, f.data), grid, box, trace_free=True)
+            q_hat = _div_flux_hat(_pair_product(u.data, f.data), box, trace_free=True)
             resid_hat += box.scatter(_leray_coefficients(q_hat, box))
             gh = box.truncate(forward_transform(g.data, grid))
             resid_hat -= box.scatter(_leray_coefficients(gh, box))

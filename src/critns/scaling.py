@@ -11,7 +11,6 @@ the periodic images are discarded rather than wrapped).
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -64,18 +63,6 @@ class ScaleCoreSequence:
 
     def __getitem__(self, n: int) -> ScaleCore:
         return self.entries[n]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            [{"lambda": sc.lam, "x0": list(sc.x0)} for sc in self.entries]
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "ScaleCoreSequence":
-        raw = json.loads(text)
-        return ScaleCoreSequence(
-            [ScaleCore(item["lambda"], tuple(item["x0"])) for item in raw]
-        )
 
 
 class OrthogonalityVerdict(Enum):

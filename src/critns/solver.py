@@ -22,16 +22,12 @@ never the true blow-up time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InvalidFieldError,
-    TrajectoryCoverageError,
-)
+from .errors import DomainError, TrajectoryCoverageError
 from .grid import (
     Grid,
     RealVectorField,
@@ -39,6 +35,7 @@ from .grid import (
     forward_transform,
     heat_semigroup,
     inverse_transform,
+    radial_symbol,
     _leray_coefficients,
 )
 from .norms import (
@@ -49,7 +46,6 @@ from .norms import (
     chemin_lerner_norm,
     critical_exponent,
     e_norm,
-    lebesgue_norm,
 )
 
 COMPLETED = "Completed"
@@ -191,25 +187,23 @@ class PerturbationProblem:
         return sum(parts[1:], parts[0]) if parts else None
 
 
-def dealias_mask(grid: Grid, fraction: float) -> np.ndarray:
-    """Sharp radial truncation at fraction * Nyquist (index units)."""
-    return _inside_radius(grid.k_squared, grid, fraction)
-
-
 def _inside_radius(k_squared: np.ndarray, grid: Grid, fraction: float) -> np.ndarray:
-    """|m| < fraction * N/2 in index units, on a Grid's or a box's k_squared."""
+    """|m| < fraction * N/2 in index units, on any array of the grid's |k|^2."""
     radius = fraction * grid.N / 2.0
     m2 = k_squared * (grid.L / (2.0 * np.pi)) ** 2
     return m2 < radius**2
 
 
 def dealias_box(grid: Grid, fraction: float) -> RetainedBox:
-    """The retained box of the dealias sphere: every mode of dealias_mask lies
-    in it, and the sphere inside it is the box's mask.  Built once per (grid,
-    fraction) and kept read-only on the grid."""
+    """The retained box of the dealias sphere, the sharp radial truncation
+    |m| < fraction * N/2: every mode of the sphere lies in the box, and the
+    sphere inside it is the box's mask.  Built once per (grid, fraction) and
+    kept read-only on the grid."""
     box = grid.dealias_boxes.get(fraction)
     if box is None:
-        box = grid.dealias_boxes[fraction] = RetainedBox(grid, dealias_mask(grid, fraction))
+        k2 = grid.radial_table.k_squared
+        mask, extent = radial_symbol(grid, _inside_radius(k2, grid, fraction))
+        box = grid.dealias_boxes[fraction] = RetainedBox(grid, mask, extent)
     return box
 
 
@@ -227,21 +221,9 @@ def _tail_octave_mask(box: RetainedBox, fraction: float, octave_shift: int = 0) 
     return tail
 
 
-def _box_inverse(coeff: np.ndarray, grid: Grid, box: RetainedBox | None) -> np.ndarray:
-    """Real samples of coefficients laid out by _div_flux_hat on box (or on the
-    half spectrum when box is None)."""
-    if box is None:
-        return inverse_transform(coeff, grid)
-    return inverse_transform(box.scatter(coeff), grid, box.extent)
-
-
-def convective_divergence(u: RealVectorField, dealias_fraction: float | None = None) -> RealVectorField:
-    """div(u (x) u): products in physical space, derivatives in spectral space."""
-    u.require_finite()
-    grid = u.grid
-    box = None if dealias_fraction is None else dealias_box(grid, dealias_fraction)
-    acc = _div_flux_hat(_self_product(u.data), grid, box)
-    return RealVectorField(grid, _box_inverse(acc, grid, box))
+def _box_inverse(coeff: np.ndarray, box: RetainedBox) -> np.ndarray:
+    """Real samples of coefficients laid out on box."""
+    return inverse_transform(box.scatter(coeff), box.grid, box.extent)
 
 
 def _self_product(u: np.ndarray):
@@ -254,15 +236,14 @@ def _pair_product(a: np.ndarray, b: np.ndarray):
     return lambda i, j: a[i] * b[j] + b[i] * a[j]
 
 
-def _div_flux_hat(entry, grid: Grid, box: RetainedBox | None,
-                  symmetric: bool = True, trace_free: bool = False) -> np.ndarray:
+def _div_flux_hat(entry, box: RetainedBox, symmetric: bool = True,
+                  trace_free: bool = False) -> np.ndarray:
     """Spectral coefficients of (div S)_i = sum_j d_j S_ij, dealiased by box.
 
-    entry(i, j) returns a new array of the physical samples of S_ij.  With a
-    box, each transform is truncated to the box's mask and the result is laid
-    out on the box; with None it is the untruncated half spectrum.  A
-    symmetric tensor is read from its upper triangle only (d(d+1)/2
-    transforms instead of d^2).
+    entry(i, j) returns a new array of the physical samples of S_ij.  Each
+    transform is truncated to the box's mask and the result is laid out on
+    the box.  A symmetric tensor is read from its upper triangle only
+    (d(d+1)/2 transforms instead of d^2).
 
     trace_free takes S - S_{d-1,d-1} I instead: each diagonal entry less the
     last one, which is then skipped, so one transform fewer.  That changes
@@ -270,10 +251,9 @@ def _div_flux_hat(entry, grid: Grid, box: RetainedBox | None,
     only callers that project the result pass it (Basdevant, J. Comput. Phys.
     50, 1983).
     """
-    d = grid.d
-    layout = grid if box is None else box
-    kmesh = layout.deriv_wavenumber_mesh
-    acc = np.zeros((d,) + layout.spectral_shape, dtype=np.complex128)
+    d = box.d
+    kmesh = box.deriv_wavenumber_mesh
+    acc = np.zeros((d,) + box.spectral_shape, dtype=np.complex128)
     trace = entry(d - 1, d - 1) if trace_free else None
     for i in range(d):
         for j in range(i if symmetric else 0, d):
@@ -282,9 +262,7 @@ def _div_flux_hat(entry, grid: Grid, box: RetainedBox | None,
             sij = entry(i, j)
             if trace is not None and i == j:
                 sij -= trace
-            tij = forward_transform(sij, grid)
-            if box is not None:
-                tij = box.truncate(tij)
+            tij = box.truncate(forward_transform(sij, box.grid))
             acc[i] += 1j * kmesh[j] * tij
             if symmetric and j != i:
                 acc[j] += 1j * kmesh[i] * tij
@@ -294,8 +272,8 @@ def _div_flux_hat(entry, grid: Grid, box: RetainedBox | None,
 def _projected_flux(entry, grid: Grid, fraction: float) -> RealVectorField:
     """P div S, dealiased at fraction."""
     box = dealias_box(grid, fraction)
-    acc = _leray_coefficients(_div_flux_hat(entry, grid, box, trace_free=True), box)
-    return RealVectorField(grid, _box_inverse(acc, grid, box))
+    acc = _leray_coefficients(_div_flux_hat(entry, box, trace_free=True), box)
+    return RealVectorField(grid, _box_inverse(acc, box))
 
 
 def nonlinear_term(u: RealVectorField, dealias_fraction: float = 2.0 / 3.0) -> RealVectorField:
@@ -312,16 +290,15 @@ def q_bilinear(a: RealVectorField, b: RealVectorField,
     return _projected_flux(_pair_product(a.data, b.data), a.grid, dealias_fraction)
 
 
-def recover_pressure(u: RealVectorField, dealias_fraction: float | None = None) -> RealVectorField:
-    """pi = -inv(Laplacian) div div (u (x) u), zero-mean, as a one-component field."""
+def recover_pressure(u: RealVectorField, dealias_fraction: float = 2.0 / 3.0) -> RealVectorField:
+    """pi = -inv(Laplacian) div div (u (x) u), zero-mean, as a one-component
+    field, with the flux dealiased at dealias_fraction."""
     u.require_finite()
-    grid = u.grid
-    box = None if dealias_fraction is None else dealias_box(grid, dealias_fraction)
-    layout = grid if box is None else box
-    div_hat = _div_flux_hat(_self_product(u.data), grid, box)
-    divdiv = sum(1j * ka * div_hat[a] for a, ka in enumerate(layout.deriv_wavenumber_mesh))
-    pi_hat = divdiv * layout.inv_deriv_k_squared
-    return RealVectorField(grid, _box_inverse(pi_hat[None, ...], grid, box))
+    box = dealias_box(u.grid, dealias_fraction)
+    div_hat = _div_flux_hat(_self_product(u.data), box)
+    divdiv = sum(1j * ka * div_hat[a] for a, ka in enumerate(box.deriv_wavenumber_mesh))
+    pi_hat = divdiv * box.inv_deriv_k_squared
+    return RealVectorField(u.grid, _box_inverse(pi_hat[None, ...], box))
 
 
 def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
@@ -350,10 +327,9 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     def rhs_hat(phys: np.ndarray, t: float) -> np.ndarray:
         acc = np.zeros_like(uh)
         if not cfg.linear_only:
-            acc -= _div_flux_hat(_self_product(phys), grid, box, trace_free=True)
+            acc -= _div_flux_hat(_self_product(phys), box, trace_free=True)
         if drift is not None:
-            acc -= _div_flux_hat(_pair_product(phys, drift.at(t).data), grid, box,
-                                 trace_free=True)
+            acc -= _div_flux_hat(_pair_product(phys, drift.at(t).data), box, trace_free=True)
         if source is not None:
             g = source(t)
             if g is not None:
@@ -364,7 +340,7 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     step_of_last_snap = -1
     for step in range(n_steps + 1):
         t = step * cfg.dt
-        phys = _box_inverse(uh, grid, box)
+        phys = _box_inverse(uh, box)
         linf = float(max(phys.max(), -phys.min()))
         if not math.isfinite(linf):
             status = NON_FINITE
@@ -396,7 +372,7 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
         np.multiply(cfg.dt, n1, out=pred)
         np.add(uh, pred, out=pred)
         np.multiply(heat, pred, out=pred)
-        n2 = rhs_hat(_box_inverse(pred, grid, box), t + cfg.dt)
+        n2 = rhs_hat(_box_inverse(pred, box), t + cfg.dt)
         np.multiply(heat, n1, out=n1)
         np.add(n1, n2, out=n1)
         np.multiply(0.5 * cfg.dt, n1, out=n1)
@@ -428,7 +404,7 @@ def condition_datum(f: RealVectorField, dealias_fraction: float = 2.0 / 3.0) -> 
     grid = f.grid
     box = dealias_box(grid, dealias_fraction)
     coeff = _leray_coefficients(box.truncate(forward_transform(f.data, grid)), box)
-    return RealVectorField(grid, _box_inverse(coeff, grid, box))
+    return RealVectorField(grid, _box_inverse(coeff, box))
 
 
 def evolve(u0: RealVectorField, cfg: SolverConfig) -> Trajectory:
@@ -465,11 +441,12 @@ def sample_trajectory(grid: Grid, times, func) -> Trajectory:
 
 
 def bilinear_duhamel(f_traj: Trajectory, g_traj: Trajectory, t: float,
-                     dealias_fraction: float | None = None) -> RealVectorField:
+                     dealias_fraction: float = 2.0 / 3.0) -> RealVectorField:
     """B(f, g)(t) = integral_0^t exp((t-tau) Lap) P div(f (x) g)(tau) dtau.
 
-    Trapezoid over the common snapshot grid; B(f, f) relates to the mild
-    solution by u = exp(t Lap) u0 - B(u, u).
+    Trapezoid over the common snapshot grid, the flux dealiased at
+    dealias_fraction; B(f, f) relates to the mild solution by
+    u = exp(t Lap) u0 - B(u, u).
     """
     grid = f_traj.grid
     if not grid.compatible(g_traj.grid):
@@ -480,18 +457,15 @@ def bilinear_duhamel(f_traj: Trajectory, g_traj: Trajectory, t: float,
     if abs(taus[-1] - t) > 1e-12:
         taus.append(t)
     taus = np.asarray(taus)
-    box = None if dealias_fraction is None else dealias_box(grid, dealias_fraction)
-    layout = grid if box is None else box
-    k2 = layout.k_squared
-    acc = np.zeros((grid.d,) + layout.spectral_shape, dtype=np.complex128)
+    box = dealias_box(grid, dealias_fraction)
+    acc = np.zeros((grid.d,) + box.spectral_shape, dtype=np.complex128)
     for tau, weight in zip(taus, _trapezoid_weights(taus)):
         fa = f_traj.at(tau).data
         gb = g_traj.at(tau).data
-        s = _div_flux_hat(lambda i, j: fa[i] * gb[j], grid, box, symmetric=False,
-                          trace_free=True)
-        _leray_coefficients(s, layout)
-        acc += weight * np.exp(-(t - tau) * k2) * s
-    return RealVectorField(grid, _box_inverse(acc, grid, box))
+        s = _div_flux_hat(lambda i, j: fa[i] * gb[j], box, symmetric=False, trace_free=True)
+        _leray_coefficients(s, box)
+        acc += weight * np.exp(-(t - tau) * box.k_squared) * s
+    return RealVectorField(grid, _box_inverse(acc, box))
 
 
 @dataclass
@@ -580,15 +554,3 @@ def verify_perturbation_bound(prob: PerturbationProblem, cfg: SolverConfig,
         p=p,
         horizon=cfg.T,
     )
-
-
-def richardson_order(u0: RealVectorField, cfg: SolverConfig, norm_p: float = 2.0) -> float:
-    """Observed temporal order from self-convergence under dt halving."""
-    t1 = evolve(u0, cfg)
-    t2 = evolve(u0, replace(cfg, dt=cfg.dt / 2.0, snapshot_stride=cfg.snapshot_stride * 2))
-    t4 = evolve(u0, replace(cfg, dt=cfg.dt / 4.0, snapshot_stride=cfg.snapshot_stride * 4))
-    e1 = lebesgue_norm(t1.snapshots[-1] - t2.snapshots[-1], norm_p)
-    e2 = lebesgue_norm(t2.snapshots[-1] - t4.snapshots[-1], norm_p)
-    if e2 == 0:
-        raise InvalidFieldError("self-convergence differences vanished; cannot fit an order")
-    return math.log2(e1 / e2)

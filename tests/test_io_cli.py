@@ -491,8 +491,10 @@ class TestCLI:
         lambda m: dict(m, snapshots=[]),
         lambda m: dict(m, snapshots=[5, 6]),
         lambda m: dict(m, records=[1]),
+        lambda m: {k: v for k, v in m.items() if k != "status"},
+        lambda m: dict(m, status=5),
     ], ids=["not-object", "times-string", "times-boolean", "snapshots-empty",
-            "snapshots-not-names", "records-list"])
+            "snapshots-not-names", "records-list", "status-missing", "status-not-string"])
     def test_malformed_manifest_json_error(self, workdir, command, change):
         traj_dir = workdir / "traj"
         save_trajectory(traj_dir, make_heat_trajectory(taylor_green(Grid(2, 16)), [0.0, 0.01]))
@@ -507,6 +509,21 @@ class TestCLI:
             code = cli.main([command, "--config", cfg, "--out", str(workdir / "out")])
         assert code == 1
         assert json.loads(stderr.getvalue())["error"] == "ConfigValidationError"
+
+    @pytest.mark.parametrize("N", [1048576, 524288])
+    def test_oversized_cfd1_header_json_error(self, workdir, N):
+        # a header that claims more data than the file holds is rejected
+        # before the read asks for C * N^d * 8 bytes
+        path = workdir / "big.cfd"
+        path.write_bytes(f"CFD1 d=3 N={N} L=6.283185307179586 C=3\n".encode() + b"\0" * 64)
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 3, "N": N}, "field": str(path),
+            "norm": {"kind": "lebesgue", "p": 2}})
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(["norm", "--config", cfg, "--out", str(workdir / "out")])
+        assert code == 1
+        assert json.loads(stderr.getvalue())["error"] == "InvalidFieldError"
 
     def test_readme_examples(self, tmp_path, monkeypatch):
         # the README's evolve config and its two commands, run as written

@@ -23,13 +23,12 @@ from critns.criticality import sup_critical_norm
 from critns.grid import (
     RealVectorField,
     forward_transform,
-    heat_derivative_multiplier,
     heat_derivative_pair,
     inverse_transform,
-    support_extent,
     zero_field,
 )
-from critns.lp import band_range, dyadic_multipliers
+from critns import lp
+from critns.lp import band_range, chi, dyadic_multipliers
 from critns.norms import (
     INF,
     BesovIndex,
@@ -37,6 +36,7 @@ from critns.norms import (
     _multiplier_norms,
     band_lp_matrix,
     band_profile,
+    besov_from_profile,
     besov_norm,
     besov_norm_detailed,
     chemin_lerner_norm,
@@ -44,7 +44,6 @@ from critns.norms import (
     default_tau_grid,
     e_norm,
     edge_share,
-    elementary_expansion_defect,
     heat_besov_norm,
     heat_besov_norm_detailed,
     heat_besov_spacetime_norm,
@@ -54,9 +53,15 @@ from critns.norms import (
     power_sums,
     serrin_norm,
     stride_halving_error,
-    time_lebesgue_besov_norm,
 )
-from critns.solver import Trajectory, make_heat_trajectory, sample_trajectory
+from critns.solver import Trajectory, dealias_box, make_heat_trajectory, sample_trajectory
+
+from conftest import dealias_mask, support_extent
+
+
+def heat_symbol(grid, tau):
+    """Reference: -tau|k|^2 exp(-tau|k|^2) evaluated on the whole half spectrum."""
+    return -tau * grid.k_squared * np.exp(-tau * grid.k_squared)
 
 
 class TestLebesgue:
@@ -181,7 +186,7 @@ class TestBlockEngine:
         f = random_smooth_field(grid, seed=6, ncomp=grid.d)
         coeff = forward_transform(f.data, grid)
         lo, hi = band_range(grid)
-        heat = [heat_derivative_multiplier(grid, tau) for tau in (0.05, 20.0)]
+        heat = [heat_symbol(grid, tau) for tau in (0.05, 20.0)]
         mults = list(dyadic_multipliers(grid, lo, hi)) + [(m, support_extent(grid, m))
                                                           for m in heat]
         assert mults[-1][1] < grid.N // 2
@@ -367,7 +372,9 @@ class TestCheminLerner:
         traj = Trajectory(grid, times, fields)
         idx = BesovIndex(0.2, 3.0, 2.0)
         rho = 4.0  # rho >= q = 2
-        plain = time_lebesgue_besov_norm(traj, rho, idx)
+        times, levels, eps = band_lp_matrix(traj, idx.p)
+        per_time = [besov_from_profile(levels, col, idx)[0] for col in eps.T]
+        plain = norms._time_lp(np.array(per_time), times, rho)
         cl = chemin_lerner_norm(traj, rho, idx)
         assert plain <= cl * (1 + 1e-9)
 
@@ -468,18 +475,31 @@ class TestHeatSymbolTable:
     @pytest.mark.parametrize("N", [24, 32, 64])
     @pytest.mark.parametrize("d", [2, 3])
     def test_gathered_symbol_bitwise(self, d, N):
-        # once per distinct |k|^2, then gathered: the symbol and its extent as
-        # heat_derivative_multiplier and support_extent give them, including
-        # the large tau where every mode but the lowest underflows to 0
+        # every radial symbol is evaluated once per distinct |k|^2 and gathered:
+        # the symbol and its extent are those of the full-spectrum evaluation
+        # and the full-spectrum support scan, for the heat symbols (including
+        # the large tau where every mode but the lowest underflows to 0), the
+        # low-pass symbols of every level and the dealias masks
         grid = Grid(d, N)
-        extents = []
+        heat_extents = []
         for tau in np.geomspace(1e-5, 80.0, 37):
             m, extent = heat_derivative_pair(grid, tau)
-            ref = heat_derivative_multiplier(grid, tau)
+            ref = heat_symbol(grid, tau)
             assert m.tobytes() == ref.tobytes()
             assert extent == support_extent(grid, ref)
-            extents.append(extent)
-        assert extents[0] == N // 2 and extents[-1] <= 3
+            heat_extents.append(extent)
+        assert heat_extents[0] == N // 2 and heat_extents[-1] <= 3
+        lo, hi = band_range(grid)
+        for j in range(lo - 1, hi + 3):
+            m, extent = lp._low_pass(grid, j)
+            ref = chi(np.sqrt(grid.k_squared) / 2.0**j)
+            assert m.tobytes() == ref.tobytes(), j
+            assert extent == support_extent(grid, ref), j
+        for fraction in (0.5, 2.0 / 3.0, 1.0):
+            box = dealias_box(grid, fraction)
+            ref = dealias_mask(grid, fraction)
+            assert box.scatter(box.mask).tobytes() == ref.tobytes(), fraction
+            assert box.extent == support_extent(grid, ref), fraction
 
     def test_table_is_read_only_and_cached(self, grid3):
         table = grid3.radial_table
@@ -563,18 +583,6 @@ class TestSerrin:
 
 
 class TestUtilities:
-    def test_elementary_inequality_fit(self):
-        # pointwise power-expansion bound with a fitted constant
-        rng = np.random.default_rng(0)
-        for p in (1.5, 2.0, 3.0, 4.0):
-            terms = [rng.standard_normal((64,)) for _ in range(4)]
-            lhs, rhs = elementary_expansion_defect(terms, p)
-            mask = rhs > 1e-12
-            c_fit = np.max(lhs[mask] / rhs[mask])
-            assert np.isfinite(c_fit)
-            assert np.all(lhs[~mask] < 1e-9)
-            assert c_fit < 50.0
-
     def test_edge_share(self):
         levels = np.arange(-1, 4)
         low = np.array([2.0, 1.0, 0.5, 0.25, 0.0])

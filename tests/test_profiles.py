@@ -16,7 +16,6 @@ from critns.profiles import (
     drift_norm,
     drift_term,
     evolve_system,
-    extract_concentration,
     extract_cores,
     norm_splitting_check,
     ns_equation_residual,
@@ -331,8 +330,7 @@ class TestDriftAndSource:
         box = dealias_box(grid3m, 2.0 / 3.0)
 
         def minus_p_div_sym(tensor):
-            flux = _div_flux_hat(lambda i, j: tensor[i, j] + tensor[j, i], grid3m, box,
-                                 trace_free=True)
+            flux = _div_flux_hat(lambda i, j: tensor[i, j] + tensor[j, i], box, trace_free=True)
             return -inverse_transform(box.scatter(_leray_coefficients(flux, box)), grid3m)
 
         assert np.array_equal(p1.data, minus_p_div_sym(para))
@@ -412,13 +410,13 @@ class TestNormSplitting:
 
 class TestExtraction:
     def test_zero_field_no_concentration(self, grid3m):
-        assert extract_concentration([zero_field(grid3m)]) == [None]
+        assert extract_cores(zero_field(grid3m)) is None
 
     def test_identity_bump_recovery(self):
         grid = Grid(3, 32)
         f = localized_divfree_bump(grid, sigma=grid.L / 10, mode_center=(2, 1, 0),
                                    seed=17, amplitude=1.0)
-        core = extract_concentration([f])[0]
+        core = extract_cores(f)[0]
         assert 0.5 <= core.lam <= 2.0
         assert np.linalg.norm(core.x0) <= 2.0
 

@@ -287,9 +287,3 @@ class TestOrthogonalityCheck:
         assert orthogonality_check(sa, sb, 3) is OrthogonalityVerdict.ORTHOGONAL_BY_SCALES
         vals = [cross_term(f, g, sa[n], sb[n], 2.0) for n in range(0, 6)]
         assert all(a >= b - 1e-9 for a, b in zip(vals, vals[1:]))
-
-    def test_sequence_json_roundtrip(self):
-        sb = ScaleCoreSequence([ScaleCore(2.0**-n, (0.5 * n, -0.25)) for n in range(4)])
-        back = ScaleCoreSequence.from_json(sb.to_json())
-        for a, b in zip(sb.entries, back.entries):
-            assert a.lam == b.lam and a.x0 == b.x0

@@ -7,11 +7,7 @@ import pytest
 
 from critns import Grid
 from critns.errors import DomainError, TrajectoryCoverageError
-from critns.fields import (
-    random_divfree_field,
-    taylor_green,
-    taylor_green_pressure,
-)
+from critns.fields import random_divfree_field, taylor_green
 from critns.grid import (
     RealVectorField,
     forward_transform,
@@ -31,26 +27,29 @@ from critns.solver import (
     RESOLUTION_LIMIT,
     PerturbationProblem,
     SolverConfig,
-    Trajectory,
+    _box_inverse,
     _div_flux_hat,
     _pair_product,
     _self_product,
     bilinear_duhamel,
-    convective_divergence,
     dealias_box,
-    dealias_mask,
     evolve,
     evolve_perturbed,
     make_heat_trajectory,
     nonlinear_term,
     q_bilinear,
     recover_pressure,
-    richardson_order,
     sample_trajectory,
     verify_perturbation_bound,
 )
 
-from conftest import rel_err
+from conftest import dealias_mask, rel_err
+
+
+def convective_divergence(u, fraction=2.0 / 3.0):
+    """div(u (x) u), unprojected, dealiased at fraction."""
+    box = dealias_box(u.grid, fraction)
+    return RealVectorField(u.grid, _box_inverse(_div_flux_hat(_self_product(u.data), box), box))
 
 
 class TestNonlinearTerm:
@@ -103,9 +102,9 @@ class TestQBilinear:
         f = random_divfree_field(grid3, seed=4, k_hi=3.0).data
         g = random_divfree_field(grid3, seed=5, k_hi=3.0).data
         box = dealias_box(grid3, 2.0 / 3.0)
-        general = (_div_flux_hat(lambda i, j: f[i] * g[j], grid3, box, symmetric=False)
-                   + _div_flux_hat(lambda i, j: g[i] * f[j], grid3, box, symmetric=False))
-        pair = _div_flux_hat(_pair_product(f, g), grid3, box)
+        general = (_div_flux_hat(lambda i, j: f[i] * g[j], box, symmetric=False)
+                   + _div_flux_hat(lambda i, j: g[i] * f[j], box, symmetric=False))
+        pair = _div_flux_hat(_pair_product(f, g), box)
         assert rel_err(general, pair) < 1e-13
 
 
@@ -144,8 +143,12 @@ class TestEvolve:
     def test_second_order_in_time(self):
         grid = Grid(2, 32)
         u0 = random_divfree_field(grid, seed=7, k_lo=1.0, k_hi=6.0, amplitude=1.0)
-        order = richardson_order(u0, SolverConfig(dt=4e-3, T=0.2, snapshot_stride=1000))
-        assert 1.8 < order < 2.2
+        # observed order from self-convergence under dt halving
+        finals = [evolve(u0, SolverConfig(dt=4e-3 / r, T=0.2, snapshot_stride=1000 * r))
+                  .snapshots[-1] for r in (1, 2, 4)]
+        e1 = lebesgue_norm(finals[0] - finals[1], 2.0)
+        e2 = lebesgue_norm(finals[1] - finals[2], 2.0)
+        assert 1.8 < math.log2(e1 / e2) < 2.2
 
     def test_spectral_in_space(self):
         # doubling N changes a smooth run by far less than the temporal error
@@ -329,7 +332,7 @@ class TestBoxStep:
 
 class TestTraceFreeFlux:
     @pytest.mark.parametrize("symmetric", [True, False])
-    @pytest.mark.parametrize("fraction", [2.0 / 3.0, None])
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
     @pytest.mark.parametrize("d", [2, 3])
     def test_projection_removes_the_trace(self, d, fraction, symmetric):
         # S - S_{d-1,d-1} I differs from S by a multiple of the identity, whose
@@ -338,14 +341,13 @@ class TestTraceFreeFlux:
         grid = Grid(d, 16)
         f = random_divfree_field(grid, seed=40, k_hi=4.0).data
         g = random_divfree_field(grid, seed=41, k_hi=4.0).data
-        box = None if fraction is None else dealias_box(grid, fraction)
-        layout = grid if box is None else box
+        box = dealias_box(grid, fraction)
         entry = _pair_product(f, g) if symmetric else (lambda i, j: f[i] * g[j])
-        full = _div_flux_hat(entry, grid, box, symmetric)
-        free = _div_flux_hat(entry, grid, box, symmetric, trace_free=True)
+        full = _div_flux_hat(entry, box, symmetric)
+        free = _div_flux_hat(entry, box, symmetric, trace_free=True)
         assert rel_err(free, full) > 1e-3
-        assert rel_err(_leray_coefficients(free, layout),
-                       _leray_coefficients(full, layout)) < 1e-14
+        assert rel_err(_leray_coefficients(free, box),
+                       _leray_coefficients(full, box)) < 1e-14
 
     @pytest.mark.parametrize("d, symmetric, transforms", [
         (2, True, 2), (3, True, 5), (2, False, 3), (3, False, 8)])
@@ -359,7 +361,7 @@ class TestTraceFreeFlux:
             return forward_transform(data, grid)
 
         monkeypatch.setattr(solver, "forward_transform", counted)
-        _div_flux_hat(_self_product(u), grid, None, symmetric, trace_free=True)
+        _div_flux_hat(_self_product(u), dealias_box(grid, 2.0 / 3.0), symmetric, trace_free=True)
         assert len(calls) == transforms
 
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16), (3, 24)])
@@ -565,7 +567,8 @@ class TestPressure:
         grid = Grid(2, 64)
         tg = taylor_green(grid)
         pi = recover_pressure(tg)
-        exact = taylor_green_pressure(grid)
+        x, y = grid.coordinate_mesh()
+        exact = -(np.cos(2 * x) + np.cos(2 * y)) / 4.0
         # zero-mean convention on both sides
         exact = exact - exact.mean()
         assert np.max(np.abs(pi.data[0] - exact)) < 1e-8
