@@ -12,17 +12,22 @@ Nyquist mode |m| = N/2 on every axis.
 |m| > M on some axis is zero, it runs irfftn's 1-D stages in place in the
 donated coefficients, each complex stage only over the lines the box |m| <= M
 reaches, bitwise equal to irfftn; `inverse_components` runs the same complex
-stages and then the last irfft one component at a time.  `support_slabs` lists
-the slabs of the box |m| <= M, on which a product with a multiplier supported
-there is formed.  Every radial symbol (the heat kernels, the low-pass cutoffs,
-the dealias mask) is evaluated once per distinct |k|^2 and gathered by
-`radial_symbol`, which reads its extent M off the grid's `RadialTable`.
+stages and then the last irfft one component at a time.  `forward_transform`
+takes the same optional extent and then returns only the box |m| <= M in
+`RetainedBox` layout, bitwise equal to those entries of rfftn: its stages run
+one by one in place, each keeping only the box's rows.  `support_slabs`
+lists the slabs of the box |m| <= M, on which a product with a multiplier
+supported there is formed.  Every radial symbol (the heat kernels, the
+low-pass cutoffs, the dealias mask) is evaluated once per distinct |k|^2 and
+gathered by `radial_symbol`, which reads its extent M off the grid's
+`RadialTable`.
 
 A `RetainedBox` is the index box |m| <= M of the half spectrum that holds
 every mode a truncation mask keeps, stored as a dense array of its own; it
 carries the Grid's spectral attributes restricted to the box, so spectral
 arithmetic (`_leray_coefficients`) reads either one, and gathers and scatters
-half spectra by slab copies.
+half spectra by slab copies (`_box_slabs`, the slabs the pruned forward
+transform writes too).
 """
 
 from __future__ import annotations
@@ -242,14 +247,7 @@ class RetainedBox:
         d, N = grid.d, grid.N
         self.grid, self.d, self.extent = grid, d, M
         self.spectral_shape = (2 * M + 1,) * (d - 1) + (M + 1,)
-        lead = [(slice(0, M + 1), slice(0, M + 1))]
-        if M > 0:
-            lead.append((slice(M + 1, 2 * M + 1), slice(N - M, N)))
-        last = [(slice(0, M + 1), slice(0, M + 1))]
-        # (box slices, half-spectrum slices) of each slab, one per choice of
-        # the 0..M or -M..-1 range on every leading axis
-        self._slabs = [tuple(zip(*combo))
-                       for combo in itertools.product(*([lead] * (d - 1) + [last]))]
+        self._slabs = _box_slabs(grid, M)
         index = [np.r_[0:M + 1, N - M:N]] * (d - 1) + [np.arange(M + 1)]
         self.deriv_wavenumber_mesh = [np.take(ka, index[a], axis=a)
                                       for a, ka in enumerate(grid.deriv_wavenumber_mesh)]
@@ -269,13 +267,6 @@ class RetainedBox:
         out = self._empty(coeff)
         for box, half in self._slabs:
             out[(..., *box)] = coeff[(..., *half)]
-        return out
-
-    def truncate(self, coeff: np.ndarray) -> np.ndarray:
-        """gather(coeff) * mask, formed slab by slab in one pass."""
-        out = self._empty(coeff)
-        for box, half in self._slabs:
-            np.multiply(coeff[(..., *half)], self.mask[box], out=out[(..., *box)])
         return out
 
     def scatter(self, coeff: np.ndarray) -> np.ndarray:
@@ -346,18 +337,60 @@ class RealVectorField:
         return spectral_divergence_ratio(self) <= tol
 
 
-def forward_transform(data: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real-to-complex FFT over the spatial axes with the 1/N^d normalization;
-    the result has the half-spectrum shape grid.spectral_shape."""
-    axes = tuple(range(data.ndim - grid.d, data.ndim))
-    return scipy.fft.rfftn(data, axes=axes, norm="forward")
-
-
 def _lead_slices(N: int, M: int) -> list:
     """The |m| <= M indices of a leading axis: 0..M and N-M..N-1, or all of it."""
     if 2 * M + 1 >= N:
         return [slice(None)]
     return [slice(0, M + 1), slice(N - M, N)] if M > 0 else [slice(0, 1)]
+
+
+def _box_slabs(grid: Grid, M: int) -> list:
+    """(box slices, half-spectrum slices) over the trailing d axes of each
+    slab of the box |m| <= M < N/2 in RetainedBox layout, one per choice of
+    the 0..M or -M..-1 range on every leading axis."""
+    lead = [(slice(0, M + 1), slice(0, M + 1))]
+    if M > 0:
+        lead.append((slice(M + 1, 2 * M + 1), slice(grid.N - M, grid.N)))
+    last = [(slice(0, M + 1), slice(0, M + 1))]
+    return [tuple(zip(*combo)) for combo in itertools.product(*([lead] * (grid.d - 1) + [last]))]
+
+
+def forward_transform(data: np.ndarray, grid: Grid, extent: int | None = None) -> np.ndarray:
+    """Real-to-complex FFT over the spatial axes with the 1/N^d normalization;
+    the result has the half-spectrum shape grid.spectral_shape.
+
+    With an extent M < N/2 the result is only the box |m| <= M, laid out as a
+    RetainedBox of that extent lays out its coefficients, and bitwise equal to
+    the box entries of the whole transform.  rfftn's 1-D stages run one by
+    one: an rfft along the last axis, scaled by rfftn's own factor; then a
+    complex fft along each leading axis in rfftn's order, in place in the
+    last-axis columns 0..M and only over the rows of the box the earlier
+    stages kept; then slab copies into the box layout.
+    """
+    axes = tuple(range(data.ndim - grid.d, data.ndim))
+    if extent is None:
+        return scipy.fft.rfftn(data, axes=axes, norm="forward")
+    half = scipy.fft.rfft(data, axis=-1)
+    # pocketfft's factor: 1/N^d formed in long double, then rounded, applied
+    # to each real and imaginary part of the last-axis stage
+    flat = half.view(np.float64)
+    np.multiply(flat, np.float64(np.longdouble(1) / np.longdouble(grid.N**grid.d)), out=flat)
+    cols = half[..., : extent + 1]
+    lead = _lead_slices(grid.N, extent)
+    batch = (slice(None),) * axes[0]
+    for axis in axes[:-1]:
+        # lines along axis whose earlier leading indices are in the box
+        for earlier in itertools.product(lead, repeat=axis - axes[0]):
+            lines = cols[batch + earlier]
+            done = scipy.fft.fft(lines, axis=axis, overwrite_x=True)
+            # overwrite_x permits writing into lines but does not promise it
+            if not np.may_share_memory(done, lines):
+                lines[...] = done
+    out = np.empty(half.shape[: axes[0]] + (2 * extent + 1,) * (grid.d - 1) + (extent + 1,),
+                   dtype=half.dtype)
+    for box, part in _box_slabs(grid, extent):
+        out[(..., *box)] = half[(..., *part)]
+    return out
 
 
 def support_slabs(grid: Grid, extent: int) -> list:
@@ -435,10 +468,14 @@ def spectral_divergence_ratio(f: RealVectorField) -> float:
 
 def _leray_coefficients(coeff: np.ndarray, grid: Grid) -> np.ndarray:
     """In-place Leray projection of a (d, ...) coefficient array."""
-    kdotu = sum(ka * coeff[c] for c, ka in enumerate(grid.deriv_wavenumber_mesh))
+    kmesh = grid.deriv_wavenumber_mesh
+    kdotu = np.multiply(kmesh[0], coeff[0])
+    term = np.empty_like(kdotu)
+    for c in range(1, len(kmesh)):
+        kdotu += np.multiply(kmesh[c], coeff[c], out=term)
     kdotu *= grid.inv_deriv_k_squared
-    for c, ka in enumerate(grid.deriv_wavenumber_mesh):
-        coeff[c] -= ka * kdotu
+    for c, ka in enumerate(kmesh):
+        coeff[c] -= np.multiply(ka, kdotu, out=term)
     return coeff
 
 

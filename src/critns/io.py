@@ -43,6 +43,8 @@ def read_field(path) -> RealVectorField:
             box = float(kv["L"])
         except (KeyError, ValueError) as exc:
             raise InvalidFieldError(f"{path}: malformed CFD1 header {header!r}") from exc
+        if ncomp < 1:
+            raise InvalidFieldError(f"{path}: CFD1 header {header!r} claims {ncomp} components")
         grid = Grid(d=d, N=n, L=box)
         # checked before reading, so a header that claims more than the file
         # holds never asks for an impossible allocation

@@ -46,6 +46,7 @@ from .scaling import (ScaleCore, ScaleCoreSequence, apply_lambda, apply_lambda_s
 from .solver import (
     SolverConfig,
     Trajectory,
+    _box_forward,
     _div_flux_hat,
     _pair_product,
     _projected_flux,
@@ -438,8 +439,8 @@ def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
             f, g = forcing(float(times[i]))
             q_hat = _div_flux_hat(_pair_product(u.data, f.data), box, trace_free=True)
             resid_hat += box.scatter(_leray_coefficients(q_hat, box))
-            gh = box.truncate(forward_transform(g.data, grid))
-            resid_hat -= box.scatter(_leray_coefficients(gh, box))
+            gh = _leray_coefficients(_box_forward(g.data, box), box)
+            resid_hat -= box.scatter(gh)
             del f, g  # so the next forcing call does not hold two frames
         resid = RealVectorField(grid, inverse_transform(resid_hat, grid))
         res_l2.append(lebesgue_norm(resid, 2))

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from critns import Grid, RealVectorField, heat_derivative_kernel, heat_semigroup, leray_project
 from critns.errors import DomainError, InvalidFieldError
 from critns.fields import random_smooth_field, single_mode, taylor_green
 from critns.grid import (
+    RetainedBox,
     forward_transform,
     gradient,
     inverse_components,
@@ -117,6 +119,46 @@ class TestPrunedInverse:
         assert support_extent(grid3, symbol) == 3
         symbol[0, 0, grid3.N // 2] = 1.0  # the last axis' Nyquist column
         assert support_extent(grid3, symbol) == grid3.N // 2
+
+
+class TestPrunedForward:
+    @staticmethod
+    def _assert_box_of_rfftn(grid, data, extents):
+        want = forward_transform(data, grid)
+        everything = np.ones(grid.spectral_shape, dtype=bool)
+        for M in extents:
+            got = forward_transform(data, grid, M)
+            box = RetainedBox(grid, everything, M)
+            assert got.shape == data.shape[: data.ndim - grid.d] + box.spectral_shape
+            assert got.tobytes() == box.gather(want).tobytes(), (data.shape, M)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("N", [8, 12, 18, 24, 32, 48, 64])
+    def test_bitwise_equal_to_rfftn_box(self, d, N):
+        # every extent from the origin alone to the last one below Nyquist,
+        # with no leading axis and with 1 or 3 leading components
+        grid = Grid(d, N)
+        rng = np.random.default_rng(N + d)
+        for lead in ((), (1,), (3,)):
+            data = rng.standard_normal(lead + grid.shape)
+            self._assert_box_of_rfftn(grid, data, range(N // 2))
+
+    def test_leaves_its_input(self, grid3):
+        data = random_smooth_field(grid3, seed=5, ncomp=3).data
+        kept = data.copy()
+        forward_transform(data, grid3, 5)
+        assert data.tobytes() == kept.tobytes()
+
+    def test_copies_back_a_stage_that_did_not_run_in_place(self, grid3, monkeypatch):
+        # overwrite_x permits an in-place fft but does not promise one
+        fft = scipy.fft.fft
+
+        def copying(x, *args, overwrite_x=False, **kwargs):
+            return fft(x.copy(), *args, **kwargs)
+
+        monkeypatch.setattr(scipy.fft, "fft", copying)
+        data = random_smooth_field(grid3, seed=6, ncomp=3).data
+        self._assert_box_of_rfftn(grid3, data, (0, 3, grid3.N // 2 - 1))
 
 
 class TestLeray:

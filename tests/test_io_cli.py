@@ -525,6 +525,20 @@ class TestCLI:
         assert code == 1
         assert json.loads(stderr.getvalue())["error"] == "InvalidFieldError"
 
+    @pytest.mark.parametrize("kind", ["besov", "heat_besov"])
+    def test_componentless_cfd1_json_error(self, workdir, kind):
+        # C=0 claims a zero-byte payload, which the size check alone admits
+        path = workdir / "empty.cfd"
+        path.write_bytes(b"CFD1 d=2 N=16 L=6.283185307179586 C=0\n")
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16}, "field": str(path),
+            "norm": {"kind": kind, "p": 3, "s": 0.0}})
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(["norm", "--config", cfg, "--out", str(workdir / "out")])
+        assert code == 1
+        assert json.loads(stderr.getvalue())["error"] == "InvalidFieldError"
+
     def test_readme_examples(self, tmp_path, monkeypatch):
         # the README's evolve config and its two commands, run as written
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
