@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, InvalidFieldError
 from .grid import (
     Grid,
     RealVectorField,
+    _leray_coefficients,
     forward_transform,
     inverse_transform,
-    leray_project,
 )
 
 
@@ -87,17 +87,21 @@ def gabor_bump(grid: Grid, sigma: float, mode_center, center=None, ncomp: int = 
 
 def band_noise(grid: Grid, k_lo: float, k_hi: float, seed, ncomp: int | None = None,
                amplitude: float = 1.0, divergence_free: bool = False) -> RealVectorField:
-    """Random field with spectrum supported on the shell k_lo <= |k| < k_hi."""
+    """Random field with spectrum supported on the shell k_lo <= |k| < k_hi,
+    Leray-projected on its coefficients (before the one inverse transform)
+    if divergence_free."""
     nc = grid.d if ncomp is None else _components(ncomp)
+    if divergence_free and nc != grid.d:
+        raise InvalidFieldError("Leray projection needs one component per axis")
     rng = _rng(seed)
     raw = rng.standard_normal((nc,) + grid.shape)
     coeff = forward_transform(raw, grid)
     kmag = np.sqrt(grid.k_squared)
     mask = (kmag >= k_lo) & (kmag < k_hi)
     coeff *= mask
-    f = RealVectorField(grid, inverse_transform(coeff, grid))
     if divergence_free:
-        f = leray_project(f)
+        _leray_coefficients(coeff, grid)
+    f = RealVectorField(grid, inverse_transform(coeff, grid))
     top = f.max_abs()
     if top > 0:
         f = f * (amplitude / top)

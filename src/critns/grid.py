@@ -489,14 +489,39 @@ def leray_project(f: RealVectorField) -> RealVectorField:
     return RealVectorField(f.grid, inverse_transform(coeff, f.grid))
 
 
+def _check_time(t: float, what: str, name: str = "t", positive: bool = False) -> None:
+    """DomainError unless t is finite and >= 0 (> 0 if positive)."""
+    if not (np.isfinite(t) and (t > 0 if positive else t >= 0)):
+        raise DomainError(f"{what} needs a finite {name} {'>' if positive else '>='} 0, got {t}")
+
+
+class HeatFlow:
+    """exp(t*Laplacian) f at any number of times t from one forward transform
+    of f, made once and kept; each value at t > 0 is bitwise equal to
+    heat_semigroup(f, t)."""
+
+    def __init__(self, f: RealVectorField):
+        self.grid = f.grid
+        self.spectrum = forward_transform(f.require_finite().data, f.grid)
+        self.spectrum.flags.writeable = False
+
+    def coefficients(self, t: float) -> np.ndarray:
+        """Half-spectrum coefficients of the flow at t, in a fresh array."""
+        _check_time(t, "heat semigroup")
+        return self.spectrum * np.exp(-t * self.grid.k_squared)
+
+    def at(self, t: float) -> RealVectorField:
+        """The flow at t, transformed back from its coefficients (so at t = 0
+        it is f at roundoff, where heat_semigroup returns f itself)."""
+        return RealVectorField(self.grid, inverse_transform(self.coefficients(t), self.grid))
+
+
 def heat_semigroup(f: RealVectorField, t: float) -> RealVectorField:
     """exp(t*Laplacian): multiplier exp(-t|k|^2).  Identity at t=0."""
-    if t < 0:
-        raise DomainError(f"heat semigroup needs t >= 0, got {t}")
-    f.require_finite()
+    _check_time(t, "heat semigroup")
     if t == 0.0:
-        return f.copy()
-    return apply_multiplier(f, np.exp(-t * f.grid.k_squared))
+        return f.require_finite().copy()
+    return HeatFlow(f).at(t)
 
 
 def heat_derivative_kernel(f: RealVectorField, tau: float) -> RealVectorField:
@@ -505,8 +530,7 @@ def heat_derivative_kernel(f: RealVectorField, tau: float) -> RealVectorField:
     Annihilates the mean mode; on a single mode k the response over tau peaks
     at tau = 1/|k|^2 with amplitude factor exp(-1).
     """
-    if tau <= 0:
-        raise DomainError(f"heat derivative kernel needs tau > 0, got {tau}")
+    _check_time(tau, "heat derivative kernel", "tau", positive=True)
     f.require_finite()
     return apply_multiplier(f, heat_derivative_pair(f.grid, tau)[0])
 

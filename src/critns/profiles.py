@@ -7,13 +7,21 @@ sequence index.  Synthesized data evolve under the full dynamics; the
 superposition of individually evolved profiles plus the heat flow of the tail
 approximates that evolution, and the difference is the tracked remainder.
 
-The remainder equation's source G is assembled whole; its paraproduct piece
-is split off with one broadcast low-high sum and the rest is G minus it.
+Bookkeeping avoids transform round trips.  A solver snapshot is already
+divergence-free, and a whole-cell translation (unit scale) is an exact roll
+that commutes with Leray projection, so such a part is rolled and not
+re-projected; only real dilations are.  A synthesized datum is projected once.
+The remainder's heat flow comes from one forward transform per index n, kept
+on the EvolvedSystem.  The remainder equation's source G is summed on the
+dealias box as Leray-projected coefficients; its paraproduct piece is split
+off with one broadcast low-high sum, and part1 and G - part1 are the only
+inverse transforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -21,10 +29,10 @@ from .errors import DomainError, SupportOverflowError, TrajectoryCoverageError
 from .fields import band_noise
 from .grid import (
     Grid,
+    HeatFlow,
     RealVectorField,
     _leray_coefficients,
     forward_transform,
-    heat_semigroup,
     inverse_transform,
     leray_project,
     spectral_divergence_ratio,
@@ -42,18 +50,16 @@ from .norms import (
     power_sums,
 )
 from .scaling import (ScaleCore, ScaleCoreSequence, apply_lambda, apply_lambda_spacetime,
-                      orthogonality_check)
+                      is_whole_cell_roll, orthogonality_check)
 from .solver import (
     SolverConfig,
     Trajectory,
-    _box_forward,
+    _box_inverse,
     _div_flux_hat,
     _pair_product,
-    _projected_flux,
     _self_product,
     dealias_box,
     evolve,
-    q_bilinear,
     sample_trajectory,
 )
 
@@ -123,22 +129,28 @@ class ProfileSystem:
 
 
 def _rescaled(f: RealVectorField, sc: ScaleCore, name: str = "field") -> RealVectorField:
-    """Dilate/translate and re-project; the projection removes clip dust so the
-    parts stay divergence-free at spectral tolerance."""
-    return leray_project(apply_lambda(f, sc, name=name))
+    """Dilate/translate a divergence-free field.  A whole-cell translation is
+    an exact roll, which commutes with Leray projection, so it is returned as
+    is; any other map is re-projected, which removes its clip dust so the part
+    stays divergence-free at spectral tolerance."""
+    out = apply_lambda(f, sc, name=name)
+    return out if is_whole_cell_roll(sc) else leray_project(out)
 
 
 def synthesize_datum(sys: ProfileSystem, n: int) -> RealVectorField:
-    """phi_0-style superposed datum at sequence index n, including the remainder."""
+    """phi_0-style superposed datum at sequence index n, including the remainder.
+
+    The profiles validate only to a divergence tolerance, so their rescaled
+    sum is Leray-projected once; the remainder is added as given.
+    """
     total = None
     for j, (phi, seq) in enumerate(sys.profiles):
         try:
-            part = _rescaled(phi, seq[n], name=f"profile {j}")
+            part = apply_lambda(phi, seq[n], name=f"profile {j}")
         except SupportOverflowError as exc:
             raise SupportOverflowError(f"profile {j} overflows at index {n}: {exc}") from exc
         total = part if total is None else total + part
-    total = total + sys.remainder_at(n)
-    return total
+    return leray_project(total) + sys.remainder_at(n)
 
 
 @dataclass
@@ -183,6 +195,27 @@ class EvolvedSystem:
         """Scale/core of the first profile in the ordering (the 0-frame)."""
         return self.system.sequence(self.ordering.permutation[0])[n]
 
+    @cached_property
+    def remainder_flows(self) -> dict:
+        """n -> HeatFlow of the system's remainder at index n, filled by
+        remainder_flow."""
+        return {}
+
+    def remainder_flow(self, n: int) -> HeatFlow:
+        """Heat flow of the system's remainder at index n: its spectrum,
+        transformed once and kept for every later time."""
+        flow = self.remainder_flows.get(n)
+        if flow is None:
+            flow = self.remainder_flows[n] = HeatFlow(self.system.remainder_at(n))
+        return flow
+
+    def remainder_heat(self, n: int, t: float) -> RealVectorField:
+        """heat_semigroup(system.remainder_at(n), t), bitwise, from the kept
+        spectrum."""
+        if t == 0.0:
+            return self.system.remainder_at(n).require_finite()
+        return self.remainder_flow(n).at(t)
+
 
 def evolve_system(sys: ProfileSystem, cfg: SolverConfig, n_window,
                   n_ref: int | None = None) -> EvolvedSystem:
@@ -224,8 +257,7 @@ def superpose_evolution(ev: EvolvedSystem, sys: ProfileSystem, n: int,
         native_t = t / sc.lam**2
         part = _rescaled(ev.trajectories[j].at(native_t), sc, name=f"profile {j}")
         total = part if total is None else total + part
-    w = heat_semigroup(sys.remainder_at(n), t)
-    return total + w
+    return total + ev.remainder_heat(n, t)
 
 
 def remainder(u_n: Trajectory, ev: EvolvedSystem, sys: ProfileSystem, n: int,
@@ -245,14 +277,20 @@ def remainder(u_n: Trajectory, ev: EvolvedSystem, sys: ProfileSystem, n: int,
 
 
 def _frame_components(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float):
-    """Rescaled-frame profile fields U^{j,0}(t) and remainder heat flow W(t)."""
+    """Rescaled-frame profile fields U^{j,0}(t) and remainder heat flow W(t).
+
+    The remainder is user data, so its heat flow is Leray-projected once, on
+    the kept spectrum, before the frame map.
+    """
+    grid = sys.grid
     frame = ev.frame(n)
     parts = []
     for j, (phi, seq) in enumerate(sys.profiles):
         sc = seq[n].compose_inverse_of(frame)
         native_t = t * frame.lam**2 / seq[n].lam ** 2
         parts.append(_rescaled(ev.trajectories[j].at(native_t), sc, name=f"profile {j}"))
-    w_box = heat_semigroup(sys.remainder_at(n), t * frame.lam**2)
+    w_hat = _leray_coefficients(ev.remainder_flow(n).coefficients(t * frame.lam**2), grid)
+    w_box = RealVectorField(grid, inverse_transform(w_hat, grid))
     w = _rescaled(w_box, frame.inverse(), name="remainder")
     return parts, w
 
@@ -276,13 +314,24 @@ def drift_norm(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: floa
 
 def _source(parts: list, w: RealVectorField, dealias_fraction: float):
     """Frame profile sum u = sum_a U_a and the full remainder-equation source
-    G = -Q(u, w) - Q(w, w)/2 - sum_{a<b} Q(U_a, U_b) from the frame parts."""
+    G = -Q(u, w) - Q(w, w)/2 - sum_{a<b} Q(U_a, U_b) from the frame parts, as
+    Leray-projected coefficients on the dealias box of dealias_fraction.
+
+    Q(a, b) = P div(a (x) b + b (x) a), so the flux divergences are summed on
+    the box and projected once; Q(w, w)/2 is the divergence of w (x) w.
+    """
+    box = dealias_box(w.grid, dealias_fraction)
+
+    def minus_div(entry):
+        return _div_flux_hat(entry, box, trace_free=True, sign=-1.0)
+
     u = sum(parts[1:], parts[0])
-    g = -1.0 * q_bilinear(u, w, dealias_fraction) - 0.5 * q_bilinear(w, w, dealias_fraction)
+    g = minus_div(_pair_product(u.data, w.data))
+    g += minus_div(_self_product(w.data))
     for a in range(len(parts)):
         for b in range(a + 1, len(parts)):
-            g = g - q_bilinear(parts[a], parts[b], dealias_fraction)
-    return u, g
+            g += minus_div(_pair_product(parts[a].data, parts[b].data))
+    return u, _leray_coefficients(g, box)
 
 
 def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float,
@@ -294,12 +343,18 @@ def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float,
     Bony pieces, the remainder self-interaction and the profile cross terms.
     """
     grid = sys.grid
+    box = dealias_box(grid, dealias_fraction)
     parts, w = _frame_components(ev, sys, n, t)
     u, g = _source(parts, w, dealias_fraction)
     del parts  # only u and w enter the Bony split; free the profile fields first
     tuw = low_high(grid, u.data[:, None], w.data[None])
-    part1 = -_projected_flux(lambda i, j: tuw[i, j] + tuw[j, i], grid, dealias_fraction)
-    return part1, g - part1
+    # P div(T_u w + (T_u w)^T) = -part1 on the box; G - part1 = g + it
+    p1 = _leray_coefficients(
+        _div_flux_hat(lambda i, j: tuw[i, j] + tuw[j, i], box, trace_free=True), box)
+    del tuw
+    g += p1
+    return (RealVectorField(grid, -_box_inverse(p1, box)),
+            RealVectorField(grid, _box_inverse(g, box)))
 
 
 def source_norms(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: float,
@@ -414,9 +469,12 @@ def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
     + Q(u, F) - G on the snapshot grid, with centered time differences.
 
     With a forcing callable t -> (drift F, source G) this is the
-    perturbed-system residual; without it it is the plain equation residual,
-    which serves as the discrete floor (the time-differencing error dominates
-    both).
+    perturbed-system residual, G given as Leray-projected coefficients on the
+    dealias box of dealias_fraction (as `_source` returns it); without it it
+    is the plain equation residual, which serves as the discrete floor (the
+    time-differencing error dominates both).  Each residual's L^2 norm is read
+    off its half spectrum by Parseval, each coefficient weighted by its
+    multiplicity as in the solver's l2 record.
     """
     grid = traj.grid
     box = dealias_box(grid, dealias_fraction)
@@ -436,14 +494,14 @@ def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
         _leray_coefficients(nl_hat, box)
         resid_hat = forward_transform(dudt, grid) + box.scatter(nl_hat) + k2 * uh
         if forcing is not None:
-            f, g = forcing(float(times[i]))
+            f, g_hat = forcing(float(times[i]))
             q_hat = _div_flux_hat(_pair_product(u.data, f.data), box, trace_free=True)
-            resid_hat += box.scatter(_leray_coefficients(q_hat, box))
-            gh = _leray_coefficients(_box_forward(g.data, box), box)
-            resid_hat -= box.scatter(gh)
-            del f, g  # so the next forcing call does not hold two frames
-        resid = RealVectorField(grid, inverse_transform(resid_hat, grid))
-        res_l2.append(lebesgue_norm(resid, 2))
+            _leray_coefficients(q_hat, box)
+            q_hat -= g_hat
+            resid_hat += box.scatter(q_hat)
+            del f, g_hat  # so the next forcing call does not hold two frames
+        power = grid.multiplicity * (resid_hat.real**2 + resid_hat.imag**2)
+        res_l2.append(np.sqrt(grid.L**grid.d * np.sum(power)))
         mid_times.append(float(times[i]))
     res_l2 = np.asarray(res_l2)
     wts = _trapezoid_weights(np.asarray(mid_times))

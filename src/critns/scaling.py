@@ -168,6 +168,13 @@ def _spectral_resample(f: RealVectorField, sc: ScaleCore) -> RealVectorField:
     return RealVectorField(grid, result * functools.reduce(np.logical_and.outer, masks))
 
 
+def is_whole_cell_roll(sc: ScaleCore) -> bool:
+    """Whether apply_lambda(f, sc) with its default core snapping is a periodic
+    roll of f by whole cells (unit scale to 1e-12), which is exact and
+    commutes with every Fourier multiplier."""
+    return _is_dyadic(sc.lam) == 0
+
+
 def apply_lambda(f: RealVectorField, sc: ScaleCore, off_grid_core: bool = False,
                  check_support: bool = True, name: str = "field") -> RealVectorField:
     """(1/lam) f((x - x0)/lam) sampled on the grid of f.

@@ -34,10 +34,10 @@ import numpy as np
 from .errors import DomainError, TrajectoryCoverageError
 from .grid import (
     Grid,
+    HeatFlow,
     RealVectorField,
     RetainedBox,
     forward_transform,
-    heat_semigroup,
     inverse_transform,
     radial_symbol,
     _leray_coefficients,
@@ -69,10 +69,10 @@ class SolverConfig:
     tail_octave_shift: int = 0
 
     def __post_init__(self):
-        if not (self.dt > 0):
-            raise DomainError("time step must be positive")
-        if not (self.T > 0):
-            raise DomainError("horizon must be positive")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise DomainError(f"time step must be finite and positive, got {self.dt}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise DomainError(f"horizon must be finite and positive, got {self.T}")
         if not (0 < self.dealias_fraction <= 1.0):
             raise DomainError("dealias fraction must be in (0, 1]")
         if not (self.blowup_sup_threshold > 0):
@@ -474,19 +474,11 @@ def evolve_perturbed(prob: PerturbationProblem, cfg: SolverConfig) -> Trajectory
 
 def make_heat_trajectory(u0: RealVectorField, times) -> Trajectory:
     """Pure heat flow of a datum recorded at the given times (linear oracle):
-    heat_semigroup(u0, t) at each t, the t > 0 ones from one forward
-    transform of u0."""
+    heat_semigroup(u0, t) at each t, all from one forward transform of u0."""
     times = np.asarray(sorted(float(t) for t in times))
-    grid = u0.grid
-    later = times[times > 0]
-    # copies at t = 0, and the DomainError of a negative time
-    snaps = [heat_semigroup(u0, t) for t in times[: times.size - later.size]]
-    if later.size:
-        coeff = forward_transform(u0.require_finite().data, grid)
-        for t in later:
-            flowed = inverse_transform(coeff * np.exp(-t * grid.k_squared), grid)
-            snaps.append(RealVectorField(grid, flowed))
-    return Trajectory(grid=grid, times=times, snapshots=snaps)
+    flow = HeatFlow(u0)
+    snaps = [u0.copy() if t == 0 else flow.at(t) for t in times]
+    return Trajectory(grid=u0.grid, times=times, snapshots=snaps)
 
 
 def sample_trajectory(grid: Grid, times, func) -> Trajectory:

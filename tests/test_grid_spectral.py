@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from critns import Grid, RealVectorField, heat_derivative_kernel, heat_semigroup, leray_project
 from critns.errors import DomainError, InvalidFieldError
-from critns.fields import random_smooth_field, single_mode, taylor_green
+from critns.fields import band_noise, random_smooth_field, single_mode, taylor_green
 from critns.grid import (
+    HeatFlow,
     RetainedBox,
     forward_transform,
     gradient,
@@ -194,6 +195,17 @@ class TestLeray:
         with pytest.raises(InvalidFieldError):
             leray_project(RealVectorField(grid3, data))
 
+    def test_band_noise_projects_its_coefficients(self, grid3):
+        # the shell coefficients are projected before the one inverse: the
+        # result is the projection of the unprojected shell field at roundoff
+        f = band_noise(grid3, 1.0, 5.0, seed=14, divergence_free=True)
+        raw = band_noise(grid3, 1.0, 5.0, seed=14)
+        ref = leray_project(raw)
+        assert rel_err(f.data, ref.data / ref.max_abs()) < 1e-14
+        assert spectral_divergence_ratio(f) <= 1e-14
+        with pytest.raises(InvalidFieldError):
+            band_noise(grid3, 1.0, 5.0, seed=14, ncomp=2, divergence_free=True)
+
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_idempotence_property(self, seed):
@@ -227,6 +239,21 @@ class TestHeat:
     def test_negative_time_rejected(self, grid2):
         with pytest.raises(DomainError):
             heat_semigroup(random_smooth_field(grid2, seed=8), -0.1)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, grid2, t):
+        # NaN passes a t < 0 test, and 0 * inf at k = 0 gives a NaN field
+        with pytest.raises(DomainError, match="finite"):
+            heat_semigroup(random_smooth_field(grid2, seed=8), t)
+
+    def test_flow_is_heat_semigroup_bitwise(self, grid3):
+        f = random_smooth_field(grid3, seed=12, ncomp=3)
+        flow = HeatFlow(f)
+        for t in (0.01, 0.3, 2.0):
+            assert np.array_equal(flow.at(t).data, heat_semigroup(f, t).data)
+        assert rel_err(flow.at(0.0).data, f.data) < 1e-14
+        with pytest.raises(DomainError):
+            flow.at(np.nan)
 
     def test_single_mode_eigenvalue(self, grid2):
         f = single_mode(grid2, (2, 1))
@@ -292,6 +319,11 @@ class TestHeatDerivativeKernel:
     def test_nonpositive_tau_rejected(self, grid2):
         with pytest.raises(DomainError):
             heat_derivative_kernel(random_smooth_field(grid2, seed=1), 0.0)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf])
+    def test_non_finite_tau_rejected(self, grid2, tau):
+        with pytest.raises(DomainError, match="finite"):
+            heat_derivative_kernel(random_smooth_field(grid2, seed=1), tau)
 
 
 class TestFieldAlgebra:

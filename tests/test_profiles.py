@@ -6,7 +6,8 @@ import pytest
 from critns import Grid
 from critns.errors import DomainError, SupportOverflowError
 from critns.fields import curl_field, gabor_bump, gaussian_bump, localized_divfree_bump
-from critns.grid import RealVectorField, heat_semigroup, spectral_divergence_ratio, zero_field
+from critns.grid import (RealVectorField, heat_semigroup, leray_project,
+                         spectral_divergence_ratio, zero_field)
 from critns.lp import low_pass
 from critns.norms import band_profile, critical_exponent, e_norm, lebesgue_norm
 from critns.profiles import (
@@ -366,6 +367,124 @@ class TestDriftAndSource:
         vals = [source_norms(ev, sys_, n, cfg.T, 4.0, n_samples=3)["upper_bound"]
                 for n in (0, 1, 2)]
         assert vals[0] > vals[1] > vals[2]
+
+
+class TestBookkeeping:
+    """Whole-cell translations are not re-projected, the remainder's heat flow
+    comes from one kept spectrum, G is summed on the dealias box and the
+    residual's L^2 norms come from Parseval."""
+
+    def _counted_projection(self, monkeypatch):
+        from critns import profiles
+
+        calls = []
+
+        def counted(f):
+            calls.append(f.ncomp)
+            return leray_project(f)
+
+        monkeypatch.setattr(profiles, "leray_project", counted)
+        return calls
+
+    def test_unit_scale_superposition_makes_no_projection(self, grid3m, monkeypatch):
+        sys_ = _two_profile_system(grid3m)
+        cfg = SolverConfig(dt=4e-3, T=0.016, snapshot_stride=2)
+        ev = evolve_system(sys_, cfg, [0, 1])
+        calls = self._counted_projection(monkeypatch)
+        for n in (0, 1):
+            assert all(sys_.sequence(j)[n].lam == 1.0 for j in range(2))
+            superpose_evolution(ev, sys_, n, 0.008)
+        assert calls == []
+
+    def test_translated_snapshot_is_rolled_only(self, grid3m, monkeypatch):
+        from critns.profiles import _rescaled
+        from critns.scaling import apply_lambda
+
+        phi = condition_datum(localized_divfree_bump(grid3m, sigma=grid3m.L / 10,
+                                                     seed=15, amplitude=0.2))
+        snap = evolve(phi, SolverConfig(dt=4e-3, T=0.008)).snapshots[-1]
+        calls = self._counted_projection(monkeypatch)
+        sc = ScaleCore(1.0, (0.3, -0.7, 1.1))
+        assert np.array_equal(_rescaled(snap, sc).data, apply_lambda(snap, sc).data)
+        assert calls == []
+        # a contraction clips, so it is still re-projected
+        half = ScaleCore(0.5, (0.0, 0.0, 0.0))
+        out = _rescaled(snap, half)
+        assert calls == [3]
+        assert np.array_equal(out.data, leray_project(apply_lambda(snap, half)).data)
+
+    def test_remainder_flow_is_heat_semigroup_bitwise(self, grid3m):
+        sys_ = _two_profile_system(grid3m)
+        cfg = SolverConfig(dt=4e-3, T=0.008)
+        ev = evolve_system(sys_, cfg, [0, 1, 2])
+        for n in (0, 1, 2):
+            flow = ev.remainder_flow(n)
+            for t in (0.0, 0.004, 0.03, 0.2):
+                want = heat_semigroup(sys_.remainder_at(n), t)
+                assert np.array_equal(ev.remainder_heat(n, t).data, want.data)
+            assert ev.remainder_flow(n) is flow
+        for bad in (-0.1, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                ev.remainder_heat(0, bad)
+
+    def test_box_source_matches_q_sum(self, grid3):
+        from critns.fields import random_divfree_field
+        from critns.profiles import _source
+        from critns.solver import _box_inverse, dealias_box, q_bilinear
+
+        parts = [random_divfree_field(grid3, seed=40 + a, k_hi=4.0, amplitude=0.5)
+                 for a in range(3)]
+        w = random_divfree_field(grid3, seed=43, k_hi=6.0, amplitude=0.05)
+        u, g_hat = _source(parts, w, 2.0 / 3.0)
+        g = _box_inverse(g_hat, dealias_box(grid3, 2.0 / 3.0))
+        want = -1.0 * q_bilinear(u, w) - 0.5 * q_bilinear(w, w)
+        for a in range(3):
+            for b in range(a + 1, 3):
+                want = want - q_bilinear(parts[a], parts[b])
+        assert rel_err(g, want.data) < 1e-13
+
+    @staticmethod
+    def _physical_residual(traj, forcing=None):
+        """The residual of ns_equation_residual, each L^2 norm summed over
+        the samples of the physical residual."""
+        from critns.grid import laplacian
+        from critns.norms import _trapezoid_weights
+        from critns.solver import _box_inverse, dealias_box, nonlinear_term, q_bilinear
+
+        grid, times, snaps = traj.grid, traj.times, traj.snapshots
+        box = dealias_box(grid, 2.0 / 3.0)
+        vals = []
+        for i in range(1, len(times) - 1):
+            u = snaps[i]
+            dudt = (snaps[i + 1] - snaps[i - 1]) * (1.0 / (times[i + 1] - times[i - 1]))
+            r = dudt + nonlinear_term(u) - laplacian(u)
+            if forcing is not None:
+                f, g_hat = forcing(times[i])
+                r = r + q_bilinear(u, f) - RealVectorField(grid, _box_inverse(g_hat, box))
+            vals.append(lebesgue_norm(r, 2))
+        wts = _trapezoid_weights(times[1:-1])
+        return float(np.sqrt(np.sum(wts * np.asarray(vals) ** 2)))
+
+    def test_parseval_residual_matches_physical(self, grid3):
+        from critns.fields import random_divfree_field
+        from critns.solver import _box_forward, dealias_box
+        from critns.grid import _leray_coefficients
+
+        u0 = random_divfree_field(grid3, seed=44, k_hi=4.0, amplitude=0.5)
+        traj = evolve(u0, SolverConfig(dt=5e-3, T=0.03))
+        want = self._physical_residual(traj)
+        assert rel_err(ns_equation_residual(traj), want) < 1e-12
+
+        box = dealias_box(grid3, 2.0 / 3.0)
+        drift = random_divfree_field(grid3, seed=45, k_hi=3.0, amplitude=0.3)
+        g = random_divfree_field(grid3, seed=46, k_hi=5.0, amplitude=0.2)
+        g_hat = _leray_coefficients(_box_forward(g.data, box), box)
+
+        def forcing(t):
+            return drift * np.cos(t), g_hat * np.sin(1.0 + t)
+
+        want = self._physical_residual(traj, forcing)
+        assert rel_err(ns_equation_residual(traj, forcing=forcing), want) < 1e-12
 
 
 class TestNormSplitting:

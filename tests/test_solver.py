@@ -192,6 +192,27 @@ class TestEvolve:
         with pytest.raises(DomainError):
             SolverConfig(dt=0.1, T=1.0, dealias_fraction=1.5)
 
+    @pytest.mark.parametrize("dt, T", [(np.inf, 1.0), (np.nan, 1.0), (0.1, np.inf),
+                                       (0.1, np.nan)])
+    def test_config_rejects_non_finite_times(self, dt, T):
+        # T = inf used to pass and overflow in round(T / dt); dt = inf gave a
+        # NonFinite trajectory whose only time was NaN
+        with pytest.raises(DomainError, match="finite"):
+            SolverConfig(dt=dt, T=T)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_heat_trajectory_rejects_non_finite_times(self, grid3, bad):
+        u0 = random_divfree_field(grid3, seed=5, k_hi=3.0)
+        with pytest.raises(DomainError, match="finite"):
+            make_heat_trajectory(u0, [0.0, 0.1, bad])
+
+    def test_heat_trajectory_is_heat_semigroup_bitwise(self, grid3):
+        u0 = random_divfree_field(grid3, seed=5, k_hi=3.0)
+        times = [0.0, 0.02, 0.1, 0.5]
+        traj = make_heat_trajectory(u0, times)
+        for t, snap in zip(times, traj.snapshots):
+            assert np.array_equal(snap.data, heat_semigroup(u0, t).data)
+
 
 def _reference_heun(u0, cfg, drift=None, source=None, trace_free=True):
     """Integrating-factor Heun on the full half spectrum with full masks: the
