@@ -20,7 +20,8 @@ from .fields import _rng, gaussian_bump
 from .grid import Grid, RealVectorField
 from .norms import BesovIndex, band_table, besov_from_profile, besov_norm, lebesgue_norm
 from .profiles import pairing_table
-from .solver import COMPLETED, NON_FINITE, RESOLUTION_LIMIT, SolverConfig, Trajectory, evolve
+from .solver import (COMPLETED, NON_FINITE, TRIP_MONITORS, SolverConfig, Trajectory, evolve,
+                     trip_reason)
 
 PROXY_DISCLAIMER = (
     "resolution-limited numerical threshold at fixed grid and step; "
@@ -108,28 +109,22 @@ class ThresholdReport:
         }
 
 
-def _trips(traj: Trajectory) -> bool:
-    return traj.status in (RESOLUTION_LIMIT, NON_FINITE)
-
-
 def _margin(traj: Trajectory, cfg: SolverConfig) -> float:
-    """Largest trip ratio over the recorded steps, max(linf / sup threshold,
-    tail fraction / tail threshold): a run trips once it passes 1.  A
-    non-finite run has margin infinity."""
+    """Largest trip ratio over the recorded steps, the max over TRIP_MONITORS
+    of max(record) / threshold: a run trips once it passes 1.  A non-finite
+    run has margin infinity."""
     if traj.status == NON_FINITE:
         return math.inf
-    rec = traj.records
-    return float(max(np.max(rec["linf"], initial=0.0) / cfg.blowup_sup_threshold,
-                     np.max(rec["tail_fraction"], initial=0.0) / cfg.spectral_tail_threshold))
+    return float(max(np.max(traj.records[key], initial=0.0) / getattr(cfg, threshold)
+                     for _, key, threshold in TRIP_MONITORS))
 
 
 def _trip_reason(traj: Trajectory, cfg: SolverConfig) -> str | None:
-    """Which monitor stopped the run, read from its last record; None if it completed."""
+    """Which monitor stopped the run: the solver's trip rule applied to its
+    last record, so None if it completed."""
     if traj.status == NON_FINITE:
         return "non_finite"
-    if traj.status != RESOLUTION_LIMIT:
-        return None
-    return "sup" if traj.records["linf"][-1] > cfg.blowup_sup_threshold else "tail"
+    return trip_reason({key: vals[-1] for key, vals in traj.records.items()}, cfg)
 
 
 def _log_margin(m: float) -> float:
@@ -165,8 +160,10 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
     """Bracket the amplitude between a completing and a resolution-tripping
     member until hi / lo - 1 <= tol.
 
-    Each probe records its margin (see _margin).  The next amplitude comes from
-    a safeguarded secant on log margin against log alpha (Dekker, Brent): the
+    A probe trips when its run goes non-finite or on the solver's trip rule
+    (`solver.TRIP_MONITORS`), read back from its last record (_trip_reason),
+    and records its margin (see _margin).  The next amplitude comes from a
+    safeguarded secant on log margin against log alpha (Dekker, Brent): the
     lower of two roots, that of the secant through the bracket ends, whose
     retained end's log margin is halved when the same end is replaced twice in
     a row (Illinois), and that of the secant through the two highest
@@ -194,10 +191,11 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
     def probe(alpha: float) -> bool:
         nonlocal last_completing_traj
         traj = evolve(fam.member(alpha), cfg)
-        tripped = _trips(traj)
+        reason = _trip_reason(traj, cfg)
+        tripped = reason is not None
         probes.append({"alpha": alpha, "status": traj.status,
                        "final_time": traj.final_time, "margin": _margin(traj, cfg),
-                       "trip_reason": _trip_reason(traj, cfg)})
+                       "trip_reason": reason})
         if not tripped:
             last_completing_traj = traj
         return tripped

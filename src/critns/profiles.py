@@ -472,9 +472,11 @@ def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
     perturbed-system residual, G given as Leray-projected coefficients on the
     dealias box of dealias_fraction (as `_source` returns it); without it it
     is the plain equation residual, which serves as the discrete floor (the
-    time-differencing error dominates both).  Each residual's L^2 norm is read
-    off its half spectrum by Parseval, each coefficient weighted by its
-    multiplicity as in the solver's l2 record.
+    time-differencing error dominates both).  Each snapshot is transformed
+    once, the time difference is taken on the coefficients (a rolling window
+    of three spectra), and each residual's L^2 norm is read off its half
+    spectrum by Parseval, each coefficient weighted by its multiplicity as in
+    the solver's l2 record.
     """
     grid = traj.grid
     box = dealias_box(grid, dealias_fraction)
@@ -482,17 +484,16 @@ def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
         raise DomainError("residual check needs at least 3 snapshots")
     k2 = grid.k_squared
     times = traj.times
-    mids = range(1, len(times) - 1)
+    spectra = (forward_transform(s.data, grid) for s in traj.snapshots)
+    prev_hat, uh = next(spectra), next(spectra)
     res_l2 = []
     mid_times = []
-    for i in mids:
+    for i, next_hat in enumerate(spectra, start=1):
         dt2 = times[i + 1] - times[i - 1]
-        dudt = (traj.snapshots[i + 1].data - traj.snapshots[i - 1].data) / dt2
         u = traj.snapshots[i]
-        uh = forward_transform(u.data, grid)
         nl_hat = _div_flux_hat(_self_product(u.data), box, trace_free=True)
         _leray_coefficients(nl_hat, box)
-        resid_hat = forward_transform(dudt, grid) + box.scatter(nl_hat) + k2 * uh
+        resid_hat = (next_hat - prev_hat) / dt2 + box.scatter(nl_hat) + k2 * uh
         if forcing is not None:
             f, g_hat = forcing(float(times[i]))
             q_hat = _div_flux_hat(_pair_product(u.data, f.data), box, trace_free=True)
@@ -503,6 +504,7 @@ def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
         power = grid.multiplicity * (resid_hat.real**2 + resid_hat.imag**2)
         res_l2.append(np.sqrt(grid.L**grid.d * np.sum(power)))
         mid_times.append(float(times[i]))
+        prev_hat, uh = uh, next_hat
     res_l2 = np.asarray(res_l2)
     wts = _trapezoid_weights(np.asarray(mid_times))
     return float(np.sqrt(np.sum(wts * res_l2**2)))

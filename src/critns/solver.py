@@ -17,16 +17,16 @@ change at roundoff; its products are formed in one reused buffer and its
 derivative terms summed through one reused box temporary, with the dealias
 mask applied once per component.
 
-A run aborts with status "ResolutionLimit" when the sup-norm or the
-top-octave spectral energy fraction crosses its configured threshold; that
-termination time is a fixed-resolution proxy for the maximal existence time,
-never the true blow-up time.
+A run aborts with status "ResolutionLimit" on the first step where the
+sup-norm or the top-octave spectral energy fraction exceeds its threshold
+(`TRIP_MONITORS`); that termination time is a fixed-resolution proxy for the
+maximal existence time, never the true blow-up time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -77,22 +77,29 @@ class SolverConfig:
             raise DomainError("dealias fraction must be in (0, 1]")
         if not (self.blowup_sup_threshold > 0):
             raise DomainError("sup-norm abort level must be positive")
+        if not (self.spectral_tail_threshold > 0):
+            raise DomainError("spectral tail abort level must be positive")
         if self.snapshot_stride < 1:
             raise DomainError("snapshot stride must be >= 1")
         if self.tail_octave_shift < 0:
             raise DomainError("tail octave shift must be >= 0")
 
     def echo(self) -> dict:
-        return {
-            "dt": self.dt,
-            "T": self.T,
-            "dealias_fraction": self.dealias_fraction,
-            "blowup_sup_threshold": self.blowup_sup_threshold,
-            "spectral_tail_threshold": self.spectral_tail_threshold,
-            "snapshot_stride": self.snapshot_stride,
-            "linear_only": self.linear_only,
-            "tail_octave_shift": self.tail_octave_shift,
-        }
+        return asdict(self)
+
+
+# The trip rule, (trip reason, record key, SolverConfig threshold field) per
+# monitor; a step trips on the first monitor above its threshold (tie order).
+TRIP_MONITORS = (("sup", "linf", "blowup_sup_threshold"),
+                 ("tail", "tail_fraction", "spectral_tail_threshold"))
+
+
+def trip_reason(values, cfg: SolverConfig) -> str | None:
+    """The first trip reason whose record key in values (one step) exceeds its threshold."""
+    for reason, key, threshold in TRIP_MONITORS:
+        if values[key] > getattr(cfg, threshold):
+            return reason
+    return None
 
 
 @dataclass(frozen=True)
@@ -347,7 +354,7 @@ def recover_pressure(u: RealVectorField, dealias_fraction: float = 2.0 / 3.0) ->
 
 
 def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
-               source, status_on_trip: str = RESOLUTION_LIMIT) -> Trajectory:
+               source) -> Trajectory:
     """Integrating-factor Heun steps on the retained box of the dealias sphere.
 
     The spectral state (uh, the two stage right-hand sides, the predictor,
@@ -365,7 +372,7 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
 
     n_steps = max(1, round(cfg.T / cfg.dt))
     times, snaps = [], []
-    rec_t, rec_l2, rec_linf, rec_tail = [], [], [], []
+    records = {"t": [], "l2": [], "linf": [], "tail_fraction": []}
     status = COMPLETED
 
     def rhs_hat(phys: np.ndarray, t: float) -> np.ndarray:
@@ -393,20 +400,18 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
         power = box.multiplicity * (uh.real**2 + uh.imag**2)
         energy = float(np.sum(power))
         tail = float(np.sum(power, where=tail_mask) / energy) if energy > 0 else 0.0
-        rec_t.append(t)
-        rec_l2.append(float(np.sqrt(grid.L**grid.d * energy)))
-        rec_linf.append(linf)
-        rec_tail.append(tail)
-        tripped = linf > cfg.blowup_sup_threshold or tail > cfg.spectral_tail_threshold
-        take_snapshot = (
-            step % cfg.snapshot_stride == 0 or step == n_steps or tripped
-        )
+        values = {"t": t, "l2": float(np.sqrt(grid.L**grid.d * energy)),
+                  "linf": linf, "tail_fraction": tail}
+        for key, value in values.items():
+            records[key].append(value)
+        tripped = trip_reason(values, cfg) is not None
+        take_snapshot = step % cfg.snapshot_stride == 0 or step == n_steps or tripped
         if take_snapshot and step != step_of_last_snap:
             times.append(t)
             snaps.append(RealVectorField(grid, phys))
             step_of_last_snap = step
         if tripped:
-            status = status_on_trip
+            status = RESOLUTION_LIMIT
             break
         if step == n_steps:
             break
@@ -424,17 +429,11 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
         np.multiply(heat, uh, out=uh)
         np.add(uh, n1, out=uh)
 
-    records = {
-        "t": np.asarray(rec_t),
-        "l2": np.asarray(rec_l2),
-        "linf": np.asarray(rec_linf),
-        "tail_fraction": np.asarray(rec_tail),
-    }
     return Trajectory(
         grid=grid,
         times=np.asarray(times),
         snapshots=snaps,
-        records=records,
+        records={key: np.asarray(vals) for key, vals in records.items()},
         status=status,
         config_echo=cfg.echo(),
     )

@@ -116,6 +116,22 @@ class TestThresholdBisection:
         assert rep.datum_l3_norm > 0
         statuses = {p["status"] for p in rep.probes}
         assert statuses == {"Completed", "ResolutionLimit"}
+        for p in rep.probes:
+            completed = p["status"] == COMPLETED
+            assert (p["margin"] >= 1.0) == (not completed)
+            assert (p["trip_reason"] is None) == completed
+
+    def test_both_monitors_crossing_report_sup(self, grid3):
+        # both thresholds tiny: the sup norm and the tail fraction cross on
+        # step 0, and the reason read back follows the tie order
+        u0 = random_divfree_field(grid3, seed=6, k_hi=6.0)
+        cfg = SolverConfig(dt=5e-3, T=0.02, blowup_sup_threshold=1e-12,
+                           spectral_tail_threshold=1e-12)
+        traj = evolve(u0, cfg)
+        assert traj.status == RESOLUTION_LIMIT and traj.final_time == 0.0
+        assert traj.records["linf"][-1] > cfg.blowup_sup_threshold
+        assert traj.records["tail_fraction"][-1] > cfg.spectral_tail_threshold
+        assert criticality._trip_reason(traj, cfg) == "sup"
 
     def test_report_serializes(self, grid3m):
         fam = self._family(grid3m)
@@ -130,9 +146,10 @@ class TestThresholdBisection:
 class SyntheticFamily:
     """Stands in for the solver in a threshold search, so the search logic runs
     without it.  The run of amplitude alpha records the trip ratio
-    margin(alpha) * k / STEPS on one monitor at steps k = 0..STEPS; it trips iff
-    margin(alpha) >= 1 and then stops at its first crossing, as the solver
-    does.  At alpha >= non_finite_above the run goes non-finite after step 0."""
+    margin(alpha) * k / STEPS, times the threshold, on one monitor at steps
+    k = 0..STEPS; as in the solver, it trips iff a recorded value is strictly
+    above the threshold and then stops at that step.  At alpha >=
+    non_finite_above the run goes non-finite after step 0."""
 
     STEPS = 16
 
@@ -143,18 +160,18 @@ class SyntheticFamily:
 
     def __call__(self, u0, cfg):
         alpha = float(np.max(np.abs(u0.data))) / self.peak
-        m = self.margin(alpha)
-        ratios = m * np.arange(self.STEPS + 1) / self.STEPS
-        status = COMPLETED
-        if alpha >= self.non_finite_above:
-            ratios, status = ratios[:1], NON_FINITE
-        elif m >= 1.0:
-            ratios = ratios[:int(np.argmax(ratios >= 1.0)) + 1]
-            status = RESOLUTION_LIMIT
+        ratios = self.margin(alpha) * np.arange(self.STEPS + 1) / self.STEPS
         scale = {"linf": cfg.blowup_sup_threshold, "tail_fraction": cfg.spectral_tail_threshold}
-        records = {key: (ratios if key == self.monitor else 0.0 * ratios) * thr
-                   for key, thr in scale.items()}
-        records["t"] = cfg.dt * np.arange(len(ratios))
+        values = ratios * scale[self.monitor]
+        over = values > scale[self.monitor]
+        steps, status = len(values), COMPLETED
+        if alpha >= self.non_finite_above:
+            steps, status = 1, NON_FINITE
+        elif over.any():
+            steps, status = int(np.argmax(over)) + 1, RESOLUTION_LIMIT
+        records = {key: values[:steps] if key == self.monitor else np.zeros(steps)
+                   for key in scale}
+        records["t"] = cfg.dt * np.arange(steps)
         return Trajectory(grid=u0.grid, times=np.array([0.0]), snapshots=[u0],
                           records=records, status=status)
 

@@ -420,6 +420,8 @@ class TestCLI:
                     "solver": dict(SOLVER, tail_octave_shift=2000)}),
         ("evolve", {"grid": {"d": 2, "N": 16}, "u0": TG,
                     "solver": dict(SOLVER, tail_octave_shift=-1)}),
+        ("evolve", {"grid": {"d": 2, "N": 16}, "u0": TG,
+                    "solver": dict(SOLVER, spectral_tail_threshold=-1.0)}),
         ("norm", {"grid": {"d": 2, "N": 16},
                   "field": {"generator": {"type": "gaussian", "sigma": 0.5, "ncomp": 0}},
                   "norm": {"kind": "lebesgue", "p": 2}}),
@@ -456,7 +458,8 @@ class TestCLI:
             "norm-q-minus-infinity", "superpose-p-infinity", "norm-seed-unused",
             "lebesgue-s-string", "perturb-force-zero", "perturb-force-empty-object",
             "perturb-drift-empty-string", "norm-p-missing", "besov-s-missing",
-            "solver-tail-shift-huge", "solver-tail-shift-negative", "gaussian-ncomp-zero",
+            "solver-tail-shift-huge", "solver-tail-shift-negative",
+            "solver-tail-threshold-negative", "gaussian-ncomp-zero",
             "gaussian-sigma-zero", "band-noise-seed-negative", "band-noise-ncomp-negative",
             "remainder-seed-negative", "perturb-p-zero", "superpose-p-zero",
             "serrin-qx-zero", "probe-battery-seed-negative"])

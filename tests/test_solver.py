@@ -191,6 +191,12 @@ class TestEvolve:
             SolverConfig(dt=-1.0, T=1.0)
         with pytest.raises(DomainError):
             SolverConfig(dt=0.1, T=1.0, dealias_fraction=1.5)
+        # 0 or -1 would trip every run at t = 0 and NaN would silently switch
+        # the tail monitor off; inf switches it off by design
+        for bad in (0.0, -1.0, np.nan):
+            with pytest.raises(DomainError, match="tail abort level"):
+                SolverConfig(dt=0.1, T=1.0, spectral_tail_threshold=bad)
+        SolverConfig(dt=0.1, T=1.0, spectral_tail_threshold=np.inf)
 
     @pytest.mark.parametrize("dt, T", [(np.inf, 1.0), (np.nan, 1.0), (0.1, np.inf),
                                        (0.1, np.nan)])
