@@ -12,13 +12,11 @@ __version__ = "0.1.0"
 from .grid import (
     Grid,
     RealVectorField,
-    heat_derivative_kernel,
     heat_semigroup,
     leray_project,
 )
 from .norms import (
     BesovIndex,
-    TimeNorm,
     besov_norm,
     chemin_lerner_norm,
     critical_exponent,
@@ -33,7 +31,6 @@ from .scaling import (
     ScaleCore,
     ScaleCoreSequence,
     apply_lambda,
-    apply_lambda_inverse,
     apply_lambda_spacetime,
     cross_term,
     norm_additivity_defect,
@@ -43,12 +40,10 @@ from .solver import (
     PerturbationProblem,
     SolverConfig,
     Trajectory,
-    bilinear_duhamel,
     evolve,
     evolve_perturbed,
     nonlinear_term,
     q_bilinear,
-    recover_pressure,
     verify_perturbation_bound,
 )
 
@@ -57,9 +52,7 @@ __all__ = [
     "RealVectorField",
     "leray_project",
     "heat_semigroup",
-    "heat_derivative_kernel",
     "BesovIndex",
-    "TimeNorm",
     "critical_exponent",
     "lebesgue_norm",
     "besov_norm",
@@ -72,7 +65,6 @@ __all__ = [
     "ScaleCoreSequence",
     "OrthogonalityVerdict",
     "apply_lambda",
-    "apply_lambda_inverse",
     "apply_lambda_spacetime",
     "cross_term",
     "norm_additivity_defect",
@@ -84,8 +76,6 @@ __all__ = [
     "evolve_perturbed",
     "nonlinear_term",
     "q_bilinear",
-    "bilinear_duhamel",
-    "recover_pressure",
     "verify_perturbation_bound",
     "__version__",
 ]

@@ -46,15 +46,13 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> RealVectorField:
     return RealVectorField(grid, amplitude * np.stack([u, v]))
 
 
-def single_mode(grid: Grid, mode, ncomp: int = 1, phase: float = 0.0) -> RealVectorField:
-    """cos(k.x + phase) replicated over ncomp components, k = 2*pi*mode/L."""
-    _components(ncomp)
+def single_mode(grid: Grid, mode, phase: float = 0.0) -> RealVectorField:
+    """cos(k.x + phase) as a one-component field, k = 2*pi*mode/L."""
     mesh = grid.coordinate_mesh()
     arg = phase * np.ones(grid.shape)
     for m, x in zip(mode, mesh):
         arg = arg + (2.0 * np.pi * m / grid.L) * x
-    comp = np.cos(arg)
-    return RealVectorField(grid, np.stack([comp] * ncomp))
+    return RealVectorField(grid, np.cos(arg)[np.newaxis])
 
 
 def gaussian_bump(grid: Grid, sigma: float, center=None, ncomp: int = 1,
@@ -117,11 +115,9 @@ def random_divfree_field(grid: Grid, seed, k_lo: float = 1.0, k_hi: float | None
                       amplitude=amplitude, divergence_free=True)
 
 
-def random_smooth_field(grid: Grid, seed, k_hi: float | None = None, ncomp: int | None = None,
-                        amplitude: float = 1.0) -> RealVectorField:
-    if k_hi is None:
-        k_hi = 0.4 * grid.k_max_axis
-    return band_noise(grid, 0.5 * grid.k_min, k_hi, seed, ncomp=ncomp, amplitude=amplitude)
+def random_smooth_field(grid: Grid, seed, ncomp: int | None = None) -> RealVectorField:
+    """Unit-amplitude band noise on 0.5 k_min <= |k| < 0.4 k_max_axis."""
+    return band_noise(grid, 0.5 * grid.k_min, 0.4 * grid.k_max_axis, seed, ncomp=ncomp)
 
 
 def curl_field(potential: RealVectorField) -> RealVectorField:

@@ -42,8 +42,6 @@ import scipy.fft
 
 from .errors import DomainError, GridMismatchError, InvalidFieldError
 
-DIVERGENCE_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -60,8 +58,8 @@ class Grid:
             raise DomainError(
                 f"N must be an even 2,3-smooth number >= 8 (powers of two preferred), got {self.N}"
             )
-        if not (self.L > 0):
-            raise DomainError(f"box side must be positive, got {self.L}")
+        if not (np.isfinite(self.L) and self.L > 0):
+            raise DomainError(f"box side must be finite and positive, got {self.L}")
 
     @staticmethod
     def _fft_friendly(n: int) -> bool:
@@ -333,9 +331,6 @@ class RealVectorField:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.data))) if self.data.size else 0.0
 
-    def divergence_free(self, tol: float = DIVERGENCE_TOL) -> bool:
-        return spectral_divergence_ratio(self) <= tol
-
 
 def _lead_slices(N: int, M: int) -> list:
     """The |m| <= M indices of a leading axis: 0..M and N-M..N-1, or all of it."""
@@ -489,10 +484,10 @@ def leray_project(f: RealVectorField) -> RealVectorField:
     return RealVectorField(f.grid, inverse_transform(coeff, f.grid))
 
 
-def _check_time(t: float, what: str, name: str = "t", positive: bool = False) -> None:
-    """DomainError unless t is finite and >= 0 (> 0 if positive)."""
-    if not (np.isfinite(t) and (t > 0 if positive else t >= 0)):
-        raise DomainError(f"{what} needs a finite {name} {'>' if positive else '>='} 0, got {t}")
+def _check_time(t: float) -> None:
+    """DomainError unless the heat-flow time t is finite and >= 0."""
+    if not (np.isfinite(t) and t >= 0):
+        raise DomainError(f"heat semigroup needs a finite t >= 0, got {t}")
 
 
 class HeatFlow:
@@ -507,7 +502,7 @@ class HeatFlow:
 
     def coefficients(self, t: float) -> np.ndarray:
         """Half-spectrum coefficients of the flow at t, in a fresh array."""
-        _check_time(t, "heat semigroup")
+        _check_time(t)
         return self.spectrum * np.exp(-t * self.grid.k_squared)
 
     def at(self, t: float) -> RealVectorField:
@@ -518,40 +513,23 @@ class HeatFlow:
 
 def heat_semigroup(f: RealVectorField, t: float) -> RealVectorField:
     """exp(t*Laplacian): multiplier exp(-t|k|^2).  Identity at t=0."""
-    _check_time(t, "heat semigroup")
+    _check_time(t)
     if t == 0.0:
         return f.require_finite().copy()
     return HeatFlow(f).at(t)
 
 
-def heat_derivative_kernel(f: RealVectorField, tau: float) -> RealVectorField:
-    """K(tau) = tau * d/dtau exp(tau*Laplacian): multiplier -tau|k|^2 exp(-tau|k|^2).
-
-    Annihilates the mean mode; on a single mode k the response over tau peaks
-    at tau = 1/|k|^2 with amplitude factor exp(-1).
-    """
-    _check_time(tau, "heat derivative kernel", "tau", positive=True)
-    f.require_finite()
-    return apply_multiplier(f, heat_derivative_pair(f.grid, tau)[0])
-
-
 def heat_derivative_pair(grid: Grid, tau: float) -> tuple[np.ndarray, int]:
     """(symbol, support extent) of K(tau) = tau * d/dtau exp(tau*Laplacian),
     -tau|k|^2 exp(-tau|k|^2); see radial_symbol.  The symbol vanishes at k = 0
-    and, where exp(-tau|k|^2) underflows, above some |k|^2."""
+    and, where exp(-tau|k|^2) underflows, above some |k|^2; on a single mode k
+    its value over tau peaks at tau = 1/|k|^2, at -exp(-1)."""
     k2 = grid.radial_table.k_squared
     return radial_symbol(grid, -tau * k2 * np.exp(-tau * k2))
 
 
 def laplacian(f: RealVectorField) -> RealVectorField:
     return apply_multiplier(f, -f.grid.k_squared)
-
-
-def gradient(grid: Grid, scalar: np.ndarray) -> RealVectorField:
-    """Spectral gradient of a scalar sample array; returns a d-component field."""
-    coeff = forward_transform(scalar, grid)
-    comps = [inverse_transform(1j * ka * coeff, grid) for ka in grid.deriv_wavenumber_mesh]
-    return RealVectorField(grid, np.stack(comps))
 
 
 def zero_field(grid: Grid, ncomp: int | None = None) -> RealVectorField:

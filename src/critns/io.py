@@ -70,7 +70,7 @@ def load_json(path):
         return json.load(fh)
 
 
-def save_trajectory(dirpath, traj, extra_manifest: dict | None = None) -> None:
+def save_trajectory(dirpath, traj) -> None:
     """Write manifest.json plus snap_<index>.cfd files for every snapshot."""
     dirpath = Path(dirpath)
     dirpath.mkdir(parents=True, exist_ok=True)
@@ -85,8 +85,6 @@ def save_trajectory(dirpath, traj, extra_manifest: dict | None = None) -> None:
         "config": traj.config_echo,
         "snapshots": [f"snap_{i}.cfd" for i in range(len(traj.snapshots))],
     }
-    if extra_manifest:
-        manifest.update(extra_manifest)
     dump_json(dirpath / "manifest.json", manifest)
 
 

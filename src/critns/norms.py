@@ -58,25 +58,15 @@ class BesovIndex:
     q: float
 
     def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise DomainError("Besov integrability indices must be >= 1")
+        # written so that NaN fails too
+        if not (self.p >= 1 and self.q >= 1):
+            raise DomainError(f"Besov integrability indices must be >= 1, got p={self.p}, "
+                              f"q={self.q}")
 
     @staticmethod
-    def critical(p: float, d: int, q: float | None = None) -> "BesovIndex":
-        return BesovIndex(critical_exponent(p, d), p, q if q is not None else p)
-
-
-@dataclass(frozen=True)
-class TimeNorm:
-    rho: float
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if self.rho < 1:
-            raise DomainError("temporal exponent must be >= 1")
-        if not self.a < self.b:
-            raise DomainError("empty time interval")
+    def critical(p: float, d: int) -> "BesovIndex":
+        """(s_p, p, p): the scale-invariant index with q = p."""
+        return BesovIndex(critical_exponent(p, d), p, p)
 
 
 def _power_sums_in_place(x: np.ndarray, p: float, square: np.ndarray | None = None):
@@ -119,7 +109,7 @@ def _lp_from_sums(sums: np.ndarray, grid: Grid, p: float) -> float:
 
 
 def _check_exponent(p: float) -> None:
-    if p < 1:
+    if not (p >= 1):  # NaN fails too
         raise DomainError(f"Lebesgue exponent must be >= 1, got {p}")
 
 
@@ -300,8 +290,8 @@ def chemin_lerner_norm(traj, rho: float, idx: BesovIndex, interval=None) -> floa
 
 def stride_halving_error(traj, rho: float, idx: BesovIndex, interval=None) -> float:
     """Relative change of the Chemin-Lerner norm when every other snapshot is
-    dropped (those of traj.thin(2), then the window), read from the columns of
-    the trajectory's band table."""
+    dropped (snapshots 0, 2, 4, ... and the last, then the window), read from
+    the columns of the trajectory's band table."""
     full = chemin_lerner_norm(traj, rho, idx, interval)
     thin = _thinned_indices(traj.times.size, 2)
     keep = thin[np.isin(thin, traj.window_indices(interval))]
@@ -377,36 +367,35 @@ def heat_besov_norm(f: RealVectorField, idx: BesovIndex,
     return heat_besov_norm_detailed(f, idx, taus)[0]
 
 
-def heat_besov_spacetime_norm_detailed(traj, r: float, p: float, taus: np.ndarray | None = None,
-                                       interval=None) -> tuple[float, float]:
+def heat_besov_spacetime_norm_detailed(traj, r: float, p: float,
+                                       taus: np.ndarray | None = None) -> tuple[float, float]:
     """(heat_besov_spacetime_norm, its relative tau-quadrature error estimate)."""
     grid = traj.grid
     sp = critical_exponent(p, grid.d)
     gamma = -1.0 - p * sp / 2.0 - p / r
     if taus is None:
         taus = default_tau_grid(grid)
-    times, snaps = traj.window(interval)
+    times, snaps = traj.times, traj.snapshots
     if len(snaps) < 2:
         raise DomainError("space-time norms need at least 2 snapshots")
     # spatial[i, k] = ||K(tau_k) u(t_i)||_{L^p}, one snapshot's coefficients at a time
     spatial = np.array([_heat_kernel_lp_curve(snap, taus, p) for snap in snaps])
-    times = np.asarray(times)
     vals = np.array([_time_lp(col, times, r) ** p for col in spatial.T])
     # tau^gamma dtau = tau^{gamma+1} dln(tau) on the log grid
     return _log_tau_integral(taus, taus ** (gamma + 1.0) * vals, p)
 
 
 def heat_besov_spacetime_norm(traj, r: float, p: float,
-                              taus: np.ndarray | None = None, interval=None) -> float:
+                              taus: np.ndarray | None = None) -> float:
     """Space-time heat characterization of L^r_t B^{s_p + 2/r}_{p,p}.
 
     Computes (integral of tau^gamma ||K(tau) u||_{L^r_t L^p_x}^p dtau)^{1/p}
     with gamma = -1 - p*s_p/2 - p/r.
     """
-    return heat_besov_spacetime_norm_detailed(traj, r, p, taus, interval)[0]
+    return heat_besov_spacetime_norm_detailed(traj, r, p, taus)[0]
 
 
-def serrin_norm(traj, p_t: float, q_x: float, interval=None) -> float:
+def serrin_norm(traj, p_t: float, q_x: float) -> float:
     """L^{p_t} in time of L^{q_x} in space; warns off the scaling-critical line."""
     _check_exponent(p_t)
     _check_exponent(q_x)
@@ -423,11 +412,10 @@ def serrin_norm(traj, p_t: float, q_x: float, interval=None) -> float:
             AccuracyWarning,
             stacklevel=2,
         )
-    times, snaps = traj.window(interval)
-    if len(snaps) < 2:
+    if len(traj.snapshots) < 2:
         raise DomainError("space-time norms need at least 2 snapshots")
-    spatial = np.array([lebesgue_norm(s, q_x) for s in snaps])
-    return _time_lp(spatial, np.asarray(times), p_t)
+    spatial = np.array([lebesgue_norm(s, q_x) for s in traj.snapshots])
+    return _time_lp(spatial, traj.times, p_t)
 
 
 def norm_report(norm_name: str, parameters: dict, value: float, warns: list | None = None,

@@ -52,6 +52,7 @@ from .norms import (
 from .scaling import (ScaleCore, ScaleCoreSequence, apply_lambda, apply_lambda_spacetime,
                       is_whole_cell_roll, orthogonality_check)
 from .solver import (
+    DEALIAS_FRACTION,
     SolverConfig,
     Trajectory,
     _box_inverse,
@@ -102,21 +103,21 @@ class ProfileSystem:
     def sequence(self, j: int) -> ScaleCoreSequence:
         return self.profiles[j][1]
 
-    def profile(self, j: int) -> RealVectorField:
-        return self.profiles[j][0]
-
     def truncate(self, J: int) -> "ProfileSystem":
         return ProfileSystem(profiles=self.profiles[: J + 1], remainder=self.remainder)
 
-    def validate(self, K: int = 3, divergence_tol: float = 1e-8) -> None:
+    def validate(self) -> None:
+        """DomainError unless every profile is a divergence-free velocity field
+        (spectral divergence ratio <= 1e-8) and every pair of scale/core
+        sequences is orthogonal over its last 3 indices."""
         for j, (phi, _) in enumerate(self.profiles):
             if phi.ncomp != self.grid.d:
                 raise DomainError(f"profile {j} is not a velocity field")
-            if spectral_divergence_ratio(phi) > divergence_tol:
+            if spectral_divergence_ratio(phi) > 1e-8:
                 raise DomainError(f"profile {j} is not divergence-free")
         for j in range(len(self.profiles)):
             for jp in range(j + 1, len(self.profiles)):
-                verdict = orthogonality_check(self.sequence(j), self.sequence(jp), K)
+                verdict = orthogonality_check(self.sequence(j), self.sequence(jp), 3)
                 if verdict.value == "NotOrthogonal":
                     raise DomainError(
                         f"scale/core sequences of profiles {j} and {jp} are not orthogonal"
@@ -217,16 +218,14 @@ class EvolvedSystem:
         return self.remainder_flow(n).at(t)
 
 
-def evolve_system(sys: ProfileSystem, cfg: SolverConfig, n_window,
-                  n_ref: int | None = None) -> EvolvedSystem:
+def evolve_system(sys: ProfileSystem, cfg: SolverConfig, n_window) -> EvolvedSystem:
     """Evolve every profile in its native frame with a parabolically matched step.
 
     Each profile's horizon covers cfg.T / min_n lambda_{j,n}^2 over the tested
-    window, so rescaled lookups never run off the end.
+    window, so rescaled lookups never run off the end.  The profiles are
+    ordered at the window's first index.
     """
     n_window = list(n_window)
-    if n_ref is None:
-        n_ref = n_window[0]
     trajectories, lifespans = [], []
     for j, (phi, seq) in enumerate(sys.profiles):
         lam_min = min(seq[n].lam for n in n_window)
@@ -238,7 +237,7 @@ def evolve_system(sys: ProfileSystem, cfg: SolverConfig, n_window,
         traj = evolve(phi, cfg_j)
         trajectories.append(traj)
         lifespans.append(traj.final_time if traj.status != "Completed" else float("inf"))
-    ordering = order_profiles(sys, lifespans, n_ref)
+    ordering = order_profiles(sys, lifespans, n_window[0])
     return EvolvedSystem(system=sys, trajectories=trajectories,
                          lifespans=lifespans, ordering=ordering)
 
@@ -260,12 +259,9 @@ def superpose_evolution(ev: EvolvedSystem, sys: ProfileSystem, n: int,
     return total + ev.remainder_heat(n, t)
 
 
-def remainder(u_n: Trajectory, ev: EvolvedSystem, sys: ProfileSystem, n: int,
-              horizon: float | None = None) -> Trajectory:
+def remainder(u_n: Trajectory, ev: EvolvedSystem, sys: ProfileSystem, n: int) -> Trajectory:
     """r(t) = u_n(t) - superposition(t) on the snapshot grid of u_n."""
     t_max = min(u_n.final_time, ev.tau(n))
-    if horizon is not None:
-        t_max = min(t_max, horizon)
     times, snaps = [], []
     for t, snap in zip(u_n.times, u_n.snapshots):
         if t > t_max * (1 + 1e-9):
@@ -312,18 +308,18 @@ def drift_norm(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: floa
     return chemin_lerner_norm(traj, p, BesovIndex(sp + 2.0 / p, p, p))
 
 
-def _source(parts: list, w: RealVectorField, dealias_fraction: float):
+def _source(parts: list, w: RealVectorField):
     """Frame profile sum u = sum_a U_a and the full remainder-equation source
     G = -Q(u, w) - Q(w, w)/2 - sum_{a<b} Q(U_a, U_b) from the frame parts, as
-    Leray-projected coefficients on the dealias box of dealias_fraction.
+    Leray-projected coefficients on the dealias box of DEALIAS_FRACTION.
 
     Q(a, b) = P div(a (x) b + b (x) a), so the flux divergences are summed on
     the box and projected once; Q(w, w)/2 is the divergence of w (x) w.
     """
-    box = dealias_box(w.grid, dealias_fraction)
+    box = dealias_box(w.grid, DEALIAS_FRACTION)
 
     def minus_div(entry):
-        return _div_flux_hat(entry, box, trace_free=True, sign=-1.0)
+        return _div_flux_hat(entry, box, sign=-1.0)
 
     u = sum(parts[1:], parts[0])
     g = minus_div(_pair_product(u.data, w.data))
@@ -334,8 +330,7 @@ def _source(parts: list, w: RealVectorField, dealias_fraction: float):
     return u, _leray_coefficients(g, box)
 
 
-def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float,
-                dealias_fraction: float = 2.0 / 3.0):
+def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float):
     """The split (part1, part2) of the remainder equation's source G at time t.
 
     part1 = -P div(T_u w + (T_u w)^T) carries the low-frequency profiles u
@@ -343,14 +338,14 @@ def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float,
     Bony pieces, the remainder self-interaction and the profile cross terms.
     """
     grid = sys.grid
-    box = dealias_box(grid, dealias_fraction)
+    box = dealias_box(grid, DEALIAS_FRACTION)
     parts, w = _frame_components(ev, sys, n, t)
-    u, g = _source(parts, w, dealias_fraction)
+    u, g = _source(parts, w)
     del parts  # only u and w enter the Bony split; free the profile fields first
     tuw = low_high(grid, u.data[:, None], w.data[None])
     # P div(T_u w + (T_u w)^T) = -part1 on the box; G - part1 = g + it
     p1 = _leray_coefficients(
-        _div_flux_hat(lambda i, j: tuw[i, j] + tuw[j, i], box, trace_free=True), box)
+        _div_flux_hat(lambda i, j: tuw[i, j] + tuw[j, i], box), box)
     del tuw
     g += p1
     return (RealVectorField(grid, -_box_inverse(p1, box)),
@@ -383,17 +378,15 @@ class SplittingReport:
 
 
 def norm_splitting_check(ev: EvolvedSystem, sys: ProfileSystem, n: int, t_n: float,
-                         J_window=None, norm_kind: str = "L3",
-                         p: float | None = None) -> SplittingReport:
+                         norm_kind: str = "L3", p: float | None = None) -> SplittingReport:
     """Additivity defect of the critical norm over the rescaled evolved profiles.
 
     L3 form: |sum_c (||sum_j F_j^c||_3^3 - sum_j ||F_j^c||_3^3)| with the
     component-wise cube convention; the per-pair cross terms
     integral |F_j1| |F_j2|^2 are reported alongside.
     """
-    lo, hi = (0, sys.J) if J_window is None else J_window
     fields = []
-    for j in range(lo, hi + 1):
+    for j in range(sys.J + 1):
         sc = sys.sequence(j)[n]
         fields.append(_rescaled(ev.trajectories[j].at(t_n / sc.lam**2), sc,
                                 name=f"profile {j}"))
@@ -421,25 +414,24 @@ def norm_splitting_check(ev: EvolvedSystem, sys: ProfileSystem, n: int, t_n: flo
         for b in range(len(fields)):
             if a != b:
                 val = float(np.sum(np.abs(fields[a].data) * fields[b].data**2) * w)
-                cross[(lo + a, lo + b)] = val
+                cross[(a, b)] = val
     return SplittingReport(defect=abs(float(defect)), norm_kind=norm_kind,
                            pair_cross_terms=cross, individual_norms=individual,
                            combined_norm=combined)
 
 
-def extract_cores(f: RealVectorField, count: int = 1, p: float | None = None):
+def extract_cores(f: RealVectorField, count: int = 1):
     """Dominant concentration scale/cores of a field, amplitude-descending.
 
     The scale estimate is 2^{-j*} for the band j* maximizing the critical-norm
-    content 2^{j s_p} ||Delta_j f||_{L^p}; cores are peaks of the low-passed
+    content 2^{j s_p} ||Delta_j f||_{L^p} at p = d; cores are peaks of the low-passed
     magnitude, suppressing a 2-scale neighborhood between picks.  Ties break
     by lexicographic core order.  Returns None for a zero field.
     """
     if f.max_abs() == 0.0:
         return None
     grid = f.grid
-    if p is None:
-        p = float(grid.d)
+    p = float(grid.d)
     sp = critical_exponent(p, grid.d)
     levels, vals = band_profile(f, p)
     weights = 2.0 ** (levels * sp) * vals
@@ -463,14 +455,13 @@ def extract_cores(f: RealVectorField, count: int = 1, p: float | None = None):
     return out
 
 
-def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
-                         forcing=None) -> float:
+def ns_equation_residual(traj: Trajectory, forcing=None) -> float:
     """L^2-in-time L^2-in-space residual of du/dt + P div(u x u) - Lap u
     + Q(u, F) - G on the snapshot grid, with centered time differences.
 
     With a forcing callable t -> (drift F, source G) this is the
     perturbed-system residual, G given as Leray-projected coefficients on the
-    dealias box of dealias_fraction (as `_source` returns it); without it it
+    dealias box of DEALIAS_FRACTION (as `_source` returns it); without it it
     is the plain equation residual, which serves as the discrete floor (the
     time-differencing error dominates both).  Each snapshot is transformed
     once, the time difference is taken on the coefficients (a rolling window
@@ -479,7 +470,7 @@ def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
     the solver's l2 record.
     """
     grid = traj.grid
-    box = dealias_box(grid, dealias_fraction)
+    box = dealias_box(grid, DEALIAS_FRACTION)
     if len(traj.snapshots) < 3:
         raise DomainError("residual check needs at least 3 snapshots")
     k2 = grid.k_squared
@@ -491,12 +482,12 @@ def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
     for i, next_hat in enumerate(spectra, start=1):
         dt2 = times[i + 1] - times[i - 1]
         u = traj.snapshots[i]
-        nl_hat = _div_flux_hat(_self_product(u.data), box, trace_free=True)
+        nl_hat = _div_flux_hat(_self_product(u.data), box)
         _leray_coefficients(nl_hat, box)
         resid_hat = (next_hat - prev_hat) / dt2 + box.scatter(nl_hat) + k2 * uh
         if forcing is not None:
             f, g_hat = forcing(float(times[i]))
-            q_hat = _div_flux_hat(_pair_product(u.data, f.data), box, trace_free=True)
+            q_hat = _div_flux_hat(_pair_product(u.data, f.data), box)
             _leray_coefficients(q_hat, box)
             q_hat -= g_hat
             resid_hat += box.scatter(q_hat)
@@ -511,8 +502,7 @@ def ns_equation_residual(traj: Trajectory, dealias_fraction: float = 2.0 / 3.0,
 
 
 def remainder_equation_residual(r_traj: Trajectory, ev: EvolvedSystem,
-                                sys: ProfileSystem, n: int,
-                                dealias_fraction: float = 2.0 / 3.0) -> float:
+                                sys: ProfileSystem, n: int) -> float:
     """Residual of the rescaled-frame remainder equation with the assembled
     drift and source; ties the profile bookkeeping to the perturbed solver."""
     frame = ev.frame(n)
@@ -521,9 +511,9 @@ def remainder_equation_residual(r_traj: Trajectory, ev: EvolvedSystem,
     def forcing(s: float):
         # one set of frame parts per time serves both the drift and the source
         parts, w = _frame_components(ev, sys, n, s)
-        return sum(parts, w), _source(parts, w, dealias_fraction)[1]
+        return sum(parts, w), _source(parts, w)[1]
 
-    return ns_equation_residual(r0, dealias_fraction, forcing=forcing)
+    return ns_equation_residual(r0, forcing=forcing)
 
 
 def pairing_table(traj: Trajectory, tests: list) -> np.ndarray:

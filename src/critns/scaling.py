@@ -11,6 +11,7 @@ the periodic images are discarded rather than wrapped).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -22,6 +23,9 @@ from .norms import lebesgue_norm
 from .solver import Trajectory
 
 SUPPORT_AMPLITUDE_THRESHOLD = 1e-6
+# the level past which orthogonality_check's scale ratio or core separation
+# counts as diverging
+ORTHOGONALITY_THETA = 2.0**6
 
 
 @dataclass(frozen=True)
@@ -32,9 +36,12 @@ class ScaleCore:
     x0: tuple
 
     def __post_init__(self):
-        if not (self.lam > 0):
-            raise DomainError(f"scale must be positive, got {self.lam}")
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise DomainError(f"scale must be finite and positive, got {self.lam}")
+        x0 = tuple(float(v) for v in self.x0)
+        if not all(map(math.isfinite, x0)):
+            raise DomainError(f"core must be finite, got {x0}")
+        object.__setattr__(self, "x0", x0)
 
     @staticmethod
     def identity(d: int) -> "ScaleCore":
@@ -184,6 +191,8 @@ def apply_lambda(f: RealVectorField, sc: ScaleCore, off_grid_core: bool = False,
     interpolation (resampling-limited rather than exact).
     """
     f.require_finite()
+    if len(sc.x0) != f.grid.d:
+        raise DomainError(f"core has {len(sc.x0)} coordinates, the grid has {f.grid.d} axes")
     if sc.lam < 4.0 / f.grid.N:
         raise UndersampledScaleError(
             f"scale {sc.lam} below the resolvable floor 4/N = {4.0 / f.grid.N}"
@@ -200,11 +209,6 @@ def apply_lambda(f: RealVectorField, sc: ScaleCore, off_grid_core: bool = False,
     if m is not None and m < 0 and aligned:
         return _gather_contraction(f, sc, -m)
     return _spectral_resample(f, sc)
-
-
-def apply_lambda_inverse(f: RealVectorField, sc: ScaleCore, **kw) -> RealVectorField:
-    """lam * f(lam*y + x0): the exact inverse transformation."""
-    return apply_lambda(f, sc.inverse(), **kw)
 
 
 def apply_lambda_spacetime(traj, sc: ScaleCore, **kw):
@@ -248,14 +252,14 @@ def _strictly_increasing(vals: np.ndarray) -> bool:
     return bool(np.all(np.diff(vals) > 0))
 
 
-def orthogonality_check(sa: ScaleCoreSequence, sb: ScaleCoreSequence, K: int,
-                        theta_lambda: float = 2.0**6,
-                        theta_x: float = 2.0**6) -> OrthogonalityVerdict:
+def orthogonality_check(sa: ScaleCoreSequence, sb: ScaleCoreSequence,
+                        K: int) -> OrthogonalityVerdict:
     """Finite-window proxy for the divergence conditions on scales and cores.
 
     Scale branch: lam_a/lam_b + lam_b/lam_a strictly increasing over the last K
-    indices and exceeding theta_lambda.  Core branch (only when the ratios are
-    identically 1): |x_a - x_b|/lam_a strictly increasing past theta_x.
+    indices and exceeding ORTHOGONALITY_THETA.  Core branch (only when the
+    ratios are identically 1): |x_a - x_b|/lam_a strictly increasing past
+    ORTHOGONALITY_THETA.
     """
     if len(sa) != len(sb):
         raise DomainError("scale/core sequences must have equal length")
@@ -268,9 +272,9 @@ def orthogonality_check(sa: ScaleCoreSequence, sb: ScaleCoreSequence, K: int,
         xa = np.array([sc.x0 for sc in sa.entries[-K:]])
         xb = np.array([sc.x0 for sc in sb.entries[-K:]])
         seps = np.linalg.norm(xa - xb, axis=1) / la
-        if _strictly_increasing(seps) and seps[-1] > theta_x:
+        if _strictly_increasing(seps) and seps[-1] > ORTHOGONALITY_THETA:
             return OrthogonalityVerdict.ORTHOGONAL_BY_CORES
         return OrthogonalityVerdict.NOT_ORTHOGONAL
-    if _strictly_increasing(ratios) and ratios[-1] > theta_lambda:
+    if _strictly_increasing(ratios) and ratios[-1] > ORTHOGONALITY_THETA:
         return OrthogonalityVerdict.ORTHOGONAL_BY_SCALES
     return OrthogonalityVerdict.NOT_ORTHOGONAL

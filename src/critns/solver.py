@@ -3,19 +3,24 @@
 Time stepping is integrating-factor Heun: the heat factor exp(dt*Laplacian) is
 applied exactly in spectral space and the projected convection term gets a
 second-order explicit treatment.  Quadratic products are formed in physical
-space and truncated by a sharp radial cutoff (2/3 rule by default).  Every
-coefficient the cutoff can leave nonzero has |m| < R = fraction * N/2 on each
-axis, so the step keeps its spectral state on the retained box |m| <= ceil(R)-1
-(`dealias_box`, 30% of the half spectrum at 2/3).  Forward transforms are
-pruned to the box and return its coefficients directly; the state is
-scattered into a zero-padded half spectrum only for the inverse transforms,
-which are pruned to the box too.  The truncated coefficients outside the box
-are exactly zero, so this changes no snapshot bit.  Every flux whose
-divergence is Leray-projected is formed trace-free (S - S_{d-1,d-1} I, see
-`_div_flux_hat`), one forward transform fewer than the full tensor for a
-change at roundoff; its products are formed in one reused buffer and its
+space and truncated by a sharp radial cutoff (the 2/3 rule, `DEALIAS_FRACTION`,
+unless a SolverConfig sets another fraction).  Every coefficient the cutoff
+can leave nonzero has |m| < R = fraction * N/2 on each axis, so the step keeps
+its spectral state on the retained box |m| <= ceil(R)-1 (`dealias_box`, 30% of
+the half spectrum at 2/3).  Forward transforms are pruned to the box and
+return its coefficients directly; the state is scattered into a zero-padded
+half spectrum only for the inverse transforms, which are pruned to the box
+too.  The truncated coefficients outside the box are exactly zero, so this
+changes no snapshot bit.
+
+There is one flux kernel, `_div_flux_hat`: the divergence of a symmetric
+tensor, formed trace-free (S - S_{d-1,d-1} I), one forward transform fewer
+than the full tensor for a change that Leray projection removes, and every
+caller projects.  Its products are formed in one reused buffer and its
 derivative terms summed through one reused box temporary, with the dealias
-mask applied once per component.
+mask applied once per component.  The convection term P div(u (x) u)
+(`nonlinear_term`), the symmetric pair Q(a, b) (`q_bilinear`), the solver's
+right-hand side and the profile sources all go through it.
 
 A run aborts with status "ResolutionLimit" on the first step where the
 sup-norm or the top-octave spectral energy fraction exceeds its threshold
@@ -44,8 +49,6 @@ from .grid import (
 )
 from .norms import (
     BesovIndex,
-    _thinned_indices,
-    _trapezoid_weights,
     besov_norm,
     chemin_lerner_norm,
     critical_exponent,
@@ -56,12 +59,16 @@ COMPLETED = "Completed"
 RESOLUTION_LIMIT = "ResolutionLimit"
 NON_FINITE = "NonFinite"
 
+# The sharp radial dealias cutoff |m| < DEALIAS_FRACTION * N/2 (the 2/3 rule)
+# of every flux outside a solver run, and a solver run's default.
+DEALIAS_FRACTION = 2.0 / 3.0
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float
     T: float
-    dealias_fraction: float = 2.0 / 3.0
+    dealias_fraction: float = DEALIAS_FRACTION
     blowup_sup_threshold: float = 1e3
     spectral_tail_threshold: float = 1.0
     snapshot_stride: int = 1
@@ -168,22 +175,6 @@ class Trajectory:
         eps = 1e-9 * max(1.0, abs(b))
         return np.flatnonzero((a - eps <= self.times) & (self.times <= b + eps))
 
-    def window(self, interval=None):
-        """(times, snapshots) restricted to a closed interval."""
-        keep = self.window_indices(interval)
-        return list(self.times[keep]), [self.snapshots[i] for i in keep]
-
-    def thin(self, stride: int) -> "Trajectory":
-        idx = _thinned_indices(len(self.snapshots), stride)
-        return Trajectory(
-            grid=self.grid,
-            times=self.times[idx],
-            snapshots=[self.snapshots[i] for i in idx],
-            records={},
-            status=self.status,
-            config_echo=dict(self.config_echo),
-        )
-
 
 @dataclass
 class PerturbationProblem:
@@ -273,23 +264,21 @@ def _pair_product(a: np.ndarray, b: np.ndarray):
     return entry
 
 
-def _div_flux_hat(entry, box: RetainedBox, symmetric: bool = True,
-                  trace_free: bool = False, sign: float = 1.0) -> np.ndarray:
-    """Spectral coefficients of sign * (div S)_i = sign * sum_j d_j S_ij,
+def _div_flux_hat(entry, box: RetainedBox, sign: float = 1.0) -> np.ndarray:
+    """Spectral coefficients of sign * (div S')_i = sign * sum_j d_j S'_ij for
+    the trace-free part S' = S - S_{d-1,d-1} I of a symmetric tensor S,
     dealiased by box.
 
-    entry(i, j) returns an array of the physical samples of S_ij, which the
-    next call may overwrite.  Each entry is transformed onto the box only,
-    and each component of the result is truncated to the box's mask once, at
-    the end (the mask is 0 or 1, so this is the sum of the truncated terms).
-    A symmetric tensor is read from its upper triangle only (d(d+1)/2
-    transforms instead of d^2).
+    entry(i, j) returns an array of the physical samples of S_ij for i <= j,
+    which the next call may overwrite.  S' is read from its upper triangle
+    less its last diagonal entry, which is zero: d(d+1)/2 - 1 transforms
+    instead of d^2.  Each entry is transformed onto the box only, and each
+    component of the result is truncated to the box's mask once, at the end
+    (the mask is 0 or 1, so this is the sum of the truncated terms).
 
-    trace_free takes S - S_{d-1,d-1} I instead: each diagonal entry less the
-    last one, which is then skipped, so one transform fewer.  That changes
-    div S by the gradient of S_{d-1,d-1}, which Leray projection removes, so
-    only callers that project the result pass it (Basdevant, J. Comput. Phys.
-    50, 1983).
+    div S' differs from div S by the gradient of S_{d-1,d-1}, which Leray
+    projection removes, and every caller projects the result (Basdevant,
+    J. Comput. Phys. 50, 1983).
     """
     d = box.d
     deriv = [sign * 1j * ka for ka in box.deriv_wavenumber_mesh]
@@ -305,52 +294,40 @@ def _div_flux_hat(entry, box: RetainedBox, symmetric: bool = True,
             np.multiply(factor, t, out=acc[c])
             started[c] = True
 
-    trace = entry(d - 1, d - 1).copy() if trace_free else None
+    trace = entry(d - 1, d - 1).copy()
     for i in range(d):
-        for j in range(i if symmetric else 0, d):
-            if trace is not None and i == j == d - 1:
+        for j in range(i, d):
+            if i == j == d - 1:
                 continue
             sij = entry(i, j)
-            if trace is not None and i == j:
+            if i == j:
                 sij -= trace
             tij = forward_transform(sij, box.grid, box.extent)
             add(i, deriv[j], tij)
-            if symmetric and j != i:
+            if j != i:
                 add(j, deriv[i], tij)
     acc *= box.mask
     return acc
 
 
-def _projected_flux(entry, grid: Grid, fraction: float) -> RealVectorField:
-    """P div S, dealiased at fraction."""
-    box = dealias_box(grid, fraction)
-    acc = _leray_coefficients(_div_flux_hat(entry, box, trace_free=True), box)
+def _projected_flux(entry, grid: Grid) -> RealVectorField:
+    """P div S, dealiased at DEALIAS_FRACTION."""
+    box = dealias_box(grid, DEALIAS_FRACTION)
+    acc = _leray_coefficients(_div_flux_hat(entry, box), box)
     return RealVectorField(grid, _box_inverse(acc, box))
 
 
-def nonlinear_term(u: RealVectorField, dealias_fraction: float = 2.0 / 3.0) -> RealVectorField:
+def nonlinear_term(u: RealVectorField) -> RealVectorField:
     """P div(u (x) u), the projected convection term."""
     u.require_finite()
-    return _projected_flux(_self_product(u.data), u.grid, dealias_fraction)
+    return _projected_flux(_self_product(u.data), u.grid)
 
 
-def q_bilinear(a: RealVectorField, b: RealVectorField,
-               dealias_fraction: float = 2.0 / 3.0) -> RealVectorField:
+def q_bilinear(a: RealVectorField, b: RealVectorField) -> RealVectorField:
     """Q(a, b) = P(a.grad b + b.grad a); symmetric, and Q(u, u) = 2 P div(u (x) u)."""
     a.require_finite()
     b.require_finite()
-    return _projected_flux(_pair_product(a.data, b.data), a.grid, dealias_fraction)
-
-
-def recover_pressure(u: RealVectorField, dealias_fraction: float = 2.0 / 3.0) -> RealVectorField:
-    """pi = -inv(Laplacian) div div (u (x) u), zero-mean, as a one-component
-    field, with the flux dealiased at dealias_fraction."""
-    u.require_finite()
-    box = dealias_box(u.grid, dealias_fraction)
-    div_hat = _div_flux_hat(_self_product(u.data), box)
-    divdiv = sum(1j * ka * div_hat[a] for a, ka in enumerate(box.deriv_wavenumber_mesh))
-    pi_hat = divdiv * box.inv_deriv_k_squared
-    return RealVectorField(u.grid, _box_inverse(pi_hat[None, ...], box))
+    return _projected_flux(_pair_product(a.data, b.data), a.grid)
 
 
 def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
@@ -379,9 +356,9 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
         if cfg.linear_only:
             acc = np.zeros_like(uh)
         else:
-            acc = _div_flux_hat(_self_product(phys), box, trace_free=True, sign=-1.0)
+            acc = _div_flux_hat(_self_product(phys), box, sign=-1.0)
         if drift is not None:
-            acc -= _div_flux_hat(_pair_product(phys, drift.at(t).data), box, trace_free=True)
+            acc -= _div_flux_hat(_pair_product(phys, drift.at(t).data), box)
         if source is not None:
             g = source(t)
             if g is not None:
@@ -439,14 +416,15 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     )
 
 
-def condition_datum(f: RealVectorField, dealias_fraction: float = 2.0 / 3.0) -> RealVectorField:
-    """Dealias-truncate and project a datum exactly as evolve does internally.
+def condition_datum(f: RealVectorField) -> RealVectorField:
+    """Dealias-truncate and project a datum exactly as evolve does internally
+    at the default DEALIAS_FRACTION.
 
     Shipped profile systems pass their profiles through this so that the
     solver's own conditioning is a no-op and decompositions close at roundoff.
     """
     grid = f.grid
-    box = dealias_box(grid, dealias_fraction)
+    box = dealias_box(grid, DEALIAS_FRACTION)
     coeff = _leray_coefficients(_box_forward(f.data, box), box)
     return RealVectorField(grid, _box_inverse(coeff, box))
 
@@ -484,34 +462,6 @@ def sample_trajectory(grid: Grid, times, func) -> Trajectory:
     """Trajectory built by sampling a callable t -> RealVectorField."""
     times = np.asarray(sorted(float(t) for t in times))
     return Trajectory(grid=grid, times=times, snapshots=[func(t) for t in times])
-
-
-def bilinear_duhamel(f_traj: Trajectory, g_traj: Trajectory, t: float,
-                     dealias_fraction: float = 2.0 / 3.0) -> RealVectorField:
-    """B(f, g)(t) = integral_0^t exp((t-tau) Lap) P div(f (x) g)(tau) dtau.
-
-    Trapezoid over the common snapshot grid, the flux dealiased at
-    dealias_fraction; B(f, f) relates to the mild solution by
-    u = exp(t Lap) u0 - B(u, u).
-    """
-    grid = f_traj.grid
-    if not grid.compatible(g_traj.grid):
-        raise DomainError("trajectories live on different grids")
-    if not (f_traj.covers(t) and g_traj.covers(t)):
-        raise TrajectoryCoverageError("both trajectories must cover [0, t]")
-    taus = [float(x) for x in f_traj.times if x <= t + 1e-12]
-    if abs(taus[-1] - t) > 1e-12:
-        taus.append(t)
-    taus = np.asarray(taus)
-    box = dealias_box(grid, dealias_fraction)
-    acc = np.zeros((grid.d,) + box.spectral_shape, dtype=np.complex128)
-    for tau, weight in zip(taus, _trapezoid_weights(taus)):
-        fa = f_traj.at(tau).data
-        gb = g_traj.at(tau).data
-        s = _div_flux_hat(lambda i, j: fa[i] * gb[j], box, symmetric=False, trace_free=True)
-        _leray_coefficients(s, box)
-        acc += weight * np.exp(-(t - tau) * box.k_squared) * s
-    return RealVectorField(grid, _box_inverse(acc, box))
 
 
 @dataclass

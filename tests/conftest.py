@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from critns import Grid
+from critns.grid import RealVectorField, _leray_coefficients, forward_transform, inverse_transform
+from critns.norms import _trapezoid_weights
+from critns.solver import DEALIAS_FRACTION, Trajectory, _box_inverse, dealias_box
 
 
 @pytest.fixture
@@ -53,3 +56,54 @@ def dealias_mask(grid, fraction):
     radius = fraction * grid.N / 2.0
     m2 = grid.k_squared * (grid.L / (2.0 * np.pi)) ** 2
     return m2 < radius**2
+
+
+def gradient(grid, scalar):
+    """Reference oracle: the spectral gradient of a scalar sample array, as a
+    d-component field."""
+    coeff = forward_transform(scalar, grid)
+    comps = [inverse_transform(1j * ka * coeff, grid) for ka in grid.deriv_wavenumber_mesh]
+    return RealVectorField(grid, np.stack(comps))
+
+
+def general_div_flux_hat(entry, box, trace_free=True):
+    """Reference oracle: coefficients of (div S)_i = sum_j d_j S_ij of a general
+    (not necessarily symmetric) tensor, every one of its d^2 entries
+    transformed and truncated to the box's mask; trace_free takes
+    S - S_{d-1,d-1} I, as the solver's kernel does for a symmetric S."""
+    d = box.d
+    trace = entry(d - 1, d - 1).copy() if trace_free else 0.0
+    acc = np.zeros((d,) + box.spectral_shape, dtype=np.complex128)
+    for i in range(d):
+        for j in range(d):
+            sij = entry(i, j) - trace if i == j else entry(i, j)
+            tij = forward_transform(sij, box.grid, box.extent) * box.mask
+            acc[i] += 1j * box.deriv_wavenumber_mesh[j] * tij
+    return acc
+
+
+def bilinear_duhamel(f_traj, g_traj, t):
+    """Reference oracle for the solver: B(f, g)(t) = integral_0^t
+    exp((t-tau) Lap) P div(f (x) g)(tau) dtau, by the trapezoid rule over the
+    snapshot times of f_traj up to t, the flux dealiased at DEALIAS_FRACTION.
+    B(f, f) relates to the mild solution by u = exp(t Lap) u0 - B(u, u)."""
+    grid = f_traj.grid
+    taus = [float(x) for x in f_traj.times if x <= t + 1e-12]
+    if abs(taus[-1] - t) > 1e-12:
+        taus.append(t)
+    taus = np.asarray(taus)
+    box = dealias_box(grid, DEALIAS_FRACTION)
+    acc = np.zeros((grid.d,) + box.spectral_shape, dtype=np.complex128)
+    for tau, weight in zip(taus, _trapezoid_weights(taus)):
+        fa, gb = f_traj.at(tau).data, g_traj.at(tau).data
+        s = _leray_coefficients(general_div_flux_hat(lambda i, j: fa[i] * gb[j], box), box)
+        acc += weight * np.exp(-(t - tau) * box.k_squared) * s
+    return RealVectorField(grid, _box_inverse(acc, box))
+
+
+def thin(traj, stride):
+    """Reference oracle: the trajectory of snapshots 0, stride, 2*stride, ...
+    and the last one."""
+    n = len(traj.snapshots)
+    keep = sorted(set(range(0, n, stride)) | {n - 1})
+    return Trajectory(traj.grid, traj.times[keep], [traj.snapshots[i] for i in keep])

@@ -22,7 +22,7 @@ from critns.lp import (
 )
 from critns.norms import band_profile, lebesgue_norm
 
-from conftest import rel_err
+from conftest import gradient, rel_err
 
 
 class TestCutoff:
@@ -125,8 +125,6 @@ class TestBands:
 
     def test_bernstein(self, grid2):
         # ||grad Delta_j f||_p <= C 2^{j+2} ||Delta_j f||_p with C <= 1.05
-        from critns.grid import gradient
-
         f = random_smooth_field(grid2, seed=7, ncomp=1)
         for j in range(0, 3):
             band = band_project(f, j)

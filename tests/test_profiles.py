@@ -30,9 +30,9 @@ from critns.profiles import (
     synthesize_datum,
 )
 from critns.scaling import ScaleCore, ScaleCoreSequence
-from critns.solver import SolverConfig, bilinear_duhamel, condition_datum, evolve
+from critns.solver import SolverConfig, condition_datum, evolve
 
-from conftest import rel_err
+from conftest import bilinear_duhamel, rel_err
 
 L3 = 2.0 * np.pi
 
@@ -222,7 +222,7 @@ class TestRemainder:
         traj = evolve(synthesize_datum(sys_, 0), cfg)
         r = remainder(traj, ev, sys_, 0)
         t = 0.05
-        duh = bilinear_duhamel(traj, traj, t, dealias_fraction=cfg.dealias_fraction)
+        duh = bilinear_duhamel(traj, traj, t)
         assert lebesgue_norm(r.at(t) + duh, 2) / lebesgue_norm(duh, 2) < 1e-3
 
     def test_remainder_trend(self, grid3m):
@@ -331,7 +331,7 @@ class TestDriftAndSource:
         box = dealias_box(grid3m, 2.0 / 3.0)
 
         def minus_p_div_sym(tensor):
-            flux = _div_flux_hat(lambda i, j: tensor[i, j] + tensor[j, i], box, trace_free=True)
+            flux = _div_flux_hat(lambda i, j: tensor[i, j] + tensor[j, i], box)
             return -inverse_transform(box.scatter(_leray_coefficients(flux, box)), grid3m)
 
         assert np.array_equal(p1.data, minus_p_div_sym(para))
@@ -435,7 +435,7 @@ class TestBookkeeping:
         parts = [random_divfree_field(grid3, seed=40 + a, k_hi=4.0, amplitude=0.5)
                  for a in range(3)]
         w = random_divfree_field(grid3, seed=43, k_hi=6.0, amplitude=0.05)
-        u, g_hat = _source(parts, w, 2.0 / 3.0)
+        u, g_hat = _source(parts, w)
         g = _box_inverse(g_hat, dealias_box(grid3, 2.0 / 3.0))
         want = -1.0 * q_bilinear(u, w) - 0.5 * q_bilinear(w, w)
         for a in range(3):

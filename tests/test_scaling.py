@@ -13,7 +13,6 @@ from critns.scaling import (
     ScaleCore,
     ScaleCoreSequence,
     apply_lambda,
-    apply_lambda_inverse,
     apply_lambda_spacetime,
     cross_term,
     norm_additivity_defect,
@@ -90,18 +89,32 @@ class TestApplyLambda:
         h = grid.spacing
         f = gabor_bump(grid, sigma=grid.L / 40, mode_center=(10, 4), ncomp=1)
         sc = ScaleCore(2.0, (8 * h, -4 * h))  # even-index core: aligned both ways
-        back = apply_lambda_inverse(apply_lambda(f, sc), sc)
+        back = apply_lambda(apply_lambda(f, sc), sc.inverse())
         assert rel_err(back.data, f.data) < 1e-10
 
     def test_generic_roundtrip(self):
         grid = Grid(2, 128)
         f = gabor_bump(grid, sigma=grid.L / 30, mode_center=(8, 3), ncomp=1)
         sc = ScaleCore(1.3, (0.04 * grid.L, 0.01 * grid.L))
-        back = apply_lambda_inverse(
-            apply_lambda(f, sc, off_grid_core=True), sc, off_grid_core=True
-        )
+        back = apply_lambda(apply_lambda(f, sc, off_grid_core=True), sc.inverse(),
+                            off_grid_core=True)
         num = lebesgue_norm(back - f, 2)
         assert num / lebesgue_norm(f, 2) < 5e-3
+
+    @pytest.mark.parametrize("lam", [1.0, 0.5, 1.3])
+    @pytest.mark.parametrize("ncore", [1, 4])
+    def test_core_length_must_match_grid(self, ncore, lam):
+        grid = Grid(3, 16)
+        f = gaussian_bump(grid, sigma=grid.L / 10)
+        with pytest.raises(DomainError, match=f"{ncore} coordinates, the grid has 3 axes"):
+            apply_lambda(f, ScaleCore(lam, (grid.spacing,) * ncore))
+
+    @pytest.mark.parametrize("lam, x0", [
+        (np.inf, (0.0, 0.0)), (np.nan, (0.0, 0.0)), (0.0, (0.0, 0.0)),
+        (1.0, (np.nan, 0.0)), (1.0, (0.0, -np.inf))])
+    def test_non_finite_scale_or_core_rejected(self, lam, x0):
+        with pytest.raises(DomainError):
+            ScaleCore(lam, x0)
 
     def test_undersampling_rejected(self, grid2):
         f = gabor_bump(grid2, sigma=grid2.L / 8, mode_center=(2, 1))
