@@ -26,6 +26,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import scipy.fft
 
 from . import fields as field_gen
@@ -454,7 +455,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         config = load_json(args.config)
-        with scipy.fft.set_workers(threads):
+        # an overflow to inf ends as dump_json's one JSON error line, not a warning
+        with scipy.fft.set_workers(threads), np.errstate(over="ignore"):
             result = COMMANDS[args.command](config, out)
     except (CritNSError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)},

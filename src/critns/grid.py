@@ -11,16 +11,14 @@ Nyquist mode |m| = N/2 on every axis.
 `inverse_transform` takes an optional extent M: when every coefficient with
 |m| > M on some axis is zero, it runs irfftn's 1-D stages in place in the
 donated coefficients, each complex stage only over the lines the box |m| <= M
-reaches, bitwise equal to irfftn; `inverse_components` runs the same complex
-stages and then the last irfft one component at a time.  `forward_transform`
-takes the same optional extent and then returns only the box |m| <= M in
-`RetainedBox` layout, bitwise equal to those entries of rfftn: its stages run
-one by one in place, each keeping only the box's rows.  `support_slabs`
-lists the slabs of the box |m| <= M, on which a product with a multiplier
-supported there is formed.  Every radial symbol (the heat kernels, the
-low-pass cutoffs, the dealias mask) is evaluated once per distinct |k|^2 and
-gathered by `radial_symbol`, which reads its extent M off the grid's
-`RadialTable`.
+reaches, bitwise equal to irfftn.  `forward_transform` takes the same optional
+extent and then returns only the box |m| <= M in `RetainedBox` layout, bitwise
+equal to those entries of rfftn.  `multiplier_blocks`, the one band engine,
+forms each radial multiplier's product on its box |m| <= M only and runs the
+pruned complex stages there; its callers run the last stage.  `radial_symbol`
+gathers the band symbols and the dealias mask from their values at each
+distinct |k|^2 and reads their extent M off the grid's `RadialTable`; the
+heat factor exp(-t|k|^2) is evaluated on every entry.
 
 A `RetainedBox` is the index box |m| <= M of the half spectrum that holds
 every mode a truncation mask keeps, stored as a dense array of its own; it
@@ -169,7 +167,7 @@ class Grid:
     @cached_property
     def low_pass_symbols(self) -> dict:
         """Level j -> (read-only chi(|k|/2^j), its support extent), filled by
-        `lp.low_pass_symbol`."""
+        `lp._low_pass`."""
         return {}
 
     @cached_property
@@ -388,15 +386,6 @@ def forward_transform(data: np.ndarray, grid: Grid, extent: int | None = None) -
     return out
 
 
-def support_slabs(grid: Grid, extent: int) -> list:
-    """Half-spectrum index tuples (trailing d axes) of the slabs that make up
-    the box |m| <= extent: one per choice of range on every leading axis, each
-    with the last-axis columns 0..extent."""
-    lead = _lead_slices(grid.N, extent)
-    return [(*combo, slice(0, extent + 1))
-            for combo in itertools.product(lead, repeat=grid.d - 1)]
-
-
 def _leading_stages(coeff: np.ndarray, grid: Grid, extent: int) -> None:
     """irfftn's complex ifft along each leading axis in turn, in place in coeff
     and only over the lines the box |m| <= extent reaches; every write lands in
@@ -413,6 +402,12 @@ def _leading_stages(coeff: np.ndarray, grid: Grid, extent: int) -> None:
                 lines[...] = done
 
 
+def last_inverse_stage(partial: np.ndarray, grid: Grid) -> np.ndarray:
+    """irfftn's last stage, the irfft along the last axis, of the whole of a
+    partial transform (`multiplier_blocks`) or of any leading slice of it."""
+    return scipy.fft.irfft(partial, n=grid.N, axis=-1, norm="forward")
+
+
 def inverse_transform(coeff: np.ndarray, grid: Grid, extent: int | None = None) -> np.ndarray:
     """Inverse of forward_transform: real samples of shape grid.shape.
 
@@ -427,27 +422,40 @@ def inverse_transform(coeff: np.ndarray, grid: Grid, extent: int | None = None) 
         axes = tuple(range(coeff.ndim - grid.d, coeff.ndim))
         return scipy.fft.irfftn(coeff, s=grid.shape, axes=axes, norm="forward")
     _leading_stages(coeff, grid, extent)
-    return scipy.fft.irfft(coeff, n=grid.N, axis=-1, norm="forward")
+    return last_inverse_stage(coeff, grid)
 
 
-def inverse_components(coeff: np.ndarray, grid: Grid, extent: int):
-    """inverse_transform(coeff, grid, extent) of a (C, ...) array, yielded one
-    component at a time, each bitwise equal to its row of the whole.
+def multiplier_blocks(coeff: np.ndarray, pairs, grid: Grid):
+    """For each (symbol, support extent M) pair, the symbol zero wherever
+    |m| > M on some axis, yield symbol * coeff after irfftn's complex stages:
+    its last_inverse_stage is bitwise equal to inverse_transform(coeff * symbol).
 
-    The complex stages run on all components at once; each component's last
-    irfft runs only when the caller asks for the next component, so a caller
-    that reduces each in turn holds one component's samples at a time.
+    The product is formed on the slabs of the box |m| <= M only, in one work
+    array that every block reuses (a block is valid until the next is asked
+    for): only the last-axis columns the previous block wrote are zeroed
+    again, less those the new product overwrites.  The complex stages run in
+    place, pruned to the box.  pairs is read lazily, one pair per block.
     """
-    _leading_stages(coeff, grid, extent)
-    for comp in coeff:
-        yield scipy.fft.irfft(comp, n=grid.N, axis=-1, norm="forward")
+    work = np.zeros(coeff.shape, coeff.dtype)
+    dirty = 0  # work is zero from last-axis column `dirty` on
+    for symbol, extent in pairs:
+        # a box spanning every leading index overwrites its columns 0..extent
+        covered = extent + 1 if 2 * extent + 1 >= grid.N else 0
+        work[..., covered:dirty] = 0.0
+        # one slab per choice of range on every leading axis
+        for lead in itertools.product(_lead_slices(grid.N, extent), repeat=grid.d - 1):
+            slab = (*lead, slice(0, extent + 1))
+            np.multiply(coeff[(..., *slab)], symbol[slab], out=work[(..., *slab)])
+        dirty = extent + 1
+        _leading_stages(work, grid, extent)
+        yield work
 
 
-def apply_multiplier(f: RealVectorField, multiplier: np.ndarray) -> RealVectorField:
-    """Apply a scalar Fourier multiplier m(k) to every component."""
-    coeff = forward_transform(f.data, f.grid)
-    coeff *= multiplier
-    return RealVectorField(f.grid, inverse_transform(coeff, f.grid))
+def apply_multiplier(f: RealVectorField, pair: tuple[np.ndarray, int]) -> RealVectorField:
+    """Apply a scalar Fourier multiplier, given as a (symbol, support extent)
+    pair (radial_symbol), to every component: one block of multiplier_blocks."""
+    (partial,) = multiplier_blocks(forward_transform(f.data, f.grid), [pair], f.grid)
+    return RealVectorField(f.grid, last_inverse_stage(partial, f.grid))
 
 
 def spectral_divergence_ratio(f: RealVectorField) -> float:
@@ -526,10 +534,6 @@ def heat_derivative_pair(grid: Grid, tau: float) -> tuple[np.ndarray, int]:
     its value over tau peaks at tau = 1/|k|^2, at -exp(-1)."""
     k2 = grid.radial_table.k_squared
     return radial_symbol(grid, -tau * k2 * np.exp(-tau * k2))
-
-
-def laplacian(f: RealVectorField) -> RealVectorField:
-    return apply_multiplier(f, -f.grid.k_squared)
 
 
 def zero_field(grid: Grid, ncomp: int | None = None) -> RealVectorField:

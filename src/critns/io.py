@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigValidationError, InvalidFieldError
+from .errors import ConfigValidationError, DomainError, InvalidFieldError
 from .grid import Grid, RealVectorField
 from .solver import Trajectory
 
@@ -60,7 +60,10 @@ def read_field(path) -> RealVectorField:
 def dump_json(path, obj) -> None:
     """Deterministic strict JSON (RFC 8259: no Infinity or NaN): sorted keys,
     no trailing whitespace drift."""
-    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a result that overflowed to inf; no file is written
+        raise DomainError(f"{path}: result not representable in strict JSON ({exc})") from exc
     with open(path, "w") as fh:
         fh.write(text + "\n")
 

@@ -5,9 +5,10 @@ exponential bridge in between.  Low-pass at level j multiplies by
 chi(|k|/2^j); the band at level j is the difference of consecutive low-pass
 operators and is supported on the annulus 2^j <= |k| <= 2^{j+2}.
 
-dyadic_blocks transforms once and yields the low block, then each band; it
-feeds decompose, paraproduct and the low-high sum T_f g, which needs each
-factor's blocks only once (Bahouri, Chemin & Danchin, ch. 2).
+dyadic_blocks transforms once and yields the low block, then each band, each
+through the grid's band engine (`grid.multiplier_blocks`); it feeds
+decompose, paraproduct and the low-high sum T_f g, which needs each factor's
+blocks only once (Bahouri, Chemin & Danchin, ch. 2).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .grid import (
     RealVectorField,
     apply_multiplier,
     forward_transform,
-    inverse_transform,
+    last_inverse_stage,
+    multiplier_blocks,
     radial_symbol,
 )
 
@@ -60,8 +62,11 @@ def band_range(grid: Grid) -> tuple[int, int]:
 
 
 def _low_pass(grid: Grid, j: int) -> tuple[np.ndarray, int]:
-    """(symbol, support extent) of S_j, cached on the grid; see low_pass_symbol.
-    chi is evaluated once per distinct |k|^2 (grid.radial_symbol)."""
+    """(symbol chi(|k|/2^j), support extent) of S_j, chi evaluated once per
+    distinct |k|^2 (grid.radial_symbol), cached read-only on the grid.  Below
+    band_range's low end the symbol is the mean-mode indicator, above its
+    high end all ones, so levels are clamped to [lo, hi + 1] without changing
+    a bit and a grid holds at most hi - lo + 2 symbols."""
     lo, hi = band_range(grid)
     j = min(max(j, lo), hi + 1)
     entry = grid.low_pass_symbols.get(j)
@@ -70,16 +75,6 @@ def _low_pass(grid: Grid, j: int) -> tuple[np.ndarray, int]:
         entry = grid.low_pass_symbols[j] = radial_symbol(grid, chi(np.sqrt(k2) / 2.0**j))
         entry[0].flags.writeable = False
     return entry
-
-
-def low_pass_symbol(grid: Grid, j: int) -> np.ndarray:
-    """The S_j symbol chi(|k|/2^j), cached read-only on the grid.
-
-    Below band_range's low end it is 1 on the mean mode and 0 elsewhere, above
-    its high end it is 1 everywhere, so levels are clamped to [lo, hi + 1]
-    without changing a bit and a grid holds at most hi - lo + 2 symbols.
-    """
-    return _low_pass(grid, j)[0]
 
 
 def dyadic_multipliers(grid: Grid, j_min: int, j_max: int):
@@ -99,7 +94,7 @@ def band_is_resolvable(grid: Grid, j: int) -> bool:
 
 def low_pass(f: RealVectorField, j: int) -> RealVectorField:
     """S_j: multiplier chi(|k|/2^j).  Above the range it is the identity."""
-    return apply_multiplier(f, low_pass_symbol(f.grid, j))
+    return apply_multiplier(f, _low_pass(f.grid, j))
 
 
 def band_project(f: RealVectorField, j: int) -> RealVectorField:
@@ -111,8 +106,8 @@ def band_project(f: RealVectorField, j: int) -> RealVectorField:
             stacklevel=2,
         )
         return RealVectorField(f.grid, np.zeros_like(f.data))
-    _, (mult, _) = dyadic_multipliers(f.grid, j, j)
-    return apply_multiplier(f, mult)
+    _, band = dyadic_multipliers(f.grid, j, j)
+    return apply_multiplier(f, band)
 
 
 @dataclass
@@ -130,11 +125,11 @@ class LPBandSet:
 
 def dyadic_blocks(grid: Grid, data: np.ndarray, j_min: int, j_max: int):
     """Yield S_{j_min} data, then Delta_j data for j in [j_min, j_max], over the last
-    grid.d axes: one forward transform, then one inverse transform per block,
-    pruned to the block's support."""
+    grid.d axes: one forward transform, then one block of the band engine
+    each, its last inverse stage run on the whole block."""
     coeff = forward_transform(data, grid)
-    for mult, extent in dyadic_multipliers(grid, j_min, j_max):
-        yield inverse_transform(coeff * mult, grid, extent)
+    for partial in multiplier_blocks(coeff, dyadic_multipliers(grid, j_min, j_max), grid):
+        yield last_inverse_stage(partial, grid)
 
 
 def decompose(f: RealVectorField, j_min: int | None = None,

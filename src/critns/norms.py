@@ -6,10 +6,10 @@ trapezoid quadrature on the snapshot times (per band first, then the l^q sum,
 which is the stronger ordering of the two).
 
 Every block norm ||F^{-1}(m * coeff)||_{L^p} (dyadic bands, heat-kernel
-curves) goes through one loop, `_multiplier_norms`, that reuses its work
-arrays across the multipliers of one coefficient array, forms each product
-and prunes each inverse transform to the multiplier's support box, and runs
-the last inverse stage and the powers one component at a time.  The
+curves) goes through `_multiplier_norms`, which takes its blocks from the
+grid's band engine (`grid.multiplier_blocks`: each product formed on the
+multiplier's support box only, its complex inverse stages pruned to that box)
+and runs the last inverse stage and the powers one component at a time.  The
 space-time norms and the sup-in-time Besov norm read one band table
 eps[j, i] = ||Delta_j u(t_i)||_{L^p}, built once per (read-only trajectory,
 p) by `band_table` and kept on the trajectory.
@@ -36,8 +36,8 @@ from .grid import (
     RealVectorField,
     forward_transform,
     heat_derivative_pair,
-    inverse_components,
-    support_slabs,
+    last_inverse_stage,
+    multiplier_blocks,
 )
 from .lp import band_range, dyadic_multipliers
 
@@ -59,9 +59,9 @@ class BesovIndex:
 
     def __post_init__(self):
         # written so that NaN fails too
-        if not (self.p >= 1 and self.q >= 1):
-            raise DomainError(f"Besov integrability indices must be >= 1, got p={self.p}, "
-                              f"q={self.q}")
+        if not (abs(self.s) < INF and self.p >= 1 and self.q >= 1):
+            raise DomainError(f"Besov index needs a finite smoothness and integrability "
+                              f">= 1, got s={self.s}, p={self.p}, q={self.q}")
 
     @staticmethod
     def critical(p: float, d: int) -> "BesovIndex":
@@ -125,27 +125,16 @@ def _multiplier_norms(coeff: np.ndarray, mults, grid: Grid, p: float) -> np.ndar
     """||F^{-1}(m * coeff)||_{L^p} for each (multiplier m, support extent) pair
     in turn, as lebesgue_norm would give it, bit for bit.
 
-    m * coeff is formed only on m's support box (`support_slabs`), in one work
-    array reused across the multipliers and zero outside the box: before each
-    block only the last-axis columns the previous block wrote are zeroed again,
-    less those the new product overwrites.  The pruned inverse transform runs
-    in place in it; its last stage and the powers run one component at a time
-    (`inverse_components`), so each component's samples are summed right after
-    they are made and only one component's samples exist at a time.
+    The blocks come from `grid.multiplier_blocks`; the last inverse stage and
+    the powers run one component at a time, so each component's samples are
+    summed right after they are made and only one component's samples exist
+    at a time.
     """
     _check_exponent(p)
-    work = np.zeros(coeff.shape, coeff.dtype)
     square = np.empty(grid.shape) if p == 3 else None
-    dirty = 0  # work is zero from last-axis column `dirty` on
     norms = []
-    for m, extent in mults:
-        # a box spanning every leading index overwrites its columns 0..extent
-        covered = extent + 1 if 2 * extent + 1 >= grid.N else 0
-        work[..., covered:dirty] = 0.0
-        for slab in support_slabs(grid, extent):
-            np.multiply(coeff[(..., *slab)], m[slab], out=work[(..., *slab)])
-        dirty = extent + 1
-        comps = inverse_components(work, grid, extent)
+    for partial in multiplier_blocks(coeff, mults, grid):
+        comps = (last_inverse_stage(comp, grid) for comp in partial)
         if p == INF:
             norms.append(float(np.max([np.max(np.abs(x, out=x)) for x in comps])))
         else:

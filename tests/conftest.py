@@ -58,6 +58,39 @@ def dealias_mask(grid, fraction):
     return m2 < radius**2
 
 
+def laplacian(f):
+    """Reference oracle: the spectral Laplacian, multiplier -|k|^2 on the
+    whole half spectrum."""
+    coeff = forward_transform(f.data, f.grid)
+    return RealVectorField(f.grid, inverse_transform(-f.grid.k_squared * coeff, f.grid))
+
+
+def box_multiplier(grid, extent, rng):
+    """A random real multiplier that is nonzero exactly on the box |m| <= extent,
+    and the box's indicator."""
+    inside = np.ones(grid.spectral_shape, dtype=bool)
+    for axis, n in enumerate(grid.spectral_shape):
+        i = np.arange(n)
+        shape = [n if a == axis else 1 for a in range(grid.d)]
+        inside &= (np.minimum(i, grid.N - i) <= extent).reshape(shape)
+    m = np.where(inside, 0.5 + rng.random(grid.spectral_shape), 0.0)
+    assert support_extent(grid, m) == extent
+    return m, inside
+
+
+def full_product_blocks(monkeypatch, *modules):
+    """Replace the band engine in each module by the reference: every block's
+    whole product coeff * m, inverted by irfftn, with the caller's last stage
+    made the identity."""
+    def blocks(coeff, pairs, grid):
+        for m, _ in pairs:
+            yield inverse_transform(coeff * m, grid)
+
+    for module in modules:
+        monkeypatch.setattr(module, "multiplier_blocks", blocks)
+        monkeypatch.setattr(module, "last_inverse_stage", lambda samples, grid: samples)
+
+
 def gradient(grid, scalar):
     """Reference oracle: the spectral gradient of a scalar sample array, as a
     d-component field."""

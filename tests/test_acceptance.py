@@ -67,7 +67,8 @@ from critns.solver import (
     q_bilinear,
     sample_trajectory,
 )
-from critns.grid import laplacian
+
+from conftest import laplacian
 
 
 def report(num, label, ok, detail=""):

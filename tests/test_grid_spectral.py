@@ -14,21 +14,21 @@ from critns.grid import (
     apply_multiplier,
     forward_transform,
     heat_derivative_pair,
-    inverse_components,
     inverse_transform,
-    laplacian,
+    last_inverse_stage,
+    multiplier_blocks,
     spectral_divergence_ratio,
     zero_field,
 )
 from critns.norms import lebesgue_norm
 
-from conftest import gradient, rel_err, support_extent
+from conftest import box_multiplier, gradient, laplacian, rel_err, support_extent
 
 
 def heat_derivative_kernel(f, tau):
     """K(tau) = tau * d/dtau exp(tau*Laplacian) applied to f through the
     symbol the heat norms use."""
-    return apply_multiplier(f, heat_derivative_pair(f.grid, tau)[0])
+    return apply_multiplier(f, heat_derivative_pair(f.grid, tau))
 
 
 class TestGrid:
@@ -102,7 +102,8 @@ class TestPrunedInverse:
     @pytest.mark.parametrize("N", [8, 12, 18, 24, 32, 48])
     def test_bitwise_equal_to_irfftn(self, d, N):
         # every extent from the origin alone to the whole half spectrum, with
-        # 0, 1 or 2 leading axes; inverse_components yields the same rows
+        # 0, 1 or 2 leading axes; the band engine's block of an all-ones
+        # symbol gives the same rows, its last stage run one row at a time
         grid = Grid(d, N)
         rng = np.random.default_rng(N + d)
         for lead in ((), (2,), (2, 3)):
@@ -113,7 +114,9 @@ class TestPrunedInverse:
                 assert got.shape == lead + grid.shape
                 assert got.tobytes() == want.tobytes(), (lead, M)
                 if lead:
-                    rows = np.stack(list(inverse_components(coeff.copy(), grid, M)))
+                    ones = (np.ones(grid.spectral_shape), M)
+                    (block,) = multiplier_blocks(coeff, [ones], grid)
+                    rows = np.stack([last_inverse_stage(row, grid) for row in block])
                     assert rows.tobytes() == want.tobytes(), (lead, M)
 
     def test_consumes_its_input(self, grid3):
@@ -130,6 +133,56 @@ class TestPrunedInverse:
         assert support_extent(grid3, symbol) == 3
         symbol[0, 0, grid3.N // 2] = 1.0  # the last axis' Nyquist column
         assert support_extent(grid3, symbol) == grid3.N // 2
+
+
+class TestBandEngine:
+    LEADS = [(), (3,), (3, 1), (1, 3)]  # low_high passes (3, 1) and (1, 3)
+
+    @pytest.mark.parametrize("lead", LEADS, ids=str)
+    @pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d", "3d"])
+    def test_blocks_in_any_extent_order(self, grid, lead):
+        # full -> pruned -> smaller -> larger -> full: each block re-zeroes
+        # only what the previous one wrote, and its product is formed on its
+        # own support box; every block is irfftn of the whole product, bit for
+        # bit, also with its last stage run one leading row at a time, and
+        # the pairs are read one per block
+        rng = np.random.default_rng(11)
+        coeff = forward_transform(rng.standard_normal(lead + grid.shape), grid)
+        half = grid.N // 2
+        extents = [half, half // 2 + 1, 1, 0, half // 2, half]
+        mults = [(box_multiplier(grid, M, rng)[0], M) for M in extents]
+        pulled = []
+
+        def lazy():
+            for pair in mults:
+                pulled.append(pair)
+                yield pair
+
+        for i, block in enumerate(multiplier_blocks(coeff, lazy(), grid)):
+            assert len(pulled) == i + 1
+            want = inverse_transform(coeff * mults[i][0], grid)
+            assert last_inverse_stage(block, grid).tobytes() == want.tobytes(), i
+            if lead:
+                rows = np.stack([last_inverse_stage(row, grid) for row in block])
+                assert rows.tobytes() == want.tobytes(), i
+        assert i + 1 == len(pulled) == len(mults)
+
+    @pytest.mark.parametrize("lead", LEADS, ids=str)
+    @pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d", "3d"])
+    def test_blocks_read_only_the_support_box(self, grid, lead):
+        # every coefficient outside the largest box is NaN: a product or
+        # transform that read it would put NaN into a block
+        rng = np.random.default_rng(12)
+        coeff = forward_transform(rng.standard_normal(lead + grid.shape), grid)
+        extents = [grid.N // 4 + 1, 1, 0, grid.N // 4]
+        pairs = [box_multiplier(grid, M, rng) for M in extents]
+        mults = [(m, M) for (m, _), M in zip(pairs, extents)]
+        poisoned = np.where(pairs[0][1], coeff, np.nan)
+        assert np.isnan(inverse_transform(poisoned * mults[0][0], grid)).all()
+        blocks = multiplier_blocks(poisoned, mults, grid)
+        for (m, _), block in zip(mults, blocks, strict=True):
+            want = inverse_transform(coeff * m, grid)
+            assert last_inverse_stage(block, grid).tobytes() == want.tobytes()
 
 
 class TestPrunedForward:

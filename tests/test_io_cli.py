@@ -441,6 +441,11 @@ class TestCLI:
         ("superpose", superpose_doc(p=0)),
         ("serrin", {"trajectory": HEAT_FLOW, "p_t": 4, "q_x": 0}),
         ("probe", {"trajectory": HEAT_FLOW, "battery": {"seed": -1}}),
+        ("norm", {"grid": {"d": 2, "N": 16}, "field": TG,
+                  "norm": {"kind": "besov", "p": 2, "s": 300}}),
+        ("norm", {"grid": {"d": 2, "N": 16},
+                  "field": {"generator": {"type": "taylor_green", "amplitude": 10}},
+                  "norm": {"kind": "lebesgue", "p": 400}}),
     ], ids=["solver-dt-string", "grid-N-string", "taylor-green-3d", "record-norms",
             "norm-p-string", "norm-q-list", "lp-j_min-string", "remainder-decay-string",
             "scale-core-lambda-string", "ortho-n_values-string", "perturb-p-string",
@@ -462,7 +467,8 @@ class TestCLI:
             "solver-tail-threshold-negative", "gaussian-ncomp-zero",
             "gaussian-sigma-zero", "band-noise-seed-negative", "band-noise-ncomp-negative",
             "remainder-seed-negative", "perturb-p-zero", "superpose-p-zero",
-            "serrin-qx-zero", "probe-battery-seed-negative"])
+            "serrin-qx-zero", "probe-battery-seed-negative", "besov-overflow",
+            "lebesgue-overflow"])
     def test_invalid_document_json_error(self, workdir, command, doc):
         if doc.get("trajectory") == HEAT_FLOW:
             traj_dir = workdir / "traj"
@@ -475,6 +481,7 @@ class TestCLI:
         lines = res.stderr.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] in ("ConfigValidationError", "DomainError")
+        assert not any((workdir / "out").iterdir())  # no artifact, no manifest
 
     def test_infinite_besov_q_accepted(self, workdir):
         cfg = self._write(workdir / "c.json", {

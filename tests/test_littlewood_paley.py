@@ -8,8 +8,9 @@ from critns import Grid
 from critns.errors import EmptyBandWarning, GridMismatchError
 from critns.fields import band_noise, random_smooth_field, single_mode
 from critns.grid import RealVectorField, forward_transform
-from critns import lp
+from critns import grid as grid_mod, lp
 from critns.lp import (
+    _low_pass,
     band_project,
     band_range,
     chi,
@@ -17,12 +18,11 @@ from critns.lp import (
     dyadic_multipliers,
     low_high,
     low_pass,
-    low_pass_symbol,
     paraproduct,
 )
 from critns.norms import band_profile, lebesgue_norm
 
-from conftest import gradient, rel_err
+from conftest import full_product_blocks, gradient, rel_err
 
 
 class TestCutoff:
@@ -77,11 +77,11 @@ class TestBands:
         lo, hi = band_range(grid)
         kmag = np.sqrt(grid.k_squared)
         for j in range(lo - 3, hi + 4):
-            symbol = low_pass_symbol(grid, j)
+            symbol = _low_pass(grid, j)[0]
             assert np.array_equal(symbol, chi(kmag / 2.0**j))
             assert not symbol.flags.writeable
             endpoint = min(max(j, lo), hi + 1)
-            assert symbol is low_pass_symbol(grid, endpoint)
+            assert symbol is _low_pass(grid, endpoint)[0]
         assert len(grid.low_pass_symbols) == hi - lo + 2
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
@@ -212,21 +212,26 @@ class TestParaproduct:
 class TestPrunedBlocks:
     @pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d", "3d"])
     def test_bitwise_equal_to_full_transform(self, grid, monkeypatch):
-        # each block's inverse transform is pruned to its multiplier's
-        # support, which changes no bit of decompose or paraproduct
+        # each block's product and inverse transform are pruned to its
+        # multiplier's support, which changes no bit of decompose,
+        # paraproduct, low_high, low_pass or band_project; the reference
+        # engine forms the whole product and runs irfftn
         extents = [extent for _, extent in dyadic_multipliers(grid, *band_range(grid))]
         assert min(extents) < grid.N // 2
         f = random_smooth_field(grid, seed=11, ncomp=grid.d)
         g = random_smooth_field(grid, seed=12, ncomp=1).data[0]
+        lo, hi = band_range(grid)
 
         def blocks():
             bands = decompose(f)
-            return [bands.low, *bands.bands], paraproduct(grid, f.data[0], g)
+            pairs = low_high(grid, f.data[:, None], f.data[None])
+            parts = (*paraproduct(grid, f.data[0], g), pairs)
+            single = [low_pass(f, j) for j in range(lo - 1, hi + 3)]
+            single += [band_project(f, j) for j in range(lo, hi + 1)]
+            return [bands.low, *bands.bands, *single], parts
 
         pruned_bands, pruned_parts = blocks()
-        full_inverse = lp.inverse_transform
-        monkeypatch.setattr(lp, "inverse_transform",
-                            lambda coeff, grid, extent=None: full_inverse(coeff, grid))
+        full_product_blocks(monkeypatch, lp, grid_mod)
         full_bands, full_parts = blocks()
         for got, want in zip(pruned_bands, full_bands):
             assert got.data.tobytes() == want.data.tobytes()

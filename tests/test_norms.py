@@ -55,7 +55,7 @@ from critns.norms import (
 )
 from critns.solver import Trajectory, dealias_box, make_heat_trajectory, sample_trajectory
 
-from conftest import dealias_mask, support_extent, thin
+from conftest import box_multiplier, dealias_mask, full_product_blocks, support_extent, thin
 
 
 def heat_symbol(grid, tau):
@@ -126,6 +126,10 @@ class TestBesov:
         for p, q in [(0.5, 2.0), (np.nan, 2.0), (2.0, np.nan)]:
             with pytest.raises(DomainError):
                 BesovIndex(0.0, p, q)
+        # a non-finite smoothness made besov_norm NaN: 2^(0 * inf) at j = 0
+        for s in (np.nan, INF, -INF):
+            with pytest.raises(DomainError, match="smoothness"):
+                BesovIndex(s, 2.0, 2.0)
         BesovIndex(0.0, INF, INF)  # infinity stays valid
 
     def test_single_band_mode(self, grid2):
@@ -195,8 +199,9 @@ class TestBlockEngine:
 
     @pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d", "3d"])
     def test_pruned_norms_bitwise_equal_to_full_transform(self, grid, monkeypatch):
-        # Besov, heat-Besov and e-norms read block norms whose inverse
-        # transforms are pruned to each multiplier's support
+        # Besov, heat-Besov and e-norms read block norms whose products and
+        # inverse transforms are pruned to each multiplier's support; the
+        # reference engine forms the whole product and runs irfftn
         u0 = random_divfree_field(grid, seed=7, k_hi=grid.N / 4.0)
         idx = BesovIndex.critical(3.0, grid.d)
 
@@ -206,21 +211,8 @@ class TestBlockEngine:
                     heat_besov_spacetime_norm(traj, 4.0, 3.0))
 
         pruned = values()
-        monkeypatch.setattr(norms, "inverse_components",
-                            lambda coeff, grid, extent: iter(inverse_transform(coeff, grid)))
+        full_product_blocks(monkeypatch, norms)
         assert values() == pruned
-
-    @staticmethod
-    def _box_multiplier(grid, extent, rng):
-        """A random real multiplier that is nonzero exactly on the box |m| <= extent."""
-        inside = np.ones(grid.spectral_shape, dtype=bool)
-        for axis, n in enumerate(grid.spectral_shape):
-            i = np.arange(n)
-            shape = [n if a == axis else 1 for a in range(grid.d)]
-            inside &= (np.minimum(i, grid.N - i) <= extent).reshape(shape)
-        m = np.where(inside, 0.5 + rng.random(grid.spectral_shape), 0.0)
-        assert support_extent(grid, m) == extent
-        return m, inside
 
     @pytest.mark.parametrize("p", [2, 2.5, 3, 4, INF])
     @pytest.mark.parametrize("ncomp", [1, 2, 3])
@@ -233,7 +225,7 @@ class TestBlockEngine:
         coeff = forward_transform(rng.standard_normal((ncomp,) + grid.shape), grid)
         half = grid.N // 2
         extents = [half, half // 2 + 1, 1, 0, half // 2, half]
-        mults = [(self._box_multiplier(grid, M, rng)[0], M) for M in extents]
+        mults = [(box_multiplier(grid, M, rng)[0], M) for M in extents]
         ref = [lebesgue_norm(RealVectorField(grid, inverse_transform(coeff * m, grid)), p)
                for m, _ in mults]
         assert list(_multiplier_norms(coeff, mults, grid, p)) == ref
@@ -246,7 +238,7 @@ class TestBlockEngine:
         rng = np.random.default_rng(12)
         coeff = forward_transform(rng.standard_normal((grid.d,) + grid.shape), grid)
         extents = [grid.N // 4 + 1, 1, 0, grid.N // 4]
-        pairs = [self._box_multiplier(grid, M, rng) for M in extents]
+        pairs = [box_multiplier(grid, M, rng) for M in extents]
         mults = [(m, M) for (m, _), M in zip(pairs, extents)]
         ref = [lebesgue_norm(RealVectorField(grid, inverse_transform(coeff * m, grid)), p)
                for m, _ in mults]
@@ -256,19 +248,22 @@ class TestBlockEngine:
 
 
 def _count_transforms(monkeypatch) -> dict:
-    """Counts of the forward transforms and block inverses (`inverse_components`)
-    that norms calls from here on."""
+    """Counts of the forward transforms and of the band-engine blocks (one
+    inverse transform each) that norms makes from here on."""
     counts = {"forward": 0, "inverse": 0}
-    attrs = {"forward": "forward_transform", "inverse": "inverse_components"}
+    forward, blocks = norms.forward_transform, norms.multiplier_blocks
 
-    def counting(name, transform):
-        def wrapped(*args, **kwargs):
-            counts[name] += 1
-            return transform(*args, **kwargs)
-        return wrapped
+    def counting_forward(*args):
+        counts["forward"] += 1
+        return forward(*args)
 
-    for name, attr in attrs.items():
-        monkeypatch.setattr(norms, attr, counting(name, getattr(norms, attr)))
+    def counting_blocks(*args):
+        for block in blocks(*args):
+            counts["inverse"] += 1
+            yield block
+
+    monkeypatch.setattr(norms, "forward_transform", counting_forward)
+    monkeypatch.setattr(norms, "multiplier_blocks", counting_blocks)
     return counts
 
 
@@ -298,8 +293,8 @@ class TestBandTable:
 
     def test_one_table_per_trajectory_and_p(self, grid3, monkeypatch):
         # e_norm, chemin_lerner_norm and the sup Besov norm at one p share one
-        # band table: one forward transform per snapshot, one block inverse
-        # (inverse_components) per band
+        # band table: one forward transform per snapshot, one engine block
+        # (one inverse) per band
         traj = self._traj(grid3, 9)
         counts = _count_transforms(monkeypatch)
         p = 3.0

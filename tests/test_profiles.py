@@ -32,7 +32,7 @@ from critns.profiles import (
 from critns.scaling import ScaleCore, ScaleCoreSequence
 from critns.solver import SolverConfig, condition_datum, evolve
 
-from conftest import bilinear_duhamel, rel_err
+from conftest import bilinear_duhamel, laplacian, rel_err
 
 L3 = 2.0 * np.pi
 
@@ -447,7 +447,6 @@ class TestBookkeeping:
     def _physical_residual(traj, forcing=None):
         """The residual of ns_equation_residual, each L^2 norm summed over
         the samples of the physical residual."""
-        from critns.grid import laplacian
         from critns.norms import _trapezoid_weights
         from critns.solver import _box_inverse, dealias_box, nonlinear_term, q_bilinear
 

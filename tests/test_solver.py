@@ -13,7 +13,6 @@ from critns.grid import (
     forward_transform,
     inverse_transform,
     heat_semigroup,
-    laplacian,
     leray_project,
     spectral_divergence_ratio,
     zero_field,
@@ -41,7 +40,8 @@ from critns.solver import (
     verify_perturbation_bound,
 )
 
-from conftest import bilinear_duhamel, dealias_mask, general_div_flux_hat, rel_err, thin
+from conftest import (bilinear_duhamel, dealias_mask, general_div_flux_hat, laplacian, rel_err,
+                      thin)
 
 
 def convective_divergence(u):
