@@ -9,8 +9,8 @@ left out of the call it feeds, so the library (`Grid`, `SolverConfig`,
 `fields.*`, `default_remainder`, `make_test_battery`) supplies its default.
 A field source is a CFD1 path string, {"file": path} or
 {"generator": {"type": ..., ...}}; random generators require a seed.
-Exit codes: 0 success, 1 validation failure (machine-readable JSON on stderr),
-2 numerical NonFinite.
+Exit codes: 0 success, 1 validation failure or an allocation that fails
+(machine-readable JSON on stderr), 2 numerical NonFinite.
 """
 
 from __future__ import annotations
@@ -458,7 +458,7 @@ def main(argv=None) -> int:
         # an overflow to inf ends as dump_json's one JSON error line, not a warning
         with scipy.fft.set_workers(threads), np.errstate(over="ignore"):
             result = COMMANDS[args.command](config, out)
-    except (CritNSError, OSError, json.JSONDecodeError) as exc:
+    except (CritNSError, OSError, json.JSONDecodeError, MemoryError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)},
                                     sort_keys=True) + "\n")
         return 1

@@ -2,37 +2,37 @@
 
 The box is [-L/2, L/2)^d sampled with N points per axis, N an even 2,3-smooth
 number.  Wavenumbers are k = 2*pi*m/L.  The transform pair is real-to-complex
-(rfftn/irfftn with norm="forward", so the mode-m coefficient of exp(i k.x) has
-modulus 1) and stores the half spectrum: m in FFT order on the leading axes,
-m = 0..N/2 on the last.  A full-spectrum sum counts each interior column of the
-last axis twice (`Grid.multiplicity`).  Odd-order derivatives zero the unpaired
-Nyquist mode |m| = N/2 on every axis.
+(norm="forward", so the mode-m coefficient of exp(i k.x) has modulus 1) and
+stores the half spectrum: m in FFT order on the leading axes, m = 0..N/2 on
+the last.  A full-spectrum sum counts each interior column of the last axis
+twice (`Grid.multiplicity`).  Odd-order derivatives zero the unpaired Nyquist
+mode |m| = N/2 on every axis.
 
-`inverse_transform` takes an optional extent M: when every coefficient with
-|m| > M on some axis is zero, it runs irfftn's 1-D stages in place in the
-donated coefficients, each complex stage only over the lines the box |m| <= M
-reaches, bitwise equal to irfftn.  `forward_transform` takes the same optional
-extent and then returns only the box |m| <= M in `RetainedBox` layout, bitwise
-equal to those entries of rfftn.  `multiplier_blocks`, the one band engine,
-forms each radial multiplier's product on its box |m| <= M only and runs the
-pruned complex stages there; its callers run the last stage.  `radial_symbol`
-gathers the band symbols and the dealias mask from their values at each
-distinct |k|^2 and reads their extent M off the grid's `RadialTable`; the
-heat factor exp(-t|k|^2) is evaluated on every entry.
+Both transforms take an optional extent M < N/2 and then hold only the box
+|m| <= M in `RetainedBox` layout: the forward returns it, the inverse reads it.
+Each complex 1-D stage runs only over the lines the box reaches, bitwise equal
+to rfftn and to irfftn of the zero-padded box.  The full inverse runs the same
+stages; the full forward is rfftn, whose staged form is bitwise equal but
+slower.  Neither direction writes into its input.  `multiplier_blocks`, the
+one band engine, forms each radial multiplier's product on its box |m| <= M
+only and runs the pruned complex stages there; its callers run the last
+stage.  `radial_symbol` gathers the band symbols and the dealias mask from
+their values at each distinct |k|^2 and reads their extent M off the grid's
+`RadialTable`; the heat factor exp(-t|k|^2) is evaluated on every entry.
 
 A `RetainedBox` is the index box |m| <= M of the half spectrum that holds
 every mode a truncation mask keeps, stored as a dense array of its own; it
 carries the Grid's spectral attributes restricted to the box, so spectral
-arithmetic (`_leray_coefficients`) reads either one, and gathers and scatters
-half spectra by slab copies (`_box_slabs`, the slabs the pruned forward
-transform writes too).
+arithmetic (`_leray_coefficients`) reads either one.  One gather and one
+scatter, slab copies over the cached `_box_slabs`, serve both transforms and
+the box.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -58,6 +58,11 @@ class Grid:
             )
         if not (np.isfinite(self.L) and self.L > 0):
             raise DomainError(f"box side must be finite and positive, got {self.L}")
+        # one complex d-component half spectrum must fit in an array
+        nbytes = 16 * self.d * self.N ** (self.d - 1) * (self.N // 2 + 1)
+        if nbytes > np.iinfo(np.intp).max:
+            raise DomainError(f"a {self.d}-component half spectrum of N = {self.N} takes "
+                              f"{nbytes} bytes, more than an array can hold")
 
     @staticmethod
     def _fft_friendly(n: int) -> bool:
@@ -242,8 +247,7 @@ class RetainedBox:
     def __init__(self, grid: Grid, mask: np.ndarray, M: int):
         d, N = grid.d, grid.N
         self.grid, self.d, self.extent = grid, d, M
-        self.spectral_shape = (2 * M + 1,) * (d - 1) + (M + 1,)
-        self._slabs = _box_slabs(grid, M)
+        self.spectral_shape = _box_shape(d, M)
         index = [np.r_[0:M + 1, N - M:N]] * (d - 1) + [np.arange(M + 1)]
         self.deriv_wavenumber_mesh = [np.take(ka, index[a], axis=a)
                                       for a, ka in enumerate(grid.deriv_wavenumber_mesh)]
@@ -255,24 +259,13 @@ class RetainedBox:
                     self.multiplicity, self.mask):
             arr.flags.writeable = False
 
-    def _empty(self, coeff: np.ndarray) -> np.ndarray:
-        return np.empty(coeff.shape[: coeff.ndim - self.d] + self.spectral_shape, coeff.dtype)
-
     def gather(self, coeff: np.ndarray) -> np.ndarray:
         """The box entries of half-spectrum coefficients (trailing d axes)."""
-        out = self._empty(coeff)
-        for box, half in self._slabs:
-            out[(..., *box)] = coeff[(..., *half)]
-        return out
+        return _gather(coeff, self.grid, self.extent)
 
     def scatter(self, coeff: np.ndarray) -> np.ndarray:
-        """Half-spectrum coefficients that hold coeff on the box and zero
-        outside it, so inverse_transform(..., extent=self.extent) applies."""
-        out = np.zeros(coeff.shape[: coeff.ndim - self.d] + self.grid.spectral_shape,
-                       coeff.dtype)
-        for box, half in self._slabs:
-            out[(..., *half)] = coeff[(..., *box)]
-        return out
+        """Half-spectrum coefficients: coeff on the box, zero outside it."""
+        return _scatter(coeff, self.grid, self.extent)
 
 
 def _require_same_grid(*fields) -> Grid:
@@ -337,15 +330,39 @@ def _lead_slices(N: int, M: int) -> list:
     return [slice(0, M + 1), slice(N - M, N)] if M > 0 else [slice(0, 1)]
 
 
-def _box_slabs(grid: Grid, M: int) -> list:
+def _box_shape(d: int, M: int) -> tuple:
+    """The trailing shape of the box |m| <= M in RetainedBox layout."""
+    return (2 * M + 1,) * (d - 1) + (M + 1,)
+
+
+@cache
+def _box_slabs(d: int, N: int, M: int) -> tuple:
     """(box slices, half-spectrum slices) over the trailing d axes of each
     slab of the box |m| <= M < N/2 in RetainedBox layout, one per choice of
-    the 0..M or -M..-1 range on every leading axis."""
-    lead = [(slice(0, M + 1), slice(0, M + 1))]
-    if M > 0:
-        lead.append((slice(M + 1, 2 * M + 1), slice(grid.N - M, grid.N)))
+    the 0..M or -M..-1 range on every leading axis; built once per (d, N, M)."""
+    lead = list(zip([slice(0, M + 1), slice(M + 1, 2 * M + 1)], _lead_slices(N, M)))
     last = [(slice(0, M + 1), slice(0, M + 1))]
-    return [tuple(zip(*combo)) for combo in itertools.product(*([lead] * (grid.d - 1) + [last]))]
+    return tuple(tuple(zip(*combo)) for combo in itertools.product(*([lead] * (d - 1) + [last])))
+
+
+def _gather(half: np.ndarray, grid: Grid, M: int) -> np.ndarray:
+    """The box |m| <= M of half-spectrum coefficients in RetainedBox layout."""
+    out = np.empty(half.shape[: half.ndim - grid.d] + _box_shape(grid.d, M), half.dtype)
+    for box, part in _box_slabs(grid.d, grid.N, M):
+        out[(..., *box)] = half[(..., *part)]
+    return out
+
+
+def _scatter(coeff: np.ndarray, grid: Grid, M: int) -> np.ndarray:
+    """Half-spectrum coefficients that hold box coefficients on the box |m| <= M
+    and zero outside it."""
+    if coeff.shape[coeff.ndim - grid.d:] != _box_shape(grid.d, M):
+        raise InvalidFieldError(f"coefficients of shape {coeff.shape} are not the box "
+                                f"of extent {M}")
+    out = np.zeros(coeff.shape[: coeff.ndim - grid.d] + grid.spectral_shape, coeff.dtype)
+    for box, part in _box_slabs(grid.d, grid.N, M):
+        out[(..., *part)] = coeff[(..., *box)]
+    return out
 
 
 def forward_transform(data: np.ndarray, grid: Grid, extent: int | None = None) -> np.ndarray:
@@ -358,7 +375,7 @@ def forward_transform(data: np.ndarray, grid: Grid, extent: int | None = None) -
     one: an rfft along the last axis, scaled by rfftn's own factor; then a
     complex fft along each leading axis in rfftn's order, in place in the
     last-axis columns 0..M and only over the rows of the box the earlier
-    stages kept; then slab copies into the box layout.
+    stages kept; then a gather into the box layout.
     """
     axes = tuple(range(data.ndim - grid.d, data.ndim))
     if extent is None:
@@ -379,11 +396,7 @@ def forward_transform(data: np.ndarray, grid: Grid, extent: int | None = None) -
             # overwrite_x permits writing into lines but does not promise it
             if not np.may_share_memory(done, lines):
                 lines[...] = done
-    out = np.empty(half.shape[: axes[0]] + (2 * extent + 1,) * (grid.d - 1) + (extent + 1,),
-                   dtype=half.dtype)
-    for box, part in _box_slabs(grid, extent):
-        out[(..., *box)] = half[(..., *part)]
-    return out
+    return _gather(half, grid, extent)
 
 
 def _leading_stages(coeff: np.ndarray, grid: Grid, extent: int) -> None:
@@ -409,20 +422,18 @@ def last_inverse_stage(partial: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def inverse_transform(coeff: np.ndarray, grid: Grid, extent: int | None = None) -> np.ndarray:
-    """Inverse of forward_transform: real samples of shape grid.shape.
+    """Inverse of forward_transform(..., extent): real samples of shape grid.shape.
 
-    With an extent M the caller promises that every coefficient with |m| > M
-    on some axis is zero, and donates coeff: the transform runs in place in it
-    as irfftn's stages (a complex ifft along each leading axis in turn, then an
-    irfft along the last), each complex stage only over the lines the box
-    |m| <= M reaches.  The 1-D transforms are irfftn's, so the samples are the
-    same bit for bit; coeff is left holding the partial transform.
-    """
+    coeff is copied, or with an extent M < N/2 scattered, into a fresh half
+    spectrum, and irfftn's stages run in place there: a complex ifft along each
+    leading axis, only over the lines the box |m| <= M reaches, then an irfft
+    along the last.  The samples are irfftn's bit for bit."""
     if extent is None:
-        axes = tuple(range(coeff.ndim - grid.d, coeff.ndim))
-        return scipy.fft.irfftn(coeff, s=grid.shape, axes=axes, norm="forward")
-    _leading_stages(coeff, grid, extent)
-    return last_inverse_stage(coeff, grid)
+        work, extent = np.array(coeff, dtype=np.complex128), grid.N // 2
+    else:
+        work = _scatter(np.asarray(coeff, dtype=np.complex128), grid, extent)
+    _leading_stages(work, grid, extent)
+    return last_inverse_stage(work, grid)
 
 
 def multiplier_blocks(coeff: np.ndarray, pairs, grid: Grid):

@@ -144,9 +144,13 @@ def _multiplier_norms(coeff: np.ndarray, mults, grid: Grid, p: float) -> np.ndar
 
 
 def _lq_sum(values: np.ndarray, q: float) -> float:
-    if q == INF:
-        return float(np.max(values)) if values.size else 0.0
-    return float(np.sum(values**q) ** (1.0 / q))
+    """The l^q norm of nonnegative values, summed relative to the largest, as
+    edge_share sums, so that no power overflows; a largest value of 0 or inf
+    is the norm itself."""
+    top = float(np.max(values)) if values.size else 0.0
+    if q == INF or top == 0.0 or top == INF:
+        return top
+    return top * float(np.sum((values / top) ** q) ** (1.0 / q))
 
 
 def band_profile(f: RealVectorField, p: float) -> tuple[np.ndarray, np.ndarray]:

@@ -55,7 +55,6 @@ from .solver import (
     DEALIAS_FRACTION,
     SolverConfig,
     Trajectory,
-    _box_inverse,
     _div_flux_hat,
     _pair_product,
     _self_product,
@@ -348,8 +347,8 @@ def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float):
         _div_flux_hat(lambda i, j: tuw[i, j] + tuw[j, i], box), box)
     del tuw
     g += p1
-    return (RealVectorField(grid, -_box_inverse(p1, box)),
-            RealVectorField(grid, _box_inverse(g, box)))
+    return (RealVectorField(grid, -inverse_transform(p1, grid, box.extent)),
+            RealVectorField(grid, inverse_transform(g, grid, box.extent)))
 
 
 def source_norms(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: float,

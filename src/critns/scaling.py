@@ -225,15 +225,12 @@ def apply_lambda_spacetime(traj, sc: ScaleCore, **kw):
 
 
 def cross_term(f: RealVectorField, g: RealVectorField, a: ScaleCore, b: ScaleCore,
-               p: float, symmetrized: bool = False, **kw) -> float:
+               p: float, **kw) -> float:
     """Quadrature of sum_c |Lambda_a f_c|^{p-1} |Lambda_b g_c| over the box."""
     fa = apply_lambda(f, a, name="first factor", **kw)
     gb = apply_lambda(g, b, name="second factor", **kw)
     w = f.grid.cell_volume
-    val = float(np.sum(np.abs(fa.data) ** (p - 1.0) * np.abs(gb.data)) * w)
-    if symmetrized:
-        val += cross_term(g, f, b, a, p, symmetrized=False, **kw)
-    return val
+    return float(np.sum(np.abs(fa.data) ** (p - 1.0) * np.abs(gb.data)) * w)
 
 
 def norm_additivity_defect(f: RealVectorField, g: RealVectorField, a: ScaleCore,

@@ -7,11 +7,10 @@ space and truncated by a sharp radial cutoff (the 2/3 rule, `DEALIAS_FRACTION`,
 unless a SolverConfig sets another fraction).  Every coefficient the cutoff
 can leave nonzero has |m| < R = fraction * N/2 on each axis, so the step keeps
 its spectral state on the retained box |m| <= ceil(R)-1 (`dealias_box`, 30% of
-the half spectrum at 2/3).  Forward transforms are pruned to the box and
-return its coefficients directly; the state is scattered into a zero-padded
-half spectrum only for the inverse transforms, which are pruned to the box
-too.  The truncated coefficients outside the box are exactly zero, so this
-changes no snapshot bit.
+the half spectrum at 2/3).  Both transforms are pruned to the box and take
+its coefficients in the grid's box layout: the forward returns them and the
+inverse reads them.  The truncated coefficients outside the box are exactly
+zero, so this changes no snapshot bit.
 
 There is one flux kernel, `_div_flux_hat`: the divergence of a symmetric
 tensor, formed trace-free (S - S_{d-1,d-1} I), one forward transform fewer
@@ -80,6 +79,8 @@ class SolverConfig:
             raise DomainError(f"time step must be finite and positive, got {self.dt}")
         if not (math.isfinite(self.T) and self.T > 0):
             raise DomainError(f"horizon must be finite and positive, got {self.T}")
+        if not math.isfinite(self.T / self.dt):
+            raise DomainError(f"step count T/dt must be finite, got T={self.T}, dt={self.dt}")
         if not (0 < self.dealias_fraction <= 1.0):
             raise DomainError("dealias fraction must be in (0, 1]")
         if not (self.blowup_sup_threshold > 0):
@@ -230,11 +231,6 @@ def _box_forward(data: np.ndarray, box: RetainedBox) -> np.ndarray:
     return coeff
 
 
-def _box_inverse(coeff: np.ndarray, box: RetainedBox) -> np.ndarray:
-    """Real samples of coefficients laid out on box."""
-    return inverse_transform(box.scatter(coeff), box.grid, box.extent)
-
-
 # The product entries below are formed in buffers that the first call
 # allocates and every later call reuses.  Allocated on first use, they sit
 # after the flux's long-lived result on the heap, so freeing them leaves no
@@ -314,7 +310,7 @@ def _projected_flux(entry, grid: Grid) -> RealVectorField:
     """P div S, dealiased at DEALIAS_FRACTION."""
     box = dealias_box(grid, DEALIAS_FRACTION)
     acc = _leray_coefficients(_div_flux_hat(entry, box), box)
-    return RealVectorField(grid, _box_inverse(acc, box))
+    return RealVectorField(grid, inverse_transform(acc, grid, box.extent))
 
 
 def nonlinear_term(u: RealVectorField) -> RealVectorField:
@@ -335,8 +331,8 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     """Integrating-factor Heun steps on the retained box of the dealias sphere.
 
     The spectral state (uh, the two stage right-hand sides, the predictor,
-    the heat factor and the tail-octave mask) lives on the box; each inverse
-    transform scatters it into a fresh half spectrum, pruned to the box.
+    the heat factor and the tail-octave mask) lives on the box, in the box
+    layout that both transforms read and write.
     """
     grid = u0.grid
     u0.require_finite()
@@ -369,7 +365,7 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     step_of_last_snap = -1
     for step in range(n_steps + 1):
         t = step * cfg.dt
-        phys = _box_inverse(uh, box)
+        phys = inverse_transform(uh, grid, box.extent)
         linf = float(max(phys.max(), -phys.min()))
         if not math.isfinite(linf):
             status = NON_FINITE
@@ -399,7 +395,7 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
         np.multiply(cfg.dt, n1, out=pred)
         np.add(uh, pred, out=pred)
         np.multiply(heat, pred, out=pred)
-        n2 = rhs_hat(_box_inverse(pred, box), t + cfg.dt)
+        n2 = rhs_hat(inverse_transform(pred, grid, box.extent), t + cfg.dt)
         np.multiply(heat, n1, out=n1)
         np.add(n1, n2, out=n1)
         np.multiply(0.5 * cfg.dt, n1, out=n1)
@@ -426,7 +422,7 @@ def condition_datum(f: RealVectorField) -> RealVectorField:
     grid = f.grid
     box = dealias_box(grid, DEALIAS_FRACTION)
     coeff = _leray_coefficients(_box_forward(f.data, box), box)
-    return RealVectorField(grid, _box_inverse(coeff, box))
+    return RealVectorField(grid, inverse_transform(coeff, grid, box.extent))
 
 
 def evolve(u0: RealVectorField, cfg: SolverConfig) -> Trajectory:

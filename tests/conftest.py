@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from critns import Grid
 from critns.grid import RealVectorField, _leray_coefficients, forward_transform, inverse_transform
 from critns.norms import _trapezoid_weights
-from critns.solver import DEALIAS_FRACTION, Trajectory, _box_inverse, dealias_box
+from critns.solver import DEALIAS_FRACTION, Trajectory, dealias_box
 
 
 @pytest.fixture
@@ -58,11 +59,26 @@ def dealias_mask(grid, fraction):
     return m2 < radius**2
 
 
+def rfftn(data, grid):
+    """Reference oracle: scipy's rfftn over the trailing grid.d axes with the
+    1/N^d normalization, the whole half spectrum.  Every full-transform
+    reference in the tests is this or irfftn."""
+    axes = tuple(range(data.ndim - grid.d, data.ndim))
+    return scipy.fft.rfftn(data, axes=axes, norm="forward")
+
+
+def irfftn(coeff, grid):
+    """Reference oracle: scipy's irfftn of a whole half spectrum over the
+    trailing grid.d axes, the inverse of rfftn."""
+    axes = tuple(range(coeff.ndim - grid.d, coeff.ndim))
+    return scipy.fft.irfftn(coeff, s=grid.shape, axes=axes, norm="forward")
+
+
 def laplacian(f):
     """Reference oracle: the spectral Laplacian, multiplier -|k|^2 on the
     whole half spectrum."""
-    coeff = forward_transform(f.data, f.grid)
-    return RealVectorField(f.grid, inverse_transform(-f.grid.k_squared * coeff, f.grid))
+    coeff = rfftn(f.data, f.grid)
+    return RealVectorField(f.grid, irfftn(-f.grid.k_squared * coeff, f.grid))
 
 
 def box_multiplier(grid, extent, rng):
@@ -84,7 +100,7 @@ def full_product_blocks(monkeypatch, *modules):
     made the identity."""
     def blocks(coeff, pairs, grid):
         for m, _ in pairs:
-            yield inverse_transform(coeff * m, grid)
+            yield irfftn(coeff * m, grid)
 
     for module in modules:
         monkeypatch.setattr(module, "multiplier_blocks", blocks)
@@ -94,8 +110,8 @@ def full_product_blocks(monkeypatch, *modules):
 def gradient(grid, scalar):
     """Reference oracle: the spectral gradient of a scalar sample array, as a
     d-component field."""
-    coeff = forward_transform(scalar, grid)
-    comps = [inverse_transform(1j * ka * coeff, grid) for ka in grid.deriv_wavenumber_mesh]
+    coeff = rfftn(scalar, grid)
+    comps = [irfftn(1j * ka * coeff, grid) for ka in grid.deriv_wavenumber_mesh]
     return RealVectorField(grid, np.stack(comps))
 
 
@@ -131,7 +147,7 @@ def bilinear_duhamel(f_traj, g_traj, t):
         fa, gb = f_traj.at(tau).data, g_traj.at(tau).data
         s = _leray_coefficients(general_div_flux_hat(lambda i, j: fa[i] * gb[j], box), box)
         acc += weight * np.exp(-(t - tau) * box.k_squared) * s
-    return RealVectorField(grid, _box_inverse(acc, box))
+    return RealVectorField(grid, inverse_transform(acc, grid, box.extent))
 
 
 def thin(traj, stride):

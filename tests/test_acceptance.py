@@ -53,6 +53,7 @@ from critns.scaling import (
     ScaleCore,
     ScaleCoreSequence,
     apply_lambda,
+    apply_lambda_spacetime,
     cross_term,
     norm_additivity_defect,
 )
@@ -333,10 +334,16 @@ def test_criterion_08_profile_superposition():
     final_frac = vals[2] / vals[0]
     res = remainder_equation_residual(rems[1], ev, sys_, 1)
     floor = ns_equation_residual(trajs[1])
-    ok = decreasing and final_frac <= 0.10 and res <= 10.0 * floor
+    # the same residual with the forcing (drift and source) removed: the floor
+    # is the O(1) solution's time-differencing error, far above the O(1e-3)
+    # remainder's, so only this ratio sees a wrong source G
+    unforced = ns_equation_residual(
+        apply_lambda_spacetime(rems[1], ev.frame(1).inverse(), check_support=False))
+    forced_frac = res / unforced
+    ok = decreasing and final_frac <= 0.10 and res <= 10.0 * floor and forced_frac <= 0.25
     assert report(8, "profile superposition remainder",
                   ok, f"e-norms {['%.2e' % v for v in vals]}, final/coarsest {final_frac:.1%}, "
-                      f"residual/floor {res / floor:.2f}")
+                      f"residual/floor {res / floor:.2f}, residual/unforced {forced_frac:.3f}")
 
 
 def test_criterion_09_drift_and_source_shadows():

@@ -10,7 +10,6 @@ from critns.errors import DomainError, InvalidFieldError
 from critns.fields import band_noise, random_smooth_field, single_mode, taylor_green
 from critns.grid import (
     HeatFlow,
-    RetainedBox,
     apply_multiplier,
     forward_transform,
     heat_derivative_pair,
@@ -22,7 +21,7 @@ from critns.grid import (
 )
 from critns.norms import lebesgue_norm
 
-from conftest import box_multiplier, gradient, laplacian, rel_err, support_extent
+from conftest import box_multiplier, gradient, irfftn, laplacian, rel_err, rfftn, support_extent
 
 
 def heat_derivative_kernel(f, tau):
@@ -44,6 +43,9 @@ class TestGrid:
                 Grid(3, 16, L=box)
         with pytest.raises(DomainError):
             Grid(3, 4)
+        # one 3-component half spectrum would take 3.0e28 bytes
+        with pytest.raises(DomainError, match="more than an array can hold"):
+            Grid(3, 2**30)
 
     def test_accepts_fft_friendly_sizes(self):
         for n in (8, 16, 24, 32, 48, 64):
@@ -87,44 +89,57 @@ class TestTransforms:
         assert rel_err(coeff, full[..., : grid2.N // 2 + 1]) < 1e-12
 
 
-def _box_supported(rng, shape, grid, M):
-    """Random half-spectrum coefficients, zero wherever |m| > M on some axis."""
-    coeff = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    for axis in range(grid.d):
-        i = np.arange(grid.spectral_shape[axis])
-        outside = np.minimum(i, grid.N - i) > M
-        coeff[(..., outside) + (slice(None),) * (grid.d - 1 - axis)] = 0.0
-    return coeff
+def _box_of(half, grid, M):
+    """Reference, by fancy indexing: the box |m| <= M of half-spectrum
+    coefficients in RetainedBox layout (leading axes m = 0..M then -M..-1),
+    and the half spectrum zeroed outside the box."""
+    index = np.ix_(*([np.r_[0:M + 1, grid.N - M:grid.N]] * (grid.d - 1) + [np.arange(M + 1)]))
+    padded = np.zeros_like(half)
+    padded[(..., *index)] = half[(..., *index)]
+    return half[(..., *index)], padded
 
 
 class TestPrunedInverse:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("N", [8, 12, 18, 24, 32, 48])
     def test_bitwise_equal_to_irfftn(self, d, N):
-        # every extent from the origin alone to the whole half spectrum, with
-        # 0, 1 or 2 leading axes; the band engine's block of an all-ones
+        # the whole half spectrum and every box from the origin alone to the
+        # last one below Nyquist, with 0, 1 or 2 leading axes, against irfftn
+        # of the zero-padded box; the band engine's block of an all-ones
         # symbol gives the same rows, its last stage run one row at a time
         grid = Grid(d, N)
         rng = np.random.default_rng(N + d)
         for lead in ((), (2,), (2, 3)):
-            for M in range(N // 2 + 1):
-                coeff = _box_supported(rng, lead + grid.spectral_shape, grid, M)
-                want = inverse_transform(coeff, grid)
-                got = inverse_transform(coeff.copy(), grid, M)
-                assert got.shape == lead + grid.shape
+            shape = lead + grid.spectral_shape
+            half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            got = inverse_transform(half, grid)
+            assert got.shape == lead + grid.shape
+            assert got.tobytes() == irfftn(half, grid).tobytes(), lead
+            for M in range(N // 2):
+                coeff, padded = _box_of(half, grid, M)
+                want = irfftn(padded, grid)
+                got = inverse_transform(coeff, grid, M)
                 assert got.tobytes() == want.tobytes(), (lead, M)
                 if lead:
                     ones = (np.ones(grid.spectral_shape), M)
-                    (block,) = multiplier_blocks(coeff, [ones], grid)
+                    (block,) = multiplier_blocks(padded, [ones], grid)
                     rows = np.stack([last_inverse_stage(row, grid) for row in block])
                     assert rows.tobytes() == want.tobytes(), (lead, M)
 
+    def test_rejects_another_layout(self, grid3):
+        half = np.ones((3,) + grid3.spectral_shape, dtype=complex)
+        with pytest.raises(InvalidFieldError, match="box of extent 2"):
+            inverse_transform(half, grid3, 2)
+
     def test_consumes_its_input(self, grid3):
-        # the staged transform runs in the donated coefficients
-        coeff = _box_supported(np.random.default_rng(0), (3,) + grid3.spectral_shape, grid3, 2)
-        donated = coeff.copy()
-        inverse_transform(donated, grid3, 2)
-        assert not np.array_equal(donated, coeff)
+        # it consumes nothing: the coefficients it is given, the whole half
+        # spectrum or a box, are as they were after the transform
+        data = random_smooth_field(grid3, seed=5, ncomp=3).data
+        for extent in (None, 0, 3, 5, grid3.N // 2 - 1):
+            coeff = forward_transform(data, grid3, extent)
+            spectrum = coeff.copy()
+            inverse_transform(coeff, grid3, extent)
+            assert coeff.tobytes() == spectrum.tobytes(), extent
 
     def test_support_extent(self, grid3):
         symbol = np.zeros(grid3.spectral_shape)
@@ -160,7 +175,7 @@ class TestBandEngine:
 
         for i, block in enumerate(multiplier_blocks(coeff, lazy(), grid)):
             assert len(pulled) == i + 1
-            want = inverse_transform(coeff * mults[i][0], grid)
+            want = irfftn(coeff * mults[i][0], grid)
             assert last_inverse_stage(block, grid).tobytes() == want.tobytes(), i
             if lead:
                 rows = np.stack([last_inverse_stage(row, grid) for row in block])
@@ -178,23 +193,22 @@ class TestBandEngine:
         pairs = [box_multiplier(grid, M, rng) for M in extents]
         mults = [(m, M) for (m, _), M in zip(pairs, extents)]
         poisoned = np.where(pairs[0][1], coeff, np.nan)
-        assert np.isnan(inverse_transform(poisoned * mults[0][0], grid)).all()
+        assert np.isnan(irfftn(poisoned * mults[0][0], grid)).all()
         blocks = multiplier_blocks(poisoned, mults, grid)
         for (m, _), block in zip(mults, blocks, strict=True):
-            want = inverse_transform(coeff * m, grid)
+            want = irfftn(coeff * m, grid)
             assert last_inverse_stage(block, grid).tobytes() == want.tobytes()
 
 
 class TestPrunedForward:
     @staticmethod
     def _assert_box_of_rfftn(grid, data, extents):
-        want = forward_transform(data, grid)
-        everything = np.ones(grid.spectral_shape, dtype=bool)
+        whole = rfftn(data, grid)
         for M in extents:
             got = forward_transform(data, grid, M)
-            box = RetainedBox(grid, everything, M)
-            assert got.shape == data.shape[: data.ndim - grid.d] + box.spectral_shape
-            assert got.tobytes() == box.gather(want).tobytes(), (data.shape, M)
+            want, _ = _box_of(whole, grid, M)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (data.shape, M)
 
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("N", [8, 12, 18, 24, 32, 48, 64])
@@ -208,10 +222,12 @@ class TestPrunedForward:
             self._assert_box_of_rfftn(grid, data, range(N // 2))
 
     def test_leaves_its_input(self, grid3):
+        # the samples it is given are as they were, at every extent
         data = random_smooth_field(grid3, seed=5, ncomp=3).data
         kept = data.copy()
-        forward_transform(data, grid3, 5)
-        assert data.tobytes() == kept.tobytes()
+        for extent in (None, 0, 3, 5, grid3.N // 2 - 1):
+            forward_transform(data, grid3, extent)
+            assert data.tobytes() == kept.tobytes(), extent
 
     def test_copies_back_a_stage_that_did_not_run_in_place(self, grid3, monkeypatch):
         # overwrite_x permits an in-place fft but does not promise one

@@ -399,6 +399,11 @@ class TestCLI:
                     "solver": {"dt": float("inf"), "T": 0.02}}),
         ("evolve", {"grid": {"d": 2, "N": 16}, "u0": TG,
                     "solver": {"dt": 10**400, "T": 0.02}}),
+        ("evolve", {"grid": {"d": 2, "N": 16}, "u0": TG,
+                    "solver": {"dt": 5e-324, "T": 1.0}}),
+        ("evolve", {"grid": {"d": 3, "N": 2**30},
+                    "u0": {"generator": {"type": "random_divfree", "seed": 0}},
+                    "solver": SOLVER}),
         ("norm", {"grid": {"d": 2, "N": 16}, "field": TG,
                   "norm": {"kind": "lebesgue", "p": float("nan")}}),
         ("norm", {"grid": {"d": 2, "N": 16}, "field": TG,
@@ -442,7 +447,7 @@ class TestCLI:
         ("serrin", {"trajectory": HEAT_FLOW, "p_t": 4, "q_x": 0}),
         ("probe", {"trajectory": HEAT_FLOW, "battery": {"seed": -1}}),
         ("norm", {"grid": {"d": 2, "N": 16}, "field": TG,
-                  "norm": {"kind": "besov", "p": 2, "s": 300}}),
+                  "norm": {"kind": "besov", "p": 2, "s": 1e308}}),
         ("norm", {"grid": {"d": 2, "N": 16},
                   "field": {"generator": {"type": "taylor_green", "amplitude": 10}},
                   "norm": {"kind": "lebesgue", "p": 400}}),
@@ -459,8 +464,9 @@ class TestCLI:
             "lp-j_min-above-j_max", "lp-j_max-above-range", "lp-j_min-below-range",
             "trajectory-not-string",
             "file-not-string", "generator-type-list", "solver-T-infinity",
-            "grid-L-infinity", "solver-dt-infinity", "solver-dt-overflow", "norm-p-nan",
-            "norm-q-minus-infinity", "superpose-p-infinity", "norm-seed-unused",
+            "grid-L-infinity", "solver-dt-infinity", "solver-dt-overflow",
+            "solver-dt-subnormal", "grid-too-large", "norm-p-nan", "norm-q-minus-infinity",
+            "superpose-p-infinity", "norm-seed-unused",
             "lebesgue-s-string", "perturb-force-zero", "perturb-force-empty-object",
             "perturb-drift-empty-string", "norm-p-missing", "besov-s-missing",
             "solver-tail-shift-huge", "solver-tail-shift-negative",
@@ -493,6 +499,18 @@ class TestCLI:
         report = json.loads((workdir / "out" / "norm.json").read_text())
         assert report["parameters"]["q"] == "inf" and np.isfinite(report["value"])
 
+    def test_large_besov_smoothness_accepted(self, workdir):
+        # the weighted bands reach 4.9e253; their l^2 sum, taken relative to
+        # the largest, is finite too
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16}, "field": TG,
+            "norm": {"kind": "besov", "p": 2, "s": 300},
+        })
+        res = run_cli(["norm", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 0, res.stderr
+        report = json.loads((workdir / "out" / "norm.json").read_text())
+        assert 4.8e253 < report["value"] < 4.9e253
+
     @pytest.mark.parametrize("command", ["serrin", "probe"])
     @pytest.mark.parametrize("change", [
         lambda m: [],
@@ -520,8 +538,13 @@ class TestCLI:
         assert code == 1
         assert json.loads(stderr.getvalue())["error"] == "ConfigValidationError"
 
-    @pytest.mark.parametrize("N", [1048576, 524288])
-    def test_oversized_cfd1_header_json_error(self, workdir, N):
+    @pytest.mark.parametrize("N, error", [
+        # one complex 3-component half spectrum at N = 2^20 takes 2.8e19
+        # bytes, past any array, so the config grid is rejected first
+        pytest.param(1048576, "DomainError", id="1048576"),
+        pytest.param(524288, "InvalidFieldError", id="524288"),
+    ])
+    def test_oversized_cfd1_header_json_error(self, workdir, N, error):
         # a header that claims more data than the file holds is rejected
         # before the read asks for C * N^d * 8 bytes
         path = workdir / "big.cfd"
@@ -533,7 +556,7 @@ class TestCLI:
         with contextlib.redirect_stderr(stderr):
             code = cli.main(["norm", "--config", cfg, "--out", str(workdir / "out")])
         assert code == 1
-        assert json.loads(stderr.getvalue())["error"] == "InvalidFieldError"
+        assert json.loads(stderr.getvalue())["error"] == error
 
     @pytest.mark.parametrize("kind", ["besov", "heat_besov"])
     def test_componentless_cfd1_json_error(self, workdir, kind):
@@ -607,6 +630,24 @@ class TestCLI:
                          "--threads", str(n)]) == 0
         assert seen == [n]
         assert scipy.fft.get_workers() == 1
+
+    def test_memory_error_exit_1(self, workdir, monkeypatch, capsys):
+        # an allocation that fails ends as the one JSON error line, not a traceback
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate the field")
+
+        monkeypatch.setattr(cli.field_gen, "random_divfree_field", exhausted)
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16},
+            "u0": {"generator": {"type": "random_divfree", "seed": 0}},
+            "solver": SOLVER,
+        })
+        assert cli.main(["evolve", "--config", cfg, "--out", str(workdir / "out")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "MemoryError",
+                                        "message": "Unable to allocate the field"}
+        assert not any((workdir / "out").iterdir())
 
     def test_missing_file_exit_1(self, workdir):
         res = run_cli(["norm", "--config", str(workdir / "nope.json"),

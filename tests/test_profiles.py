@@ -32,7 +32,7 @@ from critns.profiles import (
 from critns.scaling import ScaleCore, ScaleCoreSequence
 from critns.solver import SolverConfig, condition_datum, evolve
 
-from conftest import bilinear_duhamel, laplacian, rel_err
+from conftest import bilinear_duhamel, irfftn, laplacian, rel_err
 
 L3 = 2.0 * np.pi
 
@@ -311,7 +311,7 @@ class TestDriftAndSource:
         # reference: the split assembled from one scalar paraproduct per
         # component pair; part1 takes the T_{u_i} w_j pieces, part2 the rest of
         # u (x) w + w (x) u (the zeta tensor) plus -Q(w, w)/2 - Q(U_1, U_2)
-        from critns.grid import _leray_coefficients, inverse_transform
+        from critns.grid import _leray_coefficients
         from critns.lp import paraproduct
         from critns.profiles import _frame_components
         from critns.solver import _div_flux_hat, dealias_box, q_bilinear
@@ -332,7 +332,7 @@ class TestDriftAndSource:
 
         def minus_p_div_sym(tensor):
             flux = _div_flux_hat(lambda i, j: tensor[i, j] + tensor[j, i], box)
-            return -inverse_transform(box.scatter(_leray_coefficients(flux, box)), grid3m)
+            return -irfftn(box.scatter(_leray_coefficients(flux, box)), grid3m)
 
         assert np.array_equal(p1.data, minus_p_div_sym(para))
         expected2 = (minus_p_div_sym(zeta) - 0.5 * q_bilinear(w, w).data
@@ -430,13 +430,14 @@ class TestBookkeeping:
     def test_box_source_matches_q_sum(self, grid3):
         from critns.fields import random_divfree_field
         from critns.profiles import _source
-        from critns.solver import _box_inverse, dealias_box, q_bilinear
+        from critns.grid import inverse_transform
+        from critns.solver import dealias_box, q_bilinear
 
         parts = [random_divfree_field(grid3, seed=40 + a, k_hi=4.0, amplitude=0.5)
                  for a in range(3)]
         w = random_divfree_field(grid3, seed=43, k_hi=6.0, amplitude=0.05)
         u, g_hat = _source(parts, w)
-        g = _box_inverse(g_hat, dealias_box(grid3, 2.0 / 3.0))
+        g = inverse_transform(g_hat, grid3, dealias_box(grid3, 2.0 / 3.0).extent)
         want = -1.0 * q_bilinear(u, w) - 0.5 * q_bilinear(w, w)
         for a in range(3):
             for b in range(a + 1, 3):
@@ -448,7 +449,8 @@ class TestBookkeeping:
         """The residual of ns_equation_residual, each L^2 norm summed over
         the samples of the physical residual."""
         from critns.norms import _trapezoid_weights
-        from critns.solver import _box_inverse, dealias_box, nonlinear_term, q_bilinear
+        from critns.grid import inverse_transform
+        from critns.solver import dealias_box, nonlinear_term, q_bilinear
 
         grid, times, snaps = traj.grid, traj.times, traj.snapshots
         box = dealias_box(grid, 2.0 / 3.0)
@@ -459,7 +461,8 @@ class TestBookkeeping:
             r = dudt + nonlinear_term(u) - laplacian(u)
             if forcing is not None:
                 f, g_hat = forcing(times[i])
-                r = r + q_bilinear(u, f) - RealVectorField(grid, _box_inverse(g_hat, box))
+                g = RealVectorField(grid, inverse_transform(g_hat, grid, box.extent))
+                r = r + q_bilinear(u, f) - g
             vals.append(lebesgue_norm(r, 2))
         wts = _trapezoid_weights(times[1:-1])
         return float(np.sqrt(np.sum(wts * np.asarray(vals) ** 2)))

@@ -214,14 +214,6 @@ class TestCrossTerm:
         ]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_symmetrized_variant(self, grid2):
-        f = gabor_bump(grid2, sigma=grid2.L / 10, mode_center=(3, 1), ncomp=1)
-        g = gabor_bump(grid2, sigma=grid2.L / 12, mode_center=(2, 2), ncomp=1)
-        ident = ScaleCore.identity(2)
-        both = cross_term(f, g, ident, ident, 3.0, symmetrized=True)
-        parts = cross_term(f, g, ident, ident, 3.0) + cross_term(g, f, ident, ident, 3.0)
-        assert abs(both - parts) < 1e-14
-
 
 class TestAdditivityDefect:
     def test_disjoint_supports(self):

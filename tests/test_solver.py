@@ -25,7 +25,6 @@ from critns.solver import (
     RESOLUTION_LIMIT,
     PerturbationProblem,
     SolverConfig,
-    _box_inverse,
     _div_flux_hat,
     _pair_product,
     _self_product,
@@ -40,15 +39,16 @@ from critns.solver import (
     verify_perturbation_bound,
 )
 
-from conftest import (bilinear_duhamel, dealias_mask, general_div_flux_hat, laplacian, rel_err,
-                      thin)
+from conftest import (bilinear_duhamel, dealias_mask, general_div_flux_hat, irfftn, laplacian,
+                      rel_err, rfftn, thin)
 
 
 def convective_divergence(u):
     """div S' for the trace-free S' = u (x) u - u_{d-1}^2 I, unprojected and
     dealiased at 2/3: a gradient exactly when div(u (x) u) is one."""
     box = dealias_box(u.grid, 2.0 / 3.0)
-    return RealVectorField(u.grid, _box_inverse(_div_flux_hat(_self_product(u.data), box), box))
+    flux = _div_flux_hat(_self_product(u.data), box)
+    return RealVectorField(u.grid, inverse_transform(flux, u.grid, box.extent))
 
 
 class TestNonlinearTerm:
@@ -209,6 +209,9 @@ class TestEvolve:
             with pytest.raises(DomainError, match="tail abort level"):
                 SolverConfig(dt=0.1, T=1.0, spectral_tail_threshold=bad)
         SolverConfig(dt=0.1, T=1.0, spectral_tail_threshold=np.inf)
+        # a subnormal step made T/dt overflow to inf in round(T / dt)
+        with pytest.raises(DomainError, match="T/dt"):
+            SolverConfig(dt=5e-324, T=1.0)
 
     @pytest.mark.parametrize("dt, T", [(np.inf, 1.0), (np.nan, 1.0), (0.1, np.inf),
                                        (0.1, np.nan)])
@@ -262,7 +265,7 @@ def _reference_heun(u0, cfg, drift=None, source=None, trace_free=True):
                 if trace_free and i == j == d - 1:
                     continue
                 sij = entry(i, j) - last if trace_free and i == j else entry(i, j)
-                tij = forward_transform(sij, grid)
+                tij = rfftn(sij, grid)
                 tij *= mask
                 acc[i] += 1j * kmesh[j] * tij
                 if j != i:
@@ -277,14 +280,14 @@ def _reference_heun(u0, cfg, drift=None, source=None, trace_free=True):
             f = drift.at(t).data
             acc -= flux(lambda i, j: phys[i] * f[j] + f[i] * phys[j])
         if source is not None:
-            acc += forward_transform(source(t).data, grid) * mask
+            acc += rfftn(source(t).data, grid) * mask
         return leray(acc)
 
-    uh = leray(forward_transform(u0.data, grid) * mask)
+    uh = leray(rfftn(u0.data, grid) * mask)
     snaps, l2, linf, tail = [], [], [], []
     n_steps = max(1, round(cfg.T / cfg.dt))
     for step in range(n_steps + 1):
-        phys = inverse_transform(uh, grid)
+        phys = irfftn(uh, grid)
         power = grid.multiplicity * np.abs(uh) ** 2
         energy = np.sum(power)
         snaps.append(phys)
@@ -296,7 +299,7 @@ def _reference_heun(u0, cfg, drift=None, source=None, trace_free=True):
         t = step * cfg.dt
         n1 = rhs(uh, phys, t)
         pred = heat * (uh + cfg.dt * n1)
-        n2 = rhs(pred, inverse_transform(pred, grid), t + cfg.dt)
+        n2 = rhs(pred, irfftn(pred, grid), t + cfg.dt)
         uh = heat * uh + 0.5 * cfg.dt * (heat * n1 + n2)
     return snaps, {"l2": l2, "linf": linf, "tail_fraction": tail}
 
