@@ -39,12 +39,12 @@ from .criticality import (
 from .errors import ConfigValidationError, CritNSError
 from .grid import Grid, RealVectorField
 from .io import (
+    TrajectoryWriter,
     dump_json,
     load_json,
     load_trajectory,
     package_versions,
     read_field,
-    save_trajectory,
     write_field,
 )
 from .lp import band_range, decompose
@@ -73,6 +73,7 @@ from .solver import (
     PerturbationProblem,
     SolverConfig,
     evolve,
+    evolve_streaming,
     verify_perturbation_bound,
 )
 
@@ -314,11 +315,15 @@ def cmd_evolve(config: dict, out: Path) -> dict:
     c = _read(config, "evolve config", {"grid": _object, "u0": _source, "solver": _object})
     grid = parse_grid(c["grid"])
     u0 = build_field(c["u0"], grid)
-    traj = evolve(u0, parse_solver(c["solver"]))
-    save_trajectory(out / "trajectory", traj)
-    dump_json(out / "evolve.json", {"status": traj.status, "final_time": traj.final_time,
-                                    "snapshots": len(traj.snapshots)})
-    return {"artifacts": ["trajectory", "evolve.json"], "status": traj.status}
+    # each snapshot is written the step it is taken and dropped
+    writer = TrajectoryWriter(out / "trajectory")
+    run = evolve_streaming(u0, parse_solver(c["solver"]), writer.add)
+    writer.finish(run)
+    # a run that turns non-finite at t = 0 takes no snapshot
+    final_time = float(run.times[-1]) if run.times.size else None
+    dump_json(out / "evolve.json", {"status": run.status, "final_time": final_time,
+                                    "snapshots": run.times.size})
+    return {"artifacts": ["trajectory", "evolve.json"], "status": run.status}
 
 
 def cmd_superpose(config: dict, out: Path) -> dict:
@@ -455,8 +460,9 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         config = load_json(args.config)
-        # an overflow to inf ends as dump_json's one JSON error line, not a warning
-        with scipy.fft.set_workers(threads), np.errstate(over="ignore"):
+        # an overflow to inf, or an inf/inf or inf*0 made from one, ends as
+        # dump_json's one JSON error line or exit 2, not a warning
+        with scipy.fft.set_workers(threads), np.errstate(over="ignore", invalid="ignore"):
             result = COMMANDS[args.command](config, out)
     except (CritNSError, OSError, json.JSONDecodeError, MemoryError) as exc:
         sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)},

@@ -5,7 +5,16 @@ CFD1 layout: one ASCII header line
     CFD1 d=<d> N=<N> L=<float> C=<components>\n
 
 followed by C*N^d little-endian float64 values, row-major per axis,
-component-major overall.  Readers reject any other magic.
+component-major overall.  Readers reject any other magic.  A field is written
+from its own array and read straight into the array it returns, so neither
+direction holds a second copy of the payload.
+
+A trajectory directory holds snap_<i>.cfd per snapshot plus manifest.json,
+written by one `TrajectoryWriter`, the snapshots as they come and the
+manifest last: a directory without a manifest is an incomplete run, which
+`load_trajectory` rejects.  `cli evolve` streams its run through the writer
+and holds one snapshot at a time; `save_trajectory` writes a whole
+`Trajectory` through it.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ def write_field(path, f: RealVectorField) -> None:
     header = f"{CFD1_MAGIC} d={f.grid.d} N={f.grid.N} L={f.grid.L!r} C={f.ncomp}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        fh.write(np.ascontiguousarray(f.data, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(f.data, dtype="<f8").data)
 
 
 def read_field(path) -> RealVectorField:
@@ -53,8 +62,11 @@ def read_field(path) -> RealVectorField:
         if not 0 <= size <= left:
             raise InvalidFieldError(f"{path}: header claims {size} payload bytes, "
                                     f"the file holds {left}")
-        raw = np.frombuffer(fh.read(size), dtype="<f8")
-    return RealVectorField(grid, raw.reshape((ncomp,) + grid.shape).copy())
+        data = np.empty((ncomp,) + grid.shape, dtype="<f8")
+        got = fh.readinto(data.data.cast("B"))
+        if got != size:  # the file shrank after the check
+            raise InvalidFieldError(f"{path}: read {got} of {size} payload bytes")
+    return RealVectorField(grid, data)
 
 
 def dump_json(path, obj) -> None:
@@ -73,22 +85,49 @@ def load_json(path):
         return json.load(fh)
 
 
+class TrajectoryWriter:
+    """Writes a trajectory directory one snapshot at a time: `add` writes the
+    next snap_<i>.cfd, `finish` writes manifest.json last.
+
+    The directory is made, and a manifest an earlier run left there removed,
+    when the first snapshot comes, so a run that raises before it leaves
+    nothing and one that raises after it leaves no manifest.
+    """
+
+    def __init__(self, dirpath):
+        self.dirpath = Path(dirpath)
+        self.names = []
+
+    def add(self, snap: RealVectorField) -> None:
+        if not self.names:
+            self.dirpath.mkdir(parents=True, exist_ok=True)
+            (self.dirpath / "manifest.json").unlink(missing_ok=True)
+        name = f"snap_{len(self.names)}.cfd"
+        write_field(self.dirpath / name, snap)
+        self.names.append(name)
+
+    def finish(self, run) -> None:
+        """The manifest of run (a `Trajectory` or a `solver.RunLog`), whose
+        snapshots are the ones added."""
+        manifest = {
+            "format": "critns-trajectory",
+            "grid": {"d": run.grid.d, "N": run.grid.N, "L": run.grid.L},
+            "times": [float(t) for t in run.times],
+            "status": run.status,
+            "records": {k: [float(v) for v in vals] for k, vals in run.records.items()},
+            "config": run.config_echo,
+            "snapshots": self.names,
+        }
+        self.dirpath.mkdir(parents=True, exist_ok=True)
+        dump_json(self.dirpath / "manifest.json", manifest)
+
+
 def save_trajectory(dirpath, traj) -> None:
-    """Write manifest.json plus snap_<index>.cfd files for every snapshot."""
-    dirpath = Path(dirpath)
-    dirpath.mkdir(parents=True, exist_ok=True)
-    for i, snap in enumerate(traj.snapshots):
-        write_field(dirpath / f"snap_{i}.cfd", snap)
-    manifest = {
-        "format": "critns-trajectory",
-        "grid": {"d": traj.grid.d, "N": traj.grid.N, "L": traj.grid.L},
-        "times": [float(t) for t in traj.times],
-        "status": traj.status,
-        "records": {k: [float(v) for v in vals] for k, vals in traj.records.items()},
-        "config": traj.config_echo,
-        "snapshots": [f"snap_{i}.cfd" for i in range(len(traj.snapshots))],
-    }
-    dump_json(dirpath / "manifest.json", manifest)
+    """Write snap_<index>.cfd for every snapshot, then manifest.json."""
+    writer = TrajectoryWriter(dirpath)
+    for snap in traj.snapshots:
+        writer.add(snap)
+    writer.finish(traj)
 
 
 def _numbers(value) -> bool:

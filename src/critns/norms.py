@@ -108,17 +108,32 @@ def _lp_from_sums(sums: np.ndarray, grid: Grid, p: float) -> float:
     return float(np.sum(comp**p) ** (1.0 / p))
 
 
+def _rescaled_lp(comps, grid: Grid, p: float) -> float:
+    """The L^p norm of the component sample arrays comps, summed relative to
+    the sample max: for a norm whose plain power sums overflow to inf while
+    the norm itself may be finite (|x|^400 of x = 10)."""
+    comps = [np.abs(x) for x in comps]
+    top = max(float(np.max(x)) for x in comps)
+    if top == INF:
+        return INF
+    sums = np.array([_power_sums_in_place(x[np.newaxis] / top, p)[0] for x in comps])
+    return top * _lp_from_sums(sums, grid, p)
+
+
 def _check_exponent(p: float) -> None:
     if not (p >= 1):  # NaN fails too
         raise DomainError(f"Lebesgue exponent must be >= 1, got {p}")
 
 
 def lebesgue_norm(f: RealVectorField, p: float) -> float:
-    """Riemann-sum L^p norm with cell weight (L/N)^d; p = inf is the sample max."""
+    """Riemann-sum L^p norm with cell weight (L/N)^d; p = inf is the sample max.
+    Powers that overflow are summed again relative to the sample max."""
     _check_exponent(p)
     if p == INF:
         return f.max_abs()
-    return _lp_from_sums(power_sums(f.data, p), f.grid, p)
+    with np.errstate(over="ignore"):  # an overflow ends as inf, summed again below
+        value = _lp_from_sums(power_sums(f.data, p), f.grid, p)
+    return _rescaled_lp(f.data, f.grid, p) if value == INF else value
 
 
 def _multiplier_norms(coeff: np.ndarray, mults, grid: Grid, p: float) -> np.ndarray:
@@ -128,7 +143,8 @@ def _multiplier_norms(coeff: np.ndarray, mults, grid: Grid, p: float) -> np.ndar
     The blocks come from `grid.multiplier_blocks`; the last inverse stage and
     the powers run one component at a time, so each component's samples are
     summed right after they are made and only one component's samples exist
-    at a time.
+    at a time.  A block whose powers overflow runs its last stage again and is
+    summed relative to its sample max.
     """
     _check_exponent(p)
     square = np.empty(grid.shape) if p == 3 else None
@@ -137,9 +153,13 @@ def _multiplier_norms(coeff: np.ndarray, mults, grid: Grid, p: float) -> np.ndar
         comps = (last_inverse_stage(comp, grid) for comp in partial)
         if p == INF:
             norms.append(float(np.max([np.max(np.abs(x, out=x)) for x in comps])))
-        else:
+            continue
+        with np.errstate(over="ignore"):  # an overflow ends as inf, summed again below
             sums = [_power_sums_in_place(x[np.newaxis], p, square)[0] for x in comps]
-            norms.append(_lp_from_sums(np.array(sums), grid, p))
+            value = _lp_from_sums(np.array(sums), grid, p)
+        if value == INF:
+            value = _rescaled_lp((last_inverse_stage(comp, grid) for comp in partial), grid, p)
+        norms.append(value)
     return np.array(norms)
 
 

@@ -21,6 +21,12 @@ mask applied once per component.  The convection term P div(u (x) u)
 (`nonlinear_term`), the symmetric pair Q(a, b) (`q_bilinear`), the solver's
 right-hand side and the profile sources all go through it.
 
+There is one stepping loop, `_integrate`, which hands each snapshot to a
+consumer the step it is taken.  `evolve` and `evolve_perturbed` collect them
+into a read-only `Trajectory`; `evolve_streaming` passes them on (`cli
+evolve` writes each to disk and drops it, so it holds one at a time) and
+returns the rest of the run as a `RunLog`.
+
 A run aborts with status "ResolutionLimit" on the first step where the
 sup-norm or the top-octave spectral energy fraction exceeds its threshold
 (`TRIP_MONITORS`); that termination time is a fixed-resolution proxy for the
@@ -326,13 +332,30 @@ def q_bilinear(a: RealVectorField, b: RealVectorField) -> RealVectorField:
     return _projected_flux(_pair_product(a.data, b.data), a.grid)
 
 
+@dataclass(frozen=True)
+class RunLog:
+    """A solver run less its snapshots: the snapshot times, the per-step
+    records, the status and the config echo, under the names a Trajectory
+    gives them, so a trajectory writer (`io.TrajectoryWriter.finish`) reads
+    either."""
+
+    grid: Grid
+    times: np.ndarray
+    records: dict
+    status: str
+    config_echo: dict
+
+
 def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
-               source) -> Trajectory:
+               source, take) -> RunLog:
     """Integrating-factor Heun steps on the retained box of the dealias sphere.
 
     The spectral state (uh, the two stage right-hand sides, the predictor,
     the heat factor and the tail-octave mask) lives on the box, in the box
-    layout that both transforms read and write.
+    layout that both transforms read and write.  Each snapshot is handed to
+    take(snapshot) the step it is taken, and the loop keeps no reference to
+    it, so a consumer that writes it out and drops it (`cli evolve`) holds
+    one snapshot at a time however many the run records.
     """
     grid = u0.grid
     u0.require_finite()
@@ -344,7 +367,7 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     pred = np.empty_like(uh)
 
     n_steps = max(1, round(cfg.T / cfg.dt))
-    times, snaps = [], []
+    times = []
     records = {"t": [], "l2": [], "linf": [], "tail_fraction": []}
     status = COMPLETED
 
@@ -362,7 +385,6 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
         _leray_coefficients(acc, box)
         return acc
 
-    step_of_last_snap = -1
     for step in range(n_steps + 1):
         t = step * cfg.dt
         phys = inverse_transform(uh, grid, box.extent)
@@ -378,11 +400,9 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
         for key, value in values.items():
             records[key].append(value)
         tripped = trip_reason(values, cfg) is not None
-        take_snapshot = step % cfg.snapshot_stride == 0 or step == n_steps or tripped
-        if take_snapshot and step != step_of_last_snap:
+        if step % cfg.snapshot_stride == 0 or step == n_steps or tripped:
             times.append(t)
-            snaps.append(RealVectorField(grid, phys))
-            step_of_last_snap = step
+            take(RealVectorField(grid, phys))
         if tripped:
             status = RESOLUTION_LIMIT
             break
@@ -402,14 +422,22 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
         np.multiply(heat, uh, out=uh)
         np.add(uh, n1, out=uh)
 
-    return Trajectory(
+    return RunLog(
         grid=grid,
         times=np.asarray(times),
-        snapshots=snaps,
         records={key: np.asarray(vals) for key, vals in records.items()},
         status=status,
         config_echo=cfg.echo(),
     )
+
+
+def _collected(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
+               source) -> Trajectory:
+    """_integrate with every snapshot kept, as a read-only Trajectory."""
+    snaps = []
+    run = _integrate(u0, cfg, drift, source, snaps.append)
+    return Trajectory(grid=run.grid, times=run.times, snapshots=snaps, records=run.records,
+                      status=run.status, config_echo=run.config_echo)
 
 
 def condition_datum(f: RealVectorField) -> RealVectorField:
@@ -427,7 +455,14 @@ def condition_datum(f: RealVectorField) -> RealVectorField:
 
 def evolve(u0: RealVectorField, cfg: SolverConfig) -> Trajectory:
     """Mild Navier-Stokes evolution of a divergence-free, mean-free datum."""
-    return _integrate(u0, cfg, drift=None, source=None)
+    return _collected(u0, cfg, drift=None, source=None)
+
+
+def evolve_streaming(u0: RealVectorField, cfg: SolverConfig, take) -> RunLog:
+    """evolve, with each snapshot handed to take(snapshot) the step it is
+    taken instead of kept: the same steps and snapshots, bit for bit, in
+    the memory of one snapshot."""
+    return _integrate(u0, cfg, drift=None, source=None, take=take)
 
 
 def evolve_perturbed(prob: PerturbationProblem, cfg: SolverConfig) -> Trajectory:
@@ -442,7 +477,7 @@ def evolve_perturbed(prob: PerturbationProblem, cfg: SolverConfig) -> Trajectory
             f"drift trajectory must cover the rounded horizon {horizon} "
             "(the corrector stage samples the drift at full steps)"
         )
-    return _integrate(prob.w0, cfg, drift=prob.drift, source=prob.source_at)
+    return _collected(prob.w0, cfg, drift=prob.drift, source=prob.source_at)
 
 
 def make_heat_trajectory(u0: RealVectorField, times) -> Trajectory:

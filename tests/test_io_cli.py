@@ -8,6 +8,8 @@ import re
 import shlex
 import subprocess
 import sys
+import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +17,13 @@ import pytest
 import scipy.fft
 
 from critns import Grid, cli
+from critns import io as critns_io
 from critns.cli import parse_grid, parse_solver
 from critns.errors import InvalidFieldError
 from critns.fields import random_divfree_field, taylor_green
-from critns.io import load_trajectory, read_field, save_trajectory, write_field
+from critns.grid import RealVectorField
+from critns.io import (TrajectoryWriter, load_trajectory, read_field, save_trajectory,
+                       write_field)
 from critns.solver import SolverConfig, evolve, make_heat_trajectory
 
 
@@ -55,6 +60,45 @@ class TestCFD1:
             read_field(path)
 
 
+    def test_bytes_are_the_c_order_little_endian_layout(self, tmp_path, grid3):
+        # written from the array itself: the bytes tobytes() gave, from a
+        # Fortran-ordered array too
+        f = random_divfree_field(grid3, seed=5, k_hi=3.0)
+        header = f"CFD1 d=3 N=16 L={grid3.L!r} C=3\n".encode("ascii")
+        payload = np.ascontiguousarray(f.data, dtype="<f8").tobytes()
+        for data in (f.data, np.asfortranarray(f.data)):
+            write_field(tmp_path / "field.cfd", RealVectorField(grid3, data))
+            assert (tmp_path / "field.cfd").read_bytes() == header + payload
+
+    def test_roundtrip_bitwise(self, tmp_path):
+        grid = Grid(2, 8)
+        data = np.random.default_rng(0).standard_normal((2,) + grid.shape)
+        data[0, 0, :4] = [-0.0, 5e-324, np.inf, np.nan]
+        write_field(tmp_path / "field.cfd", RealVectorField(grid, data))
+        back = read_field(tmp_path / "field.cfd").data
+        assert back.tobytes() == data.tobytes()
+        assert back.dtype == np.float64 and back.flags.c_contiguous and back.flags.writeable
+
+    @pytest.mark.parametrize("cut", [1, 8, 2 * 16**3 * 8])
+    def test_rejects_payload_short_by(self, tmp_path, grid3, cut):
+        path = tmp_path / "field.cfd"
+        write_field(path, random_divfree_field(grid3, seed=2, k_hi=3.0))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(InvalidFieldError, match="claims"):
+            read_field(path)
+
+    def test_rejects_payload_that_shrinks_after_the_size_check(self, tmp_path, grid3,
+                                                                monkeypatch):
+        path = tmp_path / "field.cfd"
+        write_field(path, random_divfree_field(grid3, seed=2, k_hi=3.0))
+        path.write_bytes(path.read_bytes()[:-8])
+        real_fstat = os.fstat
+        monkeypatch.setattr(critns_io.os, "fstat", lambda fd: types.SimpleNamespace(
+            st_size=real_fstat(fd).st_size + 8))
+        with pytest.raises(InvalidFieldError, match="read"):
+            read_field(path)
+
+
 class TestTrajectoryPersistence:
     def test_roundtrip(self, tmp_path, grid3):
         f = random_divfree_field(grid3, seed=3, k_hi=3.0)
@@ -74,6 +118,15 @@ class TestTrajectoryPersistence:
         with pytest.raises(InvalidFieldError):
             load_trajectory(tmp_path / "traj")
 
+    def test_unfinished_writer_leaves_no_manifest(self, tmp_path, grid3):
+        # a manifest an earlier run left is removed with the first new snapshot
+        f = random_divfree_field(grid3, seed=3, k_hi=3.0)
+        save_trajectory(tmp_path / "traj", make_heat_trajectory(f, [0.0, 0.05]))
+        writer = TrajectoryWriter(tmp_path / "traj")
+        writer.add(f)
+        with pytest.raises(FileNotFoundError):
+            load_trajectory(tmp_path / "traj")
+
     def test_manifest_contents(self, tmp_path, grid3):
         u0 = random_divfree_field(grid3, seed=4, k_hi=3.0, amplitude=0.1)
         traj = evolve(u0, SolverConfig(dt=0.01, T=0.03))
@@ -82,6 +135,74 @@ class TestTrajectoryPersistence:
         assert manifest["status"] == "Completed"
         assert manifest["config"]["dt"] == 0.01
         assert "l2" in manifest["records"]
+
+
+# id -> (d, generator amplitude, k_hi, solver document, status, snapshots)
+STREAM_CASES = {
+    "2d-completed": (2, 0.5, 3.0, {"dt": 0.01, "T": 0.06, "snapshot_stride": 2},
+                     "Completed", 4),
+    "3d-completed": (3, 0.5, 3.0, {"dt": 0.01, "T": 0.06, "snapshot_stride": 2},
+                     "Completed", 4),
+    # 7 steps at stride 3: snapshots at steps 0, 3, 6 and the last, 7
+    "2d-stride-not-dividing": (2, 0.5, 3.0, {"dt": 0.01, "T": 0.07, "snapshot_stride": 3},
+                               "Completed", 4),
+    "3d-stride-not-dividing": (3, 0.5, 3.0, {"dt": 0.01, "T": 0.07, "snapshot_stride": 3},
+                               "Completed", 4),
+    # the tail fraction crosses its threshold at step 6 (2D) or 5 (3D),
+    # between strides: snapshots at steps 0, 4 and the trip
+    "2d-resolution-limit": (2, 60.0, 2.0, {"dt": 0.002, "T": 0.03, "snapshot_stride": 4,
+                                           "spectral_tail_threshold": 1.5e-5},
+                            "ResolutionLimit", 3),
+    "3d-resolution-limit": (3, 20.0, 2.0, {"dt": 0.002, "T": 0.03, "snapshot_stride": 4,
+                                           "spectral_tail_threshold": 4e-4},
+                            "ResolutionLimit", 3),
+}
+
+
+class TestStreamingEvolve:
+    """cli evolve writes each snapshot the step it is taken and drops it."""
+
+    def _evolve_doc(self, workdir, d, amplitude, k_hi, solver):
+        doc = {"grid": {"d": d, "N": 16},
+               "u0": {"generator": {"type": "random_divfree", "seed": 5, "k_hi": k_hi,
+                                     "amplitude": amplitude}},
+               "solver": solver}
+        (workdir / "c.json").write_text(json.dumps(doc))
+        return str(workdir / "c.json")
+
+    @pytest.mark.parametrize("case", list(STREAM_CASES))
+    def test_directory_matches_save_trajectory(self, workdir, case):
+        d, amplitude, k_hi, solver, status, count = STREAM_CASES[case]
+        cfg = self._evolve_doc(workdir, d, amplitude, k_hi, solver)
+        assert cli.main(["evolve", "--config", cfg, "--out", str(workdir / "out")]) == 0
+        u0 = random_divfree_field(Grid(d, 16), seed=5, k_hi=k_hi, amplitude=amplitude)
+        traj = evolve(u0, parse_solver(solver))
+        assert (traj.status, len(traj.snapshots)) == (status, count)
+        save_trajectory(workdir / "ref", traj)
+        streamed, ref = workdir / "out" / "trajectory", workdir / "ref"
+        names = sorted(path.name for path in ref.iterdir())
+        assert sorted(path.name for path in streamed.iterdir()) == names
+        for name in names:
+            assert (streamed / name).read_bytes() == (ref / name).read_bytes(), name
+        summary = json.loads((workdir / "out" / "evolve.json").read_text())
+        assert summary == {"status": status, "final_time": traj.final_time, "snapshots": count}
+
+    @pytest.mark.parametrize("stride, count", [(1, 6), (2, 4)])
+    def test_earlier_snapshots_freed_when_each_is_written(self, workdir, monkeypatch,
+                                                          stride, count):
+        written = []
+        write = critns_io.write_field
+
+        def spy(path, f):
+            assert all(ref() is None for ref in written), "an earlier snapshot is alive"
+            written.append(weakref.ref(f.data))
+            write(path, f)
+
+        monkeypatch.setattr(critns_io, "write_field", spy)
+        cfg = self._evolve_doc(workdir, 3, 0.5, 3.0,
+                               {"dt": 0.01, "T": 0.05, "snapshot_stride": stride})
+        assert cli.main(["evolve", "--config", cfg, "--out", str(workdir / "out")]) == 0
+        assert len(written) == count
 
 
 def run_cli(args):
@@ -448,9 +569,6 @@ class TestCLI:
         ("probe", {"trajectory": HEAT_FLOW, "battery": {"seed": -1}}),
         ("norm", {"grid": {"d": 2, "N": 16}, "field": TG,
                   "norm": {"kind": "besov", "p": 2, "s": 1e308}}),
-        ("norm", {"grid": {"d": 2, "N": 16},
-                  "field": {"generator": {"type": "taylor_green", "amplitude": 10}},
-                  "norm": {"kind": "lebesgue", "p": 400}}),
     ], ids=["solver-dt-string", "grid-N-string", "taylor-green-3d", "record-norms",
             "norm-p-string", "norm-q-list", "lp-j_min-string", "remainder-decay-string",
             "scale-core-lambda-string", "ortho-n_values-string", "perturb-p-string",
@@ -473,8 +591,7 @@ class TestCLI:
             "solver-tail-threshold-negative", "gaussian-ncomp-zero",
             "gaussian-sigma-zero", "band-noise-seed-negative", "band-noise-ncomp-negative",
             "remainder-seed-negative", "perturb-p-zero", "superpose-p-zero",
-            "serrin-qx-zero", "probe-battery-seed-negative", "besov-overflow",
-            "lebesgue-overflow"])
+            "serrin-qx-zero", "probe-battery-seed-negative", "besov-overflow"])
     def test_invalid_document_json_error(self, workdir, command, doc):
         if doc.get("trajectory") == HEAT_FLOW:
             traj_dir = workdir / "traj"
@@ -510,6 +627,48 @@ class TestCLI:
         assert res.returncode == 0, res.stderr
         report = json.loads((workdir / "out" / "norm.json").read_text())
         assert 4.8e253 < report["value"] < 4.9e253
+
+    def test_large_lebesgue_exponent_accepted(self, workdir):
+        # |x|^400 of x = 10 overflows; summed relative to the sample max the
+        # norm is about 10.005
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16},
+            "field": {"generator": {"type": "taylor_green", "amplitude": 10}},
+            "norm": {"kind": "lebesgue", "p": 400},
+        })
+        res = run_cli(["norm", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        report = json.loads((workdir / "out" / "norm.json").read_text())
+        assert 10.0 < report["value"] < 10.01
+
+    @pytest.mark.parametrize("amplitude, code, lines", [
+        # the first step trips on the sup norm with an infinite energy (its
+        # tail fraction inf/inf), and the manifest cannot hold the inf l2
+        pytest.param(1e306, 1, 1, id="1e306-manifest-overflow"),
+        # the datum's coefficients overflow: NonFinite before any snapshot
+        pytest.param(1e308, 2, 0, id="1e308-non-finite"),
+    ])
+    def test_huge_datum_evolve_stderr(self, workdir, amplitude, code, lines):
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16},
+            "u0": {"generator": {"type": "random_divfree", "seed": 0,
+                                  "amplitude": amplitude}},
+            "solver": SOLVER,
+        })
+        res = run_cli(["evolve", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == code
+        errors = res.stderr.splitlines()
+        assert len(errors) == lines, res.stderr
+        if code == 1:
+            assert json.loads(errors[0])["error"] == "DomainError"
+            # snap_0.cfd was written, the manifest never was
+            assert not (workdir / "out" / "trajectory" / "manifest.json").exists()
+            with pytest.raises(FileNotFoundError):
+                load_trajectory(workdir / "out" / "trajectory")
+        else:
+            summary = json.loads((workdir / "out" / "evolve.json").read_text())
+            assert summary == {"status": "NonFinite", "final_time": None, "snapshots": 0}
 
     @pytest.mark.parametrize("command", ["serrin", "probe"])
     @pytest.mark.parametrize("change", [

@@ -1,6 +1,7 @@
 """Lebesgue/Besov/space-time norms against closed forms and scalar quadrature."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from critns.fields import (
     random_divfree_field,
     random_smooth_field,
     single_mode,
+    taylor_green,
 )
 from critns import norms
 from critns.criticality import sup_critical_norm
@@ -101,6 +103,34 @@ class TestLebesgue:
         ref = np.sum(np.sum(np.abs(f.data) ** p, axis=tuple(range(1, grid.d + 1)))
                      * grid.cell_volume) ** (1.0 / p)
         assert abs(lebesgue_norm(f, p) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("amplitude, p", [(10.0, 400), (1e160, 2), (1e110, 3),
+                                              (1e80, 4), (1e100, 3.5)])
+    def test_overflowing_powers_summed_relative_to_max(self, amplitude, p):
+        # |x|^p overflows while the norm is representable (about 10.005 for
+        # amplitude 10 at p = 400): summed relative to the sample max, with
+        # no RuntimeWarning
+        grid = Grid(2, 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = lebesgue_norm(taylor_green(grid, amplitude=amplitude), p)
+            blocks = band_profile(taylor_green(grid, amplitude=amplitude), p)[1]
+        unit = taylor_green(grid)
+        assert value == pytest.approx(amplitude * lebesgue_norm(unit, p), rel=1e-13)
+        ref = band_profile(unit, p)[1]  # empty bands hold roundoff
+        assert np.all(np.isfinite(blocks))
+        assert np.allclose(blocks / amplitude, ref, rtol=1e-13, atol=1e-13 * ref.max())
+        if p == 400:
+            assert 10.0 < value < 10.01
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5.5])
+    def test_finite_sums_keep_the_plain_formula(self, grid2, p):
+        # the rescaled sum runs only when the plain one overflows, so every
+        # finite result is the plain formula's, bit for bit
+        f = random_smooth_field(grid2, seed=4, ncomp=2)
+        sums = power_sums(f.data, p)
+        comp = (sums * grid2.cell_volume) ** (1.0 / p)
+        assert lebesgue_norm(f, p) == float(np.sum(comp**p) ** (1.0 / p))
 
     def test_sup_norm(self, grid2):
         f = random_smooth_field(grid2, seed=0, ncomp=2)

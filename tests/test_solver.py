@@ -32,6 +32,7 @@ from critns.solver import (
     dealias_box,
     evolve,
     evolve_perturbed,
+    evolve_streaming,
     make_heat_trajectory,
     nonlinear_term,
     q_bilinear,
@@ -191,6 +192,25 @@ class TestEvolve:
         u2 = evolve(f_c, replace(cfg, dt=cfg.dt / 2)).snapshots[-1]
         temporal = lebesgue_norm(uc - u2, 2)
         assert spatial < 1e-2 * temporal
+
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_streaming_hands_out_the_collected_snapshots(self, grid3, stride):
+        # the same snapshots, times and records bit for bit, each handed out
+        # once, in order
+        u0 = random_divfree_field(grid3, seed=8, k_hi=3.0, amplitude=0.5)
+        cfg = SolverConfig(dt=0.01, T=0.07, snapshot_stride=stride)
+        traj = evolve(u0, cfg)
+        taken = []
+        run = evolve_streaming(u0, cfg, taken.append)
+        assert run.status == traj.status
+        assert run.config_echo == traj.config_echo
+        assert run.times.tobytes() == traj.times.tobytes()
+        assert run.records.keys() == traj.records.keys()
+        for key, values in run.records.items():
+            assert values.tobytes() == traj.records[key].tobytes()
+        assert len(taken) == len(traj.snapshots)
+        for a, b in zip(taken, traj.snapshots):
+            assert a.data.tobytes() == b.data.tobytes()
 
     def test_sup_threshold_trips(self, grid3):
         u0 = random_divfree_field(grid3, seed=8, k_hi=3.0, amplitude=1.0)
