@@ -456,9 +456,9 @@ def main(argv=None) -> int:
 
     threads = max(1, min(args.threads, os.cpu_count() or 1))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     try:
+        out.mkdir(parents=True, exist_ok=True)
         config = load_json(args.config)
         # an overflow to inf, or an inf/inf or inf*0 made from one, ends as
         # dump_json's one JSON error line or exit 2, not a warning

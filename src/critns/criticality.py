@@ -18,7 +18,7 @@ import numpy as np
 from .errors import AccuracyWarning, DomainError
 from .fields import _rng, gaussian_bump
 from .grid import Grid, RealVectorField
-from .norms import BesovIndex, band_table, besov_from_profile, besov_norm, lebesgue_norm
+from .norms import BesovIndex, besov_from_profile, besov_norm, lebesgue_norm
 from .profiles import pairing_table
 from .solver import (COMPLETED, NON_FINITE, TRIP_MONITORS, SolverConfig, Trajectory, evolve,
                      trip_reason)
@@ -66,7 +66,7 @@ def sup_critical_norm(traj: Trajectory, norm_kind: str = "L3",
         if p is None:
             p = float(traj.grid.d)
         idx = BesovIndex.critical(p, traj.grid.d)
-        levels, eps = band_table(traj, p)
+        levels, eps = traj.band_table(p)
         vals = []
         for col in eps.T:  # besov_norm of each snapshot, with its warnings
             value, _, warns = besov_from_profile(levels, col, idx)

@@ -10,10 +10,11 @@ mode |m| = N/2 on every axis.
 
 Both transforms take an optional extent M < N/2 and then hold only the box
 |m| <= M in `RetainedBox` layout: the forward returns it, the inverse reads it.
-Each complex 1-D stage runs only over the lines the box reaches, bitwise equal
-to rfftn and to irfftn of the zero-padded box.  The full inverse runs the same
-stages; the full forward is rfftn, whose staged form is bitwise equal but
-slower.  Neither direction writes into its input.  `multiplier_blocks`, the
+One helper, `_complex_stages`, runs the complex 1-D stages of either
+direction, each only over the lines the box reaches, bitwise equal to rfftn
+and to irfftn of the zero-padded box.  The full inverse runs the same stages;
+the full forward is rfftn, whose staged form is bitwise equal but slower.
+Neither direction writes into its input.  `multiplier_blocks`, the
 one band engine, forms each radial multiplier's product on its box |m| <= M
 only and runs the pruned complex stages there; its callers run the last
 stage.  `radial_symbol` gathers the band symbols and the dealias mask from
@@ -25,7 +26,11 @@ every mode a truncation mask keeps, stored as a dense array of its own; it
 carries the Grid's spectral attributes restricted to the box, so spectral
 arithmetic (`_leray_coefficients`) reads either one.  One gather and one
 scatter, slab copies over the cached `_box_slabs`, serve both transforms and
-the box.
+the box.  Every memo is kept by the code that builds it: the grid's own
+spectral arrays are cached properties, and the symbol builders of other
+modules are `functools.cache`d on the frozen, hashable Grid.  `_box_slabs`
+is keyed on (d, N, M) instead: its slices do not depend on L, so grids that
+differ only in L share them.
 """
 
 from __future__ import annotations
@@ -168,17 +173,6 @@ class Grid:
         for arr in table:
             arr.flags.writeable = False
         return table
-
-    @cached_property
-    def low_pass_symbols(self) -> dict:
-        """Level j -> (read-only chi(|k|/2^j), its support extent), filled by
-        `lp._low_pass`."""
-        return {}
-
-    @cached_property
-    def dealias_boxes(self) -> dict:
-        """Dealias fraction -> read-only RetainedBox, filled by `solver.dealias_box`."""
-        return {}
 
     @property
     def k_min(self) -> float:
@@ -339,7 +333,8 @@ def _box_shape(d: int, M: int) -> tuple:
 def _box_slabs(d: int, N: int, M: int) -> tuple:
     """(box slices, half-spectrum slices) over the trailing d axes of each
     slab of the box |m| <= M < N/2 in RetainedBox layout, one per choice of
-    the 0..M or -M..-1 range on every leading axis; built once per (d, N, M)."""
+    the 0..M or -M..-1 range on every leading axis.  Built once per (d, N, M),
+    not per Grid: the slices do not depend on L."""
     lead = list(zip([slice(0, M + 1), slice(M + 1, 2 * M + 1)], _lead_slices(N, M)))
     last = [(slice(0, M + 1), slice(0, M + 1))]
     return tuple(tuple(zip(*combo)) for combo in itertools.product(*([lead] * (d - 1) + [last])))
@@ -372,44 +367,38 @@ def forward_transform(data: np.ndarray, grid: Grid, extent: int | None = None) -
     With an extent M < N/2 the result is only the box |m| <= M, laid out as a
     RetainedBox of that extent lays out its coefficients, and bitwise equal to
     the box entries of the whole transform.  rfftn's 1-D stages run one by
-    one: an rfft along the last axis, scaled by rfftn's own factor; then a
-    complex fft along each leading axis in rfftn's order, in place in the
-    last-axis columns 0..M and only over the rows of the box the earlier
-    stages kept; then a gather into the box layout.
+    one: an rfft along the last axis, scaled by rfftn's own factor; then the
+    complex stages (`_complex_stages`), pruned to the box; then a gather into
+    the box layout.
     """
-    axes = tuple(range(data.ndim - grid.d, data.ndim))
     if extent is None:
-        return scipy.fft.rfftn(data, axes=axes, norm="forward")
+        return scipy.fft.rfftn(data, axes=range(data.ndim - grid.d, data.ndim), norm="forward")
     half = scipy.fft.rfft(data, axis=-1)
     # pocketfft's factor: 1/N^d formed in long double, then rounded, applied
     # to each real and imaginary part of the last-axis stage
     flat = half.view(np.float64)
     np.multiply(flat, np.float64(np.longdouble(1) / np.longdouble(grid.N**grid.d)), out=flat)
-    cols = half[..., : extent + 1]
-    lead = _lead_slices(grid.N, extent)
-    batch = (slice(None),) * axes[0]
-    for axis in axes[:-1]:
-        # lines along axis whose earlier leading indices are in the box
-        for earlier in itertools.product(lead, repeat=axis - axes[0]):
-            lines = cols[batch + earlier]
-            done = scipy.fft.fft(lines, axis=axis, overwrite_x=True)
-            # overwrite_x permits writing into lines but does not promise it
-            if not np.may_share_memory(done, lines):
-                lines[...] = done
+    _complex_stages(half, grid, extent, inverse=False)
     return _gather(half, grid, extent)
 
 
-def _leading_stages(coeff: np.ndarray, grid: Grid, extent: int) -> None:
-    """irfftn's complex ifft along each leading axis in turn, in place in coeff
-    and only over the lines the box |m| <= extent reaches; every write lands in
-    the last-axis columns 0..extent."""
-    axes = tuple(range(coeff.ndim - grid.d, coeff.ndim))
+def _complex_stages(work: np.ndarray, grid: Grid, extent: int, inverse: bool) -> None:
+    """The unscaled complex stages of rfftn (fft) or, if inverse, of irfftn
+    (ifft), along each leading axis in ascending order, in place in work's
+    last-axis columns 0..extent.  A stage runs only over the lines whose other
+    leading axes that hold coefficients, the axes already transformed going
+    forward and those not yet transformed going back, are in the box
+    |m| <= extent."""
+    first, last = work.ndim - grid.d, work.ndim - 1
+    stage, norm = (scipy.fft.ifft, "forward") if inverse else (scipy.fft.fft, "backward")
     lead = _lead_slices(grid.N, extent)
-    for axis in axes[:-1]:
-        # lines along axis whose later leading indices and last index are in the box
-        for later in itertools.product(lead, repeat=axes[-1] - axis - 1):
-            lines = coeff[(slice(None),) * (axis + 1) + later + (slice(0, extent + 1),)]
-            done = scipy.fft.ifft(lines, axis=axis, norm="forward", overwrite_x=True)
+    for axis in range(first, last):
+        held = range(axis + 1, last) if inverse else range(first, axis)
+        for box in itertools.product(lead, repeat=len(held)):
+            index = [slice(None)] * last + [slice(0, extent + 1)]
+            index[held.start:held.stop] = box
+            lines = work[tuple(index)]
+            done = stage(lines, axis=axis, norm=norm, overwrite_x=True)
             # overwrite_x permits writing into lines but does not promise it
             if not np.may_share_memory(done, lines):
                 lines[...] = done
@@ -425,14 +414,14 @@ def inverse_transform(coeff: np.ndarray, grid: Grid, extent: int | None = None) 
     """Inverse of forward_transform(..., extent): real samples of shape grid.shape.
 
     coeff is copied, or with an extent M < N/2 scattered, into a fresh half
-    spectrum, and irfftn's stages run in place there: a complex ifft along each
-    leading axis, only over the lines the box |m| <= M reaches, then an irfft
-    along the last.  The samples are irfftn's bit for bit."""
+    spectrum, and irfftn's stages run in place there: the complex ones
+    (`_complex_stages`), pruned to the box |m| <= M, then an irfft along the
+    last axis.  The samples are irfftn's bit for bit."""
     if extent is None:
         work, extent = np.array(coeff, dtype=np.complex128), grid.N // 2
     else:
         work = _scatter(np.asarray(coeff, dtype=np.complex128), grid, extent)
-    _leading_stages(work, grid, extent)
+    _complex_stages(work, grid, extent, inverse=True)
     return last_inverse_stage(work, grid)
 
 
@@ -458,7 +447,7 @@ def multiplier_blocks(coeff: np.ndarray, pairs, grid: Grid):
             slab = (*lead, slice(0, extent + 1))
             np.multiply(coeff[(..., *slab)], symbol[slab], out=work[(..., *slab)])
         dirty = extent + 1
-        _leading_stages(work, grid, extent)
+        _complex_stages(work, grid, extent, inverse=True)
         yield work
 
 

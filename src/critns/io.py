@@ -81,8 +81,12 @@ def dump_json(path, obj) -> None:
 
 
 def load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    """The JSON document in a UTF-8 text file (RFC 8259)."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigValidationError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 class TrajectoryWriter:
@@ -153,7 +157,7 @@ def load_trajectory(dirpath):
                                     "status a string)")
     snaps = [read_field(dirpath / name) for name in names]
     grid = snaps[0].grid
-    # one Grid for all snapshots, so the symbols cached on it are computed once
+    # one Grid for all snapshots, so the spectral arrays it caches are built once
     for i, snap in enumerate(snaps):
         if not grid.compatible(snap.grid):
             raise InvalidFieldError(f"{dirpath}: {names[i]} is on another grid")

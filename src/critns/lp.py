@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -62,19 +63,22 @@ def band_range(grid: Grid) -> tuple[int, int]:
 
 
 def _low_pass(grid: Grid, j: int) -> tuple[np.ndarray, int]:
-    """(symbol chi(|k|/2^j), support extent) of S_j, chi evaluated once per
-    distinct |k|^2 (grid.radial_symbol), cached read-only on the grid.  Below
-    band_range's low end the symbol is the mean-mode indicator, above its
-    high end all ones, so levels are clamped to [lo, hi + 1] without changing
-    a bit and a grid holds at most hi - lo + 2 symbols."""
+    """(symbol chi(|k|/2^j), support extent) of S_j.  Below band_range's low
+    end the symbol is the mean-mode indicator, above its high end all ones, so
+    levels are clamped to [lo, hi + 1] without changing a bit and a grid has
+    at most hi - lo + 2 symbols."""
     lo, hi = band_range(grid)
-    j = min(max(j, lo), hi + 1)
-    entry = grid.low_pass_symbols.get(j)
-    if entry is None:
-        k2 = grid.radial_table.k_squared
-        entry = grid.low_pass_symbols[j] = radial_symbol(grid, chi(np.sqrt(k2) / 2.0**j))
-        entry[0].flags.writeable = False
-    return entry
+    return _low_pass_symbol(grid, min(max(j, lo), hi + 1))
+
+
+@cache
+def _low_pass_symbol(grid: Grid, j: int) -> tuple[np.ndarray, int]:
+    """_low_pass at a clamped level, chi evaluated once per distinct |k|^2
+    (grid.radial_symbol); built once per (grid, j), read-only."""
+    k2 = grid.radial_table.k_squared
+    symbol, extent = radial_symbol(grid, chi(np.sqrt(k2) / 2.0**j))
+    symbol.flags.writeable = False
+    return symbol, extent
 
 
 def dyadic_multipliers(grid: Grid, j_min: int, j_max: int):

@@ -12,7 +12,7 @@ multiplier's support box only, its complex inverse stages pruned to that box)
 and runs the last inverse stage and the powers one component at a time.  The
 space-time norms and the sup-in-time Besov norm read one band table
 eps[j, i] = ||Delta_j u(t_i)||_{L^p}, built once per (read-only trajectory,
-p) by `band_table` and kept on the trajectory.
+p) and kept on the trajectory (`Trajectory.band_table`).
 
 Heat-characterized norms integrate over smoothing times tau by the trapezoid
 rule in log tau, on `default_tau_grid`: 8 points per decade, an odd count, so
@@ -245,24 +245,6 @@ def _time_lp(values: np.ndarray, times: np.ndarray, rho: float) -> float:
     return float(np.sum(w * values**rho) ** (1.0 / rho))
 
 
-def band_table(traj, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """(levels, eps) with eps[j, i] = ||Delta_j u(t_i)||_{L^p} for every band j
-    and every snapshot i.
-
-    Built once per (trajectory, p) and kept read-only on the trajectory, which
-    is itself read-only, so every norm of the trajectory at this p reads the
-    same table.
-    """
-    table = traj.band_tables.get(p)
-    if table is None:
-        profiles = [band_profile(snap, p) for snap in traj.snapshots]
-        table = (profiles[0][0], np.array([vals for _, vals in profiles]).T)
-        for array in table:
-            array.flags.writeable = False
-        traj.band_tables[p] = table
-    return table
-
-
 def _thinned_indices(n: int, stride: int) -> np.ndarray:
     """Indices 0, stride, 2*stride, ... of n samples, plus the last one; at
     stride 2 and odd n, the samples of the trapezoid rule at twice the
@@ -280,13 +262,13 @@ def _relative_change(full: float, coarse: float) -> float:
 def _band_columns(traj, p: float, keep: np.ndarray):
     if keep.size < 2:
         raise DomainError("space-time norms need at least 2 snapshots")
-    levels, eps = band_table(traj, p)
+    levels, eps = traj.band_table(p)
     return traj.times[keep], levels, eps[:, keep]
 
 
 def band_lp_matrix(traj, p: float, interval=None):
     """(times, levels, eps) for the snapshots in a closed time interval: the
-    window's columns of band_table."""
+    window's columns of the trajectory's band table."""
     return _band_columns(traj, p, traj.window_indices(interval))
 
 

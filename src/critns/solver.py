@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -54,6 +54,7 @@ from .grid import (
 )
 from .norms import (
     BesovIndex,
+    band_profile,
     besov_norm,
     chemin_lerner_norm,
     critical_exponent,
@@ -122,7 +123,7 @@ class Trajectory:
 
     Read-only: the fields cannot be reassigned, snapshots is a tuple and every
     snapshot array is made non-writeable, so quantities derived from the
-    snapshots (the band tables of `norms.band_table`) can be kept on it.
+    snapshots (`band_table`) can be kept on it.
     """
 
     grid: Grid
@@ -143,9 +144,21 @@ class Trajectory:
             snap.data.flags.writeable = False
 
     @cached_property
-    def band_tables(self) -> dict:
-        """p -> read-only (levels, eps) band table, filled by `norms.band_table`."""
+    def _band_tables(self) -> dict:
         return {}
+
+    def band_table(self, p: float) -> tuple[np.ndarray, np.ndarray]:
+        """(levels, eps) with eps[j, i] = ||Delta_j u(t_i)||_{L^p} for every
+        band j and every snapshot i, built once per p and kept read-only, so
+        every norm of the trajectory at this p reads the same table."""
+        table = self._band_tables.get(p)
+        if table is None:
+            profiles = [band_profile(snap, p) for snap in self.snapshots]
+            table = (profiles[0][0], np.array([vals for _, vals in profiles]).T)
+            for array in table:
+                array.flags.writeable = False
+            self._band_tables[p] = table
+        return table
 
     @property
     def final_time(self) -> float:
@@ -203,17 +216,15 @@ def _inside_radius(k_squared: np.ndarray, grid: Grid, fraction: float) -> np.nda
     return m2 < radius**2
 
 
+@cache
 def dealias_box(grid: Grid, fraction: float) -> RetainedBox:
     """The retained box of the dealias sphere, the sharp radial truncation
     |m| < fraction * N/2: every mode of the sphere lies in the box, and the
-    sphere inside it is the box's mask.  Built once per (grid, fraction) and
-    kept read-only on the grid."""
-    box = grid.dealias_boxes.get(fraction)
-    if box is None:
-        k2 = grid.radial_table.k_squared
-        mask, extent = radial_symbol(grid, _inside_radius(k2, grid, fraction))
-        box = grid.dealias_boxes[fraction] = RetainedBox(grid, mask, extent)
-    return box
+    sphere inside it is the box's mask.  Built once per (grid, fraction),
+    read-only."""
+    k2 = grid.radial_table.k_squared
+    mask, extent = radial_symbol(grid, _inside_radius(k2, grid, fraction))
+    return RetainedBox(grid, mask, extent)
 
 
 def _tail_octave_mask(box: RetainedBox, fraction: float, octave_shift: int = 0) -> np.ndarray:

@@ -808,6 +808,47 @@ class TestCLI:
                                         "message": "Unable to allocate the field"}
         assert not any((workdir / "out").iterdir())
 
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "under-file"])
+    def test_out_over_a_file_exit_1(self, workdir, out, capsys):
+        # an --out that cannot be a directory ends as the one JSON error line
+        (workdir / "afile").write_text("")
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16}, "field": TG, "norm": {"kind": "lebesgue", "p": 2}})
+        assert cli.main(["norm", "--config", cfg, "--out", str(workdir / out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] in ("FileExistsError", "NotADirectoryError")
+
+    def test_config_not_utf8_exit_1(self, workdir, capsys):
+        path = workdir / "c.json"
+        path.write_bytes(b'{"grid": "\xff"}')
+        assert cli.main(["norm", "--config", str(path), "--out", str(workdir / "out")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ConfigValidationError"
+        assert str(path) in error["message"]
+
+    @pytest.mark.parametrize("command, doc", [
+        ("serrin", {"trajectory": "traj", "p_t": "inf", "q_x": 2}),
+        ("probe", {"trajectory": "traj"}),
+        ("perturb", {"grid": {"d": 2, "N": 16}, "w0": TG, "solver": SOLVER, "p": 4,
+                     "drift_trajectory": "traj"}),
+    ], ids=["serrin", "probe", "perturb"])
+    def test_manifest_not_utf8_exit_1(self, workdir, command, doc, capsys):
+        # "traj" stands for the stored trajectory whose manifest is not UTF-8
+        traj_dir = workdir / "traj"
+        save_trajectory(traj_dir, make_heat_trajectory(taylor_green(Grid(2, 16)), [0.0, 0.01]))
+        (traj_dir / "manifest.json").write_bytes(b'{"format": "\xff"}')
+        doc = {k: str(traj_dir) if v == "traj" else v for k, v in doc.items()}
+        cfg = self._write(workdir / "c.json", doc)
+        assert cli.main([command, "--config", cfg, "--out", str(workdir / "out")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ConfigValidationError"
+        assert "manifest.json" in error["message"]
+
     def test_missing_file_exit_1(self, workdir):
         res = run_cli(["norm", "--config", str(workdir / "nope.json"),
                        "--out", str(workdir / "out")])

@@ -58,3 +58,23 @@ def test_guard_follows_every_import_form():
     assert fft_calls(ast.parse(src)) == [
         (6, "numpy.fft.fft"), (7, "scipy.fft.irfftn"), (8, "scipy.fft.ifft"),
         (9, "scipy.fft.rfftn")]
+
+
+def test_no_store_into_another_objects_attribute():
+    # obj.attr[key] = value fills a container another object owns; a memo is
+    # kept by the code that builds it (functools.cache, or its own self)
+    stores = [(path.name, node.lineno, ast.unparse(node))
+              for path in SRC.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Attribute)
+              and not (isinstance(node.value.value, ast.Name) and node.value.value.id == "self")]
+    assert stores == []
+
+
+def test_one_in_place_fft_call():
+    # the pruned transform pair runs its complex stages through one helper
+    calls = [node.lineno for node in ast.walk(ast.parse((SRC / "grid.py").read_text()))
+             if isinstance(node, ast.Call)
+             and any(kw.arg == "overwrite_x" for kw in node.keywords)]
+    assert len(calls) == 1, calls
