@@ -19,7 +19,7 @@ from .errors import AccuracyWarning, DomainError
 from .fields import _rng, gaussian_bump
 from .grid import Grid, RealVectorField
 from .norms import BesovIndex, besov_from_profile, besov_norm, lebesgue_norm
-from .profiles import pairing_table
+from .profiles import RankOneBattery, pairing_table
 from .solver import (COMPLETED, NON_FINITE, TRIP_MONITORS, SolverConfig, Trajectory, evolve,
                      trip_reason)
 
@@ -61,7 +61,7 @@ def sup_critical_norm(traj: Trajectory, norm_kind: str = "L3",
     if norm_kind == "L3":
         if traj.grid.d != 3:
             raise DomainError("the L3 critical norm needs d = 3")
-        vals = [lebesgue_norm(s, 3) for s in traj.snapshots]
+        vals = traj.lebesgue_column(3)
     elif norm_kind == "besov":
         if p is None:
             p = float(traj.grid.d)
@@ -255,17 +255,21 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
     )
 
 
-def make_test_battery(grid: Grid, count: int = 8, seed: int = 7) -> list:
-    """Battery of smooth localized vector test functions for weak-convergence probes."""
+def make_test_battery(grid: Grid, count: int = 8, seed: int = 7) -> RankOneBattery:
+    """Battery of smooth localized vector test functions for weak-convergence
+    probes: Gaussian bumps of random width and center, each times a random
+    vector."""
     rng = _rng(seed)
-    tests = []
+    if count < 1:
+        raise DomainError("test battery must be nonempty")
+    bumps = np.empty((count,) + grid.shape)
+    weights = np.empty((count, grid.d))
     for i in range(count):
         sigma = grid.L * (0.04 + 0.05 * rng.random())
         center = (rng.random(grid.d) - 0.5) * grid.L * 0.5
-        weights = rng.standard_normal(grid.d)
-        bump = gaussian_bump(grid, sigma, center=center).data[0]
-        tests.append(RealVectorField(grid, bump * weights.reshape((grid.d,) + (1,) * grid.d)))
-    return tests
+        weights[i] = rng.standard_normal(grid.d)
+        bumps[i] = gaussian_bump(grid, sigma, center=center).data[0]
+    return RankOneBattery(grid, bumps, weights)
 
 
 @dataclass
@@ -282,7 +286,7 @@ class ProbeReport:
         }
 
 
-def weak_convergence_probe(traj: Trajectory, tests: list) -> ProbeReport:
+def weak_convergence_probe(traj: Trajectory, tests: RankOneBattery) -> ProbeReport:
     """Pairings of every snapshot against the battery, with a late-time decay flag.
 
     The flag is set when every |pairing| is nonincreasing over the final third
@@ -291,9 +295,8 @@ def weak_convergence_probe(traj: Trajectory, tests: list) -> ProbeReport:
     """
     if not tests:
         raise DomainError("test battery must be nonempty")
-    for phi in tests:
-        if not traj.grid.compatible(phi.grid):
-            raise DomainError("test field grid mismatch")
+    if not traj.grid.compatible(tests.grid):
+        raise DomainError("test field grid mismatch")
     table = pairing_table(traj, tests)
     k0 = max(0, len(traj.snapshots) - max(2, len(traj.snapshots) // 3))
     tail = np.abs(table[k0:, :])

@@ -15,6 +15,12 @@ manifest last: a directory without a manifest is an incomplete run, which
 `load_trajectory` rejects.  `cli evolve` streams its run through the writer
 and holds one snapshot at a time; `save_trajectory` writes a whole
 `Trajectory` through it.
+
+`load_trajectory` checks the manifest and every snapshot file's header and
+size, and reads no payload: the `Trajectory` it returns holds a
+`SnapshotFiles` sequence, which reads snap_<i>.cfd each time snapshot i is
+indexed or iterated, so a reader holds the snapshots it is working on and
+no others.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -40,32 +47,40 @@ def write_field(path, f: RealVectorField) -> None:
         fh.write(np.ascontiguousarray(f.data, dtype="<f8").data)
 
 
+def _read_header(fh, path) -> tuple[Grid, int]:
+    """(grid, components) from the header of a CFD1 file open at its start,
+    leaving the file at its payload, once the file is known to hold the
+    payload the header claims."""
+    header = fh.readline().decode("ascii", errors="replace").strip()
+    parts = header.split()
+    if not parts or parts[0] != CFD1_MAGIC:
+        raise InvalidFieldError(f"{path}: not a CFD1 file (header {header!r})")
+    try:
+        kv = dict(p.split("=", 1) for p in parts[1:])
+        d, n, ncomp = int(kv["d"]), int(kv["N"]), int(kv["C"])
+        box = float(kv["L"])
+    except (KeyError, ValueError) as exc:
+        raise InvalidFieldError(f"{path}: malformed CFD1 header {header!r}") from exc
+    if ncomp < 1:
+        raise InvalidFieldError(f"{path}: CFD1 header {header!r} claims {ncomp} components")
+    grid = Grid(d=d, N=n, L=box)
+    # checked before reading, so a header that claims more than the file
+    # holds never asks for an impossible allocation
+    size = ncomp * n**d * 8
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if not 0 <= size <= left:
+        raise InvalidFieldError(f"{path}: header claims {size} payload bytes, "
+                                f"the file holds {left}")
+    return grid, ncomp
+
+
 def read_field(path) -> RealVectorField:
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii", errors="replace").strip()
-        parts = header.split()
-        if not parts or parts[0] != CFD1_MAGIC:
-            raise InvalidFieldError(f"{path}: not a CFD1 file (header {header!r})")
-        try:
-            kv = dict(p.split("=", 1) for p in parts[1:])
-            d, n, ncomp = int(kv["d"]), int(kv["N"]), int(kv["C"])
-            box = float(kv["L"])
-        except (KeyError, ValueError) as exc:
-            raise InvalidFieldError(f"{path}: malformed CFD1 header {header!r}") from exc
-        if ncomp < 1:
-            raise InvalidFieldError(f"{path}: CFD1 header {header!r} claims {ncomp} components")
-        grid = Grid(d=d, N=n, L=box)
-        # checked before reading, so a header that claims more than the file
-        # holds never asks for an impossible allocation
-        size = ncomp * n**d * 8
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if not 0 <= size <= left:
-            raise InvalidFieldError(f"{path}: header claims {size} payload bytes, "
-                                    f"the file holds {left}")
+        grid, ncomp = _read_header(fh, path)
         data = np.empty((ncomp,) + grid.shape, dtype="<f8")
         got = fh.readinto(data.data.cast("B"))
-        if got != size:  # the file shrank after the check
-            raise InvalidFieldError(f"{path}: read {got} of {size} payload bytes")
+        if got != data.nbytes:  # the file shrank after the check
+            raise InvalidFieldError(f"{path}: read {got} of {data.nbytes} payload bytes")
     return RealVectorField(grid, data)
 
 
@@ -134,6 +149,32 @@ def save_trajectory(dirpath, traj) -> None:
     writer.finish(traj)
 
 
+class SnapshotFiles(Sequence):
+    """The snapshots of a loaded trajectory, each read from its file when it
+    is indexed or iterated, read-only and on the trajectory's grid, and kept
+    by no one but the caller.
+
+    A file that no longer holds the field its header gave at load raises
+    `InvalidFieldError`; one that is gone, `FileNotFoundError`.
+    """
+
+    def __init__(self, grid: Grid, paths, ncomps):
+        self.grid = grid
+        self._files = tuple(zip(paths, ncomps))
+
+    def __len__(self) -> int:
+        return len(self._files)
+
+    def __getitem__(self, i: int) -> RealVectorField:
+        path, ncomp = self._files[i]
+        snap = read_field(path)
+        if not (self.grid.compatible(snap.grid) and snap.ncomp == ncomp):
+            raise InvalidFieldError(f"{path}: changed after its trajectory was loaded")
+        snap.data.flags.writeable = False
+        # one Grid for all snapshots, so the spectral arrays it caches are built once
+        return RealVectorField(self.grid, snap.data)
+
+
 def _numbers(value) -> bool:
     """A JSON list of numbers (not booleans) that convert to float."""
     return isinstance(value, list) and all(
@@ -155,17 +196,20 @@ def load_trajectory(dirpath):
         raise ConfigValidationError(f"{dirpath}: malformed manifest (times and records must be "
                                     "number lists, snapshots a non-empty list of file names, "
                                     "status a string)")
-    snaps = [read_field(dirpath / name) for name in names]
-    grid = snaps[0].grid
-    # one Grid for all snapshots, so the spectral arrays it caches are built once
-    for i, snap in enumerate(snaps):
-        if not grid.compatible(snap.grid):
-            raise InvalidFieldError(f"{dirpath}: {names[i]} is on another grid")
-        snaps[i] = RealVectorField(grid, snap.data)
+    # every header is checked now, every payload read when its snapshot is
+    paths = [dirpath / name for name in names]
+    headers = []
+    for path in paths:
+        with open(path, "rb") as fh:
+            headers.append(_read_header(fh, path))
+    grid = headers[0][0]
+    for name, (other, _) in zip(names, headers):
+        if not grid.compatible(other):
+            raise InvalidFieldError(f"{dirpath}: {name} is on another grid")
     return Trajectory(
         grid=grid,
         times=np.asarray(times, dtype=float),
-        snapshots=snaps,
+        snapshots=SnapshotFiles(grid, paths, [ncomp for _, ncomp in headers]),
         records={k: np.asarray(v, dtype=float) for k, v in records.items()},
         status=status,
         config_echo=manifest.get("config", {}),

@@ -12,7 +12,9 @@ multiplier's support box only, its complex inverse stages pruned to that box)
 and runs the last inverse stage and the powers one component at a time.  The
 space-time norms and the sup-in-time Besov norm read one band table
 eps[j, i] = ||Delta_j u(t_i)||_{L^p}, built once per (read-only trajectory,
-p) and kept on the trajectory (`Trajectory.band_table`).
+p) and kept on the trajectory (`Trajectory.band_table`); the Serrin norm and
+the sup-in-time L^3 norm read one column ||u(t_i)||_{L^q}, kept the same way
+(`Trajectory.lebesgue_column`).
 
 Heat-characterized norms integrate over smoothing times tau by the trapezoid
 rule in log tau, on `default_tau_grid`: 8 points per decade, an odd count, so
@@ -136,6 +138,10 @@ def lebesgue_norm(f: RealVectorField, p: float) -> float:
     return _rescaled_lp(f.data, f.grid, p) if value == INF else value
 
 
+def _max_abs_in_place(x: np.ndarray):
+    return np.max(np.abs(x, out=x))
+
+
 def _multiplier_norms(coeff: np.ndarray, mults, grid: Grid, p: float) -> np.ndarray:
     """||F^{-1}(m * coeff)||_{L^p} for each (multiplier m, support extent) pair
     in turn, as lebesgue_norm would give it, bit for bit.
@@ -143,19 +149,21 @@ def _multiplier_norms(coeff: np.ndarray, mults, grid: Grid, p: float) -> np.ndar
     The blocks come from `grid.multiplier_blocks`; the last inverse stage and
     the powers run one component at a time, so each component's samples are
     summed right after they are made and only one component's samples exist
-    at a time.  A block whose powers overflow runs its last stage again and is
-    summed relative to its sample max.
+    at a time (each is made inside the call that reduces it, so no loop
+    variable keeps the last one alive).  A block whose powers overflow runs
+    its last stage again and is summed relative to its sample max.
     """
     _check_exponent(p)
     square = np.empty(grid.shape) if p == 3 else None
     norms = []
     for partial in multiplier_blocks(coeff, mults, grid):
-        comps = (last_inverse_stage(comp, grid) for comp in partial)
         if p == INF:
-            norms.append(float(np.max([np.max(np.abs(x, out=x)) for x in comps])))
+            norms.append(float(np.max([_max_abs_in_place(last_inverse_stage(comp, grid))
+                                       for comp in partial])))
             continue
         with np.errstate(over="ignore"):  # an overflow ends as inf, summed again below
-            sums = [_power_sums_in_place(x[np.newaxis], p, square)[0] for x in comps]
+            sums = [_power_sums_in_place(last_inverse_stage(comp, grid)[np.newaxis], p, square)[0]
+                    for comp in partial]
             value = _lp_from_sums(np.array(sums), grid, p)
         if value == INF:
             value = _rescaled_lp((last_inverse_stage(comp, grid) for comp in partial), grid, p)
@@ -173,13 +181,29 @@ def _lq_sum(values: np.ndarray, q: float) -> float:
     return top * float(np.sum((values / top) ** q) ** (1.0 / q))
 
 
+def _band_norms(coeff: np.ndarray, grid: Grid, p: float) -> np.ndarray:
+    """||Delta_j f||_{L^p} over the resolvable range, from f's forward_transform."""
+    mults = dyadic_multipliers(grid, *band_range(grid))
+    next(mults)  # the low-pass block is not a band
+    return _multiplier_norms(coeff, mults, grid, p)
+
+
 def band_profile(f: RealVectorField, p: float) -> tuple[np.ndarray, np.ndarray]:
     """(levels, ||Delta_j f||_{L^p}) over the resolvable range; one forward FFT."""
     lo, hi = band_range(f.grid)
-    coeff = forward_transform(f.data, f.grid)
-    mults = dyadic_multipliers(f.grid, lo, hi)
-    next(mults)  # the low-pass block is not a band
-    return np.arange(lo, hi + 1), _multiplier_norms(coeff, mults, f.grid, p)
+    return np.arange(lo, hi + 1), _band_norms(forward_transform(f.data, f.grid), f.grid, p)
+
+
+def band_table_of(snapshots, grid: Grid, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """(levels, eps) with eps[j, i] = ||Delta_j u_i||_{L^p}: the band profile
+    of every snapshot in a sequence on grid.  Each snapshot is dropped once it
+    is transformed (no loop variable holds it), so a sequence that reads its
+    snapshots on demand has one in memory at a time, and none while its
+    bands are formed."""
+    lo, hi = band_range(grid)
+    eps = [_band_norms(forward_transform(snapshots[i].data, grid), grid, p)
+           for i in range(len(snapshots))]
+    return np.arange(lo, hi + 1), np.array(eps).T
 
 
 def edge_share(eps: np.ndarray, q: float) -> float:
@@ -373,8 +397,8 @@ def heat_besov_spacetime_norm_detailed(traj, r: float, p: float,
     times, snaps = traj.times, traj.snapshots
     if len(snaps) < 2:
         raise DomainError("space-time norms need at least 2 snapshots")
-    # spatial[i, k] = ||K(tau_k) u(t_i)||_{L^p}, one snapshot's coefficients at a time
-    spatial = np.array([_heat_kernel_lp_curve(snap, taus, p) for snap in snaps])
+    # spatial[i, k] = ||K(tau_k) u(t_i)||_{L^p}, one snapshot at a time
+    spatial = np.array([_heat_kernel_lp_curve(snaps[i], taus, p) for i in range(len(snaps))])
     vals = np.array([_time_lp(col, times, r) ** p for col in spatial.T])
     # tau^gamma dtau = tau^{gamma+1} dln(tau) on the log grid
     return _log_tau_integral(taus, taus ** (gamma + 1.0) * vals, p)
@@ -409,8 +433,7 @@ def serrin_norm(traj, p_t: float, q_x: float) -> float:
         )
     if len(traj.snapshots) < 2:
         raise DomainError("space-time norms need at least 2 snapshots")
-    spatial = np.array([lebesgue_norm(s, q_x) for s in traj.snapshots])
-    return _time_lp(spatial, traj.times, p_t)
+    return _time_lp(traj.lebesgue_column(q_x), traj.times, p_t)
 
 
 def norm_report(norm_name: str, parameters: dict, value: float, warns: list | None = None,

@@ -515,15 +515,32 @@ def remainder_equation_residual(r_traj: Trajectory, ev: EvolvedSystem,
     return ns_equation_residual(r0, forcing=forcing)
 
 
-def pairing_table(traj: Trajectory, tests: list) -> np.ndarray:
-    """Grid-quadrature pairings <u(t_k), phi_i> for a battery of test fields,
-    each with as many components as the trajectory."""
+@dataclass(frozen=True)
+class RankOneBattery:
+    """Test fields phi_i = bumps[i] * weights[i]: a scalar bump on the grid
+    times a constant vector, held as the stacked bumps (count, N, ..., N)
+    and the weights (count, components) rather than as full vector fields."""
+
+    grid: Grid
+    bumps: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.bumps)
+
+
+def pairing_table(traj: Trajectory, tests: RankOneBattery) -> np.ndarray:
+    """Grid-quadrature pairings <u(t_k), phi_i> for a battery whose test fields
+    have as many components as the trajectory: per snapshot, one matrix
+    product gives <u^c, bump_i> for every component and bump, which the
+    weights then sum over c."""
     w = traj.grid.cell_volume
+    bumps = tests.bumps.reshape(len(tests), -1)
     table = np.empty((len(traj.snapshots), len(tests)))
     for k, snap in enumerate(traj.snapshots):
-        for i, phi in enumerate(tests):
-            if phi.ncomp != snap.ncomp:
-                raise DomainError(f"test field {i} has {phi.ncomp} components, "
-                                  f"the trajectory has {snap.ncomp}")
-            table[k, i] = float(np.sum(snap.data * phi.data) * w)
+        if tests.weights.shape[1] != snap.ncomp:
+            raise DomainError(f"the test fields have {tests.weights.shape[1]} components, "
+                              f"the trajectory has {snap.ncomp}")
+        per_comp = bumps @ snap.data.reshape(snap.ncomp, -1).T
+        table[k] = np.sum(tests.weights * per_comp, axis=1) * w
     return table

@@ -36,6 +36,7 @@ maximal existence time, never the true blow-up time.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property
 
@@ -54,11 +55,12 @@ from .grid import (
 )
 from .norms import (
     BesovIndex,
-    band_profile,
+    band_table_of,
     besov_norm,
     chemin_lerner_norm,
     critical_exponent,
     e_norm,
+    lebesgue_norm,
 )
 
 COMPLETED = "Completed"
@@ -121,44 +123,76 @@ def trip_reason(values, cfg: SolverConfig) -> str | None:
 class Trajectory:
     """Time-indexed snapshots with per-step norm records.
 
-    Read-only: the fields cannot be reassigned, snapshots is a tuple and every
-    snapshot array is made non-writeable, so quantities derived from the
-    snapshots (`band_table`) can be kept on it.
+    Read-only: the fields cannot be reassigned and every snapshot array is
+    non-writeable, so quantities derived from the snapshots (`band_table`,
+    `lebesgue_column`) can be kept on it.  Snapshots given as a list or tuple
+    are held in memory as a tuple; any other sequence (`io.SnapshotFiles`,
+    which reads each snapshot from disk when it is indexed) is kept as given
+    and hands out read-only snapshots itself.
     """
 
     grid: Grid
     times: np.ndarray
-    snapshots: tuple
+    snapshots: Sequence
     records: dict = field(default_factory=dict)
     status: str = COMPLETED
     config_echo: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        object.__setattr__(self, "snapshots", tuple(self.snapshots))
+        if not isinstance(self.snapshots, Sequence) or isinstance(self.snapshots, (list, tuple)):
+            object.__setattr__(self, "snapshots", tuple(self.snapshots))
+            for snap in self.snapshots:
+                snap.data.flags.writeable = False
         if self.times.size != len(self.snapshots):
             raise DomainError("one snapshot per time required")
         if self.times.size >= 2 and not np.all(np.diff(self.times) > 0):
             raise DomainError("snapshot times must be strictly increasing")
-        for snap in self.snapshots:
-            snap.data.flags.writeable = False
 
     @cached_property
-    def _band_tables(self) -> dict:
+    def _tables(self) -> dict:
         return {}
+
+    def _keep(self, key, *arrays) -> tuple:
+        for array in arrays:
+            array.flags.writeable = False
+        self._tables[key] = arrays
+        return arrays
 
     def band_table(self, p: float) -> tuple[np.ndarray, np.ndarray]:
         """(levels, eps) with eps[j, i] = ||Delta_j u(t_i)||_{L^p} for every
         band j and every snapshot i, built once per p and kept read-only, so
         every norm of the trajectory at this p reads the same table."""
-        table = self._band_tables.get(p)
+        table = self._tables.get(("bands", p))
         if table is None:
-            profiles = [band_profile(snap, p) for snap in self.snapshots]
-            table = (profiles[0][0], np.array([vals for _, vals in profiles]).T)
-            for array in table:
-                array.flags.writeable = False
-            self._band_tables[p] = table
+            table = self._keep(("bands", p), *band_table_of(self.snapshots, self.grid, p))
         return table
+
+    def lebesgue_column(self, q: float) -> np.ndarray:
+        """||u(t_i)||_{L^q} for every snapshot i, built once per q and kept
+        read-only like the band tables."""
+        column = self._tables.get(("lebesgue", q))
+        if column is None:
+            snaps = self.snapshots
+            column = self._keep(("lebesgue", q),
+                                np.array([lebesgue_norm(snaps[i], q) for i in range(len(snaps))]))
+        return column[0]
+
+    @cached_property
+    def _frames(self) -> dict:
+        return {}
+
+    def _frame(self, i: int) -> RealVectorField:
+        """Snapshot i, through a window of the two frames used last, so that
+        a solver sweeping forward through the times reads each snapshot of
+        an on-demand sequence about once."""
+        snap = self._frames.pop(i, None)
+        if snap is None:
+            snap = self.snapshots[i]
+            if len(self._frames) == 2:
+                del self._frames[next(iter(self._frames))]
+        self._frames[i] = snap
+        return snap
 
     @property
     def final_time(self) -> float:
@@ -175,17 +209,17 @@ class Trajectory:
                 f"time {t} outside recorded range [{self.times[0]}, {self.final_time}]"
             )
         if len(self.snapshots) == 1:
-            return self.snapshots[0]
+            return self._frame(0)
         t = min(max(t, self.times[0]), self.final_time)
         i = int(np.searchsorted(self.times, t, side="right") - 1)
         i = min(max(i, 0), len(self.snapshots) - 2)
         t0, t1 = self.times[i], self.times[i + 1]
         theta = (t - t0) / (t1 - t0)
         if theta <= 1e-12:
-            return self.snapshots[i]
+            return self._frame(i)
         if theta >= 1.0 - 1e-12:
-            return self.snapshots[i + 1]
-        return self.snapshots[i] * (1.0 - theta) + self.snapshots[i + 1] * theta
+            return self._frame(i + 1)
+        return self._frame(i) * (1.0 - theta) + self._frame(i + 1) * theta
 
     def window_indices(self, interval=None) -> np.ndarray:
         """Indices of the snapshots whose times lie in a closed interval."""

@@ -20,7 +20,7 @@ from critns.errors import DomainError
 from critns.fields import gaussian_bump, localized_divfree_bump, random_divfree_field
 from critns.grid import zero_field
 from critns.norms import BesovIndex, besov_norm, lebesgue_norm
-from critns.profiles import pairing_table
+from critns.profiles import RankOneBattery, pairing_table
 from critns.scaling import ScaleCore, apply_lambda
 from critns.solver import (
     COMPLETED,
@@ -245,9 +245,10 @@ class TestWeakConvergenceProbe:
         # a 1-component test field would broadcast over a 3-component snapshot
         traj = make_heat_trajectory(random_divfree_field(grid3, seed=4), [0.0, 0.1])
         phi = gaussian_bump(grid3, grid3.L / 8)
+        battery = RankOneBattery(grid3, phi.data, np.ones((1, 1)))
         for pair in (weak_convergence_probe, pairing_table):
             with pytest.raises(DomainError, match="1 components, the trajectory has 3"):
-                pair(traj, [phi])
+                pair(traj, battery)
 
     def test_zero_trajectory(self, grid3):
         traj = make_heat_trajectory(zero_field(grid3), [0.0, 0.1, 0.2])
@@ -278,9 +279,22 @@ class TestWeakConvergenceProbe:
         norms = [lebesgue_norm(s, 3) for s in snaps]
         assert abs(norms[2] - norms[0]) / norms[0] < 0.02
 
+    def test_pairings_match_the_full_field_sums(self, grid3):
+        # reference: each test field formed whole, bump times weight vector,
+        # and paired by one grid sum; the matrix product sums in another
+        # order, so the two agree to roundoff of the absolute sum
+        traj = make_heat_trajectory(random_divfree_field(grid3, seed=4), [0.0, 0.05, 0.1])
+        battery = make_test_battery(grid3, count=5, seed=2)
+        table = pairing_table(traj, battery)
+        w = grid3.cell_volume
+        for k, snap in enumerate(traj.snapshots):
+            for i, (bump, weight) in enumerate(zip(battery.bumps, battery.weights)):
+                products = snap.data * (bump * weight.reshape((3, 1, 1, 1)))
+                scale = float(np.sum(np.abs(products)) * w)
+                assert abs(table[k, i] - float(np.sum(products) * w)) <= 1e-13 * scale
+
     def test_battery_is_localized_and_deterministic(self, grid3):
         a = make_test_battery(grid3, count=8, seed=7)
         b = make_test_battery(grid3, count=8, seed=7)
         assert len(a) == 8
-        for fa, fb in zip(a, b):
-            assert np.array_equal(fa.data, fb.data)
+        assert np.array_equal(a.bumps, b.bumps) and np.array_equal(a.weights, b.weights)
