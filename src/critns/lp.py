@@ -7,8 +7,9 @@ operators and is supported on the annulus 2^j <= |k| <= 2^{j+2}.
 
 dyadic_blocks transforms once and yields the low block, then each band, each
 through the grid's band engine (`grid.multiplier_blocks`); it feeds
-decompose, paraproduct and the low-high sum T_f g, which needs each factor's
-blocks only once (Bahouri, Chemin & Danchin, ch. 2).
+decompose, paraproduct and the low-high sum T_f g.  The last two need each
+factor's blocks only once (Bahouri, Chemin & Danchin, ch. 2), so they take
+them as they come and hold a few at a time.
 """
 
 from __future__ import annotations
@@ -175,15 +176,27 @@ def paraproduct(grid: Grid, f: np.ndarray, g: np.ndarray):
     symmetric term, and Pi collecting |j - j'| <= 1 interactions together with
     the below-range low block.  The three parts sum to f*g pointwise up to
     roundoff because the blocks partition every mode of both factors.
+
+    One pass over the blocks of both factors holds the current and previous
+    block of each, the two low-pass sums and the three parts.  The low-pass
+    sum of f gains f_{b-1} once block b has used it, which adds the blocks
+    in the order `_low_high_sum` does, so each part takes the same
+    operations in the same order as sums over lists of all the blocks.
     """
     if f.shape != grid.shape or g.shape != grid.shape:
         raise GridMismatchError("paraproduct factors must live on the given grid")
     levels = band_range(grid)
-    blocks_f = list(dyadic_blocks(grid, f, *levels))
-    blocks_g = list(dyadic_blocks(grid, g, *levels))
+    tfg = tgf = low_f = low_g = 0.0
     pi = np.zeros(grid.shape)
-    for b, (f_b, g_b) in enumerate(zip(blocks_f, blocks_g)):
+    for b, (f_b, g_b) in enumerate(zip(dyadic_blocks(grid, f, *levels),
+                                       dyadic_blocks(grid, g, *levels))):
+        if b >= 2:
+            tfg += low_f * g_b
+            tgf += low_g * f_b
         if b:
-            pi += blocks_f[b - 1] * g_b + f_b * blocks_g[b - 1]
+            pi += prev_f * g_b + f_b * prev_g
+            low_f += prev_f
+            low_g += prev_g
         pi += f_b * g_b
-    return _low_high_sum(blocks_f, blocks_g), _low_high_sum(blocks_g, blocks_f), pi
+        prev_f, prev_g = f_b, g_b
+    return tfg, tgf, pi

@@ -231,7 +231,9 @@ def evolve_system(sys: ProfileSystem, cfg: SolverConfig, n_window) -> EvolvedSys
         scale = 1.0 / lam_min**2
         # snapshot every step: superposition lookups at t/lambda^2 then hit
         # recorded frames exactly for dyadic lambda^2, avoiding interpolation
-        # error in the remainder
+        # error in the remainder.  The run keeps each frame as its dealias-box
+        # coefficients (solver.BoxSpectra, 30% of a frame's bytes), so every
+        # lookup is one pruned inverse transform, bitwise the stepped frame.
         cfg_j = replace(cfg, T=cfg.T * scale, dt=cfg.dt * scale, snapshot_stride=1)
         traj = evolve(phi, cfg_j)
         trajectories.append(traj)
@@ -462,9 +464,10 @@ def ns_equation_residual(traj: Trajectory, forcing=None) -> float:
     perturbed-system residual, G given as Leray-projected coefficients on the
     dealias box of DEALIAS_FRACTION (as `_source` returns it); without it it
     is the plain equation residual, which serves as the discrete floor (the
-    time-differencing error dominates both).  Each snapshot is transformed
-    once, the time difference is taken on the coefficients (a rolling window
-    of three spectra), and each residual's L^2 norm is read off its half
+    time-differencing error dominates both).  Each snapshot is read and
+    transformed once, the time difference is taken on the coefficients (a
+    rolling window of three spectra, the last two beside their snapshots,
+    which the flux terms read), and each residual's L^2 norm is read off its half
     spectrum by Parseval, each coefficient weighted by its multiplicity as in
     the solver's l2 record.
     """
@@ -474,13 +477,12 @@ def ns_equation_residual(traj: Trajectory, forcing=None) -> float:
         raise DomainError("residual check needs at least 3 snapshots")
     k2 = grid.k_squared
     times = traj.times
-    spectra = (forward_transform(s.data, grid) for s in traj.snapshots)
-    prev_hat, uh = next(spectra), next(spectra)
+    window = ((s, forward_transform(s.data, grid)) for s in traj.snapshots)
+    (_, prev_hat), (u, uh) = next(window), next(window)
     res_l2 = []
     mid_times = []
-    for i, next_hat in enumerate(spectra, start=1):
+    for i, (u_next, next_hat) in enumerate(window, start=1):
         dt2 = times[i + 1] - times[i - 1]
-        u = traj.snapshots[i]
         nl_hat = _div_flux_hat(_self_product(u.data), box)
         _leray_coefficients(nl_hat, box)
         resid_hat = (next_hat - prev_hat) / dt2 + box.scatter(nl_hat) + k2 * uh
@@ -494,7 +496,7 @@ def ns_equation_residual(traj: Trajectory, forcing=None) -> float:
         power = grid.multiplicity * (resid_hat.real**2 + resid_hat.imag**2)
         res_l2.append(np.sqrt(grid.L**grid.d * np.sum(power)))
         mid_times.append(float(times[i]))
-        prev_hat, uh = uh, next_hat
+        prev_hat, u, uh = uh, u_next, next_hat
     res_l2 = np.asarray(res_l2)
     wts = _trapezoid_weights(np.asarray(mid_times))
     return float(np.sqrt(np.sum(wts * res_l2**2)))

@@ -22,10 +22,13 @@ mask applied once per component.  The convection term P div(u (x) u)
 right-hand side and the profile sources all go through it.
 
 There is one stepping loop, `_integrate`, which hands each snapshot to a
-consumer the step it is taken.  `evolve` and `evolve_perturbed` collect them
-into a read-only `Trajectory`; `evolve_streaming` passes them on (`cli
-evolve` writes each to disk and drops it, so it holds one at a time) and
-returns the rest of the run as a `RunLog`.
+consumer the step it is taken, with the box coefficients it is the inverse
+transform of.  `evolve` and `evolve_perturbed` collect the coefficients into
+a read-only `Trajectory` (`BoxSpectra`: 30% of the snapshots' bytes at the
+2/3 rule, one pruned inverse per read, bitwise the snapshot the step took);
+`evolve_streaming` passes the snapshots on (`cli evolve` writes each to disk
+and drops it, so it holds one at a time) and returns the rest of the run as
+a `RunLog`.
 
 A run aborts with status "ResolutionLimit" on the first step where the
 sup-norm or the top-octave spectral energy fraction exceeds its threshold
@@ -126,9 +129,12 @@ class Trajectory:
     Read-only: the fields cannot be reassigned and every snapshot array is
     non-writeable, so quantities derived from the snapshots (`band_table`,
     `lebesgue_column`) can be kept on it.  Snapshots given as a list or tuple
-    are held in memory as a tuple; any other sequence (`io.SnapshotFiles`,
-    which reads each snapshot from disk when it is indexed) is kept as given
-    and hands out read-only snapshots itself.
+    are held in memory as a tuple, and a read costs nothing.  Any other
+    sequence is kept as given and hands out a new read-only snapshot on each
+    read: `io.SnapshotFiles` (a loaded trajectory) reads the snapshot's file,
+    `BoxSpectra` (a collected solver run) makes one pruned inverse transform
+    of the box coefficients it keeps.  A reader that needs a snapshot twice
+    keeps it (`_frame`, `profiles.ns_equation_residual`).
     """
 
     grid: Grid
@@ -398,9 +404,11 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     The spectral state (uh, the two stage right-hand sides, the predictor,
     the heat factor and the tail-octave mask) lives on the box, in the box
     layout that both transforms read and write.  Each snapshot is handed to
-    take(snapshot) the step it is taken, and the loop keeps no reference to
-    it, so a consumer that writes it out and drops it (`cli evolve`) holds
-    one snapshot at a time however many the run records.
+    take(snapshot, uh) the step it is taken, with the box coefficients it
+    is the inverse transform of; the loop keeps no reference to the
+    snapshot and overwrites uh in place on the next step, so a consumer
+    keeps what it copies (`BoxSpectra`) or writes out (`cli evolve`) and
+    holds one snapshot at a time however many the run records.
     """
     grid = u0.grid
     u0.require_finite()
@@ -447,7 +455,7 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
         tripped = trip_reason(values, cfg) is not None
         if step % cfg.snapshot_stride == 0 or step == n_steps or tripped:
             times.append(t)
-            take(RealVectorField(grid, phys))
+            take(RealVectorField(grid, phys), uh)
         if tripped:
             status = RESOLUTION_LIMIT
             break
@@ -476,11 +484,61 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     )
 
 
+class BoxSpectra(Sequence):
+    """The snapshots of a collected solver run, held as the box coefficients
+    uh the step had when it took each one: snapshot i is
+    inverse_transform(uh_i, grid, extent), the call the step made, so it is
+    bitwise the snapshot the step handed out, at the cost of one pruned
+    inverse per read.  At the 2/3 rule the box holds about 30% of a
+    snapshot's bytes.
+
+    The coefficients share one array, grown in place (realloc) by half its
+    length when full, and trimmed to the snapshots taken and made read-only
+    by `close`, so the store is sized by the snapshots a run takes, never by
+    its step count.  No view of the array outlives a method call, which is
+    what lets `resize` skip its reference check.  Each indexed snapshot is a
+    new read-only field kept by no one but the caller.
+    """
+
+    def __init__(self, grid: Grid, extent: int):
+        self.grid = grid
+        self.extent = extent
+        self._coeff = None
+        self._count = 0
+
+    def append(self, uh: np.ndarray) -> None:
+        if self._coeff is None:
+            self._coeff = np.empty((1,) + uh.shape, uh.dtype)
+        elif self._count == len(self._coeff):
+            self._grow(self._count + (self._count + 1) // 2)
+        self._coeff[self._count] = uh
+        self._count += 1
+
+    def _grow(self, length: int) -> None:
+        self._coeff.resize((length,) + self._coeff.shape[1:], refcheck=False)
+
+    def close(self) -> None:
+        """Trim the store to the snapshots taken and make it read-only."""
+        if self._coeff is not None:
+            self._grow(self._count)
+            self._coeff.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i: int) -> RealVectorField:
+        data = inverse_transform(self._coeff[range(self._count)[i]], self.grid, self.extent)
+        data.flags.writeable = False
+        return RealVectorField(self.grid, data)
+
+
 def _collected(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
                source) -> Trajectory:
-    """_integrate with every snapshot kept, as a read-only Trajectory."""
-    snaps = []
-    run = _integrate(u0, cfg, drift, source, snaps.append)
+    """_integrate with every snapshot kept as its box coefficients
+    (`BoxSpectra`), as a read-only Trajectory."""
+    snaps = BoxSpectra(u0.grid, dealias_box(u0.grid, cfg.dealias_fraction).extent)
+    run = _integrate(u0, cfg, drift, source, lambda snap, coeff: snaps.append(coeff))
+    snaps.close()
     return Trajectory(grid=run.grid, times=run.times, snapshots=snaps, records=run.records,
                       status=run.status, config_echo=run.config_echo)
 
@@ -507,7 +565,8 @@ def evolve_streaming(u0: RealVectorField, cfg: SolverConfig, take) -> RunLog:
     """evolve, with each snapshot handed to take(snapshot) the step it is
     taken instead of kept: the same steps and snapshots, bit for bit, in
     the memory of one snapshot."""
-    return _integrate(u0, cfg, drift=None, source=None, take=take)
+    return _integrate(u0, cfg, drift=None, source=None,
+                      take=lambda snap, coeff: take(snap))
 
 
 def evolve_perturbed(prob: PerturbationProblem, cfg: SolverConfig) -> Trajectory:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -156,3 +158,16 @@ def thin(traj, stride):
     n = len(traj.snapshots)
     keep = sorted(set(range(0, n, stride)) | {n - 1})
     return Trajectory(traj.grid, traj.times[keep], [traj.snapshots[i] for i in keep])
+
+
+def traced(fn):
+    """(fn(), bytes still allocated when it returns, peak bytes during the
+    call), as tracemalloc counts them: only what the call allocates, the
+    result included."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, held, peak

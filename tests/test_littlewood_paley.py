@@ -22,7 +22,7 @@ from critns.lp import (
 )
 from critns.norms import band_profile, lebesgue_norm
 
-from conftest import full_product_blocks, gradient, rel_err
+from conftest import full_product_blocks, gradient, rel_err, traced
 
 
 class TestCutoff:
@@ -199,6 +199,35 @@ class TestParaproduct:
         for i in range(d):
             for j in range(d):
                 assert np.array_equal(pairs[i, j], paraproduct(grid, f[i], g[j])[0])
+
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)], ids=["2d", "3d"])
+    def test_streamed_parts_equal_the_block_list_sums(self, d, N):
+        # reference: every block of both factors listed first, then each part
+        # summed over the lists in the same order
+        grid = Grid(d, N)
+        f = random_smooth_field(grid, seed=14, ncomp=1).data[0]
+        g = random_smooth_field(grid, seed=15, ncomp=1).data[0]
+        blocks_f = list(lp.dyadic_blocks(grid, f, *band_range(grid)))
+        blocks_g = list(lp.dyadic_blocks(grid, g, *band_range(grid)))
+        pi = np.zeros(grid.shape)
+        for b, (f_b, g_b) in enumerate(zip(blocks_f, blocks_g)):
+            if b:
+                pi += blocks_f[b - 1] * g_b + f_b * blocks_g[b - 1]
+            pi += f_b * g_b
+        want = (lp._low_high_sum(blocks_f, blocks_g), lp._low_high_sum(blocks_g, blocks_f), pi)
+        for got, ref in zip(paraproduct(grid, f, g), want, strict=True):
+            assert got.tobytes() == ref.tobytes()
+
+    def test_streamed_peak_memory(self, grid3m):
+        # the current and previous blocks of each factor, the low-pass sums,
+        # the parts and each factor's spectrum and work array: 16.3 fields,
+        # where listing every block of both factors took 19.0
+        rng = np.random.default_rng(16)
+        f, g = rng.standard_normal((2,) + grid3m.shape)
+        paraproduct(grid3m, f, g)  # the symbols every equal grid shares
+        _, held, peak = traced(lambda: paraproduct(grid3m, f, g))
+        assert held < 3.1 * f.nbytes
+        assert peak < 17 * f.nbytes
 
     @settings(max_examples=8, deadline=None)
     @given(s1=st.integers(0, 1000), s2=st.integers(0, 1000))

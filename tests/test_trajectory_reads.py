@@ -1,11 +1,13 @@
-"""Loaded trajectories read their snapshots on demand: the reductions hold a
-few snapshots whatever the count, give the in-memory norms bit for bit, a
-drift is read about once per snapshot, and a snapshot file that changes after
-loading is a JSON error."""
+"""Loaded and collected solver trajectories read their snapshots on demand.
+The reductions of a loaded one hold a few snapshots whatever the count and
+give the in-memory norms bit for bit, a drift is read about once per
+snapshot, and a snapshot file that changes after loading is a JSON error.  A
+collected solver run holds its box coefficients, about 30% of its
+snapshots' bytes, and hands out the snapshots the step took, bit for bit."""
 
 import json
-import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,11 +17,14 @@ from critns import io as critns_io
 from critns.criticality import make_test_battery, sup_critical_norm, weak_convergence_probe
 from critns.fields import (gaussian_bump, localized_divfree_bump, random_divfree_field,
                            taylor_green)
-from critns.io import load_trajectory, save_trajectory, write_field
+from critns.io import TrajectoryWriter, load_trajectory, save_trajectory, write_field
 from critns.norms import (band_profile, e_norm, heat_besov_spacetime_norm, lebesgue_norm,
                           serrin_norm)
-from critns.profiles import pairing_table
-from critns.solver import PerturbationProblem, SolverConfig, evolve_perturbed, make_heat_trajectory
+from critns.profiles import ns_equation_residual, pairing_table
+from critns.solver import (RESOLUTION_LIMIT, PerturbationProblem, SolverConfig, Trajectory,
+                           evolve, evolve_perturbed, evolve_streaming, make_heat_trajectory)
+
+from conftest import traced
 
 
 @pytest.fixture(scope="module")
@@ -52,12 +57,7 @@ def test_loaded_reduction_holds_under_three_snapshots(saved, reduction):
     mem, path = saved
     battery = make_test_battery(mem.grid)
     band_profile(mem.snapshots[0], 4.0)  # the symbols every equal grid shares
-    tracemalloc.start()
-    try:
-        reduction(load_trajectory(path), battery)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, _, peak = traced(lambda: reduction(load_trajectory(path), battery))
     assert peak < 3 * mem.snapshots[0].data.nbytes
 
 
@@ -164,3 +164,78 @@ def test_snapshot_changed_after_loading_json_error(tmp_path, monkeypatch, capsys
     report = json.loads(lines[0])
     assert report["error"] == error
     assert "snap_1.cfd" in report["message"]
+
+
+def test_residual_reads_each_snapshot_once(saved, monkeypatch):
+    mem, path = saved
+    loaded = load_trajectory(path)
+    reads = counting_reads(monkeypatch)
+    assert ns_equation_residual(loaded) == ns_equation_residual(mem)
+    assert len(reads) == 11
+
+
+@pytest.fixture(scope="module")
+def collected():
+    """A 21-snapshot collected run at 32^3, stride 1."""
+    grid = Grid(3, 32)
+    u0 = random_divfree_field(grid, seed=5, k_hi=4.0, amplitude=0.5)
+    return u0, SolverConfig(dt=0.005, T=0.1)
+
+
+def test_collected_run_holds_its_box_spectra(collected):
+    # the 2/3-rule box holds 29.6% of a 32^3 snapshot's bytes; the physical
+    # snapshots the run used to keep were 1.0 of them
+    u0, cfg = collected
+    evolve(u0, replace(cfg, T=2 * cfg.dt))  # the masks and tables every equal grid shares
+    traj, held, _ = traced(lambda: evolve(u0, cfg))
+    assert len(traj.snapshots) == 21
+    assert held / len(traj.snapshots) <= 0.35 * u0.data.nbytes
+
+
+def test_collected_reads_are_equal_and_read_only(collected):
+    u0, cfg = collected
+    snaps = evolve(u0, cfg).snapshots
+    a, b, last = snaps[7], snaps[7], snaps[-1]
+    assert a.data.tobytes() == b.data.tobytes()
+    assert not a.data.flags.writeable and not b.data.flags.writeable
+    assert last.data.tobytes() == snaps[len(snaps) - 1].data.tobytes()
+    assert sum(1 for _ in snaps) == len(snaps)
+    with pytest.raises(IndexError):
+        snaps[len(snaps)]
+
+
+def test_saved_collected_run_equals_the_streamed_files(collected, tmp_path):
+    # save_trajectory of a collected run writes the files cli evolve streams
+    u0, cfg = collected
+    writer = TrajectoryWriter(tmp_path / "streamed")
+    writer.finish(evolve_streaming(u0, cfg, writer.add))
+    save_trajectory(tmp_path / "collected", evolve(u0, cfg))
+    names = sorted(p.name for p in (tmp_path / "streamed").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "collected").iterdir())
+    for name in names:
+        assert (tmp_path / "streamed" / name).read_bytes() == \
+            (tmp_path / "collected" / name).read_bytes(), name
+
+
+def test_collected_drift_equals_the_physical_drift():
+    grid = Grid(3, 16)
+    drift = evolve(random_divfree_field(grid, seed=1, k_hi=3.0, amplitude=0.3),
+                   SolverConfig(dt=0.01, T=0.1))
+    held = Trajectory(drift.grid, drift.times, list(drift.snapshots))
+    w0 = random_divfree_field(grid, seed=2, k_hi=3.0, amplitude=0.1)
+    cfg = SolverConfig(dt=0.004, T=0.1)  # stage times between and on the frames
+    run = evolve_perturbed(PerturbationProblem(w0=w0, drift=drift), cfg)
+    ref = evolve_perturbed(PerturbationProblem(w0=w0, drift=held), cfg)
+    assert run.times.tobytes() == ref.times.tobytes()
+    for a, b in zip(run.snapshots, ref.snapshots, strict=True):
+        assert a.data.tobytes() == b.data.tobytes()
+
+
+def test_collected_storage_is_not_sized_by_the_step_count():
+    # 10^12 steps asked for, one taken before the sup monitor trips
+    grid = Grid(3, 16)
+    u0 = random_divfree_field(grid, seed=4, k_hi=3.0, amplitude=0.5)
+    cfg = SolverConfig(dt=1e-12, T=1.0, blowup_sup_threshold=1e-6)
+    traj, _, peak = traced(lambda: evolve(u0, cfg))
+    assert traj.status == RESOLUTION_LIMIT and len(traj.snapshots) == 1
+    assert peak < 10 * u0.data.nbytes
