@@ -206,6 +206,24 @@ def band_table_of(snapshots, grid: Grid, p: float) -> tuple[np.ndarray, np.ndarr
     return np.arange(lo, hi + 1), np.array(eps).T
 
 
+def sampled_band_tables(grid: Grid, times: np.ndarray, sample, p: float):
+    """(levels, tables) with tables[k][j, i] = ||Delta_j F_k(t_i)||_{L^p} for
+    the parts (F_0, F_1, ...) that sample(t_i) returns, at strictly
+    increasing times: for each k, bit for bit, the band table of the
+    trajectory of the F_k.  sample is called once per time, in order, and
+    its parts are dropped once their band profiles are formed, so one
+    sample is in memory at a time."""
+    times = np.asarray(times, dtype=float)
+    if times.size < 2:
+        raise DomainError("space-time norms need at least 2 snapshots")
+    if not np.all(np.diff(times) > 0):
+        raise DomainError("snapshot times must be strictly increasing")
+    lo, hi = band_range(grid)
+    rows = [[_band_norms(forward_transform(part.data, grid), grid, p) for part in sample(t)]
+            for t in times.tolist()]
+    return np.arange(lo, hi + 1), [np.array(col).T for col in zip(*rows)]
+
+
 def edge_share(eps: np.ndarray, q: float) -> float:
     """The share of the l^q sum held by the largest weighted band when it sits
     at either end of the range, the low edge (e.g. heat-flow decay leaving only

@@ -16,6 +16,12 @@ on the EvolvedSystem.  The remainder equation's source G is summed on the
 dealias box as Leray-projected coefficients; its paraproduct piece is split
 off with one broadcast low-high sum, and part1 and G - part1 are the only
 inverse transforms.
+
+The bookkeeping is bounded in memory: every trajectory it derives makes its
+snapshots on read.  A remainder (`remainder`) and its frame rescaling
+(`scaling.apply_lambda_spacetime`, in `remainder_equation_residual`)
+recompute each snapshot when it is read, and the drift and source norms
+reduce each sample to its band profiles before the next is made.
 """
 
 from __future__ import annotations
@@ -41,18 +47,20 @@ from .grid import (
 from .lp import low_high, low_pass
 from .norms import (
     BesovIndex,
+    _cl_from_matrix,
     _trapezoid_weights,
     band_profile,
     besov_norm,
-    chemin_lerner_norm,
     critical_exponent,
     lebesgue_norm,
     power_sums,
+    sampled_band_tables,
 )
 from .scaling import (ScaleCore, ScaleCoreSequence, apply_lambda, apply_lambda_spacetime,
                       is_whole_cell_roll, orthogonality_check)
 from .solver import (
     DEALIAS_FRACTION,
+    DerivedSnapshots,
     SolverConfig,
     Trajectory,
     _div_flux_hat,
@@ -60,7 +68,6 @@ from .solver import (
     _self_product,
     dealias_box,
     evolve,
-    sample_trajectory,
 )
 
 
@@ -261,15 +268,22 @@ def superpose_evolution(ev: EvolvedSystem, sys: ProfileSystem, n: int,
 
 
 def remainder(u_n: Trajectory, ev: EvolvedSystem, sys: ProfileSystem, n: int) -> Trajectory:
-    """r(t) = u_n(t) - superposition(t) on the snapshot grid of u_n."""
+    """r(t) = u_n(t) - superposition(t) on the snapshot grid of u_n, up to
+    the first of its final time and the horizon tau_n.
+
+    The snapshots are made on read (`DerivedSnapshots`): snapshot i is
+    u_n.snapshots[i] - superpose_evolution(ev, sys, n, t_i), and each read
+    recomputes it, so a reduction over the remainder holds one snapshot
+    at a time.  Nothing is read when the remainder is made: an error of
+    the superposition (a profile's support leaving the box) surfaces at
+    the read, inside the norm that reads it.
+    """
     t_max = min(u_n.final_time, ev.tau(n))
-    times, snaps = [], []
-    for t, snap in zip(u_n.times, u_n.snapshots):
-        if t > t_max * (1 + 1e-9):
-            break
-        times.append(float(t))
-        snaps.append(snap - superpose_evolution(ev, sys, n, t))
-    return Trajectory(grid=u_n.grid, times=np.asarray(times), snapshots=snaps,
+    times = u_n.times[: np.count_nonzero(u_n.times <= t_max * (1 + 1e-9))]
+    snaps = u_n.snapshots
+    return Trajectory(grid=u_n.grid, times=times,
+                      snapshots=DerivedSnapshots(times.size, lambda i: (
+                          snaps[i] - superpose_evolution(ev, sys, n, times[i]))),
                       status=u_n.status, config_echo={"kind": "remainder", "n": n})
 
 
@@ -305,8 +319,8 @@ def drift_norm(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: floa
     grid = sys.grid
     sp = critical_exponent(p, grid.d)
     times = np.linspace(0.0, T0, n_samples)
-    traj = sample_trajectory(grid, times, lambda t: drift_term(ev, sys, n, t))
-    return chemin_lerner_norm(traj, p, BesovIndex(sp + 2.0 / p, p, p))
+    levels, (eps,) = sampled_band_tables(grid, times, lambda t: (drift_term(ev, sys, n, t),), p)
+    return _cl_from_matrix(times, levels, eps, p, BesovIndex(sp + 2.0 / p, p, p))
 
 
 def _source(parts: list, w: RealVectorField):
@@ -356,16 +370,18 @@ def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float):
 def source_norms(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: float,
                  n_samples: int = 7) -> dict:
     """Sum-space upper bound: part1 in L^{2p/(p+1)} B^{s_p-1+1/p}, part2 in
-    L^{p'} B^{s_p-2/p}; the F-norm bound is their sum."""
+    L^{p'} B^{s_p-2/p}; the F-norm bound is their sum.  One source_term per
+    sample time gives both parts' band profiles, and the parts are dropped
+    before the next time."""
     grid = sys.grid
     sp = critical_exponent(p, grid.d)
     pprime = p / (p - 1.0)
     times = np.linspace(0.0, T0, n_samples)
-    cache = {t: source_term(ev, sys, n, t) for t in times}
-    t1 = sample_trajectory(grid, times, lambda t: cache[t][0])
-    t2 = sample_trajectory(grid, times, lambda t: cache[t][1])
-    n1 = chemin_lerner_norm(t1, 2.0 * p / (p + 1.0), BesovIndex(sp - 1.0 + 1.0 / p, p, p))
-    n2 = chemin_lerner_norm(t2, pprime, BesovIndex(sp - 2.0 / p, p, p))
+    levels, (eps1, eps2) = sampled_band_tables(
+        grid, times, lambda t: source_term(ev, sys, n, t), p)
+    n1 = _cl_from_matrix(times, levels, eps1, 2.0 * p / (p + 1.0),
+                         BesovIndex(sp - 1.0 + 1.0 / p, p, p))
+    n2 = _cl_from_matrix(times, levels, eps2, pprime, BesovIndex(sp - 2.0 / p, p, p))
     return {"paraproduct_part": n1, "zeta_part": n2, "upper_bound": n1 + n2}
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, SupportOverflowError, UndersampledScaleError
 from .grid import RealVectorField, forward_transform
 from .norms import lebesgue_norm
-from .solver import Trajectory
+from .solver import DerivedSnapshots, Trajectory
 
 SUPPORT_AMPLITUDE_THRESHOLD = 1e-6
 # the level past which orthogonality_check's scale ratio or core separation
@@ -212,12 +212,18 @@ def apply_lambda(f: RealVectorField, sc: ScaleCore, off_grid_core: bool = False,
 
 
 def apply_lambda_spacetime(traj, sc: ScaleCore, **kw):
-    """Parabolic rescaling: (1/lam) U((x - x0)/lam, t/lam^2) as a new trajectory."""
-    snaps = [apply_lambda(s, sc, **kw) for s in traj.snapshots]
+    """Parabolic rescaling: (1/lam) U((x - x0)/lam, t/lam^2) as a new trajectory.
+
+    Its snapshots are made on read (`DerivedSnapshots`): snapshot i is
+    apply_lambda(traj.snapshots[i], sc, **kw), recomputed at each read, so
+    the rescaling holds one snapshot at a time, and an error of the map
+    (a support leaving the box) surfaces at the read.
+    """
+    snaps = traj.snapshots
     return Trajectory(
         grid=traj.grid,
         times=np.asarray(traj.times) * sc.lam**2,
-        snapshots=snaps,
+        snapshots=DerivedSnapshots(len(snaps), lambda i: apply_lambda(snaps[i], sc, **kw)),
         records={},
         status=traj.status,
         config_echo=dict(traj.config_echo),

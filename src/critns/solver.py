@@ -58,12 +58,14 @@ from .grid import (
 )
 from .norms import (
     BesovIndex,
+    _cl_from_matrix,
     band_table_of,
     besov_norm,
     chemin_lerner_norm,
     critical_exponent,
     e_norm,
     lebesgue_norm,
+    sampled_band_tables,
 )
 
 COMPLETED = "Completed"
@@ -133,8 +135,11 @@ class Trajectory:
     sequence is kept as given and hands out a new read-only snapshot on each
     read: `io.SnapshotFiles` (a loaded trajectory) reads the snapshot's file,
     `BoxSpectra` (a collected solver run) makes one pruned inverse transform
-    of the box coefficients it keeps.  A reader that needs a snapshot twice
-    keeps it (`_frame`, `profiles.ns_equation_residual`).
+    of the box coefficients it keeps, and `DerivedSnapshots` (a
+    `profiles.remainder` or a `scaling.apply_lambda_spacetime` rescaling)
+    recomputes the snapshot from the trajectory it is derived from.  A
+    reader that needs a snapshot twice keeps it (`_frame`,
+    `profiles.ns_equation_residual`).
     """
 
     grid: Grid
@@ -532,6 +537,26 @@ class BoxSpectra(Sequence):
         return RealVectorField(self.grid, data)
 
 
+class DerivedSnapshots(Sequence):
+    """Snapshots made when they are read: snapshot i is make(i), a new
+    read-only field kept by no one but the caller.  Nothing is kept between
+    reads, so each read recomputes the snapshot (one snapshot in memory
+    however many there are), and an error in making it surfaces at the
+    read."""
+
+    def __init__(self, count: int, make):
+        self._count = count
+        self._make = make
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i: int) -> RealVectorField:
+        snap = self._make(range(self._count)[i])
+        snap.data.flags.writeable = False
+        return snap
+
+
 def _collected(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
                source) -> Trajectory:
     """_integrate with every snapshot kept as its box coefficients
@@ -655,14 +680,13 @@ def verify_perturbation_bound(prob: PerturbationProblem, cfg: SolverConfig,
     force_norm = 0.0
     g1, g2 = prob.force_parts
     if g1 is not None:
-        t1 = sample_trajectory(grid, sample_times, g1)
-        force_norm += chemin_lerner_norm(
-            t1, 2.0 * p / (p + 1.0), BesovIndex(sp - 1.0 + 1.0 / p, p, p)
-        )
+        levels, (eps,) = sampled_band_tables(grid, sample_times, lambda t: (g1(t),), p)
+        force_norm += _cl_from_matrix(sample_times, levels, eps, 2.0 * p / (p + 1.0),
+                                      BesovIndex(sp - 1.0 + 1.0 / p, p, p))
     if g2 is not None:
-        pprime = p / (p - 1.0)
-        t2 = sample_trajectory(grid, sample_times, g2)
-        force_norm += chemin_lerner_norm(t2, pprime, BesovIndex(sp - 2.0 / p, p, p))
+        levels, (eps,) = sampled_band_tables(grid, sample_times, lambda t: (g2(t),), p)
+        force_norm += _cl_from_matrix(sample_times, levels, eps, p / (p - 1.0),
+                                      BesovIndex(sp - 2.0 / p, p, p))
 
     drift_norm = 0.0
     if prob.drift is not None:

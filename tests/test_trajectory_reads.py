@@ -3,28 +3,38 @@ The reductions of a loaded one hold a few snapshots whatever the count and
 give the in-memory norms bit for bit, a drift is read about once per
 snapshot, and a snapshot file that changes after loading is a JSON error.  A
 collected solver run holds its box coefficients, about 30% of its
-snapshots' bytes, and hands out the snapshots the step took, bit for bit."""
+snapshots' bytes, and hands out the snapshots the step took, bit for bit.
+The trajectories the profile bookkeeping derives (a remainder, its frame
+rescaling) make each snapshot when it is read, and the drift, source and
+force norms reduce each sample to its band profiles before the next."""
 
 import json
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from critns import Grid, cli
+from critns import Grid, cli, profiles
 from critns import io as critns_io
 from critns.criticality import make_test_battery, sup_critical_norm, weak_convergence_probe
+from critns.errors import DomainError, SupportOverflowError
 from critns.fields import (gaussian_bump, localized_divfree_bump, random_divfree_field,
                            taylor_green)
 from critns.io import TrajectoryWriter, load_trajectory, save_trajectory, write_field
-from critns.norms import (band_profile, e_norm, heat_besov_spacetime_norm, lebesgue_norm,
-                          serrin_norm)
-from critns.profiles import ns_equation_residual, pairing_table
+from critns.norms import (BesovIndex, band_profile, chemin_lerner_norm, critical_exponent,
+                          e_norm, heat_besov_spacetime_norm, lebesgue_norm,
+                          sampled_band_tables, serrin_norm)
+from critns.profiles import (drift_norm, drift_term, evolve_system, ns_equation_residual,
+                             pairing_table, remainder, source_norms, source_term,
+                             superpose_evolution, synthesize_datum)
 from critns.solver import (RESOLUTION_LIMIT, PerturbationProblem, SolverConfig, Trajectory,
-                           evolve, evolve_perturbed, evolve_streaming, make_heat_trajectory)
+                           evolve, evolve_perturbed, evolve_streaming, make_heat_trajectory,
+                           sample_trajectory, verify_perturbation_bound)
 
 from conftest import traced
+from test_profiles import _two_profile_system
 
 
 @pytest.fixture(scope="module")
@@ -239,3 +249,174 @@ def test_collected_storage_is_not_sized_by_the_step_count():
     traj, _, peak = traced(lambda: evolve(u0, cfg))
     assert traj.status == RESOLUTION_LIMIT and len(traj.snapshots) == 1
     assert peak < 10 * u0.data.nbytes
+
+
+@pytest.fixture(scope="module")
+def superposed():
+    """The two-profile system at 32^3 evolved for index 1 (unit scales, so
+    the profile runs share the datum's frames), and the 11-snapshot run of
+    its datum."""
+    sys_ = _two_profile_system(Grid(3, 32))
+    cfg = SolverConfig(dt=2e-3, T=0.08, snapshot_stride=4)
+    ev = evolve_system(sys_, cfg, [1])
+    return sys_, cfg, ev, evolve(synthesize_datum(sys_, 1), cfg)
+
+
+def eager_remainder(u_n, ev, sys_, n):
+    """Reference oracle: the remainder with every snapshot made up front."""
+    t_max = min(u_n.final_time, ev.tau(n))
+    times, snaps = [], []
+    for t, snap in zip(u_n.times, u_n.snapshots):
+        if t > t_max * (1 + 1e-9):
+            break
+        times.append(float(t))
+        snaps.append(snap - superpose_evolution(ev, sys_, n, t))
+    return Trajectory(grid=u_n.grid, times=np.asarray(times), snapshots=snaps,
+                      status=u_n.status, config_echo={"kind": "remainder", "n": n})
+
+
+def test_remainder_reads_equal_the_eager_formula(superposed):
+    sys_, cfg, ev, u = superposed
+    # a first profile with lifespan 0.03 ends the remainder at tau_1 = 0.03
+    short = replace(ev, lifespans=[0.03, float("inf")], ordering=replace(ev.ordering, finite=[0]))
+    for evolved, count in ((ev, 11), (short, 4)):
+        lazy, ref = remainder(u, evolved, sys_, 1), eager_remainder(u, evolved, sys_, 1)
+        assert len(lazy.snapshots) == count
+        assert lazy.times.tobytes() == ref.times.tobytes()
+        assert (lazy.status, lazy.config_echo) == (ref.status, ref.config_echo)
+        for i in (*range(count), -1):
+            snap = lazy.snapshots[i]
+            assert not snap.data.flags.writeable
+            assert snap.data.tobytes() == ref.snapshots[i].data.tobytes()
+        with pytest.raises(IndexError):
+            lazy.snapshots[count]
+    assert e_norm(remainder(u, ev, sys_, 1), 4, 4, cfg.T) == \
+        e_norm(eager_remainder(u, ev, sys_, 1), 4, 4, cfg.T)
+
+
+def test_remainder_reads_nothing_until_its_norm(superposed, box_reads):
+    # making a remainder reads no snapshot; its e_norm reads each snapshot of
+    # u_n once (the profile runs' frames are read through their windows)
+    sys_, cfg, ev, u = superposed
+    r = remainder(u, ev, sys_, 1)
+    assert box_reads == []
+    e_norm(r, 4, 4, cfg.T)
+    assert [i for seq, i in box_reads if seq is u.snapshots] == list(range(11))
+
+
+def test_remainder_norm_holds_under_three_snapshots(superposed):
+    # the eager remainder held its 11 snapshots (11.0 snapshots' bytes beyond
+    # the profile runs' frame windows); the on-read one holds its band table
+    sys_, cfg, ev, u = superposed
+    snapshot = u.snapshots[0].data.nbytes
+
+    def reduce():
+        r = remainder(u, ev, sys_, 1)
+        return r, e_norm(r, 4, 4, cfg.T)
+
+    reduce()  # the symbols and tables every equal grid shares
+    _, held, peak = traced(reduce)
+    windows = sum(f.data.nbytes for traj in ev.trajectories for f in traj._frames.values())
+    assert held - windows < 3 * snapshot
+    assert peak < 15 * snapshot
+
+
+def test_source_norms_equal_the_two_trajectory_form(superposed):
+    sys_, cfg, ev, _ = superposed
+    p, T0, n_samples = 4.0, cfg.T, 5
+    snapshot = sys_.profiles[0][0].data.nbytes
+
+    def two_trajectory_form():
+        # every sample's two parts kept, then one sampled trajectory per part
+        sp = critical_exponent(p, 3)
+        times = np.linspace(0.0, T0, n_samples)
+        cache = {t: source_term(ev, sys_, 1, t) for t in times}
+        t1 = sample_trajectory(sys_.grid, times, lambda t: cache[t][0])
+        t2 = sample_trajectory(sys_.grid, times, lambda t: cache[t][1])
+        n1 = chemin_lerner_norm(t1, 2.0 * p / (p + 1.0), BesovIndex(sp - 1.0 + 1.0 / p, p, p))
+        n2 = chemin_lerner_norm(t2, p / (p - 1.0), BesovIndex(sp - 2.0 / p, p, p))
+        return {"paraproduct_part": n1, "zeta_part": n2, "upper_bound": n1 + n2}
+
+    ref, _, ref_peak = traced(two_trajectory_form)
+    out, _, peak = traced(lambda: source_norms(ev, sys_, 1, T0, p, n_samples=n_samples))
+    assert out == ref
+    # the two-trajectory form peaks with all 2 x 5 parts alive
+    assert peak < ref_peak - 5 * snapshot
+
+
+def test_drift_norm_equals_the_sampled_trajectory_form(superposed):
+    sys_, cfg, ev, _ = superposed
+    p = 4.0
+    times = np.linspace(0.0, cfg.T, 5)
+    traj = sample_trajectory(sys_.grid, times, lambda t: drift_term(ev, sys_, 1, t))
+    ref = chemin_lerner_norm(traj, p, BesovIndex(critical_exponent(p, 3) + 2.0 / p, p, p))
+    assert drift_norm(ev, sys_, 1, cfg.T, p, n_samples=5) == ref
+
+
+def test_sampled_band_tables_need_increasing_times():
+    grid = Grid(2, 16)
+    f = taylor_green(grid)
+    with pytest.raises(DomainError, match="at least 2"):
+        sampled_band_tables(grid, [0.0], lambda t: (f,), 3.0)
+    with pytest.raises(DomainError, match="strictly increasing"):
+        sampled_band_tables(grid, [0.0, 0.0, 0.0], lambda t: (f,), 3.0)
+
+
+def test_force_norm_holds_one_sample_per_part():
+    # each part's force sample is freed before the part is asked for the
+    # next, and the force norm is the sampled-trajectory one bit for bit
+    grid = Grid(3, 16)
+    w0 = random_divfree_field(grid, seed=2, k_hi=3.0, amplitude=0.1)
+    base = random_divfree_field(grid, seed=6, k_hi=3.0, amplitude=0.2)
+
+    def part(scale):
+        alive = []
+
+        def g(t):
+            assert all(ref() is None for ref in alive), "an earlier force sample is alive"
+            f = base * (scale * (1.0 + t))
+            alive.append(weakref.ref(f))
+            return f
+        return g
+
+    cfg, p = SolverConfig(dt=5e-3, T=0.05), 4.0
+    prob = PerturbationProblem(w0=w0, force_parts=(part(1.0), part(0.5)))
+    rep = verify_perturbation_bound(prob, cfg, p)
+    sp = critical_exponent(p, 3)
+    times = np.linspace(0.0, cfg.T, 11)
+    ref = chemin_lerner_norm(sample_trajectory(grid, times, lambda t: base * (1.0 + t)),
+                             2.0 * p / (p + 1.0), BesovIndex(sp - 1.0 + 1.0 / p, p, p))
+    ref += chemin_lerner_norm(sample_trajectory(grid, times, lambda t: base * (0.5 * (1.0 + t))),
+                              p / (p - 1.0), BesovIndex(sp - 2.0 / p, p, p))
+    assert rep.force_norm == ref
+
+
+def test_superposition_error_at_a_read_json_error(tmp_path, monkeypatch, capsys):
+    # remainder() reads nothing, so a profile leaving the box surfaces inside
+    # e_norm, at the read that makes the superposition: still one JSON line
+    real_superpose, real_remainder = profiles.superpose_evolution, cli.remainder
+    calls, made = [], []
+
+    def overflow_at_second_read(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise SupportOverflowError("profile 0: rescaled support exits the box")
+        return real_superpose(*args)
+
+    monkeypatch.setattr(profiles, "superpose_evolution", overflow_at_second_read)
+    monkeypatch.setattr(cli, "remainder", lambda *args: made.append(real_remainder(*args))
+                        or made[-1])
+    doc = {"grid": {"d": 2, "N": 16},
+           "profiles": [{"field": {"generator": {"type": "taylor_green"}},
+                         "scale_cores": [{"lambda": 1, "x0": [0, 0]}] * 3}],
+           "n_values": [0], "solver": {"dt": 0.01, "T": 0.02}, "p": 3}
+    (tmp_path / "c.json").write_text(json.dumps(doc))
+    code = cli.main(["superpose", "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert len(made) == 1 and len(calls) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "SupportOverflowError",
+                                    "message": "profile 0: rescaled support exits the box"}
+    assert not (tmp_path / "out" / "trend.json").exists()
