@@ -18,9 +18,9 @@ and holds one snapshot at a time; `save_trajectory` writes a whole
 
 `load_trajectory` checks the manifest and every snapshot file's header and
 size, and reads no payload: the `Trajectory` it returns holds a
-`SnapshotFiles` sequence, which reads snap_<i>.cfd each time snapshot i is
-indexed or iterated, so a reader holds the snapshots it is working on and
-no others.
+`solver.DerivedSnapshots` sequence that reads snap_<i>.cfd each time
+snapshot i is indexed or iterated, so a reader holds the snapshots it is
+working on and no others.
 """
 
 from __future__ import annotations
@@ -28,14 +28,13 @@ from __future__ import annotations
 import json
 import os
 import sys
-from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigValidationError, DomainError, InvalidFieldError
 from .grid import Grid, RealVectorField
-from .solver import Trajectory
+from .solver import DerivedSnapshots, Trajectory
 
 CFD1_MAGIC = "CFD1"
 
@@ -149,30 +148,15 @@ def save_trajectory(dirpath, traj) -> None:
     writer.finish(traj)
 
 
-class SnapshotFiles(Sequence):
-    """The snapshots of a loaded trajectory, each read from its file when it
-    is indexed or iterated, read-only and on the trajectory's grid, and kept
-    by no one but the caller.
-
-    A file that no longer holds the field its header gave at load raises
-    `InvalidFieldError`; one that is gone, `FileNotFoundError`.
-    """
-
-    def __init__(self, grid: Grid, paths, ncomps):
-        self.grid = grid
-        self._files = tuple(zip(paths, ncomps))
-
-    def __len__(self) -> int:
-        return len(self._files)
-
-    def __getitem__(self, i: int) -> RealVectorField:
-        path, ncomp = self._files[i]
-        snap = read_field(path)
-        if not (self.grid.compatible(snap.grid) and snap.ncomp == ncomp):
-            raise InvalidFieldError(f"{path}: changed after its trajectory was loaded")
-        snap.data.flags.writeable = False
-        # one Grid for all snapshots, so the spectral arrays it caches are built once
-        return RealVectorField(self.grid, snap.data)
+def _read_snapshot(path, grid: Grid, ncomp: int) -> RealVectorField:
+    """The field in path, on grid (one Grid for all snapshots of a loaded
+    trajectory, so the spectral arrays it caches are built once).  A file
+    that no longer holds the field its header gave at load raises
+    `InvalidFieldError`; one that is gone, `FileNotFoundError`."""
+    snap = read_field(path)
+    if not (grid.compatible(snap.grid) and snap.ncomp == ncomp):
+        raise InvalidFieldError(f"{path}: changed after its trajectory was loaded")
+    return RealVectorField(grid, snap.data)
 
 
 def _numbers(value) -> bool:
@@ -206,10 +190,12 @@ def load_trajectory(dirpath):
     for name, (other, _) in zip(names, headers):
         if not grid.compatible(other):
             raise InvalidFieldError(f"{dirpath}: {name} is on another grid")
+    ncomps = [ncomp for _, ncomp in headers]
     return Trajectory(
         grid=grid,
         times=np.asarray(times, dtype=float),
-        snapshots=SnapshotFiles(grid, paths, [ncomp for _, ncomp in headers]),
+        snapshots=DerivedSnapshots(len(paths),
+                                   lambda i: _read_snapshot(paths[i], grid, ncomps[i])),
         records={k: np.asarray(v, dtype=float) for k, v in records.items()},
         status=status,
         config_echo=manifest.get("config", {}),

@@ -46,6 +46,7 @@ from .grid import (
 )
 from .lp import low_high, low_pass
 from .norms import (
+    INF,
     BesovIndex,
     _cl_from_matrix,
     _trapezoid_weights,
@@ -239,8 +240,9 @@ def evolve_system(sys: ProfileSystem, cfg: SolverConfig, n_window) -> EvolvedSys
         # snapshot every step: superposition lookups at t/lambda^2 then hit
         # recorded frames exactly for dyadic lambda^2, avoiding interpolation
         # error in the remainder.  The run keeps each frame as its dealias-box
-        # coefficients (solver.BoxSpectra, 30% of a frame's bytes), so every
-        # lookup is one pruned inverse transform, bitwise the stepped frame.
+        # coefficients (30% of a frame's bytes) and makes it on read
+        # (solver.DerivedSnapshots), so every lookup is one pruned inverse
+        # transform, bitwise the stepped frame.
         cfg_j = replace(cfg, T=cfg.T * scale, dt=cfg.dt * scale, snapshot_stride=1)
         traj = evolve(phi, cfg_j)
         trajectories.append(traj)
@@ -375,7 +377,7 @@ def source_norms(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: fl
     before the next time."""
     grid = sys.grid
     sp = critical_exponent(p, grid.d)
-    pprime = p / (p - 1.0)
+    pprime = INF if p == 1 else p / (p - 1.0)  # the conjugate exponent
     times = np.linspace(0.0, T0, n_samples)
     levels, (eps1, eps2) = sampled_band_tables(
         grid, times, lambda t: source_term(ev, sys, n, t), p)

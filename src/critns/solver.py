@@ -23,12 +23,13 @@ right-hand side and the profile sources all go through it.
 
 There is one stepping loop, `_integrate`, which hands each snapshot to a
 consumer the step it is taken, with the box coefficients it is the inverse
-transform of.  `evolve` and `evolve_perturbed` collect the coefficients into
-a read-only `Trajectory` (`BoxSpectra`: 30% of the snapshots' bytes at the
-2/3 rule, one pruned inverse per read, bitwise the snapshot the step took);
-`evolve_streaming` passes the snapshots on (`cli evolve` writes each to disk
-and drops it, so it holds one at a time) and returns the rest of the run as
-a `RunLog`.
+transform of.  `evolve` and `evolve_perturbed` keep a copy of the
+coefficients per snapshot (30% of the snapshots' bytes at the 2/3 rule) and
+return a read-only `Trajectory` whose snapshots are made on read
+(`DerivedSnapshots`): one pruned inverse per read, bitwise the snapshot the
+step took.  `evolve_streaming` passes the snapshots on (`cli evolve` writes
+each to disk and drops it, so it holds one at a time) and returns the rest
+of the run as a `RunLog`.
 
 A run aborts with status "ResolutionLimit" on the first step where the
 sup-norm or the top-octave spectral energy fraction exceeds its threshold
@@ -57,6 +58,7 @@ from .grid import (
     _leray_coefficients,
 )
 from .norms import (
+    INF,
     BesovIndex,
     _cl_from_matrix,
     band_table_of,
@@ -124,22 +126,43 @@ def trip_reason(values, cfg: SolverConfig) -> str | None:
     return None
 
 
+class DerivedSnapshots(Sequence):
+    """Snapshots made when they are read: snapshot i is make(i), a new
+    read-only field kept by no one but the caller.  Nothing is kept between
+    reads, so each read remakes the snapshot (reads its file, inverts its
+    box coefficients or recomputes it from the trajectory it is derived
+    from), a reduction holds one snapshot however many there are, and an
+    error in making it surfaces at the read."""
+
+    def __init__(self, count: int, make):
+        self._count = count
+        self._make = make
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i: int) -> RealVectorField:
+        snap = self._make(range(self._count)[i])
+        snap.data.flags.writeable = False
+        return snap
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Time-indexed snapshots with per-step norm records.
 
     Read-only: the fields cannot be reassigned and every snapshot array is
     non-writeable, so quantities derived from the snapshots (`band_table`,
-    `lebesgue_column`) can be kept on it.  Snapshots given as a list or tuple
-    are held in memory as a tuple, and a read costs nothing.  Any other
-    sequence is kept as given and hands out a new read-only snapshot on each
-    read: `io.SnapshotFiles` (a loaded trajectory) reads the snapshot's file,
-    `BoxSpectra` (a collected solver run) makes one pruned inverse transform
-    of the box coefficients it keeps, and `DerivedSnapshots` (a
-    `profiles.remainder` or a `scaling.apply_lambda_spacetime` rescaling)
-    recomputes the snapshot from the trajectory it is derived from.  A
-    reader that needs a snapshot twice keeps it (`_frame`,
-    `profiles.ns_equation_residual`).
+    `lebesgue_column`) can be kept on it.  Snapshots given as a
+    `DerivedSnapshots` are kept as given, and each read makes a new
+    read-only snapshot: `io.load_trajectory` reads the snapshot's file, a
+    collected solver run (`evolve`, `evolve_perturbed`) makes one pruned
+    inverse transform of the box coefficients it keeps, and a
+    `profiles.remainder` or a `scaling.apply_lambda_spacetime` rescaling
+    recomputes the snapshot from the trajectory it is derived from.  Any
+    other snapshots are held in memory as a read-only tuple, and a read
+    costs nothing.  A reader that needs a snapshot twice keeps it
+    (`_frame`, `profiles.ns_equation_residual`).
     """
 
     grid: Grid
@@ -151,7 +174,7 @@ class Trajectory:
 
     def __post_init__(self):
         object.__setattr__(self, "times", np.asarray(self.times, dtype=float))
-        if not isinstance(self.snapshots, Sequence) or isinstance(self.snapshots, (list, tuple)):
+        if not isinstance(self.snapshots, DerivedSnapshots):
             object.__setattr__(self, "snapshots", tuple(self.snapshots))
             for snap in self.snapshots:
                 snap.data.flags.writeable = False
@@ -412,7 +435,7 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     take(snapshot, uh) the step it is taken, with the box coefficients it
     is the inverse transform of; the loop keeps no reference to the
     snapshot and overwrites uh in place on the next step, so a consumer
-    keeps what it copies (`BoxSpectra`) or writes out (`cli evolve`) and
+    keeps what it copies (`_collected`) or writes out (`cli evolve`) and
     holds one snapshot at a time however many the run records.
     """
     grid = u0.grid
@@ -489,83 +512,23 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     )
 
 
-class BoxSpectra(Sequence):
-    """The snapshots of a collected solver run, held as the box coefficients
-    uh the step had when it took each one: snapshot i is
-    inverse_transform(uh_i, grid, extent), the call the step made, so it is
-    bitwise the snapshot the step handed out, at the cost of one pruned
-    inverse per read.  At the 2/3 rule the box holds about 30% of a
-    snapshot's bytes.
-
-    The coefficients share one array, grown in place (realloc) by half its
-    length when full, and trimmed to the snapshots taken and made read-only
-    by `close`, so the store is sized by the snapshots a run takes, never by
-    its step count.  No view of the array outlives a method call, which is
-    what lets `resize` skip its reference check.  Each indexed snapshot is a
-    new read-only field kept by no one but the caller.
-    """
-
-    def __init__(self, grid: Grid, extent: int):
-        self.grid = grid
-        self.extent = extent
-        self._coeff = None
-        self._count = 0
-
-    def append(self, uh: np.ndarray) -> None:
-        if self._coeff is None:
-            self._coeff = np.empty((1,) + uh.shape, uh.dtype)
-        elif self._count == len(self._coeff):
-            self._grow(self._count + (self._count + 1) // 2)
-        self._coeff[self._count] = uh
-        self._count += 1
-
-    def _grow(self, length: int) -> None:
-        self._coeff.resize((length,) + self._coeff.shape[1:], refcheck=False)
-
-    def close(self) -> None:
-        """Trim the store to the snapshots taken and make it read-only."""
-        if self._coeff is not None:
-            self._grow(self._count)
-            self._coeff.flags.writeable = False
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, i: int) -> RealVectorField:
-        data = inverse_transform(self._coeff[range(self._count)[i]], self.grid, self.extent)
-        data.flags.writeable = False
-        return RealVectorField(self.grid, data)
-
-
-class DerivedSnapshots(Sequence):
-    """Snapshots made when they are read: snapshot i is make(i), a new
-    read-only field kept by no one but the caller.  Nothing is kept between
-    reads, so each read recomputes the snapshot (one snapshot in memory
-    however many there are), and an error in making it surfaces at the
-    read."""
-
-    def __init__(self, count: int, make):
-        self._count = count
-        self._make = make
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, i: int) -> RealVectorField:
-        snap = self._make(range(self._count)[i])
-        snap.data.flags.writeable = False
-        return snap
-
-
 def _collected(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
                source) -> Trajectory:
-    """_integrate with every snapshot kept as its box coefficients
-    (`BoxSpectra`), as a read-only Trajectory."""
-    snaps = BoxSpectra(u0.grid, dealias_box(u0.grid, cfg.dealias_fraction).extent)
-    run = _integrate(u0, cfg, drift, source, lambda snap, coeff: snaps.append(coeff))
-    snaps.close()
-    return Trajectory(grid=run.grid, times=run.times, snapshots=snaps, records=run.records,
-                      status=run.status, config_echo=run.config_echo)
+    """_integrate with every snapshot kept as a read-only copy of its box
+    coefficients, as a read-only Trajectory whose snapshot i is their
+    inverse transform, the call the step made."""
+    grid, extent = u0.grid, dealias_box(u0.grid, cfg.dealias_fraction).extent
+    coeffs = []
+
+    def keep(snap, uh):
+        coeffs.append(uh.copy())
+        coeffs[-1].flags.writeable = False
+
+    run = _integrate(u0, cfg, drift, source, keep)
+    return Trajectory(grid=grid, times=run.times,
+                      snapshots=DerivedSnapshots(len(coeffs), lambda i: RealVectorField(
+                          grid, inverse_transform(coeffs[i], grid, extent))),
+                      records=run.records, status=run.status, config_echo=run.config_echo)
 
 
 def condition_datum(f: RealVectorField) -> RealVectorField:
@@ -685,7 +648,8 @@ def verify_perturbation_bound(prob: PerturbationProblem, cfg: SolverConfig,
                                       BesovIndex(sp - 1.0 + 1.0 / p, p, p))
     if g2 is not None:
         levels, (eps,) = sampled_band_tables(grid, sample_times, lambda t: (g2(t),), p)
-        force_norm += _cl_from_matrix(sample_times, levels, eps, p / (p - 1.0),
+        pprime = INF if p == 1 else p / (p - 1.0)  # the conjugate exponent
+        force_norm += _cl_from_matrix(sample_times, levels, eps, pprime,
                                       BesovIndex(sp - 2.0 / p, p, p))
 
     drift_norm = 0.0

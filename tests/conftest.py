@@ -7,7 +7,7 @@ import scipy.fft
 from critns import Grid
 from critns.grid import RealVectorField, _leray_coefficients, forward_transform, inverse_transform
 from critns.norms import _trapezoid_weights
-from critns.solver import DEALIAS_FRACTION, BoxSpectra, Trajectory, dealias_box
+from critns.solver import DEALIAS_FRACTION, DerivedSnapshots, Trajectory, dealias_box
 
 
 @pytest.fixture
@@ -174,15 +174,16 @@ def traced(fn):
 
 
 @pytest.fixture
-def box_reads(monkeypatch):
-    """(sequence, index) of every snapshot read from a collected solver run
-    (`BoxSpectra.__getitem__`, iteration included) from now on, in order."""
-    reads, real = [], BoxSpectra.__getitem__
+def snapshot_reads(monkeypatch):
+    """(sequence, index) of every snapshot read from an on-read sequence
+    (`DerivedSnapshots.__getitem__`, iteration included) from now on, in
+    order."""
+    reads, real = [], DerivedSnapshots.__getitem__
 
     def counted(self, i):
         snap = real(self, i)
         reads.append((self, i))
         return snap
 
-    monkeypatch.setattr(BoxSpectra, "__getitem__", counted)
+    monkeypatch.setattr(DerivedSnapshots, "__getitem__", counted)
     return reads

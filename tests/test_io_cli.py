@@ -849,6 +849,16 @@ class TestCLI:
         assert error["error"] == "ConfigValidationError"
         assert "manifest.json" in error["message"]
 
+    def test_perturb_at_p_1(self, workdir, capsys):
+        # the second force part is measured in L^{p'} with p' = p/(p-1) = inf at p = 1
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16}, "w0": TG, "solver": SOLVER, "p": 1,
+            "force_part2": TG})
+        assert cli.main(["perturb", "--config", cfg, "--out", str(workdir / "out")]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads((workdir / "out" / "perturb.json").read_text())
+        assert doc["p"] == 1 and 0 < doc["force_norm"] < float("inf")
+
     def test_missing_file_exit_1(self, workdir):
         res = run_cli(["norm", "--config", str(workdir / "nope.json"),
                        "--out", str(workdir / "out")])

@@ -1,4 +1,5 @@
-"""Source guards: every FFT the package runs is made in grid.py."""
+"""Source guards: every FFT the package runs is made in grid.py, and every
+on-read snapshot sequence is one class."""
 
 import ast
 from pathlib import Path
@@ -11,9 +12,8 @@ FFT_MODULES = ("scipy.fft", "numpy.fft")
 ALLOWED = {("cli.py", "scipy.fft.set_workers")}
 
 
-def fft_calls(tree):
-    """Sorted (line, dotted name) of the calls in tree that resolve into
-    scipy.fft or numpy.fft, import aliases followed."""
+def _aliases(tree) -> dict:
+    """Each name an import in tree binds, mapped to the dotted name it stands for."""
     alias = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -24,19 +24,42 @@ def fft_calls(tree):
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
             for a in node.names:
                 alias[a.asname or a.name] = f"{node.module}.{a.name}"
+    return alias
+
+
+def _resolved(node, alias) -> str | None:
+    """The dotted name an expression like a.b.c stands for, or None when its
+    root is no imported name."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in alias:
+        return ".".join([alias[node.id], *reversed(parts)])
+    return None
+
+
+def fft_calls(tree):
+    """Sorted (line, dotted name) of the calls in tree that resolve into
+    scipy.fft or numpy.fft, import aliases followed."""
+    alias = _aliases(tree)
     found = []
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        parts, func = [], node.func
-        while isinstance(func, ast.Attribute):
-            parts.append(func.attr)
-            func = func.value
-        if isinstance(func, ast.Name) and func.id in alias:
-            name = ".".join([alias[func.id], *reversed(parts)])
-            if any(name == m or name.startswith(m + ".") for m in FFT_MODULES):
-                found.append((node.lineno, name))
+        name = _resolved(node.func, alias)
+        if name and any(name == m or name.startswith(m + ".") for m in FFT_MODULES):
+            found.append((node.lineno, name))
     return sorted(found)
+
+
+def sequence_classes(tree):
+    """Names of the classes in tree with collections.abc.Sequence (or
+    typing.Sequence) as a base, import aliases followed."""
+    alias = _aliases(tree)
+    return [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            and any(_resolved(base, alias) in ("collections.abc.Sequence", "typing.Sequence")
+                    for base in node.bases)]
 
 
 def test_ffts_only_in_grid():
@@ -54,10 +77,16 @@ def test_guard_follows_every_import_form():
         "from scipy.fft import rfftn as r", "from .grid import irfft",
         "np.fft.fft(x)", "scipy.fft.irfftn(x)", "fft.ifft(x)", "r(x)",
         "np.sum(x)", "irfft(x)", "scipy.linalg.norm(x)",
+        "import collections.abc", "import collections.abc as cabc",
+        "from collections.abc import Sequence as S", "from typing import Sequence",
+        "class A(collections.abc.Sequence): pass", "class B(cabc.Sequence): pass",
+        "class C(S): pass", "class D(Sequence): pass", "class E(list): pass",
+        "class F(cabc.Mapping): pass",
     ])
     assert fft_calls(ast.parse(src)) == [
         (6, "numpy.fft.fft"), (7, "scipy.fft.irfftn"), (8, "scipy.fft.ifft"),
         (9, "scipy.fft.rfftn")]
+    assert sequence_classes(ast.parse(src)) == ["A", "B", "C", "D"]
 
 
 def test_no_store_into_another_objects_attribute():
@@ -78,3 +107,11 @@ def test_one_in_place_fft_call():
              if isinstance(node, ast.Call)
              and any(kw.arg == "overwrite_x" for kw in node.keywords)]
     assert len(calls) == 1, calls
+
+
+def test_one_on_read_sequence():
+    # a loaded file, kept box coefficients and a derived snapshot are each a
+    # make(i) of solver.DerivedSnapshots, not a sequence class of their own
+    classes = [(path.name, name) for path in SRC.glob("*.py")
+               for name in sequence_classes(ast.parse(path.read_text()))]
+    assert classes == [("solver.py", "DerivedSnapshots")]

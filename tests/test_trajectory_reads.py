@@ -1,12 +1,14 @@
-"""Loaded and collected solver trajectories read their snapshots on demand.
-The reductions of a loaded one hold a few snapshots whatever the count and
-give the in-memory norms bit for bit, a drift is read about once per
-snapshot, and a snapshot file that changes after loading is a JSON error.  A
-collected solver run holds its box coefficients, about 30% of its
+"""Every trajectory not held as a tuple reads its snapshots on demand
+through one sequence, `solver.DerivedSnapshots`, whose make(i) reads a file
+(a loaded trajectory), inverts kept box coefficients (a collected solver
+run) or recomputes a derived snapshot (a remainder, its frame rescaling).
+The reductions of a loaded trajectory hold a few snapshots whatever the
+count and give the in-memory norms bit for bit, a drift is read about once
+per snapshot, and a snapshot file that changes after loading is a JSON
+error.  A collected solver run holds its box coefficients, about 30% of its
 snapshots' bytes, and hands out the snapshots the step took, bit for bit.
-The trajectories the profile bookkeeping derives (a remainder, its frame
-rescaling) make each snapshot when it is read, and the drift, source and
-force norms reduce each sample to its band profiles before the next."""
+A derived snapshot is made when it is read, and the drift, source and force
+norms reduce each sample to its band profiles before the next."""
 
 import json
 import warnings
@@ -294,14 +296,14 @@ def test_remainder_reads_equal_the_eager_formula(superposed):
         e_norm(eager_remainder(u, ev, sys_, 1), 4, 4, cfg.T)
 
 
-def test_remainder_reads_nothing_until_its_norm(superposed, box_reads):
+def test_remainder_reads_nothing_until_its_norm(superposed, snapshot_reads):
     # making a remainder reads no snapshot; its e_norm reads each snapshot of
     # u_n once (the profile runs' frames are read through their windows)
     sys_, cfg, ev, u = superposed
     r = remainder(u, ev, sys_, 1)
-    assert box_reads == []
+    assert snapshot_reads == []
     e_norm(r, 4, 4, cfg.T)
-    assert [i for seq, i in box_reads if seq is u.snapshots] == list(range(11))
+    assert [i for seq, i in snapshot_reads if seq is u.snapshots] == list(range(11))
 
 
 def test_remainder_norm_holds_under_three_snapshots(superposed):
