@@ -193,8 +193,10 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
         traj = evolve(fam.member(alpha), cfg)
         reason = _trip_reason(traj, cfg)
         tripped = reason is not None
+        # a run that goes non-finite at t = 0 takes no snapshot and ends there
+        final_time = traj.final_time if traj.times.size else 0.0
         probes.append({"alpha": alpha, "status": traj.status,
-                       "final_time": traj.final_time, "margin": _margin(traj, cfg),
+                       "final_time": final_time, "margin": _margin(traj, cfg),
                        "trip_reason": reason})
         if not tripped:
             last_completing_traj = traj

@@ -26,11 +26,11 @@ every mode a truncation mask keeps, stored as a dense array of its own; it
 carries the Grid's spectral attributes restricted to the box, so spectral
 arithmetic (`_leray_coefficients`) reads either one.  One gather and one
 scatter, slab copies over the cached `_box_slabs`, serve both transforms and
-the box.  Every memo is kept by the code that builds it: the grid's own
-spectral arrays are cached properties, and the symbol builders of other
-modules are `functools.cache`d on the frozen, hashable Grid.  `_box_slabs`
-is keyed on (d, N, M) instead: its slices do not depend on L, so grids that
-differ only in L share them.
+the box, and only the inverse transform scatters.  Every memo is kept by the
+code that builds it: the grid's own spectral arrays are cached properties,
+and the symbol builders of other modules are `functools.cache`d on the
+frozen, hashable Grid.  `_box_slabs` is keyed on (d, N, M) instead: its
+slices do not depend on L, so grids that differ only in L share them.
 """
 
 from __future__ import annotations
@@ -256,10 +256,6 @@ class RetainedBox:
     def gather(self, coeff: np.ndarray) -> np.ndarray:
         """The box entries of half-spectrum coefficients (trailing d axes)."""
         return _gather(coeff, self.grid, self.extent)
-
-    def scatter(self, coeff: np.ndarray) -> np.ndarray:
-        """Half-spectrum coefficients: coeff on the box, zero outside it."""
-        return _scatter(coeff, self.grid, self.extent)
 
 
 def _require_same_grid(*fields) -> Grid:

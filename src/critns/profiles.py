@@ -15,7 +15,8 @@ The remainder's heat flow comes from one forward transform per index n, kept
 on the EvolvedSystem.  The remainder equation's source G is summed on the
 dealias box as Leray-projected coefficients; its paraproduct piece is split
 off with one broadcast low-high sum, and part1 and G - part1 are the only
-inverse transforms.
+inverse transforms.  The equation residual stays on that box too: one pruned
+forward transform per snapshot, and Parseval on the box.
 
 The bookkeeping is bounded in memory: every trajectory it derives makes its
 snapshots on read.  A remainder (`remainder`) and its frame rescaling
@@ -245,6 +246,9 @@ def evolve_system(sys: ProfileSystem, cfg: SolverConfig, n_window) -> EvolvedSys
         # transform, bitwise the stepped frame.
         cfg_j = replace(cfg, T=cfg.T * scale, dt=cfg.dt * scale, snapshot_stride=1)
         traj = evolve(phi, cfg_j)
+        if not traj.times.size:
+            raise DomainError(f"profile {j}'s run went non-finite at t = 0 and took "
+                              "no snapshot")
         trajectories.append(traj)
         lifespans.append(traj.final_time if traj.status != "Completed" else float("inf"))
     ordering = order_profiles(sys, lifespans, n_window[0])
@@ -280,6 +284,8 @@ def remainder(u_n: Trajectory, ev: EvolvedSystem, sys: ProfileSystem, n: int) ->
     the superposition (a profile's support leaving the box) surfaces at
     the read, inside the norm that reads it.
     """
+    if not u_n.times.size:
+        raise DomainError(f"the run of u_{n} went non-finite at t = 0 and took no snapshot")
     t_max = min(u_n.final_time, ev.tau(n))
     times = u_n.times[: np.count_nonzero(u_n.times <= t_max * (1 + 1e-9))]
     snaps = u_n.snapshots
@@ -482,36 +488,37 @@ def ns_equation_residual(traj: Trajectory, forcing=None) -> float:
     perturbed-system residual, G given as Leray-projected coefficients on the
     dealias box of DEALIAS_FRACTION (as `_source` returns it); without it it
     is the plain equation residual, which serves as the discrete floor (the
-    time-differencing error dominates both).  Each snapshot is read and
-    transformed once, the time difference is taken on the coefficients (a
-    rolling window of three spectra, the last two beside their snapshots,
-    which the flux terms read), and each residual's L^2 norm is read off its half
-    spectrum by Parseval, each coefficient weighted by its multiplicity as in
-    the solver's l2 record.
+    time-differencing error dominates both).  The residual lives on that box,
+    the solver's state space: each snapshot is read once and transformed onto
+    the box unmasked, the fluxes are summed and projected there, the time
+    difference is taken on the coefficients (a rolling window of three, the
+    last two beside their snapshots), and each L^2 norm is read off the box by
+    Parseval with the multiplicity weights of the solver's l2 record.  What a
+    trajectory holds outside the box is left out (a solver run, its remainder
+    and their frame rescalings hold nothing there above roundoff).
     """
     grid = traj.grid
     box = dealias_box(grid, DEALIAS_FRACTION)
     if len(traj.snapshots) < 3:
         raise DomainError("residual check needs at least 3 snapshots")
-    k2 = grid.k_squared
     times = traj.times
-    window = ((s, forward_transform(s.data, grid)) for s in traj.snapshots)
+    window = ((s, forward_transform(s.data, grid, box.extent)) for s in traj.snapshots)
     (_, prev_hat), (u, uh) = next(window), next(window)
     res_l2 = []
     mid_times = []
     for i, (u_next, next_hat) in enumerate(window, start=1):
         dt2 = times[i + 1] - times[i - 1]
-        nl_hat = _div_flux_hat(_self_product(u.data), box)
-        _leray_coefficients(nl_hat, box)
-        resid_hat = (next_hat - prev_hat) / dt2 + box.scatter(nl_hat) + k2 * uh
-        if forcing is not None:
+        flux = _div_flux_hat(_self_product(u.data), box)
+        if forcing is None:
+            _leray_coefficients(flux, box)
+        else:
             f, g_hat = forcing(float(times[i]))
-            q_hat = _div_flux_hat(_pair_product(u.data, f.data), box)
-            _leray_coefficients(q_hat, box)
-            q_hat -= g_hat
-            resid_hat += box.scatter(q_hat)
+            flux += _div_flux_hat(_pair_product(u.data, f.data), box)
+            _leray_coefficients(flux, box)
+            flux -= g_hat
             del f, g_hat  # so the next forcing call does not hold two frames
-        power = grid.multiplicity * (resid_hat.real**2 + resid_hat.imag**2)
+        resid_hat = (next_hat - prev_hat) / dt2 + flux + box.k_squared * uh
+        power = box.multiplicity * (resid_hat.real**2 + resid_hat.imag**2)
         res_l2.append(np.sqrt(grid.L**grid.d * np.sum(power)))
         mid_times.append(float(times[i]))
         prev_hat, u, uh = uh, u_next, next_hat

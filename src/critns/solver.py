@@ -46,7 +46,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .errors import DomainError, TrajectoryCoverageError
+from .errors import DomainError, GridMismatchError, TrajectoryCoverageError
 from .grid import (
     Grid,
     HeatFlow,
@@ -162,7 +162,8 @@ class Trajectory:
     recomputes the snapshot from the trajectory it is derived from.  Any
     other snapshots are held in memory as a read-only tuple, and a read
     costs nothing.  A reader that needs a snapshot twice keeps it
-    (`_frame`, `profiles.ns_equation_residual`).
+    (`_frame`, and `profiles.ns_equation_residual`, which keeps each beside
+    its dealias-box coefficients).
     """
 
     grid: Grid
@@ -561,8 +562,11 @@ def evolve_perturbed(prob: PerturbationProblem, cfg: SolverConfig) -> Trajectory
     """Perturbed system: d/ds R + P(R.grad R) - Lap R + Q(R, F) = G.
 
     With no drift and no source this runs exactly the same step sequence as
-    evolve (bitwise).  The drift trajectory must cover [0, T].
+    evolve (bitwise).  The drift trajectory must lie on w0's grid and cover
+    [0, T].
     """
+    if prob.drift is not None and not prob.drift.grid.compatible(prob.w0.grid):
+        raise GridMismatchError(f"drift trajectory on {prob.drift.grid}, w0 on {prob.w0.grid}")
     horizon = max(1, round(cfg.T / cfg.dt)) * cfg.dt
     if prob.drift is not None and not prob.drift.covers(horizon):
         raise TrajectoryCoverageError(

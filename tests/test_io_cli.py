@@ -859,6 +859,46 @@ class TestCLI:
         doc = json.loads((workdir / "out" / "perturb.json").read_text())
         assert doc["p"] == 1 and 0 < doc["force_norm"] < float("inf")
 
+    def test_superpose_profile_non_finite_at_t_0_exit_1(self, workdir, capsys):
+        # the profile's coefficients overflow: its run takes no snapshot
+        huge = {"generator": {"type": "random_divfree", "seed": 3, "k_lo": 1, "k_hi": 3,
+                              "amplitude": 5e307}}
+        cfg = self._write(workdir / "c.json", superpose_doc(
+            profiles=[{"field": huge, "scale_cores": SEQ3}]))
+        assert cli.main(["superpose", "--config", cfg, "--out", str(workdir / "out")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "DomainError"
+        assert "profile 0" in error["message"] and "no snapshot" in error["message"]
+
+    def test_threshold_probe_non_finite_at_t_0(self, workdir, capsys):
+        # the top member's run goes non-finite at t = 0: a non_finite trip
+        # that ended at t = 0, and the search goes on to its bracket
+        base = {"generator": {"type": "random_divfree", "seed": 3, "k_lo": 1, "k_hi": 3,
+                              "amplitude": 1.0}}
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16}, "base": base, "alpha_lo": 1e-3, "alpha_hi": 1e308,
+            "tol": 0.5, "solver": SOLVER})
+        assert cli.main(["threshold", "--config", cfg, "--out", str(workdir / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads((workdir / "out" / "threshold.json").read_text())
+        top = [p for p in doc["probes"] if p["alpha"] == 1e308]
+        assert top == [{"alpha": 1e308, "status": "NonFinite", "final_time": 0.0,
+                        "margin": None, "trip_reason": "non_finite"}]
+        assert doc["relative_width"] <= 0.5
+
+    def test_perturb_drift_on_another_grid_exit_1(self, workdir, capsys):
+        drift = workdir / "drift"
+        save_trajectory(drift, make_heat_trajectory(taylor_green(Grid(2, 16)), [0.0, 0.02]))
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 32}, "w0": TG, "solver": SOLVER, "p": 4,
+            "drift_trajectory": str(drift)})
+        assert cli.main(["perturb", "--config", cfg, "--out", str(workdir / "out")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "GridMismatchError"
+
     def test_missing_file_exit_1(self, workdir):
         res = run_cli(["norm", "--config", str(workdir / "nope.json"),
                        "--out", str(workdir / "out")])

@@ -311,7 +311,7 @@ class TestDriftAndSource:
         # reference: the split assembled from one scalar paraproduct per
         # component pair; part1 takes the T_{u_i} w_j pieces, part2 the rest of
         # u (x) w + w (x) u (the zeta tensor) plus -Q(w, w)/2 - Q(U_1, U_2)
-        from critns.grid import _leray_coefficients
+        from critns.grid import _leray_coefficients, _scatter
         from critns.lp import paraproduct
         from critns.profiles import _frame_components
         from critns.solver import _div_flux_hat, dealias_box, q_bilinear
@@ -332,7 +332,7 @@ class TestDriftAndSource:
 
         def minus_p_div_sym(tensor):
             flux = _div_flux_hat(lambda i, j: tensor[i, j] + tensor[j, i], box)
-            return -irfftn(box.scatter(_leray_coefficients(flux, box)), grid3m)
+            return -irfftn(_scatter(_leray_coefficients(flux, box), grid3m, box.extent), grid3m)
 
         assert np.array_equal(p1.data, minus_p_div_sym(para))
         expected2 = (minus_p_div_sym(zeta) - 0.5 * q_bilinear(w, w).data
@@ -467,7 +467,7 @@ class TestBookkeeping:
         wts = _trapezoid_weights(times[1:-1])
         return float(np.sqrt(np.sum(wts * np.asarray(vals) ** 2)))
 
-    def test_parseval_residual_matches_physical(self, grid3):
+    def test_parseval_residual_matches_physical(self, grid3, monkeypatch):
         from critns.fields import random_divfree_field
         from critns.solver import _box_forward, dealias_box
         from critns.grid import _leray_coefficients
@@ -487,6 +487,29 @@ class TestBookkeeping:
 
         want = self._physical_residual(traj, forcing)
         assert rel_err(ns_equation_residual(traj, forcing=forcing), want) < 1e-12
+
+        # the trajectory the gate reads: the rescaled remainder frame, with
+        # the assembled drift and source and without them; the residual on
+        # the dealias box sees all of it only if it has nothing outside
+        from critns import profiles
+
+        sys_ = _two_profile_system(grid3)
+        cfg = SolverConfig(dt=4e-3, T=0.016)
+        ev = evolve_system(sys_, cfg, [1])
+        r = remainder(evolve(synthesize_datum(sys_, 1), cfg), ev, sys_, 1)
+        seen = []
+
+        def spy(traj, forcing=None):
+            seen.append((traj, forcing))
+            return ns_equation_residual(traj, forcing)
+
+        monkeypatch.setattr(profiles, "ns_equation_residual", spy)
+        got = remainder_equation_residual(r, ev, sys_, 1)
+        [(frame_traj, frame_forcing)] = seen
+        assert frame_forcing is not None
+        assert rel_err(got, self._physical_residual(frame_traj, frame_forcing)) < 1e-12
+        assert rel_err(ns_equation_residual(frame_traj),
+                       self._physical_residual(frame_traj)) < 1e-12
 
 
 class TestNormSplitting:

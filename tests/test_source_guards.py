@@ -1,5 +1,6 @@
-"""Source guards: every FFT the package runs is made in grid.py, and every
-on-read snapshot sequence is one class."""
+"""Source guards: every FFT the package runs is made in grid.py, every
+on-read snapshot sequence is one class, and box coefficients go back into a
+half spectrum only in the inverse transform."""
 
 import ast
 from pathlib import Path
@@ -62,6 +63,24 @@ def sequence_classes(tree):
                     for base in node.bases)]
 
 
+def uses(tree, name):
+    """The enclosing function (None at module level) of each use of name in
+    tree: a bare name, an attribute or an import of it."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == name
+                    or isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.alias) and child.name == name):
+                found.append(owner)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else owner)
+
+    visit(tree, None)
+    return found
+
+
 def test_ffts_only_in_grid():
     calls = {(path.name, line, name)
              for path in SRC.glob("*.py") if path.name != "grid.py"
@@ -87,6 +106,12 @@ def test_guard_follows_every_import_form():
         (6, "numpy.fft.fft"), (7, "scipy.fft.irfftn"), (8, "scipy.fft.ifft"),
         (9, "scipy.fft.rfftn")]
     assert sequence_classes(ast.parse(src)) == ["A", "B", "C", "D"]
+    src = "\n".join([
+        "from .grid import _scatter as s", "grid._scatter(x)",
+        "def f():", "    def g(): return _scatter", "    _scatter(x)",
+        "def _scatter(): pass", "scatter(x)",
+    ])
+    assert uses(ast.parse(src), "_scatter") == [None, None, "g", "f"]
 
 
 def test_no_store_into_another_objects_attribute():
@@ -115,3 +140,14 @@ def test_one_on_read_sequence():
     classes = [(path.name, name) for path in SRC.glob("*.py")
                for name in sequence_classes(ast.parse(path.read_text()))]
     assert classes == [("solver.py", "DerivedSnapshots")]
+
+
+def test_one_scatter_into_a_half_spectrum():
+    # every flux consumer keeps its coefficients on the dealias box; only the
+    # pruned inverse transform scatters them into a half spectrum
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    assert [(name, owner) for name, tree in trees.items()
+            for owner in uses(tree, "_scatter")] == [("grid.py", "inverse_transform")]
+    assert [(name, node.lineno) for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "scatter"] == []
