@@ -17,11 +17,12 @@ import numpy as np
 
 from .errors import AccuracyWarning, DomainError
 from .fields import _rng, gaussian_bump
-from .grid import Grid, RealVectorField
-from .norms import BesovIndex, besov_from_profile, besov_norm, lebesgue_norm
+from .grid import Grid, RealVectorField, forward_transform
+from .lp import band_range
+from .norms import BesovIndex, _band_norms, besov_from_profile, besov_norm, lebesgue_norm
 from .profiles import RankOneBattery, pairing_table
-from .solver import (COMPLETED, NON_FINITE, TRIP_MONITORS, SolverConfig, Trajectory, evolve,
-                     trip_reason)
+from .solver import (COMPLETED, NON_FINITE, TRIP_MONITORS, RunLog, SolverConfig, Trajectory,
+                     evolve_streaming, trip_reason)
 
 PROXY_DISCLAIMER = (
     "resolution-limited numerical threshold at fixed grid and step; "
@@ -61,23 +62,36 @@ def sup_critical_norm(traj: Trajectory, norm_kind: str = "L3",
     if norm_kind == "L3":
         if traj.grid.d != 3:
             raise DomainError("the L3 critical norm needs d = 3")
-        vals = traj.lebesgue_column(3)
-    elif norm_kind == "besov":
+        return _sup_report(traj.times, traj.lebesgue_column(3), traj.status, traj.grid)
+    if norm_kind == "besov":
         if p is None:
             p = float(traj.grid.d)
         idx = BesovIndex.critical(p, traj.grid.d)
-        levels, eps = traj.band_table(p)
+        return _sup_report(traj.times, traj.band_table(p)[1].T, traj.status, traj.grid, idx)
+    raise DomainError(f"unknown critical norm kind {norm_kind!r}")
+
+
+def _sup_report(times, columns, status: str, grid: Grid,
+                idx: BesovIndex | None = None) -> SupNormReport:
+    """The max over snapshots of their critical norms, and its time.  The
+    columns are the snapshots' L3 norms or, given the critical Besov index,
+    their band profiles at its p, each reduced to its Besov norm with the
+    edge warnings raised at the caller's caller."""
+    if idx is None:
+        vals = columns
+    else:
+        lo, hi = band_range(grid)
+        levels = np.arange(lo, hi + 1)
         vals = []
-        for col in eps.T:  # besov_norm of each snapshot, with its warnings
+        for col in columns:
             value, _, warns = besov_from_profile(levels, col, idx)
             for w in warns:
-                warnings.warn(w, AccuracyWarning, stacklevel=2)
+                warnings.warn(w, AccuracyWarning, stacklevel=3)
             vals.append(value)
-    else:
-        raise DomainError(f"unknown critical norm kind {norm_kind!r}")
     i = int(np.argmax(vals))
-    return SupNormReport(value=float(vals[i]), time_of_max=float(traj.times[i]),
-                         completed=traj.status == COMPLETED, norm_kind=norm_kind)
+    return SupNormReport(value=float(vals[i]), time_of_max=float(times[i]),
+                         completed=status == COMPLETED,
+                         norm_kind="L3" if idx is None else "besov")
 
 
 @dataclass
@@ -109,22 +123,22 @@ class ThresholdReport:
         }
 
 
-def _margin(traj: Trajectory, cfg: SolverConfig) -> float:
+def _margin(run: RunLog, cfg: SolverConfig) -> float:
     """Largest trip ratio over the recorded steps, the max over TRIP_MONITORS
     of max(record) / threshold: a run trips once it passes 1.  A non-finite
     run has margin infinity."""
-    if traj.status == NON_FINITE:
+    if run.status == NON_FINITE:
         return math.inf
-    return float(max(np.max(traj.records[key], initial=0.0) / getattr(cfg, threshold)
+    return float(max(np.max(run.records[key], initial=0.0) / getattr(cfg, threshold)
                      for _, key, threshold in TRIP_MONITORS))
 
 
-def _trip_reason(traj: Trajectory, cfg: SolverConfig) -> str | None:
+def _trip_reason(run: RunLog, cfg: SolverConfig) -> str | None:
     """Which monitor stopped the run: the solver's trip rule applied to its
     last record, so None if it completed."""
-    if traj.status == NON_FINITE:
+    if run.status == NON_FINITE:
         return "non_finite"
-    return trip_reason({key: vals[-1] for key, vals in traj.records.items()}, cfg)
+    return trip_reason({key: vals[-1] for key, vals in run.records.items()}, cfg)
 
 
 def _log_margin(m: float) -> float:
@@ -179,27 +193,43 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
     the largest completing and hi the smallest tripping amplitude, and no probe
     leaves (lo, hi), so a family that trips only on a window inside the bracket
     goes unnoticed.
+
+    Probes stream (`evolve_streaming`): each snapshot is reduced, the step it
+    is taken, to what `sup_critical_norm` reads of it (its L3 norm at d = 3,
+    otherwise its band profile at besov_p), and a probe keeps its RunLog and
+    those reductions; the search keeps them for its last completing probe
+    only, and the report's sup critical norm is theirs.
     """
     if not (tol > 0):
         raise DomainError("bracket tolerance must be positive")
     grid = fam.base.grid
     if besov_p is None:
         besov_p = float(grid.d) + 1.0
+    idx = BesovIndex.critical(besov_p, grid.d)
+
+    def reduce(snap: RealVectorField):
+        """What sup_critical_norm reads of a snapshot: its L3 norm at d = 3,
+        otherwise its band profile at besov_p."""
+        if grid.d == 3:
+            return lebesgue_norm(snap, 3)
+        return _band_norms(forward_transform(snap.data, grid), grid, besov_p)
+
     probes = []
-    last_completing_traj = None
+    last_completing = None  # (RunLog, per-snapshot reductions)
 
     def probe(alpha: float) -> bool:
-        nonlocal last_completing_traj
-        traj = evolve(fam.member(alpha), cfg)
-        reason = _trip_reason(traj, cfg)
+        nonlocal last_completing
+        columns = []
+        run = evolve_streaming(fam.member(alpha), cfg, lambda snap: columns.append(reduce(snap)))
+        reason = _trip_reason(run, cfg)
         tripped = reason is not None
         # a run that goes non-finite at t = 0 takes no snapshot and ends there
-        final_time = traj.final_time if traj.times.size else 0.0
-        probes.append({"alpha": alpha, "status": traj.status,
-                       "final_time": final_time, "margin": _margin(traj, cfg),
+        final_time = float(run.times[-1]) if run.times.size else 0.0
+        probes.append({"alpha": alpha, "status": run.status,
+                       "final_time": final_time, "margin": _margin(run, cfg),
                        "trip_reason": reason})
         if not tripped:
-            last_completing_traj = traj
+            last_completing = run, columns
         return tripped
 
     if probe(fam.alpha_lo):
@@ -242,10 +272,9 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
 
     datum = fam.member(lo)
     l3 = lebesgue_norm(datum, 3) if grid.d == 3 else None
-    bes = besov_norm(datum, BesovIndex.critical(besov_p, grid.d))
-    kind = "L3" if grid.d == 3 else "besov"
-    sup = sup_critical_norm(last_completing_traj, norm_kind=kind,
-                            p=None if kind == "L3" else besov_p)
+    bes = besov_norm(datum, idx)
+    run, columns = last_completing
+    sup = _sup_report(run.times, columns, run.status, grid, None if grid.d == 3 else idx)
     return ThresholdReport(
         bracket=(lo, hi),
         datum_l3_norm=l3,

@@ -32,7 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, SupportOverflowError, TrajectoryCoverageError
+from .errors import (DomainError, GridMismatchError, SupportOverflowError,
+                     TrajectoryCoverageError)
 from .fields import band_noise
 from .grid import (
     Grid,
@@ -240,10 +241,10 @@ def evolve_system(sys: ProfileSystem, cfg: SolverConfig, n_window) -> EvolvedSys
         scale = 1.0 / lam_min**2
         # snapshot every step: superposition lookups at t/lambda^2 then hit
         # recorded frames exactly for dyadic lambda^2, avoiding interpolation
-        # error in the remainder.  The run keeps each frame as its dealias-box
-        # coefficients (30% of a frame's bytes) and makes it on read
-        # (solver.DerivedSnapshots), so every lookup is one pruned inverse
-        # transform, bitwise the stepped frame.
+        # error in the remainder.  The run keeps each frame as its
+        # coefficients inside the dealias sphere (about 16% of a frame's
+        # bytes) and makes it on read (solver.DerivedSnapshots), so every
+        # lookup is one pruned inverse transform, bitwise the stepped frame.
         cfg_j = replace(cfg, T=cfg.T * scale, dt=cfg.dt * scale, snapshot_stride=1)
         traj = evolve(phi, cfg_j)
         if not traj.times.size:
@@ -258,7 +259,8 @@ def evolve_system(sys: ProfileSystem, cfg: SolverConfig, n_window) -> EvolvedSys
 
 def superpose_evolution(ev: EvolvedSystem, sys: ProfileSystem, n: int,
                         t: float) -> RealVectorField:
-    """Sum of rescaled profile evolutions plus the heat flow of the remainder."""
+    """Sum of rescaled profile evolutions plus the heat flow of the remainder,
+    formed in the first part's own buffer (each rescaled part is a new array)."""
     tau_n = ev.tau(n)
     if t > tau_n * (1 + 1e-9):
         raise TrajectoryCoverageError(
@@ -269,8 +271,12 @@ def superpose_evolution(ev: EvolvedSystem, sys: ProfileSystem, n: int,
         sc = seq[n]
         native_t = t / sc.lam**2
         part = _rescaled(ev.trajectories[j].at(native_t), sc, name=f"profile {j}")
-        total = part if total is None else total + part
-    return total + ev.remainder_heat(n, t)
+        if total is None:
+            total = part
+        else:
+            np.add(total.data, part.data, out=total.data)
+    np.add(total.data, ev.remainder_heat(n, t).data, out=total.data)
+    return total
 
 
 def remainder(u_n: Trajectory, ev: EvolvedSystem, sys: ProfileSystem, n: int) -> Trajectory:
@@ -284,14 +290,22 @@ def remainder(u_n: Trajectory, ev: EvolvedSystem, sys: ProfileSystem, n: int) ->
     the superposition (a profile's support leaving the box) surfaces at
     the read, inside the norm that reads it.
     """
+    if not u_n.grid.compatible(sys.grid):
+        raise GridMismatchError(f"u_{n} on {u_n.grid}, the profile system on {sys.grid}")
     if not u_n.times.size:
         raise DomainError(f"the run of u_{n} went non-finite at t = 0 and took no snapshot")
     t_max = min(u_n.final_time, ev.tau(n))
     times = u_n.times[: np.count_nonzero(u_n.times <= t_max * (1 + 1e-9))]
     snaps = u_n.snapshots
+
+    def snapshot(i: int) -> RealVectorField:
+        # u - superposition, written into the superposition's buffer
+        total = superpose_evolution(ev, sys, n, times[i])
+        np.subtract(snaps[i].data, total.data, out=total.data)
+        return total
+
     return Trajectory(grid=u_n.grid, times=times,
-                      snapshots=DerivedSnapshots(times.size, lambda i: (
-                          snaps[i] - superpose_evolution(ev, sys, n, times[i]))),
+                      snapshots=DerivedSnapshots(times.size, snapshot),
                       status=u_n.status, config_echo={"kind": "remainder", "n": n})
 
 

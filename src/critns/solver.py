@@ -24,12 +24,14 @@ right-hand side and the profile sources all go through it.
 There is one stepping loop, `_integrate`, which hands each snapshot to a
 consumer the step it is taken, with the box coefficients it is the inverse
 transform of.  `evolve` and `evolve_perturbed` keep a copy of the
-coefficients per snapshot (30% of the snapshots' bytes at the 2/3 rule) and
-return a read-only `Trajectory` whose snapshots are made on read
-(`DerivedSnapshots`): one pruned inverse per read, bitwise the snapshot the
-step took.  `evolve_streaming` passes the snapshots on (`cli evolve` writes
-each to disk and drops it, so it holds one at a time) and returns the rest
-of the run as a `RunLog`.
+coefficients inside the dealias sphere per snapshot (about 16% of the
+snapshots' bytes at the 2/3 rule, against 30% for the whole box; the rest of
+the box is exactly zero) and return a read-only `Trajectory` whose snapshots
+are made on read (`DerivedSnapshots`): one pruned inverse per read, bitwise
+the snapshot the step took.  `evolve_streaming` passes the snapshots on
+(`cli evolve` writes each to disk and drops it, so it holds one at a time,
+and the threshold search reduces each to its critical norm) and returns the
+rest of the run as a `RunLog`.
 
 A run aborts with status "ResolutionLimit" on the first step where the
 sup-norm or the top-octave spectral energy fraction exceeds its threshold
@@ -157,7 +159,8 @@ class Trajectory:
     `DerivedSnapshots` are kept as given, and each read makes a new
     read-only snapshot: `io.load_trajectory` reads the snapshot's file, a
     collected solver run (`evolve`, `evolve_perturbed`) makes one pruned
-    inverse transform of the box coefficients it keeps, and a
+    inverse transform of the dealias-sphere coefficients it keeps (about 16%
+    of a snapshot's bytes at the 2/3 rule), and a
     `profiles.remainder` or a `scaling.apply_lambda_spacetime` rescaling
     recomputes the snapshot from the trajectory it is derived from.  Any
     other snapshots are held in memory as a read-only tuple, and a read
@@ -516,19 +519,30 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
 def _collected(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
                source) -> Trajectory:
     """_integrate with every snapshot kept as a read-only copy of its box
-    coefficients, as a read-only Trajectory whose snapshot i is their
-    inverse transform, the call the step made."""
-    grid, extent = u0.grid, dealias_box(u0.grid, cfg.dealias_fraction).extent
-    coeffs = []
+    coefficients inside the dealias sphere (`uh[:, inside]`, about 16% of
+    the snapshot's bytes at the 2/3 rule), as a read-only Trajectory whose
+    snapshot i is their inverse transform, the call the step made.
+
+    The box entries outside the sphere are exactly zero at every step (the
+    datum and every right-hand side are truncated to the mask, and Leray
+    projection keeps zeros), so a read scatters the kept entries into a
+    zeroed box and inverts it, bitwise the step's snapshot."""
+    grid, box = u0.grid, dealias_box(u0.grid, cfg.dealias_fraction)
+    inside = box.mask.astype(bool)
+    packed = []
 
     def keep(snap, uh):
-        coeffs.append(uh.copy())
-        coeffs[-1].flags.writeable = False
+        packed.append(uh[:, inside])
+        packed[-1].flags.writeable = False
+
+    def snapshot(i: int) -> RealVectorField:
+        coeff = np.zeros((packed[i].shape[0],) + box.spectral_shape, dtype=np.complex128)
+        coeff[:, inside] = packed[i]
+        return RealVectorField(grid, inverse_transform(coeff, grid, box.extent))
 
     run = _integrate(u0, cfg, drift, source, keep)
     return Trajectory(grid=grid, times=run.times,
-                      snapshots=DerivedSnapshots(len(coeffs), lambda i: RealVectorField(
-                          grid, inverse_transform(coeffs[i], grid, extent))),
+                      snapshots=DerivedSnapshots(len(packed), snapshot),
                       records=run.records, status=run.status, config_echo=run.config_echo)
 
 
@@ -562,11 +576,16 @@ def evolve_perturbed(prob: PerturbationProblem, cfg: SolverConfig) -> Trajectory
     """Perturbed system: d/ds R + P(R.grad R) - Lap R + Q(R, F) = G.
 
     With no drift and no source this runs exactly the same step sequence as
-    evolve (bitwise).  The drift trajectory must lie on w0's grid and cover
-    [0, T].
+    evolve (bitwise).  The drift trajectory must lie on w0's grid, have w0's
+    component count and cover [0, T].
     """
     if prob.drift is not None and not prob.drift.grid.compatible(prob.w0.grid):
         raise GridMismatchError(f"drift trajectory on {prob.drift.grid}, w0 on {prob.w0.grid}")
+    if prob.drift is not None:
+        ncomp = prob.drift.snapshots[0].ncomp
+        if ncomp != prob.w0.ncomp:
+            raise GridMismatchError(f"drift trajectory has {ncomp} components, "
+                                    f"w0 has {prob.w0.ncomp}")
     horizon = max(1, round(cfg.T / cfg.dt)) * cfg.dt
     if prob.drift is not None and not prob.drift.covers(horizon):
         raise TrajectoryCoverageError(
@@ -639,6 +658,8 @@ def verify_perturbation_bound(prob: PerturbationProblem, cfg: SolverConfig,
         raise DomainError(f"perturbation bound requires p < 2d+3 = {2*d+3}, got {p}")
     sp = critical_exponent(p, d)
     traj = evolve_perturbed(prob, cfg)
+    if not traj.times.size:
+        raise DomainError("the w0 run went non-finite at t = 0 and took no snapshot")
     lhs = e_norm(traj, p, p, cfg.T)
 
     w0_norm = besov_norm(prob.w0, BesovIndex(sp, p, p))

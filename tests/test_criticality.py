@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from critns import Grid, criticality
+from critns import Grid, criticality, solver
 from critns.criticality import (
     PROXY_DISCLAIMER,
     DatumFamily,
@@ -17,7 +17,8 @@ from critns.criticality import (
     weak_convergence_probe,
 )
 from critns.errors import DomainError
-from critns.fields import gaussian_bump, localized_divfree_bump, random_divfree_field
+from critns.fields import (gaussian_bump, localized_divfree_bump, random_divfree_field,
+                           taylor_green)
 from critns.grid import zero_field
 from critns.norms import BesovIndex, besov_norm, lebesgue_norm
 from critns.profiles import RankOneBattery, pairing_table
@@ -26,6 +27,7 @@ from critns.solver import (
     COMPLETED,
     NON_FINITE,
     RESOLUTION_LIMIT,
+    RunLog,
     SolverConfig,
     Trajectory,
     evolve,
@@ -142,14 +144,56 @@ class TestThresholdBisection:
         assert doc["proxy_disclaimer"] is True
         assert "disclaimer_text" in doc and doc["relative_width"] <= 0.1
 
+    # small families whose sup monitor trips near alpha = 20
+    SUP_CFG = SolverConfig(dt=5e-3, T=0.1, snapshot_stride=5, blowup_sup_threshold=20.0)
+
+    @staticmethod
+    def _sup_family(d):
+        grid = Grid(d, 16)
+        base = (localized_divfree_bump(grid, sigma=grid.L / 5, mode_center=(2, 1, 1), seed=42,
+                                       amplitude=1.0) if d == 3 else taylor_green(grid))
+        return DatumFamily(base=base, alpha_lo=0.05, alpha_hi=48.0)
+
+    @pytest.mark.parametrize("d", [3, 2])
+    def test_streamed_report_equals_the_collected_run(self, d):
+        # the L3 sup at d = 3 and the Besov sup at p = 3 at d = 2, whose
+        # late snapshots peak at the low band edge and warn: the report is
+        # bit for bit that of the collected run of its lo member, with the
+        # same warnings in the same order
+        fam = self._sup_family(d)
+        with warnings.catch_warnings(record=True) as streamed:
+            warnings.simplefilter("always")
+            rep = threshold_bisection(fam, self.SUP_CFG, tol=0.1)
+        lo = rep.bracket[0]
+        with warnings.catch_warnings(record=True) as collected:
+            warnings.simplefilter("always")
+            bes = besov_norm(fam.member(lo), BesovIndex.critical(d + 1.0, d))
+            ref = sup_critical_norm(evolve(fam.member(lo), self.SUP_CFG),
+                                    "L3" if d == 3 else "besov", p=d + 1.0)
+        assert rep.datum_besov_norm == bes
+        assert rep.sup_critical_norm == ref.value
+        assert rep.sup_critical_time == ref.time_of_max
+        assert collected or d == 3
+        assert [(w.category, str(w.message)) for w in streamed] == [
+            (w.category, str(w.message)) for w in collected]
+
+    def test_search_collects_no_run(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a threshold probe collected its run")
+
+        monkeypatch.setattr(solver, "_collected", refuse)
+        rep = threshold_bisection(self._sup_family(3), self.SUP_CFG, tol=0.1)
+        assert rep.bracket[1] / rep.bracket[0] - 1.0 <= 0.1
+
 
 class SyntheticFamily:
-    """Stands in for the solver in a threshold search, so the search logic runs
-    without it.  The run of amplitude alpha records the trip ratio
+    """Stands in for the streaming solver in a threshold search, so the search
+    logic runs without it.  The run of amplitude alpha records the trip ratio
     margin(alpha) * k / STEPS, times the threshold, on one monitor at steps
     k = 0..STEPS; as in the solver, it trips iff a recorded value is strictly
     above the threshold and then stops at that step.  At alpha >=
-    non_finite_above the run goes non-finite after step 0."""
+    non_finite_above the run goes non-finite after step 0.  Its one snapshot,
+    the datum, is handed to take."""
 
     STEPS = 16
 
@@ -158,7 +202,7 @@ class SyntheticFamily:
         self.non_finite_above, self.monitor = non_finite_above, monitor
         self.peak = float(np.max(np.abs(base.data)))
 
-    def __call__(self, u0, cfg):
+    def __call__(self, u0, cfg, take):
         alpha = float(np.max(np.abs(u0.data))) / self.peak
         ratios = self.margin(alpha) * np.arange(self.STEPS + 1) / self.STEPS
         scale = {"linf": cfg.blowup_sup_threshold, "tail_fraction": cfg.spectral_tail_threshold}
@@ -172,8 +216,9 @@ class SyntheticFamily:
         records = {key: values[:steps] if key == self.monitor else np.zeros(steps)
                    for key in scale}
         records["t"] = cfg.dt * np.arange(steps)
-        return Trajectory(grid=u0.grid, times=np.array([0.0]), snapshots=[u0],
-                          records=records, status=status)
+        take(u0)
+        return RunLog(grid=u0.grid, times=np.array([0.0]), records=records, status=status,
+                      config_echo=cfg.echo())
 
 
 class TestThresholdSearchLogic:
@@ -183,7 +228,8 @@ class TestThresholdSearchLogic:
 
     def _search(self, monkeypatch, margin, **kwargs):
         base = random_divfree_field(Grid(2, 32), seed=0, k_lo=2.0, k_hi=6.0)
-        monkeypatch.setattr(criticality, "evolve", SyntheticFamily(base, margin, **kwargs))
+        monkeypatch.setattr(criticality, "evolve_streaming",
+                            SyntheticFamily(base, margin, **kwargs))
         fam = DatumFamily(base=base, alpha_lo=4.0, alpha_hi=128.0)
         rep = threshold_bisection(fam, self.CFG, tol=self.TOL)
         lo, hi = rep.bracket

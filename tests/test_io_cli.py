@@ -20,7 +20,7 @@ from critns import Grid, cli
 from critns import io as critns_io
 from critns.cli import parse_grid, parse_solver
 from critns.errors import InvalidFieldError
-from critns.fields import random_divfree_field, taylor_green
+from critns.fields import gaussian_bump, random_divfree_field, taylor_green
 from critns.grid import RealVectorField
 from critns.io import (TrajectoryWriter, load_trajectory, read_field, save_trajectory,
                        write_field)
@@ -898,6 +898,33 @@ class TestCLI:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "GridMismatchError"
+
+    def test_perturb_drift_with_another_component_count_exit_1(self, workdir, capsys):
+        drift = workdir / "drift"
+        grid = Grid(2, 16)
+        save_trajectory(drift, make_heat_trajectory(gaussian_bump(grid, sigma=0.5), [0.0, 0.02]))
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16}, "w0": TG, "solver": SOLVER, "p": 4,
+            "drift_trajectory": str(drift)})
+        assert cli.main(["perturb", "--config", cfg, "--out", str(workdir / "out")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "GridMismatchError"
+        assert "1 components" in error["message"] and "w0 has 2" in error["message"]
+
+    def test_perturb_w0_non_finite_at_t_0_exit_1(self, workdir, capsys):
+        # the datum's coefficients overflow: the w0 run takes no snapshot
+        huge = {"generator": {"type": "taylor_green", "amplitude": 5e307}}
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16}, "w0": huge, "solver": SOLVER, "p": 4})
+        assert cli.main(["perturb", "--config", cfg, "--out", str(workdir / "out")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "DomainError"
+        assert "w0 run went non-finite at t = 0" in error["message"]
+        assert "no snapshot" in error["message"]
 
     def test_missing_file_exit_1(self, workdir):
         res = run_cli(["norm", "--config", str(workdir / "nope.json"),

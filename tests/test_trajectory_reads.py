@@ -1,12 +1,13 @@
 """Every trajectory not held as a tuple reads its snapshots on demand
 through one sequence, `solver.DerivedSnapshots`, whose make(i) reads a file
-(a loaded trajectory), inverts kept box coefficients (a collected solver
-run) or recomputes a derived snapshot (a remainder, its frame rescaling).
+(a loaded trajectory), inverts kept dealias-sphere coefficients (a
+collected solver run) or recomputes a derived snapshot (a remainder, its frame rescaling).
 The reductions of a loaded trajectory hold a few snapshots whatever the
 count and give the in-memory norms bit for bit, a drift is read about once
 per snapshot, and a snapshot file that changes after loading is a JSON
-error.  A collected solver run holds its box coefficients, about 30% of its
-snapshots' bytes, and hands out the snapshots the step took, bit for bit.
+error.  A collected solver run holds its coefficients inside the dealias
+sphere, about 16% of its snapshots' bytes, and hands out the snapshots the
+step took, bit for bit.
 A derived snapshot is made when it is read, and the drift, source and force
 norms reduce each sample to its band profiles before the next."""
 
@@ -194,14 +195,14 @@ def collected():
     return u0, SolverConfig(dt=0.005, T=0.1)
 
 
-def test_collected_run_holds_its_box_spectra(collected):
-    # the 2/3-rule box holds 29.6% of a 32^3 snapshot's bytes; the physical
-    # snapshots the run used to keep were 1.0 of them
+def test_collected_run_holds_its_dealias_sphere(collected):
+    # the 2/3-rule sphere holds 16.5% of a 32^3 snapshot's bytes, the box
+    # around it 29.6% and the physical snapshot 1.0
     u0, cfg = collected
     evolve(u0, replace(cfg, T=2 * cfg.dt))  # the masks and tables every equal grid shares
     traj, held, _ = traced(lambda: evolve(u0, cfg))
     assert len(traj.snapshots) == 21
-    assert held / len(traj.snapshots) <= 0.35 * u0.data.nbytes
+    assert held / len(traj.snapshots) <= 0.18 * u0.data.nbytes
 
 
 def test_collected_reads_are_equal_and_read_only(collected):
