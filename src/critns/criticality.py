@@ -21,7 +21,7 @@ from .grid import Grid, RealVectorField, forward_transform
 from .lp import band_range
 from .norms import BesovIndex, _band_norms, besov_from_profile, besov_norm, lebesgue_norm
 from .profiles import RankOneBattery, pairing_table
-from .solver import (COMPLETED, NON_FINITE, TRIP_MONITORS, RunLog, SolverConfig, Trajectory,
+from .solver import (NON_FINITE, TRIP_MONITORS, RunLog, SolverConfig, Trajectory,
                      evolve_streaming, trip_reason)
 
 PROXY_DISCLAIMER = (
@@ -50,8 +50,6 @@ class DatumFamily:
 class SupNormReport:
     value: float
     time_of_max: float
-    completed: bool
-    norm_kind: str
 
 
 def sup_critical_norm(traj: Trajectory, norm_kind: str = "L3",
@@ -62,17 +60,16 @@ def sup_critical_norm(traj: Trajectory, norm_kind: str = "L3",
     if norm_kind == "L3":
         if traj.grid.d != 3:
             raise DomainError("the L3 critical norm needs d = 3")
-        return _sup_report(traj.times, traj.lebesgue_column(3), traj.status, traj.grid)
+        return _sup_report(traj.times, traj.lebesgue_column(3), traj.grid)
     if norm_kind == "besov":
         if p is None:
             p = float(traj.grid.d)
         idx = BesovIndex.critical(p, traj.grid.d)
-        return _sup_report(traj.times, traj.band_table(p)[1].T, traj.status, traj.grid, idx)
+        return _sup_report(traj.times, traj.band_table(p)[1].T, traj.grid, idx)
     raise DomainError(f"unknown critical norm kind {norm_kind!r}")
 
 
-def _sup_report(times, columns, status: str, grid: Grid,
-                idx: BesovIndex | None = None) -> SupNormReport:
+def _sup_report(times, columns, grid: Grid, idx: BesovIndex | None = None) -> SupNormReport:
     """The max over snapshots of their critical norms, and its time.  The
     columns are the snapshots' L3 norms or, given the critical Besov index,
     their band profiles at its p, each reduced to its Besov norm with the
@@ -89,9 +86,7 @@ def _sup_report(times, columns, status: str, grid: Grid,
                 warnings.warn(w, AccuracyWarning, stacklevel=3)
             vals.append(value)
     i = int(np.argmax(vals))
-    return SupNormReport(value=float(vals[i]), time_of_max=float(times[i]),
-                         completed=status == COMPLETED,
-                         norm_kind="L3" if idx is None else "besov")
+    return SupNormReport(value=float(vals[i]), time_of_max=float(times[i]))
 
 
 @dataclass
@@ -178,16 +173,16 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
     (`solver.TRIP_MONITORS`), read back from its last record (_trip_reason),
     and records its margin (see _margin).  The next amplitude comes from a
     safeguarded secant on log margin against log alpha (Dekker, Brent): the
-    lower of two roots, that of the secant through the bracket ends, whose
-    retained end's log margin is halved when the same end is replaced twice in
-    a row (Illinois), and that of the secant through the two highest
-    completing probes.  A completing run's margin is its maximum over the whole
-    horizon, while a tripped run stops at its first crossing, so its margin
-    sits just above 1 and pulls the end-to-end root toward hi; the completing
-    pair has no such bias.  The search falls back to the geometric midpoint
-    when neither root is usable (a non-finite or non-positive margin, a root
-    outside the bracket) or when the last two probes did not halve
-    log(hi / lo).  Every probe lies strictly inside the current bracket.
+    lower of two roots, that of the secant through the bracket ends and that
+    of the secant through the two highest completing probes.  A completing
+    run's margin is its maximum over the whole horizon, while a tripped run
+    stops at its first crossing, so its margin sits just above 1 and pulls
+    the end-to-end root toward hi; the completing pair has no such bias.  The
+    search falls back to the geometric midpoint when neither root is usable
+    (a non-finite or non-positive margin, a root outside the bracket) or when
+    the last two probes did not halve log(hi / lo).  Every probe lies
+    strictly inside the current bracket, so tol must be at least the double
+    epsilon: below it a bracket of adjacent doubles never closes.
 
     The outcome is assumed monotone in amplitude, not detected: lo is always
     the largest completing and hi the smallest tripping amplitude, and no probe
@@ -200,8 +195,10 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
     those reductions; the search keeps them for its last completing probe
     only, and the report's sup critical norm is theirs.
     """
-    if not (tol > 0):
-        raise DomainError("bracket tolerance must be positive")
+    eps = float(np.finfo(float).eps)
+    if not tol >= eps:
+        raise DomainError(f"bracket tolerance must be at least {eps:.3g} "
+                          f"(double-precision epsilon), got {tol}")
     grid = fam.base.grid
     if besov_p is None:
         besov_p = float(grid.d) + 1.0
@@ -242,39 +239,33 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
             "no resolution limit inside the amplitude range"
         )
     lo, hi = fam.alpha_lo, fam.alpha_hi
-    y_lo, y_hi = (_log_margin(p["margin"]) for p in probes)
-    completing = [(math.log(lo), y_lo)]
+    # the bracket ends and the completing probes as (log alpha, log margin)
+    lo_pt, hi_pt = ((math.log(p["alpha"]), _log_margin(p["margin"])) for p in probes)
+    completing = [lo_pt]
     widths = [math.log(hi / lo)]
-    last_tripped = None
     while hi / lo - 1.0 > tol:
         alpha = None
         if len(widths) < 3 or widths[-1] <= 0.5 * widths[-3]:
-            roots = [_secant_root(math.log(lo), y_lo, math.log(hi), y_hi)]
+            roots = [_secant_root(*lo_pt, *hi_pt)]
             if len(completing) > 1:
                 roots.append(_secant_root(*completing[-2], *completing[-1]))
             alpha = _secant_probe(lo, hi, roots, tol)
         if alpha is None or not lo < alpha < hi:
             alpha = float(np.sqrt(lo * hi))
         tripped = probe(alpha)
-        y = _log_margin(probes[-1]["margin"])
+        point = (math.log(alpha), _log_margin(probes[-1]["margin"]))
         if tripped:
-            hi, y_hi = alpha, y
+            hi, hi_pt = alpha, point
         else:
-            lo, y_lo = alpha, y
-            completing.append((math.log(lo), y))
-        if tripped == last_tripped:  # Illinois: halve the retained end's log margin
-            if tripped:
-                y_lo *= 0.5
-            else:
-                y_hi *= 0.5
-        last_tripped = tripped
+            lo, lo_pt = alpha, point
+            completing.append(point)
         widths.append(math.log(hi / lo))
 
     datum = fam.member(lo)
     l3 = lebesgue_norm(datum, 3) if grid.d == 3 else None
     bes = besov_norm(datum, idx)
     run, columns = last_completing
-    sup = _sup_report(run.times, columns, run.status, grid, None if grid.d == 3 else idx)
+    sup = _sup_report(run.times, columns, grid, None if grid.d == 3 else idx)
     return ThresholdReport(
         bracket=(lo, hi),
         datum_l3_norm=l3,

@@ -55,7 +55,6 @@ from .norms import (
     band_profile,
     besov_norm,
     critical_exponent,
-    lebesgue_norm,
     power_sums,
     sampled_band_tables,
 )
@@ -167,21 +166,17 @@ def synthesize_datum(sys: ProfileSystem, n: int) -> RealVectorField:
 class ProfileOrdering:
     permutation: list
     finite: list
-    products: list
 
 
 def order_profiles(sys: ProfileSystem, lifespans: list, n_ref: int) -> ProfileOrdering:
-    """Stable sort by lambda_{j,n_ref}^2 * T_j ascending (inf sorts last).
-
-    Also returns the set of finite-lifespan indices and the sorted products.
-    """
+    """Stable sort by lambda_{j,n_ref}^2 * T_j ascending (inf sorts last),
+    with the finite-lifespan indices."""
     if len(lifespans) != len(sys.profiles):
         raise DomainError("one lifespan per profile required")
     products = [sys.sequence(j)[n_ref].lam ** 2 * lifespans[j] for j in range(len(lifespans))]
     perm = sorted(range(len(products)), key=lambda j: (products[j], j))
     finite = [j for j in range(len(lifespans)) if np.isfinite(lifespans[j])]
-    return ProfileOrdering(permutation=perm, finite=finite,
-                           products=[products[j] for j in perm])
+    return ProfileOrdering(permutation=perm, finite=finite)
 
 
 @dataclass
@@ -407,22 +402,13 @@ def source_norms(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: fl
     return {"paraproduct_part": n1, "zeta_part": n2, "upper_bound": n1 + n2}
 
 
-@dataclass
-class SplittingReport:
-    defect: float
-    norm_kind: str
-    pair_cross_terms: dict
-    individual_norms: list
-    combined_norm: float
-
-
 def norm_splitting_check(ev: EvolvedSystem, sys: ProfileSystem, n: int, t_n: float,
-                         norm_kind: str = "L3", p: float | None = None) -> SplittingReport:
+                         norm_kind: str = "L3", p: float | None = None) -> float:
     """Additivity defect of the critical norm over the rescaled evolved profiles.
 
     L3 form: |sum_c (||sum_j F_j^c||_3^3 - sum_j ||F_j^c||_3^3)| with the
-    component-wise cube convention; the per-pair cross terms
-    integral |F_j1| |F_j2|^2 are reported alongside.
+    component-wise cube convention.  Besov form at p: |N(sum_j F_j)^p -
+    sum_j N(F_j)^p| for N the critical Besov norm of index p.
     """
     fields = []
     for j in range(sys.J + 1):
@@ -437,26 +423,14 @@ def norm_splitting_check(ev: EvolvedSystem, sys: ProfileSystem, n: int, t_n: flo
             raise DomainError("the L3 splitting form needs d = 3")
         parts = sum(power_sums(f.data, 3) * w for f in fields)
         defect = np.sum(power_sums(total.data, 3) * w - parts)
-        combined = lebesgue_norm(total, 3)
-        individual = [lebesgue_norm(f, 3) for f in fields]
     elif norm_kind == "besov":
         if p is None:
             raise DomainError("the Besov splitting form needs p")
         idx = BesovIndex.critical(p, grid.d)
-        combined = besov_norm(total, idx)
-        individual = [besov_norm(f, idx) for f in fields]
-        defect = combined**p - sum(v**p for v in individual)
+        defect = besov_norm(total, idx)**p - sum(besov_norm(f, idx)**p for f in fields)
     else:
         raise DomainError(f"unknown norm kind {norm_kind!r}")
-    cross = {}
-    for a in range(len(fields)):
-        for b in range(len(fields)):
-            if a != b:
-                val = float(np.sum(np.abs(fields[a].data) * fields[b].data**2) * w)
-                cross[(a, b)] = val
-    return SplittingReport(defect=abs(float(defect)), norm_kind=norm_kind,
-                           pair_cross_terms=cross, individual_norms=individual,
-                           combined_norm=combined)
+    return abs(float(defect))
 
 
 def extract_cores(f: RealVectorField, count: int = 1):

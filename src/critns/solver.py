@@ -3,14 +3,14 @@
 Time stepping is integrating-factor Heun: the heat factor exp(dt*Laplacian) is
 applied exactly in spectral space and the projected convection term gets a
 second-order explicit treatment.  Quadratic products are formed in physical
-space and truncated by a sharp radial cutoff (the 2/3 rule, `DEALIAS_FRACTION`,
-unless a SolverConfig sets another fraction).  Every coefficient the cutoff
-can leave nonzero has |m| < R = fraction * N/2 on each axis, so the step keeps
-its spectral state on the retained box |m| <= ceil(R)-1 (`dealias_box`, 30% of
-the half spectrum at 2/3).  Both transforms are pruned to the box and take
-its coefficients in the grid's box layout: the forward returns them and the
-inverse reads them.  The truncated coefficients outside the box are exactly
-zero, so this changes no snapshot bit.
+space and truncated by a sharp radial cutoff, the 2/3 rule of
+`DEALIAS_FRACTION`, the one fraction of every run and every flux.  Every
+coefficient the cutoff can leave nonzero has |m| < R = N/3 on each axis, so
+the step keeps its spectral state on the retained box |m| <= ceil(R)-1
+(`dealias_box`, 30% of the half spectrum).  Both transforms are pruned to the
+box and take its coefficients in the grid's box layout: the forward returns
+them and the inverse reads them.  The truncated coefficients outside the box
+are exactly zero, so this changes no snapshot bit.
 
 There is one flux kernel, `_div_flux_hat`: the divergence of a symmetric
 tensor, formed trace-free (S - S_{d-1,d-1} I), one forward transform fewer
@@ -77,7 +77,7 @@ RESOLUTION_LIMIT = "ResolutionLimit"
 NON_FINITE = "NonFinite"
 
 # The sharp radial dealias cutoff |m| < DEALIAS_FRACTION * N/2 (the 2/3 rule)
-# of every flux outside a solver run, and a solver run's default.
+# of every flux, in a solver run and outside it.
 DEALIAS_FRACTION = 2.0 / 3.0
 
 
@@ -85,7 +85,6 @@ DEALIAS_FRACTION = 2.0 / 3.0
 class SolverConfig:
     dt: float
     T: float
-    dealias_fraction: float = DEALIAS_FRACTION
     blowup_sup_threshold: float = 1e3
     spectral_tail_threshold: float = 1.0
     snapshot_stride: int = 1
@@ -99,8 +98,6 @@ class SolverConfig:
             raise DomainError(f"horizon must be finite and positive, got {self.T}")
         if not math.isfinite(self.T / self.dt):
             raise DomainError(f"step count T/dt must be finite, got T={self.T}, dt={self.dt}")
-        if not (0 < self.dealias_fraction <= 1.0):
-            raise DomainError("dealias fraction must be in (0, 1]")
         if not (self.blowup_sup_threshold > 0):
             raise DomainError("sup-norm abort level must be positive")
         if not (self.spectral_tail_threshold > 0):
@@ -299,12 +296,12 @@ def dealias_box(grid: Grid, fraction: float) -> RetainedBox:
     return RetainedBox(grid, mask, extent)
 
 
-def _tail_octave_mask(box: RetainedBox, fraction: float, octave_shift: int = 0) -> np.ndarray:
-    """Octave [K/2, K) on the box, K = fraction * Nyquist / 2^octave_shift; a
-    shift of s monitors the octave s steps below the dealias radius (used for
-    parabolically matched rescaled runs).  Raises DomainError when the octave
-    holds no mode of the grid."""
-    top = math.ldexp(fraction, -octave_shift)  # fraction / 2^s, and 0.0 for a huge s
+def _tail_octave_mask(box: RetainedBox, octave_shift: int) -> np.ndarray:
+    """Octave [K/2, K) on the box, K = DEALIAS_FRACTION * Nyquist /
+    2^octave_shift; a shift of s monitors the octave s steps below the dealias
+    radius (used for parabolically matched rescaled runs).  Raises DomainError
+    when the octave holds no mode of the grid."""
+    top = math.ldexp(DEALIAS_FRACTION, -octave_shift)  # 2/3 / 2^s, and 0.0 for a huge s
     k2, grid = box.k_squared, box.grid
     tail = _inside_radius(k2, grid, top) & ~_inside_radius(k2, grid, top / 2.0)
     if not tail.any():
@@ -444,8 +441,8 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     """
     grid = u0.grid
     u0.require_finite()
-    box = dealias_box(grid, cfg.dealias_fraction)
-    tail_mask = _tail_octave_mask(box, cfg.dealias_fraction, cfg.tail_octave_shift)
+    box = dealias_box(grid, DEALIAS_FRACTION)
+    tail_mask = _tail_octave_mask(box, cfg.tail_octave_shift)
     heat = np.exp(-cfg.dt * box.k_squared)
 
     uh = _leray_coefficients(_box_forward(u0.data, box), box)
@@ -527,7 +524,7 @@ def _collected(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     datum and every right-hand side are truncated to the mask, and Leray
     projection keeps zeros), so a read scatters the kept entries into a
     zeroed box and inverts it, bitwise the step's snapshot."""
-    grid, box = u0.grid, dealias_box(u0.grid, cfg.dealias_fraction)
+    grid, box = u0.grid, dealias_box(u0.grid, DEALIAS_FRACTION)
     inside = box.mask.astype(bool)
     packed = []
 
@@ -547,8 +544,7 @@ def _collected(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
 
 
 def condition_datum(f: RealVectorField) -> RealVectorField:
-    """Dealias-truncate and project a datum exactly as evolve does internally
-    at the default DEALIAS_FRACTION.
+    """Dealias-truncate and project a datum exactly as evolve does internally.
 
     Shipped profile systems pass their profiles through this so that the
     solver's own conditioning is a no-op and decompositions close at roundoff.
@@ -628,17 +624,7 @@ class PerturbationReport:
         return self.w0_norm + self.force_norm
 
     def to_dict(self) -> dict:
-        return {
-            "lhs_e_norm": self.lhs_e_norm,
-            "w0_norm": self.w0_norm,
-            "force_norm": self.force_norm,
-            "bracket": self.bracket,
-            "drift_norm": self.drift_norm,
-            "implied_constant": self.implied_constant,
-            "inconsistent": self.inconsistent,
-            "p": self.p,
-            "horizon": self.horizon,
-        }
+        return {**asdict(self), "bracket": self.bracket}
 
 
 SOLVER_FLOOR = 1e-9

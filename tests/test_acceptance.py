@@ -412,7 +412,7 @@ def test_criterion_10_norm_splitting():
                                                      decay=0.5))
     cfg = SolverConfig(dt=4e-3, T=0.04, snapshot_stride=2)
     ev = evolve_system(sys_, cfg, [0, 1, 2])
-    defects = [norm_splitting_check(ev, sys_, n, 0.02).defect for n in (0, 1, 2)]
+    defects = [norm_splitting_check(ev, sys_, n, 0.02) for n in (0, 1, 2)]
     decreasing = defects[0] > defects[1] > defects[2]
     terminal = defects[2] / defects[0]
     ok = decreasing and terminal <= 1e-3

@@ -59,7 +59,7 @@ class TestSupCriticalNorm:
         u0 = random_divfree_field(grid3m, seed=1, k_lo=1.0, k_hi=4.0, amplitude=0.02)
         traj = evolve(u0, SolverConfig(dt=5e-3, T=1.0, snapshot_stride=40))
         rep = sup_critical_norm(traj, "besov", p=4.0)
-        assert rep.time_of_max == 0.0 and rep.completed
+        assert rep.time_of_max == 0.0 and traj.status == COMPLETED
         idx = BesovIndex.critical(4.0, 3)
         assert besov_norm(traj.snapshots[-1], idx) < 0.5 * rep.value
 
@@ -177,6 +177,12 @@ class TestThresholdBisection:
         assert [(w.category, str(w.message)) for w in streamed] == [
             (w.category, str(w.message)) for w in collected]
 
+    def test_sup_family_probe_count(self):
+        # the end-to-end secant through each end's own log margin closes this
+        # family in 7 probes
+        rep = threshold_bisection(self._sup_family(3), self.SUP_CFG, tol=0.1)
+        assert len(rep.probes) <= 7
+
     def test_search_collects_no_run(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a threshold probe collected its run")
@@ -193,16 +199,22 @@ class SyntheticFamily:
     k = 0..STEPS; as in the solver, it trips iff a recorded value is strictly
     above the threshold and then stops at that step.  At alpha >=
     non_finite_above the run goes non-finite after step 0.  Its one snapshot,
-    the datum, is handed to take."""
+    the datum, is handed to take.  A run past the first budget fails the
+    test, so a search that would not end fails instead of hanging."""
 
     STEPS = 16
 
-    def __init__(self, base, margin, non_finite_above=math.inf, monitor="tail_fraction"):
+    def __init__(self, base, margin, non_finite_above=math.inf, monitor="tail_fraction",
+                 budget=200):
         self.base, self.margin = base, margin
         self.non_finite_above, self.monitor = non_finite_above, monitor
         self.peak = float(np.max(np.abs(base.data)))
+        self.budget = budget
 
     def __call__(self, u0, cfg, take):
+        self.budget -= 1
+        if self.budget < 0:
+            raise AssertionError("the threshold search ran past its probe budget")
         alpha = float(np.max(np.abs(u0.data))) / self.peak
         ratios = self.margin(alpha) * np.arange(self.STEPS + 1) / self.STEPS
         scale = {"linf": cfg.blowup_sup_threshold, "tail_fraction": cfg.spectral_tail_threshold}
@@ -226,14 +238,14 @@ class TestThresholdSearchLogic:
     TOL = 0.01
     CFG = SolverConfig(dt=1e-2, T=0.16, spectral_tail_threshold=0.1)
 
-    def _search(self, monkeypatch, margin, **kwargs):
+    def _search(self, monkeypatch, margin, tol=TOL, **kwargs):
         base = random_divfree_field(Grid(2, 32), seed=0, k_lo=2.0, k_hi=6.0)
         monkeypatch.setattr(criticality, "evolve_streaming",
                             SyntheticFamily(base, margin, **kwargs))
         fam = DatumFamily(base=base, alpha_lo=4.0, alpha_hi=128.0)
-        rep = threshold_bisection(fam, self.CFG, tol=self.TOL)
+        rep = threshold_bisection(fam, self.CFG, tol=tol)
         lo, hi = rep.bracket
-        assert hi / lo - 1.0 <= self.TOL
+        assert hi / lo - 1.0 <= tol
         self._check_probes_inside_brackets(rep.probes)
         return rep
 
@@ -262,6 +274,28 @@ class TestThresholdSearchLogic:
         lo, hi = rep.bracket
         assert lo < self.ALPHA_STAR <= hi
         assert len(rep.probes) <= 12
+
+    def test_step_margin_takes_no_more_than_bisection(self, monkeypatch):
+        # a margin that jumps at the threshold gives the secant nothing to
+        # fit; 11 probes is geometric bisection's count to tol from 4..128
+        rep = self._search(monkeypatch, lambda a: 0.5 if a < self.ALPHA_STAR else 2.0)
+        lo, hi = rep.bracket
+        assert lo < self.ALPHA_STAR <= hi
+        assert len(rep.probes) <= 11
+
+    def test_tolerance_floor_is_double_epsilon(self, monkeypatch):
+        # below epsilon no double lies strictly inside a bracket of adjacent
+        # doubles, so the search could not end; at epsilon it does
+        eps = float(np.finfo(float).eps)
+
+        def smooth(a):
+            return (a / self.ALPHA_STAR) ** 2
+
+        with pytest.raises(DomainError, match="at least 2.22e-16"):
+            self._search(monkeypatch, smooth, tol=0.99 * eps)
+        rep = self._search(monkeypatch, smooth, tol=eps)
+        # member(37) has margin 1.0 exactly, which completes
+        assert rep.bracket[0] <= self.ALPHA_STAR < rep.bracket[1]
 
     def test_sup_trip_reason(self, monkeypatch):
         rep = self._search(monkeypatch, lambda a: (a / self.ALPHA_STAR) ** 2, monitor="linf")

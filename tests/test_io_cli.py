@@ -888,6 +888,48 @@ class TestCLI:
                         "margin": None, "trip_reason": "non_finite"}]
         assert doc["relative_width"] <= 0.5
 
+    def test_threshold_tol_below_double_epsilon_exit_1(self, workdir, capsys):
+        # no double lies strictly inside a bracket of adjacent doubles, so a
+        # tol below epsilon never closed it and the command never ended
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16}, "base": {"generator": {"type": "taylor_green",
+                                                               "amplitude": 0.5}},
+            "alpha_lo": 0.5, "alpha_hi": 2.0, "tol": 1e-17, "besov_p": 3,
+            "solver": dict(SOLVER, blowup_sup_threshold=0.75)})
+        assert cli.main(["threshold", "--config", cfg, "--out", str(workdir / "out")]) == 1
+        [line] = capsys.readouterr().err.strip().splitlines()
+        error = json.loads(line)
+        assert error["error"] == "DomainError" and "2.22e-16" in error["message"]
+
+    def test_superpose_given_remainder_field(self, workdir, capsys):
+        small = {"generator": {"type": "taylor_green", "amplitude": 0.01}}
+        cfg = self._write(workdir / "c.json", superpose_doc(
+            remainder={"field": small, "decay": 0.5}, n_values=[0, 1]))
+        assert cli.main(["superpose", "--config", cfg, "--out", str(workdir / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        rows = json.loads((workdir / "out" / "trend.json").read_text())["rows"]
+        assert [row["n"] for row in rows] == [0, 1]
+        assert all(row["datum_status"] == "Completed" for row in rows)
+        assert rows[0]["remainder_e_norm"] > rows[1]["remainder_e_norm"] > 0
+
+    def test_superpose_given_remainder_field_with_seed_exit_1(self, workdir, capsys):
+        cfg = self._write(workdir / "c.json", superpose_doc(
+            remainder={"field": TG, "seed": 1}))
+        assert cli.main(["superpose", "--config", cfg, "--out", str(workdir / "out")]) == 1
+        [line] = capsys.readouterr().err.strip().splitlines()
+        error = json.loads(line)
+        assert "['seed'] apply only without a 'field'" in error["message"]
+
+    def test_field_file_on_another_grid_exit_1(self, workdir, capsys):
+        write_field(workdir / "f.cfd", taylor_green(Grid(2, 32)))
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16}, "field": {"file": str(workdir / "f.cfd")},
+            "norm": {"kind": "lebesgue", "p": 2}})
+        assert cli.main(["norm", "--config", cfg, "--out", str(workdir / "out")]) == 1
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert "grid does not match the config grid" in json.loads(line)["message"]
+        assert not (workdir / "out" / "norm.json").exists()
+
     def test_perturb_drift_on_another_grid_exit_1(self, workdir, capsys):
         drift = workdir / "drift"
         save_trajectory(drift, make_heat_trajectory(taylor_green(Grid(2, 16)), [0.0, 0.02]))

@@ -518,8 +518,7 @@ class TestNormSplitting:
         sys_ = ProfileSystem(profiles=[(phi, _identity_seq(3))], remainder=None)
         cfg = SolverConfig(dt=4e-3, T=0.04, snapshot_stride=2)
         ev = evolve_system(sys_, cfg, [0])
-        rep = norm_splitting_check(ev, sys_, 0, 0.02)
-        assert rep.defect == 0.0
+        assert norm_splitting_check(ev, sys_, 0, 0.02) == 0.0
 
     def test_disjoint_supports_tiny_defect(self):
         grid = Grid(3, 32)
@@ -534,22 +533,20 @@ class TestNormSplitting:
             remainder=None)
         cfg = SolverConfig(dt=4e-3, T=0.02, snapshot_stride=1)
         ev = evolve_system(sys_, cfg, [0])
-        rep = norm_splitting_check(ev, sys_, 0, 0.01)
-        assert rep.defect <= 1e-9
+        assert norm_splitting_check(ev, sys_, 0, 0.01) <= 1e-9
 
     def test_defect_decreases_along_sweep(self, grid3m):
         sys_ = _two_profile_system(grid3m)
         cfg = SolverConfig(dt=4e-3, T=0.04, snapshot_stride=2)
         ev = evolve_system(sys_, cfg, [0, 1, 2])
-        vals = [norm_splitting_check(ev, sys_, n, 0.02).defect for n in (0, 1, 2)]
+        vals = [norm_splitting_check(ev, sys_, n, 0.02) for n in (0, 1, 2)]
         assert vals[0] > vals[1] > vals[2]
 
     def test_besov_form(self, grid3m):
         sys_ = _two_profile_system(grid3m)
         cfg = SolverConfig(dt=4e-3, T=0.04, snapshot_stride=2)
         ev = evolve_system(sys_, cfg, [0])
-        rep = norm_splitting_check(ev, sys_, 0, 0.02, norm_kind="besov", p=4.0)
-        assert np.isfinite(rep.defect)
+        assert np.isfinite(norm_splitting_check(ev, sys_, 0, 0.02, norm_kind="besov", p=4.0))
 
 
 class TestExtraction:

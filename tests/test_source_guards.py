@@ -1,6 +1,6 @@
 """Source guards: every FFT the package runs is made in grid.py, every
-on-read snapshot sequence is one class, and box coefficients go back into a
-half spectrum only in the inverse transform."""
+on-read snapshot sequence is one class, box coefficients go back into a half
+spectrum only in the inverse transform, and every dataclass field is read."""
 
 import ast
 from pathlib import Path
@@ -63,6 +63,12 @@ def sequence_classes(tree):
                     for base in node.bases)]
 
 
+def _names(node, name) -> bool:
+    """Whether node is the bare name or an attribute called name."""
+    return (isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name)
+
+
 def uses(tree, name):
     """The enclosing function (None at module level) of each use of name in
     tree: a bare name, an attribute or an import of it."""
@@ -70,15 +76,35 @@ def uses(tree, name):
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if (isinstance(child, ast.Name) and child.id == name
-                    or isinstance(child, ast.Attribute) and child.attr == name
-                    or isinstance(child, ast.alias) and child.name == name):
+            if _names(child, name) or isinstance(child, ast.alias) and child.name == name:
                 found.append(owner)
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else owner)
 
     visit(tree, None)
     return found
+
+
+def unread_fields(trees):
+    """Sorted (class, field) of the annotated fields of the dataclasses in
+    trees that no attribute read in trees names.  A class whose body calls
+    asdict serializes itself, which reads every field."""
+    reads = {node.attr for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for tree in trees:
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and any(
+                    _names(dec.func if isinstance(dec, ast.Call) else dec, "dataclass")
+                    for dec in cls.decorator_list)):
+                continue
+            if any(isinstance(node, ast.Call) and _names(node.func, "asdict")
+                   for node in ast.walk(cls)):
+                continue
+            found += [(cls.name, stmt.target.id) for stmt in cls.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                      and stmt.target.id not in reads]
+    return sorted(found)
 
 
 def test_ffts_only_in_grid():
@@ -151,3 +177,21 @@ def test_one_scatter_into_a_half_spectrum():
     assert [(name, node.lineno) for name, tree in trees.items() for node in ast.walk(tree)
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr == "scatter"] == []
+
+
+def test_every_dataclass_field_is_read():
+    # a report field that no code reads is API surface kept up for nobody
+    assert unread_fields([ast.parse(path.read_text()) for path in SRC.glob("*.py")]) == []
+
+
+def test_unread_field_guard_on_a_snippet():
+    src = "\n".join([
+        "import dataclasses", "from dataclasses import asdict, dataclass",
+        "@dataclass", "class A:", "    read: int", "    stored: int", "    unread: int = 0",
+        "@dataclasses.dataclass(frozen=True)", "class B:", "    unread: int",
+        "@dataclass", "class C:", "    unread: int",
+        "    def to_dict(self): return asdict(self)",
+        "class D:", "    unread: int",
+        "def f(a, b):", "    a.stored = a.read", "    return b",
+    ])
+    assert unread_fields([ast.parse(src)]) == [("A", "stored"), ("A", "unread"), ("B", "unread")]
