@@ -71,6 +71,18 @@ class BesovIndex:
         return BesovIndex(critical_exponent(p, d), p, p)
 
 
+def perturbation_spaces(p: float, d: int) -> tuple:
+    """(time exponent rho, Besov index) of each L^rho_t B^s_{p,p} space of
+    the perturbation estimate at p: the source's first part in
+    L^{2p/(p+1)} B^{s_p-1+1/p}, its second part in L^{p'} B^{s_p-2/p} (p' the
+    conjugate exponent), and the drift in L^p B^{s_p+2/p}."""
+    sp = critical_exponent(p, d)
+    pprime = INF if p == 1 else p / (p - 1.0)
+    return ((2.0 * p / (p + 1.0), BesovIndex(sp - 1.0 + 1.0 / p, p, p)),
+            (pprime, BesovIndex(sp - 2.0 / p, p, p)),
+            (p, BesovIndex(sp + 2.0 / p, p, p)))
+
+
 def _power_sums_in_place(x: np.ndarray, p: float, square: np.ndarray | None = None):
     """power_sums that overwrites x with |x|^p; square is one component's worth
     of scratch for p = 3, allocated here if not given.

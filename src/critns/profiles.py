@@ -48,13 +48,13 @@ from .grid import (
 )
 from .lp import low_high, low_pass
 from .norms import (
-    INF,
     BesovIndex,
     _cl_from_matrix,
     _trapezoid_weights,
     band_profile,
     besov_norm,
     critical_exponent,
+    perturbation_spaces,
     power_sums,
     sampled_band_tables,
 )
@@ -261,15 +261,10 @@ def superpose_evolution(ev: EvolvedSystem, sys: ProfileSystem, n: int,
         raise TrajectoryCoverageError(
             f"requested time {t} beyond the blow-up-proxy horizon {tau_n}"
         )
-    total = None
-    for j, (phi, seq) in enumerate(sys.profiles):
-        sc = seq[n]
-        native_t = t / sc.lam**2
-        part = _rescaled(ev.trajectories[j].at(native_t), sc, name=f"profile {j}")
-        if total is None:
-            total = part
-        else:
-            np.add(total.data, part.data, out=total.data)
+    parts = _profile_parts(ev, sys, n, t, ScaleCore.identity(sys.grid.d))
+    total = next(parts)
+    for part in parts:
+        np.add(total.data, part.data, out=total.data)
     np.add(total.data, ev.remainder_heat(n, t).data, out=total.data)
     return total
 
@@ -304,6 +299,17 @@ def remainder(u_n: Trajectory, ev: EvolvedSystem, sys: ProfileSystem, n: int) ->
                       status=u_n.status, config_echo={"kind": "remainder", "n": n})
 
 
+def _profile_parts(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float,
+                   frame: ScaleCore):
+    """Profile j's run at t lam_frame^2 / lam_{j,n}^2 mapped by Lambda_frame^{-1}
+    Lambda_{j,n} into the frame, one new field per profile.  In the lab frame
+    (the identity) both are bitwise those of Lambda_{j,n} alone."""
+    for j, (_, seq) in enumerate(sys.profiles):
+        sc = seq[n].compose_inverse_of(frame)
+        native_t = t * frame.lam**2 / seq[n].lam ** 2
+        yield _rescaled(ev.trajectories[j].at(native_t), sc, name=f"profile {j}")
+
+
 def _frame_components(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float):
     """Rescaled-frame profile fields U^{j,0}(t) and remainder heat flow W(t).
 
@@ -312,11 +318,7 @@ def _frame_components(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float):
     """
     grid = sys.grid
     frame = ev.frame(n)
-    parts = []
-    for j, (phi, seq) in enumerate(sys.profiles):
-        sc = seq[n].compose_inverse_of(frame)
-        native_t = t * frame.lam**2 / seq[n].lam ** 2
-        parts.append(_rescaled(ev.trajectories[j].at(native_t), sc, name=f"profile {j}"))
+    parts = list(_profile_parts(ev, sys, n, t, frame))
     w_hat = _leray_coefficients(ev.remainder_flow(n).coefficients(t * frame.lam**2), grid)
     w_box = RealVectorField(grid, inverse_transform(w_hat, grid))
     w = _rescaled(w_box, frame.inverse(), name="remainder")
@@ -334,10 +336,10 @@ def drift_norm(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: floa
                n_samples: int = 9) -> float:
     """L^p-in-time B^{s_p + 2/p}_{p,p} norm of the drift over [0, T0]."""
     grid = sys.grid
-    sp = critical_exponent(p, grid.d)
+    *_, drift = perturbation_spaces(p, grid.d)
     times = np.linspace(0.0, T0, n_samples)
     levels, (eps,) = sampled_band_tables(grid, times, lambda t: (drift_term(ev, sys, n, t),), p)
-    return _cl_from_matrix(times, levels, eps, p, BesovIndex(sp + 2.0 / p, p, p))
+    return _cl_from_matrix(times, levels, eps, *drift)
 
 
 def _source(parts: list, w: RealVectorField):
@@ -391,14 +393,12 @@ def source_norms(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: fl
     sample time gives both parts' band profiles, and the parts are dropped
     before the next time."""
     grid = sys.grid
-    sp = critical_exponent(p, grid.d)
-    pprime = INF if p == 1 else p / (p - 1.0)  # the conjugate exponent
+    part1, part2, _ = perturbation_spaces(p, grid.d)
     times = np.linspace(0.0, T0, n_samples)
     levels, (eps1, eps2) = sampled_band_tables(
         grid, times, lambda t: source_term(ev, sys, n, t), p)
-    n1 = _cl_from_matrix(times, levels, eps1, 2.0 * p / (p + 1.0),
-                         BesovIndex(sp - 1.0 + 1.0 / p, p, p))
-    n2 = _cl_from_matrix(times, levels, eps2, pprime, BesovIndex(sp - 2.0 / p, p, p))
+    n1 = _cl_from_matrix(times, levels, eps1, *part1)
+    n2 = _cl_from_matrix(times, levels, eps2, *part2)
     return {"paraproduct_part": n1, "zeta_part": n2, "upper_bound": n1 + n2}
 
 
@@ -410,12 +410,8 @@ def norm_splitting_check(ev: EvolvedSystem, sys: ProfileSystem, n: int, t_n: flo
     component-wise cube convention.  Besov form at p: |N(sum_j F_j)^p -
     sum_j N(F_j)^p| for N the critical Besov norm of index p.
     """
-    fields = []
-    for j in range(sys.J + 1):
-        sc = sys.sequence(j)[n]
-        fields.append(_rescaled(ev.trajectories[j].at(t_n / sc.lam**2), sc,
-                                name=f"profile {j}"))
     grid = sys.grid
+    fields = list(_profile_parts(ev, sys, n, t_n, ScaleCore.identity(grid.d)))
     w = grid.cell_volume
     total = sum(fields[1:], fields[0])
     if norm_kind == "L3":

@@ -60,7 +60,6 @@ from .grid import (
     _leray_coefficients,
 )
 from .norms import (
-    INF,
     BesovIndex,
     _cl_from_matrix,
     band_table_of,
@@ -69,6 +68,7 @@ from .norms import (
     critical_exponent,
     e_norm,
     lebesgue_norm,
+    perturbation_spaces,
     sampled_band_tables,
 )
 
@@ -634,9 +634,8 @@ def verify_perturbation_bound(prob: PerturbationProblem, cfg: SolverConfig,
                               p: float) -> PerturbationReport:
     """Run the perturbed system and report the pieces of the exponential bound.
 
-    The force norm uses the explicit two-part decomposition of the problem
-    (first part measured in L^{2p/(p+1)} B^{s_p-1+1/p}, second in
-    L^{p'} B^{s_p-2/p}); the drift norm lives in L^p B^{s_p+2/p}.
+    The force norm uses the explicit two-part decomposition of the problem,
+    each part and the drift measured in its space of `perturbation_spaces`.
     """
     grid = prob.w0.grid
     d = grid.d
@@ -649,25 +648,18 @@ def verify_perturbation_bound(prob: PerturbationProblem, cfg: SolverConfig,
     lhs = e_norm(traj, p, p, cfg.T)
 
     w0_norm = besov_norm(prob.w0, BesovIndex(sp, p, p))
+    part1, part2, drift = perturbation_spaces(p, d)
 
     sample_times = np.linspace(0.0, cfg.T, min(33, max(5, len(traj.times))))
     force_norm = 0.0
-    g1, g2 = prob.force_parts
-    if g1 is not None:
-        levels, (eps,) = sampled_band_tables(grid, sample_times, lambda t: (g1(t),), p)
-        force_norm += _cl_from_matrix(sample_times, levels, eps, 2.0 * p / (p + 1.0),
-                                      BesovIndex(sp - 1.0 + 1.0 / p, p, p))
-    if g2 is not None:
-        levels, (eps,) = sampled_band_tables(grid, sample_times, lambda t: (g2(t),), p)
-        pprime = INF if p == 1 else p / (p - 1.0)  # the conjugate exponent
-        force_norm += _cl_from_matrix(sample_times, levels, eps, pprime,
-                                      BesovIndex(sp - 2.0 / p, p, p))
+    for g, space in zip(prob.force_parts, (part1, part2), strict=True):
+        if g is not None:
+            levels, (eps,) = sampled_band_tables(grid, sample_times, lambda t: (g(t),), p)
+            force_norm += _cl_from_matrix(sample_times, levels, eps, *space)
 
     drift_norm = 0.0
     if prob.drift is not None:
-        drift_norm = chemin_lerner_norm(
-            prob.drift, p, BesovIndex(sp + 2.0 / p, p, p), interval=(0.0, cfg.T)
-        )
+        drift_norm = chemin_lerner_norm(prob.drift, *drift, interval=(0.0, cfg.T))
 
     bracket = w0_norm + force_norm
     inconsistent = bracket <= SOLVER_FLOOR and lhs > 10.0 * SOLVER_FLOOR

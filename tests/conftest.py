@@ -1,10 +1,14 @@
+import contextlib
+import io
 import tracemalloc
+import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from critns import Grid
+from critns import Grid, cli
 from critns.grid import RealVectorField, _leray_coefficients, forward_transform, inverse_transform
 from critns.norms import _trapezoid_weights
 from critns.solver import DEALIAS_FRACTION, DerivedSnapshots, Trajectory, dealias_box
@@ -187,3 +191,38 @@ def snapshot_reads(monkeypatch):
 
     monkeypatch.setattr(DerivedSnapshots, "__getitem__", counted)
     return reads
+
+
+class CliRun(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(argv) -> CliRun:
+    """(returncode, stdout, stderr) of `critns <argv>`, run in this process
+    by cli.main and shown as a fresh `python -m critns.cli` process shows them.
+
+    argparse's SystemExit becomes its code; any other exception that escapes
+    main fails the caller.  Warnings pass the interpreter's default filters
+    and are written to the captured stderr; setting the filters resets the
+    once-per-location registry, so a second run prints its warnings again.
+    """
+    out, err = io.StringIO(), io.StringIO()
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        err.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+    with (warnings.catch_warnings(), contextlib.redirect_stdout(out),
+          contextlib.redirect_stderr(err)):
+        # the filters of a fresh interpreter without -W options
+        warnings.resetwarnings()
+        for category in (DeprecationWarning, PendingDeprecationWarning, ImportWarning,
+                         ResourceWarning):
+            warnings.simplefilter("ignore", category)
+        warnings.showwarning = show
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return CliRun(code, out.getvalue(), err.getvalue())

@@ -6,8 +6,6 @@ the grid sizes named in their budgets (48^3 and 64^3 in 3D).
 """
 
 import json
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -493,6 +491,10 @@ def test_criterion_12_threshold_harness():
 
 
 def test_criterion_13_reproducibility(tmp_path):
+    # two processes, since what two separate runs write is what is checked
+    import subprocess
+    import sys
+
     config = {
         "grid": {"d": 2, "N": 32},
         "u0": {"generator": {"type": "random_divfree", "seed": 77, "k_hi": 6.0,

@@ -1,13 +1,9 @@
 """CFD1 field files, trajectory directories and the CLI surface."""
 
-import contextlib
-import io
 import json
 import os
 import re
 import shlex
-import subprocess
-import sys
 import types
 import weakref
 from pathlib import Path
@@ -25,6 +21,7 @@ from critns.grid import RealVectorField
 from critns.io import (TrajectoryWriter, load_trajectory, read_field, save_trajectory,
                        write_field)
 from critns.solver import SolverConfig, evolve, make_heat_trajectory
+from conftest import run_cli
 
 
 class TestCFD1:
@@ -174,7 +171,8 @@ class TestStreamingEvolve:
     def test_directory_matches_save_trajectory(self, workdir, case):
         d, amplitude, k_hi, solver, status, count = STREAM_CASES[case]
         cfg = self._evolve_doc(workdir, d, amplitude, k_hi, solver)
-        assert cli.main(["evolve", "--config", cfg, "--out", str(workdir / "out")]) == 0
+        res = run_cli(["evolve", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 0
         u0 = random_divfree_field(Grid(d, 16), seed=5, k_hi=k_hi, amplitude=amplitude)
         traj = evolve(u0, parse_solver(solver))
         assert (traj.status, len(traj.snapshots)) == (status, count)
@@ -201,15 +199,9 @@ class TestStreamingEvolve:
         monkeypatch.setattr(critns_io, "write_field", spy)
         cfg = self._evolve_doc(workdir, 3, 0.5, 3.0,
                                {"dt": 0.01, "T": 0.05, "snapshot_stride": stride})
-        assert cli.main(["evolve", "--config", cfg, "--out", str(workdir / "out")]) == 0
+        res = run_cli(["evolve", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 0
         assert len(written) == count
-
-
-def run_cli(args):
-    return subprocess.run(
-        [sys.executable, "-m", "critns.cli", *args],
-        capture_output=True, text=True,
-    )
 
 
 TG = {"generator": {"type": "taylor_green"}}
@@ -691,11 +683,9 @@ class TestCLI:
         if command == "serrin":
             doc.update(p_t="inf", q_x=2)
         cfg = self._write(workdir / "c.json", doc)
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            code = cli.main([command, "--config", cfg, "--out", str(workdir / "out")])
-        assert code == 1
-        assert json.loads(stderr.getvalue())["error"] == "ConfigValidationError"
+        res = run_cli([command, "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["error"] == "ConfigValidationError"
 
     @pytest.mark.parametrize("N, error", [
         # one complex 3-component half spectrum at N = 2^20 takes 2.8e19
@@ -711,11 +701,9 @@ class TestCLI:
         cfg = self._write(workdir / "c.json", {
             "grid": {"d": 3, "N": N}, "field": str(path),
             "norm": {"kind": "lebesgue", "p": 2}})
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            code = cli.main(["norm", "--config", cfg, "--out", str(workdir / "out")])
-        assert code == 1
-        assert json.loads(stderr.getvalue())["error"] == error
+        res = run_cli(["norm", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["error"] == error
 
     @pytest.mark.parametrize("kind", ["besov", "heat_besov"])
     def test_componentless_cfd1_json_error(self, workdir, kind):
@@ -725,11 +713,9 @@ class TestCLI:
         cfg = self._write(workdir / "c.json", {
             "grid": {"d": 2, "N": 16}, "field": str(path),
             "norm": {"kind": kind, "p": 3, "s": 0.0}})
-        stderr = io.StringIO()
-        with contextlib.redirect_stderr(stderr):
-            code = cli.main(["norm", "--config", cfg, "--out", str(workdir / "out")])
-        assert code == 1
-        assert json.loads(stderr.getvalue())["error"] == "InvalidFieldError"
+        res = run_cli(["norm", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 1
+        assert json.loads(res.stderr)["error"] == "InvalidFieldError"
 
     def test_readme_examples(self, tmp_path, monkeypatch):
         # the README's evolve config and its two commands, run as written
@@ -745,7 +731,7 @@ class TestCLI:
                 assert redirect == ">"
                 Path(target).write_text(text + "\n")
             else:
-                assert words[0] == "critns" and cli.main(words[1:]) == 0
+                assert words[0] == "critns" and run_cli(words[1:]).returncode == 0
         serrin = json.loads(Path("out/serrin1/serrin.json").read_text())
         assert np.isfinite(serrin["value"])
 
@@ -785,12 +771,13 @@ class TestCLI:
             "field": {"generator": {"type": "taylor_green"}},
             "norm": {"kind": "lebesgue", "p": 2},
         })
-        assert cli.main(["norm", "--config", cfg, "--out", str(workdir / "out"),
-                         "--threads", str(n)]) == 0
+        res = run_cli(["norm", "--config", cfg, "--out", str(workdir / "out"),
+                       "--threads", str(n)])
+        assert res.returncode == 0
         assert seen == [n]
         assert scipy.fft.get_workers() == 1
 
-    def test_memory_error_exit_1(self, workdir, monkeypatch, capsys):
+    def test_memory_error_exit_1(self, workdir, monkeypatch):
         # an allocation that fails ends as the one JSON error line, not a traceback
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate the field")
@@ -801,29 +788,32 @@ class TestCLI:
             "u0": {"generator": {"type": "random_divfree", "seed": 0}},
             "solver": SOLVER,
         })
-        assert cli.main(["evolve", "--config", cfg, "--out", str(workdir / "out")]) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
+        res = run_cli(["evolve", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 1
+        lines = res.stderr.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "MemoryError",
                                         "message": "Unable to allocate the field"}
         assert not any((workdir / "out").iterdir())
 
     @pytest.mark.parametrize("out", ["afile", "afile/sub"], ids=["file", "under-file"])
-    def test_out_over_a_file_exit_1(self, workdir, out, capsys):
+    def test_out_over_a_file_exit_1(self, workdir, out):
         # an --out that cannot be a directory ends as the one JSON error line
         (workdir / "afile").write_text("")
         cfg = self._write(workdir / "c.json", {
             "grid": {"d": 2, "N": 16}, "field": TG, "norm": {"kind": "lebesgue", "p": 2}})
-        assert cli.main(["norm", "--config", cfg, "--out", str(workdir / out)]) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
+        res = run_cli(["norm", "--config", cfg, "--out", str(workdir / out)])
+        assert res.returncode == 1
+        lines = res.stderr.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] in ("FileExistsError", "NotADirectoryError")
 
-    def test_config_not_utf8_exit_1(self, workdir, capsys):
+    def test_config_not_utf8_exit_1(self, workdir):
         path = workdir / "c.json"
         path.write_bytes(b'{"grid": "\xff"}')
-        assert cli.main(["norm", "--config", str(path), "--out", str(workdir / "out")]) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
+        res = run_cli(["norm", "--config", str(path), "--out", str(workdir / "out")])
+        assert res.returncode == 1
+        lines = res.stderr.strip().splitlines()
         assert len(lines) == 1
         error = json.loads(lines[0])
         assert error["error"] == "ConfigValidationError"
@@ -835,44 +825,47 @@ class TestCLI:
         ("perturb", {"grid": {"d": 2, "N": 16}, "w0": TG, "solver": SOLVER, "p": 4,
                      "drift_trajectory": "traj"}),
     ], ids=["serrin", "probe", "perturb"])
-    def test_manifest_not_utf8_exit_1(self, workdir, command, doc, capsys):
+    def test_manifest_not_utf8_exit_1(self, workdir, command, doc):
         # "traj" stands for the stored trajectory whose manifest is not UTF-8
         traj_dir = workdir / "traj"
         save_trajectory(traj_dir, make_heat_trajectory(taylor_green(Grid(2, 16)), [0.0, 0.01]))
         (traj_dir / "manifest.json").write_bytes(b'{"format": "\xff"}')
         doc = {k: str(traj_dir) if v == "traj" else v for k, v in doc.items()}
         cfg = self._write(workdir / "c.json", doc)
-        assert cli.main([command, "--config", cfg, "--out", str(workdir / "out")]) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
+        res = run_cli([command, "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 1
+        lines = res.stderr.strip().splitlines()
         assert len(lines) == 1
         error = json.loads(lines[0])
         assert error["error"] == "ConfigValidationError"
         assert "manifest.json" in error["message"]
 
-    def test_perturb_at_p_1(self, workdir, capsys):
+    def test_perturb_at_p_1(self, workdir):
         # the second force part is measured in L^{p'} with p' = p/(p-1) = inf at p = 1
         cfg = self._write(workdir / "c.json", {
             "grid": {"d": 2, "N": 16}, "w0": TG, "solver": SOLVER, "p": 1,
             "force_part2": TG})
-        assert cli.main(["perturb", "--config", cfg, "--out", str(workdir / "out")]) == 0
-        assert "Traceback" not in capsys.readouterr().err
+        res = run_cli(["perturb", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 0
+        assert "Traceback" not in res.stderr
         doc = json.loads((workdir / "out" / "perturb.json").read_text())
         assert doc["p"] == 1 and 0 < doc["force_norm"] < float("inf")
 
-    def test_superpose_profile_non_finite_at_t_0_exit_1(self, workdir, capsys):
+    def test_superpose_profile_non_finite_at_t_0_exit_1(self, workdir):
         # the profile's coefficients overflow: its run takes no snapshot
         huge = {"generator": {"type": "random_divfree", "seed": 3, "k_lo": 1, "k_hi": 3,
                               "amplitude": 5e307}}
         cfg = self._write(workdir / "c.json", superpose_doc(
             profiles=[{"field": huge, "scale_cores": SEQ3}]))
-        assert cli.main(["superpose", "--config", cfg, "--out", str(workdir / "out")]) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
+        res = run_cli(["superpose", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 1
+        lines = res.stderr.strip().splitlines()
         assert len(lines) == 1
         error = json.loads(lines[0])
         assert error["error"] == "DomainError"
         assert "profile 0" in error["message"] and "no snapshot" in error["message"]
 
-    def test_threshold_probe_non_finite_at_t_0(self, workdir, capsys):
+    def test_threshold_probe_non_finite_at_t_0(self, workdir):
         # the top member's run goes non-finite at t = 0: a non_finite trip
         # that ended at t = 0, and the search goes on to its bracket
         base = {"generator": {"type": "random_divfree", "seed": 3, "k_lo": 1, "k_hi": 3,
@@ -880,15 +873,16 @@ class TestCLI:
         cfg = self._write(workdir / "c.json", {
             "grid": {"d": 2, "N": 16}, "base": base, "alpha_lo": 1e-3, "alpha_hi": 1e308,
             "tol": 0.5, "solver": SOLVER})
-        assert cli.main(["threshold", "--config", cfg, "--out", str(workdir / "out")]) == 0
-        assert capsys.readouterr().err == ""
+        res = run_cli(["threshold", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 0
+        assert res.stderr == ""
         doc = json.loads((workdir / "out" / "threshold.json").read_text())
         top = [p for p in doc["probes"] if p["alpha"] == 1e308]
         assert top == [{"alpha": 1e308, "status": "NonFinite", "final_time": 0.0,
                         "margin": None, "trip_reason": "non_finite"}]
         assert doc["relative_width"] <= 0.5
 
-    def test_threshold_tol_below_double_epsilon_exit_1(self, workdir, capsys):
+    def test_threshold_tol_below_double_epsilon_exit_1(self, workdir):
         # no double lies strictly inside a bracket of adjacent doubles, so a
         # tol below epsilon never closed it and the command never ended
         cfg = self._write(workdir / "c.json", {
@@ -896,72 +890,79 @@ class TestCLI:
                                                                "amplitude": 0.5}},
             "alpha_lo": 0.5, "alpha_hi": 2.0, "tol": 1e-17, "besov_p": 3,
             "solver": dict(SOLVER, blowup_sup_threshold=0.75)})
-        assert cli.main(["threshold", "--config", cfg, "--out", str(workdir / "out")]) == 1
-        [line] = capsys.readouterr().err.strip().splitlines()
+        res = run_cli(["threshold", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 1
+        [line] = res.stderr.strip().splitlines()
         error = json.loads(line)
         assert error["error"] == "DomainError" and "2.22e-16" in error["message"]
 
-    def test_superpose_given_remainder_field(self, workdir, capsys):
+    def test_superpose_given_remainder_field(self, workdir):
         small = {"generator": {"type": "taylor_green", "amplitude": 0.01}}
         cfg = self._write(workdir / "c.json", superpose_doc(
             remainder={"field": small, "decay": 0.5}, n_values=[0, 1]))
-        assert cli.main(["superpose", "--config", cfg, "--out", str(workdir / "out")]) == 0
-        assert capsys.readouterr().err == ""
+        res = run_cli(["superpose", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 0
+        assert res.stderr == ""
         rows = json.loads((workdir / "out" / "trend.json").read_text())["rows"]
         assert [row["n"] for row in rows] == [0, 1]
         assert all(row["datum_status"] == "Completed" for row in rows)
         assert rows[0]["remainder_e_norm"] > rows[1]["remainder_e_norm"] > 0
 
-    def test_superpose_given_remainder_field_with_seed_exit_1(self, workdir, capsys):
+    def test_superpose_given_remainder_field_with_seed_exit_1(self, workdir):
         cfg = self._write(workdir / "c.json", superpose_doc(
             remainder={"field": TG, "seed": 1}))
-        assert cli.main(["superpose", "--config", cfg, "--out", str(workdir / "out")]) == 1
-        [line] = capsys.readouterr().err.strip().splitlines()
+        res = run_cli(["superpose", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 1
+        [line] = res.stderr.strip().splitlines()
         error = json.loads(line)
         assert "['seed'] apply only without a 'field'" in error["message"]
 
-    def test_field_file_on_another_grid_exit_1(self, workdir, capsys):
+    def test_field_file_on_another_grid_exit_1(self, workdir):
         write_field(workdir / "f.cfd", taylor_green(Grid(2, 32)))
         cfg = self._write(workdir / "c.json", {
             "grid": {"d": 2, "N": 16}, "field": {"file": str(workdir / "f.cfd")},
             "norm": {"kind": "lebesgue", "p": 2}})
-        assert cli.main(["norm", "--config", cfg, "--out", str(workdir / "out")]) == 1
-        [line] = capsys.readouterr().err.strip().splitlines()
+        res = run_cli(["norm", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 1
+        [line] = res.stderr.strip().splitlines()
         assert "grid does not match the config grid" in json.loads(line)["message"]
         assert not (workdir / "out" / "norm.json").exists()
 
-    def test_perturb_drift_on_another_grid_exit_1(self, workdir, capsys):
+    def test_perturb_drift_on_another_grid_exit_1(self, workdir):
         drift = workdir / "drift"
         save_trajectory(drift, make_heat_trajectory(taylor_green(Grid(2, 16)), [0.0, 0.02]))
         cfg = self._write(workdir / "c.json", {
             "grid": {"d": 2, "N": 32}, "w0": TG, "solver": SOLVER, "p": 4,
             "drift_trajectory": str(drift)})
-        assert cli.main(["perturb", "--config", cfg, "--out", str(workdir / "out")]) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
+        res = run_cli(["perturb", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 1
+        lines = res.stderr.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "GridMismatchError"
 
-    def test_perturb_drift_with_another_component_count_exit_1(self, workdir, capsys):
+    def test_perturb_drift_with_another_component_count_exit_1(self, workdir):
         drift = workdir / "drift"
         grid = Grid(2, 16)
         save_trajectory(drift, make_heat_trajectory(gaussian_bump(grid, sigma=0.5), [0.0, 0.02]))
         cfg = self._write(workdir / "c.json", {
             "grid": {"d": 2, "N": 16}, "w0": TG, "solver": SOLVER, "p": 4,
             "drift_trajectory": str(drift)})
-        assert cli.main(["perturb", "--config", cfg, "--out", str(workdir / "out")]) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
+        res = run_cli(["perturb", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 1
+        lines = res.stderr.strip().splitlines()
         assert len(lines) == 1
         error = json.loads(lines[0])
         assert error["error"] == "GridMismatchError"
         assert "1 components" in error["message"] and "w0 has 2" in error["message"]
 
-    def test_perturb_w0_non_finite_at_t_0_exit_1(self, workdir, capsys):
+    def test_perturb_w0_non_finite_at_t_0_exit_1(self, workdir):
         # the datum's coefficients overflow: the w0 run takes no snapshot
         huge = {"generator": {"type": "taylor_green", "amplitude": 5e307}}
         cfg = self._write(workdir / "c.json", {
             "grid": {"d": 2, "N": 16}, "w0": huge, "solver": SOLVER, "p": 4})
-        assert cli.main(["perturb", "--config", cfg, "--out", str(workdir / "out")]) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
+        res = run_cli(["perturb", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 1
+        lines = res.stderr.strip().splitlines()
         assert len(lines) == 1
         error = json.loads(lines[0])
         assert error["error"] == "DomainError"

@@ -1,6 +1,7 @@
 """Source guards: every FFT the package runs is made in grid.py, every
 on-read snapshot sequence is one class, box coefficients go back into a half
-spectrum only in the inverse transform, and every dataclass field is read."""
+spectrum only in the inverse transform, every dataclass field is read, and
+the tests run the CLI through one harness."""
 
 import ast
 from pathlib import Path
@@ -8,9 +9,14 @@ from pathlib import Path
 import critns
 
 SRC = Path(critns.__file__).parent
+TESTS = Path(__file__).parent
 FFT_MODULES = ("scipy.fft", "numpy.fft")
 # (file, call) pairs allowed outside grid.py: the FFT worker count, no transform
 ALLOWED = {("cli.py", "scipy.fft.set_workers")}
+# (file, test) pairs that start a process, because the process boundary is
+# what they check
+SPAWNERS = {("test_acceptance.py", "test_criterion_13_reproducibility"),
+            ("test_cli_fuzz.py", "test_in_process_run_matches_a_process")}
 
 
 def _aliases(tree) -> dict:
@@ -71,12 +77,13 @@ def _names(node, name) -> bool:
 
 def uses(tree, name):
     """The enclosing function (None at module level) of each use of name in
-    tree: a bare name, an attribute or an import of it."""
+    tree: a bare name, an attribute, an import of it or from it."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
-            if _names(child, name) or isinstance(child, ast.alias) and child.name == name:
+            if (_names(child, name) or isinstance(child, ast.alias) and child.name == name
+                    or isinstance(child, ast.ImportFrom) and child.module == name):
                 found.append(owner)
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if inner else owner)
@@ -195,3 +202,26 @@ def test_unread_field_guard_on_a_snippet():
         "def f(a, b):", "    a.stored = a.read", "    return b",
     ])
     assert unread_fields([ast.parse(src)]) == [("A", "stored"), ("A", "unread"), ("B", "unread")]
+
+
+def test_one_cli_harness():
+    # a test runs the CLI through conftest.run_cli, which alone calls
+    # cli.main; only the tests of the process boundary start a process
+    trees = {path.name: ast.parse(path.read_text()) for path in TESTS.glob("*.py")}
+    assert {(name, owner) for name, tree in trees.items()
+            for owner in uses(tree, "subprocess")} == SPAWNERS
+    assert {(name, owner) for name, tree in trees.items()
+            for owner in uses(tree, "main")} == {("conftest.py", "run_cli")}
+
+
+def test_harness_guard_on_a_snippet():
+    src = "\n".join([
+        "import subprocess",
+        "def f():", "    import subprocess as sp", "    sp.run(x)",
+        "def g():", "    from subprocess import run", "    run(x)",
+        "def h():", "    return subprocess.run(x)",
+        "def k():", "    return process.run(x)",
+        "def run_cli(argv):", "    return cli.main(argv)",
+    ])
+    assert uses(ast.parse(src), "subprocess") == [None, "f", "g", "h"]
+    assert uses(ast.parse(src), "main") == ["run_cli"]

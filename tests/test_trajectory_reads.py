@@ -36,7 +36,7 @@ from critns.solver import (RESOLUTION_LIMIT, PerturbationProblem, SolverConfig, 
                            evolve, evolve_perturbed, evolve_streaming, make_heat_trajectory,
                            sample_trajectory, verify_perturbation_bound)
 
-from conftest import traced
+from conftest import run_cli, traced
 from test_profiles import _two_profile_system
 
 
@@ -153,8 +153,8 @@ def _one_component(path):
     (_truncate, "InvalidFieldError"),
     (_one_component, "InvalidFieldError"),
 ], ids=["deleted", "truncated", "one-component"])
-def test_snapshot_changed_after_loading_json_error(tmp_path, monkeypatch, capsys, command,
-                                                   change, error):
+def test_snapshot_changed_after_loading_json_error(tmp_path, monkeypatch, command, change,
+                                                   error):
     traj_dir = tmp_path / "traj"
     save_trajectory(traj_dir, make_heat_trajectory(
         random_divfree_field(Grid(3, 16), seed=3, k_hi=3.0), [0.0, 0.05, 0.1]))
@@ -170,9 +170,9 @@ def test_snapshot_changed_after_loading_json_error(tmp_path, monkeypatch, capsys
     if command == "serrin":
         doc.update(p_t="inf", q_x=3)
     (tmp_path / "c.json").write_text(json.dumps(doc))
-    code = cli.main([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out")])
-    assert code == 1
-    lines = capsys.readouterr().err.strip().splitlines()
+    res = run_cli([command, "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out")])
+    assert res.returncode == 1
+    lines = res.stderr.strip().splitlines()
     assert len(lines) == 1
     report = json.loads(lines[0])
     assert report["error"] == error
@@ -394,7 +394,7 @@ def test_force_norm_holds_one_sample_per_part():
     assert rep.force_norm == ref
 
 
-def test_superposition_error_at_a_read_json_error(tmp_path, monkeypatch, capsys):
+def test_superposition_error_at_a_read_json_error(tmp_path, monkeypatch):
     # remainder() reads nothing, so a profile leaving the box surfaces inside
     # e_norm, at the read that makes the superposition: still one JSON line
     real_superpose, real_remainder = profiles.superpose_evolution, cli.remainder
@@ -414,11 +414,11 @@ def test_superposition_error_at_a_read_json_error(tmp_path, monkeypatch, capsys)
                          "scale_cores": [{"lambda": 1, "x0": [0, 0]}] * 3}],
            "n_values": [0], "solver": {"dt": 0.01, "T": 0.02}, "p": 3}
     (tmp_path / "c.json").write_text(json.dumps(doc))
-    code = cli.main(["superpose", "--config", str(tmp_path / "c.json"),
-                     "--out", str(tmp_path / "out")])
-    assert code == 1
+    res = run_cli(["superpose", "--config", str(tmp_path / "c.json"),
+                   "--out", str(tmp_path / "out")])
+    assert res.returncode == 1
     assert len(made) == 1 and len(calls) == 2
-    lines = capsys.readouterr().err.strip().splitlines()
+    lines = res.stderr.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0]) == {"error": "SupportOverflowError",
                                     "message": "profile 0: rescaled support exits the box"}
