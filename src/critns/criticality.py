@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AccuracyWarning, DomainError
-from .fields import _rng, gaussian_bump
+from .fields import _rng, gaussian_factors
 from .grid import Grid, RealVectorField, forward_transform
 from .lp import band_range
 from .norms import BesovIndex, _band_norms, besov_from_profile, besov_norm, lebesgue_norm
@@ -280,18 +280,19 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
 def make_test_battery(grid: Grid, count: int = 8, seed: int = 7) -> RankOneBattery:
     """Battery of smooth localized vector test functions for weak-convergence
     probes: Gaussian bumps of random width and center, each times a random
-    vector."""
+    vector.  Each bump is kept as its per-axis factors (`gaussian_factors`),
+    count * d * N samples in all, never as an N^d array."""
     rng = _rng(seed)
     if count < 1:
         raise DomainError("test battery must be nonempty")
-    bumps = np.empty((count,) + grid.shape)
+    factors = np.empty((count, grid.d, grid.N))
     weights = np.empty((count, grid.d))
     for i in range(count):
         sigma = grid.L * (0.04 + 0.05 * rng.random())
         center = (rng.random(grid.d) - 0.5) * grid.L * 0.5
         weights[i] = rng.standard_normal(grid.d)
-        bumps[i] = gaussian_bump(grid, sigma, center=center).data[0]
-    return RankOneBattery(grid, bumps, weights)
+        factors[i] = gaussian_factors(grid, sigma, center=center)
+    return RankOneBattery(grid, factors, weights)
 
 
 @dataclass
@@ -317,8 +318,6 @@ def weak_convergence_probe(traj: Trajectory, tests: RankOneBattery) -> ProbeRepo
     """
     if not tests:
         raise DomainError("test battery must be nonempty")
-    if not traj.grid.compatible(tests.grid):
-        raise DomainError("test field grid mismatch")
     table = pairing_table(traj, tests)
     k0 = max(0, len(traj.snapshots) - max(2, len(traj.snapshots) // 3))
     tail = np.abs(table[k0:, :])

@@ -55,16 +55,29 @@ def single_mode(grid: Grid, mode, phase: float = 0.0) -> RealVectorField:
     return RealVectorField(grid, np.cos(arg)[np.newaxis])
 
 
+def _check_width(sigma: float) -> None:
+    if not sigma > 0:
+        raise DomainError(f"bump width sigma must be positive, got {sigma}")
+
+
 def gaussian_bump(grid: Grid, sigma: float, center=None, ncomp: int = 1,
                   amplitude: float = 1.0) -> RealVectorField:
     """Isotropic Gaussian exp(-|x-c|^2 / (2 sigma^2)) per component."""
     _components(ncomp)
-    if not sigma > 0:
-        raise DomainError(f"bump width sigma must be positive, got {sigma}")
+    _check_width(sigma)
     # periodic distance keeps the bump single-valued across the seam
     r2 = sum(dx**2 for dx in grid.periodic_offsets(center))
     bump = amplitude * np.exp(-r2 / (2.0 * sigma**2))
     return RealVectorField(grid, np.stack([bump] * ncomp))
+
+
+def gaussian_factors(grid: Grid, sigma: float, center=None) -> np.ndarray:
+    """The per-axis factors exp(-dx_a^2 / (2 sigma^2)) of gaussian_bump's
+    Gaussian, a (d, N) array over the same periodic offsets: their outer
+    product is the bump up to roundoff, held in d*N samples instead of N^d."""
+    _check_width(sigma)
+    return np.stack([np.exp(-dx.ravel()**2 / (2.0 * sigma**2))
+                     for dx in grid.periodic_offsets(center)])
 
 
 def gabor_bump(grid: Grid, sigma: float, mode_center, center=None, ncomp: int = 1,

@@ -455,10 +455,16 @@ def apply_multiplier(f: RealVectorField, pair: tuple[np.ndarray, int]) -> RealVe
 
 
 def spectral_divergence_ratio(f: RealVectorField) -> float:
-    """max_k |k.u_hat(k)| / max_k |u_hat(k)| over components."""
+    """max_k |k.u_hat(k)| / max_k |u_hat(k)| over components.  The sum
+    k.u_hat is accumulated in place; the i of the divergence i k.u_hat is left
+    out, as it does not change the modulus."""
     grid = f.grid
     coeff = forward_transform(f.data, grid)
-    div = sum(1j * ka * coeff[c] for c, ka in enumerate(grid.deriv_wavenumber_mesh[: f.ncomp]))
+    terms = zip(grid.deriv_wavenumber_mesh, coeff)
+    ka, comp = next(terms)
+    div = ka * comp
+    for ka, comp in terms:
+        div += ka * comp
     top = np.max(np.abs(coeff))
     if top == 0.0:
         return 0.0

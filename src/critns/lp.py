@@ -125,7 +125,13 @@ class LPBandSet:
     low: RealVectorField
 
     def reconstruct(self) -> RealVectorField:
-        return sum(self.bands, self.low.copy())
+        """low + bands[0] + bands[1] + ..., added in that order into one copy
+        of the low block, so no field per band is allocated; the bands are
+        left as they are."""
+        out = self.low.data.copy()
+        for band in self.bands:
+            out += band.data
+        return RealVectorField(self.low.grid, out)
 
 
 def dyadic_blocks(grid: Grid, data: np.ndarray, j_min: int, j_max: int):

@@ -528,30 +528,43 @@ def remainder_equation_residual(r_traj: Trajectory, ev: EvolvedSystem,
 
 @dataclass(frozen=True)
 class RankOneBattery:
-    """Test fields phi_i = bumps[i] * weights[i]: a scalar bump on the grid
-    times a constant vector, held as the stacked bumps (count, N, ..., N)
-    and the weights (count, components) rather than as full vector fields."""
+    """Test fields phi_i = bump_i * weights[i]: a separable scalar bump on the
+    grid times a constant vector.  bump_i(x) = prod_a factors[i, a, x_a], so
+    the battery is held as the per-axis factors (count, d, N) and the weights
+    (count, components), never as N^d arrays or full vector fields."""
 
     grid: Grid
-    bumps: np.ndarray
+    factors: np.ndarray
     weights: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.bumps)
+        return len(self.factors)
 
 
 def pairing_table(traj: Trajectory, tests: RankOneBattery) -> np.ndarray:
-    """Grid-quadrature pairings <u(t_k), phi_i> for a battery whose test fields
-    have as many components as the trajectory: per snapshot, one matrix
-    product gives <u^c, bump_i> for every component and bump, which the
-    weights then sum over c."""
-    w = traj.grid.cell_volume
-    bumps = tests.bumps.reshape(len(tests), -1)
+    """Grid-quadrature pairings <u(t_k), phi_i> for a battery on the
+    trajectory's grid whose test fields have as many components as it.
+
+    Each component of a snapshot is contracted against the factors one axis at
+    a time: one matrix product over the last axis, then one einsum per
+    remaining axis, last to first.  No bump is formed; the largest temporary
+    is N^(d-1) * count per component.  The weights then sum over components.
+    """
+    grid = traj.grid
+    if not grid.compatible(tests.grid):
+        raise DomainError("test field grid mismatch")
+    w = grid.cell_volume
+    last = tests.factors[:, -1].T
     table = np.empty((len(traj.snapshots), len(tests)))
     for k, snap in enumerate(traj.snapshots):
         if tests.weights.shape[1] != snap.ncomp:
             raise DomainError(f"the test fields have {tests.weights.shape[1]} components, "
                               f"the trajectory has {snap.ncomp}")
-        per_comp = bumps @ snap.data.reshape(snap.ncomp, -1).T
+        per_comp = np.empty((len(tests), snap.ncomp))
+        for c, comp in enumerate(snap.data):
+            partial = (comp.reshape(-1, grid.N) @ last).reshape(grid.shape[:-1] + (-1,))
+            for a in range(grid.d - 2, -1, -1):
+                partial = np.einsum("...xi,ix->...i", partial, tests.factors[:, a])
+            per_comp[:, c] = partial
         table[k] = np.sum(tests.weights * per_comp, axis=1) * w
     return table

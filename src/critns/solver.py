@@ -639,8 +639,8 @@ def verify_perturbation_bound(prob: PerturbationProblem, cfg: SolverConfig,
     """
     grid = prob.w0.grid
     d = grid.d
-    if not (p < 2 * d + 3):
-        raise DomainError(f"perturbation bound requires p < 2d+3 = {2*d+3}, got {p}")
+    if not (1 <= p < 2 * d + 3):  # NaN fails too
+        raise DomainError(f"perturbation bound requires 1 <= p < 2d+3 = {2*d+3}, got {p}")
     sp = critical_exponent(p, d)
     traj = evolve_perturbed(prob, cfg)
     if not traj.times.size:

@@ -17,8 +17,8 @@ from critns.criticality import (
     weak_convergence_probe,
 )
 from critns.errors import DomainError
-from critns.fields import (gaussian_bump, localized_divfree_bump, random_divfree_field,
-                           taylor_green)
+from critns.fields import (gaussian_bump, gaussian_factors, localized_divfree_bump,
+                           random_divfree_field, taylor_green)
 from critns.grid import zero_field
 from critns.norms import BesovIndex, besov_norm, lebesgue_norm
 from critns.profiles import RankOneBattery, pairing_table
@@ -33,6 +33,15 @@ from critns.solver import (
     evolve,
     make_heat_trajectory,
 )
+
+
+def outer(factors):
+    """Reference oracle: the whole N^d array prod_a factors[a][x_a] of a
+    battery bump's (d, N) factors."""
+    bump = factors[0]
+    for f in factors[1:]:
+        bump = np.multiply.outer(bump, f)
+    return bump
 
 
 class TestSupCriticalNorm:
@@ -324,8 +333,8 @@ class TestWeakConvergenceProbe:
     def test_component_count_mismatch_rejected(self, grid3):
         # a 1-component test field would broadcast over a 3-component snapshot
         traj = make_heat_trajectory(random_divfree_field(grid3, seed=4), [0.0, 0.1])
-        phi = gaussian_bump(grid3, grid3.L / 8)
-        battery = RankOneBattery(grid3, phi.data, np.ones((1, 1)))
+        factors = gaussian_factors(grid3, grid3.L / 8)[np.newaxis]
+        battery = RankOneBattery(grid3, factors, np.ones((1, 1)))
         for pair in (weak_convergence_probe, pairing_table):
             with pytest.raises(DomainError, match="1 components, the trajectory has 3"):
                 pair(traj, battery)
@@ -368,13 +377,46 @@ class TestWeakConvergenceProbe:
         table = pairing_table(traj, battery)
         w = grid3.cell_volume
         for k, snap in enumerate(traj.snapshots):
-            for i, (bump, weight) in enumerate(zip(battery.bumps, battery.weights)):
+            for i, (factors, weight) in enumerate(zip(battery.factors, battery.weights)):
+                bump = outer(factors)
                 products = snap.data * (bump * weight.reshape((3, 1, 1, 1)))
                 scale = float(np.sum(np.abs(products)) * w)
                 assert abs(table[k, i] - float(np.sum(products) * w)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("center", [None, "random", "seam"])
+    def test_factor_products_are_the_gaussian_bumps(self, grid, center):
+        # exp(-|x-c|^2/2s^2) = prod_a exp(-dx_a^2/2s^2): one rounding per factor
+        # and per product instead of one of the whole sum; near the seam the
+        # periodic offsets wrap on every axis
+        if center == "random":
+            center = (np.random.default_rng(3).random(grid.d) - 0.5) * grid.L
+        elif center == "seam":
+            center = np.full(grid.d, grid.L / 2 - 1e-3)
+        sigma = grid.L / 12
+        bump = gaussian_bump(grid, sigma, center=center).data[0]
+        factors = gaussian_factors(grid, sigma, center=center)
+        assert factors.shape == (grid.d, grid.N)
+        assert np.max(np.abs(outer(factors) - bump)) <= 1e-15
+
+    @pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d", "3d"])
+    def test_battery_holds_count_d_n_samples(self, grid):
+        count = 8
+        battery = make_test_battery(grid, count=count)
+        assert battery.factors.nbytes == 8 * count * grid.d * grid.N
+
+    @pytest.mark.parametrize("other", [Grid(3, 32), Grid(3, 16, L=3.0)], ids=["N", "L"])
+    def test_battery_on_another_grid_rejected(self, grid3, other):
+        # another N would not contract; another L would pair against bumps
+        # placed in another box
+        traj = make_heat_trajectory(random_divfree_field(grid3, seed=4), [0.0, 0.1])
+        battery = make_test_battery(other, count=4)
+        for pair in (weak_convergence_probe, pairing_table):
+            with pytest.raises(DomainError, match="test field grid mismatch"):
+                pair(traj, battery)
 
     def test_battery_is_localized_and_deterministic(self, grid3):
         a = make_test_battery(grid3, count=8, seed=7)
         b = make_test_battery(grid3, count=8, seed=7)
         assert len(a) == 8
-        assert np.array_equal(a.bumps, b.bumps) and np.array_equal(a.weights, b.weights)
+        assert np.array_equal(a.factors, b.factors) and np.array_equal(a.weights, b.weights)

@@ -261,6 +261,19 @@ class TestLeray:
         assert np.max(np.abs(div)) <= 1e-10 * np.max(np.abs(coeff))
         assert spectral_divergence_ratio(f) <= 1e-10
 
+    @pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d", "3d"])
+    @pytest.mark.parametrize("projected", [False, True], ids=["divergent", "divfree"])
+    def test_divergence_ratio_is_the_modulus_of_i_k_dot_u(self, grid, projected):
+        # |i k.u_hat| = |k.u_hat| exactly: the ratio equals the formula with
+        # the i, bit for bit
+        f = random_smooth_field(grid, seed=7, ncomp=grid.d)
+        f = leray_project(f) if projected else f
+        coeff = forward_transform(f.data, grid)
+        div = sum(1j * ka * coeff[c] for c, ka in enumerate(grid.deriv_wavenumber_mesh))
+        ref = float(np.max(np.abs(div)) / np.max(np.abs(coeff)))
+        assert spectral_divergence_ratio(f) == ref
+        assert (ref <= 1e-12) == projected
+
     def test_mean_preserved(self, grid3):
         f = random_smooth_field(grid3, seed=6, ncomp=3)
         shifted = RealVectorField(grid3, f.data + np.array([0.3, -0.2, 0.1])[:, None, None, None])

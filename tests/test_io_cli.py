@@ -851,6 +851,20 @@ class TestCLI:
         doc = json.loads((workdir / "out" / "perturb.json").read_text())
         assert doc["p"] == 1 and 0 < doc["force_norm"] < float("inf")
 
+    def test_perturb_p_below_1_rejected_before_the_solve(self, workdir, monkeypatch):
+        def solve(*args):
+            raise AssertionError("the perturbed solve started")
+
+        monkeypatch.setattr("critns.solver.evolve_perturbed", solve)
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16}, "w0": TG, "solver": SOLVER, "p": 0.5})
+        res = run_cli(["perturb", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 1
+        [line] = res.stderr.strip().splitlines()
+        error = json.loads(line)
+        assert error["error"] == "DomainError"
+        assert "1 <= p < 2d+3" in error["message"] and "got 0.5" in error["message"]
+
     def test_superpose_profile_non_finite_at_t_0_exit_1(self, workdir):
         # the profile's coefficients overflow: its run takes no snapshot
         huge = {"generator": {"type": "random_divfree", "seed": 3, "k_lo": 1, "k_hi": 3,

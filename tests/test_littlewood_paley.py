@@ -72,6 +72,16 @@ class TestBands:
         bands = decompose(f)
         assert rel_err(bands.reconstruct().data, f.data) < 1e-10
 
+    def test_reconstruction_adds_in_place_in_order(self, grid3):
+        # the same adds in the same order as a sum of new fields, bit for bit,
+        # and no band (nor the low block) is written
+        bands = decompose(random_smooth_field(grid3, seed=1, ncomp=3))
+        before = [b.data.copy() for b in [bands.low, *bands.bands]]
+        ref = sum(bands.bands, bands.low.copy())
+        assert bands.reconstruct().data.tobytes() == ref.data.tobytes()
+        for b, old in zip([bands.low, *bands.bands], before):
+            assert b.data.tobytes() == old.tobytes()
+
     @pytest.mark.parametrize("grid", [Grid(2, 24), Grid(3, 16)], ids=["2d", "3d"])
     def test_cached_symbols_match_chi(self, grid):
         lo, hi = band_range(grid)

@@ -74,6 +74,15 @@ def test_loaded_reduction_holds_under_three_snapshots(saved, reduction):
     assert peak < 3 * mem.snapshots[0].data.nbytes
 
 
+def test_large_battery_probe_holds_under_three_snapshots(saved):
+    # the battery is made inside the traced call: 64 bumps stacked whole would
+    # be 21 snapshots alone, their factors are 48 KiB
+    mem, path = saved
+    _, _, peak = traced(lambda: weak_convergence_probe(load_trajectory(path),
+                                                     make_test_battery(mem.grid, count=64)))
+    assert peak < 3 * mem.snapshots[0].data.nbytes
+
+
 def test_loaded_norms_equal_in_memory_bitwise(saved):
     mem, path = saved
     loaded = load_trajectory(path)
