@@ -450,7 +450,9 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="path to a JSON run config")
     parser.add_argument("--out", required=True, help="output directory for artifacts")
-    parser.add_argument("--threads", type=int, default=1, help="FFT worker threads")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="worker threads of the complex FFT stages; the staged "
+                             "transforms' real stages (numpy.fft) run on one thread")
     args = parser.parse_args(argv)
 
     threads = max(1, min(args.threads, os.cpu_count() or 1))

@@ -14,10 +14,18 @@ One helper, `_complex_stages`, runs the complex 1-D stages of either
 direction, each only over the lines the box reaches, bitwise equal to rfftn
 and to irfftn of the zero-padded box.  The full inverse runs the same stages;
 the full forward is rfftn, whose staged form is bitwise equal but slower.
-Neither direction writes into its input.  `multiplier_blocks`, the
-one band engine, forms each radial multiplier's product on its box |m| <= M
-only and runs the pruned complex stages there; its callers run the last
-stage.  `radial_symbol` gathers the band symbols and the dealias mask from
+Neither direction writes into its input.  The real last-axis stages are
+numpy.fft's rfft and irfft, the pocketfft of scipy.fft and bitwise equal to
+it, which write into a given array; the complex stages are in-place
+scipy.fft calls.  Every array a staged transform (all but the full forward)
+writes belongs to a `TransformPlan` for one grid, extent and leading shape:
+the solver's stepping loop keeps one per run, a one-shot call builds a
+fresh one, and both run the same code.  numpy.fft has no worker setting, so
+the real stages run on one thread and `scipy.fft.set_workers` reaches only
+the complex ones.  `multiplier_blocks`, the one band engine, forms each
+radial multiplier's product on its box |m| <= M only and runs the pruned
+complex stages there; its callers run the last stage.  `radial_symbol`
+gathers the band symbols and the dealias mask from
 their values at each distinct |k|^2 and reads their extent M off the grid's
 `RadialTable`; the heat factor exp(-t|k|^2) is evaluated on every entry.
 
@@ -29,8 +37,9 @@ scatter, slab copies over the cached `_box_slabs`, serve both transforms and
 the box, and only the inverse transform scatters.  Every memo is kept by the
 code that builds it: the grid's own spectral arrays are cached properties,
 and the symbol builders of other modules are `functools.cache`d on the
-frozen, hashable Grid.  `_box_slabs` is keyed on (d, N, M) instead: its
-slices do not depend on L, so grids that differ only in L share them.
+frozen, hashable Grid.  `_box_slabs` is keyed on (d, N, M) instead, and the
+stage lines `_stage_lines` on (d, N, M, direction): their slices do not
+depend on L, so grids that differ only in L share them.
 """
 
 from __future__ import annotations
@@ -336,46 +345,105 @@ def _box_slabs(d: int, N: int, M: int) -> tuple:
     return tuple(tuple(zip(*combo)) for combo in itertools.product(*([lead] * (d - 1) + [last])))
 
 
-def _gather(half: np.ndarray, grid: Grid, M: int) -> np.ndarray:
-    """The box |m| <= M of half-spectrum coefficients in RetainedBox layout."""
-    out = np.empty(half.shape[: half.ndim - grid.d] + _box_shape(grid.d, M), half.dtype)
+def _gather(half: np.ndarray, grid: Grid, M: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The box |m| <= M of half-spectrum coefficients in RetainedBox layout,
+    written into out if given."""
+    if out is None:
+        out = np.empty(half.shape[: half.ndim - grid.d] + _box_shape(grid.d, M), half.dtype)
     for box, part in _box_slabs(grid.d, grid.N, M):
         out[(..., *box)] = half[(..., *part)]
     return out
 
 
-def _scatter(coeff: np.ndarray, grid: Grid, M: int) -> np.ndarray:
+def _scatter(coeff: np.ndarray, grid: Grid, M: int, out: np.ndarray | None = None) -> np.ndarray:
     """Half-spectrum coefficients that hold box coefficients on the box |m| <= M
-    and zero outside it."""
+    and zero outside it, written into out if given.  out must be zero in
+    the last-axis columns above M; only columns 0..M are zeroed again."""
     if coeff.shape[coeff.ndim - grid.d:] != _box_shape(grid.d, M):
         raise InvalidFieldError(f"coefficients of shape {coeff.shape} are not the box "
                                 f"of extent {M}")
-    out = np.zeros(coeff.shape[: coeff.ndim - grid.d] + grid.spectral_shape, coeff.dtype)
+    if out is None:
+        out = np.zeros(coeff.shape[: coeff.ndim - grid.d] + grid.spectral_shape, coeff.dtype)
+    else:
+        out[..., : M + 1] = 0.0
     for box, part in _box_slabs(grid.d, grid.N, M):
         out[(..., *part)] = coeff[(..., *box)]
     return out
 
 
-def forward_transform(data: np.ndarray, grid: Grid, extent: int | None = None) -> np.ndarray:
+class TransformPlan:
+    """The buffers of the transform pair for one grid, extent M (None for the
+    whole half spectrum) and shape of the leading axes, each allocated when
+    first used and overwritten by every later transform through the plan.
+
+    `padded` is the inverse's half spectrum, zero in the last-axis columns
+    above M, which no stage writes; `spectrum` is the forward's last-axis
+    rfft; `box` the forward's result and `samples` the inverse's.  A result
+    written through a plan is valid until the next transform in the same
+    direction through it.
+    """
+
+    def __init__(self, grid: Grid, extent: int | None = None, lead: tuple = ()):
+        self.grid, self.extent, self.lead = grid, extent, tuple(lead)
+
+    @cached_property
+    def padded(self) -> np.ndarray:
+        return np.zeros(self.lead + self.grid.spectral_shape, dtype=np.complex128)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return np.empty(self.lead + self.grid.spectral_shape, dtype=np.complex128)
+
+    @cached_property
+    def box(self) -> np.ndarray:
+        return np.empty(self.lead + _box_shape(self.grid.d, self.extent), dtype=np.complex128)
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        return np.empty(self.lead + self.grid.shape)
+
+
+def forward_transform(data: np.ndarray, grid: Grid, extent: int | None = None,
+                      plan: TransformPlan | None = None) -> np.ndarray:
     """Real-to-complex FFT over the spatial axes with the 1/N^d normalization;
     the result has the half-spectrum shape grid.spectral_shape.
 
     With an extent M < N/2 the result is only the box |m| <= M, laid out as a
     RetainedBox of that extent lays out its coefficients, and bitwise equal to
     the box entries of the whole transform.  rfftn's 1-D stages run one by
-    one: an rfft along the last axis, scaled by rfftn's own factor; then the
-    complex stages (`_complex_stages`), pruned to the box; then a gather into
-    the box layout.
+    one: an rfft along the last axis (numpy.fft, the same pocketfft), scaled
+    by rfftn's own factor; then the complex stages (`_complex_stages`),
+    pruned to the box; then a gather into the box layout.  The rfft and the
+    box are written into plan's `spectrum` and `box` (a plan for grid, M and
+    data's leading axes), or into a fresh plan's if none is given.
     """
     if extent is None:
         return scipy.fft.rfftn(data, axes=range(data.ndim - grid.d, data.ndim), norm="forward")
-    half = scipy.fft.rfft(data, axis=-1)
+    if plan is None:
+        plan = TransformPlan(grid, extent, data.shape[: data.ndim - grid.d])
+    half = np.fft.rfft(data, axis=-1, out=plan.spectrum)
     # pocketfft's factor: 1/N^d formed in long double, then rounded, applied
     # to each real and imaginary part of the last-axis stage
     flat = half.view(np.float64)
     np.multiply(flat, np.float64(np.longdouble(1) / np.longdouble(grid.N**grid.d)), out=flat)
     _complex_stages(half, grid, extent, inverse=False)
-    return _gather(half, grid, extent)
+    return _gather(half, grid, extent, out=plan.box)
+
+
+@cache
+def _stage_lines(d: int, N: int, M: int, inverse: bool) -> tuple:
+    """(axis, line slices) over the trailing d axes of every complex stage of
+    `_complex_stages`, in the order they run.  Built once per (d, N, M,
+    direction), like `_box_slabs`."""
+    lead = _lead_slices(N, M)
+    out = []
+    for axis in range(d - 1):
+        held = range(axis + 1, d - 1) if inverse else range(axis)
+        for box in itertools.product(lead, repeat=len(held)):
+            index = [slice(None)] * (d - 1) + [slice(0, M + 1)]
+            index[held.start:held.stop] = box
+            out.append((axis - d, (..., *index)))
+    return tuple(out)
 
 
 def _complex_stages(work: np.ndarray, grid: Grid, extent: int, inverse: bool) -> None:
@@ -385,40 +453,41 @@ def _complex_stages(work: np.ndarray, grid: Grid, extent: int, inverse: bool) ->
     leading axes that hold coefficients, the axes already transformed going
     forward and those not yet transformed going back, are in the box
     |m| <= extent."""
-    first, last = work.ndim - grid.d, work.ndim - 1
     stage, norm = (scipy.fft.ifft, "forward") if inverse else (scipy.fft.fft, "backward")
-    lead = _lead_slices(grid.N, extent)
-    for axis in range(first, last):
-        held = range(axis + 1, last) if inverse else range(first, axis)
-        for box in itertools.product(lead, repeat=len(held)):
-            index = [slice(None)] * last + [slice(0, extent + 1)]
-            index[held.start:held.stop] = box
-            lines = work[tuple(index)]
-            done = stage(lines, axis=axis, norm=norm, overwrite_x=True)
-            # overwrite_x permits writing into lines but does not promise it
-            if not np.may_share_memory(done, lines):
-                lines[...] = done
+    for axis, index in _stage_lines(grid.d, grid.N, extent, inverse):
+        lines = work[index]
+        done = stage(lines, axis=axis, norm=norm, overwrite_x=True)
+        # overwrite_x permits writing into lines but does not promise it
+        if not np.may_share_memory(done, lines):
+            lines[...] = done
 
 
-def last_inverse_stage(partial: np.ndarray, grid: Grid) -> np.ndarray:
-    """irfftn's last stage, the irfft along the last axis, of the whole of a
-    partial transform (`multiplier_blocks`) or of any leading slice of it."""
-    return scipy.fft.irfft(partial, n=grid.N, axis=-1, norm="forward")
+def last_inverse_stage(partial: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
+    """irfftn's last stage, the irfft along the last axis (numpy.fft, the same
+    pocketfft), of the whole of a partial transform (`multiplier_blocks`) or
+    of any leading slice of it, written into out if given."""
+    return np.fft.irfft(partial, n=grid.N, axis=-1, norm="forward", out=out)
 
 
-def inverse_transform(coeff: np.ndarray, grid: Grid, extent: int | None = None) -> np.ndarray:
+def inverse_transform(coeff: np.ndarray, grid: Grid, extent: int | None = None,
+                      plan: TransformPlan | None = None) -> np.ndarray:
     """Inverse of forward_transform(..., extent): real samples of shape grid.shape.
 
-    coeff is copied, or with an extent M < N/2 scattered, into a fresh half
-    spectrum, and irfftn's stages run in place there: the complex ones
-    (`_complex_stages`), pruned to the box |m| <= M, then an irfft along the
-    last axis.  The samples are irfftn's bit for bit."""
+    coeff is copied, or with an extent M < N/2 scattered, into plan's
+    `padded` half spectrum (a plan for grid, the extent and coeff's leading
+    axes, or a fresh plan's if none is given), and irfftn's stages run in
+    place there: the complex ones (`_complex_stages`), pruned to the box
+    |m| <= M, then an irfft along the last axis into plan's `samples`.  The
+    samples are irfftn's bit for bit."""
+    if plan is None:
+        plan = TransformPlan(grid, extent, coeff.shape[: coeff.ndim - grid.d])
     if extent is None:
-        work, extent = np.array(coeff, dtype=np.complex128), grid.N // 2
+        work, extent = plan.padded, grid.N // 2
+        np.copyto(work, coeff)
     else:
-        work = _scatter(np.asarray(coeff, dtype=np.complex128), grid, extent)
+        work = _scatter(np.asarray(coeff, dtype=np.complex128), grid, extent, plan.padded)
     _complex_stages(work, grid, extent, inverse=True)
-    return last_inverse_stage(work, grid)
+    return last_inverse_stage(work, grid, out=plan.samples)
 
 
 def multiplier_blocks(coeff: np.ndarray, pairs, grid: Grid):
@@ -471,11 +540,16 @@ def spectral_divergence_ratio(f: RealVectorField) -> float:
     return float(np.max(np.abs(div)) / top)
 
 
-def _leray_coefficients(coeff: np.ndarray, grid: Grid) -> np.ndarray:
-    """In-place Leray projection of a (d, ...) coefficient array."""
+def _leray_coefficients(coeff: np.ndarray, grid: Grid,
+                        scratch: np.ndarray | None = None) -> np.ndarray:
+    """In-place Leray projection of a (d, ...) coefficient array.  scratch,
+    two arrays of one component's shape and dtype, holds k.u and one term;
+    it is allocated if not given."""
     kmesh = grid.deriv_wavenumber_mesh
-    kdotu = np.multiply(kmesh[0], coeff[0])
-    term = np.empty_like(kdotu)
+    if scratch is None:
+        scratch = np.empty((2,) + coeff.shape[1:], coeff.dtype)
+    kdotu, term = scratch
+    np.multiply(kmesh[0], coeff[0], out=kdotu)
     for c in range(1, len(kmesh)):
         kdotu += np.multiply(kmesh[c], coeff[c], out=term)
     kdotu *= grid.inv_deriv_k_squared

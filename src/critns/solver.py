@@ -17,21 +17,28 @@ tensor, formed trace-free (S - S_{d-1,d-1} I), one forward transform fewer
 than the full tensor for a change that Leray projection removes, and every
 caller projects.  Its products are formed in one reused buffer and its
 derivative terms summed through one reused box temporary, with the dealias
-mask applied once per component.  The convection term P div(u (x) u)
+mask applied once per component; the box temporary, the trace copy and the
+entries' transform plan form a `FluxWorkspace`, the stepping loop's or a
+fresh one per one-shot call.  The convection term P div(u (x) u)
 (`nonlinear_term`), the symmetric pair Q(a, b) (`q_bilinear`), the solver's
 right-hand side and the profile sources all go through it.
 
 There is one stepping loop, `_integrate`, which hands each snapshot to a
 consumer the step it is taken, with the box coefficients it is the inverse
-transform of.  `evolve` and `evolve_perturbed` keep a copy of the
-coefficients inside the dealias sphere per snapshot (about 16% of the
-snapshots' bytes at the 2/3 rule, against 30% for the whole box; the rest of
-the box is exactly zero) and return a read-only `Trajectory` whose snapshots
-are made on read (`DerivedSnapshots`): one pruned inverse per read, bitwise
-the snapshot the step took.  `evolve_streaming` passes the snapshots on
-(`cli evolve` writes each to disk and drops it, so it holds one at a time,
-and the threshold search reduces each to its critical norm) and returns the
-rest of the run as a `RunLog`.
+transform of.  One workspace, built once per run, owns every large array a
+step writes (transform plans, flux buffers, stage accumulators, the Leray
+scratch and the record's power array), so a step allocates nothing of the
+grid's size, and a snapshot handed out is a read-only view of the
+workspace's samples, valid until the consumer returns.  `evolve` and
+`evolve_perturbed` keep a copy of the coefficients inside the dealias
+sphere per snapshot (about 16% of the snapshots' bytes at the 2/3 rule,
+against 30% for the whole box; the rest of the box is exactly zero) and
+return a read-only `Trajectory` whose snapshots are made on read
+(`DerivedSnapshots`): one pruned inverse per read, bitwise the snapshot the
+step took.  `evolve_streaming` passes the snapshots on (`cli evolve` writes
+each to disk and drops it, so it holds one at a time, and the threshold
+search reduces each to its critical norm) and returns the rest of the run
+as a `RunLog`.
 
 A run aborts with status "ResolutionLimit" on the first step where the
 sup-norm or the top-octave spectral energy fraction exceeds its threshold
@@ -54,6 +61,7 @@ from .grid import (
     HeatFlow,
     RealVectorField,
     RetainedBox,
+    TransformPlan,
     forward_transform,
     inverse_transform,
     radial_symbol,
@@ -310,22 +318,24 @@ def _tail_octave_mask(box: RetainedBox, octave_shift: int) -> np.ndarray:
     return tail
 
 
-def _box_forward(data: np.ndarray, box: RetainedBox) -> np.ndarray:
-    """Coefficients of real samples laid out on box, truncated to its mask."""
-    coeff = forward_transform(data, box.grid, box.extent)
+def _box_forward(data: np.ndarray, box: RetainedBox,
+                 plan: TransformPlan | None = None) -> np.ndarray:
+    """Coefficients of real samples laid out on box, truncated to its mask,
+    written into plan's box if a plan is given (see forward_transform)."""
+    coeff = forward_transform(data, box.grid, box.extent, plan)
     coeff *= box.mask
     return coeff
 
 
-# The product entries below are formed in buffers that the first call
+# The product entries below are formed in the buffers the caller gives (the
+# stepping loop's workspace) or else in buffers that the first call
 # allocates and every later call reuses.  Allocated on first use, they sit
 # after the flux's long-lived result on the heap, so freeing them leaves no
-# hole below it (allocated up front, they raised evolve64's peak RSS 2%).
+# hole below it.
 
 
-def _self_product(u: np.ndarray):
+def _self_product(u: np.ndarray, buf: np.ndarray | None = None):
     """Entries of u (x) u, for _div_flux_hat."""
-    buf = None
 
     def entry(i, j):
         nonlocal buf
@@ -334,9 +344,9 @@ def _self_product(u: np.ndarray):
     return entry
 
 
-def _pair_product(a: np.ndarray, b: np.ndarray):
+def _pair_product(a: np.ndarray, b: np.ndarray, buf: np.ndarray | None = None,
+                  tmp: np.ndarray | None = None):
     """Entries of the symmetric a (x) b + b (x) a, for _div_flux_hat."""
-    buf = tmp = None
 
     def entry(i, j):
         nonlocal buf, tmp
@@ -346,10 +356,25 @@ def _pair_product(a: np.ndarray, b: np.ndarray):
     return entry
 
 
-def _div_flux_hat(entry, box: RetainedBox, sign: float = 1.0) -> np.ndarray:
+class FluxWorkspace:
+    """The buffers `_div_flux_hat` writes on one box besides its result: the
+    transform plan of one tensor entry, the copy of the trace entry and one
+    derivative term, all made with the workspace.  The stepping loop builds
+    one per run; a one-shot call builds its own."""
+
+    def __init__(self, box: RetainedBox):
+        self.plan = TransformPlan(box.grid, box.extent)
+        self.plan.spectrum, self.plan.box  # every call transforms entries forward
+        self.term = np.empty(box.spectral_shape, dtype=np.complex128)
+        self.trace = np.empty(box.grid.shape)
+
+
+def _div_flux_hat(entry, box: RetainedBox, sign: float = 1.0,
+                  work: FluxWorkspace | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Spectral coefficients of sign * (div S')_i = sign * sum_j d_j S'_ij for
     the trace-free part S' = S - S_{d-1,d-1} I of a symmetric tensor S,
-    dealiased by box.
+    dealiased by box, written into out (a fresh array if None) with the
+    buffers of work (a fresh FluxWorkspace if None).
 
     entry(i, j) returns an array of the physical samples of S_ij for i <= j,
     which the next call may overwrite.  S' is read from its upper triangle
@@ -364,8 +389,9 @@ def _div_flux_hat(entry, box: RetainedBox, sign: float = 1.0) -> np.ndarray:
     """
     d = box.d
     deriv = [sign * 1j * ka for ka in box.deriv_wavenumber_mesh]
-    acc = np.empty((d,) + box.spectral_shape, dtype=np.complex128)
-    term = np.empty(box.spectral_shape, dtype=np.complex128)
+    acc = np.empty((d,) + box.spectral_shape, dtype=np.complex128) if out is None else out
+    work = FluxWorkspace(box) if work is None else work
+    term, trace = work.term, work.trace
     started = [False] * d
 
     def add(c, factor, t):
@@ -376,7 +402,7 @@ def _div_flux_hat(entry, box: RetainedBox, sign: float = 1.0) -> np.ndarray:
             np.multiply(factor, t, out=acc[c])
             started[c] = True
 
-    trace = entry(d - 1, d - 1).copy()
+    np.copyto(trace, entry(d - 1, d - 1))
     for i in range(d):
         for j in range(i, d):
             if i == j == d - 1:
@@ -384,7 +410,7 @@ def _div_flux_hat(entry, box: RetainedBox, sign: float = 1.0) -> np.ndarray:
             sij = entry(i, j)
             if i == j:
                 sij -= trace
-            tij = forward_transform(sij, box.grid, box.extent)
+            tij = forward_transform(sij, box.grid, box.extent, work.plan)
             add(i, deriv[j], tij)
             if j != i:
                 add(j, deriv[i], tij)
@@ -432,12 +458,20 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
 
     The spectral state (uh, the two stage right-hand sides, the predictor,
     the heat factor and the tail-octave mask) lives on the box, in the box
-    layout that both transforms read and write.  Each snapshot is handed to
-    take(snapshot, uh) the step it is taken, with the box coefficients it
-    is the inverse transform of; the loop keeps no reference to the
-    snapshot and overwrites uh in place on the next step, so a consumer
-    keeps what it copies (`_collected`) or writes out (`cli evolve`) and
-    holds one snapshot at a time however many the run records.
+    layout that both transforms read and write.  Every large array a step
+    writes belongs to one workspace built here, once per run: a transform
+    plan of the state, the flux kernel's `FluxWorkspace` and product
+    buffers, one accumulator per stage (and one for the drift flux), the
+    Leray scratch and the record's power array, so a step allocates
+    nothing of the grid's size.
+
+    Each snapshot is handed to take(snapshot, uh) the step it is taken,
+    with the box coefficients it is the inverse transform of.  The snapshot
+    is a new read-only view of the state plan's samples and uh is
+    overwritten in place on the next step, so both are valid until take
+    returns: a consumer keeps what it copies (`_collected`), reduces or
+    writes out (`cli evolve`), and holds one snapshot at a time however
+    many the run records.
     """
     grid = u0.grid
     u0.require_finite()
@@ -446,35 +480,47 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     heat = np.exp(-cfg.dt * box.k_squared)
 
     uh = _leray_coefficients(_box_forward(u0.data, box), box)
-    pred = np.empty_like(uh)
+    state = TransformPlan(grid, box.extent, uh.shape[:1])
+    flux = FluxWorkspace(box)
+    products = np.empty((2,) + grid.shape)
+    pred, n1, n2 = (np.empty_like(uh) for _ in range(3))
+    drift_flux = None if drift is None else np.empty_like(uh)
+    leray = np.empty((2,) + box.spectral_shape, dtype=uh.dtype)
+    power = np.empty(uh.shape)
+    square = np.empty(box.spectral_shape)
 
     n_steps = max(1, round(cfg.T / cfg.dt))
     times = []
     records = {"t": [], "l2": [], "linf": [], "tail_fraction": []}
     status = COMPLETED
 
-    def rhs_hat(phys: np.ndarray, t: float) -> np.ndarray:
+    def rhs_hat(phys: np.ndarray, t: float, acc: np.ndarray) -> None:
+        # the projected right-hand side at t, written into acc
         if cfg.linear_only:
-            acc = np.zeros_like(uh)
+            acc.fill(0.0)
         else:
-            acc = _div_flux_hat(_self_product(phys), box, sign=-1.0)
+            _div_flux_hat(_self_product(phys, products[0]), box, -1.0, flux, acc)
         if drift is not None:
-            acc -= _div_flux_hat(_pair_product(phys, drift.at(t).data), box)
+            acc -= _div_flux_hat(_pair_product(phys, drift.at(t).data, *products), box,
+                                 work=flux, out=drift_flux)
         if source is not None:
             g = source(t)
             if g is not None:
-                acc += _box_forward(g.data, box)
-        _leray_coefficients(acc, box)
-        return acc
+                acc += _box_forward(g.data, box, state)
+        _leray_coefficients(acc, box, leray)
 
     for step in range(n_steps + 1):
         t = step * cfg.dt
-        phys = inverse_transform(uh, grid, box.extent)
+        phys = inverse_transform(uh, grid, box.extent, state)
         linf = float(max(phys.max(), -phys.min()))
         if not math.isfinite(linf):
             status = NON_FINITE
             break
-        power = box.multiplicity * (uh.real**2 + uh.imag**2)
+        # power = multiplicity * (re^2 + im^2), formed in place
+        np.multiply(uh.real, uh.real, out=power)
+        for comp, part in zip(uh, power):
+            part += np.multiply(comp.imag, comp.imag, out=square)
+        power *= box.multiplicity
         energy = float(np.sum(power))
         tail = float(np.sum(power, where=tail_mask) / energy) if energy > 0 else 0.0
         values = {"t": t, "l2": float(np.sqrt(grid.L**grid.d * energy)),
@@ -484,7 +530,9 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
         tripped = trip_reason(values, cfg) is not None
         if step % cfg.snapshot_stride == 0 or step == n_steps or tripped:
             times.append(t)
-            take(RealVectorField(grid, phys), uh)
+            snap = phys.view()
+            snap.flags.writeable = False
+            take(RealVectorField(grid, snap), uh)
         if tripped:
             status = RESOLUTION_LIMIT
             break
@@ -493,11 +541,11 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
         # pred = heat * (uh + dt * n1), then
         # uh = heat * uh + (dt / 2) * (heat * n1 + n2), in place with the
         # operands in that order
-        n1 = rhs_hat(phys, t)
+        rhs_hat(phys, t, n1)
         np.multiply(cfg.dt, n1, out=pred)
         np.add(uh, pred, out=pred)
         np.multiply(heat, pred, out=pred)
-        n2 = rhs_hat(inverse_transform(pred, grid, box.extent), t + cfg.dt)
+        rhs_hat(inverse_transform(pred, grid, box.extent, state), t + cfg.dt, n2)
         np.multiply(heat, n1, out=n1)
         np.add(n1, n2, out=n1)
         np.multiply(0.5 * cfg.dt, n1, out=n1)
@@ -563,7 +611,9 @@ def evolve(u0: RealVectorField, cfg: SolverConfig) -> Trajectory:
 def evolve_streaming(u0: RealVectorField, cfg: SolverConfig, take) -> RunLog:
     """evolve, with each snapshot handed to take(snapshot) the step it is
     taken instead of kept: the same steps and snapshots, bit for bit, in
-    the memory of one snapshot."""
+    the memory of one snapshot.  The snapshot is a new read-only view of
+    the solver's own samples, valid until take returns: take reduces it,
+    writes it out or copies it."""
     return _integrate(u0, cfg, drift=None, source=None,
                       take=lambda snap, coeff: take(snap))
 

@@ -10,6 +10,7 @@ from critns.errors import DomainError, InvalidFieldError
 from critns.fields import band_noise, random_smooth_field, single_mode, taylor_green
 from critns.grid import (
     HeatFlow,
+    TransformPlan,
     apply_multiplier,
     forward_transform,
     heat_derivative_pair,
@@ -231,14 +232,45 @@ class TestPrunedForward:
 
     def test_copies_back_a_stage_that_did_not_run_in_place(self, grid3, monkeypatch):
         # overwrite_x permits an in-place fft but does not promise one
-        fft = scipy.fft.fft
-
-        def copying(x, *args, overwrite_x=False, **kwargs):
-            return fft(x.copy(), *args, **kwargs)
-
-        monkeypatch.setattr(scipy.fft, "fft", copying)
+        monkeypatch.setattr(scipy.fft, "fft", _copying(scipy.fft.fft))
         data = random_smooth_field(grid3, seed=6, ncomp=3).data
         self._assert_box_of_rfftn(grid3, data, (0, 3, grid3.N // 2 - 1))
+
+
+def _copying(stage):
+    """stage run on a copy of its input: overwrite_x not honoured."""
+    def copying(x, *args, overwrite_x=False, **kwargs):
+        return stage(x.copy(), *args, **kwargs)
+    return copying
+
+
+class TestTransformPlan:
+    @pytest.mark.parametrize("copying", [False, True], ids=["in-place", "copying"])
+    @pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d", "3d"])
+    def test_reused_buffers_hold_nothing_stale(self, grid, copying, monkeypatch):
+        # one plan per extent runs on three different inputs in a row, each
+        # result bitwise the box of rfftn, or irfftn of the zero-padded box,
+        # and written into the plan's own buffers; also when the complex
+        # stages do not run in place
+        if copying:
+            monkeypatch.setattr(scipy.fft, "fft", _copying(scipy.fft.fft))
+            monkeypatch.setattr(scipy.fft, "ifft", _copying(scipy.fft.ifft))
+        rng = np.random.default_rng(21)
+        for M in (0, 3, grid.N // 2 - 1):
+            plan = TransformPlan(grid, M, (3,))
+            for _ in range(3):
+                data = rng.standard_normal((3,) + grid.shape)
+                got = forward_transform(data, grid, M, plan)
+                want, _ = _box_of(rfftn(data, grid), grid, M)
+                assert got.tobytes() == want.tobytes(), M
+                assert got is plan.box
+
+                shape = (3,) + grid.spectral_shape
+                half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                coeff, padded = _box_of(half, grid, M)
+                got = inverse_transform(coeff, grid, M, plan)
+                assert got.tobytes() == irfftn(padded, grid).tobytes(), M
+                assert got is plan.samples
 
 
 class TestLeray:

@@ -1,6 +1,7 @@
 """Mild NS evolution, bilinear operators, perturbed system."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,12 +199,13 @@ class TestEvolve:
     @pytest.mark.parametrize("stride", [1, 3])
     def test_streaming_hands_out_the_collected_snapshots(self, grid3, stride):
         # the same snapshots, times and records bit for bit, each handed out
-        # once, in order
+        # once, in order; a snapshot is valid until take returns, so take
+        # keeps a copy
         u0 = random_divfree_field(grid3, seed=8, k_hi=3.0, amplitude=0.5)
         cfg = SolverConfig(dt=0.01, T=0.07, snapshot_stride=stride)
         traj = evolve(u0, cfg)
         taken = []
-        run = evolve_streaming(u0, cfg, taken.append)
+        run = evolve_streaming(u0, cfg, lambda snap: taken.append(snap.copy()))
         assert run.status == traj.status
         assert run.config_echo == traj.config_echo
         assert run.times.tobytes() == traj.times.tobytes()
@@ -213,6 +215,39 @@ class TestEvolve:
         assert len(taken) == len(traj.snapshots)
         for a, b in zip(taken, traj.snapshots):
             assert a.data.tobytes() == b.data.tobytes()
+
+    def test_streamed_snapshot_is_read_only(self, grid3):
+        # a snapshot is a view of the step's own samples buffer
+        u0 = random_divfree_field(grid3, seed=8, k_hi=3.0, amplitude=0.5)
+
+        def write(snap):
+            snap.data[0] = 0.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            evolve_streaming(u0, SolverConfig(dt=0.01, T=0.03), write)
+
+    def test_steps_allocate_nothing_of_the_grid_size(self, grid3m):
+        # every large array a step writes is in the run's workspace: from one
+        # snapshot to the next (one step apart), the traced peak above what
+        # was held at the earlier one stays below a quarter of a snapshot
+        u0 = random_divfree_field(grid3m, seed=8, k_hi=3.0, amplitude=0.5)
+        above, held = [], None
+
+        def take(snap):
+            nonlocal held
+            current, peak = tracemalloc.get_traced_memory()
+            if held is not None:
+                above.append((peak - held) / snap.data.nbytes)
+            tracemalloc.reset_peak()
+            held = current
+
+        tracemalloc.start()
+        try:
+            evolve_streaming(u0, SolverConfig(dt=0.01, T=0.06, snapshot_stride=1), take)
+        finally:
+            tracemalloc.stop()
+        assert len(above) == 6
+        assert max(above) < 0.25, above
 
     def test_sup_threshold_trips(self, grid3):
         u0 = random_divfree_field(grid3, seed=8, k_hi=3.0, amplitude=1.0)
@@ -419,9 +454,9 @@ class TestTraceFreeFlux:
         u = random_divfree_field(grid, seed=42, k_hi=2.0).data
         calls = []
 
-        def counted(data, grid, extent=None):
+        def counted(data, grid, extent=None, plan=None):
             calls.append(data.shape)
-            return forward_transform(data, grid, extent)
+            return forward_transform(data, grid, extent, plan)
 
         monkeypatch.setattr(solver, "forward_transform", counted)
         _div_flux_hat(_self_product(u), dealias_box(grid, 2.0 / 3.0))
