@@ -5,6 +5,9 @@ geometric bisection), and weak-convergence probes.
 Every threshold report carries a mandatory disclaimer flag: the search
 locates a numerical-continuation threshold at fixed resolution, not a maximal
 existence time or a true minimal-norm datum.
+
+The weak-convergence battery lives here, beside its probe: `RankOneBattery`,
+`make_test_battery`, `pairing_table` and `weak_convergence_probe`.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from .errors import AccuracyWarning, DomainError
 from .fields import _rng, gaussian_factors
 from .grid import Grid, RealVectorField, forward_transform
 from .lp import band_range
-from .norms import BesovIndex, _band_norms, besov_from_profile, besov_norm, lebesgue_norm
-from .profiles import RankOneBattery, pairing_table
+from .norms import BesovIndex, _band_norms, besov_from_profile, besov_norm_detailed, lebesgue_norm
 from .solver import (NON_FINITE, TRIP_MONITORS, RunLog, SolverConfig, Trajectory,
                      evolve_streaming, trip_reason)
 
@@ -60,33 +62,36 @@ def sup_critical_norm(traj: Trajectory, norm_kind: str = "L3",
     if norm_kind == "L3":
         if traj.grid.d != 3:
             raise DomainError("the L3 critical norm needs d = 3")
-        return _sup_report(traj.times, traj.lebesgue_column(3), traj.grid)
-    if norm_kind == "besov":
-        if p is None:
-            p = float(traj.grid.d)
-        idx = BesovIndex.critical(p, traj.grid.d)
-        return _sup_report(traj.times, traj.band_table(p)[1].T, traj.grid, idx)
-    raise DomainError(f"unknown critical norm kind {norm_kind!r}")
+        return _sup_report(traj.times, traj.lebesgue_column(3), traj.grid)[0]
+    if norm_kind != "besov":
+        raise DomainError(f"unknown critical norm kind {norm_kind!r}")
+    if p is None:
+        p = float(traj.grid.d)
+    idx = BesovIndex.critical(p, traj.grid.d)
+    report, warns = _sup_report(traj.times, traj.band_table(p)[1].T, traj.grid, idx)
+    for w in warns:
+        warnings.warn(w, AccuracyWarning, stacklevel=2)
+    return report
 
 
-def _sup_report(times, columns, grid: Grid, idx: BesovIndex | None = None) -> SupNormReport:
-    """The max over snapshots of their critical norms, and its time.  The
-    columns are the snapshots' L3 norms or, given the critical Besov index,
-    their band profiles at its p, each reduced to its Besov norm with the
-    edge warnings raised at the caller's caller."""
+def _sup_report(times, columns, grid: Grid, idx: BesovIndex | None = None):
+    """(SupNormReport, edge warnings): the max over snapshots of their
+    critical norms and its time.  The columns are the snapshots' L3 norms or,
+    given the critical Besov index, their band profiles at its p, each
+    reduced to its Besov norm; the warnings are each snapshot's edge
+    warnings, in snapshot order."""
     if idx is None:
-        vals = columns
+        vals, warns = columns, []
     else:
         lo, hi = band_range(grid)
         levels = np.arange(lo, hi + 1)
-        vals = []
+        vals, warns = [], []
         for col in columns:
-            value, _, warns = besov_from_profile(levels, col, idx)
-            for w in warns:
-                warnings.warn(w, AccuracyWarning, stacklevel=3)
+            value, _, col_warns = besov_from_profile(levels, col, idx)
             vals.append(value)
+            warns += col_warns
     i = int(np.argmax(vals))
-    return SupNormReport(value=float(vals[i]), time_of_max=float(times[i]))
+    return SupNormReport(value=float(vals[i]), time_of_max=float(times[i])), warns
 
 
 @dataclass
@@ -263,9 +268,13 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
 
     datum = fam.member(lo)
     l3 = lebesgue_norm(datum, 3) if grid.d == 3 else None
-    bes = besov_norm(datum, idx)
+    bes, _, _, datum_warns = besov_norm_detailed(datum, idx)
     run, columns = last_completing
-    sup = _sup_report(run.times, columns, grid, None if grid.d == 3 else idx)
+    sup, sup_warns = _sup_report(run.times, columns, grid, None if grid.d == 3 else idx)
+    # the sup run starts from the datum, so the two often warn alike: each
+    # distinct message is raised once
+    for w in dict.fromkeys(datum_warns + sup_warns):
+        warnings.warn(w, AccuracyWarning, stacklevel=2)
     return ThresholdReport(
         bracket=(lo, hi),
         datum_l3_norm=l3,
@@ -275,6 +284,50 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
         probes=probes,
         config_echo=cfg.echo(),
     )
+
+
+@dataclass(frozen=True)
+class RankOneBattery:
+    """Test fields phi_i = bump_i * weights[i]: a separable scalar bump on the
+    grid times a constant vector.  bump_i(x) = prod_a factors[i, a, x_a], so
+    the battery is held as the per-axis factors (count, d, N) and the weights
+    (count, components), never as N^d arrays or full vector fields."""
+
+    grid: Grid
+    factors: np.ndarray
+    weights: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.factors)
+
+
+def pairing_table(traj: Trajectory, tests: RankOneBattery) -> np.ndarray:
+    """Grid-quadrature pairings <u(t_k), phi_i> for a battery on the
+    trajectory's grid whose test fields have as many components as it.
+
+    Each component of a snapshot is contracted against the factors one axis at
+    a time: one matrix product over the last axis, then one einsum per
+    remaining axis, last to first.  No bump is formed; the largest temporary
+    is N^(d-1) * count per component.  The weights then sum over components.
+    """
+    grid = traj.grid
+    if not grid.compatible(tests.grid):
+        raise DomainError("test field grid mismatch")
+    w = grid.cell_volume
+    last = tests.factors[:, -1].T
+    table = np.empty((len(traj.snapshots), len(tests)))
+    for k, snap in enumerate(traj.snapshots):
+        if tests.weights.shape[1] != snap.ncomp:
+            raise DomainError(f"the test fields have {tests.weights.shape[1]} components, "
+                              f"the trajectory has {snap.ncomp}")
+        per_comp = np.empty((len(tests), snap.ncomp))
+        for c, comp in enumerate(snap.data):
+            partial = (comp.reshape(-1, grid.N) @ last).reshape(grid.shape[:-1] + (-1,))
+            for a in range(grid.d - 2, -1, -1):
+                partial = np.einsum("...xi,ix->...i", partial, tests.factors[:, a])
+            per_comp[:, c] = partial
+        table[k] = np.sum(tests.weights * per_comp, axis=1) * w
+    return table
 
 
 def make_test_battery(grid: Grid, count: int = 8, seed: int = 7) -> RankOneBattery:

@@ -1,4 +1,4 @@
-"""Constructors for the test fields used throughout the suite and the CLI.
+"""Field constructors for the CLI generators, the benchmark and the suite.
 
 Random generators take an explicit numpy Generator (or an int seed) so that
 every artifact is reproducible from its config document.
@@ -44,15 +44,6 @@ def taylor_green(grid: Grid, amplitude: float = 1.0) -> RealVectorField:
     u = np.cos(x) * np.sin(y)
     v = -np.sin(x) * np.cos(y)
     return RealVectorField(grid, amplitude * np.stack([u, v]))
-
-
-def single_mode(grid: Grid, mode, phase: float = 0.0) -> RealVectorField:
-    """cos(k.x + phase) as a one-component field, k = 2*pi*mode/L."""
-    mesh = grid.coordinate_mesh()
-    arg = phase * np.ones(grid.shape)
-    for m, x in zip(mode, mesh):
-        arg = arg + (2.0 * np.pi * m / grid.L) * x
-    return RealVectorField(grid, np.cos(arg)[np.newaxis])
 
 
 def _check_width(sigma: float) -> None:
@@ -126,11 +117,6 @@ def random_divfree_field(grid: Grid, seed, k_lo: float = 1.0, k_hi: float | None
         k_hi = 0.5 * grid.k_max_axis
     return band_noise(grid, k_lo, k_hi, seed, ncomp=grid.d,
                       amplitude=amplitude, divergence_free=True)
-
-
-def random_smooth_field(grid: Grid, seed, ncomp: int | None = None) -> RealVectorField:
-    """Unit-amplitude band noise on 0.5 k_min <= |k| < 0.4 k_max_axis."""
-    return band_noise(grid, 0.5 * grid.k_min, 0.4 * grid.k_max_axis, seed, ncomp=ncomp)
 
 
 def curl_field(potential: RealVectorField) -> RealVectorField:

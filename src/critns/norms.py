@@ -5,12 +5,15 @@ Besov norms sum over the grid's resolvable dyadic range; space-time norms use
 trapezoid quadrature on the snapshot times (per band first, then the l^q sum,
 which is the stronger ordering of the two).
 
-Every block norm ||F^{-1}(m * coeff)||_{L^p} (dyadic bands, heat-kernel
-curves) goes through `_multiplier_norms`, which takes its blocks from the
-grid's band engine (`grid.multiplier_blocks`: each product formed on the
-multiplier's support box only, its complex inverse stages pruned to that box)
-and runs the last inverse stage and the powers one component at a time.  The
-space-time norms and the sup-in-time Besov norm read one band table
+Every L^p value ends in one reduction, `_lp_norm`: p = inf, the power sums,
+and their re-sum relative to the sample max when a power overflows, fed one
+component at a time (a copy of a field's component for lebesgue_norm, a
+block's last inverse stage for the block norms).  Every block norm
+||F^{-1}(m * coeff)||_{L^p} (dyadic bands, heat-kernel curves) goes through
+`_multiplier_norms`, which takes its blocks from the grid's band engine
+(`grid.multiplier_blocks`: each product formed on the multiplier's support
+box only, its complex inverse stages pruned to that box).  The space-time
+norms and the sup-in-time Besov norm read one band table
 eps[j, i] = ||Delta_j u(t_i)||_{L^p}, built once per (read-only trajectory,
 p) and kept on the trajectory (`Trajectory.band_table`); the Serrin norm and
 the sup-in-time L^3 norm read one column ||u(t_i)||_{L^q}, kept the same way
@@ -117,70 +120,59 @@ def power_sums(data: np.ndarray, p: float) -> np.ndarray:
     return _power_sums_in_place(data.copy(order="K"), p)
 
 
-def _lp_from_sums(sums: np.ndarray, grid: Grid, p: float) -> float:
-    comp = (sums * grid.cell_volume) ** (1.0 / p)
-    return float(np.sum(comp**p) ** (1.0 / p))
-
-
-def _rescaled_lp(comps, grid: Grid, p: float) -> float:
-    """The L^p norm of the component sample arrays comps, summed relative to
-    the sample max: for a norm whose plain power sums overflow to inf while
-    the norm itself may be finite (|x|^400 of x = 10)."""
-    comps = [np.abs(x) for x in comps]
-    top = max(float(np.max(x)) for x in comps)
-    if top == INF:
-        return INF
-    sums = np.array([_power_sums_in_place(x[np.newaxis] / top, p)[0] for x in comps])
-    return top * _lp_from_sums(sums, grid, p)
-
-
 def _check_exponent(p: float) -> None:
     if not (p >= 1):  # NaN fails too
         raise DomainError(f"Lebesgue exponent must be >= 1, got {p}")
+
+
+def _lp_norm(make, ncomp: int, grid: Grid, p: float, square: np.ndarray | None) -> float:
+    """The L^p norm of the components make(0), ..., make(ncomp - 1), each a
+    fresh writable sample array, made inside the call that reduces it so that
+    one exists at a time; p = inf is the sample max.  Powers that overflow are
+    summed again relative to the sample max (|x|^400 of x = 10).  square is
+    the p = 3 scratch of `_power_sums_in_place`, one per norm call."""
+    def abs_max(x):
+        return np.max(np.abs(x, out=x))
+
+    def lp(make) -> float:
+        sums = np.array([_power_sums_in_place(make(c)[np.newaxis], p, square)[0]
+                         for c in range(ncomp)])
+        comp = (sums * grid.cell_volume) ** (1.0 / p)
+        return float(np.sum(comp**p) ** (1.0 / p))
+
+    if p == INF:
+        return float(np.max([abs_max(make(c)) for c in range(ncomp)], initial=0.0))
+    with np.errstate(over="ignore"):  # an overflow ends as inf, summed again below
+        value = lp(make)
+    if value != INF:
+        return value
+    top = float(np.max([abs_max(make(c)) for c in range(ncomp)]))
+    # the powers of x / top are those of |x| / top, bit for bit
+    return INF if top == INF else top * lp(lambda c: make(c) / top)
 
 
 def lebesgue_norm(f: RealVectorField, p: float) -> float:
     """Riemann-sum L^p norm with cell weight (L/N)^d; p = inf is the sample max.
     Powers that overflow are summed again relative to the sample max."""
     _check_exponent(p)
-    if p == INF:
-        return f.max_abs()
-    with np.errstate(over="ignore"):  # an overflow ends as inf, summed again below
-        value = _lp_from_sums(power_sums(f.data, p), f.grid, p)
-    return _rescaled_lp(f.data, f.grid, p) if value == INF else value
-
-
-def _max_abs_in_place(x: np.ndarray):
-    return np.max(np.abs(x, out=x))
+    square = np.empty(f.grid.shape) if p == 3 else None
+    return _lp_norm(lambda c: f.data[c].copy(), f.ncomp, f.grid, p, square)
 
 
 def _multiplier_norms(coeff: np.ndarray, mults, grid: Grid, p: float) -> np.ndarray:
     """||F^{-1}(m * coeff)||_{L^p} for each (multiplier m, support extent) pair
     in turn, as lebesgue_norm would give it, bit for bit.
 
-    The blocks come from `grid.multiplier_blocks`; the last inverse stage and
-    the powers run one component at a time, so each component's samples are
-    summed right after they are made and only one component's samples exist
-    at a time (each is made inside the call that reduces it, so no loop
-    variable keeps the last one alive).  A block whose powers overflow runs
-    its last stage again and is summed relative to its sample max.
+    The blocks come from `grid.multiplier_blocks`; each component's last
+    inverse stage runs inside the L^p reduction (`_lp_norm`), so its samples
+    are summed right after they are made and only one component's samples
+    exist at a time.  A block whose powers overflow runs its last stage again.
     """
     _check_exponent(p)
     square = np.empty(grid.shape) if p == 3 else None
-    norms = []
-    for partial in multiplier_blocks(coeff, mults, grid):
-        if p == INF:
-            norms.append(float(np.max([_max_abs_in_place(last_inverse_stage(comp, grid))
-                                       for comp in partial])))
-            continue
-        with np.errstate(over="ignore"):  # an overflow ends as inf, summed again below
-            sums = [_power_sums_in_place(last_inverse_stage(comp, grid)[np.newaxis], p, square)[0]
-                    for comp in partial]
-            value = _lp_from_sums(np.array(sums), grid, p)
-        if value == INF:
-            value = _rescaled_lp((last_inverse_stage(comp, grid) for comp in partial), grid, p)
-        norms.append(value)
-    return np.array(norms)
+    return np.array([_lp_norm(lambda c: last_inverse_stage(partial[c], grid), len(partial),
+                              grid, p, square)
+                     for partial in multiplier_blocks(coeff, mults, grid)])
 
 
 def _lq_sum(values: np.ndarray, q: float) -> float:

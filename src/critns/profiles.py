@@ -23,6 +23,9 @@ snapshots on read.  A remainder (`remainder`) and its frame rescaling
 (`scaling.apply_lambda_spacetime`, in `remainder_equation_residual`)
 recompute each snapshot when it is read, and the drift and source norms
 reduce each sample to its band profiles before the next is made.
+
+The weak-convergence battery that probes these trajectories lives in
+`criticality`, beside the probe that reads it.
 """
 
 from __future__ import annotations
@@ -48,11 +51,9 @@ from .grid import (
 )
 from .lp import low_high, low_pass
 from .norms import (
-    BesovIndex,
     _cl_from_matrix,
     _trapezoid_weights,
     band_profile,
-    besov_norm,
     critical_exponent,
     perturbation_spaces,
     power_sums,
@@ -402,31 +403,18 @@ def source_norms(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: fl
     return {"paraproduct_part": n1, "zeta_part": n2, "upper_bound": n1 + n2}
 
 
-def norm_splitting_check(ev: EvolvedSystem, sys: ProfileSystem, n: int, t_n: float,
-                         norm_kind: str = "L3", p: float | None = None) -> float:
-    """Additivity defect of the critical norm over the rescaled evolved profiles.
-
-    L3 form: |sum_c (||sum_j F_j^c||_3^3 - sum_j ||F_j^c||_3^3)| with the
-    component-wise cube convention.  Besov form at p: |N(sum_j F_j)^p -
-    sum_j N(F_j)^p| for N the critical Besov norm of index p.
-    """
+def norm_splitting_check(ev: EvolvedSystem, sys: ProfileSystem, n: int, t_n: float) -> float:
+    """Additivity defect of the critical L^3 norm over the rescaled evolved
+    profiles, |sum_c (||sum_j F_j^c||_3^3 - sum_j ||F_j^c||_3^3)| with the
+    component-wise cube convention."""
     grid = sys.grid
+    if grid.d != 3:
+        raise DomainError("the L3 splitting form needs d = 3")
     fields = list(_profile_parts(ev, sys, n, t_n, ScaleCore.identity(grid.d)))
     w = grid.cell_volume
     total = sum(fields[1:], fields[0])
-    if norm_kind == "L3":
-        if grid.d != 3:
-            raise DomainError("the L3 splitting form needs d = 3")
-        parts = sum(power_sums(f.data, 3) * w for f in fields)
-        defect = np.sum(power_sums(total.data, 3) * w - parts)
-    elif norm_kind == "besov":
-        if p is None:
-            raise DomainError("the Besov splitting form needs p")
-        idx = BesovIndex.critical(p, grid.d)
-        defect = besov_norm(total, idx)**p - sum(besov_norm(f, idx)**p for f in fields)
-    else:
-        raise DomainError(f"unknown norm kind {norm_kind!r}")
-    return abs(float(defect))
+    parts = sum(power_sums(f.data, 3) * w for f in fields)
+    return abs(float(np.sum(power_sums(total.data, 3) * w - parts)))
 
 
 def extract_cores(f: RealVectorField, count: int = 1):
@@ -524,47 +512,3 @@ def remainder_equation_residual(r_traj: Trajectory, ev: EvolvedSystem,
         return sum(parts, w), _source(parts, w)[1]
 
     return ns_equation_residual(r0, forcing=forcing)
-
-
-@dataclass(frozen=True)
-class RankOneBattery:
-    """Test fields phi_i = bump_i * weights[i]: a separable scalar bump on the
-    grid times a constant vector.  bump_i(x) = prod_a factors[i, a, x_a], so
-    the battery is held as the per-axis factors (count, d, N) and the weights
-    (count, components), never as N^d arrays or full vector fields."""
-
-    grid: Grid
-    factors: np.ndarray
-    weights: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.factors)
-
-
-def pairing_table(traj: Trajectory, tests: RankOneBattery) -> np.ndarray:
-    """Grid-quadrature pairings <u(t_k), phi_i> for a battery on the
-    trajectory's grid whose test fields have as many components as it.
-
-    Each component of a snapshot is contracted against the factors one axis at
-    a time: one matrix product over the last axis, then one einsum per
-    remaining axis, last to first.  No bump is formed; the largest temporary
-    is N^(d-1) * count per component.  The weights then sum over components.
-    """
-    grid = traj.grid
-    if not grid.compatible(tests.grid):
-        raise DomainError("test field grid mismatch")
-    w = grid.cell_volume
-    last = tests.factors[:, -1].T
-    table = np.empty((len(traj.snapshots), len(tests)))
-    for k, snap in enumerate(traj.snapshots):
-        if tests.weights.shape[1] != snap.ncomp:
-            raise DomainError(f"the test fields have {tests.weights.shape[1]} components, "
-                              f"the trajectory has {snap.ncomp}")
-        per_comp = np.empty((len(tests), snap.ncomp))
-        for c, comp in enumerate(snap.data):
-            partial = (comp.reshape(-1, grid.N) @ last).reshape(grid.shape[:-1] + (-1,))
-            for a in range(grid.d - 2, -1, -1):
-                partial = np.einsum("...xi,ix->...i", partial, tests.factors[:, a])
-            per_comp[:, c] = partial
-        table[k] = np.sum(tests.weights * per_comp, axis=1) * w
-    return table

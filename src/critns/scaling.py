@@ -1,11 +1,12 @@
 """Dilation/translation operators and scale-core orthogonality functionals.
 
 The basic operator sends f to (1/lambda) f((x - x0)/lambda), which preserves
-L^d and critical Besov norms.  Dyadic contractions with grid-aligned cores are
-exact index gathers; everything else evaluates the trigonometric interpolant
-of the band-limited samples on the mapped lattice.  Points mapped outside the
-box read zero (the field is treated as compactly supported inside the box, so
-the periodic images are discarded rather than wrapped).
+L^d and critical Besov norms.  Cores snap to the nearest grid point, so a unit
+scale is a whole-cell roll and a dyadic contraction an exact index gather;
+every other scale evaluates the trigonometric interpolant of the band-limited
+samples on the mapped lattice.  Points mapped outside the box read zero (the
+field is treated as compactly supported inside the box, so the periodic
+images are discarded rather than wrapped).
 """
 
 from __future__ import annotations
@@ -122,13 +123,8 @@ def _is_dyadic(lam: float):
     return None
 
 
-def _grid_aligned(f: RealVectorField, sc: ScaleCore) -> bool:
-    h = f.grid.spacing
-    return all(abs(v / h - round(v / h)) < 1e-9 for v in sc.x0)
-
-
 def _gather_contraction(f: RealVectorField, sc: ScaleCore, m: int) -> RealVectorField:
-    """Exact remap for lam = 2^{-m} with a grid-aligned core; out-of-box reads are zero."""
+    """Exact remap for lam = 2^{-m} with a snapped core; out-of-box reads are zero."""
     grid = f.grid
     factor = 2**m
     h = grid.spacing
@@ -176,18 +172,18 @@ def _spectral_resample(f: RealVectorField, sc: ScaleCore) -> RealVectorField:
 
 
 def is_whole_cell_roll(sc: ScaleCore) -> bool:
-    """Whether apply_lambda(f, sc) with its default core snapping is a periodic
+    """Whether apply_lambda(f, sc), whose core snaps to the grid, is a periodic
     roll of f by whole cells (unit scale to 1e-12), which is exact and
     commutes with every Fourier multiplier."""
     return _is_dyadic(sc.lam) == 0
 
 
-def apply_lambda(f: RealVectorField, sc: ScaleCore, off_grid_core: bool = False,
-                 check_support: bool = True, name: str = "field") -> RealVectorField:
+def apply_lambda(f: RealVectorField, sc: ScaleCore, check_support: bool = True,
+                 name: str = "field") -> RealVectorField:
     """(1/lam) f((x - x0)/lam) sampled on the grid of f.
 
-    Cores snap to the nearest grid point unless off_grid_core is set.  Dyadic
-    grid-aligned cases use exact remaps; generic scales use spectral
+    Cores snap to the nearest grid point, so a unit scale is an exact roll
+    and a dyadic contraction an exact remap; other scales use spectral
     interpolation (resampling-limited rather than exact).
     """
     f.require_finite()
@@ -197,16 +193,14 @@ def apply_lambda(f: RealVectorField, sc: ScaleCore, off_grid_core: bool = False,
         raise UndersampledScaleError(
             f"scale {sc.lam} below the resolvable floor 4/N = {4.0 / f.grid.N}"
         )
-    if not off_grid_core:
-        sc = _snap_core(f, sc)
+    sc = _snap_core(f, sc)
     m = _is_dyadic(sc.lam)
-    aligned = _grid_aligned(f, sc)
-    if m == 0 and aligned:
+    if m == 0:
         # pure periodic roll: exact, no clipping, support is immaterial
         return _roll_translation(f, sc)
     if check_support:
         _check_support(f, sc, name=name)
-    if m is not None and m < 0 and aligned:
+    if m is not None and m < 0:
         return _gather_contraction(f, sc, -m)
     return _spectral_resample(f, sc)
 
@@ -231,19 +225,19 @@ def apply_lambda_spacetime(traj, sc: ScaleCore, **kw):
 
 
 def cross_term(f: RealVectorField, g: RealVectorField, a: ScaleCore, b: ScaleCore,
-               p: float, **kw) -> float:
+               p: float) -> float:
     """Quadrature of sum_c |Lambda_a f_c|^{p-1} |Lambda_b g_c| over the box."""
-    fa = apply_lambda(f, a, name="first factor", **kw)
-    gb = apply_lambda(g, b, name="second factor", **kw)
+    fa = apply_lambda(f, a, name="first factor")
+    gb = apply_lambda(g, b, name="second factor")
     w = f.grid.cell_volume
     return float(np.sum(np.abs(fa.data) ** (p - 1.0) * np.abs(gb.data)) * w)
 
 
 def norm_additivity_defect(f: RealVectorField, g: RealVectorField, a: ScaleCore,
-                           b: ScaleCore, p: float, **kw) -> float:
+                           b: ScaleCore, p: float) -> float:
     """||Lambda_a f + Lambda_b g||_p^p - ||Lambda_a f||_p^p - ||Lambda_b g||_p^p."""
-    fa = apply_lambda(f, a, name="first summand", **kw)
-    gb = apply_lambda(g, b, name="second summand", **kw)
+    fa = apply_lambda(f, a, name="first summand")
+    gb = apply_lambda(g, b, name="second summand")
     return (
         lebesgue_norm(fa + gb, p) ** p
         - lebesgue_norm(fa, p) ** p

@@ -9,6 +9,7 @@ import pytest
 import scipy.fft
 
 from critns import Grid, cli
+from critns.fields import band_noise
 from critns.grid import RealVectorField, _leray_coefficients, forward_transform, inverse_transform
 from critns.norms import _trapezoid_weights
 from critns.solver import DEALIAS_FRACTION, DerivedSnapshots, Trajectory, dealias_box
@@ -27,6 +28,20 @@ def grid3():
 @pytest.fixture
 def grid3m():
     return Grid(3, 32)
+
+
+def single_mode(grid, mode, phase=0.0):
+    """cos(k.x + phase) as a one-component field, k = 2*pi*mode/L."""
+    mesh = grid.coordinate_mesh()
+    arg = phase * np.ones(grid.shape)
+    for m, x in zip(mode, mesh):
+        arg = arg + (2.0 * np.pi * m / grid.L) * x
+    return RealVectorField(grid, np.cos(arg)[np.newaxis])
+
+
+def random_smooth_field(grid, seed, ncomp=None):
+    """Unit-amplitude band noise on 0.5 k_min <= |k| < 0.4 k_max_axis."""
+    return band_noise(grid, 0.5 * grid.k_min, 0.4 * grid.k_max_axis, seed, ncomp=ncomp)
 
 
 def rel_err(a, b):

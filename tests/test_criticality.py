@@ -11,7 +11,9 @@ from critns import Grid, criticality, solver
 from critns.criticality import (
     PROXY_DISCLAIMER,
     DatumFamily,
+    RankOneBattery,
     make_test_battery,
+    pairing_table,
     sup_critical_norm,
     threshold_bisection,
     weak_convergence_probe,
@@ -21,7 +23,6 @@ from critns.fields import (gaussian_bump, gaussian_factors, localized_divfree_bu
                            random_divfree_field, taylor_green)
 from critns.grid import zero_field
 from critns.norms import BesovIndex, besov_norm, lebesgue_norm
-from critns.profiles import RankOneBattery, pairing_table
 from critns.scaling import ScaleCore, apply_lambda
 from critns.solver import (
     COMPLETED,
@@ -167,8 +168,8 @@ class TestThresholdBisection:
     def test_streamed_report_equals_the_collected_run(self, d):
         # the L3 sup at d = 3 and the Besov sup at p = 3 at d = 2, whose
         # late snapshots peak at the low band edge and warn: the report is
-        # bit for bit that of the collected run of its lo member, with the
-        # same warnings in the same order
+        # bit for bit that of the collected run of its lo member, with each
+        # distinct warning once, in the order the collected run first raises it
         fam = self._sup_family(d)
         with warnings.catch_warnings(record=True) as streamed:
             warnings.simplefilter("always")
@@ -183,8 +184,8 @@ class TestThresholdBisection:
         assert rep.sup_critical_norm == ref.value
         assert rep.sup_critical_time == ref.time_of_max
         assert collected or d == 3
-        assert [(w.category, str(w.message)) for w in streamed] == [
-            (w.category, str(w.message)) for w in collected]
+        assert [(w.category, str(w.message)) for w in streamed] == list(dict.fromkeys(
+            (w.category, str(w.message)) for w in collected))
 
     def test_sup_family_probe_count(self):
         # the end-to-end secant through each end's own log margin closes this

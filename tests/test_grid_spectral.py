@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from critns import Grid, RealVectorField, heat_semigroup, leray_project
 from critns.errors import DomainError, InvalidFieldError
-from critns.fields import band_noise, random_smooth_field, single_mode, taylor_green
+from critns.fields import band_noise, taylor_green
 from critns.grid import (
     HeatFlow,
     TransformPlan,
@@ -22,7 +22,8 @@ from critns.grid import (
 )
 from critns.norms import lebesgue_norm
 
-from conftest import box_multiplier, gradient, irfftn, laplacian, rel_err, rfftn, support_extent
+from conftest import (box_multiplier, gradient, irfftn, laplacian, random_smooth_field, rel_err,
+                      rfftn, single_mode, support_extent)
 
 
 def heat_derivative_kernel(f, tau):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from critns import Grid
 from critns.errors import EmptyBandWarning, GridMismatchError
-from critns.fields import band_noise, random_smooth_field, single_mode
+from critns.fields import band_noise
 from critns.grid import RealVectorField, forward_transform
 from critns import grid as grid_mod, lp
 from critns.lp import (
@@ -22,7 +22,8 @@ from critns.lp import (
 )
 from critns.norms import band_profile, lebesgue_norm
 
-from conftest import full_product_blocks, gradient, rel_err, traced
+from conftest import (full_product_blocks, gradient, random_smooth_field, rel_err, single_mode,
+                      traced)
 
 
 class TestCutoff:

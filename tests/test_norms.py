@@ -16,8 +16,6 @@ from critns.fields import (
     gaussian_bump,
     localized_divfree_bump,
     random_divfree_field,
-    random_smooth_field,
-    single_mode,
     taylor_green,
 )
 from critns import norms
@@ -57,8 +55,8 @@ from critns.norms import (
 )
 from critns.solver import Trajectory, dealias_box, make_heat_trajectory, sample_trajectory
 
-from conftest import (box_multiplier, dealias_mask, full_product_blocks, irfftn, support_extent,
-                      thin)
+from conftest import (box_multiplier, dealias_mask, full_product_blocks, irfftn,
+                      random_smooth_field, single_mode, support_extent, thin, traced)
 
 
 def heat_symbol(grid, tau):
@@ -132,6 +130,15 @@ class TestLebesgue:
         sums = power_sums(f.data, p)
         comp = (sums * grid2.cell_volume) ** (1.0 / p)
         assert lebesgue_norm(f, p) == float(np.sum(comp**p) ** (1.0 / p))
+
+    @pytest.mark.parametrize("p, components", [(2, 1.1), (4, 1.1), (3.5, 1.1), (INF, 1.1),
+                                               (3, 2.1)])
+    def test_one_component_in_memory(self, p, components):
+        # the samples are copied and reduced one component at a time, beside
+        # one component of scratch at p = 3
+        f = random_smooth_field(Grid(3, 32), seed=2, ncomp=3)
+        _, _, peak = traced(lambda: lebesgue_norm(f, p))
+        assert peak <= components * f.data[0].nbytes
 
     def test_sup_norm(self, grid2):
         f = random_smooth_field(grid2, seed=0, ncomp=2)

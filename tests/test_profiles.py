@@ -21,7 +21,6 @@ from critns.profiles import (
     norm_splitting_check,
     ns_equation_residual,
     order_profiles,
-    pairing_table,
     remainder,
     remainder_equation_residual,
     source_norms,
@@ -247,7 +246,7 @@ class TestRemainder:
         assert res <= 10.0 * floor
 
     def test_weak_convergence_pairings_decay_with_n(self, grid3m):
-        from critns.criticality import make_test_battery
+        from critns.criticality import make_test_battery, pairing_table
 
         sys_ = _two_profile_system(grid3m)
         cfg = SolverConfig(dt=4e-3, T=0.04, snapshot_stride=2)
@@ -541,12 +540,6 @@ class TestNormSplitting:
         ev = evolve_system(sys_, cfg, [0, 1, 2])
         vals = [norm_splitting_check(ev, sys_, n, 0.02) for n in (0, 1, 2)]
         assert vals[0] > vals[1] > vals[2]
-
-    def test_besov_form(self, grid3m):
-        sys_ = _two_profile_system(grid3m)
-        cfg = SolverConfig(dt=4e-3, T=0.04, snapshot_stride=2)
-        ev = evolve_system(sys_, cfg, [0])
-        assert np.isfinite(norm_splitting_check(ev, sys_, 0, 0.02, norm_kind="besov", p=4.0))
 
 
 class TestExtraction:

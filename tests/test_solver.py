@@ -8,7 +8,7 @@ import pytest
 
 from critns import Grid
 from critns.errors import DomainError, TrajectoryCoverageError
-from critns.fields import random_divfree_field, random_smooth_field, taylor_green
+from critns.fields import random_divfree_field, taylor_green
 from critns.grid import (
     RealVectorField,
     forward_transform,
@@ -44,7 +44,7 @@ from critns.solver import (
 )
 
 from conftest import (bilinear_duhamel, dealias_mask, general_div_flux_hat, irfftn, laplacian,
-                      rel_err, rfftn, thin)
+                      random_smooth_field, rel_err, rfftn, thin)
 
 
 def convective_divergence(u):

@@ -1,7 +1,8 @@
 """Source guards: every FFT the package runs is made in grid.py, every
 on-read snapshot sequence is one class, box coefficients go back into a half
-spectrum only in the inverse transform, every dataclass field is read, and
-the tests run the CLI through one harness."""
+spectrum only in the inverse transform, every dataclass field and every
+top-level function and class is read, and the tests run the CLI through one
+harness."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,12 @@ ALLOWED = {("cli.py", "scipy.fft.set_workers")}
 # what they check
 SPAWNERS = {("test_acceptance.py", "test_criterion_13_reproducibility"),
             ("test_cli_fuzz.py", "test_in_process_run_matches_a_process")}
+# the programs besides the package that read it: the acceptance gate and the
+# benchmark's workloads
+READERS = (TESTS / "test_acceptance.py", TESTS.parent / "perfbench" / "workloads.py")
+# (file, name) of the top-level definitions that have no reader yet: the
+# ROADMAP's time error estimate gives stride_halving_error its caller
+UNREAD = {("norms.py", "stride_halving_error")}
 
 
 def _aliases(tree) -> dict:
@@ -114,6 +121,36 @@ def unread_fields(trees):
     return sorted(found)
 
 
+def _mentions(node):
+    """Every name that node mentions: a bare name, an attribute, an imported
+    name, or a string constant that is the name."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+        elif isinstance(child, ast.alias):
+            yield child.name.rsplit(".", 1)[-1]
+        elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+            yield child.value
+
+
+def unread_definitions(modules, readers):
+    """Sorted (module, name) of the top-level functions and classes of the
+    modules (name -> tree) that no top-level statement but their own names:
+    none of the modules' other statements, and none of the readers' (name ->
+    tree)."""
+    named = {}  # name -> the (module, statement index) pairs that name it
+    for module, tree in {**readers, **modules}.items():
+        for i, stmt in enumerate(tree.body):
+            for name in _mentions(stmt):
+                named.setdefault(name, set()).add((module, i))
+    return sorted((module, stmt.name) for module, tree in modules.items()
+                  for i, stmt in enumerate(tree.body)
+                  if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not named.get(stmt.name, set()) - {(module, i)})
+
+
 def test_ffts_only_in_grid():
     calls = {(path.name, line, name)
              for path in SRC.glob("*.py") if path.name != "grid.py"
@@ -189,6 +226,30 @@ def test_one_scatter_into_a_half_spectrum():
 def test_every_dataclass_field_is_read():
     # a report field that no code reads is API surface kept up for nobody
     assert unread_fields([ast.parse(path.read_text()) for path in SRC.glob("*.py")]) == []
+
+
+def test_every_src_function_has_a_reader():
+    # a function that only tests call is kept up for nobody: it moves into
+    # the tests or goes; every exception still exists, so the list does not
+    # outlive its reason
+    modules = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    readers = {path.name: ast.parse(path.read_text()) for path in READERS}
+    assert unread_definitions(modules, readers) == sorted(UNREAD)
+
+
+def test_reader_guard_on_a_snippet():
+    module = "\n".join([
+        "def called(): pass", "def recursive(n): return recursive(n - 1)",
+        "def tabled(): pass", "TABLE = {'name': 'tabled'}",
+        "class Exported: pass", "def read_elsewhere(): pass",
+        "def documented():", "    'documented'",
+        "def unread(): return called()",
+    ])
+    exports = "from .module import Exported"
+    reader = "import pkg.module\npkg.module.read_elsewhere()"
+    assert unread_definitions({"module": ast.parse(module), "exports": ast.parse(exports)},
+                              {"reader": ast.parse(reader)}) == [
+        ("module", "documented"), ("module", "recursive"), ("module", "unread")]
 
 
 def test_unread_field_guard_on_a_snippet():

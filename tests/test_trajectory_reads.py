@@ -21,7 +21,8 @@ import pytest
 
 from critns import Grid, cli, profiles
 from critns import io as critns_io
-from critns.criticality import make_test_battery, sup_critical_norm, weak_convergence_probe
+from critns.criticality import (make_test_battery, pairing_table, sup_critical_norm,
+                                weak_convergence_probe)
 from critns.errors import DomainError, SupportOverflowError
 from critns.fields import (gaussian_bump, localized_divfree_bump, random_divfree_field,
                            taylor_green)
@@ -30,8 +31,8 @@ from critns.norms import (BesovIndex, band_profile, chemin_lerner_norm, critical
                           e_norm, heat_besov_spacetime_norm, lebesgue_norm,
                           sampled_band_tables, serrin_norm)
 from critns.profiles import (drift_norm, drift_term, evolve_system, ns_equation_residual,
-                             pairing_table, remainder, source_norms, source_term,
-                             superpose_evolution, synthesize_datum)
+                             remainder, source_norms, source_term, superpose_evolution,
+                             synthesize_datum)
 from critns.solver import (RESOLUTION_LIMIT, PerturbationProblem, SolverConfig, Trajectory,
                            evolve, evolve_perturbed, evolve_streaming, make_heat_trajectory,
                            sample_trajectory, verify_perturbation_bound)
