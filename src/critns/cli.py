@@ -294,6 +294,8 @@ def cmd_lp(config: dict, out: Path) -> dict:
         raise ConfigValidationError(
             f"lp config: need {lo} <= j_min <= j_max <= {hi} (the grid's band range), "
             f"got j_min={j_min}, j_max={j_max}")
+    # the band set keeps f's spectrum; each band is made as it is read,
+    # written and reduced, so one band is alive at a time
     bands = decompose(f, j_min, j_max)
     written, table = ["low.cfd"], []
     write_field(out / "low.cfd", bands.low)

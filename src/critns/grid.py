@@ -40,11 +40,16 @@ and the symbol builders of other modules are `functools.cache`d on the
 frozen, hashable Grid.  `_box_slabs` is keyed on (d, N, M) instead, and the
 stage lines `_stage_lines` on (d, N, M, direction): their slices do not
 depend on L, so grids that differ only in L share them.
+
+`DerivedSnapshots` is the one sequence of fields made on read: every
+trajectory that does not hold its snapshots and every `lp.LPBandSet` hands
+its fields out through it.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -320,6 +325,27 @@ class RealVectorField:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.data))) if self.data.size else 0.0
+
+
+class DerivedSnapshots(Sequence):
+    """Fields made when they are read: item i is make(i), handed out
+    read-only.  Nothing is kept between reads, so each read remakes the
+    field (reads a snapshot's file, inverts kept coefficients, recomputes a
+    derived snapshot or runs one band of a kept spectrum), a reduction holds
+    one field however many there are, and an error in making it surfaces at
+    the read.  A reader that needs an item twice keeps it."""
+
+    def __init__(self, count: int, make):
+        self._count = count
+        self._make = make
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i: int) -> RealVectorField:
+        snap = self._make(range(self._count)[i])
+        snap.data.flags.writeable = False
+        return snap
 
 
 def _lead_slices(N: int, M: int) -> list:

@@ -18,7 +18,7 @@ and holds one snapshot at a time; `save_trajectory` writes a whole
 
 `load_trajectory` checks the manifest and every snapshot file's header and
 size, and reads no payload: the `Trajectory` it returns holds a
-`solver.DerivedSnapshots` sequence that reads snap_<i>.cfd each time
+`grid.DerivedSnapshots` sequence that reads snap_<i>.cfd each time
 snapshot i is indexed or iterated, so a reader holds the snapshots it is
 working on and no others.
 """
@@ -33,8 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigValidationError, DomainError, InvalidFieldError
-from .grid import Grid, RealVectorField
-from .solver import DerivedSnapshots, Trajectory
+from .grid import DerivedSnapshots, Grid, RealVectorField
+from .solver import Trajectory
 
 CFD1_MAGIC = "CFD1"
 

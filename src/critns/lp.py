@@ -7,9 +7,15 @@ operators and is supported on the annulus 2^j <= |k| <= 2^{j+2}.
 
 dyadic_blocks transforms once and yields the low block, then each band, each
 through the grid's band engine (`grid.multiplier_blocks`); it feeds
-decompose, paraproduct and the low-high sum T_f g.  The last two need each
-factor's blocks only once (Bahouri, Chemin & Danchin, ch. 2), so they take
-them as they come and hold a few at a time.
+paraproduct and the low-high sum T_f g.  Both need each factor's blocks only
+once (Bahouri, Chemin & Danchin, ch. 2), so they take them as they come and
+hold a few at a time.
+
+decompose keeps only the field's forward coefficients, one read-only half
+spectrum, and makes each block when it is read (`LPBandSet`): a read of the
+low block or of a band costs one block of the band engine and its last
+inverse stage, bitwise the block dyadic_blocks yields, and `reconstruct()`
+streams every block through one buffer.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 
 from .errors import EmptyBandWarning, GridMismatchError
 from .grid import (
+    DerivedSnapshots,
     Grid,
     RealVectorField,
     apply_multiplier,
@@ -115,23 +122,59 @@ def band_project(f: RealVectorField, j: int) -> RealVectorField:
     return apply_multiplier(f, band)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LPBandSet:
-    """All resolvable bands of a field plus the below-range low-pass."""
+    """The low-pass S_{j_min} f (`low`) and the bands Delta_j f for j in
+    [j_min, j_max] (`bands`) of a field f, made when they are read.
 
+    Keeps f's forward coefficients, one read-only half spectrum ((N + 2)/N
+    of f's bytes), and nothing else.  Each read of `low` or of a band is one
+    new read-only field: one block of `grid.multiplier_blocks` over the
+    level's multiplier, built from the cached low-pass symbols as
+    `band_project` builds it, and its `last_inverse_stage`, bitwise the
+    block `dyadic_blocks` yields.  A read recomputes its block, so a reader
+    that needs a band twice keeps it.
+    """
+
+    grid: Grid
+    coeff: np.ndarray
     j_min: int
     j_max: int
-    bands: list
-    low: RealVectorField
+
+    def __post_init__(self):
+        self.coeff.flags.writeable = False
+
+    def _block(self, pair: tuple[np.ndarray, int]) -> RealVectorField:
+        (partial,) = multiplier_blocks(self.coeff, [pair], self.grid)
+        block = last_inverse_stage(partial, self.grid)
+        block.flags.writeable = False
+        return RealVectorField(self.grid, block)
+
+    @property
+    def low(self) -> RealVectorField:
+        return self._block(_low_pass(self.grid, self.j_min))
+
+    @property
+    def bands(self) -> DerivedSnapshots:
+        """Delta_j f for j = j_min..j_max, a read-only sequence made on read."""
+        def band(i: int) -> RealVectorField:
+            _, pair = dyadic_multipliers(self.grid, self.j_min + i, self.j_min + i)
+            return self._block(pair)
+
+        return DerivedSnapshots(self.j_max - self.j_min + 1, band)
 
     def reconstruct(self) -> RealVectorField:
-        """low + bands[0] + bands[1] + ..., added in that order into one copy
-        of the low block, so no field per band is allocated; the bands are
-        left as they are."""
-        out = self.low.data.copy()
-        for band in self.bands:
-            out += band.data
-        return RealVectorField(self.low.grid, out)
+        """low + bands[0] + bands[1] + ..., added in that order into the low
+        block: one pass of the band engine over every multiplier, each band's
+        last stage run into one reused buffer, so the sum holds two fields
+        beside the engine's work array."""
+        blocks = multiplier_blocks(
+            self.coeff, dyadic_multipliers(self.grid, self.j_min, self.j_max), self.grid)
+        out = last_inverse_stage(next(blocks), self.grid)
+        band = np.empty_like(out)
+        for partial in blocks:
+            out += last_inverse_stage(partial, self.grid, out=band)
+        return RealVectorField(self.grid, out)
 
 
 def dyadic_blocks(grid: Grid, data: np.ndarray, j_min: int, j_max: int):
@@ -145,13 +188,13 @@ def dyadic_blocks(grid: Grid, data: np.ndarray, j_min: int, j_max: int):
 
 def decompose(f: RealVectorField, j_min: int | None = None,
               j_max: int | None = None) -> LPBandSet:
-    """Split f into its resolvable dyadic bands; exact telescoping by construction."""
+    """Split f into its resolvable dyadic bands; exact telescoping by
+    construction.  One forward transform, kept by the LPBandSet, which makes
+    each block when it is read."""
     lo, hi = band_range(f.grid)
     j_min = lo if j_min is None else j_min
     j_max = hi if j_max is None else j_max
-    low, *bands = (RealVectorField(f.grid, block)
-                   for block in dyadic_blocks(f.grid, f.data, j_min, j_max))
-    return LPBandSet(j_min=j_min, j_max=j_max, bands=bands, low=low)
+    return LPBandSet(f.grid, forward_transform(f.data, f.grid), j_min, j_max)
 
 
 def _low_high_sum(blocks_f, blocks_g):

@@ -39,6 +39,7 @@ from .errors import (DomainError, GridMismatchError, SupportOverflowError,
                      TrajectoryCoverageError)
 from .fields import band_noise
 from .grid import (
+    DerivedSnapshots,
     Grid,
     HeatFlow,
     RealVectorField,
@@ -63,7 +64,6 @@ from .scaling import (ScaleCore, ScaleCoreSequence, apply_lambda, apply_lambda_s
                       is_whole_cell_roll, orthogonality_check)
 from .solver import (
     DEALIAS_FRACTION,
-    DerivedSnapshots,
     SolverConfig,
     Trajectory,
     _div_flux_hat,
@@ -239,7 +239,7 @@ def evolve_system(sys: ProfileSystem, cfg: SolverConfig, n_window) -> EvolvedSys
         # recorded frames exactly for dyadic lambda^2, avoiding interpolation
         # error in the remainder.  The run keeps each frame as its
         # coefficients inside the dealias sphere (about 16% of a frame's
-        # bytes) and makes it on read (solver.DerivedSnapshots), so every
+        # bytes) and makes it on read (grid.DerivedSnapshots), so every
         # lookup is one pruned inverse transform, bitwise the stepped frame.
         cfg_j = replace(cfg, T=cfg.T * scale, dt=cfg.dt * scale, snapshot_stride=1)
         traj = evolve(phi, cfg_j)

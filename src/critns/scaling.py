@@ -19,9 +19,9 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, SupportOverflowError, UndersampledScaleError
-from .grid import RealVectorField, forward_transform
+from .grid import DerivedSnapshots, RealVectorField, forward_transform
 from .norms import lebesgue_norm
-from .solver import DerivedSnapshots, Trajectory
+from .solver import Trajectory
 
 SUPPORT_AMPLITUDE_THRESHOLD = 1e-6
 # the level past which orthogonality_check's scale ratio or core separation

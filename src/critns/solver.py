@@ -57,6 +57,7 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, TrajectoryCoverageError
 from .grid import (
+    DerivedSnapshots,
     Grid,
     HeatFlow,
     RealVectorField,
@@ -65,6 +66,7 @@ from .grid import (
     forward_transform,
     inverse_transform,
     radial_symbol,
+    _check_time,
     _leray_coefficients,
 )
 from .norms import (
@@ -133,27 +135,6 @@ def trip_reason(values, cfg: SolverConfig) -> str | None:
     return None
 
 
-class DerivedSnapshots(Sequence):
-    """Snapshots made when they are read: snapshot i is make(i), a new
-    read-only field kept by no one but the caller.  Nothing is kept between
-    reads, so each read remakes the snapshot (reads its file, inverts its
-    box coefficients or recomputes it from the trajectory it is derived
-    from), a reduction holds one snapshot however many there are, and an
-    error in making it surfaces at the read."""
-
-    def __init__(self, count: int, make):
-        self._count = count
-        self._make = make
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, i: int) -> RealVectorField:
-        snap = self._make(range(self._count)[i])
-        snap.data.flags.writeable = False
-        return snap
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Time-indexed snapshots with per-step norm records.
@@ -165,7 +146,10 @@ class Trajectory:
     read-only snapshot: `io.load_trajectory` reads the snapshot's file, a
     collected solver run (`evolve`, `evolve_perturbed`) makes one pruned
     inverse transform of the dealias-sphere coefficients it keeps (about 16%
-    of a snapshot's bytes at the 2/3 rule), and a
+    of a snapshot's bytes at the 2/3 rule), a heat trajectory
+    (`make_heat_trajectory`) one inverse transform of its datum's damped
+    coefficients (at t = 0 it hands out the one copy of the datum it
+    keeps), and a
     `profiles.remainder` or a `scaling.apply_lambda_spacetime` rescaling
     recomputes the snapshot from the trajectory it is derived from.  Any
     other snapshots are held in memory as a read-only tuple, and a read
@@ -642,12 +626,26 @@ def evolve_perturbed(prob: PerturbationProblem, cfg: SolverConfig) -> Trajectory
 
 
 def make_heat_trajectory(u0: RealVectorField, times) -> Trajectory:
-    """Pure heat flow of a datum recorded at the given times (linear oracle):
-    heat_semigroup(u0, t) at each t, all from one forward transform of u0."""
+    """Pure heat flow of a datum recorded at the given times (linear oracle).
+
+    Keeps u0's forward coefficients (one `HeatFlow`, a half spectrum of
+    (N + 2)/N times u0's bytes) and, if a time is 0, one read-only copy of
+    u0; the snapshots are made on read (`DerivedSnapshots`).  Snapshot i is
+    HeatFlow(u0).at(t_i), one multiply and one inverse transform per read,
+    bitwise heat_semigroup(u0, t_i) for t_i > 0; at t = 0 it is the copy.
+    Every time is checked here, so a bad one raises when the trajectory is
+    made, not at its read."""
     times = np.asarray(sorted(float(t) for t in times))
     flow = HeatFlow(u0)
-    snaps = [u0.copy() if t == 0 else flow.at(t) for t in times]
-    return Trajectory(grid=u0.grid, times=times, snapshots=snaps)
+    for t in times:
+        _check_time(t)
+    start = u0.copy() if 0.0 in times else None
+
+    def snapshot(i: int) -> RealVectorField:
+        return start if times[i] == 0 else flow.at(times[i])
+
+    return Trajectory(grid=u0.grid, times=times,
+                      snapshots=DerivedSnapshots(times.size, snapshot))
 
 
 def sample_trajectory(grid: Grid, times, func) -> Trajectory:

@@ -10,9 +10,10 @@ import scipy.fft
 
 from critns import Grid, cli
 from critns.fields import band_noise
-from critns.grid import RealVectorField, _leray_coefficients, forward_transform, inverse_transform
+from critns.grid import (DerivedSnapshots, RealVectorField, _leray_coefficients,
+                         forward_transform, inverse_transform)
 from critns.norms import _trapezoid_weights
-from critns.solver import DEALIAS_FRACTION, DerivedSnapshots, Trajectory, dealias_box
+from critns.solver import DEALIAS_FRACTION, Trajectory, dealias_box
 
 
 @pytest.fixture

@@ -44,7 +44,7 @@ from critns.solver import (
 )
 
 from conftest import (bilinear_duhamel, dealias_mask, general_div_flux_hat, irfftn, laplacian,
-                      random_smooth_field, rel_err, rfftn, thin)
+                      random_smooth_field, rel_err, rfftn, thin, traced)
 
 
 def convective_divergence(u):
@@ -283,11 +283,23 @@ class TestEvolve:
             make_heat_trajectory(u0, [0.0, 0.1, bad])
 
     def test_heat_trajectory_is_heat_semigroup_bitwise(self, grid3):
+        # each snapshot is made on read, HeatFlow(u0).at(t) for t > 0 and u0
+        # at t = 0 as heat_semigroup gives them, and handed out read-only
         u0 = random_divfree_field(grid3, seed=5, k_hi=3.0)
-        times = [0.0, 0.02, 0.1, 0.5]
-        traj = make_heat_trajectory(u0, times)
-        for t, snap in zip(times, traj.snapshots):
-            assert np.array_equal(snap.data, heat_semigroup(u0, t).data)
+        for times in ([0.0, 0.02, 0.1, 0.5], [0.3, 0.01]):
+            traj = make_heat_trajectory(u0, times)
+            for t, snap in zip(sorted(times), traj.snapshots, strict=True):
+                assert snap.data.tobytes() == heat_semigroup(u0, t).data.tobytes()
+                assert not snap.data.flags.writeable
+
+    def test_heat_trajectory_keeps_one_spectrum(self, grid3m):
+        # the datum's half spectrum and its t = 0 copy, 2.07 fields of a
+        # 3-component 32^3 datum, where nine kept snapshots took 9.0
+        u0 = random_divfree_field(grid3m, seed=5, k_hi=3.0)
+        times = np.linspace(0.0, 0.16, 9)
+        make_heat_trajectory(u0, times).snapshots[1]  # the grid's cached k^2
+        _, held, _ = traced(lambda: make_heat_trajectory(u0, times))
+        assert held < 2.2 * u0.data.nbytes
 
 
 def _reference_heun(u0, cfg, drift=None, source=None, trace_free=True):

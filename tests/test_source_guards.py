@@ -205,11 +205,12 @@ def test_one_in_place_fft_call():
 
 
 def test_one_on_read_sequence():
-    # a loaded file, kept box coefficients and a derived snapshot are each a
-    # make(i) of solver.DerivedSnapshots, not a sequence class of their own
+    # a loaded file, kept box coefficients, a derived snapshot, a heat-flow
+    # snapshot and an LP band are each a make(i) of grid.DerivedSnapshots,
+    # not a sequence class of their own
     classes = [(path.name, name) for path in SRC.glob("*.py")
                for name in sequence_classes(ast.parse(path.read_text()))]
-    assert classes == [("solver.py", "DerivedSnapshots")]
+    assert classes == [("grid.py", "DerivedSnapshots")]
 
 
 def test_one_scatter_into_a_half_spectrum():

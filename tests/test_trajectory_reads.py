@@ -1,7 +1,8 @@
 """Every trajectory not held as a tuple reads its snapshots on demand
-through one sequence, `solver.DerivedSnapshots`, whose make(i) reads a file
+through one sequence, `grid.DerivedSnapshots`, whose make(i) reads a file
 (a loaded trajectory), inverts kept dealias-sphere coefficients (a
-collected solver run) or recomputes a derived snapshot (a remainder, its frame rescaling).
+collected solver run), damps and inverts a datum's coefficients (a heat
+trajectory) or recomputes a derived snapshot (a remainder, its frame rescaling).
 The reductions of a loaded trajectory hold a few snapshots whatever the
 count and give the in-memory norms bit for bit, a drift is read about once
 per snapshot, and a snapshot file that changes after loading is a JSON
@@ -26,6 +27,7 @@ from critns.criticality import (make_test_battery, pairing_table, sup_critical_n
 from critns.errors import DomainError, SupportOverflowError
 from critns.fields import (gaussian_bump, localized_divfree_bump, random_divfree_field,
                            taylor_green)
+from critns.grid import heat_semigroup
 from critns.io import TrajectoryWriter, load_trajectory, save_trajectory, write_field
 from critns.norms import (BesovIndex, band_profile, chemin_lerner_norm, critical_exponent,
                           e_norm, heat_besov_spacetime_norm, lebesgue_norm,
@@ -138,7 +140,8 @@ def test_loaded_drift_reads_each_snapshot_about_once(tmp_path, monkeypatch):
 
 def test_in_memory_frame_is_the_stored_snapshot():
     grid = Grid(2, 16)
-    traj = make_heat_trajectory(taylor_green(grid), np.linspace(0.0, 0.1, 5))
+    f = taylor_green(grid)
+    traj = sample_trajectory(grid, np.linspace(0.0, 0.1, 5), lambda t: heat_semigroup(f, t))
     for i, t in enumerate(traj.times):
         assert traj.at(t) is traj.snapshots[i]
     assert traj.at(0.0125) is not traj.snapshots[0]
