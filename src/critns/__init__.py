@@ -22,7 +22,6 @@ from .norms import (
     critical_exponent,
     e_norm,
     heat_besov_norm,
-    heat_besov_spacetime_norm,
     lebesgue_norm,
     serrin_norm,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "chemin_lerner_norm",
     "e_norm",
     "heat_besov_norm",
-    "heat_besov_spacetime_norm",
     "serrin_norm",
     "ScaleCore",
     "ScaleCoreSequence",

@@ -12,12 +12,16 @@ block's last inverse stage for the block norms).  Every block norm
 ||F^{-1}(m * coeff)||_{L^p} (dyadic bands, heat-kernel curves) goes through
 `_multiplier_norms`, which takes its blocks from the grid's band engine
 (`grid.multiplier_blocks`: each product formed on the multiplier's support
-box only, its complex inverse stages pruned to that box).  The space-time
-norms and the sup-in-time Besov norm read one band table
+box only, its complex inverse stages pruned to that box).  Every space-time
+band table comes from one builder, `band_tables`: a trajectory's
 eps[j, i] = ||Delta_j u(t_i)||_{L^p}, built once per (read-only trajectory,
-p) and kept on the trajectory (`Trajectory.band_table`); the Serrin norm and
-the sup-in-time L^3 norm read one column ||u(t_i)||_{L^q}, kept the same way
-(`Trajectory.lebesgue_column`).
+p) and kept on the trajectory (`Trajectory.band_table`), which the Chemin-
+Lerner norms, `e_norm` and the sup-in-time Besov norm read, and the tables
+of sampled parts that the drift, source and force norms reduce each sample
+to.  Every Chemin-Lerner-type norm ends in `_cl_from_matrix`, which asks
+for at least 2 strictly increasing times.  The Serrin norm and the
+sup-in-time L^3 norm read one column ||u(t_i)||_{L^q}, kept like the band
+table (`Trajectory.lebesgue_column`).
 
 Heat-characterized norms integrate over smoothing times tau by the trapezoid
 rule in log tau, on `default_tau_grid`: 8 points per decade, an odd count, so
@@ -198,34 +202,19 @@ def band_profile(f: RealVectorField, p: float) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(lo, hi + 1), _band_norms(forward_transform(f.data, f.grid), f.grid, p)
 
 
-def band_table_of(snapshots, grid: Grid, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """(levels, eps) with eps[j, i] = ||Delta_j u_i||_{L^p}: the band profile
-    of every snapshot in a sequence on grid.  Each snapshot is dropped once it
-    is transformed (no loop variable holds it), so a sequence that reads its
-    snapshots on demand has one in memory at a time, and none while its
-    bands are formed."""
+def band_tables(grid: Grid, count: int, sample, p: float) -> tuple[np.ndarray, list]:
+    """(levels, tables) with tables[k][j, i] = ||Delta_j F_k^i||_{L^p} for the
+    parts (F_0^i, F_1^i, ...) that sample(i) returns, i = 0, ..., count - 1;
+    with no sample, one empty table.  sample is called once per i, in order,
+    and every part it returns is transformed before any band is formed, so
+    that no loop variable holds a part: a sample made on demand is in memory
+    one at a time, and none while its bands are formed."""
     lo, hi = band_range(grid)
-    eps = [_band_norms(forward_transform(snapshots[i].data, grid), grid, p)
-           for i in range(len(snapshots))]
-    return np.arange(lo, hi + 1), np.array(eps).T
-
-
-def sampled_band_tables(grid: Grid, times: np.ndarray, sample, p: float):
-    """(levels, tables) with tables[k][j, i] = ||Delta_j F_k(t_i)||_{L^p} for
-    the parts (F_0, F_1, ...) that sample(t_i) returns, at strictly
-    increasing times: for each k, bit for bit, the band table of the
-    trajectory of the F_k.  sample is called once per time, in order, and
-    its parts are dropped once their band profiles are formed, so one
-    sample is in memory at a time."""
-    times = np.asarray(times, dtype=float)
-    if times.size < 2:
-        raise DomainError("space-time norms need at least 2 snapshots")
-    if not np.all(np.diff(times) > 0):
-        raise DomainError("snapshot times must be strictly increasing")
-    lo, hi = band_range(grid)
-    rows = [[_band_norms(forward_transform(part.data, grid), grid, p) for part in sample(t)]
-            for t in times.tolist()]
-    return np.arange(lo, hi + 1), [np.array(col).T for col in zip(*rows)]
+    levels = np.arange(lo, hi + 1)
+    rows = [[_band_norms(coeff, grid, p)
+             for coeff in [forward_transform(part.data, grid) for part in sample(i)]]
+            for i in range(count)]
+    return levels, [np.array(col).T for col in zip(*rows)] or [np.empty((levels.size, 0))]
 
 
 def edge_share(eps: np.ndarray, q: float) -> float:
@@ -305,20 +294,22 @@ def _relative_change(full: float, coarse: float) -> float:
     return abs(full - coarse) / full if full > 0 else 0.0
 
 
-def _band_columns(traj, p: float, keep: np.ndarray):
-    if keep.size < 2:
-        raise DomainError("space-time norms need at least 2 snapshots")
+def band_lp_matrix(traj, p: float, interval=None):
+    """(times, levels, eps) for the snapshots in a closed time interval: the
+    window's columns of the trajectory's band table."""
+    keep = traj.window_indices(interval)
     levels, eps = traj.band_table(p)
     return traj.times[keep], levels, eps[:, keep]
 
 
-def band_lp_matrix(traj, p: float, interval=None):
-    """(times, levels, eps) for the snapshots in a closed time interval: the
-    window's columns of the trajectory's band table."""
-    return _band_columns(traj, p, traj.window_indices(interval))
-
-
 def _cl_from_matrix(times, levels, eps, rho: float, idx: BesovIndex) -> float:
+    """The Chemin-Lerner norm of a band table eps[j, i] sampled at times,
+    at least 2 of them and strictly increasing: the one end of every
+    space-time Besov norm."""
+    if times.size < 2:
+        raise DomainError("space-time norms need at least 2 snapshots")
+    if not np.all(np.diff(times) > 0):
+        raise DomainError("snapshot times must be strictly increasing")
     per_band = np.array([_time_lp(eps[i], times, rho) for i in range(levels.size)])
     return _lq_sum(2.0 ** (levels * idx.s) * per_band, idx.q)
 
@@ -336,14 +327,14 @@ def stride_halving_error(traj, rho: float, idx: BesovIndex, interval=None) -> fl
     full = chemin_lerner_norm(traj, rho, idx, interval)
     thin = _thinned_indices(traj.times.size, 2)
     keep = thin[np.isin(thin, traj.window_indices(interval))]
-    half = _cl_from_matrix(*_band_columns(traj, idx.p, keep), rho, idx)
+    levels, eps = traj.band_table(idx.p)
+    half = _cl_from_matrix(traj.times[keep], levels, eps[:, keep], rho, idx)
     return _relative_change(full, half)
 
 
 def e_norm(traj, p: float, q: float, T: float) -> float:
     """Intersection-space norm: max of L^inf(B^{s_p}) and L^{2p/(p+1)}(B^{s_p+1+1/p})."""
-    d = traj.grid.d
-    sp = critical_exponent(p, d)
+    sp = critical_exponent(p, traj.grid.d)
     times, levels, eps = band_lp_matrix(traj, p, (0.0, T))
     n_low = _cl_from_matrix(times, levels, eps, INF, BesovIndex(sp, p, q))
     n_high = _cl_from_matrix(
@@ -369,33 +360,28 @@ def _heat_kernel_lp_curve(f: RealVectorField, taus: np.ndarray, p: float) -> np.
     return _multiplier_norms(forward_transform(f.data, grid), pairs, grid, p)
 
 
-def _log_tau_integral(taus: np.ndarray, values: np.ndarray, power: float):
-    """((integral of values dln(tau))^{1/power} by the trapezoid rule on taus,
-    its relative change when only every other tau is kept).
-
-    The change is the error of the coarser sum, a conservative estimate of the
-    error of the full one.
-    """
-    def trapezoid(keep):
-        dln = _trapezoid_weights(np.log(taus[keep]))
-        return float(np.sum(dln * values[keep]) ** (1.0 / power))
-
-    full = trapezoid(slice(None))
-    return full, _relative_change(full, trapezoid(_thinned_indices(taus.size, 2)))
-
-
 def heat_besov_norm_detailed(f: RealVectorField, idx: BesovIndex,
                              taus: np.ndarray | None = None) -> tuple[float, float]:
-    """(heat_besov_norm, its relative tau-quadrature error estimate)."""
+    """(heat_besov_norm, its relative tau-quadrature error estimate).
+
+    The estimate is the relative change of the norm when only every other
+    tau is kept: the error of the coarser sum, a conservative estimate of
+    the error of the full one.
+    """
     if taus is None:
         taus = default_tau_grid(f.grid)
     curve = _heat_kernel_lp_curve(f, taus, idx.p)
     integrand = taus ** (-idx.s / 2.0) * curve
-    if idx.q == INF:
-        value = float(np.max(integrand))
-        coarse = float(np.max(integrand[_thinned_indices(taus.size, 2)]))
-        return value, _relative_change(value, coarse)
-    return _log_tau_integral(taus, integrand**idx.q, idx.q)
+
+    def norm(keep) -> float:
+        """The L^q(dtau/tau) norm on taus[keep]: the max, or the trapezoid rule in log tau."""
+        if idx.q == INF:
+            return float(np.max(integrand[keep]))
+        dln = _trapezoid_weights(np.log(taus[keep]))
+        return float(np.sum(dln * integrand[keep] ** idx.q) ** (1.0 / idx.q))
+
+    value = norm(slice(None))
+    return value, _relative_change(value, norm(_thinned_indices(taus.size, 2)))
 
 
 def heat_besov_norm(f: RealVectorField, idx: BesovIndex,
@@ -406,34 +392,6 @@ def heat_besov_norm(f: RealVectorField, idx: BesovIndex,
     (d, s, p, q); the suite pins the ratio window.
     """
     return heat_besov_norm_detailed(f, idx, taus)[0]
-
-
-def heat_besov_spacetime_norm_detailed(traj, r: float, p: float,
-                                       taus: np.ndarray | None = None) -> tuple[float, float]:
-    """(heat_besov_spacetime_norm, its relative tau-quadrature error estimate)."""
-    grid = traj.grid
-    sp = critical_exponent(p, grid.d)
-    gamma = -1.0 - p * sp / 2.0 - p / r
-    if taus is None:
-        taus = default_tau_grid(grid)
-    times, snaps = traj.times, traj.snapshots
-    if len(snaps) < 2:
-        raise DomainError("space-time norms need at least 2 snapshots")
-    # spatial[i, k] = ||K(tau_k) u(t_i)||_{L^p}, one snapshot at a time
-    spatial = np.array([_heat_kernel_lp_curve(snaps[i], taus, p) for i in range(len(snaps))])
-    vals = np.array([_time_lp(col, times, r) ** p for col in spatial.T])
-    # tau^gamma dtau = tau^{gamma+1} dln(tau) on the log grid
-    return _log_tau_integral(taus, taus ** (gamma + 1.0) * vals, p)
-
-
-def heat_besov_spacetime_norm(traj, r: float, p: float,
-                              taus: np.ndarray | None = None) -> float:
-    """Space-time heat characterization of L^r_t B^{s_p + 2/r}_{p,p}.
-
-    Computes (integral of tau^gamma ||K(tau) u||_{L^r_t L^p_x}^p dtau)^{1/p}
-    with gamma = -1 - p*s_p/2 - p/r.
-    """
-    return heat_besov_spacetime_norm_detailed(traj, r, p, taus)[0]
 
 
 def serrin_norm(traj, p_t: float, q_x: float) -> float:

@@ -55,10 +55,10 @@ from .norms import (
     _cl_from_matrix,
     _trapezoid_weights,
     band_profile,
+    band_tables,
     critical_exponent,
     perturbation_spaces,
     power_sums,
-    sampled_band_tables,
 )
 from .scaling import (ScaleCore, ScaleCoreSequence, apply_lambda, apply_lambda_spacetime,
                       is_whole_cell_roll, orthogonality_check)
@@ -163,43 +163,34 @@ def synthesize_datum(sys: ProfileSystem, n: int) -> RealVectorField:
     return leray_project(total) + sys.remainder_at(n)
 
 
-@dataclass
-class ProfileOrdering:
-    permutation: list
-    finite: list
-
-
-def order_profiles(sys: ProfileSystem, lifespans: list, n_ref: int) -> ProfileOrdering:
-    """Stable sort by lambda_{j,n_ref}^2 * T_j ascending (inf sorts last),
-    with the finite-lifespan indices."""
+def order_profiles(sys: ProfileSystem, lifespans: list, n_ref: int) -> list:
+    """The permutation that sorts the profiles stably by lambda_{j,n_ref}^2
+    * T_j ascending (inf sorts last)."""
     if len(lifespans) != len(sys.profiles):
         raise DomainError("one lifespan per profile required")
     products = [sys.sequence(j)[n_ref].lam ** 2 * lifespans[j] for j in range(len(lifespans))]
-    perm = sorted(range(len(products)), key=lambda j: (products[j], j))
-    finite = [j for j in range(len(lifespans)) if np.isfinite(lifespans[j])]
-    return ProfileOrdering(permutation=perm, finite=finite)
+    return sorted(range(len(products)), key=lambda j: (products[j], j))
 
 
 @dataclass
 class EvolvedSystem:
-    """Per-profile evolutions in their native frames plus the ordering data."""
+    """Per-profile evolutions in their native frames, their lifespans (inf
+    for a run that completed) and the profile ordering."""
 
     system: ProfileSystem
     trajectories: list
     lifespans: list
-    ordering: ProfileOrdering
+    ordering: list
 
     def tau(self, n: int) -> float:
-        """Blow-up-proxy horizon min over flagged profiles of lambda^2 T_j."""
-        vals = [
-            self.system.sequence(j)[n].lam ** 2 * self.lifespans[j]
-            for j in self.ordering.finite
-        ]
+        """Blow-up-proxy horizon min over finite-lifespan profiles of lambda^2 T_j."""
+        vals = [self.system.sequence(j)[n].lam ** 2 * life
+                for j, life in enumerate(self.lifespans) if np.isfinite(life)]
         return min(vals) if vals else float("inf")
 
     def frame(self, n: int) -> ScaleCore:
         """Scale/core of the first profile in the ordering (the 0-frame)."""
-        return self.system.sequence(self.ordering.permutation[0])[n]
+        return self.system.sequence(self.ordering[0])[n]
 
     @cached_property
     def remainder_flows(self) -> dict:
@@ -339,7 +330,8 @@ def drift_norm(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: floa
     grid = sys.grid
     *_, drift = perturbation_spaces(p, grid.d)
     times = np.linspace(0.0, T0, n_samples)
-    levels, (eps,) = sampled_band_tables(grid, times, lambda t: (drift_term(ev, sys, n, t),), p)
+    levels, (eps,) = band_tables(grid, times.size,
+                                 lambda i: (drift_term(ev, sys, n, times[i]),), p)
     return _cl_from_matrix(times, levels, eps, *drift)
 
 
@@ -396,10 +388,10 @@ def source_norms(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: fl
     grid = sys.grid
     part1, part2, _ = perturbation_spaces(p, grid.d)
     times = np.linspace(0.0, T0, n_samples)
-    levels, (eps1, eps2) = sampled_band_tables(
-        grid, times, lambda t: source_term(ev, sys, n, t), p)
-    n1 = _cl_from_matrix(times, levels, eps1, *part1)
-    n2 = _cl_from_matrix(times, levels, eps2, *part2)
+    levels, tables = band_tables(grid, times.size, lambda i: source_term(ev, sys, n, times[i]), p)
+    # no sample gives one empty table, which the first norm's time check refuses
+    n1, n2 = (_cl_from_matrix(times, levels, eps, *space)
+              for eps, space in zip(tables, (part1, part2)))
     return {"paraproduct_part": n1, "zeta_part": n2, "upper_bound": n1 + n2}
 
 

@@ -205,20 +205,20 @@ def apply_lambda(f: RealVectorField, sc: ScaleCore, check_support: bool = True,
     return _spectral_resample(f, sc)
 
 
-def apply_lambda_spacetime(traj, sc: ScaleCore, **kw):
+def apply_lambda_spacetime(traj, sc: ScaleCore, check_support: bool = True):
     """Parabolic rescaling: (1/lam) U((x - x0)/lam, t/lam^2) as a new trajectory.
 
     Its snapshots are made on read (`DerivedSnapshots`): snapshot i is
-    apply_lambda(traj.snapshots[i], sc, **kw), recomputed at each read, so
-    the rescaling holds one snapshot at a time, and an error of the map
-    (a support leaving the box) surfaces at the read.
+    apply_lambda(traj.snapshots[i], sc, check_support), recomputed at each
+    read, so the rescaling holds one snapshot at a time, and an error of the
+    map (a support leaving the box) surfaces at the read.
     """
     snaps = traj.snapshots
     return Trajectory(
         grid=traj.grid,
         times=np.asarray(traj.times) * sc.lam**2,
-        snapshots=DerivedSnapshots(len(snaps), lambda i: apply_lambda(snaps[i], sc, **kw)),
-        records={},
+        snapshots=DerivedSnapshots(len(snaps),
+                                   lambda i: apply_lambda(snaps[i], sc, check_support)),
         status=traj.status,
         config_echo=dict(traj.config_echo),
     )

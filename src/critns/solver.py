@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -72,14 +72,13 @@ from .grid import (
 from .norms import (
     BesovIndex,
     _cl_from_matrix,
-    band_table_of,
+    band_tables,
     besov_norm,
     chemin_lerner_norm,
     critical_exponent,
     e_norm,
     lebesgue_norm,
     perturbation_spaces,
-    sampled_band_tables,
 )
 
 COMPLETED = "Completed"
@@ -153,9 +152,11 @@ class Trajectory:
     `profiles.remainder` or a `scaling.apply_lambda_spacetime` rescaling
     recomputes the snapshot from the trajectory it is derived from.  Any
     other snapshots are held in memory as a read-only tuple, and a read
-    costs nothing.  A reader that needs a snapshot twice keeps it
-    (`_frame`, and `profiles.ns_equation_residual`, which keeps each beside
-    its dealias-box coefficients).
+    costs nothing.  A reader that needs a snapshot twice keeps it (`at`,
+    through `_frame`, an LRU cache of the two snapshot reads used last, and
+    `profiles.ns_equation_residual`, which keeps each beside its dealias-box
+    coefficients).  Every band table of the trajectory comes from
+    `norms.band_tables`, one snapshot a sample.
     """
 
     grid: Grid
@@ -192,7 +193,9 @@ class Trajectory:
         every norm of the trajectory at this p reads the same table."""
         table = self._tables.get(("bands", p))
         if table is None:
-            table = self._keep(("bands", p), *band_table_of(self.snapshots, self.grid, p))
+            snaps = self.snapshots
+            levels, (eps,) = band_tables(self.grid, len(snaps), lambda i: (snaps[i],), p)
+            table = self._keep(("bands", p), levels, eps)
         return table
 
     def lebesgue_column(self, q: float) -> np.ndarray:
@@ -206,20 +209,12 @@ class Trajectory:
         return column[0]
 
     @cached_property
-    def _frames(self) -> dict:
-        return {}
-
-    def _frame(self, i: int) -> RealVectorField:
-        """Snapshot i, through a window of the two frames used last, so that
-        a solver sweeping forward through the times reads each snapshot of
-        an on-demand sequence about once."""
-        snap = self._frames.pop(i, None)
-        if snap is None:
-            snap = self.snapshots[i]
-            if len(self._frames) == 2:
-                del self._frames[next(iter(self._frames))]
-        self._frames[i] = snap
-        return snap
+    def _frame(self):
+        """i -> snapshot i, through a window of the two frames used last, so
+        that a solver sweeping forward through the times reads each snapshot
+        of an on-demand sequence about once.  The cache refers to the
+        snapshots, not to the trajectory."""
+        return lru_cache(maxsize=2)(self.snapshots.__getitem__)
 
     @property
     def final_time(self) -> float:
@@ -702,7 +697,8 @@ def verify_perturbation_bound(prob: PerturbationProblem, cfg: SolverConfig,
     force_norm = 0.0
     for g, space in zip(prob.force_parts, (part1, part2), strict=True):
         if g is not None:
-            levels, (eps,) = sampled_band_tables(grid, sample_times, lambda t: (g(t),), p)
+            levels, (eps,) = band_tables(grid, sample_times.size,
+                                         lambda i: (g(sample_times[i]),), p)
             force_norm += _cl_from_matrix(sample_times, levels, eps, *space)
 
     drift_norm = 0.0

@@ -45,8 +45,6 @@ from critns.norms import (
     edge_share,
     heat_besov_norm,
     heat_besov_norm_detailed,
-    heat_besov_spacetime_norm,
-    heat_besov_spacetime_norm_detailed,
     lebesgue_norm,
     norm_report,
     power_sums,
@@ -245,8 +243,7 @@ class TestBlockEngine:
 
         def values():
             traj = make_heat_trajectory(u0, np.linspace(0.0, 0.2, 5))
-            return (besov_norm(u0, idx), heat_besov_norm(u0, idx), e_norm(traj, 4, 4, 0.2),
-                    heat_besov_spacetime_norm(traj, 4.0, 3.0))
+            return besov_norm(u0, idx), heat_besov_norm(u0, idx), e_norm(traj, 4, 4, 0.2)
 
         pruned = values()
         full_product_blocks(monkeypatch, norms)
@@ -494,14 +491,6 @@ class TestTauQuadrature:
         assert change <= 2e-8
         assert estimate >= change
 
-    def test_spacetime_estimate_bounds_the_change(self, grid3):
-        f = random_divfree_field(grid3, seed=5, k_lo=1.0, k_hi=4.0)
-        traj = make_heat_trajectory(f, np.linspace(0, 0.4, 9))
-        value, estimate = heat_besov_spacetime_norm_detailed(traj, 2.0, 3.0)
-        fine = heat_besov_spacetime_norm(traj, 2.0, 3.0, default_tau_grid(grid3, 16))
-        assert value == heat_besov_spacetime_norm(traj, 2.0, 3.0)
-        assert 0.0 < abs(value - fine) / fine <= estimate < 1e-5
-
 
 class TestHeatSymbolTable:
     @pytest.mark.parametrize("N", [24, 32, 64])
@@ -539,41 +528,6 @@ class TestHeatSymbolTable:
         assert np.array_equal(table.k_squared[table.inverse], grid3.k_squared)
         for arr in table:
             assert not arr.flags.writeable
-
-
-class TestHeatBesovSpacetime:
-    def test_zero(self, grid2):
-        traj = sample_trajectory(grid2, [0.0, 0.1, 0.2], lambda t: zero_field(grid2, 2))
-        assert heat_besov_spacetime_norm(traj, 2.0, 3.0) == 0.0
-
-    def test_time_constant_single_mode_factorizes(self, grid2):
-        # constant-in-time trajectory: the time norm contributes T^{p/r} inside
-        # the tau integral, pinned by the scalar quadrature
-        f = single_mode(grid2, (4, 0))
-        k2 = (4 * 2 * np.pi / grid2.L) ** 2
-        r, p, T = 2.0, 3.0, 0.5
-        sp = critical_exponent(p, grid2.d)
-        gamma = -1.0 - p * sp / 2.0 - p / r
-        traj = sample_trajectory(grid2, np.linspace(0, T, 9), lambda t: f)
-        computed = heat_besov_spacetime_norm(traj, r, p)
-        mode_lp = lebesgue_norm(f, p)
-
-        def integrand(tau):
-            return tau**gamma * (tau * k2 * np.exp(-tau * k2)) ** p * T ** (p / r)
-
-        val = scipy.integrate.quad(integrand, 2e-4 / k2, 80.0, limit=400)[0]
-        expected = mode_lp * val ** (1.0 / p)
-        assert abs(computed - expected) / expected < 0.01
-
-    def test_heat_flow_matches_chemin_lerner_window(self, grid3):
-        # cross-norm comparison: equivalent up to a calibrated O(1) ratio
-        f = random_divfree_field(grid3, seed=5, k_lo=1.0, k_hi=4.0)
-        r, p = 2.0, 3.0
-        sp = critical_exponent(p, 3)
-        traj = make_heat_trajectory(f, np.linspace(0, 0.4, 41))
-        a = heat_besov_spacetime_norm(traj, r, p)
-        b = chemin_lerner_norm(traj, r, BesovIndex(sp + 2.0 / r, p, p))
-        assert 0.1 <= a / b <= 10.0
 
 
 class TestSerrin:

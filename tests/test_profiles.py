@@ -11,6 +11,7 @@ from critns.grid import (RealVectorField, heat_semigroup, leray_project,
 from critns.lp import low_pass
 from critns.norms import band_profile, critical_exponent, e_norm, lebesgue_norm
 from critns.profiles import (
+    EvolvedSystem,
     ProfileSystem,
     RemainderRule,
     default_remainder,
@@ -146,17 +147,20 @@ class TestOrdering:
         sys_ = ProfileSystem(profiles=[(phi, _identity_seq(3)),
                                        (phi, _const_seq(3, (0.5, 0, 0)))])
         inf = float("inf")
-        ordering = order_profiles(sys_, [inf, inf], 0)
-        assert ordering.permutation == [0, 1]
-        assert ordering.finite == []
+        assert order_profiles(sys_, [inf, inf], 0) == [0, 1]
+        # no finite lifespan: no horizon
+        ev = EvolvedSystem(sys_, [], [inf, inf], [0, 1])
+        assert ev.tau(0) == inf
 
     def test_single_finite_first(self, grid3):
         phi = localized_divfree_bump(grid3, sigma=grid3.L / 10, seed=7, amplitude=0.1)
         sys_ = ProfileSystem(profiles=[(phi, _identity_seq(3)),
                                        (phi, _const_seq(3, (0.5, 0, 0)))])
-        ordering = order_profiles(sys_, [float("inf"), 0.3], 0)
-        assert ordering.permutation[0] == 1
-        assert ordering.finite == [1]
+        lifespans = [float("inf"), 0.3]
+        ordering = order_profiles(sys_, lifespans, 0)
+        assert ordering[0] == 1
+        # the horizon is the finite profile's: lambda = 1 at index 0
+        assert EvolvedSystem(sys_, [], lifespans, ordering).tau(0) == 0.3
 
     def test_products_order(self, grid3):
         phi = localized_divfree_bump(grid3, sigma=grid3.L / 10, seed=8, amplitude=0.1)
@@ -164,8 +168,7 @@ class TestOrdering:
         seq_unit = _identity_seq(3, 4)
         sys_ = ProfileSystem(profiles=[(phi, seq_unit), (phi, seq_small)])
         # lifespans 0.4 and 1.0: products 0.4 vs 0.25 -> profile 1 first
-        ordering = order_profiles(sys_, [0.4, 1.0], 0)
-        assert ordering.permutation == [1, 0]
+        assert order_profiles(sys_, [0.4, 1.0], 0) == [1, 0]
 
 
 class TestSuperposition:

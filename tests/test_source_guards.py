@@ -139,9 +139,11 @@ def unread_definitions(modules, readers):
     """Sorted (module, name) of the top-level functions and classes of the
     modules (name -> tree) that no top-level statement but their own names:
     none of the modules' other statements, and none of the readers' (name ->
-    tree)."""
+    tree).  A package's `__init__.py` only re-exports, which reads nothing."""
     named = {}  # name -> the (module, statement index) pairs that name it
     for module, tree in {**readers, **modules}.items():
+        if module == "__init__.py":
+            continue
         for i, stmt in enumerate(tree.body):
             for name in _mentions(stmt):
                 named.setdefault(name, set()).add((module, i))
@@ -224,6 +226,15 @@ def test_one_scatter_into_a_half_spectrum():
             and node.func.attr == "scatter"] == []
 
 
+def test_band_norms_in_three_readers():
+    # a band profile, a band table and a threshold probe's reduction; every
+    # other band reader goes through one of them
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    assert sorted((name, owner) for name, tree in trees.items()
+                  for owner in uses(tree, "_band_norms") if owner is not None) == [
+        ("criticality.py", "reduce"), ("norms.py", "band_profile"), ("norms.py", "band_tables")]
+
+
 def test_every_dataclass_field_is_read():
     # a report field that no code reads is API surface kept up for nobody
     assert unread_fields([ast.parse(path.read_text()) for path in SRC.glob("*.py")]) == []
@@ -247,10 +258,14 @@ def test_reader_guard_on_a_snippet():
         "def unread(): return called()",
     ])
     exports = "from .module import Exported"
+    package = "from .module import reexported\n__all__ = ['reexported']"
     reader = "import pkg.module\npkg.module.read_elsewhere()"
-    assert unread_definitions({"module": ast.parse(module), "exports": ast.parse(exports)},
+    assert unread_definitions({"module": ast.parse(module + "\ndef reexported(): pass"),
+                               "exports": ast.parse(exports),
+                               "__init__.py": ast.parse(package)},
                               {"reader": ast.parse(reader)}) == [
-        ("module", "documented"), ("module", "recursive"), ("module", "unread")]
+        ("module", "documented"), ("module", "recursive"), ("module", "reexported"),
+        ("module", "unread")]
 
 
 def test_unread_field_guard_on_a_snippet():

@@ -29,9 +29,10 @@ from critns.fields import (gaussian_bump, localized_divfree_bump, random_divfree
                            taylor_green)
 from critns.grid import heat_semigroup
 from critns.io import TrajectoryWriter, load_trajectory, save_trajectory, write_field
-from critns.norms import (BesovIndex, band_profile, chemin_lerner_norm, critical_exponent,
-                          e_norm, heat_besov_spacetime_norm, lebesgue_norm,
-                          sampled_band_tables, serrin_norm)
+from critns.lp import band_range
+from critns.norms import (BesovIndex, _cl_from_matrix, band_profile, band_tables,
+                          chemin_lerner_norm, critical_exponent, e_norm, lebesgue_norm,
+                          serrin_norm)
 from critns.profiles import (drift_norm, drift_term, evolve_system, ns_equation_residual,
                              remainder, source_norms, source_term, superpose_evolution,
                              synthesize_datum)
@@ -100,7 +101,6 @@ def test_loaded_norms_equal_in_memory_bitwise(saved):
         "sup_besov": lambda t: sup_critical_norm(t, "besov", p=4.0).value,
         "serrin_inf_3": lambda t: serrin_norm(t, float("inf"), 3),
         "serrin_4_6": lambda t: serrin_norm(t, 4.0, 6.0),
-        "heat_besov_spacetime": lambda t: heat_besov_spacetime_norm(t, 4.0, 4.0),
     }
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the low-edge AccuracyWarning of the decayed flow
@@ -294,7 +294,7 @@ def eager_remainder(u_n, ev, sys_, n):
 def test_remainder_reads_equal_the_eager_formula(superposed):
     sys_, cfg, ev, u = superposed
     # a first profile with lifespan 0.03 ends the remainder at tau_1 = 0.03
-    short = replace(ev, lifespans=[0.03, float("inf")], ordering=replace(ev.ordering, finite=[0]))
+    short = replace(ev, lifespans=[0.03, float("inf")])
     for evolved, count in ((ev, 11), (short, 4)):
         lazy, ref = remainder(u, evolved, sys_, 1), eager_remainder(u, evolved, sys_, 1)
         assert len(lazy.snapshots) == count
@@ -332,7 +332,7 @@ def test_remainder_norm_holds_under_three_snapshots(superposed):
 
     reduce()  # the symbols and tables every equal grid shares
     _, held, peak = traced(reduce)
-    windows = sum(f.data.nbytes for traj in ev.trajectories for f in traj._frames.values())
+    windows = snapshot * sum(traj._frame.cache_info().currsize for traj in ev.trajectories)
     assert held - windows < 3 * snapshot
     assert peak < 15 * snapshot
 
@@ -370,12 +370,35 @@ def test_drift_norm_equals_the_sampled_trajectory_form(superposed):
 
 
 def test_sampled_band_tables_need_increasing_times():
+    # the time rule of every Chemin-Lerner-type norm is checked where they end
     grid = Grid(2, 16)
     f = taylor_green(grid)
+    idx = BesovIndex.critical(3.0, 2)
+    levels, (one,) = band_tables(grid, 1, lambda i: (f,), 3.0)
     with pytest.raises(DomainError, match="at least 2"):
-        sampled_band_tables(grid, [0.0], lambda t: (f,), 3.0)
+        _cl_from_matrix(np.array([0.0]), levels, one, 3.0, idx)
+    levels, (three,) = band_tables(grid, 3, lambda i: (f,), 3.0)
     with pytest.raises(DomainError, match="strictly increasing"):
-        sampled_band_tables(grid, [0.0, 0.0, 0.0], lambda t: (f,), 3.0)
+        _cl_from_matrix(np.zeros(3), levels, three, 3.0, idx)
+
+
+def test_no_snapshot_and_too_few_samples(superposed):
+    # a trajectory with no snapshot has an empty band table and no e-norm;
+    # the sampled norms refuse fewer than 2 samples and a zero horizon
+    grid = Grid(2, 16)
+    empty = Trajectory(grid, np.array([]), [])
+    levels, eps = empty.band_table(3.0)
+    lo, hi = band_range(grid)
+    assert levels.tolist() == list(range(lo, hi + 1))
+    assert eps.size == 0 and not eps.flags.writeable
+    with pytest.raises(DomainError, match="at least 2"):
+        e_norm(empty, 3, 3, 0.1)
+    sys_, cfg, ev, _ = superposed
+    for norm in (drift_norm, source_norms):
+        for T0, n_samples in ((cfg.T, 0), (cfg.T, 1), (0.0, 3)):
+            match = "at least 2" if n_samples < 2 else "strictly increasing"
+            with pytest.raises(DomainError, match=match):
+                norm(ev, sys_, 1, T0, 4.0, n_samples=n_samples)
 
 
 def test_force_norm_holds_one_sample_per_part():
