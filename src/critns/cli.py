@@ -213,7 +213,7 @@ def parse_grid(doc) -> Grid:
 def parse_solver(doc) -> SolverConfig:
     return SolverConfig(**_read(doc, "solver", {"dt": _number, "T": _number}, {
         "blowup_sup_threshold": _number, "spectral_tail_threshold": _number,
-        "snapshot_stride": _integer, "tail_octave_shift": _integer, "linear_only": _boolean}))
+        "snapshot_stride": _integer, "tail_octave_shift": _integer}))
 
 
 def build_field(source, grid: Grid) -> RealVectorField:

@@ -20,9 +20,10 @@ import numpy as np
 
 from .errors import AccuracyWarning, DomainError
 from .fields import _rng, gaussian_factors
-from .grid import Grid, RealVectorField, forward_transform
+from .grid import Grid, RealVectorField
 from .lp import band_range
-from .norms import BesovIndex, _band_norms, besov_from_profile, besov_norm_detailed, lebesgue_norm
+from .norms import (BesovIndex, band_profile, besov_from_profile, besov_norm_detailed,
+                    lebesgue_norm)
 from .solver import (NON_FINITE, TRIP_MONITORS, RunLog, SolverConfig, Trajectory,
                      evolve_streaming, trip_reason)
 
@@ -214,7 +215,7 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
         otherwise its band profile at besov_p."""
         if grid.d == 3:
             return lebesgue_norm(snap, 3)
-        return _band_norms(forward_transform(snap.data, grid), grid, besov_p)
+        return band_profile(snap, besov_p)[1]
 
     probes = []
     last_completing = None  # (RunLog, per-snapshot reductions)
@@ -371,6 +372,8 @@ def weak_convergence_probe(traj: Trajectory, tests: RankOneBattery) -> ProbeRepo
     """
     if not tests:
         raise DomainError("test battery must be nonempty")
+    if not traj.snapshots:
+        raise DomainError("empty trajectory")
     table = pairing_table(traj, tests)
     k0 = max(0, len(traj.snapshots) - max(2, len(traj.snapshots) // 3))
     tail = np.abs(table[k0:, :])

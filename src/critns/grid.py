@@ -542,13 +542,6 @@ def multiplier_blocks(coeff: np.ndarray, pairs, grid: Grid):
         yield work
 
 
-def apply_multiplier(f: RealVectorField, pair: tuple[np.ndarray, int]) -> RealVectorField:
-    """Apply a scalar Fourier multiplier, given as a (symbol, support extent)
-    pair (radial_symbol), to every component: one block of multiplier_blocks."""
-    (partial,) = multiplier_blocks(forward_transform(f.data, f.grid), [pair], f.grid)
-    return RealVectorField(f.grid, last_inverse_stage(partial, f.grid))
-
-
 def spectral_divergence_ratio(f: RealVectorField) -> float:
     """max_k |k.u_hat(k)| / max_k |u_hat(k)| over components.  The sum
     k.u_hat is accumulated in place; the i of the divergence i k.u_hat is left

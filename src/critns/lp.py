@@ -15,7 +15,8 @@ decompose keeps only the field's forward coefficients, one read-only half
 spectrum, and makes each block when it is read (`LPBandSet`): a read of the
 low block or of a band costs one block of the band engine and its last
 inverse stage, bitwise the block dyadic_blocks yields, and `reconstruct()`
-streams every block through one buffer.
+streams every block through one buffer.  low_pass and band_project read one
+block of decompose(f, j, j): its low block and its one band.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .grid import (
     DerivedSnapshots,
     Grid,
     RealVectorField,
-    apply_multiplier,
     forward_transform,
     last_inverse_stage,
     multiplier_blocks,
@@ -105,12 +105,14 @@ def band_is_resolvable(grid: Grid, j: int) -> bool:
 
 
 def low_pass(f: RealVectorField, j: int) -> RealVectorField:
-    """S_j: multiplier chi(|k|/2^j).  Above the range it is the identity."""
-    return apply_multiplier(f, _low_pass(f.grid, j))
+    """S_j: multiplier chi(|k|/2^j), the low block of decompose(f, j, j);
+    read-only.  Above the range it is the identity."""
+    return decompose(f, j, j).low
 
 
 def band_project(f: RealVectorField, j: int) -> RealVectorField:
-    """Delta_j = S_{j+1} - S_j, supported on 2^j <= |k| <= 2^{j+2}."""
+    """Delta_j = S_{j+1} - S_j, supported on 2^j <= |k| <= 2^{j+2}: the band
+    of decompose(f, j, j), read-only."""
     if not band_is_resolvable(f.grid, j):
         warnings.warn(
             f"band j={j} lies outside the resolvable range of the grid",
@@ -118,8 +120,7 @@ def band_project(f: RealVectorField, j: int) -> RealVectorField:
             stacklevel=2,
         )
         return RealVectorField(f.grid, np.zeros_like(f.data))
-    _, band = dyadic_multipliers(f.grid, j, j)
-    return apply_multiplier(f, band)
+    return decompose(f, j, j).bands[0]
 
 
 @dataclass(frozen=True)
@@ -130,8 +131,8 @@ class LPBandSet:
     Keeps f's forward coefficients, one read-only half spectrum ((N + 2)/N
     of f's bytes), and nothing else.  Each read of `low` or of a band is one
     new read-only field: one block of `grid.multiplier_blocks` over the
-    level's multiplier, built from the cached low-pass symbols as
-    `band_project` builds it, and its `last_inverse_stage`, bitwise the
+    level's multiplier, built from the cached low-pass symbols
+    (`dyadic_multipliers`), and its `last_inverse_stage`, bitwise the
     block `dyadic_blocks` yields.  A read recomputes its block, so a reader
     that needs a band twice keeps it.
     """

@@ -31,7 +31,7 @@ The weak-convergence battery that probes these trajectories lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -63,7 +63,6 @@ from .norms import (
 from .scaling import (ScaleCore, ScaleCoreSequence, apply_lambda, apply_lambda_spacetime,
                       is_whole_cell_roll, orthogonality_check)
 from .solver import (
-    DEALIAS_FRACTION,
     SolverConfig,
     Trajectory,
     _div_flux_hat,
@@ -100,10 +99,6 @@ class ProfileSystem:
 
     profiles: list  # [(RealVectorField, ScaleCoreSequence), ...]
     remainder: RemainderRule | None = None
-
-    @property
-    def J(self) -> int:
-        return len(self.profiles) - 1
 
     @property
     def grid(self) -> Grid:
@@ -193,18 +188,12 @@ class EvolvedSystem:
         return self.system.sequence(self.ordering[0])[n]
 
     @cached_property
-    def remainder_flows(self) -> dict:
-        """n -> HeatFlow of the system's remainder at index n, filled by
-        remainder_flow."""
-        return {}
-
-    def remainder_flow(self, n: int) -> HeatFlow:
-        """Heat flow of the system's remainder at index n: its spectrum,
-        transformed once and kept for every later time."""
-        flow = self.remainder_flows.get(n)
-        if flow is None:
-            flow = self.remainder_flows[n] = HeatFlow(self.system.remainder_at(n))
-        return flow
+    def remainder_flow(self):
+        """n -> heat flow of the system's remainder at index n: its spectrum,
+        transformed once and kept for every later time.  The cache refers to
+        the system, not to this object."""
+        remainder_at = self.system.remainder_at
+        return cache(lambda n: HeatFlow(remainder_at(n)))
 
     def remainder_heat(self, n: int, t: float) -> RealVectorField:
         """heat_semigroup(system.remainder_at(n), t), bitwise, from the kept
@@ -338,12 +327,12 @@ def drift_norm(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: floa
 def _source(parts: list, w: RealVectorField):
     """Frame profile sum u = sum_a U_a and the full remainder-equation source
     G = -Q(u, w) - Q(w, w)/2 - sum_{a<b} Q(U_a, U_b) from the frame parts, as
-    Leray-projected coefficients on the dealias box of DEALIAS_FRACTION.
+    Leray-projected coefficients on the dealias box.
 
     Q(a, b) = P div(a (x) b + b (x) a), so the flux divergences are summed on
     the box and projected once; Q(w, w)/2 is the divergence of w (x) w.
     """
-    box = dealias_box(w.grid, DEALIAS_FRACTION)
+    box = dealias_box(w.grid)
 
     def minus_div(entry):
         return _div_flux_hat(entry, box, sign=-1.0)
@@ -365,7 +354,7 @@ def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float):
     Bony pieces, the remainder self-interaction and the profile cross terms.
     """
     grid = sys.grid
-    box = dealias_box(grid, DEALIAS_FRACTION)
+    box = dealias_box(grid)
     parts, w = _frame_components(ev, sys, n, t)
     u, g = _source(parts, w)
     del parts  # only u and w enter the Bony split; free the profile fields first
@@ -450,7 +439,7 @@ def ns_equation_residual(traj: Trajectory, forcing=None) -> float:
 
     With a forcing callable t -> (drift F, source G) this is the
     perturbed-system residual, G given as Leray-projected coefficients on the
-    dealias box of DEALIAS_FRACTION (as `_source` returns it); without it it
+    dealias box (as `_source` returns it); without it it
     is the plain equation residual, which serves as the discrete floor (the
     time-differencing error dominates both).  The residual lives on that box,
     the solver's state space: each snapshot is read once and transformed onto
@@ -462,7 +451,7 @@ def ns_equation_residual(traj: Trajectory, forcing=None) -> float:
     and their frame rescalings hold nothing there above roundoff).
     """
     grid = traj.grid
-    box = dealias_box(grid, DEALIAS_FRACTION)
+    box = dealias_box(grid)
     if len(traj.snapshots) < 3:
         raise DomainError("residual check needs at least 3 snapshots")
     times = traj.times

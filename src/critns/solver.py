@@ -97,7 +97,6 @@ class SolverConfig:
     blowup_sup_threshold: float = 1e3
     spectral_tail_threshold: float = 1.0
     snapshot_stride: int = 1
-    linear_only: bool = False
     tail_octave_shift: int = 0
 
     def __post_init__(self):
@@ -221,15 +220,19 @@ class Trajectory:
         return float(self.times[-1])
 
     def covers(self, t: float) -> bool:
+        """Whether t lies in the recorded range; a trajectory with no
+        snapshot covers no time."""
+        if not self.times.size:
+            return False
         eps = 1e-9 * max(1.0, abs(self.final_time))
         return self.times[0] - eps <= t <= self.final_time + eps
 
     def at(self, t: float) -> RealVectorField:
         """Snapshot at time t, linearly interpolated between recorded frames."""
         if not self.covers(t):
-            raise TrajectoryCoverageError(
-                f"time {t} outside recorded range [{self.times[0]}, {self.final_time}]"
-            )
+            recorded = (f"recorded range [{self.times[0]}, {self.final_time}]"
+                        if self.times.size else "a trajectory with no snapshot")
+            raise TrajectoryCoverageError(f"time {t} outside {recorded}")
         if len(self.snapshots) == 1:
             return self._frame(0)
         t = min(max(t, self.times[0]), self.final_time)
@@ -273,13 +276,13 @@ def _inside_radius(k_squared: np.ndarray, grid: Grid, fraction: float) -> np.nda
 
 
 @cache
-def dealias_box(grid: Grid, fraction: float) -> RetainedBox:
+def dealias_box(grid: Grid) -> RetainedBox:
     """The retained box of the dealias sphere, the sharp radial truncation
-    |m| < fraction * N/2: every mode of the sphere lies in the box, and the
-    sphere inside it is the box's mask.  Built once per (grid, fraction),
+    |m| < DEALIAS_FRACTION * N/2: every mode of the sphere lies in the box,
+    and the sphere inside it is the box's mask.  Built once per grid,
     read-only."""
     k2 = grid.radial_table.k_squared
-    mask, extent = radial_symbol(grid, _inside_radius(k2, grid, fraction))
+    mask, extent = radial_symbol(grid, _inside_radius(k2, grid, DEALIAS_FRACTION))
     return RetainedBox(grid, mask, extent)
 
 
@@ -399,7 +402,7 @@ def _div_flux_hat(entry, box: RetainedBox, sign: float = 1.0,
 
 def _projected_flux(entry, grid: Grid) -> RealVectorField:
     """P div S, dealiased at DEALIAS_FRACTION."""
-    box = dealias_box(grid, DEALIAS_FRACTION)
+    box = dealias_box(grid)
     acc = _leray_coefficients(_div_flux_hat(entry, box), box)
     return RealVectorField(grid, inverse_transform(acc, grid, box.extent))
 
@@ -454,7 +457,7 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     """
     grid = u0.grid
     u0.require_finite()
-    box = dealias_box(grid, DEALIAS_FRACTION)
+    box = dealias_box(grid)
     tail_mask = _tail_octave_mask(box, cfg.tail_octave_shift)
     heat = np.exp(-cfg.dt * box.k_squared)
 
@@ -475,10 +478,7 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
 
     def rhs_hat(phys: np.ndarray, t: float, acc: np.ndarray) -> None:
         # the projected right-hand side at t, written into acc
-        if cfg.linear_only:
-            acc.fill(0.0)
-        else:
-            _div_flux_hat(_self_product(phys, products[0]), box, -1.0, flux, acc)
+        _div_flux_hat(_self_product(phys, products[0]), box, -1.0, flux, acc)
         if drift is not None:
             acc -= _div_flux_hat(_pair_product(phys, drift.at(t).data, *products), box,
                                  work=flux, out=drift_flux)
@@ -551,7 +551,7 @@ def _collected(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     datum and every right-hand side are truncated to the mask, and Leray
     projection keeps zeros), so a read scatters the kept entries into a
     zeroed box and inverts it, bitwise the step's snapshot."""
-    grid, box = u0.grid, dealias_box(u0.grid, DEALIAS_FRACTION)
+    grid, box = u0.grid, dealias_box(u0.grid)
     inside = box.mask.astype(bool)
     packed = []
 
@@ -577,7 +577,7 @@ def condition_datum(f: RealVectorField) -> RealVectorField:
     solver's own conditioning is a no-op and decompositions close at roundoff.
     """
     grid = f.grid
-    box = dealias_box(grid, DEALIAS_FRACTION)
+    box = dealias_box(grid)
     coeff = _leray_coefficients(_box_forward(f.data, box), box)
     return RealVectorField(grid, inverse_transform(coeff, grid, box.extent))
 
@@ -606,17 +606,17 @@ def evolve_perturbed(prob: PerturbationProblem, cfg: SolverConfig) -> Trajectory
     """
     if prob.drift is not None and not prob.drift.grid.compatible(prob.w0.grid):
         raise GridMismatchError(f"drift trajectory on {prob.drift.grid}, w0 on {prob.w0.grid}")
+    horizon = max(1, round(cfg.T / cfg.dt)) * cfg.dt
     if prob.drift is not None:
+        if not prob.drift.covers(horizon):
+            raise TrajectoryCoverageError(
+                f"drift trajectory must cover the rounded horizon {horizon} "
+                "(the corrector stage samples the drift at full steps)"
+            )
         ncomp = prob.drift.snapshots[0].ncomp
         if ncomp != prob.w0.ncomp:
             raise GridMismatchError(f"drift trajectory has {ncomp} components, "
                                     f"w0 has {prob.w0.ncomp}")
-    horizon = max(1, round(cfg.T / cfg.dt)) * cfg.dt
-    if prob.drift is not None and not prob.drift.covers(horizon):
-        raise TrajectoryCoverageError(
-            f"drift trajectory must cover the rounded horizon {horizon} "
-            "(the corrector stage samples the drift at full steps)"
-        )
     return _collected(prob.w0, cfg, drift=prob.drift, source=prob.source_at)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import tracemalloc
 import warnings
 from typing import NamedTuple
@@ -8,12 +9,20 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import critns
 from critns import Grid, cli
 from critns.fields import band_noise
-from critns.grid import (DerivedSnapshots, RealVectorField, _leray_coefficients,
-                         forward_transform, inverse_transform)
+from critns.grid import (DerivedSnapshots, RealVectorField, RetainedBox, _leray_coefficients,
+                         forward_transform, inverse_transform, radial_symbol)
 from critns.norms import _trapezoid_weights
-from critns.solver import DEALIAS_FRACTION, Trajectory, dealias_box
+from critns.solver import Trajectory, _inside_radius, dealias_box
+
+# The tests of the process boundary start `python -m critns.cli`: the child
+# imports the critns this session imported, also from a checkout that is
+# not installed (pyproject's pytest `pythonpath` puts src on sys.path only).
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(critns.__file__)),
+                  os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture
@@ -79,6 +88,14 @@ def dealias_mask(grid, fraction):
     radius = fraction * grid.N / 2.0
     m2 = grid.k_squared * (grid.L / (2.0 * np.pi)) ** 2
     return m2 < radius**2
+
+
+def retained_box(grid, fraction):
+    """The retained box of the sharp radial truncation |m| < fraction * N/2
+    at any fraction, built as solver.dealias_box builds the one at
+    DEALIAS_FRACTION."""
+    k2 = grid.radial_table.k_squared
+    return RetainedBox(grid, *radial_symbol(grid, _inside_radius(k2, grid, fraction)))
 
 
 def rfftn(data, grid):
@@ -156,14 +173,14 @@ def general_div_flux_hat(entry, box, trace_free=True):
 def bilinear_duhamel(f_traj, g_traj, t):
     """Reference oracle for the solver: B(f, g)(t) = integral_0^t
     exp((t-tau) Lap) P div(f (x) g)(tau) dtau, by the trapezoid rule over the
-    snapshot times of f_traj up to t, the flux dealiased at DEALIAS_FRACTION.
+    snapshot times of f_traj up to t, the flux on the solver's dealias box.
     B(f, f) relates to the mild solution by u = exp(t Lap) u0 - B(u, u)."""
     grid = f_traj.grid
     taus = [float(x) for x in f_traj.times if x <= t + 1e-12]
     if abs(taus[-1] - t) > 1e-12:
         taus.append(t)
     taus = np.asarray(taus)
-    box = dealias_box(grid, DEALIAS_FRACTION)
+    box = dealias_box(grid)
     acc = np.zeros((grid.d,) + box.spectral_shape, dtype=np.complex128)
     for tau, weight in zip(taus, _trapezoid_weights(taus)):
         fa, gb = f_traj.at(tau).data, g_traj.at(tau).data

@@ -108,14 +108,6 @@ class TestThresholdBisection:
         with pytest.raises(DomainError, match="no resolution limit"):
             threshold_bisection(fam, cfg, tol=0.05)
 
-    def test_linear_hook_never_trips(self, grid3m):
-        # pure heat flow cannot push energy into the tail octave
-        fam = self._family(grid3m)
-        cfg = SolverConfig(dt=5e-3, T=0.1, spectral_tail_threshold=0.02,
-                           linear_only=True)
-        with pytest.raises(DomainError, match="no resolution limit"):
-            threshold_bisection(fam, cfg, tol=0.05)
-
     def test_bisection_converges(self, grid3m):
         fam = self._family(grid3m)
         cfg = SolverConfig(dt=5e-3, T=0.1, snapshot_stride=5,

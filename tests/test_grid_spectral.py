@@ -11,7 +11,6 @@ from critns.fields import band_noise, taylor_green
 from critns.grid import (
     HeatFlow,
     TransformPlan,
-    apply_multiplier,
     forward_transform,
     heat_derivative_pair,
     inverse_transform,
@@ -29,7 +28,9 @@ from conftest import (box_multiplier, gradient, irfftn, laplacian, random_smooth
 def heat_derivative_kernel(f, tau):
     """K(tau) = tau * d/dtau exp(tau*Laplacian) applied to f through the
     symbol the heat norms use."""
-    return apply_multiplier(f, heat_derivative_pair(f.grid, tau))
+    blocks = multiplier_blocks(forward_transform(f.data, f.grid),
+                               [heat_derivative_pair(f.grid, tau)], f.grid)
+    return RealVectorField(f.grid, last_inverse_stage(next(blocks), f.grid))
 
 
 class TestGrid:

@@ -743,6 +743,19 @@ class TestCLI:
         cfg = parse_solver({"dt": 0.01, "T": 0.1, "tail_octave_shift": 1})
         assert cfg.tail_octave_shift == 1
 
+    def test_solver_refuses_linear_only(self, workdir):
+        # the linear flow is make_heat_trajectory's; the solver has no switch for it
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16}, "u0": TG,
+            "solver": {**SOLVER, "linear_only": False}})
+        res = run_cli(["evolve", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 1
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ConfigValidationError"
+        assert "unknown keys ['linear_only']" in error["message"]
+
     def test_threads_clamped_to_cpu_count(self, workdir):
         cfg = self._write(workdir / "c.json", {
             "grid": {"d": 2, "N": 16},

@@ -30,7 +30,7 @@ from critns.profiles import (
     synthesize_datum,
 )
 from critns.scaling import ScaleCore, ScaleCoreSequence
-from critns.solver import SolverConfig, condition_datum, evolve
+from critns.solver import SolverConfig, condition_datum, evolve, make_heat_trajectory
 
 from conftest import bilinear_duhamel, irfftn, laplacian, rel_err
 
@@ -192,11 +192,18 @@ class TestSuperposition:
         assert rel_err(sup.data, ev.trajectories[0].at(t).data) < 1e-10
 
     def test_linear_hook_superposition_is_heat_flow(self, grid3m):
-        # with the nonlinearity disabled, superposition = heat flow of the datum
+        # profiles that flow by heat superpose to the heat flow of the datum;
+        # each profile is recorded on evolve_system's parabolically matched
+        # frames (dt / lambda^2), so every lookup hits a frame
         sys_ = _two_profile_system(grid3m)
-        cfg = SolverConfig(dt=4e-3, T=0.04, snapshot_stride=2, linear_only=True)
-        ev = evolve_system(sys_, cfg, [1])
         n, t = 1, 0.04
+        trajectories = []
+        for phi, seq in sys_.profiles:
+            dt = 4e-3 / seq[n].lam**2
+            trajectories.append(make_heat_trajectory(phi, [k * dt for k in range(11)]))
+        lifespans = [float("inf")] * len(trajectories)
+        ev = EvolvedSystem(system=sys_, trajectories=trajectories, lifespans=lifespans,
+                           ordering=order_profiles(sys_, lifespans, n))
         sup = superpose_evolution(ev, sys_, n, t)
         exact = heat_semigroup(synthesize_datum(sys_, n), t)
         assert rel_err(sup.data, exact.data) < 1e-8
@@ -330,7 +337,7 @@ class TestDriftAndSource:
             for j in range(3):
                 t_ij, t_ji, pi_ij = paraproduct(grid3m, u.data[i], w.data[j])
                 para[i, j], zeta[i, j] = t_ij, t_ji + pi_ij
-        box = dealias_box(grid3m, 2.0 / 3.0)
+        box = dealias_box(grid3m)
 
         def minus_p_div_sym(tensor):
             flux = _div_flux_hat(lambda i, j: tensor[i, j] + tensor[j, i], box)
@@ -439,7 +446,7 @@ class TestBookkeeping:
                  for a in range(3)]
         w = random_divfree_field(grid3, seed=43, k_hi=6.0, amplitude=0.05)
         u, g_hat = _source(parts, w)
-        g = inverse_transform(g_hat, grid3, dealias_box(grid3, 2.0 / 3.0).extent)
+        g = inverse_transform(g_hat, grid3, dealias_box(grid3).extent)
         want = -1.0 * q_bilinear(u, w) - 0.5 * q_bilinear(w, w)
         for a in range(3):
             for b in range(a + 1, 3):
@@ -455,7 +462,7 @@ class TestBookkeeping:
         from critns.solver import dealias_box, nonlinear_term, q_bilinear
 
         grid, times, snaps = traj.grid, traj.times, traj.snapshots
-        box = dealias_box(grid, 2.0 / 3.0)
+        box = dealias_box(grid)
         vals = []
         for i in range(1, len(times) - 1):
             u = snaps[i]
@@ -479,7 +486,7 @@ class TestBookkeeping:
         want = self._physical_residual(traj)
         assert rel_err(ns_equation_residual(traj), want) < 1e-12
 
-        box = dealias_box(grid3, 2.0 / 3.0)
+        box = dealias_box(grid3)
         drift = random_divfree_field(grid3, seed=45, k_hi=3.0, amplitude=0.3)
         g = random_divfree_field(grid3, seed=46, k_hi=5.0, amplitude=0.2)
         g_hat = _leray_coefficients(_box_forward(g.data, box), box)

@@ -44,13 +44,13 @@ from critns.solver import (
 )
 
 from conftest import (bilinear_duhamel, dealias_mask, general_div_flux_hat, irfftn, laplacian,
-                      random_smooth_field, rel_err, rfftn, thin, traced)
+                      random_smooth_field, rel_err, retained_box, rfftn, thin, traced)
 
 
 def convective_divergence(u):
     """div S' for the trace-free S' = u (x) u - u_{d-1}^2 I, unprojected and
     dealiased at 2/3: a gradient exactly when div(u (x) u) is one."""
-    box = dealias_box(u.grid, 2.0 / 3.0)
+    box = dealias_box(u.grid)
     flux = _div_flux_hat(_self_product(u.data), box)
     return RealVectorField(u.grid, inverse_transform(flux, u.grid, box.extent))
 
@@ -117,7 +117,7 @@ class TestQBilinear:
         # upper-triangle path on the symmetric f (x) g + g (x) f
         f = random_divfree_field(grid3, seed=4, k_hi=3.0).data
         g = random_divfree_field(grid3, seed=5, k_hi=3.0).data
-        box = dealias_box(grid3, 2.0 / 3.0)
+        box = dealias_box(grid3)
         general = (general_div_flux_hat(lambda i, j: f[i] * g[j], box)
                    + general_div_flux_hat(lambda i, j: g[i] * f[j], box))
         pair = _div_flux_hat(_pair_product(f, g), box)
@@ -129,14 +129,6 @@ class TestEvolve:
         traj = evolve(zero_field(grid3), SolverConfig(dt=0.01, T=0.05))
         assert traj.status == COMPLETED
         assert all(s.max_abs() == 0.0 for s in traj.snapshots)
-
-    def test_linear_hook_matches_heat(self, grid3m):
-        u0 = random_divfree_field(grid3m, seed=4, k_hi=4.0)
-        cfg = SolverConfig(dt=5e-3, T=0.1, snapshot_stride=10, linear_only=True)
-        traj = evolve(u0, cfg)
-        for t, snap in zip(traj.times, traj.snapshots):
-            exact = heat_semigroup(leray_project(u0), float(t))
-            assert rel_err(snap.data, exact.data) < 1e-8
 
     def test_taylor_green_closed_form(self):
         grid = Grid(2, 64)
@@ -341,8 +333,7 @@ def _reference_heun(u0, cfg, drift=None, source=None, trace_free=True):
 
     def rhs(uh, phys, t):
         acc = np.zeros_like(uh)
-        if not cfg.linear_only:
-            acc -= flux(lambda i, j: phys[i] * phys[j])
+        acc -= flux(lambda i, j: phys[i] * phys[j])
         if drift is not None:
             f = drift.at(t).data
             acc -= flux(lambda i, j: phys[i] * f[j] + f[i] * phys[j])
@@ -381,20 +372,19 @@ def _assert_matches_reference(traj, snaps, records):
 
 
 class TestBoxStep:
-    @pytest.mark.parametrize("d, N, linear_only, shift", [
-        (2, 32, False, 0),
-        (3, 16, False, 0),
-        (3, 24, False, 0),
-        (2, 24, False, 1),
-        (3, 16, True, 0),
+    @pytest.mark.parametrize("d, N, shift", [
+        (2, 32, 0),
+        (3, 16, 0),
+        (3, 24, 0),
+        (2, 24, 1),
     ], ids=["2d-32-two-thirds", "3d-16-two-thirds", "3d-24-two-thirds",
-            "2d-24-two-thirds-shift", "3d-16-linear"])
-    def test_evolve_matches_full_spectrum_reference(self, d, N, linear_only, shift):
+            "2d-24-two-thirds-shift"])
+    def test_evolve_matches_full_spectrum_reference(self, d, N, shift):
         # N = 24 at 2/3 puts the dealias radius R = 8 on a lattice point, so the
         # strict |m| < R decides the box's edge
         grid = Grid(d, N)
         u0 = random_divfree_field(grid, seed=30 + N, k_hi=N / 4.0, amplitude=0.8)
-        cfg = SolverConfig(dt=5e-3, T=0.04, linear_only=linear_only, tail_octave_shift=shift)
+        cfg = SolverConfig(dt=5e-3, T=0.04, tail_octave_shift=shift)
         _assert_matches_reference(evolve(u0, cfg), *_reference_heun(u0, cfg))
 
     def test_perturbed_matches_full_spectrum_reference(self, grid3):
@@ -417,17 +407,20 @@ class TestBoxStep:
     def test_box_holds_the_dealias_sphere(self, d, N, fraction):
         for L in (2.0 * np.pi, 1.0, 3.7):
             grid = Grid(d, N, L)
-            box = dealias_box(grid, fraction)
+            box = retained_box(grid, fraction)
             mask = dealias_mask(grid, fraction)
             # the box's mask, scattered back, is the whole sphere
             assert np.array_equal(_scatter(box.mask, grid, box.extent), mask)
             assert np.array_equal(box.gather(mask), box.mask)
             assert box.extent == math.ceil(fraction * N / 2.0) - 1
             assert box.extent < N // 2
-            assert dealias_box(grid, fraction) is box
+            if fraction == DEALIAS_FRACTION:
+                assert dealias_box(grid) is dealias_box(grid)
+                assert dealias_box(grid).extent == box.extent
+                assert dealias_box(grid).mask.tobytes() == box.mask.tobytes()
 
     def test_box_gather_scatter_roundtrip(self, grid3):
-        box = dealias_box(grid3, 2.0 / 3.0)
+        box = dealias_box(grid3)
         data = random_divfree_field(grid3, seed=34).data
         coeff = forward_transform(data, grid3)
         kept = _scatter(box.gather(coeff), grid3, box.extent)
@@ -451,7 +444,7 @@ class TestTraceFreeFlux:
         grid = Grid(d, 16)
         f = random_divfree_field(grid, seed=40, k_hi=4.0).data
         g = random_divfree_field(grid, seed=41, k_hi=4.0).data
-        box = dealias_box(grid, fraction)
+        box = retained_box(grid, fraction)
         entry = _pair_product(f, g) if symmetric else (lambda i, j: f[i] * g[j])
         full = general_div_flux_hat(entry, box, trace_free=False)
         free = _div_flux_hat(entry, box) if symmetric else general_div_flux_hat(entry, box)
@@ -471,7 +464,7 @@ class TestTraceFreeFlux:
             return forward_transform(data, grid, extent, plan)
 
         monkeypatch.setattr(solver, "forward_transform", counted)
-        _div_flux_hat(_self_product(u), dealias_box(grid, 2.0 / 3.0))
+        _div_flux_hat(_self_product(u), dealias_box(grid))
         assert len(calls) == transforms
 
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16), (3, 24)])

@@ -226,13 +226,13 @@ def test_one_scatter_into_a_half_spectrum():
             and node.func.attr == "scatter"] == []
 
 
-def test_band_norms_in_three_readers():
-    # a band profile, a band table and a threshold probe's reduction; every
-    # other band reader goes through one of them
+def test_band_norms_in_two_readers():
+    # a band profile and a band table; every other band reader, a threshold
+    # probe's reduction included, goes through one of them
     trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
     assert sorted((name, owner) for name, tree in trees.items()
                   for owner in uses(tree, "_band_norms") if owner is not None) == [
-        ("criticality.py", "reduce"), ("norms.py", "band_profile"), ("norms.py", "band_tables")]
+        ("norms.py", "band_profile"), ("norms.py", "band_tables")]
 
 
 def test_every_dataclass_field_is_read():

@@ -24,7 +24,7 @@ from critns import Grid, cli, profiles
 from critns import io as critns_io
 from critns.criticality import (make_test_battery, pairing_table, sup_critical_norm,
                                 weak_convergence_probe)
-from critns.errors import DomainError, SupportOverflowError
+from critns.errors import DomainError, SupportOverflowError, TrajectoryCoverageError
 from critns.fields import (gaussian_bump, localized_divfree_bump, random_divfree_field,
                            taylor_green)
 from critns.grid import heat_semigroup
@@ -393,6 +393,16 @@ def test_no_snapshot_and_too_few_samples(superposed):
     assert eps.size == 0 and not eps.flags.writeable
     with pytest.raises(DomainError, match="at least 2"):
         e_norm(empty, 3, 3, 0.1)
+    # evolve returns such a trajectory when its first inverse transform
+    # overflows: it covers no time, is no drift and has no pairings
+    assert not empty.covers(0.0)
+    with pytest.raises(TrajectoryCoverageError, match="no snapshot"):
+        empty.at(0.0)
+    prob = PerturbationProblem(w0=taylor_green(grid), drift=empty)
+    with pytest.raises(TrajectoryCoverageError, match="must cover"):
+        evolve_perturbed(prob, SolverConfig(dt=0.01, T=0.02))
+    with pytest.raises(DomainError, match="empty trajectory"):
+        weak_convergence_probe(empty, make_test_battery(grid, count=2))
     sys_, cfg, ev, _ = superposed
     for norm in (drift_norm, source_norms):
         for T0, n_samples in ((cfg.T, 0), (cfg.T, 1), (0.0, 3)):
