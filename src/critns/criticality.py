@@ -25,7 +25,7 @@ from .lp import band_range
 from .norms import (BesovIndex, band_profile, besov_from_profile, besov_norm_detailed,
                     lebesgue_norm)
 from .solver import (NON_FINITE, TRIP_MONITORS, RunLog, SolverConfig, Trajectory,
-                     evolve_streaming, trip_reason)
+                     evolve_streaming)
 
 PROXY_DISCLAIMER = (
     "resolution-limited numerical threshold at fixed grid and step; "
@@ -115,9 +115,10 @@ class ThresholdReport:
             "datum_besov_norm": self.datum_besov_norm,
             "sup_critical_norm": self.sup_critical_norm,
             "sup_critical_time": self.sup_critical_time,
-            # a non-finite margin (a NonFinite trip) has no JSON number
-            "probes": [dict(p, margin=p["margin"] if math.isfinite(p["margin"]) else None)
-                       for p in self.probes],
+            # a non-finite probe value (a NonFinite trip's margin, a CFL
+            # number past the largest double) has no JSON number
+            "probes": [{key: None if isinstance(value, float) and not math.isfinite(value)
+                        else value for key, value in p.items()} for p in self.probes],
             "config": self.config_echo,
             "proxy_disclaimer": self.proxy_disclaimer,
             "disclaimer_text": self.disclaimer_text,
@@ -132,14 +133,6 @@ def _margin(run: RunLog, cfg: SolverConfig) -> float:
         return math.inf
     return float(max(np.max(run.records[key], initial=0.0) / getattr(cfg, threshold)
                      for _, key, threshold in TRIP_MONITORS))
-
-
-def _trip_reason(run: RunLog, cfg: SolverConfig) -> str | None:
-    """Which monitor stopped the run: the solver's trip rule applied to its
-    last record, so None if it completed."""
-    if run.status == NON_FINITE:
-        return "non_finite"
-    return trip_reason({key: vals[-1] for key, vals in run.records.items()}, cfg)
 
 
 def _log_margin(m: float) -> float:
@@ -176,19 +169,22 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
     member until hi / lo - 1 <= tol.
 
     A probe trips when its run goes non-finite or on the solver's trip rule
-    (`solver.TRIP_MONITORS`), read back from its last record (_trip_reason),
-    and records its margin (see _margin).  The next amplitude comes from a
-    safeguarded secant on log margin against log alpha (Dekker, Brent): the
-    lower of two roots, that of the secant through the bracket ends and that
-    of the secant through the two highest completing probes.  A completing
-    run's margin is its maximum over the whole horizon, while a tripped run
-    stops at its first crossing, so its margin sits just above 1 and pulls
-    the end-to-end root toward hi; the completing pair has no such bias.  The
-    search falls back to the geometric midpoint when neither root is usable
-    (a non-finite or non-positive margin, a root outside the bracket) or when
-    the last two probes did not halve log(hi / lo).  Every probe lies
-    strictly inside the current bracket, so tol must be at least the double
-    epsilon: below it a bracket of adjacent doubles never closes.
+    (`solver.TRIP_MONITORS`), as the run's `trip_reason` says.  It records
+    its margin (see _margin), its largest CFL number max linf * dt / h over
+    the recorded steps, h the grid spacing (None for a non-finite run), and
+    whether that number passes 1 or the run went non-finite.  The next
+    amplitude comes from a safeguarded secant on log margin against log
+    alpha (Dekker, Brent): the lower of two roots, that of the secant through
+    the bracket ends and that of the secant through the two highest
+    completing probes.  A completing run's margin is its maximum over the
+    whole horizon, while a tripped run stops at its first crossing, so its
+    margin sits just above 1 and pulls the end-to-end root toward hi; the
+    completing pair has no such bias.  The search falls back to the
+    geometric midpoint when neither root is usable (a non-finite or
+    non-positive margin, a root outside the bracket) or when the last two
+    probes did not halve log(hi / lo).  Every probe lies strictly inside the
+    current bracket, so tol must be at least the double epsilon: below it a
+    bracket of adjacent doubles never closes.
 
     The outcome is assumed monotone in amplitude, not detected: lo is always
     the largest completing and hi the smallest tripping amplitude, and no probe
@@ -224,13 +220,15 @@ def threshold_bisection(fam: DatumFamily, cfg: SolverConfig, tol: float,
         nonlocal last_completing
         columns = []
         run = evolve_streaming(fam.member(alpha), cfg, lambda snap: columns.append(reduce(snap)))
-        reason = _trip_reason(run, cfg)
-        tripped = reason is not None
+        tripped = run.trip_reason is not None
         # a run that goes non-finite at t = 0 takes no snapshot and ends there
         final_time = float(run.times[-1]) if run.times.size else 0.0
+        max_cfl = (None if run.status == NON_FINITE
+                   else float(np.max(run.records["linf"]) * cfg.dt / grid.spacing))
         probes.append({"alpha": alpha, "status": run.status,
                        "final_time": final_time, "margin": _margin(run, cfg),
-                       "trip_reason": reason})
+                       "trip_reason": run.trip_reason, "max_cfl": max_cfl,
+                       "cfl_over_1": max_cfl is None or max_cfl > 1.0})
         if not tripped:
             last_completing = run, columns
         return tripped

@@ -77,6 +77,14 @@ class Grid:
             )
         if not (np.isfinite(self.L) and self.L > 0):
             raise DomainError(f"box side must be finite and positive, got {self.L}")
+        # the box volume, the cell volume and the largest |k|^2 must be finite
+        # positive doubles; numpy's power gives inf or 0 where Python's raises
+        with np.errstate(over="ignore", under="ignore"):
+            sizes = (np.float64(self.L) ** self.d, np.float64(self.spacing) ** self.d,
+                     self.k_max**2)
+        if not all(0.0 < size < np.inf for size in sizes):
+            raise DomainError(f"box side L = {self.L} makes L^d, (L/N)^d or the largest "
+                              f"|k|^2 = d (pi N / L)^2 overflow or vanish in double precision")
         # one complex d-component half spectrum must fit in an array
         nbytes = 16 * self.d * self.N ** (self.d - 1) * (self.N // 2 + 1)
         if nbytes > np.iinfo(np.intp).max:

@@ -16,7 +16,8 @@ on the EvolvedSystem.  The remainder equation's source G is summed on the
 dealias box as Leray-projected coefficients; its paraproduct piece is split
 off with one broadcast low-high sum, and part1 and G - part1 are the only
 inverse transforms.  The equation residual stays on that box too: one pruned
-forward transform per snapshot, and Parseval on the box.
+forward transform per snapshot, and the solver's own right-hand side and
+Parseval energy (`solver.StepWorkspace`).
 
 The bookkeeping is bounded in memory: every trajectory it derives makes its
 snapshots on read.  A remainder (`remainder`) and its frame rescaling
@@ -64,6 +65,7 @@ from .scaling import (ScaleCore, ScaleCoreSequence, apply_lambda, apply_lambda_s
                       is_whole_cell_roll, orthogonality_check)
 from .solver import (
     SolverConfig,
+    StepWorkspace,
     Trajectory,
     _div_flux_hat,
     _pair_product,
@@ -442,11 +444,13 @@ def ns_equation_residual(traj: Trajectory, forcing=None) -> float:
     dealias box (as `_source` returns it); without it it
     is the plain equation residual, which serves as the discrete floor (the
     time-differencing error dominates both).  The residual lives on that box,
-    the solver's state space: each snapshot is read once and transformed onto
-    the box unmasked, the fluxes are summed and projected there, the time
-    difference is taken on the coefficients (a rolling window of three, the
-    last two beside their snapshots), and each L^2 norm is read off the box by
-    Parseval with the multiplicity weights of the solver's l2 record.  What a
+    the solver's state space, and reads the equation from the solver's
+    `StepWorkspace`, one per call: its right-hand side (`rhs`, with F), to
+    which the projected G is added, and its Parseval `energy`, which gives
+    each L^2 norm as it gives the solver's l2 record.  Each snapshot is read
+    once and transformed onto the box unmasked, and the time difference is
+    taken on the coefficients (a rolling window of three, the last two beside
+    their snapshots).  What a
     trajectory holds outside the box is left out (a solver run, its remainder
     and their frame rescalings hold nothing there above roundoff).
     """
@@ -457,27 +461,23 @@ def ns_equation_residual(traj: Trajectory, forcing=None) -> float:
     times = traj.times
     window = ((s, forward_transform(s.data, grid, box.extent)) for s in traj.snapshots)
     (_, prev_hat), (u, uh) = next(window), next(window)
+    work = StepWorkspace(box, uh.shape[0], forcing is not None)
+    rhs, resid, lap = work.n1, work.pred, work.n2
     res_l2 = []
-    mid_times = []
     for i, (u_next, next_hat) in enumerate(window, start=1):
-        dt2 = times[i + 1] - times[i - 1]
-        flux = _div_flux_hat(_self_product(u.data), box)
-        if forcing is None:
-            _leray_coefficients(flux, box)
-        else:
-            f, g_hat = forcing(float(times[i]))
-            flux += _div_flux_hat(_pair_product(u.data, f.data), box)
-            _leray_coefficients(flux, box)
-            flux -= g_hat
-            del f, g_hat  # so the next forcing call does not hold two frames
-        resid_hat = (next_hat - prev_hat) / dt2 + flux + box.k_squared * uh
-        power = box.multiplicity * (resid_hat.real**2 + resid_hat.imag**2)
-        res_l2.append(np.sqrt(grid.L**grid.d * np.sum(power)))
-        mid_times.append(float(times[i]))
+        f, g_hat = (None, None) if forcing is None else forcing(float(times[i]))
+        work.rhs(u.data, rhs, f)
+        if g_hat is not None:
+            rhs += g_hat
+        del f, g_hat  # so the next forcing call does not hold two frames
+        np.subtract(next_hat, prev_hat, out=resid)
+        resid /= times[i + 1] - times[i - 1]
+        resid -= rhs
+        resid += np.multiply(box.k_squared, uh, out=lap)
+        res_l2.append(np.sqrt(grid.L**grid.d * work.energy(resid)))
         prev_hat, u, uh = uh, u_next, next_hat
-    res_l2 = np.asarray(res_l2)
-    wts = _trapezoid_weights(np.asarray(mid_times))
-    return float(np.sqrt(np.sum(wts * res_l2**2)))
+    wts = _trapezoid_weights(times[1:-1])
+    return float(np.sqrt(np.sum(wts * np.asarray(res_l2)**2)))
 
 
 def remainder_equation_residual(r_traj: Trajectory, ev: EvolvedSystem,

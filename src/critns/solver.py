@@ -18,27 +18,36 @@ than the full tensor for a change that Leray projection removes, and every
 caller projects.  Its products are formed in one reused buffer and its
 derivative terms summed through one reused box temporary, with the dealias
 mask applied once per component; the box temporary, the trace copy and the
-entries' transform plan form a `FluxWorkspace`, the stepping loop's or a
+entries' transform plan form a `FluxWorkspace`, a `StepWorkspace`'s or a
 fresh one per one-shot call.  The convection term P div(u (x) u)
 (`nonlinear_term`), the symmetric pair Q(a, b) (`q_bilinear`), the solver's
 right-hand side and the profile sources all go through it.
 
-There is one stepping loop, `_integrate`, which hands each snapshot to a
-consumer the step it is taken, with the box coefficients it is the inverse
-transform of.  One workspace, built once per run, owns every large array a
-step writes (transform plans, flux buffers, stage accumulators, the Leray
-scratch and the record's power array), so a step allocates nothing of the
-grid's size, and a snapshot handed out is a read-only view of the
-workspace's samples, valid until the consumer returns.  `evolve` and
-`evolve_perturbed` keep a copy of the coefficients inside the dealias
-sphere per snapshot (about 16% of the snapshots' bytes at the 2/3 rule,
-against 30% for the whole box; the rest of the box is exactly zero) and
-return a read-only `Trajectory` whose snapshots are made on read
-(`DerivedSnapshots`): one pruned inverse per read, bitwise the snapshot the
-step took.  `evolve_streaming` passes the snapshots on (`cli evolve` writes
-each to disk and drops it, so it holds one at a time, and the threshold
-search reduces each to its critical norm) and returns the rest of the run
-as a `RunLog`.
+The discretized equation has one owner, `StepWorkspace`: its one
+right-hand side P[-div(u (x) u) - div(u (x) F + F (x) u) + G] (`rhs`), its
+box Parseval energy (`energy`) and its integrating-factor Heun step
+(`heun`, of a time step and its heat factor), with every large array they
+write (transform plans, flux and product buffers, stage arrays, the Leray
+scratch and the power array).  A run builds one, so a step allocates
+nothing of the grid's size; `profiles.ns_equation_residual` builds one per
+call and reads the flux and the L^2 norm of the equation from it.  Every
+run is a `PerturbationProblem`, whose `forcing` gives the drift and the
+source at a time: `evolve` and `evolve_streaming` run one with neither.
+
+There is one stepping loop, `_integrate`, which inverts the state, records
+it, hands out its snapshot, applies the trip rule (`trip_reason`, which its
+`RunLog` keeps) and steps.  It hands each snapshot to a consumer the step it
+is taken, with the box coefficients it is the inverse transform of; a
+snapshot handed out is a read-only view of the workspace's samples, valid
+until the consumer returns.  `evolve` and `evolve_perturbed` keep a copy of
+the coefficients inside the dealias sphere per snapshot (about 16% of the
+snapshots' bytes at the 2/3 rule, against 30% for the whole box; the rest
+of the box is exactly zero) and return a read-only `Trajectory` whose
+snapshots are made on read (`DerivedSnapshots`): one pruned inverse per
+read, bitwise the snapshot the step took.  `evolve_streaming` passes the
+snapshots on (`cli evolve` writes each to disk and drops it, so it holds one
+at a time, and the threshold search reduces each to its critical norm) and
+returns the rest of the run as a `RunLog`.
 
 A run aborts with status "ResolutionLimit" on the first step where the
 sup-norm or the top-octave spectral energy fraction exceeds its threshold
@@ -257,15 +266,19 @@ class Trajectory:
 
 @dataclass
 class PerturbationProblem:
-    """Initial perturbation, divergence-free drift and split source of the linearized-around-drift system."""
+    """Initial perturbation, divergence-free drift and split source of the
+    linearized-around-drift system; with neither, the plain equation."""
 
     w0: RealVectorField
     drift: Trajectory | None = None
     force_parts: tuple = (None, None)
 
-    def source_at(self, t: float):
+    def forcing(self, t: float) -> tuple:
+        """(drift F, source G) at time t, each None when absent, as
+        `StepWorkspace.rhs` takes them."""
         parts = [g(t) for g in self.force_parts if g is not None]
-        return sum(parts[1:], parts[0]) if parts else None
+        return (None if self.drift is None else self.drift.at(t),
+                sum(parts[1:], parts[0]) if parts else None)
 
 
 def _inside_radius(k_squared: np.ndarray, grid: Grid, fraction: float) -> np.ndarray:
@@ -309,8 +322,8 @@ def _box_forward(data: np.ndarray, box: RetainedBox,
     return coeff
 
 
-# The product entries below are formed in the buffers the caller gives (the
-# stepping loop's workspace) or else in buffers that the first call
+# The product entries below are formed in the buffers the caller gives (a
+# `StepWorkspace`'s) or else in buffers that the first call
 # allocates and every later call reuses.  Allocated on first use, they sit
 # after the flux's long-lived result on the heap, so freeing them leaves no
 # hole below it.
@@ -341,8 +354,8 @@ def _pair_product(a: np.ndarray, b: np.ndarray, buf: np.ndarray | None = None,
 class FluxWorkspace:
     """The buffers `_div_flux_hat` writes on one box besides its result: the
     transform plan of one tensor entry, the copy of the trace entry and one
-    derivative term, all made with the workspace.  The stepping loop builds
-    one per run; a one-shot call builds its own."""
+    derivative term, all made with the workspace.  A `StepWorkspace` holds
+    one; a one-shot call builds its own."""
 
     def __init__(self, box: RetainedBox):
         self.plan = TransformPlan(box.grid, box.extent)
@@ -425,27 +438,100 @@ class RunLog:
     """A solver run less its snapshots: the snapshot times, the per-step
     records, the status and the config echo, under the names a Trajectory
     gives them, so a trajectory writer (`io.TrajectoryWriter.finish`) reads
-    either."""
+    either; and the reason the run stopped early: "sup" or "tail" (the trip
+    rule, `trip_reason`), "non_finite", or None for a completed run."""
 
     grid: Grid
     times: np.ndarray
     records: dict
     status: str
+    trip_reason: str | None
     config_echo: dict
 
 
-def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
-               source, take) -> RunLog:
-    """Integrating-factor Heun steps on the retained box of the dealias sphere.
+class StepWorkspace:
+    """The discretized equation on the retained box of the dealias sphere,
+    with every large array it writes.
 
-    The spectral state (uh, the two stage right-hand sides, the predictor,
-    the heat factor and the tail-octave mask) lives on the box, in the box
-    layout that both transforms read and write.  Every large array a step
-    writes belongs to one workspace built here, once per run: a transform
-    plan of the state, the flux kernel's `FluxWorkspace` and product
-    buffers, one accumulator per stage (and one for the drift flux), the
-    Leray scratch and the record's power array, so a step allocates
-    nothing of the grid's size.
+    Three pieces read it: the projected right-hand side
+    P[-div(u (x) u) - div(u (x) F + F (x) u) + G] (`rhs`), the box Parseval
+    energy (`energy`) and the integrating-factor Heun step (`heun`).  The
+    arrays are the state's transform plan, the flux kernel's
+    `FluxWorkspace` and product buffers, the drift flux (only with a
+    drift), the Leray scratch, the stage arrays (`pred`, `n1`, `n2`) and the
+    power scratch, all allocated here.  A solver run builds one, so a step
+    allocates nothing of the grid's size; so does each
+    `profiles.ns_equation_residual` call, which reads the flux and the L^2
+    norm of the equation the step solves.
+    """
+
+    def __init__(self, box: RetainedBox, ncomp: int, drift: bool):
+        grid, shape = box.grid, (ncomp,) + box.spectral_shape
+        self.box = box
+        self.state = TransformPlan(grid, box.extent, (ncomp,))
+        self.flux = FluxWorkspace(box)
+        self.products = np.empty((2,) + grid.shape)
+        self.pred, self.n1, self.n2 = (np.empty(shape, dtype=np.complex128) for _ in range(3))
+        self.drift_flux = np.empty(shape, dtype=np.complex128) if drift else None
+        self.leray = np.empty((2,) + box.spectral_shape, dtype=np.complex128)
+        self.power = np.empty(shape)
+        self.square = np.empty(box.spectral_shape)
+
+    def rhs(self, phys: np.ndarray, acc: np.ndarray, drift: RealVectorField | None = None,
+            source: RealVectorField | None = None) -> None:
+        """P[-div(u (x) u) - div(u (x) F + F (x) u) + G] for the samples phys
+        of u, the drift F and the source G (each term only when given),
+        written into acc."""
+        box = self.box
+        _div_flux_hat(_self_product(phys, self.products[0]), box, -1.0, self.flux, acc)
+        if drift is not None:
+            acc -= _div_flux_hat(_pair_product(phys, drift.data, *self.products), box,
+                                 work=self.flux, out=self.drift_flux)
+        if source is not None:
+            acc += _box_forward(source.data, box, self.state)
+        _leray_coefficients(acc, box, self.leray)
+
+    def energy(self, coeff: np.ndarray) -> float:
+        """sum of multiplicity * |coeff|^2 over the box, the squared L^2 norm
+        over the box volume by Parseval; the weighted powers stay in
+        `power`."""
+        np.multiply(coeff.real, coeff.real, out=self.power)
+        for comp, part in zip(coeff, self.power):
+            part += np.multiply(comp.imag, comp.imag, out=self.square)
+        self.power *= self.box.multiplicity
+        return float(np.sum(self.power))
+
+    def heun(self, uh: np.ndarray, phys: np.ndarray, t: float, dt: float,
+             heat: np.ndarray, forcing) -> None:
+        """One integrating-factor Heun step of the box coefficients uh, whose
+        samples are phys, from t to t + dt with the heat factor heat =
+        exp(-dt |k|^2), in place; forcing(s) gives the drift and the source
+        at time s (see rhs).  pred = heat * (uh + dt * n1), then
+        uh = heat * uh + (dt / 2) * (heat * n1 + n2), with the operands in
+        that order.  phys is overwritten by the predictor's samples."""
+        box, pred, n1, n2 = self.box, self.pred, self.n1, self.n2
+        self.rhs(phys, n1, *forcing(t))
+        np.multiply(dt, n1, out=pred)
+        np.add(uh, pred, out=pred)
+        np.multiply(heat, pred, out=pred)
+        self.rhs(inverse_transform(pred, box.grid, box.extent, self.state), n2,
+                 *forcing(t + dt))
+        np.multiply(heat, n1, out=n1)
+        np.add(n1, n2, out=n1)
+        np.multiply(0.5 * dt, n1, out=n1)
+        np.multiply(heat, uh, out=uh)
+        np.add(uh, n1, out=uh)
+
+
+def _integrate(prob: PerturbationProblem, cfg: SolverConfig, take) -> RunLog:
+    """Integrating-factor Heun steps of prob on the retained box of the
+    dealias sphere.
+
+    The spectral state uh, the heat factor and the tail-octave mask live on
+    the box, in the box layout that both transforms read and write, and
+    every large array a step writes belongs to one `StepWorkspace` built
+    here.  Each step inverts the state, records it, hands out its snapshot,
+    applies the trip rule and steps (`StepWorkspace.heun`).
 
     Each snapshot is handed to take(snapshot, uh) the step it is taken,
     with the box coefficients it is the inverse transform of.  The snapshot
@@ -455,93 +541,53 @@ def _integrate(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     writes out (`cli evolve`), and holds one snapshot at a time however
     many the run records.
     """
-    grid = u0.grid
-    u0.require_finite()
+    grid = prob.w0.grid
+    prob.w0.require_finite()
     box = dealias_box(grid)
     tail_mask = _tail_octave_mask(box, cfg.tail_octave_shift)
     heat = np.exp(-cfg.dt * box.k_squared)
-
-    uh = _leray_coefficients(_box_forward(u0.data, box), box)
-    state = TransformPlan(grid, box.extent, uh.shape[:1])
-    flux = FluxWorkspace(box)
-    products = np.empty((2,) + grid.shape)
-    pred, n1, n2 = (np.empty_like(uh) for _ in range(3))
-    drift_flux = None if drift is None else np.empty_like(uh)
-    leray = np.empty((2,) + box.spectral_shape, dtype=uh.dtype)
-    power = np.empty(uh.shape)
-    square = np.empty(box.spectral_shape)
-
+    uh = _leray_coefficients(_box_forward(prob.w0.data, box), box)
+    work = StepWorkspace(box, uh.shape[0], prob.drift is not None)
     n_steps = max(1, round(cfg.T / cfg.dt))
     times = []
     records = {"t": [], "l2": [], "linf": [], "tail_fraction": []}
-    status = COMPLETED
-
-    def rhs_hat(phys: np.ndarray, t: float, acc: np.ndarray) -> None:
-        # the projected right-hand side at t, written into acc
-        _div_flux_hat(_self_product(phys, products[0]), box, -1.0, flux, acc)
-        if drift is not None:
-            acc -= _div_flux_hat(_pair_product(phys, drift.at(t).data, *products), box,
-                                 work=flux, out=drift_flux)
-        if source is not None:
-            g = source(t)
-            if g is not None:
-                acc += _box_forward(g.data, box, state)
-        _leray_coefficients(acc, box, leray)
-
+    status, reason = COMPLETED, None
     for step in range(n_steps + 1):
         t = step * cfg.dt
-        phys = inverse_transform(uh, grid, box.extent, state)
+        phys = inverse_transform(uh, grid, box.extent, work.state)
         linf = float(max(phys.max(), -phys.min()))
         if not math.isfinite(linf):
-            status = NON_FINITE
+            status, reason = NON_FINITE, "non_finite"
             break
-        # power = multiplicity * (re^2 + im^2), formed in place
-        np.multiply(uh.real, uh.real, out=power)
-        for comp, part in zip(uh, power):
-            part += np.multiply(comp.imag, comp.imag, out=square)
-        power *= box.multiplicity
-        energy = float(np.sum(power))
-        tail = float(np.sum(power, where=tail_mask) / energy) if energy > 0 else 0.0
+        energy = work.energy(uh)
+        tail = float(np.sum(work.power, where=tail_mask) / energy) if energy > 0 else 0.0
         values = {"t": t, "l2": float(np.sqrt(grid.L**grid.d * energy)),
                   "linf": linf, "tail_fraction": tail}
         for key, value in values.items():
             records[key].append(value)
-        tripped = trip_reason(values, cfg) is not None
-        if step % cfg.snapshot_stride == 0 or step == n_steps or tripped:
+        reason = trip_reason(values, cfg)
+        if step % cfg.snapshot_stride == 0 or step == n_steps or reason is not None:
             times.append(t)
             snap = phys.view()
             snap.flags.writeable = False
             take(RealVectorField(grid, snap), uh)
-        if tripped:
+        if reason is not None:
             status = RESOLUTION_LIMIT
             break
-        if step == n_steps:
-            break
-        # pred = heat * (uh + dt * n1), then
-        # uh = heat * uh + (dt / 2) * (heat * n1 + n2), in place with the
-        # operands in that order
-        rhs_hat(phys, t, n1)
-        np.multiply(cfg.dt, n1, out=pred)
-        np.add(uh, pred, out=pred)
-        np.multiply(heat, pred, out=pred)
-        rhs_hat(inverse_transform(pred, grid, box.extent, state), t + cfg.dt, n2)
-        np.multiply(heat, n1, out=n1)
-        np.add(n1, n2, out=n1)
-        np.multiply(0.5 * cfg.dt, n1, out=n1)
-        np.multiply(heat, uh, out=uh)
-        np.add(uh, n1, out=uh)
+        if step < n_steps:
+            work.heun(uh, phys, t, cfg.dt, heat, prob.forcing)
 
     return RunLog(
         grid=grid,
         times=np.asarray(times),
         records={key: np.asarray(vals) for key, vals in records.items()},
         status=status,
+        trip_reason=reason,
         config_echo=cfg.echo(),
     )
 
 
-def _collected(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
-               source) -> Trajectory:
+def _collected(prob: PerturbationProblem, cfg: SolverConfig) -> Trajectory:
     """_integrate with every snapshot kept as a read-only copy of its box
     coefficients inside the dealias sphere (`uh[:, inside]`, about 16% of
     the snapshot's bytes at the 2/3 rule), as a read-only Trajectory whose
@@ -551,7 +597,7 @@ def _collected(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
     datum and every right-hand side are truncated to the mask, and Leray
     projection keeps zeros), so a read scatters the kept entries into a
     zeroed box and inverts it, bitwise the step's snapshot."""
-    grid, box = u0.grid, dealias_box(u0.grid)
+    grid, box = prob.w0.grid, dealias_box(prob.w0.grid)
     inside = box.mask.astype(bool)
     packed = []
 
@@ -564,7 +610,7 @@ def _collected(u0: RealVectorField, cfg: SolverConfig, drift: Trajectory | None,
         coeff[:, inside] = packed[i]
         return RealVectorField(grid, inverse_transform(coeff, grid, box.extent))
 
-    run = _integrate(u0, cfg, drift, source, keep)
+    run = _integrate(prob, cfg, keep)
     return Trajectory(grid=grid, times=run.times,
                       snapshots=DerivedSnapshots(len(packed), snapshot),
                       records=run.records, status=run.status, config_echo=run.config_echo)
@@ -584,7 +630,7 @@ def condition_datum(f: RealVectorField) -> RealVectorField:
 
 def evolve(u0: RealVectorField, cfg: SolverConfig) -> Trajectory:
     """Mild Navier-Stokes evolution of a divergence-free, mean-free datum."""
-    return _collected(u0, cfg, drift=None, source=None)
+    return _collected(PerturbationProblem(u0), cfg)
 
 
 def evolve_streaming(u0: RealVectorField, cfg: SolverConfig, take) -> RunLog:
@@ -593,8 +639,7 @@ def evolve_streaming(u0: RealVectorField, cfg: SolverConfig, take) -> RunLog:
     the memory of one snapshot.  The snapshot is a new read-only view of
     the solver's own samples, valid until take returns: take reduces it,
     writes it out or copies it."""
-    return _integrate(u0, cfg, drift=None, source=None,
-                      take=lambda snap, coeff: take(snap))
+    return _integrate(PerturbationProblem(u0), cfg, lambda snap, coeff: take(snap))
 
 
 def evolve_perturbed(prob: PerturbationProblem, cfg: SolverConfig) -> Trajectory:
@@ -617,7 +662,7 @@ def evolve_perturbed(prob: PerturbationProblem, cfg: SolverConfig) -> Trajectory
         if ncomp != prob.w0.ncomp:
             raise GridMismatchError(f"drift trajectory has {ncomp} components, "
                                     f"w0 has {prob.w0.ncomp}")
-    return _collected(prob.w0, cfg, drift=prob.drift, source=prob.source_at)
+    return _collected(prob, cfg)
 
 
 def make_heat_trajectory(u0: RealVectorField, times) -> Trajectory:

@@ -18,7 +18,7 @@ from critns.criticality import (
     threshold_bisection,
     weak_convergence_probe,
 )
-from critns.errors import DomainError
+from critns.errors import AccuracyWarning, DomainError
 from critns.fields import (gaussian_bump, gaussian_factors, localized_divfree_bump,
                            random_divfree_field, taylor_green)
 from critns.grid import zero_field
@@ -32,6 +32,7 @@ from critns.solver import (
     SolverConfig,
     Trajectory,
     evolve,
+    evolve_streaming,
     make_heat_trajectory,
 )
 
@@ -135,7 +136,26 @@ class TestThresholdBisection:
         assert traj.status == RESOLUTION_LIMIT and traj.final_time == 0.0
         assert traj.records["linf"][-1] > cfg.blowup_sup_threshold
         assert traj.records["tail_fraction"][-1] > cfg.spectral_tail_threshold
-        assert criticality._trip_reason(traj, cfg) == "sup"
+        assert evolve_streaming(u0, cfg, lambda snap: None).trip_reason == "sup"
+
+    def test_probes_flag_a_cfl_number_over_1(self):
+        # Taylor-Green decays from its datum, so a probe's largest CFL number
+        # is its step-0 one, alpha * dt / h (its peak is 1), whether it
+        # completes or trips the sup monitor at t = 0: 48 * 0.01 / h = 1.22
+        # at the top, 0.0013 at alpha_lo
+        grid = Grid(2, 16)
+        cfg = SolverConfig(dt=1e-2, T=0.1, blowup_sup_threshold=20.0)
+        fam = DatumFamily(base=taylor_green(grid), alpha_lo=0.05, alpha_hi=48.0)
+        with warnings.catch_warnings():
+            # the datum's Besov norm warns that Taylor-Green sits in the lowest band
+            warnings.simplefilter("ignore", AccuracyWarning)
+            rep = threshold_bisection(fam, cfg, tol=0.1)
+        lo, top = rep.probes[:2]
+        assert top["alpha"] == 48.0 and top["cfl_over_1"] and top["max_cfl"] > 1.0
+        assert lo["alpha"] == 0.05 and not lo["cfl_over_1"]
+        for p in rep.probes:
+            assert p["max_cfl"] == pytest.approx(p["alpha"] * cfg.dt / grid.spacing, rel=1e-12)
+            assert p["cfl_over_1"] == (p["max_cfl"] > 1.0)
 
     def test_report_serializes(self, grid3m):
         fam = self._family(grid3m)
@@ -230,9 +250,11 @@ class SyntheticFamily:
         records = {key: values[:steps] if key == self.monitor else np.zeros(steps)
                    for key in scale}
         records["t"] = cfg.dt * np.arange(steps)
+        reason = {COMPLETED: None, NON_FINITE: "non_finite",
+                  RESOLUTION_LIMIT: "sup" if self.monitor == "linf" else "tail"}[status]
         take(u0)
         return RunLog(grid=u0.grid, times=np.array([0.0]), records=records, status=status,
-                      config_echo=cfg.echo())
+                      trip_reason=reason, config_echo=cfg.echo())
 
 
 class TestThresholdSearchLogic:
@@ -302,6 +324,25 @@ class TestThresholdSearchLogic:
     def test_sup_trip_reason(self, monkeypatch):
         rep = self._search(monkeypatch, lambda a: (a / self.ALPHA_STAR) ** 2, monitor="linf")
         assert {p["trip_reason"] for p in rep.probes} == {None, "sup"}
+
+    def test_max_cfl_is_read_off_the_linf_record(self, monkeypatch):
+        # each probe's max CFL number is max(linf) dt / h of the run it made
+        base = random_divfree_field(Grid(2, 32), seed=0, k_lo=2.0, k_hi=6.0)
+        family = SyntheticFamily(base, lambda a: (a / self.ALPHA_STAR) ** 2, monitor="linf")
+        runs = []
+
+        def recorded(u0, cfg, take):
+            runs.append(family(u0, cfg, take))
+            return runs[-1]
+
+        monkeypatch.setattr(criticality, "evolve_streaming", recorded)
+        fam = DatumFamily(base=base, alpha_lo=4.0, alpha_hi=128.0)
+        rep = threshold_bisection(fam, self.CFG, tol=self.TOL)
+        h = base.grid.spacing
+        assert len(runs) == len(rep.probes) > 2
+        assert [p["max_cfl"] for p in rep.probes] == [
+            float(np.max(run.records["linf"])) * self.CFG.dt / h for run in runs]
+        assert [p["cfl_over_1"] for p in rep.probes] == [p["max_cfl"] > 1.0 for p in rep.probes]
 
     def test_non_finite_trip_falls_back_to_midpoint(self, monkeypatch):
         rep = self._search(monkeypatch, lambda a: (a / self.ALPHA_STAR) ** 2,

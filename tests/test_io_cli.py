@@ -1,6 +1,7 @@
 """CFD1 field files, trajectory directories and the CLI surface."""
 
 import json
+import math
 import os
 import re
 import shlex
@@ -561,6 +562,15 @@ class TestCLI:
         ("probe", {"trajectory": HEAT_FLOW, "battery": {"seed": -1}}),
         ("norm", {"grid": {"d": 2, "N": 16}, "field": TG,
                   "norm": {"kind": "besov", "p": 2, "s": 1e308}}),
+        # (L/N)^d overflows (an OverflowError in Grid.cell_volume)
+        ("norm", {"grid": {"d": 2, "N": 16, "L": 1e200}, "field": TG,
+                  "norm": {"kind": "lebesgue", "p": 2}}),
+        # L^d overflows (an OverflowError in the solver's l2 record)
+        ("evolve", {"grid": {"d": 3, "N": 16, "L": 1e120},
+                    "u0": {"generator": {"type": "random_divfree", "seed": 0}},
+                    "solver": SOLVER}),
+        # |k|^2 overflows (the tail octave read as holding no mode)
+        ("evolve", {"grid": {"d": 2, "N": 16, "L": 1e-300}, "u0": TG, "solver": SOLVER}),
     ], ids=["solver-dt-string", "grid-N-string", "taylor-green-3d", "record-norms",
             "norm-p-string", "norm-q-list", "lp-j_min-string", "remainder-decay-string",
             "scale-core-lambda-string", "ortho-n_values-string", "perturb-p-string",
@@ -583,7 +593,9 @@ class TestCLI:
             "solver-tail-threshold-negative", "gaussian-ncomp-zero",
             "gaussian-sigma-zero", "band-noise-seed-negative", "band-noise-ncomp-negative",
             "remainder-seed-negative", "perturb-p-zero", "superpose-p-zero",
-            "serrin-qx-zero", "probe-battery-seed-negative", "besov-overflow"])
+            "serrin-qx-zero", "probe-battery-seed-negative", "besov-overflow",
+            "grid-L-cell-volume-overflow", "grid-L-box-volume-overflow",
+            "grid-L-wavenumber-overflow"])
     def test_invalid_document_json_error(self, workdir, command, doc):
         if doc.get("trajectory") == HEAT_FLOW:
             traj_dir = workdir / "traj"
@@ -595,7 +607,11 @@ class TestCLI:
         assert res.returncode == 1
         lines = res.stderr.strip().splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"] in ("ConfigValidationError", "DomainError")
+        error = json.loads(lines[0])
+        assert error["error"] in ("ConfigValidationError", "DomainError")
+        if math.isfinite(doc.get("grid", {}).get("L", math.inf)):
+            # a finite box side whose powers overflow or vanish is named
+            assert "box side" in error["message"]
         assert not any((workdir / "out").iterdir())  # no artifact, no manifest
 
     def test_infinite_besov_q_accepted(self, workdir):
@@ -906,8 +922,22 @@ class TestCLI:
         doc = json.loads((workdir / "out" / "threshold.json").read_text())
         top = [p for p in doc["probes"] if p["alpha"] == 1e308]
         assert top == [{"alpha": 1e308, "status": "NonFinite", "final_time": 0.0,
-                        "margin": None, "trip_reason": "non_finite"}]
+                        "margin": None, "trip_reason": "non_finite",
+                        "max_cfl": None, "cfl_over_1": True}]
         assert doc["relative_width"] <= 0.5
+
+    def test_threshold_cfl_number_past_the_largest_double_is_null(self, workdir):
+        # the top probe's linf * dt / h is about 2.5e309: it is flagged and
+        # written as null, and the report stays strict JSON
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16}, "base": TG, "alpha_lo": 1e-3, "alpha_hi": 1e300,
+            "tol": 0.5, "solver": {"dt": 1e10, "T": 1e10}})
+        res = run_cli(["threshold", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 0, res.stderr
+        doc = json.loads((workdir / "out" / "threshold.json").read_text())
+        [top] = [p for p in doc["probes"] if p["alpha"] == 1e300]
+        assert top["status"] == "ResolutionLimit" and top["trip_reason"] == "sup"
+        assert top["max_cfl"] is None and top["cfl_over_1"] is True
 
     def test_threshold_tol_below_double_epsilon_exit_1(self, workdir):
         # no double lies strictly inside a bracket of adjacent doubles, so a

@@ -1,8 +1,8 @@
 """Source guards: every FFT the package runs is made in grid.py, every
 on-read snapshot sequence is one class, box coefficients go back into a half
-spectrum only in the inverse transform, every dataclass field and every
-top-level function and class is read, and the tests run the CLI through one
-harness."""
+spectrum only in the inverse transform, the equation is discretized in one
+place, every dataclass field and every top-level function and class is read,
+and the tests run the CLI through one harness."""
 
 import ast
 from pathlib import Path
@@ -121,6 +121,31 @@ def unread_fields(trees):
     return sorted(found)
 
 
+def owners(tree, hit):
+    """The top-level owner, a function or class.method, of each node of tree
+    for which hit(node) holds; nodes outside every function are left out."""
+    found = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            scopes = [(f"{stmt.name}.{item.name}", item) for item in stmt.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scopes = [(stmt.name, stmt)]
+        else:
+            scopes = []
+        found += [name for name, scope in scopes for node in ast.walk(scope) if hit(node)]
+    return found
+
+
+def _heat_product(node) -> bool:
+    """Whether node multiplies by the heat factor: np.multiply(heat, ...) or
+    heat * x, the name heat as an operand."""
+    if isinstance(node, ast.Call) and _names(node.func, "multiply"):
+        return any(_names(arg, "heat") for arg in node.args)
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and (_names(node.left, "heat") or _names(node.right, "heat")))
+
+
 def _mentions(node):
     """Every name that node mentions: a bare name, an attribute, an imported
     name, or a string constant that is the name."""
@@ -233,6 +258,54 @@ def test_band_norms_in_two_readers():
     assert sorted((name, owner) for name, tree in trees.items()
                   for owner in uses(tree, "_band_norms") if owner is not None) == [
         ("norms.py", "band_profile"), ("norms.py", "band_tables")]
+
+
+def test_one_discretization_of_the_equation():
+    # the step's right-hand side is the one assembler of the equation: the
+    # flux kernel's other callers are the one-shot projected flux and the
+    # profile sources, and the equation residual reads the step's right-hand
+    # side and energy; the box Parseval energy, the Heun update and the trip
+    # decision are each made in one place
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+
+    def owned(hit):
+        return sorted({(name, owner) for name, tree in trees.items()
+                       for owner in owners(tree, hit)})
+
+    assert owned(lambda node: _names(node, "_div_flux_hat")) == [
+        ("profiles.py", "_source"), ("profiles.py", "source_term"),
+        ("solver.py", "StepWorkspace.rhs"), ("solver.py", "_projected_flux")]
+    [residual] = [stmt for stmt in trees["profiles.py"].body
+                  if getattr(stmt, "name", None) == "ns_equation_residual"]
+    read = set(_mentions(residual))
+    assert {"rhs", "energy"} <= read
+    assert not {"_div_flux_hat", "_leray_coefficients", "multiplicity"} & read
+    # the box's weights are gathered in grid.py; scaling weighs a whole
+    # half spectrum for its resampling sums
+    assert owned(lambda node: isinstance(node, ast.Attribute)
+                 and node.attr == "multiplicity") == [
+        ("grid.py", "RetainedBox.__init__"), ("scaling.py", "_spectral_resample"),
+        ("solver.py", "StepWorkspace.energy")]
+    assert owned(_heat_product) == [("solver.py", "StepWorkspace.heun")]
+    [integrate] = [stmt for stmt in trees["solver.py"].body
+                   if getattr(stmt, "name", None) == "_integrate"]
+    assert "heun" in set(_mentions(integrate))
+    assert not [node for node in ast.walk(integrate) if isinstance(node, ast.Call)
+                and (_names(node.func, "add") or _names(node.func, "multiply"))]
+    assert owned(lambda node: isinstance(node, ast.Call)
+                 and _names(node.func, "trip_reason")) == [("solver.py", "_integrate")]
+
+
+def test_owner_guard_on_a_snippet():
+    src = "\n".join([
+        "kernel(x)", "def f():", "    def g(): return kernel(x)", "    return g",
+        "class C:", "    def m(self): return self.kernel(x)", "    k = kernel",
+        "def h(heat):", "    np.multiply(heat, y, out=y)", "    return heat * y + y * heat",
+        "def e(heat): return np.exp(-heat) + np.multiply(y, y)",
+    ])
+    tree = ast.parse(src)
+    assert owners(tree, lambda node: _names(node, "kernel")) == ["f", "C.m"]
+    assert owners(tree, _heat_product) == ["h", "h", "h"]
 
 
 def test_every_dataclass_field_is_read():
