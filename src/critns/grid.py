@@ -22,12 +22,17 @@ writes belongs to a `TransformPlan` for one grid, extent and leading shape:
 the solver's stepping loop keeps one per run, a one-shot call builds a
 fresh one, and both run the same code.  numpy.fft has no worker setting, so
 the real stages run on one thread and `scipy.fft.set_workers` reaches only
-the complex ones.  `multiplier_blocks`, the one band engine, forms each
-radial multiplier's product on its box |m| <= M only and runs the pruned
-complex stages there; its callers run the last stage.  `radial_symbol`
-gathers the band symbols and the dealias mask from
-their values at each distinct |k|^2 and reads their extent M off the grid's
-`RadialTable`; the heat factor exp(-t|k|^2) is evaluated on every entry.
+the complex ones.
+
+Every radial symbol m(|k|^2), the band and heat-kernel multipliers, the heat
+factor and the dealias mask, is held as its values at the distinct |k|^2 of
+the grid's `RadialTable`, a 1-D array of a few thousand entries at 64^3,
+never as a half-spectrum array.  The table reads each symbol's support
+extent M off its values (`RadialTable.extent_of`).  `multiplier_blocks`,
+the one band engine, gathers each symbol onto the slabs of its box |m| <= M
+only, forms the product there and runs the pruned complex stages; its
+callers run the last stage.  `HeatFlow` gathers exp(-t|k|^2) onto the half
+spectrum and `RetainedBox` its mask onto the box.
 
 A `RetainedBox` is the index box |m| <= M of the half spectrum that holds
 every mode a truncation mask keeps, stored as a dense array of its own; it
@@ -35,9 +40,10 @@ carries the Grid's spectral attributes restricted to the box, so spectral
 arithmetic (`_leray_coefficients`) reads either one.  One gather and one
 scatter, slab copies over the cached `_box_slabs`, serve both transforms and
 the box, and only the inverse transform scatters.  Every memo is kept by the
-code that builds it: the grid's own spectral arrays are cached properties,
-and the symbol builders of other modules are `functools.cache`d on the
-frozen, hashable Grid.  `_box_slabs` is keyed on (d, N, M) instead, and the
+code that builds it: the grid's own spectral arrays, the radial table among
+them, are cached properties, and `solver.dealias_box` is `functools.cache`d
+on the frozen, hashable Grid; symbol values are made when they are asked
+for and kept by no one.  `_box_slabs` is keyed on (d, N, M) instead, and the
 stage lines `_stage_lines` on (d, N, M, direction): their slices do not
 depend on L, so grids that differ only in L share them.
 
@@ -174,8 +180,10 @@ class Grid:
         inv[nz] = 1.0 / k2[nz]
         return inv
 
-    @cached_property
+    @property
     def k_squared(self) -> np.ndarray:
+        """|k|^2 on the half spectrum, a fresh array: the grid keeps only its
+        distinct values (`radial_table`)."""
         return sum(ka**2 for ka in self.wavenumber_mesh)
 
     @cached_property
@@ -216,37 +224,32 @@ class Grid:
 
 
 class RadialTable(NamedTuple):
-    """A radial symbol m(|k|^2) of a grid, evaluated once per distinct value.
+    """The distinct |k|^2 of a grid's half spectrum, on which every radial
+    symbol m(|k|^2) is held as its values: a 1-D array aligned with
+    `k_squared`, the symbol evaluated once per distinct |k|^2.
 
-    `k_squared` holds the distinct |k|^2 of the half spectrum in ascending
-    order, `inverse` (half-spectrum shaped) the position of each entry's |k|^2
-    in it, so values[inverse] is the symbol, and `extent[i]` the largest |m| on
-    any axis over the entries with |k|^2 <= k_squared[i]: the support extent of
-    a symbol that is nonzero at every |k|^2 in (0, k_squared[i]] and zero above.
+    `k_squared` holds the distinct |k|^2 in ascending order, `inverse`
+    (half-spectrum shaped) the position of each entry's |k|^2 in it, so
+    np.take(values, inverse) is the symbol on the half spectrum, and
+    `extent[i]` the largest |m| on any axis over the entries with |k|^2 <=
+    k_squared[i].
     """
 
     k_squared: np.ndarray
     inverse: np.ndarray
     extent: np.ndarray
 
-
-def radial_symbol(grid: Grid, values: np.ndarray) -> tuple[np.ndarray, int]:
-    """(symbol, support extent) of a radial symbol from its values at the
-    distinct |k|^2 of grid.radial_table, gathered onto the half spectrum.
-
-    The symbol must be nonzero at every |k|^2 in (0, K] and zero above K, so
-    its extent (the smallest M with the symbol zero wherever |m| > M on some
-    axis) is the table's at the largest |k|^2 where it is nonzero.
-    """
-    table = grid.radial_table
-    nonzero = np.flatnonzero(values)
-    extent = int(table.extent[nonzero[-1]]) if nonzero.size else 0
-    return np.take(values, table.inverse), extent
+    def extent_of(self, values: np.ndarray) -> int:
+        """The support extent M of the symbol with these values: the table's
+        extent at the largest |k|^2 where the symbol is nonzero (0 if it is
+        zero everywhere), so that it is zero wherever |m| > M on some axis."""
+        nonzero = np.flatnonzero(values)
+        return int(self.extent[nonzero[-1]]) if nonzero.size else 0
 
 
 class RetainedBox:
     """The index box |m| <= M on every axis of the half spectrum, M the
-    largest |m| of any mode a truncation mask keeps.
+    largest |m| of any mode a radial truncation mask keeps.
 
     Box coefficients are stored densely with shape (2M+1,)*(d-1) + (M+1,):
     the leading axes hold m = 0..M then -M..-1 (FFT order, the two contiguous
@@ -256,21 +259,24 @@ class RetainedBox:
     the attributes `_leray_coefficients` and the solver read from a Grid (d,
     spectral_shape, deriv_wavenumber_mesh, inv_deriv_k_squared, k_squared,
     multiplicity), each restricted to the box, plus `mask`, the truncation mask
-    inside the box.  The caller gives the mask's support extent M.  Every array
-    is read-only; scratch buffers belong to the caller.
+    inside the box.  The caller gives the mask as its values on
+    grid.radial_table; M is read off the table and the mask gathered onto the
+    box.  Every array is read-only; scratch buffers belong to the caller.
     """
 
-    def __init__(self, grid: Grid, mask: np.ndarray, M: int):
-        d, N = grid.d, grid.N
+    def __init__(self, grid: Grid, values: np.ndarray):
+        d, N, table = grid.d, grid.N, grid.radial_table
+        M = table.extent_of(values)
         self.grid, self.d, self.extent = grid, d, M
         self.spectral_shape = _box_shape(d, M)
         index = [np.r_[0:M + 1, N - M:N]] * (d - 1) + [np.arange(M + 1)]
         self.deriv_wavenumber_mesh = [np.take(ka, index[a], axis=a)
                                       for a, ka in enumerate(grid.deriv_wavenumber_mesh)]
-        self.k_squared = self.gather(grid.k_squared)
+        radial = self.gather(table.inverse)
+        self.k_squared = np.take(table.k_squared, radial)
         self.inv_deriv_k_squared = self.gather(grid.inv_deriv_k_squared)
         self.multiplicity = grid.multiplicity[: M + 1]
-        self.mask = self.gather(mask)
+        self.mask = np.take(values, radial)
         for arr in (*self.deriv_wavenumber_mesh, self.k_squared, self.inv_deriv_k_squared,
                     self.multiplicity, self.mask):
             arr.flags.writeable = False
@@ -524,27 +530,32 @@ def inverse_transform(coeff: np.ndarray, grid: Grid, extent: int | None = None,
     return last_inverse_stage(work, grid, out=plan.samples)
 
 
-def multiplier_blocks(coeff: np.ndarray, pairs, grid: Grid):
-    """For each (symbol, support extent M) pair, the symbol zero wherever
-    |m| > M on some axis, yield symbol * coeff after irfftn's complex stages:
-    its last_inverse_stage is bitwise equal to inverse_transform(coeff * symbol).
+def multiplier_blocks(coeff: np.ndarray, symbols, grid: Grid):
+    """For each radial symbol, given as its values on grid.radial_table, yield
+    symbol * coeff after irfftn's complex stages: its last_inverse_stage is
+    bitwise equal to inverse_transform(coeff * symbol).
 
-    The product is formed on the slabs of the box |m| <= M only, in one work
-    array that every block reuses (a block is valid until the next is asked
-    for): only the last-axis columns the previous block wrote are zeroed
-    again, less those the new product overwrites.  The complex stages run in
-    place, pruned to the box.  pairs is read lazily, one pair per block.
+    The symbol's support extent M is read off the table, and the product is
+    formed on the slabs of the box |m| <= M only, each slab's symbol gathered
+    from the values, in one work array that every block reuses (a block is
+    valid until the next is asked for): only the last-axis columns the
+    previous block wrote are zeroed again, less those the new product
+    overwrites.  The complex stages run in place, pruned to the box.  symbols
+    is read lazily, one per block.
     """
+    table = grid.radial_table
     work = np.zeros(coeff.shape, coeff.dtype)
     dirty = 0  # work is zero from last-axis column `dirty` on
-    for symbol, extent in pairs:
+    for values in symbols:
+        extent = table.extent_of(values)
         # a box spanning every leading index overwrites its columns 0..extent
         covered = extent + 1 if 2 * extent + 1 >= grid.N else 0
         work[..., covered:dirty] = 0.0
         # one slab per choice of range on every leading axis
         for lead in itertools.product(_lead_slices(grid.N, extent), repeat=grid.d - 1):
             slab = (*lead, slice(0, extent + 1))
-            np.multiply(coeff[(..., *slab)], symbol[slab], out=work[(..., *slab)])
+            np.multiply(coeff[(..., *slab)], np.take(values, table.inverse[slab]),
+                        out=work[(..., *slab)])
         dirty = extent + 1
         _complex_stages(work, grid, extent, inverse=True)
         yield work
@@ -612,9 +623,12 @@ class HeatFlow:
         self.spectrum.flags.writeable = False
 
     def coefficients(self, t: float) -> np.ndarray:
-        """Half-spectrum coefficients of the flow at t, in a fresh array."""
+        """Half-spectrum coefficients of the flow at t, in a fresh array; the
+        factor exp(-t|k|^2) is evaluated once per distinct |k|^2 and gathered
+        (`Grid.radial_table`)."""
         _check_time(t)
-        return self.spectrum * np.exp(-t * self.grid.k_squared)
+        table = self.grid.radial_table
+        return self.spectrum * np.take(np.exp(-t * table.k_squared), table.inverse)
 
     def at(self, t: float) -> RealVectorField:
         """The flow at t, transformed back from its coefficients (so at t = 0
@@ -630,13 +644,13 @@ def heat_semigroup(f: RealVectorField, t: float) -> RealVectorField:
     return HeatFlow(f).at(t)
 
 
-def heat_derivative_pair(grid: Grid, tau: float) -> tuple[np.ndarray, int]:
-    """(symbol, support extent) of K(tau) = tau * d/dtau exp(tau*Laplacian),
-    -tau|k|^2 exp(-tau|k|^2); see radial_symbol.  The symbol vanishes at k = 0
-    and, where exp(-tau|k|^2) underflows, above some |k|^2; on a single mode k
-    its value over tau peaks at tau = 1/|k|^2, at -exp(-1)."""
+def heat_derivative_symbol(grid: Grid, tau: float) -> np.ndarray:
+    """The values on grid.radial_table of K(tau) = tau * d/dtau
+    exp(tau*Laplacian), -tau|k|^2 exp(-tau|k|^2).  The symbol vanishes at
+    k = 0 and, where exp(-tau|k|^2) underflows, above some |k|^2; on a single
+    mode k its value over tau peaks at tau = 1/|k|^2, at -exp(-1)."""
     k2 = grid.radial_table.k_squared
-    return radial_symbol(grid, -tau * k2 * np.exp(-tau * k2))
+    return -tau * k2 * np.exp(-tau * k2)
 
 
 def zero_field(grid: Grid, ncomp: int | None = None) -> RealVectorField:

@@ -5,11 +5,17 @@ exponential bridge in between.  Low-pass at level j multiplies by
 chi(|k|/2^j); the band at level j is the difference of consecutive low-pass
 operators and is supported on the annulus 2^j <= |k| <= 2^{j+2}.
 
+Every multiplier is radial and is held as its values on the grid's radial
+table (`grid.RadialTable`): chi is evaluated once per distinct |k|^2 when a
+low-pass symbol is asked for (`_low_pass`), a band's values are the
+difference of two of them, and nothing is kept.
+
 dyadic_blocks transforms once and yields the low block, then each band, each
-through the grid's band engine (`grid.multiplier_blocks`); it feeds
-paraproduct and the low-high sum T_f g.  Both need each factor's blocks only
-once (Bahouri, Chemin & Danchin, ch. 2), so they take them as they come and
-hold a few at a time.
+through the grid's band engine (`grid.multiplier_blocks`, which gathers each
+symbol only onto the slabs of its support box); it feeds paraproduct and the
+low-high sum T_f g.  Both need each factor's blocks only once (Bahouri,
+Chemin & Danchin, ch. 2), so they take them as they come and hold a few at a
+time.
 
 decompose keeps only the field's forward coefficients, one read-only half
 spectrum, and makes each block when it is read (`LPBandSet`): a read of the
@@ -23,7 +29,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -35,7 +40,6 @@ from .grid import (
     forward_transform,
     last_inverse_stage,
     multiplier_blocks,
-    radial_symbol,
 )
 
 
@@ -70,34 +74,23 @@ def band_range(grid: Grid) -> tuple[int, int]:
     return j_min, j_max
 
 
-def _low_pass(grid: Grid, j: int) -> tuple[np.ndarray, int]:
-    """(symbol chi(|k|/2^j), support extent) of S_j.  Below band_range's low
-    end the symbol is the mean-mode indicator, above its high end all ones, so
-    levels are clamped to [lo, hi + 1] without changing a bit and a grid has
-    at most hi - lo + 2 symbols."""
-    lo, hi = band_range(grid)
-    return _low_pass_symbol(grid, min(max(j, lo), hi + 1))
-
-
-@cache
-def _low_pass_symbol(grid: Grid, j: int) -> tuple[np.ndarray, int]:
-    """_low_pass at a clamped level, chi evaluated once per distinct |k|^2
-    (grid.radial_symbol); built once per (grid, j), read-only."""
-    k2 = grid.radial_table.k_squared
-    symbol, extent = radial_symbol(grid, chi(np.sqrt(k2) / 2.0**j))
-    symbol.flags.writeable = False
-    return symbol, extent
+def _low_pass(grid: Grid, j: int) -> np.ndarray:
+    """The values of S_j's symbol chi(|k|/2^j) on grid.radial_table.  |k|/2^j
+    is formed by ldexp, exact as division by 2^j is, so that a level far
+    outside band_range gives the mean-mode indicator or all ones."""
+    with np.errstate(over="ignore"):
+        return chi(np.ldexp(np.sqrt(grid.radial_table.k_squared), -j))
 
 
 def dyadic_multipliers(grid: Grid, j_min: int, j_max: int):
-    """Yield (multiplier, support extent) for the low-pass S_{j_min}, then for
-    the Delta_j multiplier S_{j+1} - S_j for each j in [j_min, j_max]."""
-    low, low_extent = _low_pass(grid, j_min)
-    yield low, low_extent
+    """Yield the values on grid.radial_table of the low-pass S_{j_min}, then
+    of the Delta_j multiplier S_{j+1} - S_j for each j in [j_min, j_max]."""
+    low = _low_pass(grid, j_min)
+    yield low
     for j in range(j_min, j_max + 1):
-        high, high_extent = _low_pass(grid, j + 1)
-        yield high - low, max(low_extent, high_extent)
-        low, low_extent = high, high_extent
+        high = _low_pass(grid, j + 1)
+        yield high - low
+        low = high
 
 
 def band_is_resolvable(grid: Grid, j: int) -> bool:
@@ -131,10 +124,9 @@ class LPBandSet:
     Keeps f's forward coefficients, one read-only half spectrum ((N + 2)/N
     of f's bytes), and nothing else.  Each read of `low` or of a band is one
     new read-only field: one block of `grid.multiplier_blocks` over the
-    level's multiplier, built from the cached low-pass symbols
-    (`dyadic_multipliers`), and its `last_inverse_stage`, bitwise the
-    block `dyadic_blocks` yields.  A read recomputes its block, so a reader
-    that needs a band twice keeps it.
+    level's multiplier values (`dyadic_multipliers`), and its
+    `last_inverse_stage`, bitwise the block `dyadic_blocks` yields.  A read
+    recomputes its block, so a reader that needs a band twice keeps it.
     """
 
     grid: Grid
@@ -145,8 +137,8 @@ class LPBandSet:
     def __post_init__(self):
         self.coeff.flags.writeable = False
 
-    def _block(self, pair: tuple[np.ndarray, int]) -> RealVectorField:
-        (partial,) = multiplier_blocks(self.coeff, [pair], self.grid)
+    def _block(self, values: np.ndarray) -> RealVectorField:
+        (partial,) = multiplier_blocks(self.coeff, [values], self.grid)
         block = last_inverse_stage(partial, self.grid)
         block.flags.writeable = False
         return RealVectorField(self.grid, block)
@@ -159,8 +151,8 @@ class LPBandSet:
     def bands(self) -> DerivedSnapshots:
         """Delta_j f for j = j_min..j_max, a read-only sequence made on read."""
         def band(i: int) -> RealVectorField:
-            _, pair = dyadic_multipliers(self.grid, self.j_min + i, self.j_min + i)
-            return self._block(pair)
+            _, values = dyadic_multipliers(self.grid, self.j_min + i, self.j_min + i)
+            return self._block(values)
 
         return DerivedSnapshots(self.j_max - self.j_min + 1, band)
 

@@ -10,26 +10,29 @@ and their re-sum relative to the sample max when a power overflows, fed one
 component at a time (a copy of a field's component for lebesgue_norm, a
 block's last inverse stage for the block norms).  Every block norm
 ||F^{-1}(m * coeff)||_{L^p} (dyadic bands, heat-kernel curves) goes through
-`_multiplier_norms`, which takes its blocks from the grid's band engine
-(`grid.multiplier_blocks`: each product formed on the multiplier's support
-box only, its complex inverse stages pruned to that box).  Every space-time
-band table comes from one builder, `band_tables`: a trajectory's
-eps[j, i] = ||Delta_j u(t_i)||_{L^p}, built once per (read-only trajectory,
-p) and kept on the trajectory (`Trajectory.band_table`), which the Chemin-
-Lerner norms, `e_norm` and the sup-in-time Besov norm read, and the tables
-of sampled parts that the drift, source and force norms reduce each sample
-to.  Every Chemin-Lerner-type norm ends in `_cl_from_matrix`, which asks
-for at least 2 strictly increasing times.  The Serrin norm and the
-sup-in-time L^3 norm read one column ||u(t_i)||_{L^q}, kept like the band
-table (`Trajectory.lebesgue_column`).
+`_multiplier_norms`, which takes each radial multiplier m as its values on
+the grid's radial table (`grid.RadialTable`) and its blocks from the grid's
+band engine (`grid.multiplier_blocks`: m gathered onto its support box only,
+the product formed there and its complex inverse stages pruned to that
+box).  No multiplier is kept between norms.
+
+Every space-time band table comes from one builder, `band_tables`: a
+trajectory's eps[j, i] = ||Delta_j u(t_i)||_{L^p}, built once per (read-only
+trajectory, p) and kept on the trajectory (`Trajectory.band_table`), which
+the Chemin-Lerner norms, `e_norm` and the sup-in-time Besov norm read, and
+the tables of sampled parts that the drift, source and force norms reduce
+each sample to.  Every Chemin-Lerner-type norm ends in `_cl_from_matrix`,
+which asks for at least 2 strictly increasing times.  The Serrin norm and
+the sup-in-time L^3 norm read one column ||u(t_i)||_{L^q}, kept like the
+band table (`Trajectory.lebesgue_column`).
 
 Heat-characterized norms integrate over smoothing times tau by the trapezoid
 rule in log tau, on `default_tau_grid`: 8 points per decade, an odd count, so
 that every other tau keeps both end points.  Each reports, from the same
 curve, the relative change of the trapezoid sum on every other tau: the error
 of the 4-per-decade sum, a conservative estimate of the error of the 8.  The
-heat symbols are evaluated once per distinct |k|^2 and gathered
-(`grid.heat_derivative_pair`).
+heat symbol of each tau is its values on the radial table
+(`grid.heat_derivative_symbol`), a few thousand entries at 64^3.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .grid import (
     Grid,
     RealVectorField,
     forward_transform,
-    heat_derivative_pair,
+    heat_derivative_symbol,
     last_inverse_stage,
     multiplier_blocks,
 )
@@ -164,8 +167,8 @@ def lebesgue_norm(f: RealVectorField, p: float) -> float:
 
 
 def _multiplier_norms(coeff: np.ndarray, mults, grid: Grid, p: float) -> np.ndarray:
-    """||F^{-1}(m * coeff)||_{L^p} for each (multiplier m, support extent) pair
-    in turn, as lebesgue_norm would give it, bit for bit.
+    """||F^{-1}(m * coeff)||_{L^p} for each multiplier m in turn, given as its
+    values on grid.radial_table, as lebesgue_norm would give it, bit for bit.
 
     The blocks come from `grid.multiplier_blocks`; each component's last
     inverse stage runs inside the L^p reduction (`_lp_norm`), so its samples
@@ -232,16 +235,18 @@ def edge_share(eps: np.ndarray, q: float) -> float:
 
 
 def _edge_warning(levels: np.ndarray, eps: np.ndarray, q: float) -> list[str]:
-    """A warning naming the edge band and its edge_share, if that is nonzero."""
+    """A warning naming the edge band and its edge_share, if that is nonzero.
+    Only the high edge truncates: the bands of band_range telescope exactly
+    to Id - mean, so a low-edge peak is a datum whose lowest torus band
+    dominates."""
     share = edge_share(eps, q)
     if share == 0.0:
         return []
     peak = int(np.argmax(eps))
-    return [
-        f"spectral content concentrated at the {'low' if peak == 0 else 'high'} "
-        f"band-range edge (level {levels[peak]} holds {share:.1%} of the l^q sum); "
-        "truncated dyadic sum may be inaccurate"
-    ]
+    edge, note = (("low", "the lowest torus band dominates") if peak == 0
+                  else ("high", "truncated dyadic sum may be inaccurate"))
+    return [f"spectral content concentrated at the {edge} band-range edge "
+            f"(level {levels[peak]} holds {share:.1%} of the l^q sum); {note}"]
 
 
 def besov_from_profile(levels: np.ndarray, vals: np.ndarray, idx: BesovIndex):
@@ -356,8 +361,8 @@ def _heat_kernel_lp_curve(f: RealVectorField, taus: np.ndarray, p: float) -> np.
     """||K(tau) f||_{L^p} sampled over taus, K(tau) = tau d/dtau exp(tau Lap)."""
     grid = f.grid
     # exp(-tau|k|^2) underflows to 0 at large tau|k|^2, which prunes the inverse
-    pairs = (heat_derivative_pair(grid, tau) for tau in taus)
-    return _multiplier_norms(forward_transform(f.data, grid), pairs, grid, p)
+    symbols = (heat_derivative_symbol(grid, tau) for tau in taus)
+    return _multiplier_norms(forward_transform(f.data, grid), symbols, grid, p)
 
 
 def heat_besov_norm_detailed(f: RealVectorField, idx: BesovIndex,

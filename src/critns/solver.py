@@ -74,7 +74,6 @@ from .grid import (
     TransformPlan,
     forward_transform,
     inverse_transform,
-    radial_symbol,
     _check_time,
     _leray_coefficients,
 )
@@ -292,11 +291,11 @@ def _inside_radius(k_squared: np.ndarray, grid: Grid, fraction: float) -> np.nda
 def dealias_box(grid: Grid) -> RetainedBox:
     """The retained box of the dealias sphere, the sharp radial truncation
     |m| < DEALIAS_FRACTION * N/2: every mode of the sphere lies in the box,
-    and the sphere inside it is the box's mask.  Built once per grid,
+    and the sphere inside it, gathered from its values on the radial table
+    over the box indices, is the box's mask.  Built once per grid,
     read-only."""
     k2 = grid.radial_table.k_squared
-    mask, extent = radial_symbol(grid, _inside_radius(k2, grid, DEALIAS_FRACTION))
-    return RetainedBox(grid, mask, extent)
+    return RetainedBox(grid, _inside_radius(k2, grid, DEALIAS_FRACTION))
 
 
 def _tail_octave_mask(box: RetainedBox, octave_shift: int) -> np.ndarray:

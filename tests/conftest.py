@@ -13,7 +13,7 @@ import critns
 from critns import Grid, cli
 from critns.fields import band_noise
 from critns.grid import (DerivedSnapshots, RealVectorField, RetainedBox, _leray_coefficients,
-                         forward_transform, inverse_transform, radial_symbol)
+                         forward_transform, inverse_transform)
 from critns.norms import _trapezoid_weights
 from critns.solver import Trajectory, _inside_radius, dealias_box
 
@@ -95,7 +95,13 @@ def retained_box(grid, fraction):
     at any fraction, built as solver.dealias_box builds the one at
     DEALIAS_FRACTION."""
     k2 = grid.radial_table.k_squared
-    return RetainedBox(grid, *radial_symbol(grid, _inside_radius(k2, grid, fraction)))
+    return RetainedBox(grid, _inside_radius(k2, grid, fraction))
+
+
+def on_half_spectrum(grid, values):
+    """A radial symbol given as its values on grid.radial_table, gathered
+    onto the whole half spectrum."""
+    return np.take(values, grid.radial_table.inverse)
 
 
 def rfftn(data, grid):
@@ -120,26 +126,28 @@ def laplacian(f):
     return RealVectorField(f.grid, irfftn(-f.grid.k_squared * coeff, f.grid))
 
 
-def box_multiplier(grid, extent, rng):
-    """A random real multiplier that is nonzero exactly on the box |m| <= extent,
-    and the box's indicator."""
+def radial_multiplier(grid, extent, rng):
+    """A random real radial multiplier, as its values on grid.radial_table,
+    nonzero exactly at the |k|^2 whose modes all lie in the box |m| <= extent,
+    so that its support extent is `extent`; and the box's indicator."""
+    table = grid.radial_table
+    values = np.where(table.extent <= extent, 0.5 + rng.random(table.k_squared.size), 0.0)
     inside = np.ones(grid.spectral_shape, dtype=bool)
     for axis, n in enumerate(grid.spectral_shape):
         i = np.arange(n)
         shape = [n if a == axis else 1 for a in range(grid.d)]
         inside &= (np.minimum(i, grid.N - i) <= extent).reshape(shape)
-    m = np.where(inside, 0.5 + rng.random(grid.spectral_shape), 0.0)
-    assert support_extent(grid, m) == extent
-    return m, inside
+    assert support_extent(grid, on_half_spectrum(grid, values)) == extent
+    return values, inside
 
 
 def full_product_blocks(monkeypatch, *modules):
     """Replace the band engine in each module by the reference: every block's
     whole product coeff * m, inverted by irfftn, with the caller's last stage
     made the identity."""
-    def blocks(coeff, pairs, grid):
-        for m, _ in pairs:
-            yield irfftn(coeff * m, grid)
+    def blocks(coeff, symbols, grid):
+        for values in symbols:
+            yield irfftn(coeff * on_half_spectrum(grid, values), grid)
 
     for module in modules:
         monkeypatch.setattr(module, "multiplier_blocks", blocks)

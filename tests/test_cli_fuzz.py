@@ -118,7 +118,7 @@ def _base(command, trajectory_dir):
 
 
 LOW_EDGE = ("AccuracyWarning: spectral content concentrated at the low band-range edge "
-            "(level -1 holds {}% of the l^q sum); truncated dyadic sum may be inaccurate")
+            "(level -1 holds {}% of the l^q sum); the lowest torus band dominates")
 # the level -1 shares of the low-edge warnings that the Besov norms of the
 # 16^2 Taylor-Green data raise, once per distinct message (threshold: the
 # lower bracket member's norm and the report's sup, whose maximum is that

@@ -12,7 +12,7 @@ from critns.grid import (
     HeatFlow,
     TransformPlan,
     forward_transform,
-    heat_derivative_pair,
+    heat_derivative_symbol,
     inverse_transform,
     last_inverse_stage,
     multiplier_blocks,
@@ -21,15 +21,15 @@ from critns.grid import (
 )
 from critns.norms import lebesgue_norm
 
-from conftest import (box_multiplier, gradient, irfftn, laplacian, random_smooth_field, rel_err,
-                      rfftn, single_mode, support_extent)
+from conftest import (gradient, irfftn, laplacian, on_half_spectrum, radial_multiplier,
+                      random_smooth_field, rel_err, rfftn, single_mode, support_extent)
 
 
 def heat_derivative_kernel(f, tau):
     """K(tau) = tau * d/dtau exp(tau*Laplacian) applied to f through the
     symbol the heat norms use."""
     blocks = multiplier_blocks(forward_transform(f.data, f.grid),
-                               [heat_derivative_pair(f.grid, tau)], f.grid)
+                               [heat_derivative_symbol(f.grid, tau)], f.grid)
     return RealVectorField(f.grid, last_inverse_stage(next(blocks), f.grid))
 
 
@@ -108,7 +108,7 @@ class TestPrunedInverse:
     def test_bitwise_equal_to_irfftn(self, d, N):
         # the whole half spectrum and every box from the origin alone to the
         # last one below Nyquist, with 0, 1 or 2 leading axes, against irfftn
-        # of the zero-padded box; the band engine's block of an all-ones
+        # of the zero-padded box; the band engine's block of the all-ones
         # symbol gives the same rows, its last stage run one row at a time
         grid = Grid(d, N)
         rng = np.random.default_rng(N + d)
@@ -124,7 +124,7 @@ class TestPrunedInverse:
                 got = inverse_transform(coeff, grid, M)
                 assert got.tobytes() == want.tobytes(), (lead, M)
                 if lead:
-                    ones = (np.ones(grid.spectral_shape), M)
+                    ones = np.ones(grid.radial_table.k_squared.size)
                     (block,) = multiplier_blocks(padded, [ones], grid)
                     rows = np.stack([last_inverse_stage(row, grid) for row in block])
                     assert rows.tobytes() == want.tobytes(), (lead, M)
@@ -163,22 +163,22 @@ class TestBandEngine:
         # only what the previous one wrote, and its product is formed on its
         # own support box; every block is irfftn of the whole product, bit for
         # bit, also with its last stage run one leading row at a time, and
-        # the pairs are read one per block
+        # the symbols are read one per block
         rng = np.random.default_rng(11)
         coeff = forward_transform(rng.standard_normal(lead + grid.shape), grid)
         half = grid.N // 2
         extents = [half, half // 2 + 1, 1, 0, half // 2, half]
-        mults = [(box_multiplier(grid, M, rng)[0], M) for M in extents]
+        mults = [radial_multiplier(grid, M, rng)[0] for M in extents]
         pulled = []
 
         def lazy():
-            for pair in mults:
-                pulled.append(pair)
-                yield pair
+            for values in mults:
+                pulled.append(values)
+                yield values
 
         for i, block in enumerate(multiplier_blocks(coeff, lazy(), grid)):
             assert len(pulled) == i + 1
-            want = irfftn(coeff * mults[i][0], grid)
+            want = irfftn(coeff * on_half_spectrum(grid, mults[i]), grid)
             assert last_inverse_stage(block, grid).tobytes() == want.tobytes(), i
             if lead:
                 rows = np.stack([last_inverse_stage(row, grid) for row in block])
@@ -193,13 +193,13 @@ class TestBandEngine:
         rng = np.random.default_rng(12)
         coeff = forward_transform(rng.standard_normal(lead + grid.shape), grid)
         extents = [grid.N // 4 + 1, 1, 0, grid.N // 4]
-        pairs = [box_multiplier(grid, M, rng) for M in extents]
-        mults = [(m, M) for (m, _), M in zip(pairs, extents)]
+        pairs = [radial_multiplier(grid, M, rng) for M in extents]
+        mults = [values for values, _ in pairs]
         poisoned = np.where(pairs[0][1], coeff, np.nan)
-        assert np.isnan(irfftn(poisoned * mults[0][0], grid)).all()
+        assert np.isnan(irfftn(poisoned * on_half_spectrum(grid, mults[0]), grid)).all()
         blocks = multiplier_blocks(poisoned, mults, grid)
-        for (m, _), block in zip(mults, blocks, strict=True):
-            want = irfftn(coeff * m, grid)
+        for values, block in zip(mults, blocks, strict=True):
+            want = irfftn(coeff * on_half_spectrum(grid, values), grid)
             assert last_inverse_stage(block, grid).tobytes() == want.tobytes()
 
 

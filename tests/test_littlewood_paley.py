@@ -22,8 +22,8 @@ from critns.lp import (
 )
 from critns.norms import band_profile, lebesgue_norm
 
-from conftest import (full_product_blocks, gradient, random_smooth_field, rel_err, single_mode,
-                      traced)
+from conftest import (full_product_blocks, gradient, on_half_spectrum, random_smooth_field,
+                      rel_err, single_mode, traced)
 
 
 class TestCutoff:
@@ -106,24 +106,25 @@ class TestBands:
         # block took 7.0; reconstruct peaks with the engine's work array, the
         # sum and one band buffer alive
         f = random_smooth_field(grid3m, seed=18, ncomp=3)
-        decompose(f).reconstruct()  # the symbols every equal grid shares
+        decompose(f).reconstruct()  # the grid's radial table, built once
         bands, held, _ = traced(lambda: decompose(f))
         assert held < 1.2 * f.data.nbytes
         _, _, peak = traced(bands.reconstruct)
         assert peak < 4 * f.data.nbytes
 
     @pytest.mark.parametrize("grid", [Grid(2, 24), Grid(3, 16)], ids=["2d", "3d"])
-    def test_cached_symbols_match_chi(self, grid):
+    def test_low_pass_values_match_chi(self, grid):
+        # chi evaluated once per distinct |k|^2 and gathered onto the half
+        # spectrum is chi(|k|/2^j) bit for bit; a level far outside the range
+        # gives the mean-mode indicator or all ones
         lo, hi = band_range(grid)
         kmag = np.sqrt(grid.k_squared)
-        lp._low_pass_symbol.cache_clear()
         for j in range(lo - 3, hi + 4):
-            symbol = _low_pass(grid, j)[0]
-            assert np.array_equal(symbol, chi(kmag / 2.0**j))
-            assert not symbol.flags.writeable
-            endpoint = min(max(j, lo), hi + 1)
-            assert symbol is _low_pass(grid, endpoint)[0]
-        assert lp._low_pass_symbol.cache_info().currsize == hi - lo + 2
+            symbol = on_half_spectrum(grid, _low_pass(grid, j))
+            assert symbol.tobytes() == chi(kmag / 2.0**j).tobytes(), j
+        mean = on_half_spectrum(grid, _low_pass(grid, -2000))
+        assert mean.tobytes() == (kmag == 0).astype(float).tobytes()
+        assert np.all(_low_pass(grid, 2000) == 1.0)
 
     @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
     def test_band_profile_matches_decompose(self, grid3, p):
@@ -286,7 +287,8 @@ class TestPrunedBlocks:
         # multiplier's support, which changes no bit of decompose,
         # paraproduct, low_high, low_pass or band_project; the reference
         # engine forms the whole product and runs irfftn
-        extents = [extent for _, extent in dyadic_multipliers(grid, *band_range(grid))]
+        extents = [grid.radial_table.extent_of(m)
+                   for m in dyadic_multipliers(grid, *band_range(grid))]
         assert min(extents) < grid.N // 2
         f = random_smooth_field(grid, seed=11, ncomp=grid.d)
         g = random_smooth_field(grid, seed=12, ncomp=1).data[0]

@@ -23,7 +23,7 @@ from critns.criticality import sup_critical_norm
 from critns.grid import (
     RealVectorField,
     forward_transform,
-    heat_derivative_pair,
+    heat_derivative_symbol,
     zero_field,
     _scatter,
 )
@@ -53,9 +53,9 @@ from critns.norms import (
 )
 from critns.solver import Trajectory, dealias_box, make_heat_trajectory, sample_trajectory
 
-from conftest import (box_multiplier, dealias_mask, full_product_blocks, irfftn,
-                      random_smooth_field, retained_box, single_mode, support_extent, thin,
-                      traced)
+from conftest import (dealias_mask, full_product_blocks, irfftn, on_half_spectrum,
+                      radial_multiplier, random_smooth_field, retained_box, single_mode,
+                      support_extent, thin, traced)
 
 
 def heat_symbol(grid, tau):
@@ -225,12 +225,12 @@ class TestBlockEngine:
         f = random_smooth_field(grid, seed=6, ncomp=grid.d)
         coeff = forward_transform(f.data, grid)
         lo, hi = band_range(grid)
-        heat = [heat_symbol(grid, tau) for tau in (0.05, 20.0)]
-        mults = list(dyadic_multipliers(grid, lo, hi)) + [(m, support_extent(grid, m))
-                                                          for m in heat]
-        assert mults[-1][1] < grid.N // 2
-        ref = [lebesgue_norm(RealVectorField(grid, irfftn(coeff * m, grid)), p)
-               for m, _ in mults]
+        heat = [heat_derivative_symbol(grid, tau) for tau in (0.05, 20.0)]
+        mults = list(dyadic_multipliers(grid, lo, hi)) + heat
+        assert support_extent(grid, on_half_spectrum(grid, mults[-1])) < grid.N // 2
+        ref = [lebesgue_norm(RealVectorField(grid, irfftn(coeff * on_half_spectrum(grid, m),
+                                                          grid)), p)
+               for m in mults]
         assert list(_multiplier_norms(coeff, mults, grid, p)) == ref
 
 
@@ -261,9 +261,10 @@ class TestBlockEngine:
         coeff = forward_transform(rng.standard_normal((ncomp,) + grid.shape), grid)
         half = grid.N // 2
         extents = [half, half // 2 + 1, 1, 0, half // 2, half]
-        mults = [(box_multiplier(grid, M, rng)[0], M) for M in extents]
-        ref = [lebesgue_norm(RealVectorField(grid, irfftn(coeff * m, grid)), p)
-               for m, _ in mults]
+        mults = [radial_multiplier(grid, M, rng)[0] for M in extents]
+        ref = [lebesgue_norm(RealVectorField(grid, irfftn(coeff * on_half_spectrum(grid, m),
+                                                          grid)), p)
+               for m in mults]
         assert list(_multiplier_norms(coeff, mults, grid, p)) == ref
 
     @pytest.mark.parametrize("p", [2, 3, INF])
@@ -274,12 +275,13 @@ class TestBlockEngine:
         rng = np.random.default_rng(12)
         coeff = forward_transform(rng.standard_normal((grid.d,) + grid.shape), grid)
         extents = [grid.N // 4 + 1, 1, 0, grid.N // 4]
-        pairs = [box_multiplier(grid, M, rng) for M in extents]
-        mults = [(m, M) for (m, _), M in zip(pairs, extents)]
-        ref = [lebesgue_norm(RealVectorField(grid, irfftn(coeff * m, grid)), p)
-               for m, _ in mults]
+        pairs = [radial_multiplier(grid, M, rng) for M in extents]
+        mults = [values for values, _ in pairs]
+        ref = [lebesgue_norm(RealVectorField(grid, irfftn(coeff * on_half_spectrum(grid, m),
+                                                          grid)), p)
+               for m in mults]
         poisoned = np.where(pairs[0][1], coeff, np.nan)
-        assert np.isnan(irfftn(poisoned * mults[0][0], grid)).all()
+        assert np.isnan(irfftn(poisoned * on_half_spectrum(grid, mults[0]), grid)).all()
         assert list(_multiplier_norms(poisoned, mults, grid, p)) == ref
 
 
@@ -501,27 +503,41 @@ class TestHeatSymbolTable:
         # the symbol and its extent are those of the full-spectrum evaluation
         # and the full-spectrum support scan, for the heat symbols (including
         # the large tau where every mode but the lowest underflows to 0), the
-        # low-pass symbols of every level and the dealias masks
+        # low-pass symbols and bands of every level and the dealias masks
         grid = Grid(d, N)
         heat_extents = []
+        table = grid.radial_table
         for tau in np.geomspace(1e-5, 80.0, 37):
-            m, extent = heat_derivative_pair(grid, tau)
+            values = heat_derivative_symbol(grid, tau)
             ref = heat_symbol(grid, tau)
-            assert m.tobytes() == ref.tobytes()
-            assert extent == support_extent(grid, ref)
-            heat_extents.append(extent)
+            assert on_half_spectrum(grid, values).tobytes() == ref.tobytes()
+            assert table.extent_of(values) == support_extent(grid, ref)
+            heat_extents.append(table.extent_of(values))
         assert heat_extents[0] == N // 2 and heat_extents[-1] <= 3
         lo, hi = band_range(grid)
         for j in range(lo - 1, hi + 3):
-            m, extent = lp._low_pass(grid, j)
+            values = lp._low_pass(grid, j)
             ref = chi(np.sqrt(grid.k_squared) / 2.0**j)
-            assert m.tobytes() == ref.tobytes(), j
-            assert extent == support_extent(grid, ref), j
+            assert on_half_spectrum(grid, values).tobytes() == ref.tobytes(), j
+            assert table.extent_of(values) == support_extent(grid, ref), j
+            _, band = dyadic_multipliers(grid, j, j)
+            assert table.extent_of(band) == support_extent(grid, on_half_spectrum(grid, band)), j
         for fraction in (0.5, 2.0 / 3.0, 1.0):
             box = dealias_box(grid) if fraction == 2.0 / 3.0 else retained_box(grid, fraction)
             ref = dealias_mask(grid, fraction)
             assert _scatter(box.mask, grid, box.extent).tobytes() == ref.tobytes(), fraction
             assert box.extent == support_extent(grid, ref), fraction
+
+    def test_band_norms_leave_nothing_behind(self, grid3m):
+        # no symbol outlives the norm that asked for it: past the grid's own
+        # radial table, a band profile and a heat norm keep only the slices
+        # of the box slabs and stage lines, about 14 KiB; one half-spectrum
+        # symbol at 32^3 is 136 KiB
+        f = random_smooth_field(grid3m, seed=3, ncomp=3)
+        idx = BesovIndex.critical(3.0, 3)
+        grid3m.radial_table  # built once, kept by the grid
+        _, held, _ = traced(lambda: (band_profile(f, 3), heat_besov_norm(f, idx)))
+        assert held < 64 * 1024
 
     def test_table_is_read_only_and_cached(self, grid3):
         table = grid3.radial_table

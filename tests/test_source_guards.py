@@ -1,8 +1,9 @@
 """Source guards: every FFT the package runs is made in grid.py, every
 on-read snapshot sequence is one class, box coefficients go back into a half
 spectrum only in the inverse transform, the equation is discretized in one
-place, every dataclass field and every top-level function and class is read,
-and the tests run the CLI through one harness."""
+place, the functools memos are three, every dataclass field and every
+top-level function and class is read, and the tests run the CLI through one
+harness."""
 
 import ast
 from pathlib import Path
@@ -24,6 +25,9 @@ READERS = (TESTS / "test_acceptance.py", TESTS.parent / "perfbench" / "workloads
 # (file, name) of the top-level definitions that have no reader yet: the
 # ROADMAP's time error estimate gives stride_halving_error its caller
 UNREAD = {("norms.py", "stride_halving_error")}
+# (file, function) of the functools memos: the box-slab and stage-line slices
+# of each (d, N, M) and the one dealias box of each grid
+MEMOS = {("grid.py", "_box_slabs"), ("grid.py", "_stage_lines"), ("solver.py", "dealias_box")}
 
 
 def _aliases(tree) -> dict:
@@ -119,6 +123,18 @@ def unread_fields(trees):
                       if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
                       and stmt.target.id not in reads]
     return sorted(found)
+
+
+def memoized(tree):
+    """Sorted names of the functions and methods in tree decorated with
+    functools.cache or functools.lru_cache, called or not, import aliases
+    followed."""
+    alias = _aliases(tree)
+    return sorted(node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(_resolved(dec.func if isinstance(dec, ast.Call) else dec, alias)
+                          in ("functools.cache", "functools.lru_cache")
+                          for dec in node.decorator_list))
 
 
 def owners(tree, hit):
@@ -306,6 +322,29 @@ def test_owner_guard_on_a_snippet():
     tree = ast.parse(src)
     assert owners(tree, lambda node: _names(node, "kernel")) == ["f", "C.m"]
     assert owners(tree, _heat_product) == ["h", "h", "h"]
+
+
+def test_three_memos():
+    # every radial symbol is its values on the grid's radial table, made
+    # when it is asked for and kept by no one; the grid's own arrays are its
+    # cached properties
+    assert {(path.name, name) for path in SRC.glob("*.py")
+            for name in memoized(ast.parse(path.read_text()))} == MEMOS
+
+
+def test_memo_guard_on_a_snippet():
+    src = "\n".join([
+        "import functools", "from functools import cache as c, lru_cache, cached_property",
+        "@functools.cache", "def a(): pass",
+        "@c", "def b(): pass",
+        "@lru_cache(maxsize=2)", "def d(): pass",
+        "@functools.lru_cache", "def e(): pass",
+        "class K:", "    @cached_property", "    def f(self): pass",
+        "    @c", "    def g(self): pass",
+        "def h(): return lru_cache(maxsize=2)(h)",
+        "@other.cache", "def i(): pass",
+    ])
+    assert memoized(ast.parse(src)) == ["a", "b", "d", "e", "g"]
 
 
 def test_every_dataclass_field_is_read():
