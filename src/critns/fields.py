@@ -32,6 +32,15 @@ def _components(ncomp: int) -> int:
     return ncomp
 
 
+def _peak_scaled(f: RealVectorField, amplitude: float) -> RealVectorField:
+    """f scaled in place so that its largest |sample| is amplitude, unless
+    it is zero: the bits of f * (amplitude / max|f|), with no second field."""
+    top = f.max_abs()
+    if top > 0:
+        np.multiply(f.data, float(amplitude / top), out=f.data)
+    return f
+
+
 def taylor_green(grid: Grid, amplitude: float = 1.0) -> RealVectorField:
     """2D vortex lattice u = A(cos x sin y, -sin x cos y) on the L=2*pi box.
 
@@ -95,19 +104,14 @@ def band_noise(grid: Grid, k_lo: float, k_hi: float, seed, ncomp: int | None = N
     nc = grid.d if ncomp is None else _components(ncomp)
     if divergence_free and nc != grid.d:
         raise InvalidFieldError("Leray projection needs one component per axis")
-    rng = _rng(seed)
-    raw = rng.standard_normal((nc,) + grid.shape)
-    coeff = forward_transform(raw, grid)
+    # the noise is freed when the forward returns, before the inverse runs
+    coeff = forward_transform(_rng(seed).standard_normal((nc,) + grid.shape), grid)
     kmag = np.sqrt(grid.k_squared)
     mask = (kmag >= k_lo) & (kmag < k_hi)
     coeff *= mask
     if divergence_free:
         _leray_coefficients(coeff, grid)
-    f = RealVectorField(grid, inverse_transform(coeff, grid))
-    top = f.max_abs()
-    if top > 0:
-        f = f * (amplitude / top)
-    return f
+    return _peak_scaled(RealVectorField(grid, inverse_transform(coeff, grid)), amplitude)
 
 
 def random_divfree_field(grid: Grid, seed, k_lo: float = 1.0, k_hi: float | None = None,
@@ -156,8 +160,4 @@ def localized_divfree_bump(grid: Grid, sigma: float, center=None, seed=0,
         direction = rng.permutation(np.asarray(mode_center, dtype=float))
         g = gabor_bump(grid, sigma, direction, center=center, ncomp=1)
         data.append(g.data[0])
-    f = curl_field(RealVectorField(grid, np.stack(data)))
-    top = f.max_abs()
-    if top > 0:
-        f = f * (amplitude / top)
-    return f
+    return _peak_scaled(curl_field(RealVectorField(grid, np.stack(data))), amplitude)

@@ -17,12 +17,14 @@ the full forward is rfftn, whose staged form is bitwise equal but slower.
 Neither direction writes into its input.  The real last-axis stages are
 numpy.fft's rfft and irfft, the pocketfft of scipy.fft and bitwise equal to
 it, which write into a given array; the complex stages are in-place
-scipy.fft calls.  Every array a staged transform (all but the full forward)
-writes belongs to a `TransformPlan` for one grid, extent and leading shape:
-the solver's stepping loop keeps one per run, a one-shot call builds a
-fresh one, and both run the same code.  numpy.fft has no worker setting, so
-the real stages run on one thread and `scipy.fft.set_workers` reaches only
-the complex ones.
+scipy.fft calls.  The pruned inverse works in the box's last-axis columns
+0..M only: its irfft zero-pads each line to N/2 + 1 inside the call.
+Every array a staged transform (all but the full forward) writes belongs to
+a `TransformPlan` for one grid shape, extent and leading shape, and a
+transform refuses a plan made for another: the solver's stepping loop keeps
+one per run, a one-shot call builds a fresh one, and both run the same
+code.  numpy.fft has no worker setting, so the real stages run on one
+thread and `scipy.fft.set_workers` reaches only the complex ones.
 
 Every radial symbol m(|k|^2), the band and heat-kernel multipliers, the heat
 factor and the dealias mask, is held as its values at the distinct |k|^2 of
@@ -397,30 +399,34 @@ def _gather(half: np.ndarray, grid: Grid, M: int, out: np.ndarray | None = None)
 
 def _scatter(coeff: np.ndarray, grid: Grid, M: int, out: np.ndarray | None = None) -> np.ndarray:
     """Half-spectrum coefficients that hold box coefficients on the box |m| <= M
-    and zero outside it, written into out if given.  out must be zero in
-    the last-axis columns above M; only columns 0..M are zeroed again."""
+    and zero outside it, or, written into out if given, their last-axis
+    columns 0..M: out is a pruned inverse's work array (see
+    `TransformPlan`), zeroed before the box is written."""
     if coeff.shape[coeff.ndim - grid.d:] != _box_shape(grid.d, M):
         raise InvalidFieldError(f"coefficients of shape {coeff.shape} are not the box "
                                 f"of extent {M}")
     if out is None:
         out = np.zeros(coeff.shape[: coeff.ndim - grid.d] + grid.spectral_shape, coeff.dtype)
     else:
-        out[..., : M + 1] = 0.0
+        out.fill(0.0)
     for box, part in _box_slabs(grid.d, grid.N, M):
         out[(..., *part)] = coeff[(..., *box)]
     return out
 
 
 class TransformPlan:
-    """The buffers of the transform pair for one grid, extent M (None for the
-    whole half spectrum) and shape of the leading axes, each allocated when
-    first used and overwritten by every later transform through the plan.
+    """The buffers of the transform pair for one grid shape, extent M (None
+    for the whole half spectrum) and shape of the leading axes, each
+    allocated when first used and overwritten by every later transform
+    through the plan.
 
-    `padded` is the inverse's half spectrum, zero in the last-axis columns
-    above M, which no stage writes; `spectrum` is the forward's last-axis
-    rfft; `box` the forward's result and `samples` the inverse's.  A result
-    written through a plan is valid until the next transform in the same
-    direction through it.
+    `padded` is the inverse's work array: with an extent, the box's
+    last-axis columns 0..M over every leading index, shape lead +
+    (N,)*(d-1) + (M+1,); without one, the whole half spectrum.  `spectrum`
+    is the forward's last-axis rfft; `box` the forward's result and
+    `samples` the inverse's.  A result written through a plan is valid
+    until the next transform in the same direction through it; `padded` is
+    dead between one inverse and the next, so an owner may lend it out.
     """
 
     def __init__(self, grid: Grid, extent: int | None = None, lead: tuple = ()):
@@ -428,7 +434,8 @@ class TransformPlan:
 
     @cached_property
     def padded(self) -> np.ndarray:
-        return np.zeros(self.lead + self.grid.spectral_shape, dtype=np.complex128)
+        last = self.grid.N // 2 if self.extent is None else self.extent
+        return np.zeros(self.lead + self.grid.shape[:-1] + (last + 1,), dtype=np.complex128)
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -443,6 +450,18 @@ class TransformPlan:
         return np.empty(self.lead + self.grid.shape)
 
 
+def _plan_for(plan, grid: Grid, extent: int | None, lead: tuple) -> TransformPlan:
+    """plan, or a fresh plan for grid, extent and the leading shape lead if
+    None; InvalidFieldError if plan was made for another grid shape, extent
+    or leading shape, whose buffers would not fit or would hold stale
+    columns."""
+    if plan is not None and (plan.grid.shape, plan.extent, plan.lead) != (grid.shape, extent, lead):
+        raise InvalidFieldError(f"a transform plan for (grid shape, extent, leading shape) "
+                                f"{plan.grid.shape, plan.extent, plan.lead} cannot serve "
+                                f"{grid.shape, extent, lead}")
+    return TransformPlan(grid, extent, lead) if plan is None else plan
+
+
 def forward_transform(data: np.ndarray, grid: Grid, extent: int | None = None,
                       plan: TransformPlan | None = None) -> np.ndarray:
     """Real-to-complex FFT over the spatial axes with the 1/N^d normalization;
@@ -455,12 +474,12 @@ def forward_transform(data: np.ndarray, grid: Grid, extent: int | None = None,
     by rfftn's own factor; then the complex stages (`_complex_stages`),
     pruned to the box; then a gather into the box layout.  The rfft and the
     box are written into plan's `spectrum` and `box` (a plan for grid, M and
-    data's leading axes), or into a fresh plan's if none is given.
+    data's leading axes, see `_plan_for`), or into a fresh plan's if none is
+    given.
     """
+    plan = _plan_for(plan, grid, extent, data.shape[: data.ndim - grid.d])
     if extent is None:
         return scipy.fft.rfftn(data, axes=range(data.ndim - grid.d, data.ndim), norm="forward")
-    if plan is None:
-        plan = TransformPlan(grid, extent, data.shape[: data.ndim - grid.d])
     half = np.fft.rfft(data, axis=-1, out=plan.spectrum)
     # pocketfft's factor: 1/N^d formed in long double, then rounded, applied
     # to each real and imaginary part of the last-axis stage
@@ -514,20 +533,21 @@ def inverse_transform(coeff: np.ndarray, grid: Grid, extent: int | None = None,
     """Inverse of forward_transform(..., extent): real samples of shape grid.shape.
 
     coeff is copied, or with an extent M < N/2 scattered, into plan's
-    `padded` half spectrum (a plan for grid, the extent and coeff's leading
-    axes, or a fresh plan's if none is given), and irfftn's stages run in
-    place there: the complex ones (`_complex_stages`), pruned to the box
-    |m| <= M, then an irfft along the last axis into plan's `samples`.  The
-    samples are irfftn's bit for bit."""
-    if plan is None:
-        plan = TransformPlan(grid, extent, coeff.shape[: coeff.ndim - grid.d])
+    `padded` work array (a plan for grid, the extent and coeff's leading
+    axes, see `_plan_for`, or a fresh plan's if none is given), and
+    irfftn's stages run in place there: the complex ones
+    (`_complex_stages`), pruned to the box |m| <= M, then an irfft along the
+    last axis into plan's `samples`, which zero-pads the columns 0..M of each
+    line to the whole half spectrum.  The samples are irfftn's bit for
+    bit."""
+    plan = _plan_for(plan, grid, extent, coeff.shape[: coeff.ndim - grid.d])
     if extent is None:
-        work, extent = plan.padded, grid.N // 2
-        np.copyto(work, coeff)
+        np.copyto(plan.padded, coeff)
     else:
-        work = _scatter(np.asarray(coeff, dtype=np.complex128), grid, extent, plan.padded)
-    _complex_stages(work, grid, extent, inverse=True)
-    return last_inverse_stage(work, grid, out=plan.samples)
+        _scatter(np.asarray(coeff, dtype=np.complex128), grid, extent, plan.padded)
+    # over the work array's columns: 0..M, or the whole half spectrum's
+    _complex_stages(plan.padded, grid, plan.padded.shape[-1] - 1, inverse=True)
+    return last_inverse_stage(plan.padded, grid, out=plan.samples)
 
 
 def multiplier_blocks(coeff: np.ndarray, symbols, grid: Grid):
@@ -579,10 +599,11 @@ def spectral_divergence_ratio(f: RealVectorField) -> float:
 
 
 def _leray_coefficients(coeff: np.ndarray, grid: Grid,
-                        scratch: np.ndarray | None = None) -> np.ndarray:
+                        scratch: tuple | np.ndarray | None = None) -> np.ndarray:
     """In-place Leray projection of a (d, ...) coefficient array.  scratch,
-    two arrays of one component's shape and dtype, holds k.u and one term;
-    it is allocated if not given."""
+    two arrays of one component's shape and dtype (a pair of separate
+    arrays or one array of two), holds k.u and one term; it is allocated if
+    not given."""
     kmesh = grid.deriv_wavenumber_mesh
     if scratch is None:
         scratch = np.empty((2,) + coeff.shape[1:], coeff.dtype)

@@ -462,7 +462,7 @@ def ns_equation_residual(traj: Trajectory, forcing=None) -> float:
     window = ((s, forward_transform(s.data, grid, box.extent)) for s in traj.snapshots)
     (_, prev_hat), (u, uh) = next(window), next(window)
     work = StepWorkspace(box, uh.shape[0], forcing is not None)
-    rhs, resid, lap = work.n1, work.pred, work.n2
+    rhs, resid = work.n1, work.pred
     res_l2 = []
     for i, (u_next, next_hat) in enumerate(window, start=1):
         f, g_hat = (None, None) if forcing is None else forcing(float(times[i]))
@@ -473,7 +473,8 @@ def ns_equation_residual(traj: Trajectory, forcing=None) -> float:
         np.subtract(next_hat, prev_hat, out=resid)
         resid /= times[i + 1] - times[i - 1]
         resid -= rhs
-        resid += np.multiply(box.k_squared, uh, out=lap)
+        # the right-hand side is dead once subtracted, and holds k^2 uh
+        resid += np.multiply(box.k_squared, uh, out=rhs)
         res_l2.append(np.sqrt(grid.L**grid.d * work.energy(resid)))
         prev_hat, u, uh = uh, u_next, next_hat
     wts = _trapezoid_weights(times[1:-1])

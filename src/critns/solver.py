@@ -18,8 +18,9 @@ than the full tensor for a change that Leray projection removes, and every
 caller projects.  Its products are formed in one reused buffer and its
 derivative terms summed through one reused box temporary, with the dealias
 mask applied once per component; the box temporary, the trace copy and the
-entries' transform plan form a `FluxWorkspace`, a `StepWorkspace`'s or a
-fresh one per one-shot call.  The convection term P div(u (x) u)
+entries' transform plan form a `FluxWorkspace`, a `StepWorkspace`'s (whose
+plan's last-axis rfft lives in the state's inverse work array) or a fresh
+one per one-shot call.  The convection term P div(u (x) u)
 (`nonlinear_term`), the symmetric pair Q(a, b) (`q_bilinear`), the solver's
 right-hand side and the profile sources all go through it.
 
@@ -28,9 +29,12 @@ right-hand side P[-div(u (x) u) - div(u (x) F + F (x) u) + G] (`rhs`), its
 box Parseval energy (`energy`) and its integrating-factor Heun step
 (`heun`, of a time step and its heat factor), with every large array they
 write (transform plans, flux and product buffers, stage arrays, the Leray
-scratch and the power array).  A run builds one, so a step allocates
-nothing of the grid's size; `profiles.ns_equation_residual` builds one per
-call and reads the flux and the L^2 norm of the equation from it.  Every
+scratch and the power array).  A buffer that is dead when a later stage
+needs one holds that stage: the flux's rfft, the Leray scratch's second
+half and the second stage's right-hand side have no array of their own.
+A run builds one, so a step allocates nothing of the grid's size;
+`profiles.ns_equation_residual` builds one per call and reads the flux
+and the L^2 norm of the equation from it.  Every
 run is a `PerturbationProblem`, whose `forcing` gives the drift and the
 source at a time: `evolve` and `evolve_streaming` run one with neither.
 
@@ -353,12 +357,19 @@ def _pair_product(a: np.ndarray, b: np.ndarray, buf: np.ndarray | None = None,
 class FluxWorkspace:
     """The buffers `_div_flux_hat` writes on one box besides its result: the
     transform plan of one tensor entry, the copy of the trace entry and one
-    derivative term, all made with the workspace.  A `StepWorkspace` holds
-    one; a one-shot call builds its own."""
+    derivative term, all made with the workspace.  The plan's last-axis
+    rfft `spectrum` is the first half spectrum's worth of entries of spare,
+    a contiguous complex array that is dead while the flux runs, if one is
+    given: a `StepWorkspace` holds one workspace and lends it its state's
+    inverse work array, and its `rhs` lends its Leray projection the
+    workspace's `term`.  A one-shot call builds its own, with its own
+    spectrum."""
 
-    def __init__(self, box: RetainedBox):
+    def __init__(self, box: RetainedBox, spare: np.ndarray | None = None):
         self.plan = TransformPlan(box.grid, box.extent)
-        self.plan.spectrum, self.plan.box  # every call transforms entries forward
+        # a view of spare's first entries, or a fresh array if spare is None
+        self.plan.spectrum = np.ndarray(box.grid.spectral_shape, np.complex128, spare)
+        self.plan.box  # every call transforms entries forward
         self.term = np.empty(box.spectral_shape, dtype=np.complex128)
         self.trace = np.empty(box.grid.shape)
 
@@ -457,22 +468,27 @@ class StepWorkspace:
     energy (`energy`) and the integrating-factor Heun step (`heun`).  The
     arrays are the state's transform plan, the flux kernel's
     `FluxWorkspace` and product buffers, the drift flux (only with a
-    drift), the Leray scratch, the stage arrays (`pred`, `n1`, `n2`) and the
-    power scratch, all allocated here.  A solver run builds one, so a step
-    allocates nothing of the grid's size; so does each
-    `profiles.ns_equation_residual` call, which reads the flux and the L^2
-    norm of the equation the step solves.
+    drift), the Leray scratch, the stage arrays (`pred`, `n1`) and the
+    power scratch, all allocated here.  A buffer dead when the next stage
+    needs one holds that stage: the flux's last-axis rfft lives in the
+    state's inverse work array (`TransformPlan.padded`, dead from the end of
+    one state inverse to the start of the next), the Leray projection's
+    second scratch is the flux's `term`, and the second stage's right-hand
+    side is written into `pred` once the predictor is inverted.  A solver
+    run builds one, so a step allocates nothing of the grid's size; so does
+    each `profiles.ns_equation_residual` call, which reads the flux and the
+    L^2 norm of the equation the step solves.
     """
 
     def __init__(self, box: RetainedBox, ncomp: int, drift: bool):
         grid, shape = box.grid, (ncomp,) + box.spectral_shape
         self.box = box
         self.state = TransformPlan(grid, box.extent, (ncomp,))
-        self.flux = FluxWorkspace(box)
+        self.flux = FluxWorkspace(box, self.state.padded)
         self.products = np.empty((2,) + grid.shape)
-        self.pred, self.n1, self.n2 = (np.empty(shape, dtype=np.complex128) for _ in range(3))
+        self.pred, self.n1 = (np.empty(shape, dtype=np.complex128) for _ in range(2))
         self.drift_flux = np.empty(shape, dtype=np.complex128) if drift else None
-        self.leray = np.empty((2,) + box.spectral_shape, dtype=np.complex128)
+        self.leray = np.empty(box.spectral_shape, dtype=np.complex128)
         self.power = np.empty(shape)
         self.square = np.empty(box.spectral_shape)
 
@@ -488,7 +504,7 @@ class StepWorkspace:
                                  work=self.flux, out=self.drift_flux)
         if source is not None:
             acc += _box_forward(source.data, box, self.state)
-        _leray_coefficients(acc, box, self.leray)
+        _leray_coefficients(acc, box, (self.leray, self.flux.term))
 
     def energy(self, coeff: np.ndarray) -> float:
         """sum of multiplicity * |coeff|^2 over the box, the squared L^2 norm
@@ -507,16 +523,18 @@ class StepWorkspace:
         exp(-dt |k|^2), in place; forcing(s) gives the drift and the source
         at time s (see rhs).  pred = heat * (uh + dt * n1), then
         uh = heat * uh + (dt / 2) * (heat * n1 + n2), with the operands in
-        that order.  phys is overwritten by the predictor's samples."""
-        box, pred, n1, n2 = self.box, self.pred, self.n1, self.n2
+        that order; n2, the right-hand side at the predictor, is written
+        into pred, dead once the predictor is inverted.  phys is
+        overwritten by the predictor's samples."""
+        box, pred, n1 = self.box, self.pred, self.n1
         self.rhs(phys, n1, *forcing(t))
         np.multiply(dt, n1, out=pred)
         np.add(uh, pred, out=pred)
         np.multiply(heat, pred, out=pred)
-        self.rhs(inverse_transform(pred, box.grid, box.extent, self.state), n2,
+        self.rhs(inverse_transform(pred, box.grid, box.extent, self.state), pred,
                  *forcing(t + dt))
         np.multiply(heat, n1, out=n1)
-        np.add(n1, n2, out=n1)
+        np.add(n1, pred, out=n1)
         np.multiply(0.5 * dt, n1, out=n1)
         np.multiply(heat, uh, out=uh)
         np.add(uh, n1, out=uh)

@@ -273,6 +273,41 @@ class TestTransformPlan:
                 got = inverse_transform(coeff, grid, M, plan)
                 assert got.tobytes() == irfftn(padded, grid).tobytes(), M
                 assert got is plan.samples
+            # the inverse works in the box's last-axis columns only
+            assert plan.padded.shape == (3,) + grid.shape[:-1] + (M + 1,)
+
+    @pytest.mark.parametrize("case", ["another extent", "another extent, forward",
+                                      "whole spectrum", "another lead",
+                                      "another lead, forward", "another grid shape"])
+    def test_refuses_a_plan_made_for_another_transform(self, case):
+        # a whole-spectrum plan's work array keeps the columns above M that a
+        # full inverse wrote, which a pruned inverse through it would read
+        grid, M = Grid(3, 16), 4
+        rng = np.random.default_rng(22)
+        shape = (3,) + grid.spectral_shape
+        half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        data = rng.standard_normal((3,) + grid.shape)
+        coeff, padded = _box_of(half, grid, M)
+        whole = TransformPlan(grid, None, (3,))
+        inverse_transform(half, grid, plan=whole)
+        call = {
+            "another extent": lambda: inverse_transform(coeff, grid, M, whole),
+            "another extent, forward": lambda: forward_transform(data, grid, M, whole),
+            "whole spectrum": lambda: inverse_transform(half, grid, None,
+                                                        TransformPlan(grid, M, (3,))),
+            "another lead": lambda: inverse_transform(coeff[:1], grid, M,
+                                                      TransformPlan(grid, M, (3,))),
+            "another lead, forward": lambda: forward_transform(data, grid, M,
+                                                               TransformPlan(grid, M)),
+            "another grid shape": lambda: inverse_transform(coeff, grid, M,
+                                                            TransformPlan(Grid(3, 32), M, (3,))),
+        }[case]
+        with pytest.raises(InvalidFieldError, match="transform plan"):
+            call()
+        # a plan serves every grid of its shape: the buffers do not depend on L
+        plan = TransformPlan(Grid(3, 16, 1.0), M, (3,))
+        got = inverse_transform(coeff, grid, M, plan)
+        assert got is plan.samples and got.tobytes() == irfftn(padded, grid).tobytes()
 
 
 class TestLeray:

@@ -520,6 +520,48 @@ class TestBookkeeping:
         assert rel_err(ns_equation_residual(frame_traj),
                        self._physical_residual(frame_traj)) < 1e-12
 
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    def test_residual_matches_a_separate_laplacian(self, grid3, forced):
+        # the residual writes k^2 uh into its right-hand side once it is
+        # subtracted: bitwise a reference that keeps its own Laplacian array
+        from critns.fields import random_divfree_field
+        from critns.grid import _leray_coefficients, forward_transform
+        from critns.norms import _trapezoid_weights
+        from critns.solver import (_box_forward, _div_flux_hat, _pair_product,
+                                   _self_product, dealias_box)
+
+        box = dealias_box(grid3)
+        u0 = random_divfree_field(grid3, seed=47, k_hi=4.0, amplitude=0.5)
+        traj = evolve(u0, SolverConfig(dt=5e-3, T=0.03))
+        drift = random_divfree_field(grid3, seed=48, k_hi=3.0, amplitude=0.3)
+        g = random_divfree_field(grid3, seed=49, k_hi=5.0, amplitude=0.2)
+        g_hat = _leray_coefficients(_box_forward(g.data, box), box)
+
+        def forcing(t):
+            return drift * np.cos(t), g_hat * np.sin(1.0 + t)
+
+        times = traj.times
+        hats = [forward_transform(s.data, grid3, box.extent) for s in traj.snapshots]
+        res_l2 = []
+        for i in range(1, len(times) - 1):
+            u = traj.snapshots[i].data
+            rhs = _div_flux_hat(_self_product(u), box, -1.0)
+            if forced:
+                f, gh = forcing(float(times[i]))
+                rhs -= _div_flux_hat(_pair_product(u, f.data), box)
+            _leray_coefficients(rhs, box)
+            if forced:
+                rhs += gh
+            lap = box.k_squared * hats[i]
+            resid = (hats[i + 1] - hats[i - 1]) / (times[i + 1] - times[i - 1]) - rhs + lap
+            power = resid.real * resid.real
+            power += resid.imag * resid.imag
+            power *= box.multiplicity
+            res_l2.append(np.sqrt(grid3.L**grid3.d * float(np.sum(power))))
+        wts = _trapezoid_weights(times[1:-1])
+        want = float(np.sqrt(np.sum(wts * np.asarray(res_l2)**2)))
+        assert ns_equation_residual(traj, forcing if forced else None) == want
+
 
 class TestNormSplitting:
     def test_single_profile_zero_defect(self, grid3m):

@@ -28,6 +28,7 @@ from critns.solver import (
     RESOLUTION_LIMIT,
     PerturbationProblem,
     SolverConfig,
+    StepWorkspace,
     _div_flux_hat,
     _pair_product,
     _self_product,
@@ -241,6 +242,19 @@ class TestEvolve:
         assert len(above) == 6
         assert max(above) < 0.25, above
 
+    def test_run_peak_stays_within_the_step_budget(self, grid3m):
+        # the traced peak of a whole run above its start (the datum's
+        # transforms, the run's workspace and its steps) stays within 4.5
+        # snapshots; it reads 4.24 here.  The state ROADMAP items 1-3 add to
+        # a step (CFL substeps, the in-run error estimate, per-step L^3
+        # records) is budgeted against this bound: an item that needs more
+        # raises it and says why.
+        u0 = random_divfree_field(grid3m, seed=8, k_hi=3.0, amplitude=0.5)
+        dealias_box(grid3m)  # built once per grid, not by the run
+        cfg = SolverConfig(dt=0.01, T=0.06, snapshot_stride=1)
+        _, _, peak = traced(lambda: evolve_streaming(u0, cfg, lambda snap: None))
+        assert peak / u0.data.nbytes <= 4.5
+
     def test_sup_threshold_trips(self, grid3):
         u0 = random_divfree_field(grid3, seed=8, k_hi=3.0, amplitude=1.0)
         cfg = SolverConfig(dt=5e-3, T=0.1, blowup_sup_threshold=0.5)
@@ -418,6 +432,43 @@ class TestBoxStep:
                 assert dealias_box(grid) is dealias_box(grid)
                 assert dealias_box(grid).extent == box.extent
                 assert dealias_box(grid).mask.tobytes() == box.mask.tobytes()
+
+    @pytest.mark.parametrize("forced", ["plain", "drift", "drift and source"])
+    def test_heun_matches_a_step_on_fresh_arrays(self, grid3, forced):
+        # the workspace's shared buffers (the flux's rfft in the state's
+        # inverse work array, the Leray scratch in the flux term, the second
+        # stage in pred) change no bit: three steps against the formula of
+        # heun's docstring on fresh arrays and one-shot flux and Leray calls
+        box, dt = dealias_box(grid3), 5e-3
+        u0 = random_divfree_field(grid3, seed=35, k_hi=4.0, amplitude=0.8)
+        drift = random_divfree_field(grid3, seed=36, k_hi=3.0, amplitude=0.5)
+        g = random_divfree_field(grid3, seed=37, k_hi=5.0, amplitude=0.2)
+
+        def forcing(t):
+            return (None if forced == "plain" else drift * np.cos(t),
+                    g * np.sin(1.0 + t) if forced == "drift and source" else None)
+
+        def rhs(phys, f, source):
+            acc = _div_flux_hat(_self_product(phys), box, -1.0)
+            if f is not None:
+                acc -= _div_flux_hat(_pair_product(phys, f.data), box)
+            if source is not None:
+                acc += forward_transform(source.data, grid3, box.extent) * box.mask
+            return _leray_coefficients(acc, box)
+
+        heat = np.exp(-dt * box.k_squared)
+        uh = _leray_coefficients(forward_transform(u0.data, grid3, box.extent) * box.mask, box)
+        want = uh.copy()
+        work = StepWorkspace(box, 3, forced != "plain")
+        for step in range(3):
+            t = step * dt
+            n1 = rhs(inverse_transform(want, grid3, box.extent), *forcing(t))
+            pred = heat * (want + dt * n1)
+            n2 = rhs(inverse_transform(pred, grid3, box.extent), *forcing(t + dt))
+            want = heat * want + (0.5 * dt) * (heat * n1 + n2)
+            phys = inverse_transform(uh, grid3, box.extent, work.state)
+            work.heun(uh, phys, t, dt, heat, forcing)
+            assert uh.tobytes() == want.tobytes(), step
 
     def test_box_gather_scatter_roundtrip(self, grid3):
         box = dealias_box(grid3)
