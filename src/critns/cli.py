@@ -315,10 +315,11 @@ def cmd_lp(config: dict, out: Path) -> dict:
 def cmd_evolve(config: dict, out: Path) -> dict:
     c = _read(config, "evolve config", {"grid": _object, "u0": _source, "solver": _object})
     grid = parse_grid(c["grid"])
-    u0 = build_field(c["u0"], grid)
-    # each snapshot is written the step it is taken and dropped
+    # each snapshot is written the step it is taken and dropped; the datum,
+    # built before the solver document is read and named by no one here, is
+    # freed once the run has made its box coefficients
     writer = TrajectoryWriter(out / "trajectory")
-    run = evolve_streaming(u0, parse_solver(c["solver"]), writer.add)
+    run = evolve_streaming(build_field(c["u0"], grid), parse_solver(c["solver"]), writer.add)
     writer.finish(run)
     # a run that turns non-finite at t = 0 takes no snapshot
     final_time = float(run.times[-1]) if run.times.size else None

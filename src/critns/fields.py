@@ -12,6 +12,7 @@ from .errors import DomainError, InvalidFieldError
 from .grid import (
     Grid,
     RealVectorField,
+    TransformPlan,
     _leray_coefficients,
     forward_transform,
     inverse_transform,
@@ -123,25 +124,35 @@ def random_divfree_field(grid: Grid, seed, k_lo: float = 1.0, k_hi: float | None
                       amplitude=amplitude, divergence_free=True)
 
 
+def _curl_coefficients(coeff: np.ndarray, grid: Grid, out: np.ndarray) -> None:
+    """The curl's (3D) or perpendicular gradient's (2D) half-spectrum
+    coefficients of a potential's coeff, written into out."""
+    k = grid.deriv_wavenumber_mesh
+    if grid.d == 2:
+        np.multiply(-1j * k[1], coeff[0], out=out[0])
+        np.multiply(1j * k[0], coeff[0], out=out[1])
+        return
+    # 1j * (k_a c_b - k_b c_a) for (a, b) = (1, 2), (2, 0), (0, 1)
+    term = np.empty_like(coeff[0])
+    for comp, (a, b) in zip(out, ((1, 2), (2, 0), (0, 1))):
+        np.multiply(k[a], coeff[b], out=comp)
+        comp -= np.multiply(k[b], coeff[a], out=term)
+        np.multiply(1j, comp, out=comp)
+
+
 def curl_field(potential: RealVectorField) -> RealVectorField:
     """Spectral curl (3D) or perpendicular gradient of the first component (2D).
 
     Exactly divergence-free in the discrete calculus, and it preserves the
     spatial decay of the potential (unlike the nonlocal Leray projector).
+    The curl's coefficients are formed in the work array of the inverse
+    transform that consumes them, and the potential's are freed before it
+    runs.
     """
     grid = potential.grid
-    coeff = forward_transform(potential.data, grid)
-    k = grid.deriv_wavenumber_mesh
-    if grid.d == 2:
-        psi = coeff[0]
-        comps = [-1j * k[1] * psi, 1j * k[0] * psi]
-    else:
-        comps = [
-            1j * (k[1] * coeff[2] - k[2] * coeff[1]),
-            1j * (k[2] * coeff[0] - k[0] * coeff[2]),
-            1j * (k[0] * coeff[1] - k[1] * coeff[0]),
-        ]
-    return RealVectorField(grid, inverse_transform(np.stack(comps), grid))
+    plan = TransformPlan(grid, lead=(grid.d,))
+    _curl_coefficients(forward_transform(potential.data, grid), grid, plan.padded)
+    return RealVectorField(grid, inverse_transform(plan.padded, grid, plan=plan))
 
 
 def localized_divfree_bump(grid: Grid, sigma: float, center=None, seed=0,
@@ -154,10 +165,8 @@ def localized_divfree_bump(grid: Grid, sigma: float, center=None, seed=0,
     rng = _rng(seed)
     if mode_center is None:
         mode_center = [3.0] + [1.0] * (grid.d - 1)
-    data = []
-    ncomp_pot = 1 if grid.d == 2 else 3
-    for c in range(ncomp_pot):
+    potential = np.empty((1 if grid.d == 2 else 3,) + grid.shape)
+    for comp in potential:
         direction = rng.permutation(np.asarray(mode_center, dtype=float))
-        g = gabor_bump(grid, sigma, direction, center=center, ncomp=1)
-        data.append(g.data[0])
-    return _peak_scaled(curl_field(RealVectorField(grid, np.stack(data))), amplitude)
+        comp[...] = gabor_bump(grid, sigma, direction, center=center, ncomp=1).data[0]
+    return _peak_scaled(curl_field(RealVectorField(grid, potential)), amplitude)

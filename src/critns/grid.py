@@ -538,11 +538,14 @@ def inverse_transform(coeff: np.ndarray, grid: Grid, extent: int | None = None,
     irfftn's stages run in place there: the complex ones
     (`_complex_stages`), pruned to the box |m| <= M, then an irfft along the
     last axis into plan's `samples`, which zero-pads the columns 0..M of each
-    line to the whole half spectrum.  The samples are irfftn's bit for
-    bit."""
+    line to the whole half spectrum.  Whole-spectrum coefficients that a
+    caller formed in the plan's `padded` itself are not copied, and are
+    overwritten; any other coeff is left unwritten.  The samples are
+    irfftn's bit for bit."""
     plan = _plan_for(plan, grid, extent, coeff.shape[: coeff.ndim - grid.d])
     if extent is None:
-        np.copyto(plan.padded, coeff)
+        if coeff is not plan.padded:
+            np.copyto(plan.padded, coeff)
     else:
         _scatter(np.asarray(coeff, dtype=np.complex128), grid, extent, plan.padded)
     # over the work array's columns: 0..M, or the whole half spectrum's
@@ -643,18 +646,27 @@ class HeatFlow:
         self.spectrum = forward_transform(f.require_finite().data, f.grid)
         self.spectrum.flags.writeable = False
 
-    def coefficients(self, t: float) -> np.ndarray:
-        """Half-spectrum coefficients of the flow at t, in a fresh array; the
-        factor exp(-t|k|^2) is evaluated once per distinct |k|^2 and gathered
+    def _damped(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """exp(-t|k|^2) times the kept coefficients, written into out if
+        given; the factor is evaluated once per distinct |k|^2 and gathered
         (`Grid.radial_table`)."""
         _check_time(t)
         table = self.grid.radial_table
-        return self.spectrum * np.take(np.exp(-t * table.k_squared), table.inverse)
+        return np.multiply(self.spectrum, np.take(np.exp(-t * table.k_squared), table.inverse),
+                           out=out)
+
+    def coefficients(self, t: float) -> np.ndarray:
+        """Half-spectrum coefficients of the flow at t, in a fresh array."""
+        return self._damped(t)
 
     def at(self, t: float) -> RealVectorField:
         """The flow at t, transformed back from its coefficients (so at t = 0
-        it is f at roundoff, where heat_semigroup returns f itself)."""
-        return RealVectorField(self.grid, inverse_transform(self.coefficients(t), self.grid))
+        it is f at roundoff, where heat_semigroup returns f itself); the
+        coefficients are formed in the inverse's own work array."""
+        grid = self.grid
+        plan = TransformPlan(grid, lead=self.spectrum.shape[: self.spectrum.ndim - grid.d])
+        return RealVectorField(grid, inverse_transform(self._damped(t, plan.padded), grid,
+                                                       plan=plan))
 
 
 def heat_semigroup(f: RealVectorField, t: float) -> RealVectorField:

@@ -141,10 +141,11 @@ class TrajectoryWriter:
 
 
 def save_trajectory(dirpath, traj) -> None:
-    """Write snap_<index>.cfd for every snapshot, then manifest.json."""
+    """Write snap_<index>.cfd for every snapshot, then manifest.json.
+    Snapshots are read by index, so none outlives its write."""
     writer = TrajectoryWriter(dirpath)
-    for snap in traj.snapshots:
-        writer.add(snap)
+    for i in range(len(traj.snapshots)):
+        writer.add(traj.snapshots[i])
     writer.finish(traj)
 
 

@@ -34,24 +34,30 @@ needs one holds that stage: the flux's rfft, the Leray scratch's second
 half and the second stage's right-hand side have no array of their own.
 A run builds one, so a step allocates nothing of the grid's size;
 `profiles.ns_equation_residual` builds one per call and reads the flux
-and the L^2 norm of the equation from it.  Every
-run is a `PerturbationProblem`, whose `forcing` gives the drift and the
-source at a time: `evolve` and `evolve_streaming` run one with neither.
+and the L^2 norm of the equation from it.  A forced run is a
+`PerturbationProblem`, whose `forcing` gives the drift and the source at a
+time; `evolve` and `evolve_streaming` run the plain equation.
 
 There is one stepping loop, `_integrate`, which inverts the state, records
 it, hands out its snapshot, applies the trip rule (`trip_reason`, which its
-`RunLog` keeps) and steps.  It hands each snapshot to a consumer the step it
-is taken, with the box coefficients it is the inverse transform of; a
-snapshot handed out is a read-only view of the workspace's samples, valid
-until the consumer returns.  `evolve` and `evolve_perturbed` keep a copy of
-the coefficients inside the dealias sphere per snapshot (about 16% of the
-snapshots' bytes at the 2/3 rule, against 30% for the whole box; the rest
-of the box is exactly zero) and return a read-only `Trajectory` whose
-snapshots are made on read (`DerivedSnapshots`): one pruned inverse per
-read, bitwise the snapshot the step took.  `evolve_streaming` passes the
-snapshots on (`cli evolve` writes each to disk and drops it, so it holds one
-at a time, and the threshold search reduces each to its critical norm) and
-returns the rest of the run as a `RunLog`.
+`RunLog` keeps) and steps.  It starts from box coefficients, not from a
+datum: `_start` checks the datum finite, transforms it onto the box,
+truncates it to the mask and projects it, and `evolve` and
+`evolve_streaming` drop their name for the datum before the loop, so a
+datum passed to them as a temporary (`cli evolve`'s, each threshold
+probe's) is freed once it is transformed.  The loop hands each snapshot to
+a consumer the step it is taken, with the box coefficients it is the
+inverse transform of; a snapshot handed out is a read-only view of the
+workspace's samples, valid until the consumer returns.  `evolve` and
+`evolve_perturbed` keep a copy of the coefficients inside the dealias
+sphere per snapshot (about 16% of the snapshots' bytes at the 2/3 rule,
+against 30% for the whole box; the rest of the box is exactly zero) and
+return a read-only `Trajectory` whose snapshots are made on read
+(`DerivedSnapshots`): one pruned inverse per read, bitwise the snapshot the
+step took.  `evolve_streaming` passes the snapshots on (`cli evolve` writes
+each to disk and drops it, so it holds one at a time, and the threshold
+search reduces each to its critical norm) and returns the rest of the run
+as a `RunLog`.
 
 A run aborts with status "ResolutionLimit" on the first step where the
 sup-norm or the top-octave spectral energy fraction exceeds its threshold
@@ -284,6 +290,11 @@ class PerturbationProblem:
                 sum(parts[1:], parts[0]) if parts else None)
 
 
+def _unforced(t: float) -> tuple:
+    """The forcing of the plain equation: neither a drift nor a source."""
+    return None, None
+
+
 def _inside_radius(k_squared: np.ndarray, grid: Grid, fraction: float) -> np.ndarray:
     """|m| < fraction * N/2 in index units, on any array of the grid's |k|^2."""
     radius = fraction * grid.N / 2.0
@@ -467,14 +478,17 @@ class StepWorkspace:
     P[-div(u (x) u) - div(u (x) F + F (x) u) + G] (`rhs`), the box Parseval
     energy (`energy`) and the integrating-factor Heun step (`heun`).  The
     arrays are the state's transform plan, the flux kernel's
-    `FluxWorkspace` and product buffers, the drift flux (only with a
-    drift), the Leray scratch, the stage arrays (`pred`, `n1`) and the
-    power scratch, all allocated here.  A buffer dead when the next stage
-    needs one holds that stage: the flux's last-axis rfft lives in the
-    state's inverse work array (`TransformPlan.padded`, dead from the end of
-    one state inverse to the start of the next), the Leray projection's
-    second scratch is the flux's `term`, and the second stage's right-hand
-    side is written into `pred` once the predictor is inverted.  A solver
+    `FluxWorkspace` and product buffers (one of the grid's size, and with a
+    drift a second, which only the pair product writes), the drift flux
+    (only with a drift), the Leray scratch, the stage arrays (`pred`, `n1`)
+    and the power scratch, all allocated here.  A buffer dead when the next
+    stage needs one holds that stage: the flux's last-axis rfft lives in
+    the state's inverse work array (`TransformPlan.padded`, dead from the
+    end of one state inverse to the start of the next), the Leray
+    projection's second scratch is the flux's `term`, and the second
+    stage's right-hand side is written into `pred` once the predictor is
+    inverted.  A source is forwarded one component at a time through the
+    flux's plan, so the state's plan never transforms forward.  A solver
     run builds one, so a step allocates nothing of the grid's size; so does
     each `profiles.ns_equation_residual` call, which reads the flux and the
     L^2 norm of the equation the step solves.
@@ -485,7 +499,7 @@ class StepWorkspace:
         self.box = box
         self.state = TransformPlan(grid, box.extent, (ncomp,))
         self.flux = FluxWorkspace(box, self.state.padded)
-        self.products = np.empty((2,) + grid.shape)
+        self.products = np.empty((2 if drift else 1,) + grid.shape)
         self.pred, self.n1 = (np.empty(shape, dtype=np.complex128) for _ in range(2))
         self.drift_flux = np.empty(shape, dtype=np.complex128) if drift else None
         self.leray = np.empty(box.spectral_shape, dtype=np.complex128)
@@ -503,7 +517,10 @@ class StepWorkspace:
             acc -= _div_flux_hat(_pair_product(phys, drift.data, *self.products), box,
                                  work=self.flux, out=self.drift_flux)
         if source is not None:
-            acc += _box_forward(source.data, box, self.state)
+            # one component at a time through the flux's plan, whose rfft is
+            # one component's
+            for total, comp in zip(acc, source.data):
+                total += _box_forward(comp, box, self.flux.plan)
         _leray_coefficients(acc, box, (self.leray, self.flux.term))
 
     def energy(self, coeff: np.ndarray) -> float:
@@ -540,10 +557,24 @@ class StepWorkspace:
         np.add(uh, n1, out=uh)
 
 
-def _integrate(prob: PerturbationProblem, cfg: SolverConfig, take) -> RunLog:
-    """Integrating-factor Heun steps of prob on the retained box of the
-    dealias sphere.
+def _start(w0: RealVectorField) -> np.ndarray:
+    """The box coefficients a run starts from: the datum w0, checked finite,
+    transformed onto its grid's dealias box, truncated to the box's mask
+    and Leray-projected."""
+    w0.require_finite()
+    box = dealias_box(w0.grid)
+    return _leray_coefficients(_box_forward(w0.data, box), box)
 
+
+def _integrate(grid: Grid, uh: np.ndarray, cfg: SolverConfig, take,
+               prob: PerturbationProblem | None = None) -> RunLog:
+    """Integrating-factor Heun steps, on the retained box of grid's dealias
+    sphere, from the box coefficients uh (`_start`, stepped in place) under
+    the drift and the source of prob, or of the plain equation if prob is
+    None.
+
+    The run starts from coefficients, not from a datum, so a datum that
+    only the caller's first lines named is freed before the first step.
     The spectral state uh, the heat factor and the tail-octave mask live on
     the box, in the box layout that both transforms read and write, and
     every large array a step writes belongs to one `StepWorkspace` built
@@ -558,13 +589,11 @@ def _integrate(prob: PerturbationProblem, cfg: SolverConfig, take) -> RunLog:
     writes out (`cli evolve`), and holds one snapshot at a time however
     many the run records.
     """
-    grid = prob.w0.grid
-    prob.w0.require_finite()
     box = dealias_box(grid)
     tail_mask = _tail_octave_mask(box, cfg.tail_octave_shift)
     heat = np.exp(-cfg.dt * box.k_squared)
-    uh = _leray_coefficients(_box_forward(prob.w0.data, box), box)
-    work = StepWorkspace(box, uh.shape[0], prob.drift is not None)
+    forcing = _unforced if prob is None else prob.forcing
+    work = StepWorkspace(box, uh.shape[0], prob is not None and prob.drift is not None)
     n_steps = max(1, round(cfg.T / cfg.dt))
     times = []
     records = {"t": [], "l2": [], "linf": [], "tail_fraction": []}
@@ -592,7 +621,7 @@ def _integrate(prob: PerturbationProblem, cfg: SolverConfig, take) -> RunLog:
             status = RESOLUTION_LIMIT
             break
         if step < n_steps:
-            work.heun(uh, phys, t, cfg.dt, heat, prob.forcing)
+            work.heun(uh, phys, t, cfg.dt, heat, forcing)
 
     return RunLog(
         grid=grid,
@@ -604,17 +633,19 @@ def _integrate(prob: PerturbationProblem, cfg: SolverConfig, take) -> RunLog:
     )
 
 
-def _collected(prob: PerturbationProblem, cfg: SolverConfig) -> Trajectory:
-    """_integrate with every snapshot kept as a read-only copy of its box
-    coefficients inside the dealias sphere (`uh[:, inside]`, about 16% of
-    the snapshot's bytes at the 2/3 rule), as a read-only Trajectory whose
-    snapshot i is their inverse transform, the call the step made.
+def _collected(grid: Grid, uh: np.ndarray, cfg: SolverConfig,
+               prob: PerturbationProblem | None = None) -> Trajectory:
+    """_integrate from uh under prob with every snapshot kept as a read-only
+    copy of its box coefficients inside the dealias sphere (`uh[:, inside]`,
+    about 16% of the snapshot's bytes at the 2/3 rule), as a read-only
+    Trajectory whose snapshot i is their inverse transform, the call the
+    step made.
 
     The box entries outside the sphere are exactly zero at every step (the
     datum and every right-hand side are truncated to the mask, and Leray
     projection keeps zeros), so a read scatters the kept entries into a
     zeroed box and inverts it, bitwise the step's snapshot."""
-    grid, box = prob.w0.grid, dealias_box(prob.w0.grid)
+    box = dealias_box(grid)
     inside = box.mask.astype(bool)
     packed = []
 
@@ -627,7 +658,7 @@ def _collected(prob: PerturbationProblem, cfg: SolverConfig) -> Trajectory:
         coeff[:, inside] = packed[i]
         return RealVectorField(grid, inverse_transform(coeff, grid, box.extent))
 
-    run = _integrate(prob, cfg, keep)
+    run = _integrate(grid, uh, cfg, keep, prob)
     return Trajectory(grid=grid, times=run.times,
                       snapshots=DerivedSnapshots(len(packed), snapshot),
                       records=run.records, status=run.status, config_echo=run.config_echo)
@@ -640,14 +671,14 @@ def condition_datum(f: RealVectorField) -> RealVectorField:
     solver's own conditioning is a no-op and decompositions close at roundoff.
     """
     grid = f.grid
-    box = dealias_box(grid)
-    coeff = _leray_coefficients(_box_forward(f.data, box), box)
-    return RealVectorField(grid, inverse_transform(coeff, grid, box.extent))
+    return RealVectorField(grid, inverse_transform(_start(f), grid, dealias_box(grid).extent))
 
 
 def evolve(u0: RealVectorField, cfg: SolverConfig) -> Trajectory:
     """Mild Navier-Stokes evolution of a divergence-free, mean-free datum."""
-    return _collected(PerturbationProblem(u0), cfg)
+    grid, uh = u0.grid, _start(u0)
+    del u0  # a datum passed as a temporary is freed here
+    return _collected(grid, uh, cfg)
 
 
 def evolve_streaming(u0: RealVectorField, cfg: SolverConfig, take) -> RunLog:
@@ -655,8 +686,16 @@ def evolve_streaming(u0: RealVectorField, cfg: SolverConfig, take) -> RunLog:
     taken instead of kept: the same steps and snapshots, bit for bit, in
     the memory of one snapshot.  The snapshot is a new read-only view of
     the solver's own samples, valid until take returns: take reduces it,
-    writes it out or copies it."""
-    return _integrate(PerturbationProblem(u0), cfg, lambda snap, coeff: take(snap))
+    writes it out or copies it.
+
+    The run starts from the datum's box coefficients, and this call drops
+    its name for u0 once they are made: a datum passed as a temporary
+    (`evolve_streaming(make(...), cfg, take)`) is freed before the first
+    step, while a datum the caller keeps a name for stays the caller's,
+    unchanged."""
+    grid, uh = u0.grid, _start(u0)
+    del u0
+    return _integrate(grid, uh, cfg, lambda snap, coeff: take(snap))
 
 
 def evolve_perturbed(prob: PerturbationProblem, cfg: SolverConfig) -> Trajectory:
@@ -679,7 +718,7 @@ def evolve_perturbed(prob: PerturbationProblem, cfg: SolverConfig) -> Trajectory
         if ncomp != prob.w0.ncomp:
             raise GridMismatchError(f"drift trajectory has {ncomp} components, "
                                     f"w0 has {prob.w0.ncomp}")
-    return _collected(prob, cfg)
+    return _collected(prob.w0.grid, _start(prob.w0), cfg, prob)
 
 
 def make_heat_trajectory(u0: RealVectorField, times) -> Trajectory:

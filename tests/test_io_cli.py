@@ -22,7 +22,7 @@ from critns.grid import RealVectorField
 from critns.io import (TrajectoryWriter, load_trajectory, read_field, save_trajectory,
                        write_field)
 from critns.solver import SolverConfig, evolve, make_heat_trajectory
-from conftest import run_cli
+from conftest import run_cli, traced
 
 
 class TestCFD1:
@@ -125,6 +125,20 @@ class TestTrajectoryPersistence:
         with pytest.raises(FileNotFoundError):
             load_trajectory(tmp_path / "traj")
 
+    def test_save_holds_one_snapshot_at_a_time(self, tmp_path):
+        # snapshot i is read by index and written, so no loop variable holds
+        # the one before while the next is made: 2.07 snapshots traced here
+        # (a snapshot and the inverse's work array), 4.13 when it did
+        grid = Grid(3, 32)
+        u0 = random_divfree_field(grid, seed=4, k_hi=3.0)
+        traj = make_heat_trajectory(u0, np.linspace(0.0, 0.1, 9))
+        save_trajectory(tmp_path / "warm", traj)  # the radial table, built once
+        _, _, peak = traced(lambda: save_trajectory(tmp_path / "traj", traj))
+        assert peak / u0.data.nbytes <= 2.5
+        for i, snap in enumerate(traj.snapshots):
+            assert read_field(tmp_path / "traj" / f"snap_{i}.cfd").data.tobytes() == \
+                snap.data.tobytes()
+
     def test_manifest_contents(self, tmp_path, grid3):
         u0 = random_divfree_field(grid3, seed=4, k_hi=3.0, amplitude=0.1)
         traj = evolve(u0, SolverConfig(dt=0.01, T=0.03))
@@ -203,6 +217,28 @@ class TestStreamingEvolve:
         res = run_cli(["evolve", "--config", cfg, "--out", str(workdir / "out")])
         assert res.returncode == 0
         assert len(written) == count
+
+    def test_datum_freed_before_the_first_write(self, workdir, monkeypatch):
+        # cmd_evolve hands the built datum to the run as a temporary, and the
+        # run drops it once it has its box coefficients
+        datum, dead = [], []
+        build, add = cli.build_field, TrajectoryWriter.add
+
+        def built(source, grid):
+            f = build(source, grid)
+            datum.append(weakref.ref(f.data))
+            return f
+
+        def added(writer, snap):
+            dead.append(datum[0]() is None)
+            add(writer, snap)
+
+        monkeypatch.setattr(cli, "build_field", built)
+        monkeypatch.setattr(TrajectoryWriter, "add", added)
+        cfg = self._evolve_doc(workdir, 3, 0.5, 3.0, {"dt": 0.01, "T": 0.03})
+        res = run_cli(["evolve", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 0
+        assert len(datum) == 1 and dead == [True] * 4
 
 
 TG = {"generator": {"type": "taylor_green"}}

@@ -11,6 +11,12 @@ by snapshot, JSON files by their parsed contents.  The keys `timestamp` and
 `wall_clock_s` are left out, and the temporary directory's path is replaced
 by a fixed name wherever a string holds it.  Two trees whose digests agree
 produced the same bits for every workload.
+
+One more case, `forced24`, is not a benchmark workload: the forced path that
+no workload runs.  It digests a 24^3 `evolve_perturbed` run with a drift (a
+solver run) and a source, every snapshot and record, and both forms of
+`ns_equation_residual`: the plain one of the drift and the forced one of
+the perturbed run.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 UNTIMED = {"timestamp", "wall_clock_s"}
+FORCED = "forced24"
 
 
 class Digest:
@@ -81,17 +88,52 @@ def workload_digest(workload, seed: int) -> str:
         return digest.hash.hexdigest()
 
 
+def forced_digest(seed: int) -> str:
+    """The forced24 case: a perturbed run with a drift and a source."""
+    from critns import Grid
+    from critns.fields import random_divfree_field
+    from critns.grid import _leray_coefficients, forward_transform
+    from critns.profiles import ns_equation_residual
+    from critns.solver import (PerturbationProblem, SolverConfig, dealias_box, evolve,
+                               evolve_perturbed)
+
+    grid = Grid(3, 24)
+    box = dealias_box(grid)
+    cfg = SolverConfig(dt=5e-3, T=0.05)
+    drift = evolve(random_divfree_field(grid, seed=seed + 1, k_hi=3.0, amplitude=0.5), cfg)
+    g = random_divfree_field(grid, seed=seed + 2, k_hi=4.0, amplitude=0.3)
+
+    def source(t):
+        return g * np.cos(t)
+
+    prob = PerturbationProblem(random_divfree_field(grid, seed=seed, k_hi=3.0, amplitude=0.4),
+                               drift=drift, force_parts=(source, None))
+    run = evolve_perturbed(prob, cfg)
+
+    def forcing(t):
+        coeff = forward_transform(source(t).data, grid, box.extent) * box.mask
+        return drift.at(t), _leray_coefficients(coeff, box)
+
+    digest = Digest("<workdir>")  # no directory: its name replaces only itself
+    digest.feed(run)
+    digest.feed([ns_equation_residual(drift), ns_equation_residual(run, forcing)])
+    return digest.hash.hexdigest()
+
+
 def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
 
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS),
-                    help="a workload to digest (repeatable); all of them by default")
+    ap.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS) + [FORCED],
+                    help="a workload, or the forced24 case, to digest (repeatable); all of "
+                         "them by default")
     args = ap.parse_args(argv)
-    for name in args.workload or list(workloads.WORKLOADS):
-        print(f"{name} {workload_digest(workloads.WORKLOADS[name], args.seed)}", flush=True)
+    for name in args.workload or [*workloads.WORKLOADS, FORCED]:
+        value = (forced_digest(args.seed) if name == FORCED
+                 else workload_digest(workloads.WORKLOADS[name], args.seed))
+        print(f"{name} {value}", flush=True)
     return 0
 
 
