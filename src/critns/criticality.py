@@ -308,25 +308,33 @@ def pairing_table(traj: Trajectory, tests: RankOneBattery) -> np.ndarray:
     a time: one matrix product over the last axis, then one einsum per
     remaining axis, last to first.  No bump is formed; the largest temporary
     is N^(d-1) * count per component.  The weights then sum over components.
+    Each snapshot is read inside its own row's call, so it is freed before
+    the next one is read.
     """
     grid = traj.grid
     if not grid.compatible(tests.grid):
         raise DomainError("test field grid mismatch")
-    w = grid.cell_volume
-    last = tests.factors[:, -1].T
-    table = np.empty((len(traj.snapshots), len(tests)))
-    for k, snap in enumerate(traj.snapshots):
-        if tests.weights.shape[1] != snap.ncomp:
-            raise DomainError(f"the test fields have {tests.weights.shape[1]} components, "
-                              f"the trajectory has {snap.ncomp}")
-        per_comp = np.empty((len(tests), snap.ncomp))
-        for c, comp in enumerate(snap.data):
-            partial = (comp.reshape(-1, grid.N) @ last).reshape(grid.shape[:-1] + (-1,))
-            for a in range(grid.d - 2, -1, -1):
-                partial = np.einsum("...xi,ix->...i", partial, tests.factors[:, a])
-            per_comp[:, c] = partial
-        table[k] = np.sum(tests.weights * per_comp, axis=1) * w
+    snaps = traj.snapshots
+    table = np.empty((len(snaps), len(tests)))
+    for k in range(len(snaps)):
+        table[k] = _pairings(snaps[k], tests)
     return table
+
+
+def _pairings(snap: RealVectorField, tests: RankOneBattery) -> np.ndarray:
+    """The row of pairing_table for one snapshot."""
+    grid = snap.grid
+    if tests.weights.shape[1] != snap.ncomp:
+        raise DomainError(f"the test fields have {tests.weights.shape[1]} components, "
+                          f"the trajectory has {snap.ncomp}")
+    last = tests.factors[:, -1].T
+    per_comp = np.empty((len(tests), snap.ncomp))
+    for c, comp in enumerate(snap.data):
+        partial = (comp.reshape(-1, grid.N) @ last).reshape(grid.shape[:-1] + (-1,))
+        for a in range(grid.d - 2, -1, -1):
+            partial = np.einsum("...xi,ix->...i", partial, tests.factors[:, a])
+        per_comp[:, c] = partial
+    return np.sum(tests.weights * per_comp, axis=1) * grid.cell_volume
 
 
 def make_test_battery(grid: Grid, count: int = 8, seed: int = 7) -> RankOneBattery:

@@ -192,15 +192,27 @@ def decompose(f: RealVectorField, j_min: int | None = None,
 
 def _low_high_sum(blocks_f, blocks_g):
     """sum_b (sum_{a <= b - 2} f_a) * g_b over aligned block sequences led by the
-    low block, streamed: only two f blocks wait to join the low-pass sum.  The
-    first += on the float zeros makes new arrays, so no block is written to."""
+    low block, streamed: f_{b-1} joins the low-pass sum once block b has used
+    it, so one f block waits, and no g block is alive while the next is made.
+    Each product is formed one row (leading index) at a time and added into
+    its row of the sum, so for f[:, None] and g[None] no temporary holds
+    every pair.  The first += on the float zero makes a new array, so no
+    block is written to."""
     total = low = 0.0
-    pending = []
-    for f_b, g_b in zip(blocks_f, blocks_g):
-        if len(pending) == 2:
-            low += pending.pop(0)
-            total += low * g_b
-        pending.append(f_b)
+    blocks_g = iter(blocks_g)
+    for b, f_b in enumerate(blocks_f):
+        g_b = next(blocks_g)
+        if b >= 2:
+            if b == 2:
+                shape = np.broadcast_shapes(low.shape, g_b.shape)
+                total = np.zeros(shape)
+            for out, low_i, g_i in zip(total, np.broadcast_to(low, shape),
+                                       np.broadcast_to(g_b, shape)):
+                out += low_i * g_i
+        if b:
+            low += prev_f
+        prev_f = f_b
+        del g_b
     return total
 
 

@@ -11,13 +11,16 @@ Bookkeeping avoids transform round trips.  A solver snapshot is already
 divergence-free, and a whole-cell translation (unit scale) is an exact roll
 that commutes with Leray projection, so such a part is rolled and not
 re-projected; only real dilations are.  A synthesized datum is projected once.
-The remainder's heat flow comes from one forward transform per index n, kept
-on the EvolvedSystem.  The remainder equation's source G is summed on the
-dealias box as Leray-projected coefficients; its paraproduct piece is split
-off with one broadcast low-high sum, and part1 and G - part1 are the only
-inverse transforms.  The equation residual stays on that box too: one pruned
-forward transform per snapshot, and the solver's own right-hand side and
-Parseval energy (`solver.StepWorkspace`).
+The remainder's heat flow comes from one forward transform per index n, and
+the EvolvedSystem keeps the flow of the index last asked for only: a sweep
+over one index reuses it, and a new index replaces it.  The profile runs
+keep no frame either: each lookup reads the frame it needs.  The remainder
+equation's source G is summed on the dealias box as Leray-projected
+coefficients; its paraproduct piece is split off with one low-high sum over
+every component pair, formed one row of pairs at a time, and part1 and
+G - part1 are the only inverse transforms.  The equation residual stays on
+that box too: one pruned forward transform per snapshot, and the solver's
+own right-hand side and Parseval energy (`solver.StepWorkspace`).
 
 The bookkeeping is bounded in memory: every trajectory it derives makes its
 snapshots on read.  A remainder (`remainder`) and its frame rescaling
@@ -32,7 +35,7 @@ The weak-convergence battery that probes these trajectories lives in
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -192,10 +195,11 @@ class EvolvedSystem:
     @cached_property
     def remainder_flow(self):
         """n -> heat flow of the system's remainder at index n: its spectrum,
-        transformed once and kept for every later time.  The cache refers to
-        the system, not to this object."""
+        transformed once and kept, for the index last asked for only, for
+        every later time at that index.  The cache refers to the system,
+        not to this object."""
         remainder_at = self.system.remainder_at
-        return cache(lambda n: HeatFlow(remainder_at(n)))
+        return lru_cache(maxsize=1)(lambda n: HeatFlow(remainder_at(n)))
 
     def remainder_heat(self, n: int, t: float) -> RealVectorField:
         """heat_semigroup(system.remainder_at(n), t), bitwise, from the kept

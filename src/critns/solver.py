@@ -35,8 +35,10 @@ half and the second stage's right-hand side have no array of their own.
 A run builds one, so a step allocates nothing of the grid's size;
 `profiles.ns_equation_residual` builds one per call and reads the flux
 and the L^2 norm of the equation from it.  A forced run is a
-`PerturbationProblem`, whose `forcing` gives the drift and the source at a
-time; `evolve` and `evolve_streaming` run the plain equation.
+`PerturbationProblem`, whose `sweep` gives one run's forcing: the drift
+at a time, read through a two-frame window that lives for that run, and
+the source, made only when the step has summed its fluxes; `evolve` and
+`evolve_streaming` run the plain equation.
 
 There is one stepping loop, `_integrate`, which inverts the state, records
 it, hands out its snapshot, applies the trip rule (`trip_reason`, which its
@@ -68,7 +70,7 @@ maximal existence time, never the true blow-up time.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import asdict, dataclass, field
 from functools import cache, cached_property, lru_cache
 
@@ -169,11 +171,14 @@ class Trajectory:
     `profiles.remainder` or a `scaling.apply_lambda_spacetime` rescaling
     recomputes the snapshot from the trajectory it is derived from.  Any
     other snapshots are held in memory as a read-only tuple, and a read
-    costs nothing.  A reader that needs a snapshot twice keeps it (`at`,
-    through `_frame`, an LRU cache of the two snapshot reads used last, and
-    `profiles.ns_equation_residual`, which keeps each beside its dealias-box
-    coefficients).  Every band table of the trajectory comes from
-    `norms.band_tables`, one snapshot a sample.
+    costs nothing.  The trajectory keeps no frame it has read: `at` reads
+    the one or two frames it needs on each call.  A reader that needs a
+    snapshot twice keeps it: a sweep forward through the times reads
+    through its own window of the two frames used last (`sweep`, which
+    `evolve_perturbed` makes for its drift, one per run), and
+    `profiles.ns_equation_residual` keeps each snapshot beside its
+    dealias-box coefficients.  Every band table of the trajectory comes
+    from `norms.band_tables`, one snapshot a sample.
     """
 
     grid: Grid
@@ -225,14 +230,6 @@ class Trajectory:
                                 np.array([lebesgue_norm(snaps[i], q) for i in range(len(snaps))]))
         return column[0]
 
-    @cached_property
-    def _frame(self):
-        """i -> snapshot i, through a window of the two frames used last, so
-        that a solver sweeping forward through the times reads each snapshot
-        of an on-demand sequence about once.  The cache refers to the
-        snapshots, not to the trajectory."""
-        return lru_cache(maxsize=2)(self.snapshots.__getitem__)
-
     @property
     def final_time(self) -> float:
         return float(self.times[-1])
@@ -246,23 +243,36 @@ class Trajectory:
         return self.times[0] - eps <= t <= self.final_time + eps
 
     def at(self, t: float) -> RealVectorField:
-        """Snapshot at time t, linearly interpolated between recorded frames."""
+        """Snapshot at time t, linearly interpolated between recorded frames,
+        each frame read for this call."""
+        return self._interpolated(t, self.snapshots.__getitem__)
+
+    def sweep(self):
+        """t -> at(t), bitwise, for a reader sweeping forward through the
+        times: the frames are read through a window of the two used last,
+        which lives as long as the returned callable, so each snapshot of
+        an on-demand sequence is read about once per sweep."""
+        frame = lru_cache(maxsize=2)(self.snapshots.__getitem__)
+        return lambda t: self._interpolated(t, frame)
+
+    def _interpolated(self, t: float, frame) -> RealVectorField:
+        """Snapshot at time t from frame(i) -> snapshot i."""
         if not self.covers(t):
             recorded = (f"recorded range [{self.times[0]}, {self.final_time}]"
                         if self.times.size else "a trajectory with no snapshot")
             raise TrajectoryCoverageError(f"time {t} outside {recorded}")
         if len(self.snapshots) == 1:
-            return self._frame(0)
+            return frame(0)
         t = min(max(t, self.times[0]), self.final_time)
         i = int(np.searchsorted(self.times, t, side="right") - 1)
         i = min(max(i, 0), len(self.snapshots) - 2)
         t0, t1 = self.times[i], self.times[i + 1]
         theta = (t - t0) / (t1 - t0)
         if theta <= 1e-12:
-            return self._frame(i)
+            return frame(i)
         if theta >= 1.0 - 1e-12:
-            return self._frame(i + 1)
-        return self._frame(i) * (1.0 - theta) + self._frame(i + 1) * theta
+            return frame(i + 1)
+        return frame(i) * (1.0 - theta) + frame(i + 1) * theta
 
     def window_indices(self, interval=None) -> np.ndarray:
         """Indices of the snapshots whose times lie in a closed interval."""
@@ -282,12 +292,23 @@ class PerturbationProblem:
     drift: Trajectory | None = None
     force_parts: tuple = (None, None)
 
-    def forcing(self, t: float) -> tuple:
-        """(drift F, source G) at time t, each None when absent, as
-        `StepWorkspace.rhs` takes them."""
+    def source(self, t: float) -> RealVectorField | None:
+        """The source G at time t, the sum of the force parts, or None."""
         parts = [g(t) for g in self.force_parts if g is not None]
-        return (None if self.drift is None else self.drift.at(t),
-                sum(parts[1:], parts[0]) if parts else None)
+        return sum(parts[1:], parts[0]) if parts else None
+
+    def sweep(self):
+        """The forcing of one run, s -> (drift F at s, source G at s as a
+        callable), each None when absent, as `StepWorkspace.rhs` takes them.
+        The drift is read through a window of its two frames used last
+        (`Trajectory.sweep`), which lives as long as the returned callable."""
+        drift = None if self.drift is None else self.drift.sweep()
+        forced = any(g is not None for g in self.force_parts)
+
+        def forcing(s: float) -> tuple:
+            return (None if drift is None else drift(s),
+                    (lambda: self.source(s)) if forced else None)
+        return forcing
 
 
 def _unforced(t: float) -> tuple:
@@ -507,10 +528,12 @@ class StepWorkspace:
         self.square = np.empty(box.spectral_shape)
 
     def rhs(self, phys: np.ndarray, acc: np.ndarray, drift: RealVectorField | None = None,
-            source: RealVectorField | None = None) -> None:
+            source: Callable[[], RealVectorField] | None = None) -> None:
         """P[-div(u (x) u) - div(u (x) F + F (x) u) + G] for the samples phys
         of u, the drift F and the source G (each term only when given),
-        written into acc."""
+        written into acc.  source() gives G; it is asked for once the
+        fluxes are summed, so the field it makes is not alive while they
+        run."""
         box = self.box
         _div_flux_hat(_self_product(phys, self.products[0]), box, -1.0, self.flux, acc)
         if drift is not None:
@@ -519,7 +542,7 @@ class StepWorkspace:
         if source is not None:
             # one component at a time through the flux's plan, whose rfft is
             # one component's
-            for total, comp in zip(acc, source.data):
+            for total, comp in zip(acc, source().data):
                 total += _box_forward(comp, box, self.flux.plan)
         _leray_coefficients(acc, box, (self.leray, self.flux.term))
 
@@ -537,11 +560,11 @@ class StepWorkspace:
              heat: np.ndarray, forcing) -> None:
         """One integrating-factor Heun step of the box coefficients uh, whose
         samples are phys, from t to t + dt with the heat factor heat =
-        exp(-dt |k|^2), in place; forcing(s) gives the drift and the source
-        at time s (see rhs).  pred = heat * (uh + dt * n1), then
-        uh = heat * uh + (dt / 2) * (heat * n1 + n2), with the operands in
-        that order; n2, the right-hand side at the predictor, is written
-        into pred, dead once the predictor is inverted.  phys is
+        exp(-dt |k|^2), in place; forcing(s) gives the drift at time s and
+        the source at time s as a callable (see rhs).  pred = heat * (uh +
+        dt * n1), then uh = heat * uh + (dt / 2) * (heat * n1 + n2), with the
+        operands in that order; n2, the right-hand side at the predictor, is
+        written into pred, dead once the predictor is inverted.  phys is
         overwritten by the predictor's samples."""
         box, pred, n1 = self.box, self.pred, self.n1
         self.rhs(phys, n1, *forcing(t))
@@ -592,7 +615,7 @@ def _integrate(grid: Grid, uh: np.ndarray, cfg: SolverConfig, take,
     box = dealias_box(grid)
     tail_mask = _tail_octave_mask(box, cfg.tail_octave_shift)
     heat = np.exp(-cfg.dt * box.k_squared)
-    forcing = _unforced if prob is None else prob.forcing
+    forcing = _unforced if prob is None else prob.sweep()
     work = StepWorkspace(box, uh.shape[0], prob is not None and prob.drift is not None)
     n_steps = max(1, round(cfg.T / cfg.dt))
     times = []

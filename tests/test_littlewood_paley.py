@@ -242,6 +242,34 @@ class TestParaproduct:
                 assert np.array_equal(pairs[i, j], paraproduct(grid, f[i], g[j])[0])
 
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)], ids=["2d", "3d"])
+    def test_low_high_rows_equal_the_broadcast_sum(self, d, N):
+        # reference: every block listed first, each whole (d, d) product of
+        # the (d, 1) low-pass sum and the (1, d) band formed by broadcasting
+        grid = Grid(d, N)
+        f = random_smooth_field(grid, seed=17, ncomp=d).data[:, None]
+        g = random_smooth_field(grid, seed=18, ncomp=d).data[None]
+        blocks_f = list(lp.dyadic_blocks(grid, f, *band_range(grid)))
+        blocks_g = list(lp.dyadic_blocks(grid, g, *band_range(grid)))
+        want = low = 0.0
+        for b in range(2, len(blocks_g)):
+            low += blocks_f[b - 2]
+            want += low * blocks_g[b]
+        assert low_high(grid, f, g).tobytes() == want.tobytes()
+
+    def test_low_high_pairs_peak_memory(self, grid3m):
+        # one f block waiting, no g block alive while the next is made and
+        # one row of products at a time: 12.3 snapshots' bytes (each factor's
+        # spectrum and work array, its blocks, the low-pass sum, the (3, 3)
+        # sum and one row), where a (3, 3) product temporary and two waiting
+        # f blocks took 14.3
+        f = random_smooth_field(grid3m, seed=19, ncomp=3).data
+        g = random_smooth_field(grid3m, seed=20, ncomp=3).data
+        low_high(grid3m, f[:, None], g[None])  # the symbols every equal grid shares
+        pairs, _, peak = traced(lambda: low_high(grid3m, f[:, None], g[None]))
+        assert pairs.shape == (3, 3) + grid3m.shape
+        assert peak < 13 * f.nbytes
+
+    @pytest.mark.parametrize("d, N", [(2, 32), (3, 16)], ids=["2d", "3d"])
     def test_streamed_parts_equal_the_block_list_sums(self, d, N):
         # reference: every block of both factors listed first, then each part
         # summed over the lists in the same order

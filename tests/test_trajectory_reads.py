@@ -78,6 +78,17 @@ def test_loaded_reduction_holds_under_three_snapshots(saved, reduction):
     assert peak < 3 * mem.snapshots[0].data.nbytes
 
 
+def test_pairing_table_holds_one_snapshot_at_a_time(saved):
+    # each snapshot is freed before the next is read: 1.10 snapshots' bytes,
+    # where a loop keeping the last snapshot while reading the next took 2.02
+    mem, path = saved
+    battery = make_test_battery(mem.grid)
+    pairing_table(load_trajectory(path), battery)  # the grid's shared tables
+    table, _, peak = traced(lambda: pairing_table(load_trajectory(path), battery))
+    assert table.tobytes() == pairing_table(mem, battery).tobytes()
+    assert peak < 1.5 * mem.snapshots[0].data.nbytes
+
+
 def test_large_battery_probe_holds_under_three_snapshots(saved):
     # the battery is made inside the traced call: 64 bumps stacked whole would
     # be 21 snapshots alone, their factors are 48 KiB
@@ -321,8 +332,8 @@ def test_remainder_reads_nothing_until_its_norm(superposed, snapshot_reads):
 
 
 def test_remainder_norm_holds_under_three_snapshots(superposed):
-    # the eager remainder held its 11 snapshots (11.0 snapshots' bytes beyond
-    # the profile runs' frame windows); the on-read one holds its band table
+    # the eager remainder held its 11 snapshots; the on-read one holds its
+    # band table, and the profile runs keep no frame it read
     sys_, cfg, ev, u = superposed
     snapshot = u.snapshots[0].data.nbytes
 
@@ -332,9 +343,26 @@ def test_remainder_norm_holds_under_three_snapshots(superposed):
 
     reduce()  # the symbols and tables every equal grid shares
     _, held, peak = traced(reduce)
-    windows = snapshot * sum(traj._frame.cache_info().currsize for traj in ev.trajectories)
-    assert held - windows < 3 * snapshot
+    assert held < 3 * snapshot
     assert peak < 15 * snapshot
+
+
+def test_swept_system_keeps_no_frame_and_one_remainder_flow(superposed):
+    # after a remainder norm at index 1 and the source norms at index 0 the
+    # system keeps the remainder flow of index 0 (1.06 snapshots' bytes) and
+    # nothing else: no profile frame and no flow of index 1, which with
+    # two-frame windows on the runs and one flow per index held 6.2
+    sys_, cfg, ev, u = superposed
+    snapshot = u.snapshots[0].data.nbytes
+
+    def sweep(system):
+        e_norm(remainder(u, system, sys_, 1), 4, 4, cfg.T)
+        source_norms(system, sys_, 0, cfg.T, 4.0, n_samples=3)
+
+    sweep(replace(ev))  # the symbols and tables every equal grid shares
+    fresh = replace(ev)  # the same runs with no remainder flow made yet
+    _, held, _ = traced(lambda: sweep(fresh))
+    assert held < 1.5 * snapshot
 
 
 def test_source_norms_equal_the_two_trajectory_form(superposed):
