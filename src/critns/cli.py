@@ -141,7 +141,8 @@ def _vector(value, where: str, d=None, kind=float) -> tuple:
 
 
 def _indices(value, where: str, d=None) -> tuple:
-    """A non-empty list of integers (sequence indices, see _check_indices)."""
+    """A non-empty list of integers (sequence indices; `ScaleCoreSequence`
+    checks their range)."""
     return _vector(_list(value, where), where, None, int)
 
 
@@ -166,14 +167,6 @@ def _variant(doc, where: str, tag: str, table: dict) -> tuple:
         raise ConfigValidationError(f"{where}: unknown {tag} {name!r}, "
                                     f"expected one of {sorted(table)}")
     return name, {key: value for key, value in doc.items() if key != tag}
-
-
-def _check_indices(n_values: tuple, sequences, where: str) -> None:
-    size = min(len(s) for s in sequences)
-    bad = [n for n in n_values if not 0 <= n < size]
-    if bad:
-        raise ConfigValidationError(
-            f"{where}: n_values {bad} outside the sequence range [0, {size})")
 
 
 def _inf_as_string(node):
@@ -342,13 +335,10 @@ def cmd_superpose(config: dict, out: Path) -> dict:
     rem = parse_remainder(c["remainder"], grid) if "remainder" in c else None
     sys_ = ProfileSystem(profiles=profiles, remainder=rem)
     if "J" in c:
-        if c["J"] < 0:
-            raise ConfigValidationError(f"superpose config: J must be >= 0, got {c['J']}")
         sys_ = sys_.truncate(c["J"])
     sys_.validate()
     cfg = parse_solver(c["solver"])
     p, n_values = c["p"], c["n_values"]
-    _check_indices(n_values, [seq for _, seq in sys_.profiles], "superpose config")
     ev = evolve_system(sys_, cfg, n_values)
     rows = []
     status = "Completed"
@@ -378,7 +368,6 @@ def cmd_ortho(config: dict, out: Path) -> dict:
     sa = parse_sequence(c["seq_a"], grid.d)
     sb = parse_sequence(c["seq_b"], grid.d)
     p = c["p"]
-    _check_indices(c["n_values"], [sa, sb], "ortho config")
     verdict = orthogonality_check(sa, sb, c.get("K", 3))
     rows = [{"n": n,
              "cross_term": cross_term(f, g, sa[n], sb[n], p),

@@ -32,9 +32,10 @@ the grid's `RadialTable`, a 1-D array of a few thousand entries at 64^3,
 never as a half-spectrum array.  The table reads each symbol's support
 extent M off its values (`RadialTable.extent_of`).  `multiplier_blocks`,
 the one band engine, gathers each symbol onto the slabs of its box |m| <= M
-only, forms the product there and runs the pruned complex stages; its
-callers run the last stage.  `HeatFlow` gathers exp(-t|k|^2) onto the half
-spectrum and `RetainedBox` its mask onto the box.
+only (`_box_slabs`, the transforms' own slabs), forms the product there and
+runs the pruned complex stages; its callers run the last stage.  `HeatFlow`
+gathers exp(-t|k|^2) onto the half spectrum and `RetainedBox` its mask onto
+the box.
 
 A `RetainedBox` is the index box |m| <= M of the half spectrum that holds
 every mode a truncation mask keeps, stored as a dense array of its own; it
@@ -379,9 +380,12 @@ def _box_shape(d: int, M: int) -> tuple:
 @cache
 def _box_slabs(d: int, N: int, M: int) -> tuple:
     """(box slices, half-spectrum slices) over the trailing d axes of each
-    slab of the box |m| <= M < N/2 in RetainedBox layout, one per choice of
-    the 0..M or -M..-1 range on every leading axis.  Built once per (d, N, M),
-    not per Grid: the slices do not depend on L."""
+    slab of the box |m| <= M in RetainedBox layout, one per choice of the
+    0..M or -M..-1 range on every leading axis.  When 2M+1 >= N a leading
+    axis has one range, all of it, so the one slab spans every leading index
+    (only its half-spectrum slices are meant: `multiplier_blocks`; the
+    transforms' boxes have M < N/2).  Built once per (d, N, M), not per Grid:
+    the slices do not depend on L."""
     lead = list(zip([slice(0, M + 1), slice(M + 1, 2 * M + 1)], _lead_slices(N, M)))
     last = [(slice(0, M + 1), slice(0, M + 1))]
     return tuple(tuple(zip(*combo)) for combo in itertools.product(*([lead] * (d - 1) + [last])))
@@ -574,9 +578,7 @@ def multiplier_blocks(coeff: np.ndarray, symbols, grid: Grid):
         # a box spanning every leading index overwrites its columns 0..extent
         covered = extent + 1 if 2 * extent + 1 >= grid.N else 0
         work[..., covered:dirty] = 0.0
-        # one slab per choice of range on every leading axis
-        for lead in itertools.product(_lead_slices(grid.N, extent), repeat=grid.d - 1):
-            slab = (*lead, slice(0, extent + 1))
+        for _, slab in _box_slabs(grid.d, grid.N, extent):
             np.multiply(coeff[(..., *slab)], np.take(values, table.inverse[slab]),
                         out=work[(..., *slab)])
         dirty = extent + 1
@@ -646,18 +648,15 @@ class HeatFlow:
         self.spectrum = forward_transform(f.require_finite().data, f.grid)
         self.spectrum.flags.writeable = False
 
-    def _damped(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
-        """exp(-t|k|^2) times the kept coefficients, written into out if
-        given; the factor is evaluated once per distinct |k|^2 and gathered
+    def coefficients(self, t: float, out: np.ndarray | None = None) -> np.ndarray:
+        """Half-spectrum coefficients of the flow at t, exp(-t|k|^2) times the
+        kept ones, in a fresh array or written into out if given; the factor
+        is evaluated once per distinct |k|^2 and gathered
         (`Grid.radial_table`)."""
         _check_time(t)
         table = self.grid.radial_table
         return np.multiply(self.spectrum, np.take(np.exp(-t * table.k_squared), table.inverse),
                            out=out)
-
-    def coefficients(self, t: float) -> np.ndarray:
-        """Half-spectrum coefficients of the flow at t, in a fresh array."""
-        return self._damped(t)
 
     def at(self, t: float) -> RealVectorField:
         """The flow at t, transformed back from its coefficients (so at t = 0
@@ -665,7 +664,7 @@ class HeatFlow:
         coefficients are formed in the inverse's own work array."""
         grid = self.grid
         plan = TransformPlan(grid, lead=self.spectrum.shape[: self.spectrum.ndim - grid.d])
-        return RealVectorField(grid, inverse_transform(self._damped(t, plan.padded), grid,
+        return RealVectorField(grid, inverse_transform(self.coefficients(t, plan.padded), grid,
                                                        plan=plan))
 
 

@@ -20,11 +20,12 @@ Every space-time band table comes from one builder, `band_tables`: a
 trajectory's eps[j, i] = ||Delta_j u(t_i)||_{L^p}, built once per (read-only
 trajectory, p) and kept on the trajectory (`Trajectory.band_table`), which
 the Chemin-Lerner norms, `e_norm` and the sup-in-time Besov norm read, and
-the tables of sampled parts that the drift, source and force norms reduce
-each sample to.  Every Chemin-Lerner-type norm ends in `_cl_from_matrix`,
-which asks for at least 2 strictly increasing times.  The Serrin norm and
-the sup-in-time L^3 norm read one column ||u(t_i)||_{L^q}, kept like the
-band table (`Trajectory.lebesgue_column`).
+the tables of sampled parts.  The perturbation estimate's drift, source and
+force norms reduce each sample to such a table in one sampler,
+`sampled_norms`, and nowhere else.  Every Chemin-Lerner-type norm ends in
+`_cl_from_matrix`, which asks for at least 2 strictly increasing times.  The
+Serrin norm and the sup-in-time L^3 norm read one column ||u(t_i)||_{L^q},
+kept like the band table (`Trajectory.lebesgue_column`).
 
 Heat-characterized norms integrate over smoothing times tau by the trapezoid
 rule in log tau, on `default_tau_grid`: 8 points per decade, an odd count, so
@@ -218,6 +219,17 @@ def band_tables(grid: Grid, count: int, sample, p: float) -> tuple[np.ndarray, l
              for coeff in [forward_transform(part.data, grid) for part in sample(i)]]
             for i in range(count)]
     return levels, [np.array(col).T for col in zip(*rows)] or [np.empty((levels.size, 0))]
+
+
+def sampled_norms(grid: Grid, times: np.ndarray, sample, p: float, spaces) -> list:
+    """The Chemin-Lerner norm over times of each part that sample(t) returns,
+    part k in the space (rho, BesovIndex) spaces[k]: the parts' band tables
+    (`band_tables`, one sample at a time), each reduced by `_cl_from_matrix`.
+    The drift, source and force norms of the perturbation estimate are these."""
+    levels, tables = band_tables(grid, times.size, lambda i: sample(times[i]), p)
+    # no sample gives one empty table, which the first norm's time check refuses
+    return [_cl_from_matrix(times, levels, eps, *space)
+            for eps, space in zip(tables, spaces)]
 
 
 def edge_share(eps: np.ndarray, q: float) -> float:

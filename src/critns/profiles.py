@@ -11,22 +11,27 @@ Bookkeeping avoids transform round trips.  A solver snapshot is already
 divergence-free, and a whole-cell translation (unit scale) is an exact roll
 that commutes with Leray projection, so such a part is rolled and not
 re-projected; only real dilations are.  A synthesized datum is projected once.
-The remainder's heat flow comes from one forward transform per index n, and
-the EvolvedSystem keeps the flow of the index last asked for only: a sweep
-over one index reuses it, and a new index replaces it.  The profile runs
-keep no frame either: each lookup reads the frame it needs.  The remainder
-equation's source G is summed on the dealias box as Leray-projected
-coefficients; its paraproduct piece is split off with one low-high sum over
-every component pair, formed one row of pairs at a time, and part1 and
-G - part1 are the only inverse transforms.  The equation residual stays on
-that box too: one pruned forward transform per snapshot, and the solver's
-own right-hand side and Parseval energy (`solver.StepWorkspace`).
+`ProfileSystem.validate` requires the remainder's base, like every profile,
+to be a divergence-free velocity field, so its heat flow is one more such
+part: every frame, the lab frame's superposition and the rescaled frame of
+the remainder equation alike, reads it from `EvolvedSystem.remainder_heat`,
+one forward transform per index n.  The EvolvedSystem keeps the flow of the
+index last asked for only: a sweep over one index reuses it, and a new index
+replaces it.  The profile runs keep no frame either: each lookup reads the
+frame it needs.  The remainder equation's source G is summed on the dealias
+box as Leray-projected coefficients; its paraproduct piece is split off with
+one low-high sum over every component pair, formed one row of pairs at a
+time, and part1 and G - part1 are the only inverse transforms.  The equation
+residual stays on that box too: one pruned forward transform per snapshot,
+and the solver's own right-hand side and Parseval energy
+(`solver.StepWorkspace`).
 
 The bookkeeping is bounded in memory: every trajectory it derives makes its
 snapshots on read.  A remainder (`remainder`) and its frame rescaling
 (`scaling.apply_lambda_spacetime`, in `remainder_equation_residual`)
 recompute each snapshot when it is read, and the drift and source norms
-reduce each sample to its band profiles before the next is made.
+reduce each sample to its band profiles before the next is made
+(`norms.sampled_norms`).
 
 The weak-convergence battery that probes these trajectories lives in
 `criticality`, beside the probe that reads it.
@@ -56,13 +61,12 @@ from .grid import (
 )
 from .lp import low_high, low_pass
 from .norms import (
-    _cl_from_matrix,
     _trapezoid_weights,
     band_profile,
-    band_tables,
     critical_exponent,
     perturbation_spaces,
     power_sums,
+    sampled_norms,
 )
 from .scaling import (ScaleCore, ScaleCoreSequence, apply_lambda, apply_lambda_spacetime,
                       is_whole_cell_roll, orthogonality_check)
@@ -113,17 +117,24 @@ class ProfileSystem:
         return self.profiles[j][1]
 
     def truncate(self, J: int) -> "ProfileSystem":
+        """Profiles 0..J and the same remainder; DomainError unless J >= 0."""
+        if J < 0:
+            raise DomainError(f"J must be >= 0, got {J}")
         return ProfileSystem(profiles=self.profiles[: J + 1], remainder=self.remainder)
 
     def validate(self) -> None:
-        """DomainError unless every profile is a divergence-free velocity field
-        (spectral divergence ratio <= 1e-8) and every pair of scale/core
-        sequences is orthogonal over its last 3 indices."""
-        for j, (phi, _) in enumerate(self.profiles):
-            if phi.ncomp != self.grid.d:
-                raise DomainError(f"profile {j} is not a velocity field")
-            if spectral_divergence_ratio(phi) > 1e-8:
-                raise DomainError(f"profile {j} is not divergence-free")
+        """DomainError unless every profile and the remainder's base is a
+        divergence-free velocity field (spectral divergence ratio <= 1e-8;
+        the remainder is checked at index 0, its base) and every pair of
+        scale/core sequences is orthogonal over its last 3 indices.  The
+        remainder's heat flow is then divergence-free too, so every frame
+        maps it as it maps a profile part (`_rescaled`)."""
+        parts = [(f"profile {j}", phi) for j, (phi, _) in enumerate(self.profiles)]
+        for name, f in parts + [("the remainder", self.remainder_at(0))]:
+            if f.ncomp != self.grid.d:
+                raise DomainError(f"{name} is not a velocity field")
+            if spectral_divergence_ratio(f) > 1e-8:
+                raise DomainError(f"{name} is not divergence-free")
         for j in range(len(self.profiles)):
             for jp in range(j + 1, len(self.profiles)):
                 verdict = orthogonality_check(self.sequence(j), self.sequence(jp), 3)
@@ -214,13 +225,15 @@ def evolve_system(sys: ProfileSystem, cfg: SolverConfig, n_window) -> EvolvedSys
 
     Each profile's horizon covers cfg.T / min_n lambda_{j,n}^2 over the tested
     window, so rescaled lookups never run off the end.  The profiles are
-    ordered at the window's first index.
+    ordered at the window's first index.  Every sequence reads the window
+    before any profile runs, so an index outside a sequence's range stops
+    the call first (`ScaleCoreSequence`).
     """
     n_window = list(n_window)
+    lam_mins = [min(seq[n].lam for n in n_window) for _, seq in sys.profiles]
     trajectories, lifespans = [], []
-    for j, (phi, seq) in enumerate(sys.profiles):
-        lam_min = min(seq[n].lam for n in n_window)
-        scale = 1.0 / lam_min**2
+    for j, (phi, _) in enumerate(sys.profiles):
+        scale = 1.0 / lam_mins[j]**2
         # snapshot every step: superposition lookups at t/lambda^2 then hit
         # recorded frames exactly for dyadic lambda^2, avoiding interpolation
         # error in the remainder.  The run keeps each frame as its
@@ -300,15 +313,14 @@ def _profile_parts(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float,
 def _frame_components(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float):
     """Rescaled-frame profile fields U^{j,0}(t) and remainder heat flow W(t).
 
-    The remainder is user data, so its heat flow is Leray-projected once, on
-    the kept spectrum, before the frame map.
+    W is the lab frame's remainder heat flow (`EvolvedSystem.remainder_heat`)
+    at t lam_frame^2, mapped into the frame like a profile part: a validated
+    remainder is divergence-free, so a whole-cell roll keeps it as is and a
+    real dilation is re-projected (`_rescaled`).
     """
-    grid = sys.grid
     frame = ev.frame(n)
     parts = list(_profile_parts(ev, sys, n, t, frame))
-    w_hat = _leray_coefficients(ev.remainder_flow(n).coefficients(t * frame.lam**2), grid)
-    w_box = RealVectorField(grid, inverse_transform(w_hat, grid))
-    w = _rescaled(w_box, frame.inverse(), name="remainder")
+    w = _rescaled(ev.remainder_heat(n, t * frame.lam**2), frame.inverse(), name="remainder")
     return parts, w
 
 
@@ -320,14 +332,12 @@ def drift_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float) -> RealV
 
 
 def drift_norm(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: float,
-               n_samples: int = 9) -> float:
+               n_samples: int) -> float:
     """L^p-in-time B^{s_p + 2/p}_{p,p} norm of the drift over [0, T0]."""
     grid = sys.grid
     *_, drift = perturbation_spaces(p, grid.d)
     times = np.linspace(0.0, T0, n_samples)
-    levels, (eps,) = band_tables(grid, times.size,
-                                 lambda i: (drift_term(ev, sys, n, times[i]),), p)
-    return _cl_from_matrix(times, levels, eps, *drift)
+    return sampled_norms(grid, times, lambda t: (drift_term(ev, sys, n, t),), p, [drift])[0]
 
 
 def _source(parts: list, w: RealVectorField):
@@ -375,18 +385,15 @@ def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float):
 
 
 def source_norms(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: float,
-                 n_samples: int = 7) -> dict:
+                 n_samples: int) -> dict:
     """Sum-space upper bound: part1 in L^{2p/(p+1)} B^{s_p-1+1/p}, part2 in
     L^{p'} B^{s_p-2/p}; the F-norm bound is their sum.  One source_term per
     sample time gives both parts' band profiles, and the parts are dropped
     before the next time."""
     grid = sys.grid
-    part1, part2, _ = perturbation_spaces(p, grid.d)
+    *spaces, _ = perturbation_spaces(p, grid.d)
     times = np.linspace(0.0, T0, n_samples)
-    levels, tables = band_tables(grid, times.size, lambda i: source_term(ev, sys, n, times[i]), p)
-    # no sample gives one empty table, which the first norm's time check refuses
-    n1, n2 = (_cl_from_matrix(times, levels, eps, *space)
-              for eps, space in zip(tables, (part1, part2)))
+    n1, n2 = sampled_norms(grid, times, lambda t: source_term(ev, sys, n, t), p, spaces)
     return {"paraproduct_part": n1, "zeta_part": n2, "upper_bound": n1 + n2}
 
 

@@ -70,6 +70,9 @@ class ScaleCoreSequence:
         return len(self.entries)
 
     def __getitem__(self, n: int) -> ScaleCore:
+        """Entry n; DomainError unless 0 <= n < len."""
+        if not 0 <= n < len(self.entries):
+            raise DomainError(f"sequence index {n} outside the range [0, {len(self.entries)})")
         return self.entries[n]
 
 

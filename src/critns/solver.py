@@ -91,14 +91,13 @@ from .grid import (
 )
 from .norms import (
     BesovIndex,
-    _cl_from_matrix,
     band_tables,
     besov_norm,
     chemin_lerner_norm,
-    critical_exponent,
     e_norm,
     lebesgue_norm,
     perturbation_spaces,
+    sampled_norms,
 )
 
 COMPLETED = "Completed"
@@ -808,22 +807,19 @@ def verify_perturbation_bound(prob: PerturbationProblem, cfg: SolverConfig,
     d = grid.d
     if not (1 <= p < 2 * d + 3):  # NaN fails too
         raise DomainError(f"perturbation bound requires 1 <= p < 2d+3 = {2*d+3}, got {p}")
-    sp = critical_exponent(p, d)
     traj = evolve_perturbed(prob, cfg)
     if not traj.times.size:
         raise DomainError("the w0 run went non-finite at t = 0 and took no snapshot")
     lhs = e_norm(traj, p, p, cfg.T)
 
-    w0_norm = besov_norm(prob.w0, BesovIndex(sp, p, p))
-    part1, part2, drift = perturbation_spaces(p, d)
+    w0_norm = besov_norm(prob.w0, BesovIndex.critical(p, d))
+    *force_spaces, drift = perturbation_spaces(p, d)
 
     sample_times = np.linspace(0.0, cfg.T, min(33, max(5, len(traj.times))))
-    force_norm = 0.0
-    for g, space in zip(prob.force_parts, (part1, part2), strict=True):
-        if g is not None:
-            levels, (eps,) = band_tables(grid, sample_times.size,
-                                         lambda i: (g(sample_times[i]),), p)
-            force_norm += _cl_from_matrix(sample_times, levels, eps, *space)
+    forces = [(g, space) for g, space in zip(prob.force_parts, force_spaces, strict=True)
+              if g is not None]
+    force_norm = sum(sampled_norms(grid, sample_times, lambda t: [g(t) for g, _ in forces], p,
+                                   [space for _, space in forces]), 0.0)
 
     drift_norm = 0.0
     if prob.drift is not None:

@@ -254,6 +254,14 @@ def superpose_doc(**changes):
     return doc
 
 
+def superpose_3d_doc(remainder_field):
+    """A superpose document on a 3D grid whose remainder is the given field."""
+    return superpose_doc(grid={"d": 3, "N": 16},
+                         profiles=[{"field": {"generator": {"type": "random_divfree", "seed": 0}},
+                                    "scale_cores": [{"lambda": 1, "x0": [0, 0, 0]}] * 3}],
+                         remainder={"field": remainder_field})
+
+
 def ortho_doc(**changes):
     doc = {"grid": {"d": 2, "N": 16}, "f": TG, "g": TG, "seq_a": SEQ3, "seq_b": SEQ3,
            "p": 3, "n_values": [0]}
@@ -607,6 +615,11 @@ class TestCLI:
                     "solver": SOLVER}),
         # |k|^2 overflows (the tail octave read as holding no mode)
         ("evolve", {"grid": {"d": 2, "N": 16, "L": 1e-300}, "u0": TG, "solver": SOLVER}),
+        # a remainder that is no divergence-free velocity field
+        ("superpose", superpose_3d_doc({"generator": {"type": "gaussian", "sigma": 0.5,
+                                                      "amplitude": 0.01}})),
+        ("superpose", superpose_3d_doc({"generator": {"type": "gaussian", "sigma": 0.5,
+                                                      "ncomp": 3, "amplitude": 0.01}})),
     ], ids=["solver-dt-string", "grid-N-string", "taylor-green-3d", "record-norms",
             "norm-p-string", "norm-q-list", "lp-j_min-string", "remainder-decay-string",
             "scale-core-lambda-string", "ortho-n_values-string", "perturb-p-string",
@@ -631,7 +644,8 @@ class TestCLI:
             "remainder-seed-negative", "perturb-p-zero", "superpose-p-zero",
             "serrin-qx-zero", "probe-battery-seed-negative", "besov-overflow",
             "grid-L-cell-volume-overflow", "grid-L-box-volume-overflow",
-            "grid-L-wavenumber-overflow"])
+            "grid-L-wavenumber-overflow", "superpose-remainder-one-component",
+            "superpose-remainder-not-divergence-free"])
     def test_invalid_document_json_error(self, workdir, command, doc):
         if doc.get("trajectory") == HEAT_FLOW:
             traj_dir = workdir / "traj"

@@ -93,6 +93,44 @@ class TestSystemValidation:
         with pytest.raises(DomainError):
             sys_.validate()
 
+    @pytest.mark.parametrize("ncomp, message", [(1, "not a velocity field"),
+                                                (3, "not divergence-free")])
+    def test_rejects_a_remainder_that_is_no_divfree_velocity_field(self, grid3, ncomp,
+                                                                    message):
+        phi = localized_divfree_bump(grid3, sigma=grid3.L / 10, seed=1, amplitude=0.1)
+        bad = gaussian_bump(grid3, sigma=grid3.L / 10, ncomp=ncomp, amplitude=1e-2)
+        sys_ = ProfileSystem(profiles=[(phi, _identity_seq(3))],
+                             remainder=RemainderRule(base=bad))
+        with pytest.raises(DomainError, match=f"the remainder is {message}"):
+            sys_.validate()
+
+    def test_truncate_and_sequence_indices_own_their_range(self, grid3):
+        sys_ = _two_profile_system(grid3)
+        assert len(sys_.truncate(0).profiles) == 1
+        with pytest.raises(DomainError):
+            sys_.truncate(-1)
+        seq = sys_.sequence(0)
+        assert seq[len(seq) - 1] is seq.entries[-1]
+        for n in (-1, len(seq)):
+            with pytest.raises(DomainError):
+                seq[n]
+        with pytest.raises(DomainError):
+            synthesize_datum(sys_, -1)
+
+    def test_index_outside_a_sequence_stops_evolve_system_before_any_run(self, grid3,
+                                                                          monkeypatch):
+        from critns import profiles
+
+        sys_ = _two_profile_system(grid3)
+        (phi1, seq1), (phi2, seq2) = sys_.profiles
+        short = ProfileSystem(profiles=[(phi1, seq1),
+                                        (phi2, ScaleCoreSequence(seq2.entries[:2]))])
+        runs = []
+        monkeypatch.setattr(profiles, "evolve", lambda *args: runs.append(args))
+        with pytest.raises(DomainError):
+            evolve_system(short, SolverConfig(dt=4e-3, T=0.008), [0, 2])
+        assert runs == []
+
 
 class TestSynthesize:
     def test_single_profile_no_remainder(self, grid3m):
@@ -435,6 +473,31 @@ class TestBookkeeping:
         for bad in (-0.1, np.nan, np.inf):
             with pytest.raises(DomainError):
                 ev.remainder_heat(0, bad)
+
+    @pytest.mark.parametrize("n, t", [(1, 0.0), (1, 3e-3), (2, 3e-3)],
+                             ids=["roll-t0", "roll", "dilation"])
+    def test_frame_remainder_is_the_lab_heat_flow_rescaled(self, n, t):
+        from critns.profiles import _frame_components, _rescaled
+
+        # a compact remainder, so that its image under the inverse of the
+        # n = 2 frame (scale 2) fits the box
+        grid = Grid(3, 64)
+        psi = localized_divfree_bump(grid, sigma=grid.L / 28, seed=5, amplitude=1e-2)
+        seq = ScaleCoreSequence([ScaleCore.identity(3),
+                                 ScaleCore(1.0, (grid.L / 4, -grid.L / 8, 0.0)),
+                                 ScaleCore(0.5, (0.0, 0.0, 0.0))])
+        zero = zero_field(grid)
+        sys_ = ProfileSystem(profiles=[(zero, seq)], remainder=RemainderRule(base=psi))
+        sys_.validate()
+        ev = EvolvedSystem(system=sys_, trajectories=[make_heat_trajectory(zero, [0.0, 0.01])],
+                           lifespans=[float("inf")], ordering=[0])
+        frame = ev.frame(n)
+        assert frame.lam == (1.0 if n == 1 else 0.5)
+        _, w = _frame_components(ev, sys_, n, t)
+        want = _rescaled(heat_semigroup(sys_.remainder_at(n), t * frame.lam**2),
+                         frame.inverse())
+        assert w.max_abs() > 0
+        assert np.array_equal(w.data, want.data)
 
     def test_box_source_matches_q_sum(self, grid3):
         from critns.fields import random_divfree_field

@@ -276,6 +276,23 @@ def test_band_norms_in_two_readers():
         ("norms.py", "band_profile"), ("norms.py", "band_tables")]
 
 
+def test_one_path_for_each_remainder_equation_input():
+    # the sampled parts' band tables come from one sampler, which alone
+    # reduces them to Chemin-Lerner norms, and every frame reads the
+    # remainder's heat flow through one method
+    trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+
+    def readers(name):
+        return sorted((module, owner) for module, tree in trees.items()
+                      for owner in owners(tree, lambda node: _names(node, name)))
+
+    assert readers("band_tables") == [("norms.py", "sampled_norms"),
+                                      ("solver.py", "Trajectory.band_table")]
+    assert [module for module, tree in sorted(trees.items())
+            if uses(tree, "_cl_from_matrix")] == ["norms.py"]
+    assert readers("remainder_flow") == [("profiles.py", "EvolvedSystem.remainder_heat")]
+
+
 def test_one_discretization_of_the_equation():
     # the step's right-hand side is the one assembler of the equation: the
     # flux kernel's other callers are the one-shot projected flux and the

@@ -18,6 +18,17 @@ solver run keeping every other step, so that half the stage times fall
 between its frames and are interpolated) and a source, every snapshot and
 record, and both forms of `ns_equation_residual`: the plain one of the
 drift and the forced one of the perturbed run.
+
+A last case, `frames16`, is not a benchmark workload either: the
+remainder-equation paths that no workload digests.  On the benchmark's
+two-profile system at 16^3 (`superpose32`'s system, evolved as there) it
+digests, at n = 0, 1 and 2, `drift_norm`, `source_norms` and
+`remainder_equation_residual`, and the report of `verify_perturbation_bound`
+with both force parts (the n = 1 remainder as datum, the first profile's run
+as drift, and the split source at t = 0 as force parts, each damped by
+cos t).  It prints every value it digests too, one per line after its
+digest, so that trees that differ only in the last bits can be compared by
+relative difference.  It takes a few seconds.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 UNTIMED = {"timestamp", "wall_clock_s"}
 FORCED = "forced24"
+FRAMES = "frames16"
 
 
 class Digest:
@@ -122,18 +134,58 @@ def forced_digest(seed: int) -> str:
     return digest.hash.hexdigest()
 
 
+def frames_values(seed: int) -> dict:
+    """The frames16 case's values, by name."""
+    import workloads
+    from critns import Grid
+    from critns.profiles import (drift_norm, evolve_system, remainder,
+                                 remainder_equation_residual, source_norms, source_term,
+                                 synthesize_datum)
+    from critns.solver import (PerturbationProblem, SolverConfig, evolve,
+                               verify_perturbation_bound)
+
+    system = workloads.shipped_two_profile_system(Grid(3, 16), seed)
+    system.validate()
+    cfg = SolverConfig(dt=2e-3, T=0.08, snapshot_stride=4)
+    ev = evolve_system(system, cfg, [0, 1, 2])
+    values = {}
+    for n in (0, 1, 2):
+        r = remainder(evolve(synthesize_datum(system, n), cfg), ev, system, n)
+        values[f"drift_norm[{n}]"] = drift_norm(ev, system, n, cfg.T, 4.0, n_samples=5)
+        for key, value in source_norms(ev, system, n, cfg.T, 4.0, n_samples=5).items():
+            values[f"source_norms[{n}].{key}"] = value
+        values[f"residual[{n}]"] = remainder_equation_residual(r, ev, system, n)
+    part1, part2 = source_term(ev, system, 1, 0.0)
+    prob = PerturbationProblem(system.remainder_at(1), drift=ev.trajectories[0],
+                               force_parts=(lambda t: part1 * np.cos(t),
+                                            lambda t: part2 * np.cos(t)))
+    report = verify_perturbation_bound(prob, cfg, 4.0)
+    values.update({f"bound.{key}": value for key, value in report.to_dict().items()})
+    return values
+
+
+def frames_digest(seed: int) -> str:
+    """The frames16 case: its digest, then each value on a line of its own."""
+    values = frames_values(seed)
+    digest = Digest("<workdir>")
+    digest.feed(values)
+    return "\n".join([digest.hash.hexdigest(),
+                      *(f"  {key} {value!r}" for key, value in values.items())])
+
+
 def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
 
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--workload", action="append", choices=sorted(workloads.WORKLOADS) + [FORCED],
-                    help="a workload, or the forced24 case, to digest (repeatable); all of "
-                         "them by default")
+    cases = {FORCED: forced_digest, FRAMES: frames_digest}
+    ap.add_argument("--workload", action="append", choices=[*sorted(workloads.WORKLOADS), *cases],
+                    help="a workload, or the forced24 or frames16 case, to digest "
+                         "(repeatable); all of them by default")
     args = ap.parse_args(argv)
-    for name in args.workload or [*workloads.WORKLOADS, FORCED]:
-        value = (forced_digest(args.seed) if name == FORCED
+    for name in args.workload or [*workloads.WORKLOADS, *cases]:
+        value = (cases[name](args.seed) if name in cases
                  else workload_digest(workloads.WORKLOADS[name], args.seed))
         print(f"{name} {value}", flush=True)
     return 0
