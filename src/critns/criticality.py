@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -104,8 +105,9 @@ class ThresholdReport:
     sup_critical_time: float
     probes: list
     config_echo: dict
-    proxy_disclaimer: bool = True
-    disclaimer_text: str = PROXY_DISCLAIMER
+    # every report is a resolution-limited proxy, so these are constants
+    proxy_disclaimer: ClassVar[bool] = True
+    disclaimer_text: ClassVar[str] = PROXY_DISCLAIMER
 
     def to_dict(self) -> dict:
         return {

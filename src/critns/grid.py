@@ -289,12 +289,13 @@ class RetainedBox:
         return _gather(coeff, self.grid, self.extent)
 
 
-def _require_same_grid(*fields) -> Grid:
-    g = fields[0].grid
-    for f in fields[1:]:
-        if not g.compatible(f.grid):
-            raise GridMismatchError("fields live on different grids")
-    return g
+def _require_matching(a: "RealVectorField", b: "RealVectorField") -> None:
+    """GridMismatchError unless a and b share a grid and a component count:
+    numpy would broadcast a one-component field onto every component."""
+    if not a.grid.compatible(b.grid):
+        raise GridMismatchError("fields live on different grids")
+    if a.ncomp != b.ncomp:
+        raise GridMismatchError(f"fields have {a.ncomp} and {b.ncomp} components")
 
 
 @dataclass(frozen=True)
@@ -322,11 +323,11 @@ class RealVectorField:
         return self
 
     def __add__(self, other: "RealVectorField") -> "RealVectorField":
-        _require_same_grid(self, other)
+        _require_matching(self, other)
         return RealVectorField(self.grid, self.data + other.data)
 
     def __sub__(self, other: "RealVectorField") -> "RealVectorField":
-        _require_same_grid(self, other)
+        _require_matching(self, other)
         return RealVectorField(self.grid, self.data - other.data)
 
     def __mul__(self, scalar: float) -> "RealVectorField":

@@ -18,10 +18,11 @@ the remainder equation alike, reads it from `EvolvedSystem.remainder_heat`,
 one forward transform per index n.  The EvolvedSystem keeps the flow of the
 index last asked for only: a sweep over one index reuses it, and a new index
 replaces it.  The profile runs keep no frame either: each lookup reads the
-frame it needs.  The remainder equation's source G is summed on the dealias
-box as Leray-projected coefficients; its paraproduct piece is split off with
-one low-high sum over every component pair, formed one row of pairs at a
-time, and part1 and G - part1 are the only inverse transforms.  The equation
+frame it needs.  The remainder equation's source G is one flux of one
+summed tensor (`_source`), Leray-projected once on the dealias box; its
+paraproduct piece is split off with one low-high sum over every component
+pair, formed one row of pairs at a time, and part1 and G - part1 are the
+only inverse transforms.  The equation
 residual stays on that box too: one pruned forward transform per snapshot,
 and the solver's own right-hand side and Parseval energy
 (`solver.StepWorkspace`).
@@ -75,8 +76,7 @@ from .solver import (
     StepWorkspace,
     Trajectory,
     _div_flux_hat,
-    _pair_product,
-    _self_product,
+    _products,
     dealias_box,
     evolve,
 )
@@ -333,7 +333,12 @@ def drift_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float) -> RealV
 
 def drift_norm(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: float,
                n_samples: int) -> float:
-    """L^p-in-time B^{s_p + 2/p}_{p,p} norm of the drift over [0, T0]."""
+    """L^p-in-time B^{s_p + 2/p}_{p,p} norm of the drift over [0, T0].
+
+    SupportOverflowError at a dilation frame (ev.frame(n).lam < 1) whose
+    inverse takes the remainder's support out of the box, as it does for a
+    remainder that fills the box (`default_remainder`); without a remainder
+    the same index maps."""
     grid = sys.grid
     *_, drift = perturbation_spaces(p, grid.d)
     times = np.linspace(0.0, T0, n_samples)
@@ -345,21 +350,17 @@ def _source(parts: list, w: RealVectorField):
     G = -Q(u, w) - Q(w, w)/2 - sum_{a<b} Q(U_a, U_b) from the frame parts, as
     Leray-projected coefficients on the dealias box.
 
-    Q(a, b) = P div(a (x) b + b (x) a), so the flux divergences are summed on
-    the box and projected once; Q(w, w)/2 is the divergence of w (x) w.
+    Q(a, b) = P div(a (x) b + b (x) a) and Q(w, w)/2 = P div(w (x) w), so G
+    is -P div of one summed tensor, w (x) w + (u (x) w + w (x) u) +
+    sum_{a<b} (U_a (x) U_b + U_b (x) U_a): one flux and one projection.
     """
-    box = dealias_box(w.grid)
-
-    def minus_div(entry):
-        return _div_flux_hat(entry, box, sign=-1.0)
-
     u = sum(parts[1:], parts[0])
-    g = minus_div(_pair_product(u.data, w.data))
-    g += minus_div(_self_product(w.data))
+    terms = [(w.data, w.data), (u.data, w.data), (w.data, u.data)]
     for a in range(len(parts)):
         for b in range(a + 1, len(parts)):
-            g += minus_div(_pair_product(parts[a].data, parts[b].data))
-    return u, _leray_coefficients(g, box)
+            terms += [(parts[a].data, parts[b].data), (parts[b].data, parts[a].data)]
+    box = dealias_box(w.grid)
+    return u, _leray_coefficients(_div_flux_hat(_products(terms), box, -1.0), box)
 
 
 def source_term(ev: EvolvedSystem, sys: ProfileSystem, n: int, t: float):
@@ -389,7 +390,8 @@ def source_norms(ev: EvolvedSystem, sys: ProfileSystem, n: int, T0: float, p: fl
     """Sum-space upper bound: part1 in L^{2p/(p+1)} B^{s_p-1+1/p}, part2 in
     L^{p'} B^{s_p-2/p}; the F-norm bound is their sum.  One source_term per
     sample time gives both parts' band profiles, and the parts are dropped
-    before the next time."""
+    before the next time.  SupportOverflowError at a dilation frame that
+    cannot map the remainder, as for `drift_norm`."""
     grid = sys.grid
     *spaces, _ = perturbation_spaces(p, grid.d)
     times = np.linspace(0.0, T0, n_samples)
@@ -495,13 +497,17 @@ def ns_equation_residual(traj: Trajectory, forcing=None) -> float:
 def remainder_equation_residual(r_traj: Trajectory, ev: EvolvedSystem,
                                 sys: ProfileSystem, n: int) -> float:
     """Residual of the rescaled-frame remainder equation with the assembled
-    drift and source; ties the profile bookkeeping to the perturbed solver."""
+    drift and source; ties the profile bookkeeping to the perturbed solver.
+    SupportOverflowError at a dilation frame that cannot map the remainder,
+    as for `drift_norm`."""
     frame = ev.frame(n)
     r0 = apply_lambda_spacetime(r_traj, frame.inverse(), check_support=False)
 
     def forcing(s: float):
-        # one set of frame parts per time serves both the drift and the source
+        # one set of frame parts per time serves both the drift and the
+        # source, and the drift u + w takes the profile sum _source makes
         parts, w = _frame_components(ev, sys, n, s)
-        return sum(parts, w), _source(parts, w)[1]
+        u, g = _source(parts, w)
+        return u + w, g
 
     return ns_equation_residual(r0, forcing=forcing)

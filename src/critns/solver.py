@@ -20,12 +20,15 @@ derivative terms summed through one reused box temporary, with the dealias
 mask applied once per component; the box temporary, the trace copy and the
 entries' transform plan form a `FluxWorkspace`, a `StepWorkspace`'s (whose
 plan's last-axis rfft lives in the state's inverse work array) or a fresh
-one per one-shot call.  The convection term P div(u (x) u)
+one per one-shot call.  Its entries come from one builder, `_products`,
+the sum of a_i b_j over a list of ordered pairs (a, b), so each quadratic
+form is one summed tensor and one flux: the convection term P div(u (x) u)
 (`nonlinear_term`), the symmetric pair Q(a, b) (`q_bilinear`), the solver's
-right-hand side and the profile sources all go through it.
+right-hand side with its drift terms, and the remainder equation's source
+(`profiles._source`).
 
 The discretized equation has one owner, `StepWorkspace`: its one
-right-hand side P[-div(u (x) u) - div(u (x) F + F (x) u) + G] (`rhs`), its
+right-hand side P[-div(u (x) u + u (x) F + F (x) u) + G] (`rhs`), its
 box Parseval energy (`energy`) and its integrating-factor Heun step
 (`heun`, of a time step and its heat factor), with every large array they
 write (transform plans, flux and product buffers, stage arrays, the Leray
@@ -37,7 +40,7 @@ A run builds one, so a step allocates nothing of the grid's size;
 and the L^2 norm of the equation from it.  A forced run is a
 `PerturbationProblem`, whose `sweep` gives one run's forcing: the drift
 at a time, read through a two-frame window that lives for that run, and
-the source, made only when the step has summed its fluxes; `evolve` and
+the source, made only when the step has made its flux; `evolve` and
 `evolve_streaming` run the plain equation.
 
 There is one stepping loop, `_integrate`, which inverts the state, records
@@ -356,32 +359,23 @@ def _box_forward(data: np.ndarray, box: RetainedBox,
     return coeff
 
 
-# The product entries below are formed in the buffers the caller gives (a
-# `StepWorkspace`'s) or else in buffers that the first call
-# allocates and every later call reuses.  Allocated on first use, they sit
-# after the flux's long-lived result on the heap, so freeing them leaves no
-# hole below it.
-
-
-def _self_product(u: np.ndarray, buf: np.ndarray | None = None):
-    """Entries of u (x) u, for _div_flux_hat."""
-
-    def entry(i, j):
-        nonlocal buf
-        buf = np.multiply(u[i], u[j], out=buf)
-        return buf
-    return entry
-
-
-def _pair_product(a: np.ndarray, b: np.ndarray, buf: np.ndarray | None = None,
-                  tmp: np.ndarray | None = None):
-    """Entries of the symmetric a (x) b + b (x) a, for _div_flux_hat."""
+def _products(terms, buf: np.ndarray | None = None, tmp: np.ndarray | None = None):
+    """Entries sum over (a, b) in terms of a_i b_j, for _div_flux_hat: the
+    first product is written into buf and each later one is formed in tmp
+    and added.  A symmetric pair a (x) b + b (x) a is given as its two
+    orders.  buf and tmp are the caller's (a `StepWorkspace`'s) or else
+    allocated by the first call and reused by every later one: made on first
+    use, they sit after the flux's long-lived result on the heap, so freeing
+    them leaves no hole below it."""
+    (a0, b0), *rest = terms
 
     def entry(i, j):
         nonlocal buf, tmp
-        buf = np.multiply(a[i], b[j], out=buf)
-        tmp = np.multiply(b[i], a[j], out=tmp)
-        return np.add(buf, tmp, out=buf)
+        buf = np.multiply(a0[i], b0[j], out=buf)
+        for a, b in rest:
+            tmp = np.multiply(a[i], b[j], out=tmp)
+            np.add(buf, tmp, out=buf)
+        return buf
     return entry
 
 
@@ -394,7 +388,9 @@ class FluxWorkspace:
     given: a `StepWorkspace` holds one workspace and lends it its state's
     inverse work array, and its `rhs` lends its Leray projection the
     workspace's `term`.  A one-shot call builds its own, with its own
-    spectrum."""
+    spectrum.  A right-hand side, drift terms included, and a source
+    (`profiles._source`) are each one flux, so each uses one workspace and
+    one result."""
 
     def __init__(self, box: RetainedBox, spare: np.ndarray | None = None):
         self.plan = TransformPlan(box.grid, box.extent)
@@ -464,14 +460,14 @@ def _projected_flux(entry, grid: Grid) -> RealVectorField:
 def nonlinear_term(u: RealVectorField) -> RealVectorField:
     """P div(u (x) u), the projected convection term."""
     u.require_finite()
-    return _projected_flux(_self_product(u.data), u.grid)
+    return _projected_flux(_products([(u.data, u.data)]), u.grid)
 
 
 def q_bilinear(a: RealVectorField, b: RealVectorField) -> RealVectorField:
     """Q(a, b) = P(a.grad b + b.grad a); symmetric, and Q(u, u) = 2 P div(u (x) u)."""
     a.require_finite()
     b.require_finite()
-    return _projected_flux(_pair_product(a.data, b.data), a.grid)
+    return _projected_flux(_products([(a.data, b.data), (b.data, a.data)]), a.grid)
 
 
 @dataclass(frozen=True)
@@ -495,13 +491,13 @@ class StepWorkspace:
     with every large array it writes.
 
     Three pieces read it: the projected right-hand side
-    P[-div(u (x) u) - div(u (x) F + F (x) u) + G] (`rhs`), the box Parseval
-    energy (`energy`) and the integrating-factor Heun step (`heun`).  The
-    arrays are the state's transform plan, the flux kernel's
-    `FluxWorkspace` and product buffers (one of the grid's size, and with a
-    drift a second, which only the pair product writes), the drift flux
-    (only with a drift), the Leray scratch, the stage arrays (`pred`, `n1`)
-    and the power scratch, all allocated here.  A buffer dead when the next
+    P[-div(u (x) u + u (x) F + F (x) u) + G] (`rhs`), one flux of the summed
+    tensor, the box Parseval energy (`energy`) and the integrating-factor
+    Heun step (`heun`).  The arrays are the state's transform plan, the flux
+    kernel's `FluxWorkspace` and product buffers (one of the grid's size,
+    and with a drift a second, in which each drift product is formed before
+    it is added), the Leray scratch, the stage arrays (`pred`, `n1`) and the
+    power scratch, all allocated here.  A buffer dead when the next
     stage needs one holds that stage: the flux's last-axis rfft lives in
     the state's inverse work array (`TransformPlan.padded`, dead from the
     end of one state inverse to the start of the next), the Leray
@@ -521,23 +517,22 @@ class StepWorkspace:
         self.flux = FluxWorkspace(box, self.state.padded)
         self.products = np.empty((2 if drift else 1,) + grid.shape)
         self.pred, self.n1 = (np.empty(shape, dtype=np.complex128) for _ in range(2))
-        self.drift_flux = np.empty(shape, dtype=np.complex128) if drift else None
         self.leray = np.empty(box.spectral_shape, dtype=np.complex128)
         self.power = np.empty(shape)
         self.square = np.empty(box.spectral_shape)
 
     def rhs(self, phys: np.ndarray, acc: np.ndarray, drift: RealVectorField | None = None,
             source: Callable[[], RealVectorField] | None = None) -> None:
-        """P[-div(u (x) u) - div(u (x) F + F (x) u) + G] for the samples phys
-        of u, the drift F and the source G (each term only when given),
-        written into acc.  source() gives G; it is asked for once the
-        fluxes are summed, so the field it makes is not alive while they
-        run."""
+        """P[-div(u (x) u + u (x) F + F (x) u) + G] for the samples phys of
+        u, the drift F and the source G (each term only when given), written
+        into acc: one flux of the summed tensor.  source() gives G; it is
+        asked for once the flux is made, so the field it makes is not alive
+        while the flux runs."""
         box = self.box
-        _div_flux_hat(_self_product(phys, self.products[0]), box, -1.0, self.flux, acc)
+        terms = [(phys, phys)]
         if drift is not None:
-            acc -= _div_flux_hat(_pair_product(phys, drift.data, *self.products), box,
-                                 work=self.flux, out=self.drift_flux)
+            terms += [(phys, drift.data), (drift.data, phys)]
+        _div_flux_hat(_products(terms, *self.products), box, -1.0, self.flux, acc)
         if source is not None:
             # one component at a time through the flux's plan, whose rfft is
             # one component's

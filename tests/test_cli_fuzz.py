@@ -45,7 +45,7 @@ BASE = {
                   "n_values": [0, 1], "solver": SOLVER, "p": 3, "J": 0},
     "ortho": {"grid": GRID, "K": 3, "p": 2, "n_values": [0, 1], "seq_a": SEQ, "seq_b": SEQ,
               "f": {"generator": {"type": "gabor", "sigma": 0.6, "mode_center": [2.0, 0.0],
-                                  "center": [0.0, 0.0], "ncomp": 1, "amplitude": 1.0}},
+                                  "center": [0.0, 0.0], "ncomp": 2, "amplitude": 1.0}},
               "g": TG},
     "perturb": {"grid": GRID, "w0": TG, "drift_trajectory": TRAJECTORY, "force_part1": TG,
                 "solver": SOLVER, "p": 4},

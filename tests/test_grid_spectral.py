@@ -6,8 +6,9 @@ import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from critns import Grid, RealVectorField, heat_semigroup, leray_project
-from critns.errors import DomainError, InvalidFieldError
-from critns.fields import band_noise, curl_field, localized_divfree_bump, taylor_green
+from critns.errors import DomainError, GridMismatchError, InvalidFieldError
+from critns.fields import (band_noise, curl_field, gaussian_bump, localized_divfree_bump,
+                           taylor_green)
 from critns.grid import (
     HeatFlow,
     TransformPlan,
@@ -502,6 +503,18 @@ class TestFieldAlgebra:
     def test_shape_validation(self, grid3):
         with pytest.raises(InvalidFieldError):
             RealVectorField(grid3, np.zeros((3, 8, 8, 8)))
+
+    def test_sum_refuses_a_component_mismatch(self, grid3):
+        # numpy would broadcast the one-component bump onto all three
+        # velocity components
+        u, bump = zero_field(grid3), gaussian_bump(grid3, sigma=0.5)
+        assert bump.ncomp == 1
+        for combine in (lambda a, b: a + b, lambda a, b: a - b):
+            for a, b in ((u, bump), (bump, u)):
+                with pytest.raises(GridMismatchError, match="components"):
+                    combine(a, b)
+        with pytest.raises(GridMismatchError, match="different grids"):
+            u + zero_field(Grid(3, 8))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_curl_keeps_its_operation_order(self, d):

@@ -398,6 +398,24 @@ class TestCLI:
         doc = json.loads((workdir / "out" / "ortho.json").read_text())
         assert doc["rows"][0]["cross_term"] > doc["rows"][1]["cross_term"]
 
+    def test_ortho_refuses_fields_of_different_component_counts(self, workdir):
+        # the additivity defect sums the two fields, which numpy would
+        # broadcast: a one-component f and a two-component g are refused
+        cfg = self._write(workdir / "c.json", {
+            "grid": {"d": 2, "N": 16},
+            "f": {"generator": {"type": "gaussian", "sigma": 0.4}},
+            "g": {"generator": {"type": "gaussian", "sigma": 0.4, "ncomp": 2}},
+            "seq_a": [{"lambda": 1.0, "x0": [0.0, 0.0]} for _ in range(4)],
+            "seq_b": [{"lambda": 2.0 ** -n, "x0": [0.0, 0.0]} for n in range(4)],
+            "p": 2.0,
+            "n_values": [0],
+        })
+        res = run_cli(["ortho", "--config", cfg, "--out", str(workdir / "out")])
+        assert res.returncode == 1
+        [line] = res.stderr.strip().splitlines()
+        error = json.loads(line)
+        assert error["error"] == "GridMismatchError" and "components" in error["message"]
+
     def test_superpose_command_with_cfd_paths(self, workdir):
         # exercises the profile-system JSON schema: field entries are CFD1 paths
         import critns.io as cio

@@ -1,5 +1,7 @@
 """Profile synthesis, superposition, remainder tracking and concentration extraction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -415,6 +417,19 @@ class TestDriftAndSource:
                 for n in (0, 1, 2)]
         assert vals[0] > vals[1] > vals[2]
 
+    def test_a_dilation_frame_cannot_map_a_box_filling_remainder(self, grid3):
+        # a known limit: at n = 4 the 0-frame dilates by 2, and the default
+        # remainder, a band-noise packet that fills the box, has no support
+        # the dilation keeps inside it; the profiles alone map
+        sys_ = _two_profile_system(grid3)
+        ev = evolve_system(sys_, SolverConfig(dt=2e-3, T=0.08, snapshot_stride=4), [4])
+        assert ev.frame(4).lam == 0.5
+        with pytest.raises(SupportOverflowError, match="remainder: rescaled support"):
+            drift_term(ev, sys_, 4, 0.0)
+        bare = ProfileSystem(profiles=sys_.profiles, remainder=None)
+        drift = drift_term(replace(ev, system=bare), bare, 4, 0.0)
+        assert np.all(np.isfinite(drift.data)) and drift.max_abs() > 0.0
+
 
 class TestBookkeeping:
     """Whole-cell translations are not re-projected, the remainder's heat flow
@@ -590,8 +605,7 @@ class TestBookkeeping:
         from critns.fields import random_divfree_field
         from critns.grid import _leray_coefficients, forward_transform
         from critns.norms import _trapezoid_weights
-        from critns.solver import (_box_forward, _div_flux_hat, _pair_product,
-                                   _self_product, dealias_box)
+        from critns.solver import _box_forward, _div_flux_hat, _products, dealias_box
 
         box = dealias_box(grid3)
         u0 = random_divfree_field(grid3, seed=47, k_hi=4.0, amplitude=0.5)
@@ -608,10 +622,11 @@ class TestBookkeeping:
         res_l2 = []
         for i in range(1, len(times) - 1):
             u = traj.snapshots[i].data
-            rhs = _div_flux_hat(_self_product(u), box, -1.0)
+            terms = [(u, u)]
             if forced:
                 f, gh = forcing(float(times[i]))
-                rhs -= _div_flux_hat(_pair_product(u, f.data), box)
+                terms += [(u, f.data), (f.data, u)]
+            rhs = _div_flux_hat(_products(terms), box, -1.0)
             _leray_coefficients(rhs, box)
             if forced:
                 rhs += gh

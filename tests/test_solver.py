@@ -31,8 +31,7 @@ from critns.solver import (
     SolverConfig,
     StepWorkspace,
     _div_flux_hat,
-    _pair_product,
-    _self_product,
+    _products,
     condition_datum,
     dealias_box,
     evolve,
@@ -53,7 +52,7 @@ def convective_divergence(u):
     """div S' for the trace-free S' = u (x) u - u_{d-1}^2 I, unprojected and
     dealiased at 2/3: a gradient exactly when div(u (x) u) is one."""
     box = dealias_box(u.grid)
-    flux = _div_flux_hat(_self_product(u.data), box)
+    flux = _div_flux_hat(_products([(u.data, u.data)]), box)
     return RealVectorField(u.grid, inverse_transform(flux, u.grid, box.extent))
 
 
@@ -122,7 +121,7 @@ class TestQBilinear:
         box = dealias_box(grid3)
         general = (general_div_flux_hat(lambda i, j: f[i] * g[j], box)
                    + general_div_flux_hat(lambda i, j: g[i] * f[j], box))
-        pair = _div_flux_hat(_pair_product(f, g), box)
+        pair = _div_flux_hat(_products([(f, g), (g, f)]), box)
         assert rel_err(general, pair) < 1e-13
 
 
@@ -273,9 +272,24 @@ class TestEvolve:
         assert len(traj.snapshots) == 2
         assert peak / u0.data.nbytes <= 5.2
 
+    def test_drifted_run_peak_holds_no_second_flux(self, grid3m):
+        # the drift terms join u (x) u in one summed tensor, so the step
+        # makes one flux into its stage array and keeps no second flux
+        # result.  The traced peak of a drifted run keeping two snapshots,
+        # its drift on a frame at every stage time, reads 8.29 snapshots
+        # here, and 8.59 with a separate drift flux
+        u0 = random_divfree_field(grid3m, seed=8, k_hi=3.0, amplitude=0.5)
+        cfg = SolverConfig(dt=5e-3, T=0.03, snapshot_stride=6)
+        drift = evolve(random_divfree_field(grid3m, seed=9, k_hi=3.0, amplitude=0.3),
+                       SolverConfig(dt=5e-3, T=0.03))
+        prob = PerturbationProblem(u0, drift=drift)
+        traj, _, peak = traced(lambda: evolve_perturbed(prob, cfg))
+        assert len(traj.snapshots) == 2
+        assert peak / u0.data.nbytes <= 8.45
+
     def test_source_is_made_after_the_fluxes(self, grid3, monkeypatch):
-        # rhs asks for the source once the fluxes are summed, so no source
-        # field a forcing call made is alive while a flux runs, a drift's
+        # rhs asks for the source once its flux is made, so no source field
+        # a forcing call made is alive while a flux runs, one with a drift
         # included
         u0 = random_divfree_field(grid3, seed=8, k_hi=3.0, amplitude=0.5)
         g = random_divfree_field(grid3, seed=7, k_hi=4.0, amplitude=0.3)
@@ -296,8 +310,8 @@ class TestEvolve:
         flux = solver._div_flux_hat
         monkeypatch.setattr(solver, "_div_flux_hat", first)
         evolve_perturbed(PerturbationProblem(u0, drift=drift, force_parts=(source, None)), cfg)
-        # 4 steps of 2 stages, each with a self flux and a drift flux
-        assert len(made) == 4 * 2 and len(alive) == 4 * 2 * 2
+        # 4 steps of 2 stages, each with one flux of the summed tensor
+        assert len(made) == 4 * 2 and len(alive) == 4 * 2
         assert not any(alive)
 
     @pytest.mark.parametrize("run", ["evolve_streaming", "evolve"])
@@ -424,10 +438,12 @@ def _reference_heun(u0, cfg, drift=None, source=None, trace_free=True):
 
     def rhs(uh, phys, t):
         acc = np.zeros_like(uh)
-        acc -= flux(lambda i, j: phys[i] * phys[j])
-        if drift is not None:
+        if drift is None:
+            acc -= flux(lambda i, j: phys[i] * phys[j])
+        else:
+            # one flux of the summed tensor u (x) u + u (x) F + F (x) u
             f = drift.at(t).data
-            acc -= flux(lambda i, j: phys[i] * f[j] + f[i] * phys[j])
+            acc -= flux(lambda i, j: phys[i] * phys[j] + phys[i] * f[j] + f[i] * phys[j])
         if source is not None:
             acc += rfftn(source(t).data, grid) * mask
         return leray(acc)
@@ -527,9 +543,11 @@ class TestBoxStep:
                     (lambda: g * np.sin(1.0 + t)) if forced == "drift and source" else None)
 
         def rhs(phys, f, source):
-            acc = _div_flux_hat(_self_product(phys), box, -1.0)
+            # one flux of u (x) u + u (x) F + F (x) u, as the step makes it
+            terms = [(phys, phys)]
             if f is not None:
-                acc -= _div_flux_hat(_pair_product(phys, f.data), box)
+                terms += [(phys, f.data), (f.data, phys)]
+            acc = _div_flux_hat(_products(terms), box, -1.0)
             if source is not None:
                 acc += forward_transform(source().data, grid3, box.extent) * box.mask
             return _leray_coefficients(acc, box)
@@ -574,7 +592,7 @@ class TestTraceFreeFlux:
         f = random_divfree_field(grid, seed=40, k_hi=4.0).data
         g = random_divfree_field(grid, seed=41, k_hi=4.0).data
         box = retained_box(grid, fraction)
-        entry = _pair_product(f, g) if symmetric else (lambda i, j: f[i] * g[j])
+        entry = _products([(f, g), (g, f)]) if symmetric else (lambda i, j: f[i] * g[j])
         full = general_div_flux_hat(entry, box, trace_free=False)
         free = _div_flux_hat(entry, box) if symmetric else general_div_flux_hat(entry, box)
         assert rel_err(free, full) > 1e-3
@@ -593,7 +611,7 @@ class TestTraceFreeFlux:
             return forward_transform(data, grid, extent, plan)
 
         monkeypatch.setattr(solver, "forward_transform", counted)
-        _div_flux_hat(_self_product(u), dealias_box(grid))
+        _div_flux_hat(_products([(u, u)]), dealias_box(grid))
         assert len(calls) == transforms
 
     @pytest.mark.parametrize("d, N", [(2, 32), (3, 16), (3, 24)])

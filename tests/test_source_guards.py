@@ -296,18 +296,29 @@ def test_one_path_for_each_remainder_equation_input():
 def test_one_discretization_of_the_equation():
     # the step's right-hand side is the one assembler of the equation: the
     # flux kernel's other callers are the one-shot projected flux and the
-    # profile sources, and the equation residual reads the step's right-hand
-    # side and energy; the box Parseval energy, the Heun update and the trip
-    # decision are each made in one place
+    # profile sources, each calling it once, so a quadratic form is one
+    # summed tensor whose entries come from one builder, `_products` (the
+    # paraproduct split reads its tensor as it is); the equation residual
+    # reads the step's right-hand side and energy; the box Parseval energy,
+    # the Heun update and the trip decision are each made in one place
     trees = {path.name: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
 
     def owned(hit):
         return sorted({(name, owner) for name, tree in trees.items()
                        for owner in owners(tree, hit)})
 
-    assert owned(lambda node: _names(node, "_div_flux_hat")) == [
+    def flux_call(node):
+        return isinstance(node, ast.Call) and _names(node.func, "_div_flux_hat")
+
+    assert sorted((name, owner) for name, tree in trees.items()
+                  for owner in owners(tree, flux_call)) == [
         ("profiles.py", "_source"), ("profiles.py", "source_term"),
         ("solver.py", "StepWorkspace.rhs"), ("solver.py", "_projected_flux")]
+    assert owned(lambda node: isinstance(node, ast.Call) and _names(node.func, "_products")) == [
+        ("profiles.py", "_source"), ("solver.py", "StepWorkspace.rhs"),
+        ("solver.py", "nonlinear_term"), ("solver.py", "q_bilinear")]
+    assert not {"_self_product", "_pair_product", "drift_flux", "minus_div"} & {
+        mention for tree in trees.values() for mention in _mentions(tree)}
     [residual] = [stmt for stmt in trees["profiles.py"].body
                   if getattr(stmt, "name", None) == "ns_equation_residual"]
     read = set(_mentions(residual))

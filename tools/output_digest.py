@@ -6,18 +6,21 @@ Run from the repository root.  Each workload of perfbench/workloads.py runs
 its set-up and its body at the seed in a fresh temporary directory, in this
 process.  The digest covers the body's result and every file left in the
 directory: arrays by dtype, shape and bytes, floats by repr (bit for bit),
-reports and dataclasses field by field, on-read snapshot sequences snapshot
-by snapshot, JSON files by their parsed contents.  The keys `timestamp` and
-`wall_clock_s` are left out, and the temporary directory's path is replaced
-by a fixed name wherever a string holds it.  Two trees whose digests agree
-produced the same bits for every workload.
+reports and dataclasses field by field (their `ClassVar` constants
+included), on-read snapshot sequences snapshot by snapshot, JSON files by
+their parsed contents.  The keys `timestamp` and `wall_clock_s` are left
+out, and the temporary directory's path is replaced by a fixed name
+wherever a string holds it.  Two trees whose digests agree produced the
+same bits for every workload.  After the digest of `superpose32` come its
+scalar values, one per line, as for `frames16` below.
 
 One more case, `forced24`, is not a benchmark workload: the forced path that
 no workload runs.  It digests a 24^3 `evolve_perturbed` run with a drift (a
 solver run keeping every other step, so that half the stage times fall
 between its frames and are interpolated) and a source, every snapshot and
 record, and both forms of `ns_equation_residual`: the plain one of the
-drift and the forced one of the perturbed run.
+drift and the forced one of the perturbed run, which it prints after its
+digest.
 
 A last case, `frames16`, is not a benchmark workload either: the
 remainder-equation paths that no workload digests.  On the benchmark's
@@ -48,6 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 UNTIMED = {"timestamp", "wall_clock_s"}
 FORCED = "forced24"
 FRAMES = "frames16"
+VALUED = {"superpose32"}  # the workloads whose scalar values are printed
 
 
 class Digest:
@@ -75,8 +79,9 @@ class Digest:
                     self.feed(key)
                     self.feed(obj[key])
         elif dataclasses.is_dataclass(obj):
+            # __dataclass_fields__ holds the ClassVar constants beside the fields
             self.tag("dataclass", type(obj).__qualname__)
-            self.feed({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+            self.feed({name: getattr(obj, name) for name in type(obj).__dataclass_fields__})
         elif isinstance(obj, (list, tuple, Sequence)):
             self.tag("sequence", len(obj))
             for item in obj:
@@ -93,12 +98,33 @@ class Digest:
                 self.hash.update(path.read_bytes())
 
 
-def workload_digest(workload, seed: int) -> str:
+def scalars(obj, name: str = ""):
+    """(path, value) of every float in obj's nested dicts, lists and tuples."""
+    if isinstance(obj, float):
+        yield name, obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from scalars(value, f"{name}.{key}" if name else str(key))
+    elif isinstance(obj, (list, tuple)):
+        for i, value in enumerate(obj):
+            yield from scalars(value, f"{name}[{i}]")
+
+
+def listed(digest: Digest, values) -> str:
+    """The digest, then each (name, value) on a line of its own, so that trees
+    that differ only in the last bits can be compared by relative difference."""
+    return "\n".join([digest.hash.hexdigest(),
+                      *(f"  {key} {value!r}" for key, value in values)])
+
+
+def workload_digest(workload, seed: int, values: bool = False) -> str:
+    """The workload's digest, and its scalar values after it if values."""
     with tempfile.TemporaryDirectory() as workdir:
         digest = Digest(workdir)
-        digest.feed(workload.body(workload.setup(seed, workdir)))
+        out = workload.body(workload.setup(seed, workdir))
+        digest.feed(out)
         digest.feed_files(Path(workdir))
-        return digest.hash.hexdigest()
+        return listed(digest, scalars(out) if values else [])
 
 
 def forced_digest(seed: int) -> str:
@@ -130,8 +156,9 @@ def forced_digest(seed: int) -> str:
 
     digest = Digest("<workdir>")  # no directory: its name replaces only itself
     digest.feed(run)
-    digest.feed([ns_equation_residual(drift), ns_equation_residual(run, forcing)])
-    return digest.hash.hexdigest()
+    residuals = [ns_equation_residual(drift), ns_equation_residual(run, forcing)]
+    digest.feed(residuals)
+    return listed(digest, zip(["residual.drift", "residual.forced"], residuals))
 
 
 def frames_values(seed: int) -> dict:
@@ -169,8 +196,7 @@ def frames_digest(seed: int) -> str:
     values = frames_values(seed)
     digest = Digest("<workdir>")
     digest.feed(values)
-    return "\n".join([digest.hash.hexdigest(),
-                      *(f"  {key} {value!r}" for key, value in values.items())])
+    return listed(digest, values.items())
 
 
 def main(argv=None) -> int:
@@ -186,7 +212,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     for name in args.workload or [*workloads.WORKLOADS, *cases]:
         value = (cases[name](args.seed) if name in cases
-                 else workload_digest(workloads.WORKLOADS[name], args.seed))
+                 else workload_digest(workloads.WORKLOADS[name], args.seed, name in VALUED))
         print(f"{name} {value}", flush=True)
     return 0
 
