@@ -32,8 +32,10 @@ the grid's `RadialTable`, a 1-D array of a few thousand entries at 64^3,
 never as a half-spectrum array.  The table reads each symbol's support
 extent M off its values (`RadialTable.extent_of`).  `multiplier_blocks`,
 the one band engine, gathers each symbol onto the slabs of its box |m| <= M
-only (`_box_slabs`, the transforms' own slabs), forms the product there and
-runs the pruned complex stages; its callers run the last stage.  `HeatFlow`
+only (`_box_slabs`, the transforms' own slabs) and hands out a block read
+one component at a time: each read forms one component's product there, in
+one work array of one component's shape, and runs the pruned complex
+stages; its callers run the last stage of each component.  `HeatFlow`
 gathers exp(-t|k|^2) onto the half spectrum and `RetainedBox` its mask onto
 the box.
 
@@ -57,6 +59,7 @@ its fields out through it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -528,8 +531,9 @@ def _complex_stages(work: np.ndarray, grid: Grid, extent: int, inverse: bool) ->
 
 def last_inverse_stage(partial: np.ndarray, grid: Grid, out: np.ndarray | None = None) -> np.ndarray:
     """irfftn's last stage, the irfft along the last axis (numpy.fft, the same
-    pocketfft), of the whole of a partial transform (`multiplier_blocks`) or
-    of any leading slice of it, written into out if given."""
+    pocketfft), of a partial transform (a read of a `multiplier_blocks`
+    block, or the whole work array of `inverse_transform`) or of any leading
+    slice of it, written into out if given."""
     return np.fft.irfft(partial, n=grid.N, axis=-1, norm="forward", out=out)
 
 
@@ -560,31 +564,41 @@ def inverse_transform(coeff: np.ndarray, grid: Grid, extent: int | None = None,
 
 def multiplier_blocks(coeff: np.ndarray, symbols, grid: Grid):
     """For each radial symbol, given as its values on grid.radial_table, yield
-    symbol * coeff after irfftn's complex stages: its last_inverse_stage is
-    bitwise equal to inverse_transform(coeff * symbol).
+    a block read(i) over coeff's leading indices, flattened in C order:
+    read(i) is symbol * coeff[i] after irfftn's complex stages, and its
+    last_inverse_stage is bitwise item i of inverse_transform(coeff * symbol).
 
-    The symbol's support extent M is read off the table, and the product is
-    formed on the slabs of the box |m| <= M only, each slab's symbol gathered
-    from the values, in one work array that every block reuses (a block is
-    valid until the next is asked for): only the last-axis columns the
-    previous block wrote are zeroed again, less those the new product
-    overwrites.  The complex stages run in place, pruned to the box.  symbols
-    is read lazily, one per block.
+    The symbol's support extent M is read off the table, and its values are
+    gathered onto the slabs of the box |m| <= M once per block.  Each read
+    forms the product on those slabs only, in one work array of one
+    component's shape (grid.spectral_shape) that every read of every block
+    reuses, and runs the complex stages there in place, pruned to the box:
+    the result is valid until the next read.  Only the last-axis columns the
+    previous read wrote are zeroed again, less those the new product
+    overwrites.  symbols is read lazily, one per block.
     """
     table = grid.radial_table
-    work = np.zeros(coeff.shape, coeff.dtype)
+    rows = coeff.reshape((-1,) + grid.spectral_shape)
+    work = np.zeros(grid.spectral_shape, coeff.dtype)
     dirty = 0  # work is zero from last-axis column `dirty` on
-    for values in symbols:
-        extent = table.extent_of(values)
+
+    def read(i: int, extent: int, slabs: list) -> np.ndarray:
+        nonlocal dirty
         # a box spanning every leading index overwrites its columns 0..extent
         covered = extent + 1 if 2 * extent + 1 >= grid.N else 0
         work[..., covered:dirty] = 0.0
-        for _, slab in _box_slabs(grid.d, grid.N, extent):
-            np.multiply(coeff[(..., *slab)], np.take(values, table.inverse[slab]),
-                        out=work[(..., *slab)])
+        for slab, symbol in slabs:
+            np.multiply(rows[i][slab], symbol, out=work[slab])
         dirty = extent + 1
         _complex_stages(work, grid, extent, inverse=True)
-        yield work
+        return work
+
+    for values in symbols:
+        extent = table.extent_of(values)
+        # yielded unbound, so that the engine holds no block once handed out
+        yield functools.partial(read, extent=extent,
+                                slabs=[(slab, np.take(values, table.inverse[slab]))
+                                       for _, slab in _box_slabs(grid.d, grid.N, extent)])
 
 
 def spectral_divergence_ratio(f: RealVectorField) -> float:

@@ -12,17 +12,20 @@ difference of two of them, and nothing is kept.
 
 dyadic_blocks transforms once and yields the low block, then each band, each
 through the grid's band engine (`grid.multiplier_blocks`, which gathers each
-symbol only onto the slabs of its support box); it feeds paraproduct and the
-low-high sum T_f g.  Both need each factor's blocks only once (Bahouri,
-Chemin & Danchin, ch. 2), so they take them as they come and hold a few at a
-time.
+symbol only onto the slabs of its support box and forms one component at a
+time), each component's last stage run into its rows of a new array; it
+feeds paraproduct and the low-high sum T_f g.  Both need each factor's
+blocks only once (Bahouri, Chemin & Danchin, ch. 2), so they take them as
+they come, hold a few at a time and add each product into its sum one row
+(leading index) at a time.
 
 decompose keeps only the field's forward coefficients, one read-only half
 spectrum, and makes each block when it is read (`LPBandSet`): a read of the
 low block or of a band costs one block of the band engine and its last
 inverse stage, bitwise the block dyadic_blocks yields, and `reconstruct()`
-streams every block through one buffer.  low_pass and band_project read one
-block of decompose(f, j, j): its low block and its one band.
+streams every block through one one-component buffer.  low_pass and
+band_project read one block of decompose(f, j, j): its low block and its
+one band.
 """
 
 from __future__ import annotations
@@ -138,10 +141,14 @@ class LPBandSet:
         self.coeff.flags.writeable = False
 
     def _block(self, values: np.ndarray) -> RealVectorField:
-        (partial,) = multiplier_blocks(self.coeff, [values], self.grid)
-        block = last_inverse_stage(partial, self.grid)
+        (read,) = multiplier_blocks(self.coeff, [values], self.grid)
+        block = _samples(read, self.grid, self._lead)
         block.flags.writeable = False
         return RealVectorField(self.grid, block)
+
+    @property
+    def _lead(self) -> tuple:
+        return self.coeff.shape[: self.coeff.ndim - self.grid.d]
 
     @property
     def low(self) -> RealVectorField:
@@ -158,25 +165,42 @@ class LPBandSet:
 
     def reconstruct(self) -> RealVectorField:
         """low + bands[0] + bands[1] + ..., added in that order into the low
-        block: one pass of the band engine over every multiplier, each band's
-        last stage run into one reused buffer, so the sum holds two fields
-        beside the engine's work array."""
+        block: one pass of the band engine over every multiplier, each band
+        component's last stage run into one reused one-component buffer, so
+        the sum holds one field and one component beside the engine's
+        one-component work array."""
+        grid = self.grid
         blocks = multiplier_blocks(
-            self.coeff, dyadic_multipliers(self.grid, self.j_min, self.j_max), self.grid)
-        out = last_inverse_stage(next(blocks), self.grid)
-        band = np.empty_like(out)
-        for partial in blocks:
-            out += last_inverse_stage(partial, self.grid, out=band)
-        return RealVectorField(self.grid, out)
+            self.coeff, dyadic_multipliers(grid, self.j_min, self.j_max), grid)
+        out = _samples(next(blocks), grid, self._lead)
+        band = np.empty(grid.shape)
+        for read in blocks:
+            for i, row in enumerate(out.reshape((-1,) + grid.shape)):
+                row += last_inverse_stage(read(i), grid, out=band)
+            del read  # its gathered symbol goes before the next is gathered
+        return RealVectorField(grid, out)
+
+
+def _samples(read, grid: Grid, lead: tuple) -> np.ndarray:
+    """A band-engine block's samples, a new array of shape lead + grid.shape:
+    each component read and its last inverse stage run into its row, one at
+    a time."""
+    out = np.empty(lead + grid.shape)
+    for i, row in enumerate(out.reshape((-1,) + grid.shape)):
+        last_inverse_stage(read(i), grid, out=row)
+    return out
 
 
 def dyadic_blocks(grid: Grid, data: np.ndarray, j_min: int, j_max: int):
     """Yield S_{j_min} data, then Delta_j data for j in [j_min, j_max], over the last
     grid.d axes: one forward transform, then one block of the band engine
-    each, its last inverse stage run on the whole block."""
+    each, its last inverse stage run one component at a time into a new
+    array."""
     coeff = forward_transform(data, grid)
-    for partial in multiplier_blocks(coeff, dyadic_multipliers(grid, j_min, j_max), grid):
-        yield last_inverse_stage(partial, grid)
+    for read in multiplier_blocks(coeff, dyadic_multipliers(grid, j_min, j_max), grid):
+        samples = _samples(read, grid, data.shape[: data.ndim - grid.d])
+        del read  # its gathered symbol goes before the samples are used
+        yield samples
 
 
 def decompose(f: RealVectorField, j_min: int | None = None,
@@ -235,22 +259,26 @@ def paraproduct(grid: Grid, f: np.ndarray, g: np.ndarray):
     block of each, the two low-pass sums and the three parts.  The low-pass
     sum of f gains f_{b-1} once block b has used it, which adds the blocks
     in the order `_low_high_sum` does, so each part takes the same
-    operations in the same order as sums over lists of all the blocks.
+    operations in the same order as sums over lists of all the blocks.  Each
+    product is formed one row (leading index) at a time and added into its
+    row of the part, so no temporary holds a whole field.
     """
     if f.shape != grid.shape or g.shape != grid.shape:
         raise GridMismatchError("paraproduct factors must live on the given grid")
     levels = band_range(grid)
-    tfg = tgf = low_f = low_g = 0.0
-    pi = np.zeros(grid.shape)
+    tfg, tgf, pi = (np.zeros(grid.shape) for _ in range(3))
+    low_f = low_g = 0.0
     for b, (f_b, g_b) in enumerate(zip(dyadic_blocks(grid, f, *levels),
                                        dyadic_blocks(grid, g, *levels))):
-        if b >= 2:
-            tfg += low_f * g_b
-            tgf += low_g * f_b
+        for i in range(grid.N):
+            if b >= 2:
+                tfg[i] += low_f[i] * g_b[i]
+                tgf[i] += low_g[i] * f_b[i]
+            if b:
+                pi[i] += prev_f[i] * g_b[i] + f_b[i] * prev_g[i]
+            pi[i] += f_b[i] * g_b[i]
         if b:
-            pi += prev_f * g_b + f_b * prev_g
             low_f += prev_f
             low_g += prev_g
-        pi += f_b * g_b
         prev_f, prev_g = f_b, g_b
     return tfg, tgf, pi

@@ -13,8 +13,9 @@ block's last inverse stage for the block norms).  Every block norm
 `_multiplier_norms`, which takes each radial multiplier m as its values on
 the grid's radial table (`grid.RadialTable`) and its blocks from the grid's
 band engine (`grid.multiplier_blocks`: m gathered onto its support box only,
-the product formed there and its complex inverse stages pruned to that
-box).  No multiplier is kept between norms.
+each component's product formed there when it is read, in one work array of
+one component's shape, and its complex inverse stages pruned to that box).
+No multiplier is kept between norms.
 
 Every space-time band table comes from one builder, `band_tables`: a
 trajectory's eps[j, i] = ||Delta_j u(t_i)||_{L^p}, built once per (read-only
@@ -171,16 +172,17 @@ def _multiplier_norms(coeff: np.ndarray, mults, grid: Grid, p: float) -> np.ndar
     """||F^{-1}(m * coeff)||_{L^p} for each multiplier m in turn, given as its
     values on grid.radial_table, as lebesgue_norm would give it, bit for bit.
 
-    The blocks come from `grid.multiplier_blocks`; each component's last
-    inverse stage runs inside the L^p reduction (`_lp_norm`), so its samples
-    are summed right after they are made and only one component's samples
-    exist at a time.  A block whose powers overflow runs its last stage again.
+    The blocks come from `grid.multiplier_blocks`; each component is formed
+    when the reduction (`_lp_norm`) reads it and its last inverse stage runs
+    there, so its samples are summed right after they are made and only one
+    component's spectrum and samples exist at a time.  A block whose powers
+    overflow reads its components again.
     """
     _check_exponent(p)
     square = np.empty(grid.shape) if p == 3 else None
-    return np.array([_lp_norm(lambda c: last_inverse_stage(partial[c], grid), len(partial),
+    return np.array([_lp_norm(lambda c: last_inverse_stage(read(c), grid), len(coeff),
                               grid, p, square)
-                     for partial in multiplier_blocks(coeff, mults, grid)])
+                     for read in multiplier_blocks(coeff, mults, grid)])
 
 
 def _lq_sum(values: np.ndarray, q: float) -> float:

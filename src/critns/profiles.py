@@ -413,6 +413,15 @@ def norm_splitting_check(ev: EvolvedSystem, sys: ProfileSystem, n: int, t_n: flo
     return abs(float(np.sum(power_sums(total.data, 3) * w - parts)))
 
 
+def _magnitude(f: RealVectorField) -> np.ndarray:
+    """The pointwise magnitude of f, its squares summed one component at a
+    time: the bits of np.sqrt(np.sum(f.data**2, axis=0))."""
+    mag, square = np.square(f.data[0]), np.empty(f.grid.shape)
+    for comp in f.data[1:]:
+        mag += np.square(comp, out=square)
+    return np.sqrt(mag, out=mag)
+
+
 def extract_cores(f: RealVectorField, count: int = 1):
     """Dominant concentration scale/cores of a field, amplitude-descending.
 
@@ -430,21 +439,19 @@ def extract_cores(f: RealVectorField, count: int = 1):
     weights = 2.0 ** (levels * sp) * vals
     j_star = int(levels[int(np.argmax(weights))])
     lam_hat = 2.0**-j_star
-    smooth = low_pass(f, j_star + 2)
-    mag = np.sqrt(np.sum(smooth.data**2, axis=0))
+    mag = _magnitude(low_pass(f, j_star + 2))
     coords = grid.axis_coords
     out = []
-    mag_work = mag.copy()
     for _ in range(count):
-        peak = np.max(mag_work)
+        peak = np.max(mag)
         if peak <= 0:
             break
-        candidates = np.argwhere(mag_work >= peak * (1.0 - 1e-9))
+        candidates = np.argwhere(mag >= peak * (1.0 - 1e-9))
         pts = sorted(tuple(coords[i] for i in idx) for idx in candidates)
         x_hat = pts[0]
         out.append(ScaleCore(lam_hat, x_hat))
         r2 = sum(dx**2 for dx in grid.periodic_offsets(x_hat))
-        mag_work[r2 <= (2.0 * lam_hat) ** 2] = 0.0
+        mag[r2 <= (2.0 * lam_hat) ** 2] = 0.0
     return out
 
 

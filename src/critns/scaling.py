@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, SupportOverflowError, UndersampledScaleError
-from .grid import DerivedSnapshots, RealVectorField, forward_transform
+from .grid import DerivedSnapshots, RealVectorField, _require_matching, forward_transform
 from .norms import lebesgue_norm
 from .solver import Trajectory
 
@@ -229,7 +229,9 @@ def apply_lambda_spacetime(traj, sc: ScaleCore, check_support: bool = True):
 
 def cross_term(f: RealVectorField, g: RealVectorField, a: ScaleCore, b: ScaleCore,
                p: float) -> float:
-    """Quadrature of sum_c |Lambda_a f_c|^{p-1} |Lambda_b g_c| over the box."""
+    """Quadrature of sum_c |Lambda_a f_c|^{p-1} |Lambda_b g_c| over the box;
+    GridMismatchError unless f and g share a grid and a component count."""
+    _require_matching(f, g)
     fa = apply_lambda(f, a, name="first factor")
     gb = apply_lambda(g, b, name="second factor")
     w = f.grid.cell_volume

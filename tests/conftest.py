@@ -143,15 +143,23 @@ def radial_multiplier(grid, extent, rng):
 
 def full_product_blocks(monkeypatch, *modules):
     """Replace the band engine in each module by the reference: every block's
-    whole product coeff * m, inverted by irfftn, with the caller's last stage
-    made the identity."""
+    whole product coeff * m, inverted by irfftn, read one leading index at a
+    time as the engine's blocks are, with the caller's last stage made a
+    copy into out (the identity without one)."""
     def blocks(coeff, symbols, grid):
         for values in symbols:
-            yield irfftn(coeff * on_half_spectrum(grid, values), grid)
+            rows = irfftn(coeff * on_half_spectrum(grid, values), grid).reshape((-1,) + grid.shape)
+            yield rows.__getitem__
+
+    def last_stage(samples, grid, out=None):
+        if out is None:
+            return samples
+        out[...] = samples
+        return out
 
     for module in modules:
         monkeypatch.setattr(module, "multiplier_blocks", blocks)
-        monkeypatch.setattr(module, "last_inverse_stage", lambda samples, grid: samples)
+        monkeypatch.setattr(module, "last_inverse_stage", last_stage)
 
 
 def gradient(grid, scalar):

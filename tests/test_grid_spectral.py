@@ -30,9 +30,9 @@ from conftest import (gradient, irfftn, laplacian, on_half_spectrum, radial_mult
 def heat_derivative_kernel(f, tau):
     """K(tau) = tau * d/dtau exp(tau*Laplacian) applied to f through the
     symbol the heat norms use."""
-    blocks = multiplier_blocks(forward_transform(f.data, f.grid),
-                               [heat_derivative_symbol(f.grid, tau)], f.grid)
-    return RealVectorField(f.grid, last_inverse_stage(next(blocks), f.grid))
+    (read,) = multiplier_blocks(forward_transform(f.data, f.grid),
+                                [heat_derivative_symbol(f.grid, tau)], f.grid)
+    return RealVectorField(f.grid, _block_samples(read, f.ncomp, f.grid))
 
 
 class TestGrid:
@@ -127,8 +127,8 @@ class TestPrunedInverse:
                 assert got.tobytes() == want.tobytes(), (lead, M)
                 if lead:
                     ones = np.ones(grid.radial_table.k_squared.size)
-                    (block,) = multiplier_blocks(padded, [ones], grid)
-                    rows = np.stack([last_inverse_stage(row, grid) for row in block])
+                    (read,) = multiplier_blocks(padded, [ones], grid)
+                    rows = _block_samples(read, int(np.prod(lead)), grid)
                     assert rows.tobytes() == want.tobytes(), (lead, M)
 
     def test_rejects_another_layout(self, grid3):
@@ -155,17 +155,24 @@ class TestPrunedInverse:
         assert support_extent(grid3, symbol) == grid3.N // 2
 
 
+def _block_samples(read, count, grid):
+    """The first count items of a band-engine block, each read and run
+    through its last inverse stage in turn, stacked: the samples of the
+    block's leading indices."""
+    return np.stack([last_inverse_stage(read(i), grid) for i in range(count)])
+
+
 class TestBandEngine:
     LEADS = [(), (3,), (3, 1), (1, 3)]  # low_high passes (3, 1) and (1, 3)
 
     @pytest.mark.parametrize("lead", LEADS, ids=str)
     @pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d", "3d"])
     def test_blocks_in_any_extent_order(self, grid, lead):
-        # full -> pruned -> smaller -> larger -> full: each block re-zeroes
+        # full -> pruned -> smaller -> larger -> full: each read re-zeroes
         # only what the previous one wrote, and its product is formed on its
-        # own support box; every block is irfftn of the whole product, bit for
-        # bit, also with its last stage run one leading row at a time, and
-        # the symbols are read one per block
+        # own support box; every block, read and run through its last stage
+        # one leading row at a time, is irfftn of the whole product, bit for
+        # bit, and the symbols are read one per block
         rng = np.random.default_rng(11)
         coeff = forward_transform(rng.standard_normal(lead + grid.shape), grid)
         half = grid.N // 2
@@ -178,13 +185,11 @@ class TestBandEngine:
                 pulled.append(values)
                 yield values
 
-        for i, block in enumerate(multiplier_blocks(coeff, lazy(), grid)):
+        for i, read in enumerate(multiplier_blocks(coeff, lazy(), grid)):
             assert len(pulled) == i + 1
             want = irfftn(coeff * on_half_spectrum(grid, mults[i]), grid)
-            assert last_inverse_stage(block, grid).tobytes() == want.tobytes(), i
-            if lead:
-                rows = np.stack([last_inverse_stage(row, grid) for row in block])
-                assert rows.tobytes() == want.tobytes(), i
+            got = _block_samples(read, int(np.prod(lead)), grid)
+            assert got.tobytes() == want.tobytes(), i
         assert i + 1 == len(pulled) == len(mults)
 
     @pytest.mark.parametrize("lead", LEADS, ids=str)
@@ -200,9 +205,26 @@ class TestBandEngine:
         poisoned = np.where(pairs[0][1], coeff, np.nan)
         assert np.isnan(irfftn(poisoned * on_half_spectrum(grid, mults[0]), grid)).all()
         blocks = multiplier_blocks(poisoned, mults, grid)
-        for values, block in zip(mults, blocks, strict=True):
+        for values, read in zip(mults, blocks, strict=True):
             want = irfftn(coeff * on_half_spectrum(grid, values), grid)
-            assert last_inverse_stage(block, grid).tobytes() == want.tobytes()
+            got = _block_samples(read, int(np.prod(lead)), grid)
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_component_work_array(self, grid3):
+        # every read of every block returns the one work array, one
+        # component's half spectrum; a block read again after the next one
+        # was made, its components in any order, still gives its own
+        # product, bit for bit
+        rng = np.random.default_rng(13)
+        coeff = forward_transform(rng.standard_normal((3,) + grid3.shape), grid3)
+        mults = [radial_multiplier(grid3, M, rng)[0] for M in (grid3.N // 2, 2)]
+        first, second = multiplier_blocks(coeff, mults, grid3)
+        work = second(2)
+        assert work.shape == grid3.spectral_shape
+        assert all(read(c) is work for read in (first, second) for c in (1, 0))
+        want = irfftn(coeff * on_half_spectrum(grid3, mults[0]), grid3)
+        got = [last_inverse_stage(first(c), grid3) for c in (2, 0, 1)]
+        assert np.stack([got[1], got[2], got[0]]).tobytes() == want.tobytes()
 
 
 class TestPrunedForward:

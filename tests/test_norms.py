@@ -234,6 +234,17 @@ class TestBlockEngine:
         assert list(_multiplier_norms(coeff, mults, grid, p)) == ref
 
 
+    @pytest.mark.parametrize("p, bound", [(3.0, 2.6), (4.0, 2.3)])
+    def test_band_profile_runs_one_component_at_a_time(self, grid3m, p, bound):
+        # the spectrum, the engine's one-component work array and one
+        # component's samples (and scratch at p = 3): 2.31 fields at p = 3 and
+        # 1.97 at p = 4, where a work array of every component took 3.03 and
+        # 2.69
+        f = random_smooth_field(grid3m, seed=18, ncomp=3)
+        band_profile(f, p)  # the grid's radial table, built once
+        _, _, peak = traced(lambda: band_profile(f, p))
+        assert peak < bound * f.data.nbytes
+
     @pytest.mark.parametrize("grid", [Grid(2, 32), Grid(3, 16)], ids=["2d", "3d"])
     def test_pruned_norms_bitwise_equal_to_full_transform(self, grid, monkeypatch):
         # Besov, heat-Besov and e-norms read block norms whose products and

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from critns import Grid
-from critns.errors import DomainError, SupportOverflowError, UndersampledScaleError
-from critns.fields import band_noise, gabor_bump, gaussian_bump, localized_divfree_bump
+from critns.errors import (DomainError, GridMismatchError, SupportOverflowError,
+                           UndersampledScaleError)
+from critns.fields import (band_noise, gabor_bump, gaussian_bump, localized_divfree_bump,
+                           taylor_green)
 from critns.grid import RealVectorField
 from critns.norms import BesovIndex, besov_norm, lebesgue_norm
 from critns.scaling import (
@@ -195,6 +197,16 @@ class TestCrossTerm:
         val = cross_term(f, g, ident, ident, 3.0)
         direct = float(np.sum(np.abs(f.data) ** 2 * np.abs(g.data)) * grid2.cell_volume)
         assert abs(val - direct) < 1e-14
+
+    def test_refuses_mismatched_component_counts(self):
+        # a one-component f against a two-component g would broadcast and
+        # give a number (0.1729 on this pair)
+        grid = Grid(2, 16)
+        f = gabor_bump(grid, sigma=0.6, mode_center=(2.0, 0.0), ncomp=1)
+        g = taylor_green(grid)
+        ident = ScaleCore.identity(2)
+        with pytest.raises(GridMismatchError, match="1 and 2 components"):
+            cross_term(f, g, ident, ident, 3.0)
 
     def test_disjoint_supports_vanish(self):
         grid = Grid(2, 64)

@@ -67,10 +67,14 @@ def counting_reads(monkeypatch):
 @pytest.mark.parametrize("reduction", [
     lambda traj, battery: serrin_norm(traj, float("inf"), 3),
     lambda traj, battery: traj.band_table(4.0),
+    lambda traj, battery: traj.band_table(3.0),
     lambda traj, battery: weak_convergence_probe(traj, battery),
-], ids=["serrin", "band_table", "probe"])
+], ids=["serrin", "band_table", "band_table_p3", "probe"])
 def test_loaded_reduction_holds_under_three_snapshots(saved, reduction):
-    # loading and reducing together: a trajectory read whole would be 11
+    # loading and reducing together: a trajectory read whole would be 11;
+    # the band tables run one component at a time through the band engine
+    # (2.52 snapshots at p = 3, where a work array of every component took
+    # 3.24)
     mem, path = saved
     battery = make_test_battery(mem.grid)
     band_profile(mem.snapshots[0], 4.0)  # the symbols every equal grid shares

@@ -32,6 +32,16 @@ as drift, and the split source at t = 0 as force parts, each damped by
 cos t).  It prints every value it digests too, one per line after its
 digest, so that trees that differ only in the last bits can be compared by
 relative difference.  It takes a few seconds.
+
+The case `bands` is not a benchmark workload either: the band-engine
+consumers that no workload digests, on a 2-component field of a 32^2 grid
+and a one-component field of a 24^3 grid.  For each field it digests
+`band_profile` at p = 2.5, 3, 4 and inf, `band_project`, `low_pass`,
+`decompose(...).reconstruct()`, `paraproduct` of its first component and
+a band-noise scalar, the `low_high` pairs of the field with itself and
+`extract_cores`, and on the 2-D field
+`heat_besov_norm_detailed`; like `frames16` it prints every scalar value
+after its digest.
 """
 
 from __future__ import annotations
@@ -51,6 +61,7 @@ ROOT = Path(__file__).resolve().parent.parent
 UNTIMED = {"timestamp", "wall_clock_s"}
 FORCED = "forced24"
 FRAMES = "frames16"
+BANDS = "bands"
 VALUED = {"superpose32"}  # the workloads whose scalar values are printed
 
 
@@ -199,15 +210,59 @@ def frames_digest(seed: int) -> str:
     return listed(digest, values.items())
 
 
+def bands_values(seed: int) -> dict:
+    """The bands case's values, by name: arrays, and floats (band profiles,
+    heat norm, cores) that are printed."""
+    from critns import Grid
+    from critns.fields import band_noise, gaussian_bump
+    from critns.lp import band_project, band_range, decompose, low_high, low_pass, paraproduct
+    from critns.norms import BesovIndex, band_profile, heat_besov_norm_detailed
+    from critns.profiles import extract_cores
+
+    planar = Grid(2, 32)
+    solid = Grid(3, 24)
+    cases = {
+        "2d": (band_noise(planar, 1.0, 12.0, seed, ncomp=2),
+               band_noise(planar, 2.0, 9.0, seed + 1, ncomp=1).data[0]),
+        "1c": (gaussian_bump(solid, sigma=solid.L / 10, center=(0.5, -0.3, 0.2))
+               + band_noise(solid, 1.0, 8.0, seed + 2, ncomp=1, amplitude=0.1),
+               band_noise(solid, 2.0, 6.0, seed + 3, ncomp=1).data[0]),
+    }
+    values = {}
+    for name, (f, other) in cases.items():
+        grid = f.grid
+        lo, hi = band_range(grid)
+        mid = (lo + hi) // 2
+        for p in (2.5, 3.0, 4.0, float("inf")):
+            values[f"{name}.band_profile[{p}]"] = band_profile(f, p)[1].tolist()
+        values[f"{name}.band_project[{mid}]"] = band_project(f, mid).data
+        values[f"{name}.low_pass[{mid}]"] = low_pass(f, mid).data
+        values[f"{name}.reconstruct"] = decompose(f).reconstruct().data
+        values[f"{name}.paraproduct"] = paraproduct(grid, f.data[0], other)
+        values[f"{name}.low_high"] = low_high(grid, f.data[:, None], f.data[None])
+        values[f"{name}.cores"] = [(core.lam, *core.x0) for core in extract_cores(f, count=2)]
+    values["2d.heat_besov"] = list(heat_besov_norm_detailed(cases["2d"][0],
+                                                            BesovIndex.critical(3.0, 2)))
+    return values
+
+
+def bands_digest(seed: int) -> str:
+    """The bands case: its digest, then each scalar value on a line of its own."""
+    values = bands_values(seed)
+    digest = Digest("<workdir>")
+    digest.feed(values)
+    return listed(digest, scalars(values))
+
+
 def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import workloads
 
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=0)
-    cases = {FORCED: forced_digest, FRAMES: frames_digest}
+    cases = {FORCED: forced_digest, FRAMES: frames_digest, BANDS: bands_digest}
     ap.add_argument("--workload", action="append", choices=[*sorted(workloads.WORKLOADS), *cases],
-                    help="a workload, or the forced24 or frames16 case, to digest "
+                    help="a workload, or the forced24, frames16 or bands case, to digest "
                          "(repeatable); all of them by default")
     args = ap.parse_args(argv)
     for name in args.workload or [*workloads.WORKLOADS, *cases]:
